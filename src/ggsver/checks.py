@@ -22,6 +22,7 @@ from .portraits import (
     commutator,
     directed,
     embed_at_vertex,
+    restrict_to_level,
     rooted,
     subtree_embed,
     subtree_section,
@@ -179,8 +180,14 @@ class _Workspace:
         return got
 
     def st1(self) -> PermGroup:
+        """The level-1 stabilizer, generated by the p*r conjugates b_i^(a^k).
+        They fix level 1, contain every b_i and are permuted by a, so they
+        generate a normal subgroup of index p, which is st(1)."""
         if self._st1 is None:
-            self._st1 = self.base.G.level_stabilizer(1)
+            g = self.base.G
+            a, bs = g.generators[0], g.generators[1:]
+            gens = [a**-k * b * a**k for k in range(g.prime) for b in bs]
+            self._st1 = PermGroup(g.degree, gens, prime=g.prime)
         return self._st1
 
     def st1_derived(self) -> PermGroup:
@@ -479,6 +486,39 @@ def check_rank_growth(session: GroupSession, ws=None) -> Verdict:
     )
 
 
+def _stabilizer_containment(ws: _Workspace, m: int, h: PermGroup):
+    """Decide st(m) <= h by orders alone: (log_p|st(m)|, None) when it holds,
+    else (log_p|st(m)|, an element of st(m) outside h).
+
+    G/st(m) is the level-m group G_m (the p-cycle when m = 1), and
+    h/(h & st(m)) is the level-m image pi_m(h), so st(m) <= h exactly when
+    log|h| - log|pi_m(h)| equals log|G| - log|G_m|.  Only a failure builds
+    st(m) itself, to name a witness that sifting re-checks.
+    """
+    g = ws.base.G
+    p = g.prime
+    exponent = g.order_exponent - (ws.group(m).order_exponent if m > 1 else 1)
+    image = generate(p**m, [restrict_to_level(x, p, m) for x in h.generators], prime=p)
+    if h.order_exponent - image.order_exponent == exponent:
+        return exponent, None
+    missing = h.containment_witness(g.level_stabilizer(m))
+    if missing is None:
+        raise AssertionError("orders deny a containment that every generator passes")
+    return exponent, missing
+
+
+def _stabilizer_verdict(claim_id, ws, m, h, name):
+    exponent, missing = _stabilizer_containment(ws, m, h)
+    details = {
+        "stabilizer_level": m,
+        "stabilizer_exponent": exponent,
+        f"{name}_exponent": h.order_exponent,
+    }
+    if missing is not None:
+        return Verdict(claim_id, ws.base.depth, FAILS, details, witness=missing)
+    return Verdict(claim_id, ws.base.depth, HOLDS, details)
+
+
 def check_derived_contains_stab(session: GroupSession, ws=None) -> Verdict:
     """The level-(r+1) stabilizer sits inside the derived subgroup."""
     spec = session.spec
@@ -488,19 +528,9 @@ def check_derived_contains_stab(session: GroupSession, ws=None) -> Verdict:
             f"depth {session.depth}; need depth at least {spec.r + 2}"
         )
     ws = _ws(session, ws)
-    st = session.G.level_stabilizer(spec.r + 1)
-    d = ws.derived(session.depth)
-    details = {
-        "stabilizer_level": spec.r + 1,
-        "stabilizer_exponent": st.order_exponent,
-        "derived_exponent": d.order_exponent,
-    }
-    missing = d.containment_witness(st)
-    if missing is not None:
-        return Verdict(
-            "derived_contains_stab", session.depth, FAILS, details, witness=missing
-        )
-    return Verdict("derived_contains_stab", session.depth, HOLDS, details)
+    return _stabilizer_verdict(
+        "derived_contains_stab", ws, spec.r + 1, ws.derived(session.depth), "derived"
+    )
 
 
 def check_second_derived_contains_stab(session: GroupSession, ws=None) -> Verdict:
@@ -519,24 +549,8 @@ def check_second_derived_contains_stab(session: GroupSession, ws=None) -> Verdic
             f"depth {session.depth}; need depth at least {spec.r + 4}"
         )
     ws = _ws(session, ws)
-    st = session.G.level_stabilizer(spec.r + 3)
-    second = ws.second_derived()
-    details = {
-        "stabilizer_level": spec.r + 3,
-        "stabilizer_exponent": st.order_exponent,
-        "second_derived_exponent": second.order_exponent,
-    }
-    missing = second.containment_witness(st)
-    if missing is not None:
-        return Verdict(
-            "second_derived_contains_stab",
-            session.depth,
-            FAILS,
-            details,
-            witness=missing,
-        )
-    return Verdict(
-        "second_derived_contains_stab", session.depth, HOLDS, details
+    return _stabilizer_verdict(
+        "second_derived_contains_stab", ws, spec.r + 3, ws.second_derived(), "second_derived"
     )
 
 

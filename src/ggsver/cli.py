@@ -8,10 +8,12 @@ Exit codes: 0 when no check failed (skipped and vacuous checks do not fail),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
+import tempfile
 
 from . import __version__
 from .checks import CHECKS, FAILS, default_depth, run_all
@@ -136,13 +138,25 @@ def strip_timings(payload: dict) -> dict:
     return out
 
 
-def report_payload(report) -> dict:
-    body = report.to_jsonable(include_timings=True)
+def _seal(body: dict) -> dict:
     shell = {"format": REPORT_FORMAT, "version": __version__, "report": body}
     shell["fingerprint"] = hashlib.sha256(
         _canonical(strip_timings(shell))
     ).hexdigest()
     return shell
+
+
+def report_payload(report) -> dict:
+    return _seal(report.to_jsonable(include_timings=True))
+
+
+def _relabel(payload: dict, label) -> dict:
+    """The same report under another label; the label is fingerprinted."""
+    body = payload["report"]
+    if body["spec"]["label"] == label:
+        return payload
+    body["spec"]["label"] = label
+    return _seal(body)
 
 
 def render_json(payload: dict) -> str:
@@ -202,6 +216,19 @@ def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "ggsver")
 
 
+@functools.cache
+def source_digest() -> str:
+    """Digest of the package's own .py files, so that a code change within
+    one version does not serve reports the old code computed."""
+    h = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()
+
+
 def _cache_key(spec, depth, checks) -> str:
     ident = {
         "p": spec.p,
@@ -209,6 +236,7 @@ def _cache_key(spec, depth, checks) -> str:
         "depth": depth,
         "checks": sorted(checks) if checks else None,
         "version": __version__,
+        "source": source_digest(),
     }
     return hashlib.sha256(_canonical(ident)).hexdigest()
 
@@ -236,16 +264,24 @@ def cache_load(spec, depth, checks):
 
 
 def cache_store(spec, depth, checks, payload) -> None:
+    """Write the entry to a temporary file and rename it into place, so a
+    failed write leaves no partial entry behind."""
     d = cache_dir()
+    entry = {
+        "checksum": hashlib.sha256(_canonical(payload)).hexdigest(),
+        "payload": payload,
+    }
+    path = os.path.join(d, _cache_key(spec, depth, checks) + ".json")
     try:
         os.makedirs(d, exist_ok=True)
-        entry = {
-            "checksum": hashlib.sha256(_canonical(payload)).hexdigest(),
-            "payload": payload,
-        }
-        path = os.path.join(d, _cache_key(spec, depth, checks) + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(entry, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     except OSError as exc:
         print(f"warning: cache write failed: {exc}", file=sys.stderr)
 
@@ -300,6 +336,7 @@ def cmd_verify(args) -> int:
         payload = cache_load(spec, depth, checks)
         if payload is not None:
             print("note: reusing cached report", file=sys.stderr)
+            payload = _relabel(payload, label)
     if payload is None:
         report = run_all(spec, depth=depth, checks=checks, label=label)
         payload = report_payload(report)
@@ -377,10 +414,8 @@ def cmd_table(args) -> int:
         else:
             g = build(spec, n, allow_large=args.allow_slow).G
         d = g.derived()
-        st_exps = []
-        for m in range(1, n + 1):
-            st = g.level_stabilizer(m)
-            st_exps.append(g.order_exponent - st.order_exponent)
+        # G_n/st(m) is the level-m group, so the index of st(m) is its order
+        st_exps = [row["order_exponent"] for row in rows] + [g.order_exponent]
         rows.append(
             {
                 "level": n,

@@ -8,9 +8,12 @@ Schreier-Sims scheme: a residue discovered while verifying the level at point
 q is assigned the range (q, first_moved(residue)].
 
 For a complete chain the strong generators whose first moved point is >= q
-generate the pointwise stabilizer of {0, ..., q-1}.  Level stabilizers of the
-tree action are extracted that way from a chain over the block-plus-leaf
-action, where the p**m level blocks precede the leaves in the point order.
+generate the pointwise stabilizer of {0, ..., q-1}.  PermGroup.level_stabilizer
+extracts level stabilizers of the tree action that way from a chain over the
+block-plus-leaf action, where the p**m level blocks precede the leaves in the
+point order.  That extended chain is built nowhere else: the verification
+checks decide the containments st(m) <= H by orders of level images and
+generate st(1) from conjugates of the directed generators (see checks).
 
 Everything here is deterministic: orbits grow in FIFO order, generators are
 processed in insertion order, and each Schreier pair is sifted exactly once.
@@ -63,8 +66,9 @@ def _inverse(arr: np.ndarray) -> np.ndarray:
 
 
 def _first_moved(arr: np.ndarray):
-    moved = np.flatnonzero(arr != _arange(len(arr)))
-    return int(moved[0]) if moved.size else None
+    mask = arr != _arange(len(arr))
+    k = int(mask.argmax())  # the first True, or 0 when none
+    return k if mask[k] else None
 
 
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -108,20 +112,30 @@ class _Chain:
     # -- membership ---------------------------------------------------------
 
     def sift(self, arr: np.ndarray):
-        """Reduce through the chain; None means membership."""
+        """Reduce through the chain; None means membership.
+
+        The transversal element divided out at point q fixes every point
+        below q and maps the image of q back to q, so the residue fixes all
+        points <= q and the next scan starts at q + 1.
+        """
+        idn = _arange(self.degree)
+        points = self.points
         cur = arr
+        q = 0
         while True:
-            fm = _first_moved(cur)
-            if fm is None:
+            mask = cur[q:] != idn[q:]
+            k = int(mask.argmax())  # the first True, or 0 when none
+            if not mask[k]:
                 return None
-            i = bisect_left(self.points, fm)
-            if i == len(self.points) or self.points[i] != fm:
+            q += k
+            i = bisect_left(points, q)
+            if i == len(points) or points[i] != q:
                 return cur
-            lvl = self.levels[i]
-            uinv = lvl.uinv.get(int(cur[fm]))
+            uinv = self.levels[i].uinv.get(int(cur[q]))
             if uinv is None:
                 return cur
             cur = uinv[cur]
+            q += 1
 
     # -- construction -------------------------------------------------------
 

@@ -57,3 +57,24 @@ def independent_by_enumeration(p, rows):
         if all(x == 0 for x in combo):
             return False
     return True
+
+
+def full_scan_sift(points, inverses, images):
+    """Reference sift that rescans from point 0 after every division.
+
+    points lists the base points in increasing order; inverses[i] maps each
+    orbit point y of points[i] to the image sequence of the inverse of the
+    transversal element carrying points[i] to y.  Returns None for a member,
+    else the residue as a tuple.
+    """
+    cur = tuple(int(y) for y in images)
+    while True:
+        moved = next((x for x, y in enumerate(cur) if x != y), None)
+        if moved is None:
+            return None
+        if moved not in points:
+            return cur
+        inv = inverses[points.index(moved)].get(cur[moved])
+        if inv is None:
+            return cur
+        cur = tuple(int(inv[y]) for y in cur)

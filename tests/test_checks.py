@@ -3,7 +3,10 @@ import random
 import pytest
 
 import ggsver as gv
-from ggsver.checks import FAILS, HOLDS, SKIPPED, VACUOUS
+from ggsver.checks import FAILS, HOLDS, SKIPPED, VACUOUS, _stabilizer_containment, _Workspace
+from ggsver.permgroups import equals
+
+SPEC_FIXTURES = ["gs_spec", "const_spec", "r2_spec", "sym5_spec"]
 
 
 class TestClassify:
@@ -158,6 +161,33 @@ class TestStabilizerContainments:
     def test_second_derived_skipped_for_constant(self, const_spec):
         v = gv.check_second_derived_contains_stab(gv.build(const_spec, 4))
         assert v.status == SKIPPED
+
+
+class TestOrderDecidedStabilizers:
+    @pytest.mark.parametrize("depth", [3, 4])
+    @pytest.mark.parametrize("name", SPEC_FIXTURES)
+    def test_st1_handle_is_the_level_one_stabilizer(self, request, name, depth):
+        session = gv.build(request.getfixturevalue(name), depth)
+        st1 = _Workspace(session).st1()
+        assert len(st1.generators) == session.spec.p * session.spec.r
+        assert equals(st1, session.G.level_stabilizer(1))
+
+    @pytest.mark.parametrize("name", ["gs_spec", "const_spec", "r2_spec"])
+    def test_helper_agrees_with_containment_witness(self, request, name):
+        spec = request.getfixturevalue(name)
+        session = gv.build(spec, 4)
+        ws = _Workspace(session)
+        d = ws.derived(4)
+        # st(r+1) lies in G'; st(1) does not, since b_1 is outside G'
+        for m, contained in ((spec.r + 1, True), (1, False)):
+            st = session.G.level_stabilizer(m)
+            exponent, witness = _stabilizer_containment(ws, m, d)
+            assert exponent == st.order_exponent
+            assert (witness is None) == contained
+            assert (d.containment_witness(st) is None) == contained
+            if witness is not None:
+                assert st.contains(witness)
+                assert not d.contains(witness)
 
 
 class TestWitnesses:

@@ -218,6 +218,48 @@ class TestCache:
         captured = capsys.readouterr()
         assert "cached" not in captured.err
 
+    def test_hit_reports_current_label(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
+                "--format", "json", "--label"]
+        assert cli.main(args + ["first"]) == 0
+        capsys.readouterr()
+        assert cli.main(args + ["second"]) == 0
+        captured = capsys.readouterr()
+        assert "cached" in captured.err
+        hit = json.loads(captured.out)
+        assert hit["report"]["spec"]["label"] == "second"
+        assert cli.main(args + ["second", "--no-cache"]) == 0
+        fresh = json.loads(capsys.readouterr().out)
+        assert hit["fingerprint"] == fresh["fingerprint"]
+
+    def test_source_digest_keyed(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
+                "--format", "json"]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        # an entry written by other sources of the same version is a miss
+        monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64, raising=False)
+        assert cli.main(args) == 0
+        assert "cached" not in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_entry(self, monkeypatch, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(cache))
+        spec = cli.validate(3, [(1, 2)])
+        payload = cli.report_payload(cli.run_all(spec, depth=3))
+
+        def broken_dump(obj, fh):
+            fh.write('{"checksum": "')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        cli.cache_store(spec, 3, None, payload)
+        assert "cache write failed" in capsys.readouterr().err
+        assert list(cache.iterdir()) == []
+        assert cli.cache_load(spec, 3, None) is None
+
 
 class TestDepthPolicy:
     def test_explicit_slow_depth_needs_flag(self, capsys):
