@@ -22,7 +22,6 @@ from .portraits import (
     commutator,
     directed,
     embed_at_vertex,
-    restrict_to_level,
     rooted,
     subtree_embed,
     subtree_section,
@@ -249,7 +248,9 @@ def check_abelianization(session: GroupSession, ws=None) -> Verdict:
     g = session.G
     d = ws.derived(session.depth)
     index_exp = g.order_exponent - d.order_exponent
-    frattini_eq = equals(g.frattini(), d)
+    # G/G' is abelian, so Frattini = G'G^p, generated modulo G' by the p-th
+    # powers of the generators
+    frattini_eq = all(d.contains(x**spec.p) for x in g.generators)
     details = {
         "order_exponent": g.order_exponent,
         "derived_exponent": d.order_exponent,
@@ -487,24 +488,22 @@ def check_rank_growth(session: GroupSession, ws=None) -> Verdict:
 
 
 def _stabilizer_containment(ws: _Workspace, m: int, h: PermGroup):
-    """Decide st(m) <= h by orders alone: (log_p|st(m)|, None) when it holds,
-    else (log_p|st(m)|, an element of st(m) outside h).
+    """Decide st(m) <= h, for h a subgroup of G, by layer dimensions:
+    (log_p|st(m)|, None) when it holds, else (log_p|st(m)|, an element of
+    st(m) outside h).
 
-    G/st(m) is the level-m group G_m (the p-cycle when m = 1), and
-    h/(h & st(m)) is the level-m image pi_m(h), so st(m) <= h exactly when
-    log|h| - log|pi_m(h)| equals log|G| - log|G_m|.  Only a failure builds
-    st(m) itself, to name a witness that sifting re-checks.
+    h & st(m) lies in G & st(m), and their orders are the sums of the layer
+    dimensions from level m on, so the containment holds exactly when those
+    sums agree.  On failure the witness is the first representative of G at
+    a level >= m that h does not contain.
     """
-    g = ws.base.G
-    p = g.prime
-    exponent = g.order_exponent - (ws.group(m).order_exponent if m > 1 else 1)
-    image = generate(p**m, [restrict_to_level(x, p, m) for x in h.generators], prime=p)
-    if h.order_exponent - image.order_exponent == exponent:
-        return exponent, None
-    missing = h.containment_witness(g.level_stabilizer(m))
+    st = ws.base.G.level_stabilizer(m)
+    if h.level_stabilizer(m).order_exponent == st.order_exponent:
+        return st.order_exponent, None
+    missing = h.containment_witness(st)
     if missing is None:
         raise AssertionError("orders deny a containment that every generator passes")
-    return exponent, missing
+    return st.order_exponent, missing
 
 
 def _stabilizer_verdict(claim_id, ws, m, h, name):

@@ -295,7 +295,7 @@ def normalize(spec: GGSSpec) -> Normalization:
 class GroupSession:
     """A defining-data object built at a fixed depth.
 
-    Holds the generator portraits, their leaf permutations and the chain
+    Holds the generator portraits, their leaf permutations and the group
     handle for the induced group on the p**depth leaves.  Immutable.
     """
 
@@ -321,8 +321,7 @@ class GroupSession:
             "vectors": [list(v) for v in self.spec.vectors],
             "depth": self.depth,
             "order_exponent": info["order_exponent"],
-            "base_points": info["base_points"],
-            "orbit_lengths": info["orbit_lengths"],
+            "level_dimensions": info["level_dimensions"],
             "generator_images": [g.tolist() for g in self.G.generators],
         }
 

@@ -1,27 +1,68 @@
-"""Exact stabilizer chains for finite p-subgroups of Sym(p**N).
+"""Exact subgroups of the iterated wreath product W_N, one layer per level.
 
-The base is the full point sequence 0 < 1 < 2 < ...; a chain level is
-materialized only at points some strong generator actually moves.  Strong
-generators carry the half-open point range (low, first_moved] of levels whose
-generating sets they join, following the incremental deterministic
-Schreier-Sims scheme: a residue discovered while verifying the level at point
-q is assigned the range (q, first_moved(residue)].
+Every group here acts on the p**N leaves of the depth-N p-regular rooted tree
+and lies in W_N, the tree automorphisms whose label at each vertex is a power
+of the p-cycle: g sends child d of a vertex v to child d + g_v (mod p) of
+g(v).  Leaves are numbered in base p, most significant digit first, so g_v
+is read off a single image: the first leaf below v goes into child g_v of
+g(v).  Generators outside W_N are refused with NotPGroup.
 
-For a complete chain the strong generators whose first moved point is >= q
-generate the pointwise stabilizer of {0, ..., q-1}.  PermGroup.level_stabilizer
-extracts level stabilizers of the tree action that way from a chain over the
-block-plus-leaf action, where the p**m level blocks precede the leaves in the
-point order.  That extended chain is built nowhere else: the verification
-checks decide the containments st(m) <= H by orders of level images and
-generate st(1) from conjugates of the directed generators (see checks).
+The level filtration W_N = st(0) >= st(1) >= ... >= st(N) = 1 has
+elementary abelian factors: on st(m) the level-m labels form a vector in
+F_p^(p^m), and g -> (g_v) is a homomorphism with kernel st(m+1).  A
+subgroup H is stored as one layer per level m: a reduced echelon basis over
+F_p of the label vectors of H & st(m), with one element of H & st(m) per
+basis row, its representative.  With d_m the dimension of layer m:
 
-Everything here is deterministic: orbits grow in FIFO order, generators are
-processed in insertion order, and each Schreier pair is sifted exactly once.
+* the canonical products r_0 r_1 ... r_(N-1), r_m a product of level-m
+  representatives with exponents in 0..p-1, are the elements of H, each
+  exactly once, so log_p|H| is the sum of the d_m;
+* H & st(m) is the suffix of layers from m on (level_stabilizer);
+* x lies in H exactly when reducing it level by level leaves the identity.
+  At level m the exponents are the labels of x at the pivot columns, and x
+  is divided by that product of representatives.  Everything divided out
+  lies in H, so the test is exact for any permutation of the leaves.
+
+An element of st(N-1) is determined by its labels, so the last layer keeps
+label rows only and decides by comparing labels.
+
+Closure.  One routine builds every handle: the closure of seed elements
+under conjugation by a list of ambient generators (generate(X) takes X for
+both, normal_closure(K, S) takes S and the generators of K).  Each candidate
+is reduced level by level; a non-zero residual at level m is scaled to a
+unit pivot, cleared from the other rows of its layer (an old representative
+is multiplied by a power of the new one), and becomes a representative r.
+It queues (a) its conjugates by the ambient generators, (b) r^p and (c) its
+commutators with the other level-m representatives.  (b) and (c) lie in
+st(m+1) and go ahead of the next seed or conjugate.  The loop stops when
+every queued element has reduced to the identity.
+
+Why that is the closure.  Every representative is a product of seeds,
+conjugates and earlier representatives, so it lies in the closure.  Clearing
+a pivot keeps, level by level, the group that the representatives generate,
+so an element that reduced to the identity lies in H_m, the group generated
+by the final representatives at levels >= m, where m is its level.  Hence
+(a) makes each H_m invariant under the ambient generators, and so normal in
+a group containing every representative; (b) and (c) put the p-th powers and
+the commutators of level-m representatives into H_(m+1).  Induction down
+from H_N = 1: H_m/H_(m+1) is elementary abelian and generated by the images
+of the d_m final representatives, so |H_m : H_(m+1)| <= p^(d_m); the labels
+map H_m onto their
+d_m-dimensional span with kernel H_m & st(m+1), which contains H_(m+1), so
+|H_m : H_(m+1)| >= p^(d_m).  Both are equalities: H_m & st(m+1) = H_(m+1),
+and the canonical products from level m on are H_m, each once.  H_0 holds
+every seed and is invariant under the ambient generators, so it is the
+closure, and H_0 & st(m) = H_m.
+
+Everything here is deterministic: candidates are processed in queue order
+and representatives are kept in the order they were found.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import weakref
+from collections import deque
+from itertools import combinations, product
 
 import numpy as np
 
@@ -40,35 +81,17 @@ __all__ = [
 
 
 class NotPGroup(ValueError):
-    """Orbit structure incompatible with a p-group."""
+    """A generator lies outside the iterated wreath product W_N."""
 
 
 class ElementNotInAmbient(ValueError):
     """A seed element lies outside the ambient group."""
 
 
-_RANGES: dict[int, np.ndarray] = {}
-
-
-def _arange(n: int) -> np.ndarray:
-    r = _RANGES.get(n)
-    if r is None:
-        r = np.arange(n, dtype=np.intp)
-        r.setflags(write=False)
-        _RANGES[n] = r
-    return r
-
-
 def _inverse(arr: np.ndarray) -> np.ndarray:
     inv = np.empty_like(arr)
-    inv[arr] = _arange(len(arr))
+    inv[arr] = np.arange(len(arr), dtype=arr.dtype)
     return inv
-
-
-def _first_moved(arr: np.ndarray):
-    mask = arr != _arange(len(arr))
-    k = int(mask.argmax())  # the first True, or 0 when none
-    return k if mask[k] else None
 
 
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -81,228 +104,243 @@ def _conj(w: np.ndarray, s: np.ndarray, sinv: np.ndarray) -> np.ndarray:
     return s[w[sinv]]
 
 
-class _Level:
-    __slots__ = ("point", "gens", "orbit_list", "u", "uinv", "row_done")
-
-    def __init__(self, point: int, degree: int):
-        idn = _arange(degree)
-        self.point = point
-        self.gens: list[np.ndarray] = []
-        self.orbit_list: list[int] = [point]
-        self.u: dict[int, np.ndarray] = {point: idn}
-        self.uinv: dict[int, np.ndarray] = {point: idn}
-        self.row_done: list[int] = [0]
-
-    def pending(self) -> bool:
-        ng = len(self.gens)
-        return any(d < ng for d in self.row_done)
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    out = x
+    for _ in range(k - 1):
+        out = x[out]
+    return out
 
 
-class _Chain:
-    __slots__ = ("degree", "levels", "points", "strong", "strong_low", "strong_fm")
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    # a mod p for float arrays of small integers; exact, and faster than %
+    return a - p * np.floor(a / p)
 
-    def __init__(self, degree: int):
-        self.degree = degree
-        self.levels: list[_Level] = []
-        self.points: list[int] = []
-        self.strong: list[np.ndarray] = []
-        self.strong_low: list[int] = []
-        self.strong_fm: list[int] = []
 
-    # -- membership ---------------------------------------------------------
+_TREES: dict = {}
 
-    def sift(self, arr: np.ndarray):
-        """Reduce through the chain; None means membership.
 
-        The transversal element divided out at point q fixes every point
-        below q and maps the image of q back to q, so the residue fixes all
-        points <= q and the next scan starts at q + 1.
-        """
-        idn = _arange(self.degree)
-        points = self.points
-        cur = arr
-        q = 0
-        while True:
-            mask = cur[q:] != idn[q:]
-            k = int(mask.argmax())  # the first True, or 0 when none
-            if not mask[k]:
-                return None
-            q += k
-            i = bisect_left(points, q)
-            if i == len(points) or points[i] != q:
-                return cur
-            uinv = self.levels[i].uinv.get(int(cur[q]))
-            if uinv is None:
-                return cur
-            cur = uinv[cur]
-            q += 1
+class _Tree:
+    """Index tables of the depth-n p-regular tree; see _tree()."""
 
-    # -- construction -------------------------------------------------------
+    def __init__(self, p, n: int):
+        self.p = p
+        self.depth = n
+        idn = np.arange(p**n if n else 1, dtype=np.intp)
+        idn.setflags(write=False)
+        self.identity = idn
+        # the level-m labels of x are digits[m][x[starts[m]]]
+        self.starts = [idn[:: p ** (n - m)] for m in range(n)]
+        self.digits = [idn // p ** (n - m - 1) % p for m in range(n)]
+        if n:
+            self.parent = idn // p
+            self.base = idn - idn % p
 
-    def add_generator(self, arr: np.ndarray, sift_first: bool = True) -> bool:
-        """Adjoin an element; returns True when the group grows."""
-        if sift_first:
-            res = self.sift(arr)
-            if res is None:
+    def from_last_labels(self, u: np.ndarray) -> np.ndarray:
+        """The element of st(n-1) whose level-(n-1) labels are u."""
+        return self.base + (self.identity + u[self.parent]) % self.p
+
+    def in_wreath(self, x: np.ndarray) -> bool:
+        """x preserves every level and shifts each vertex's children
+        cyclically."""
+        p = self.p
+        for m in range(self.depth):
+            bs = p ** (self.depth - m - 1)
+            blocks = x.reshape(p ** (m + 1), bs) // bs
+            heads = blocks[:, 0]
+            if not (blocks == heads[:, None]).all():
                 return False
-            arr = res
-        elif _first_moved(arr) is None:
-            return False
-        self._insert_strong(arr, -1)
-        self._complete()
+            kids = heads.reshape(p**m, p)
+            if not ((kids - kids[:, :1]) % p == np.arange(p)).all():
+                return False
         return True
 
-    def _level_index(self, point: int) -> int:
-        return bisect_left(self.points, point)
 
-    def _ensure_level(self, point: int) -> _Level:
-        i = self._level_index(point)
-        if i < len(self.points) and self.points[i] == point:
-            return self.levels[i]
-        lvl = _Level(point, self.degree)
-        self.levels.insert(i, lvl)
-        self.points.insert(i, point)
-        gens = [
-            self.strong[k]
-            for k in range(len(self.strong))
-            if self.strong_low[k] < point <= self.strong_fm[k]
-        ]
-        if gens:
-            lvl.gens.extend(gens)
-            self._extend_orbit(lvl, list(lvl.orbit_list))
-        return lvl
+def _tree(p, n: int) -> _Tree:
+    got = _TREES.get((p, n))
+    if got is None:
+        got = _TREES[(p, n)] = _Tree(p, n)
+    return got
 
-    def _insert_strong(self, arr: np.ndarray, low: int) -> int:
-        """Record a strong generator; returns the point of its home level."""
-        fm = _first_moved(arr)
-        self.strong.append(arr)
-        self.strong_low.append(low)
-        self.strong_fm.append(fm)
-        home_missing = self._level_index(fm) >= len(self.points) or (
-            self.points[self._level_index(fm)] != fm
-        )
-        if home_missing:
-            self._ensure_level(fm)  # picks the new generator up via its range
-        else:
-            self._level_add_gen(self.levels[self._level_index(fm)], arr)
-        lo = self._level_index(low) if low >= 0 else 0
-        while lo < len(self.points) and self.points[lo] <= low:
-            lo += 1
-        hi = self._level_index(fm)
-        for i in range(lo, hi):
-            self._level_add_gen(self.levels[i], arr)
-        return fm
 
-    def _level_add_gen(self, lvl: _Level, arr: np.ndarray) -> None:
-        lvl.gens.append(arr)
-        frontier = []
-        for x in list(lvl.orbit_list):
-            y = int(arr[x])
-            if y not in lvl.u:
-                self._orbit_add(lvl, y, arr[lvl.u[x]])
-                frontier.append(y)
-        self._extend_orbit(lvl, frontier)
+class _Layer:
+    """Reduced echelon basis over F_p of the level-m labels of H & st(m), as
+    float rows (exact for these small integers).  Below the last level each
+    row has a representative, and divs[j][c] is representative j raised to
+    -c."""
 
-    def _orbit_add(self, lvl: _Level, y: int, uy: np.ndarray) -> None:
-        lvl.u[y] = uy
-        lvl.uinv[y] = _inverse(uy)
-        lvl.orbit_list.append(y)
-        lvl.row_done.append(0)
+    __slots__ = ("rows", "pivots", "dim", "reps", "divs")
 
-    def _extend_orbit(self, lvl: _Level, frontier: list[int]) -> None:
-        qi = 0
-        while qi < len(frontier):
-            x = frontier[qi]
-            qi += 1
-            ux = lvl.u[x]
-            for s in lvl.gens:
-                y = int(s[x])
-                if y not in lvl.u:
-                    self._orbit_add(lvl, y, s[ux])
-                    frontier.append(y)
+    def __init__(self, width: int):
+        self.rows = np.zeros((4, width))
+        self.pivots = np.zeros(4, dtype=np.intp)
+        self.dim = 0
+        self.reps: list[np.ndarray] = []
+        self.divs: list[list] = []
 
-    def _complete(self) -> None:
-        i = len(self.levels) - 1
-        while i >= 0:
-            failed_at = self._verify_level(self.levels[i])
-            if failed_at is None:
-                i -= 1
+    def add(self, residual: np.ndarray, p: int) -> int:
+        """Append a residual (zero at every pivot) as a unit-pivot row and
+        clear its pivot from the other rows; returns the scale applied."""
+        if residual[self.pivots[: self.dim]].any():
+            raise AssertionError("a residual is not reduced against its layer")
+        j = int(np.flatnonzero(residual)[0])
+        scale = pow(int(residual[j]), -1, p)
+        if self.dim == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
+            self.pivots = np.resize(self.pivots, len(self.rows))
+        live = self.rows[: self.dim]
+        hit = np.flatnonzero(live[:, j])
+        row = residual * scale % p
+        live[hit] = _mod(live[hit] - np.outer(live[hit, j], row), p)
+        self.rows[self.dim] = row
+        self.pivots[self.dim] = j
+        self.dim += 1
+        return scale
+
+
+def _divisors(rep: np.ndarray, p: int) -> list:
+    inv = _inverse(rep)
+    out = [None, inv]
+    for _ in range(p - 2):
+        out.append(inv[out[-1]])
+    return out
+
+
+class _Layers:
+    """The layers of one subgroup of W_N.  Layers are shared with the
+    suffixes handed out as level stabilizers and never change once built."""
+
+    __slots__ = ("tree", "levels")
+
+    def __init__(self, tree: _Tree, levels=None):
+        self.tree = tree
+        self.levels = levels or [_Layer(tree.p**m) for m in range(tree.depth)]
+
+    def dimensions(self) -> list[int]:
+        return [lvl.dim for lvl in self.levels]
+
+    def suffix(self, m: int) -> "_Layers":
+        empty = [_Layer(self.tree.p**k) for k in range(m)]
+        return _Layers(self.tree, empty + self.levels[m:])
+
+    def representatives(self, start: int = 0):
+        """Representatives level by level, in the order they were found."""
+        last = self.tree.depth - 1
+        for m in range(start, self.tree.depth):
+            lvl = self.levels[m]
+            if m < last:
+                yield from lvl.reps
             else:
-                i = self._level_index(failed_at)
+                for row in lvl.rows[: lvl.dim]:
+                    yield self.tree.from_last_labels(row.astype(np.intp))
 
-    def _verify_level(self, lvl: _Level):
-        """Sift unprocessed Schreier pairs; returns the home point of a new
-        strong generator, or None when the level is clean."""
-        oi = 0
-        while oi < len(lvl.orbit_list):
-            gi = lvl.row_done[oi]
-            ng = len(lvl.gens)
-            if gi < ng:
-                x = lvl.orbit_list[oi]
-                ux = lvl.u[x]
-                while gi < ng:
-                    s = lvl.gens[gi]
-                    gi += 1
-                    lvl.row_done[oi] = gi
-                    t = s[ux]
-                    z = lvl.uinv[int(s[x])][t]
-                    res = self.sift(z)
-                    if res is not None:
-                        return self._insert_strong(res, lvl.point)
-            oi += 1
-        return None
+    # -- reduction -----------------------------------------------------------
 
-    # -- reporting ----------------------------------------------------------
+    def _exponents(self, x: np.ndarray, m: int) -> np.ndarray:
+        lvl = self.levels[m]
+        return self.tree.digits[m][x[self.tree.starts[m][lvl.pivots[: lvl.dim]]]]
 
-    def orbit_lengths(self) -> list[tuple[int, int]]:
-        return [(lvl.point, len(lvl.orbit_list)) for lvl in self.levels]
+    def _divide(self, x: np.ndarray, m: int) -> np.ndarray:
+        lvl = self.levels[m]
+        if lvl.dim:
+            for j, k in enumerate(self._exponents(x, m).tolist()):
+                if k:
+                    x = lvl.divs[j][k][x]
+        return x
 
-    def stabilizer_generators(self, point: int) -> list[np.ndarray]:
-        """Strong generators fixing every point below the given one."""
-        return [
-            self.strong[k]
-            for k in range(len(self.strong))
-            if self.strong_fm[k] >= point
-        ]
+    def _reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x with the levels below the last divided out, and the element of
+        the last layer whose exponents are then read off it."""
+        tree = self.tree
+        if not tree.depth:
+            return x, tree.identity
+        for m in range(tree.depth - 1):
+            x = self._divide(x, m)
+        lvl = self.levels[-1]
+        u = _mod(self._exponents(x, tree.depth - 1) @ lvl.rows[: lvl.dim], tree.p)
+        return x, tree.from_last_labels(u.astype(np.intp))
 
-    def restrict_suffix(self, offset: int) -> "_Chain":
-        """Drop the first `offset` points from a chain whose suffix levels all
-        fix them pointwise; yields a complete chain on the remaining points."""
-        out = _Chain(self.degree - offset)
-        for lvl in self.levels:
-            if lvl.point < offset:
-                continue
-            new = _Level(lvl.point - offset, out.degree)
-            new.gens = [g[offset:] - offset for g in lvl.gens]
-            new.orbit_list = [x - offset for x in lvl.orbit_list]
-            new.u = {x - offset: u[offset:] - offset for x, u in lvl.u.items()}
-            new.uinv = {x - offset: u[offset:] - offset for x, u in lvl.uinv.items()}
-            new.row_done = [len(new.gens)] * len(new.orbit_list)
-            out.levels.append(new)
-            out.points.append(new.point)
-        for k in range(len(self.strong)):
-            if self.strong_fm[k] >= offset:
-                out.strong.append(self.strong[k][offset:] - offset)
-                out.strong_low.append(max(self.strong_low[k] - offset, -1))
-                out.strong_fm.append(self.strong_fm[k] - offset)
-        return out
+    def contains(self, x: np.ndarray) -> bool:
+        x, last = self._reduce(x)
+        return bool((x == last).all())
+
+    def residue(self, x: np.ndarray) -> np.ndarray:
+        """x divided by the canonical product that reduction reads off it;
+        the identity exactly for members."""
+        x, last = self._reduce(x)
+        return _inverse(last)[x]
+
+    def _sift(self, x: np.ndarray, start: int):
+        """(level, element, labels) of the first non-zero residual of an
+        element of st(start) & W_N, or None when it lies in H.  On the last
+        level the labels determine the element, which is left out."""
+        tree = self.tree
+        last = tree.depth - 1
+        for m in range(start, last):
+            x = self._divide(x, m)
+            r = tree.digits[m][x[tree.starts[m]]]
+            if r.any():
+                return m, x, r
+        lvl = self.levels[last]
+        v = tree.digits[last][x[tree.starts[last]]]
+        r = _mod(v - v[lvl.pivots[: lvl.dim]] @ lvl.rows[: lvl.dim], tree.p)
+        return (last, None, r.astype(np.intp)) if r.any() else None
+
+    def _adjoin(self, m: int, x, residual: np.ndarray) -> np.ndarray:
+        """Make the residual a level-m representative; returns its images."""
+        p = self.tree.p
+        lvl = self.levels[m]
+        if m == self.tree.depth - 1:
+            lvl.add(residual, p)
+            return self.tree.from_last_labels(lvl.rows[lvl.dim - 1].astype(np.intp))
+        column = lvl.rows[: lvl.dim, np.flatnonzero(residual)[0]]
+        hits = [(i, int(t)) for i, t in enumerate(column) if t]
+        rep = _power(x, lvl.add(residual, p))
+        divs = _divisors(rep, p)
+        for i, t in hits:
+            # row i lost t times the new row, so its representative does too
+            lvl.reps[i] = divs[t][lvl.reps[i]]
+            lvl.divs[i] = _divisors(lvl.reps[i], p)
+        lvl.reps.append(rep)
+        lvl.divs.append(divs)
+        return rep
 
 
-def _p_exponent(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0 and n > 1:
-        n //= p
-        e += 1
-    if n != 1:
-        raise NotPGroup(f"orbit length {n * p**e} is not a power of {p}")
-    return e
+def _close(tree: _Tree, seeds, conj_by):
+    """Layers of the closure of the seeds under conjugation by conj_by, and
+    the seeds and conjugates that left a residual (they generate it)."""
+    layers = _Layers(tree)
+    if not tree.depth:
+        return layers, []
+    p = tree.p
+    last = tree.depth - 1
+    conj = [(y, _inverse(y)) for y in conj_by]
+    main = deque((x, 0) for x in seeds)
+    side: deque = deque()
+    found = []
+    while side or main:
+        from_main = not side
+        x, start = main.popleft() if from_main else side.popleft()
+        hit = layers._sift(x, start)
+        if hit is None:
+            continue
+        m, y, residual = hit
+        if from_main:
+            found.append(x)
+        peers = list(layers.levels[m].reps) if m < last else []
+        rep = layers._adjoin(m, y, residual)
+        if m < last:
+            side.append((_power(rep, p), m + 1))
+            side.extend((_comm(rep, r), m + 1) for r in peers)
+        main.extend((_conj(rep, s, sinv), m) for s, sinv in conj)
+    return layers, found
 
 
 class PermGroup:
-    """Subgroup of Sym(degree) with exact order and membership.
+    """Subgroup of W_N, acting on its p**N leaves, with exact order and
+    membership.
 
-    The stabilizer chain is built lazily on first use; handles are immutable
-    once constructed and safe to share.
+    The layers are built lazily on first use; handles are immutable once
+    constructed and safe to share.
     """
 
     def __init__(self, degree: int, generators, prime: int | None = None):
@@ -316,13 +354,28 @@ class PermGroup:
                 )
             gens.append(g)
         self.degree = int(degree)
-        self.generators: tuple[Perm, ...] = tuple(gens)
         self.prime = self._infer_prime(prime)
-        self._chain: _Chain | None = None
-        self._exp: int | None = None
+        self._tree = _tree(self.prime, self.level)
+        if not all(self._tree.in_wreath(g.images) for g in gens):
+            raise NotPGroup("a generator is not a tree automorphism with cyclic vertex labels")
+        self._setup(gens, None)
+
+    def _setup(self, generators, layers, closed_from=None) -> None:
+        self.generators: tuple[Perm, ...] = tuple(generators)
+        self._chain: _Layers | None = layers
+        # (weak reference to the ambient, seeds) for a normal closure; a
+        # strong one would make a cycle with the ambient's memo of it
+        self._closed_from = closed_from
         self._derived = None
         self._frattini = None
         self._stabilizers: dict[int, "PermGroup"] = {}
+
+    def _built(self, generators, layers, closed_from=None) -> "PermGroup":
+        """A handle on the same tree with its layers already built."""
+        obj = PermGroup.__new__(PermGroup)
+        obj.degree, obj.prime, obj._tree = self.degree, self.prime, self._tree
+        obj._setup(generators, layers, closed_from)
+        return obj
 
     def _infer_prime(self, prime):
         if prime is not None:
@@ -338,45 +391,18 @@ class PermGroup:
         level_of_degree(self.degree, p)
         return p
 
-    @classmethod
-    def _from_chain(cls, degree, generators, prime, chain) -> "PermGroup":
-        obj = cls.__new__(cls)
-        obj.degree = degree
-        obj.generators = tuple(generators)
-        obj.prime = prime
-        obj._chain = chain
-        obj._exp = None
-        obj._derived = None
-        obj._frattini = None
-        obj._stabilizers = {}
-        obj._validate_orbits()
-        return obj
-
-    # -- chain and order ----------------------------------------------------
+    # -- layers and order ----------------------------------------------------
 
     @property
-    def chain(self) -> _Chain:
+    def chain(self) -> _Layers:
         if self._chain is None:
-            ch = _Chain(self.degree)
-            for g in self.generators:
-                ch.add_generator(g.images)
-            self._chain = ch
-            self._validate_orbits()
+            gens = [g.images for g in self.generators]
+            self._chain, _ = _close(self._tree, gens, gens)
         return self._chain
-
-    def _validate_orbits(self) -> None:
-        exp = 0
-        for _, size in self._chain.orbit_lengths():
-            exp += _p_exponent(size, self.prime) if self.prime else 0
-            if self.prime is None and size != 1:
-                raise NotPGroup("nontrivial group needs a prime")
-        self._exp = exp
 
     @property
     def order_exponent(self) -> int:
-        if self._exp is None:
-            self.chain
-        return self._exp
+        return sum(self.chain.dimensions())
 
     @property
     def order(self) -> int:
@@ -392,15 +418,16 @@ class PermGroup:
     # -- membership ---------------------------------------------------------
 
     def sift(self, x: Perm) -> Perm:
+        """x divided by the canonical product its labels select; the
+        identity exactly when x lies in the group."""
         if x.degree != self.degree:
             raise DegreeMismatch("element degree differs from the group degree")
-        res = self.chain.sift(x.images)
-        return Perm.identity(self.degree) if res is None else Perm._wrap(res.copy())
+        return Perm._wrap(self.chain.residue(x.images).copy())
 
     def contains(self, x: Perm) -> bool:
         if x.degree != self.degree:
             raise DegreeMismatch("element degree differs from the group degree")
-        return self.chain.sift(x.images) is None
+        return self.chain.contains(x.images)
 
     def contains_subgroup(self, other: "PermGroup") -> bool:
         return self.containment_witness(other) is None
@@ -418,7 +445,7 @@ class PermGroup:
 
     def derived(self) -> "PermGroup":
         if self._derived is None:
-            seeds = _pair_commutators(self.generators)
+            seeds = _commutators(combinations(self.generators, 2))
             self._derived = normal_closure(self, seeds)
         return self._derived
 
@@ -427,7 +454,7 @@ class PermGroup:
         (commutators plus p-th powers of the generators, closed up)."""
         if self._frattini is None:
             p = self.prime
-            seeds = _pair_commutators(self.generators)
+            seeds = _commutators(combinations(self.generators, 2))
             for g in self.generators:
                 seeds.append(g**p)
             self._frattini = normal_closure(self, seeds)
@@ -440,89 +467,56 @@ class PermGroup:
     # -- level stabilizers ----------------------------------------------------
 
     def level_stabilizer(self, m: int) -> "PermGroup":
-        """Kernel of the induced action on the level-m vertices."""
-        p = self.prime
+        """Kernel of the induced action on the level-m vertices: the layers
+        from m on, generated by their representatives."""
         n = self.level
         if not 0 <= m <= n:
             raise ValueError(f"level {m} outside 0..{n}")
         if m == 0:
             return self
         got = self._stabilizers.get(m)
-        if got is not None:
-            return got
-        if m == n:
-            kern = PermGroup(self.degree, [], prime=p)
-        else:
-            kern = self._kernel_of_block_action(m)
-        self._stabilizers[m] = kern
-        return kern
-
-    def _kernel_of_block_action(self, m: int) -> "PermGroup":
-        p = self.prime
-        n = self.level
-        nb = p**m
-        bs = p ** (n - m)
-        ext = _Chain(nb + self.degree)
-        for g in self.generators:
-            arr = g.images
-            blocks = arr.reshape(nb, bs) // bs
-            heads = blocks[:, 0]
-            if not (blocks == heads[:, None]).all():
-                raise ValueError("a generator does not preserve the level blocks")
-            ext.add_generator(np.concatenate([heads, arr + nb]))
-        image_exp = 0
-        for point, size in ext.orbit_lengths():
-            if point < nb:
-                image_exp += _p_exponent(size, p)
-        kern_gens = [
-            Perm._wrap(s[nb:] - nb) for s in ext.stabilizer_generators(nb)
-        ]
-        kern = PermGroup._from_chain(
-            self.degree, kern_gens, p, ext.restrict_suffix(nb)
-        )
-        total = image_exp + kern.order_exponent
-        if self._exp is None:
-            self._exp = total  # the extended action is faithful on the leaves
-        elif self._exp != total:
-            raise AssertionError(
-                "index times kernel order disagrees with the group order"
-            )
-        return kern
+        if got is None:
+            layers = self.chain.suffix(m)
+            gens = [Perm._wrap(r) for r in layers.representatives(m)]
+            got = self._built(gens, layers)
+            self._stabilizers[m] = got
+        return got
 
     # -- reporting ------------------------------------------------------------
 
     def chain_summary(self) -> dict:
-        orbits = self.chain.orbit_lengths()
+        dims = self.chain.dimensions()
         return {
             "degree": self.degree,
             "prime": self.prime,
-            "order_exponent": self.order_exponent,
-            "base_points": [pt for pt, _ in orbits],
-            "orbit_lengths": [size for _, size in orbits],
-            "strong_generator_count": len(self.chain.strong),
+            "order_exponent": sum(dims),
+            "level_dimensions": dims,
+            # one representative per basis row; bench/spans.py reads this key
+            "strong_generator_count": sum(dims),
         }
 
     def strong_generators(self) -> list[Perm]:
-        return [Perm._wrap(a.copy()) for a in self.chain.strong]
+        """The representatives, level by level."""
+        return [Perm._wrap(r) for r in self.chain.representatives()]
 
     def __repr__(self):
-        built = self._exp is not None
-        size = f"order {self.prime}^{self._exp}" if built else "chain not built"
+        built = self._chain is not None
+        size = f"order {self.prime}^{self.order_exponent}" if built else "not built"
         return f"<PermGroup degree={self.degree} gens={len(self.generators)} {size}>"
 
 
-def _pair_commutators(gens) -> list[Perm]:
+def _commutators(pairs) -> list[Perm]:
+    """The non-trivial commutators [x, y] of the pairs."""
     out = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            c = _comm(gens[i].images, gens[j].images)
-            if _first_moved(c) is not None:
-                out.append(Perm._wrap(c))
+    for x, y in pairs:
+        c = _comm(x.images, y.images)
+        if not np.array_equal(c, np.arange(len(c))):
+            out.append(Perm._wrap(c))
     return out
 
 
 def generate(degree: int, gens, prime: int | None = None) -> PermGroup:
-    """Build a handle with a verified deterministic stabilizer chain."""
+    """Build a handle and its layers."""
     g = PermGroup(degree, gens, prime=prime)
     g.chain
     return g
@@ -549,41 +543,27 @@ def normal_closure(ambient: PermGroup, elements) -> PermGroup:
             e = Perm(e)
         if not ambient.contains(e):
             raise ElementNotInAmbient("seed element lies outside the ambient group")
-        seeds.append(e.images)
-    ch = _Chain(ambient.degree)
-    work: list[np.ndarray] = []
-    for arr in seeds:
-        if ch.add_generator(arr):
-            work.append(arr)
-    conj_by = [(g.images, _inverse(g.images)) for g in ambient.generators]
-    qi = 0
-    while qi < len(work):
-        w = work[qi]
-        qi += 1
-        for s, sinv in conj_by:
-            c = _conj(w, s, sinv)
-            if ch.add_generator(c):
-                work.append(c)
-    gens = [Perm._wrap(a) for a in work]
-    return PermGroup._from_chain(ambient.degree, gens, ambient.prime, ch)
+        seeds.append(e)
+    layers, found = _close(
+        ambient._tree, [e.images for e in seeds], [g.images for g in ambient.generators]
+    )
+    gens = [Perm._wrap(a) for a in found]
+    return ambient._built(gens, layers, (weakref.ref(ambient), tuple(seeds)))
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:
-    """Normal closure in the ambient group of the pairwise generator
-    commutators; equals [a, b] whenever both arguments are normal in it."""
+    """Normal closure in the ambient group of the commutators [s, y], with s
+    running over the elements `a` was normally closed from in the ambient
+    group (else its generators) and y over the generators of `b`.  That is
+    [a, b] whenever both are normal in the ambient group: modulo the closure
+    each s centralizes b, and so does each conjugate of s, since b is
+    normal."""
     for sub in (a, b):
         w = ambient.containment_witness(sub)
         if w is not None:
             raise ElementNotInAmbient(
                 "commutator arguments must be subgroups of the ambient group"
             )
-    if a is b:
-        seeds = _pair_commutators(a.generators)
-    else:
-        seeds = []
-        for x in a.generators:
-            for y in b.generators:
-                c = _comm(x.images, y.images)
-                if _first_moved(c) is not None:
-                    seeds.append(Perm._wrap(c))
-    return normal_closure(ambient, seeds)
+    closed = a._closed_from
+    left = closed[1] if closed is not None and closed[0]() is ambient else a.generators
+    return normal_closure(ambient, _commutators(product(left, b.generators)))

@@ -1,11 +1,16 @@
-"""Independent brute-force oracles, deliberately decoupled from the package.
+"""Independent oracles, deliberately decoupled from the package.
 
-Permutations here are plain tuples and composition is spelled out inline, so
-these routines share no code path with the stabilizer-chain engine they are
-used to cross-check.
+The brute-force routines use plain tuples with composition spelled out
+inline.  SchreierSims is a generic stabilizer-chain engine on numpy image
+arrays that knows nothing of the tree; it is the reference the layered
+engine in ggsver.permgroups is tested against.  Neither shares a code path
+with the package.
 """
 
+from bisect import bisect_left
 from itertools import product
+
+import numpy as np
 
 
 def tuple_mul(p, q):
@@ -59,22 +64,156 @@ def independent_by_enumeration(p, rows):
     return True
 
 
-def full_scan_sift(points, inverses, images):
-    """Reference sift that rescans from point 0 after every division.
+# -- reference Schreier-Sims ---------------------------------------------------
 
-    points lists the base points in increasing order; inverses[i] maps each
-    orbit point y of points[i] to the image sequence of the inverse of the
-    transversal element carrying points[i] to y.  Returns None for a member,
-    else the residue as a tuple.
+
+def _inverse(arr):
+    inv = np.empty_like(arr)
+    inv[arr] = np.arange(len(arr))
+    return inv
+
+
+def _first_moved(arr):
+    moved = np.flatnonzero(arr != np.arange(len(arr)))
+    return int(moved[0]) if moved.size else None
+
+
+class _Level:
+    def __init__(self, point, degree):
+        idn = np.arange(degree)
+        self.point = point
+        self.gens = []
+        self.orbit = [point]
+        self.u = {point: idn}
+        self.uinv = {point: idn}
+        self.done = [0]  # generators already paired with each orbit point
+
+
+class SchreierSims:
+    """Deterministic incremental Schreier-Sims over the base 0 < 1 < 2 < ...
+
+    A strong generator whose first moved point is f, found while checking
+    the level at point q, joins the generating sets of the levels in the
+    half-open range (q, f].  Works for any permutation group.
     """
-    cur = tuple(int(y) for y in images)
-    while True:
-        moved = next((x for x, y in enumerate(cur) if x != y), None)
-        if moved is None:
-            return None
-        if moved not in points:
-            return cur
-        inv = inverses[points.index(moved)].get(cur[moved])
-        if inv is None:
-            return cur
-        cur = tuple(int(inv[y]) for y in cur)
+
+    def __init__(self, degree, generators=()):
+        self.degree = degree
+        self.levels = []
+        self.points = []
+        self.strong = []  # (images, low, first moved)
+        for g in generators:
+            self.add(np.asarray(g, dtype=np.intp))
+
+    def sift(self, arr):
+        """None for a member, else the residue."""
+        cur = np.asarray(arr, dtype=np.intp)
+        while True:
+            q = _first_moved(cur)
+            if q is None:
+                return None
+            i = bisect_left(self.points, q)
+            if i == len(self.points) or self.points[i] != q:
+                return cur
+            uinv = self.levels[i].uinv.get(int(cur[q]))
+            if uinv is None:
+                return cur
+            cur = uinv[cur]
+
+    def contains(self, arr):
+        return self.sift(arr) is None
+
+    def order(self):
+        out = 1
+        for lvl in self.levels:
+            out *= len(lvl.orbit)
+        return out
+
+    def add(self, arr):
+        """Adjoin an element; True when the group grows."""
+        res = self.sift(arr)
+        if res is None:
+            return False
+        self._insert(res, -1)
+        i = len(self.levels) - 1
+        while i >= 0:
+            grown_at = self._verify(self.levels[i])
+            i = i - 1 if grown_at is None else bisect_left(self.points, grown_at)
+        return True
+
+    def _insert(self, arr, low):
+        fm = _first_moved(arr)
+        self.strong.append((arr, low, fm))
+        i = bisect_left(self.points, fm)
+        if i == len(self.points) or self.points[i] != fm:
+            lvl = _Level(fm, self.degree)
+            self.levels.insert(i, lvl)
+            self.points.insert(i, fm)
+            lvl.gens = [s for s, lo, f in self.strong if lo < fm <= f]
+            self._extend(lvl, [fm])
+        else:
+            self._add_gen(self.levels[i], arr)
+        for lvl in self.levels:
+            if low < lvl.point < fm:
+                self._add_gen(lvl, arr)
+        return fm
+
+    def _add_gen(self, lvl, arr):
+        lvl.gens.append(arr)
+        frontier = []
+        for x in list(lvl.orbit):
+            y = int(arr[x])
+            if y not in lvl.u:
+                self._orbit_add(lvl, y, arr[lvl.u[x]])
+                frontier.append(y)
+        self._extend(lvl, frontier)
+
+    def _orbit_add(self, lvl, y, uy):
+        lvl.u[y] = uy
+        lvl.uinv[y] = _inverse(uy)
+        lvl.orbit.append(y)
+        lvl.done.append(0)
+
+    def _extend(self, lvl, frontier):
+        qi = 0
+        while qi < len(frontier):
+            x = frontier[qi]
+            qi += 1
+            for s in lvl.gens:
+                y = int(s[x])
+                if y not in lvl.u:
+                    self._orbit_add(lvl, y, s[lvl.u[x]])
+                    frontier.append(y)
+
+    def _verify(self, lvl):
+        """Sift the unprocessed Schreier generators of a level; the point of
+        the level that gained a strong generator, or None when clean."""
+        for oi, x in enumerate(lvl.orbit):
+            while lvl.done[oi] < len(lvl.gens):
+                s = lvl.gens[lvl.done[oi]]
+                lvl.done[oi] += 1
+                z = lvl.uinv[int(s[x])][s[lvl.u[x]]]
+                res = self.sift(z)
+                if res is not None:
+                    return self._insert(res, lvl.point)
+        return None
+
+
+def reference_normal_closure(degree, seeds, conj_by):
+    """SchreierSims of the closure of the seeds under conjugation by conj_by."""
+    chain = SchreierSims(degree)
+    work = [np.asarray(s, dtype=np.intp) for s in seeds]
+    conj = [(np.asarray(y), _inverse(np.asarray(y))) for y in conj_by]
+    qi = 0
+    while qi < len(work):
+        w = work[qi]
+        qi += 1
+        if chain.add(w):
+            work.extend(y[w[yinv]] for y, yinv in conj)
+    return chain
+
+
+def reference_commutator(x, y):
+    """x^-1 y^-1 x y, composed left to right, on image arrays."""
+    x, y = np.asarray(x), np.asarray(y)
+    return y[x[_inverse(y)[_inverse(x)]]]

@@ -1,23 +1,30 @@
+import gc
 import random
+import weakref
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ggsver as gv
+from ggsver import permgroups
 from ggsver.permgroups import (
     PermGroup,
-    _Chain,
     commutator_subgroup,
     equals,
     generate,
     is_subgroup,
     normal_closure,
 )
-from ggsver.portraits import Perm
+from ggsver.portraits import Perm, restrict_to_level
 
-from oracles import bfs_closure, full_scan_sift, log_order
+from oracles import (
+    SchreierSims,
+    bfs_closure,
+    log_order,
+    reference_commutator,
+    reference_normal_closure,
+)
 
 
 def session_perms(session):
@@ -136,6 +143,20 @@ class TestDerivedAndFrattini:
         st1d = g.level_stabilizer(1).derived()
         assert gamma3.contains_subgroup(st1d)
 
+    def test_memoized_closures_leave_no_reference_cycle(self, gs_spec):
+        # a handle and the closures it memoizes are freed by reference
+        # counting alone, so repeated runs do not pile up layers
+        gc.disable()
+        try:
+            g = gv.build(gs_spec, 3).G
+            commutator_subgroup(g.derived(), g, g)
+            g.frattini()
+            freed = weakref.ref(g)
+            del g
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_frattini_of_cyclic_and_trivial(self):
         assert generate(3, [Perm([1, 2, 0])], prime=3).frattini().is_trivial()
         assert generate(9, [], prime=3).frattini().is_trivial()
@@ -241,71 +262,91 @@ class TestOracleAndDeterminism:
         assert st.order_exponent <= gs4.G.order_exponent
 
 
-# -- resumed sift against the full-scan reference ---------------------------------
+# -- differential test against the reference Schreier-Sims -----------------------
 
-_SIFT_SPECS = [
+_DIFF_SPECS = [
     (3, [(1, 2)]),
     (3, [(1, 0), (0, 1)]),
     (3, [(1, 1)]),
-    (5, [(1, 0, 0, 1)]),
+    (5, [(1, 1, 1, 1), (1, 0, 0, 1)]),
 ]
-
-
-def _reference_sift(chain, arr):
-    res = full_scan_sift(chain.points, [lvl.uinv for lvl in chain.levels], arr)
-    return None if res is None else np.array(res, dtype=np.intp)
 
 
 @st.composite
 def _random_subgroups(draw):
-    """(degree, prime, generators of a subgroup, probe elements).
+    """(level-N group, generators of a random subgroup, probes, one
+    arbitrary permutation of the leaves).
 
     The subgroup is generated by random words in the generators of a
-    level-N group.  In half the cases every element is conjugated by one
-    random permutation of the leaves: tree groups have base points only at
-    block starts, the relabelled ones also at adjacent points, where a scan
-    that resumes at the wrong point shows.  The probes are words in the
-    ambient generators plus one arbitrary permutation of the leaves.
+    level-N group of one of the conftest specs.  The probes are words in the
+    ambient generators and words in the subgroup generators.
     """
-    p, rows = draw(st.sampled_from(_SIFT_SPECS))
+    p, rows = draw(st.sampled_from(_DIFF_SPECS))
     depth = draw(st.integers(2, 3 if p == 5 else 4))
     g = gv.build(gv.validate(p, rows), depth).G
     letters = st.tuples(st.integers(0, len(g.generators) - 1), st.integers(1, p - 1))
     words = st.lists(letters, min_size=1, max_size=6)
-    subgens = draw(st.lists(words, min_size=1, max_size=3))
-    probes = draw(st.lists(words, min_size=1, max_size=4))
-    sigma = Perm(draw(st.permutations(range(g.degree))))
-    if not draw(st.booleans()):
-        sigma = Perm.identity(g.degree)
 
     def evaluate(word):
         w = Perm.identity(g.degree)
         for i, k in word:
             w = w * g.generators[i] ** k
-        return sigma.inverse() * w * sigma
+        return w
 
-    probes = [evaluate(w) for w in probes] + [evaluate([(i, 1)]) for i in range(len(g.generators))]
-    probes.append(Perm(draw(st.permutations(range(g.degree)))))
-    return g.degree, p, [evaluate(w) for w in subgens], probes
+    subgens = [evaluate(w) for w in draw(st.lists(words, min_size=1, max_size=3))]
+    probes = [evaluate(w) for w in draw(st.lists(words, min_size=1, max_size=4))]
+    probes += list(g.generators)
+    # words in the subgroup generators, so that members are probed too
+    inner = st.lists(st.sampled_from(range(len(subgens))), min_size=1, max_size=6)
+    for word in draw(st.lists(inner, min_size=1, max_size=4)):
+        w = Perm.identity(g.degree)
+        for i in word:
+            w = w * subgens[i]
+        probes.append(w)
+    return g, subgens, probes, Perm(draw(st.permutations(range(g.degree))))
 
 
-class TestResumedSift:
-    @settings(max_examples=25)
+def _reference_exponent(degree, gens, p):
+    return log_order(SchreierSims(degree, [x.images for x in gens]).order(), p)
+
+
+class TestAgainstSchreierSims:
+    @settings(max_examples=30)
     @given(_random_subgroups())
-    def test_matches_full_scan_reference(self, case):
-        degree, p, subgens, probes = case
-        h = PermGroup(degree, subgens, prime=p)
-        with mock.patch.object(_Chain, "sift", _reference_sift):
-            ref = PermGroup(degree, subgens, prime=p)
-            ref_summary = ref.chain_summary()
-        assert h.chain_summary() == ref_summary
-        assert [x.tolist() for x in h.strong_generators()] == [
-            x.tolist() for x in ref.strong_generators()
-        ]
-        for x in probes:
-            got = h.chain.sift(x.images)
-            want = _reference_sift(h.chain, x.images)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and got.tolist() == want.tolist()
+    def test_orders_membership_derived_and_stabilizers(self, case):
+        g, subgens, probes, arbitrary = case
+        p, n = g.prime, g.level
+        h = PermGroup(g.degree, subgens, prime=p)
+        ref = SchreierSims(g.degree, [x.images for x in subgens])
+        assert h.order_exponent == log_order(ref.order(), p)
+        for x in probes + [arbitrary]:
+            assert h.contains(x) == ref.contains(x.images)
+            assert h.sift(x).is_identity() == ref.contains(x.images)
+        seeds = [reference_commutator(x.images, y.images) for x in subgens for y in subgens]
+        derived = reference_normal_closure(g.degree, seeds, [x.images for x in subgens])
+        assert h.derived().order_exponent == log_order(derived.order(), p)
+        for x in probes + list(h.derived().generators):
+            assert h.derived().contains(x) == derived.contains(x.images)
+        for m in range(1, n):
+            image = [restrict_to_level(x, p, m) for x in subgens]
+            kernel = h.order_exponent - _reference_exponent(p**m, image, p)
+            st_m = h.level_stabilizer(m)
+            assert st_m.order_exponent == kernel
+            for x in probes + list(st_m.generators):
+                in_st = restrict_to_level(x, p, m).is_identity()
+                assert st_m.contains(x) == (in_st and ref.contains(x.images))
+
+
+class TestOutsideTheTree:
+    @pytest.mark.parametrize("p,rows", _DIFF_SPECS)
+    def test_relabelled_generators_are_refused_before_any_work(self, p, rows):
+        # swapping the first two leaves turns the cyclic shift of some
+        # vertex's children into a transposition, which W_N does not contain
+        g = gv.build(gv.validate(p, rows), 3).G
+        swap = Perm([1, 0] + list(range(2, g.degree)))
+        relabelled = [swap * x * swap for x in g.generators]
+        with mock.patch.object(permgroups, "_close", side_effect=AssertionError("work started")):
+            with pytest.raises(gv.NotPGroup):
+                PermGroup(g.degree, relabelled, prime=p)
+            with pytest.raises(gv.NotPGroup):
+                generate(g.degree, relabelled, prime=p)
