@@ -203,17 +203,6 @@ class _Workspace:
             self._second = commutator_subgroup(d, d, self.base.G)
         return self._second
 
-    def block_product(self, small: PermGroup) -> PermGroup:
-        """Block-diagonal product of p copies of a level-(N-1) subgroup,
-        acting on the level-N leaves."""
-        p = self.base.spec.p
-        n = self.base.depth
-        gens = []
-        for j in range(p):
-            for g in small.generators:
-                gens.append(subtree_embed(g, p, (j,), n))
-        return generate(self.base.degree, gens, prime=p)
-
 
 def _ws(session, ws):
     return ws if ws is not None else _Workspace(session)
@@ -278,7 +267,7 @@ def check_gamma3_product(session: GroupSession, ws=None) -> Verdict:
     ws = _ws(session, ws)
     g = session.G
     lhs = commutator_subgroup(ws.st1_derived(), ws.st1(), g)
-    rhs = ws.block_product(ws.gamma3(session.depth - 1))
+    rhs = ws.gamma3(session.depth - 1).block_power()
     return _equality_verdict("gamma3_product", session, lhs, rhs, {})
 
 
@@ -370,7 +359,7 @@ def check_regular_branch(session: GroupSession, ws=None) -> Verdict:
     if spec.r == 1:
         details["mode"] = "extended: r=1 non-constant"
     lhs = ws.st1_derived()
-    rhs = ws.block_product(ws.derived(session.depth - 1))
+    rhs = ws.derived(session.depth - 1).block_power()
     return _equality_verdict("regular_branch", session, lhs, rhs, details)
 
 
@@ -398,7 +387,12 @@ def check_stab1_derived_in_gamma3(session: GroupSession, ws=None) -> Verdict:
 
 def check_subdirect(session: GroupSession, ws=None) -> Verdict:
     """Every first-level projection of the derived subgroup is the whole
-    level-(N-1) group."""
+    level-(N-1) group.
+
+    One slot decides all p: G' lies in st(1) and is normal in G, and for x
+    in st(1) the rooted generator a shifts the sections, pi_i(x^a) =
+    pi_(i-1)(x), so every slot has the projection of slot 0.
+    """
     spec = session.spec
     if is_constant(spec):
         return Verdict(
@@ -410,17 +404,17 @@ def check_subdirect(session: GroupSession, ws=None) -> Verdict:
     n = session.depth
     d = ws.derived(n)
     full = ws.group(n - 1)
-    details = {"full_exponent": full.order_exponent, "projection_exponents": []}
-    for j in range(p):
-        sections = [subtree_section(g, p, (j,)) for g in d.generators]
-        proj = generate(full.degree, sections, prime=p)
-        details["projection_exponents"].append(proj.order_exponent)
-        if not equals(proj, full):
-            missing = proj.containment_witness(full)
-            details["failing_slot"] = j
-            return Verdict(
-                "subdirect", session.depth, FAILS, details, witness=missing
-            )
+    sections = [subtree_section(g, p, (0,)) for g in d.generators]
+    proj = generate(full.degree, sections, prime=p)
+    details = {
+        "full_exponent": full.order_exponent,
+        "projection_exponents": [proj.order_exponent],
+    }
+    if not equals(proj, full):
+        details["failing_slot"] = 0
+        missing = proj.containment_witness(full)
+        return Verdict("subdirect", session.depth, FAILS, details, witness=missing)
+    details["projection_exponents"] *= p
     return Verdict("subdirect", session.depth, HOLDS, details)
 
 
@@ -441,12 +435,14 @@ def check_psi2_second_derived(session: GroupSession, ws=None) -> Verdict:
     n = session.depth
     second = ws.second_derived()
     if n - 2 >= 2:
-        sub_gens = ws.derived(n - 2).generators
+        inner = ws.derived(n - 2)
+        sub_gens, inner_exponent = inner.generators, inner.order_exponent
     else:
-        sub_gens = ()  # the depth-1 group is cyclic, so its derived part is trivial
+        # the depth-1 group is cyclic, so its derived part is trivial
+        sub_gens, inner_exponent = (), 0
     details = {
         "second_derived_exponent": second.order_exponent,
-        "inner_derived_generators": len(sub_gens),
+        "inner_derived_exponent": inner_exponent,
     }
     for k in range(p * p):
         word = vertex_word(k, 2, p)

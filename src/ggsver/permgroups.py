@@ -54,6 +54,21 @@ and the canonical products from level m on are H_m, each once.  H_0 holds
 every seed and is invariant under the ambient generators, so it is the
 closure, and H_0 & st(m) = H_m.
 
+Block powers.  For H <= W_(N-1), block_power() returns H^p <= W_N, the
+product of p copies of H with copy j acting on the leaves below the
+first-level vertex j.  An element (h_0, ..., h_(p-1)) of H^p fixes level
+m+1 exactly when every h_j fixes level m of the smaller tree, so
+H^p & st(m+1) = (H & st(m))^p, and its level-(m+1) labels are the level-m
+labels of h_0, ..., h_(p-1) side by side, copy j in the columns
+j p^m .. (j+1) p^m - 1.  Hence layer 0 of H^p is empty, and the label
+vectors of layer m+1 are the direct sum of p copies of those of layer m of
+H.  The block-diagonal matrix of p copies of H's level-m basis spans that
+sum, and it is reduced echelon: copy j's pivots are H's pivots shifted by
+j p^m, and each pivot column is zero outside its own row.  Row i of copy j
+is the labels of H's level-m representative i embedded in slot j, which
+lies in H^p & st(m+1), so that embedding is its representative.  No
+closure is needed.
+
 Everything here is deterministic: candidates are processed in queue order
 and representatives are kept in the order they were found.
 """
@@ -66,7 +81,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .portraits import DegreeMismatch, Perm, level_of_degree
+from .portraits import DegreeMismatch, Perm, level_of_degree, subtree_embed
 
 __all__ = [
     "NotPGroup",
@@ -217,6 +232,26 @@ class _Layers:
 
     def dimensions(self) -> list[int]:
         return [lvl.dim for lvl in self.levels]
+
+    def block_power(self, tree: _Tree) -> "_Layers":
+        """Layers of the product of p copies of this group, copy j below the
+        first-level vertex j of `tree`, which is one level deeper; see the
+        module docstring."""
+        p = tree.p
+        levels = [_Layer(1)]
+        for m, lvl in enumerate(self.levels):
+            d, cols = lvl.dim, p**m
+            out = _Layer(p * cols)
+            out.rows = np.kron(np.eye(p), lvl.rows[:d])
+            out.pivots = (lvl.pivots[:d] + cols * np.arange(p)[:, None]).ravel()
+            out.dim = p * d
+            for j in range(p):
+                for rep in lvl.reps:
+                    emb = subtree_embed(Perm._wrap(rep), p, (j,), tree.depth).images
+                    out.reps.append(emb)
+                    out.divs.append(_divisors(emb, p))
+            levels.append(out)
+        return _Layers(tree, levels)
 
     def suffix(self, m: int) -> "_Layers":
         empty = [_Layer(self.tree.p**k) for k in range(m)]
@@ -371,9 +406,11 @@ class PermGroup:
         self._stabilizers: dict[int, "PermGroup"] = {}
 
     def _built(self, generators, layers, closed_from=None) -> "PermGroup":
-        """A handle on the same tree with its layers already built."""
+        """A handle with the same prime on the tree of the given layers,
+        already built."""
         obj = PermGroup.__new__(PermGroup)
-        obj.degree, obj.prime, obj._tree = self.degree, self.prime, self._tree
+        tree = layers.tree
+        obj.degree, obj.prime, obj._tree = len(tree.identity), self.prime, tree
         obj._setup(generators, layers, closed_from)
         return obj
 
@@ -463,6 +500,14 @@ class PermGroup:
     def rank(self) -> int:
         """Minimal number of generators, by the Burnside basis theorem."""
         return self.order_exponent - self.frattini().order_exponent
+
+    def block_power(self) -> "PermGroup":
+        """The product of p copies of this group, copy j acting on the leaves
+        below the first-level vertex j of the tree one level deeper.  Its
+        layers are read off this group's layers, with no closure."""
+        p, n = self.prime, self.level + 1
+        gens = [subtree_embed(g, p, (j,), n) for j in range(p) for g in self.generators]
+        return self._built(gens, self.chain.block_power(_tree(p, n)))
 
     # -- level stabilizers ----------------------------------------------------
 

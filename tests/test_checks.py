@@ -4,7 +4,8 @@ import pytest
 
 import ggsver as gv
 from ggsver.checks import FAILS, HOLDS, SKIPPED, VACUOUS, _stabilizer_containment, _Workspace
-from ggsver.permgroups import equals
+from ggsver.permgroups import equals, generate
+from ggsver.portraits import subtree_section
 
 SPEC_FIXTURES = ["gs_spec", "const_spec", "r2_spec", "sym5_spec"]
 
@@ -117,6 +118,21 @@ class TestSubdirect:
         v = gv.check_subdirect(gv.build(const_spec, 3))
         assert v.status == SKIPPED
         assert "constant" in v.reason
+
+    @pytest.mark.parametrize("fixture", SPEC_FIXTURES)
+    def test_every_slot_projects_like_slot_zero(self, fixture, request):
+        # the check builds slot 0 only; G' is normal and the rooted generator
+        # permutes the slots, so each slot's projection has its order
+        s = gv.build(request.getfixturevalue(fixture), 4)
+        p = s.spec.p
+        d = s.G.derived()
+        exponents = [
+            generate(
+                p**3, [subtree_section(g, p, (j,)) for g in d.generators], prime=p
+            ).order_exponent
+            for j in range(p)
+        ]
+        assert exponents == [exponents[0]] * p
 
 
 class TestPsi2SecondDerived:

@@ -167,14 +167,25 @@ class TestDeterminism:
         )
         assert outs[0]["fingerprint"] == outs[1]["fingerprint"]
 
+    @staticmethod
+    def _golden(name):
+        golden_path = os.path.join(os.path.dirname(__file__), "golden", name)
+        with open(golden_path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
     def test_golden_report(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
         spec = gv.validate(3, [(1, 2)])
         payload = cli.strip_timings(cli.report_payload(gv.run_all(spec, depth=4)))
-        golden_path = os.path.join(os.path.dirname(__file__), "golden", "gupta_sidki_depth4.json")
-        with open(golden_path, "r", encoding="utf-8") as fh:
-            golden = json.load(fh)
-        assert payload == golden
+        assert payload == self._golden("gupta_sidki_depth4.json")
+
+    def test_golden_two_generator_report(self, monkeypatch, tmp_path):
+        # r = 2 runs psi2_second_derived and builds block products and the
+        # subdirect projection from a group with two directed generators
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+        spec = gv.validate(3, [(1, 0), (0, 1)])
+        payload = cli.strip_timings(cli.report_payload(gv.run_all(spec, depth=4)))
+        assert payload == self._golden("two_generators_depth4.json")
 
 
 class TestCache:

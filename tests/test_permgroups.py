@@ -16,7 +16,7 @@ from ggsver.permgroups import (
     is_subgroup,
     normal_closure,
 )
-from ggsver.portraits import Perm, restrict_to_level
+from ggsver.portraits import Perm, restrict_to_level, subtree_embed
 
 from oracles import (
     SchreierSims,
@@ -273,16 +273,16 @@ _DIFF_SPECS = [
 
 
 @st.composite
-def _random_subgroups(draw):
+def _random_subgroups(draw, deepest=4):
     """(level-N group, generators of a random subgroup, probes, one
-    arbitrary permutation of the leaves).
+    arbitrary permutation of the leaves), with N at most `deepest`.
 
     The subgroup is generated by random words in the generators of a
     level-N group of one of the conftest specs.  The probes are words in the
     ambient generators and words in the subgroup generators.
     """
     p, rows = draw(st.sampled_from(_DIFF_SPECS))
-    depth = draw(st.integers(2, 3 if p == 5 else 4))
+    depth = draw(st.integers(2, min(deepest, 3 if p == 5 else 4)))
     g = gv.build(gv.validate(p, rows), depth).G
     letters = st.tuples(st.integers(0, len(g.generators) - 1), st.integers(1, p - 1))
     words = st.lists(letters, min_size=1, max_size=6)
@@ -335,6 +335,60 @@ class TestAgainstSchreierSims:
             for x in probes + list(st_m.generators):
                 in_st = restrict_to_level(x, p, m).is_identity()
                 assert st_m.contains(x) == (in_st and ref.contains(x.images))
+
+
+@st.composite
+def _block_power_cases(draw):
+    """(random subgroup H of a level-N group with N <= 3, probes of degree
+    p^(N+1), one arbitrary permutation of that degree).
+
+    The probes are the subgroup's probes embedded in drawn slots, one
+    product of such embeddings across slots, and words in the rooted
+    generator and the embedded ambient generators, which leave st(1).
+    """
+    g, subgens, probes, _ = draw(_random_subgroups(deepest=3))
+    p, n = g.prime, g.level + 1
+    slots = st.lists(
+        st.tuples(st.sampled_from(probes), st.integers(0, p - 1)), min_size=1, max_size=4
+    )
+    embedded = [subtree_embed(x, p, (j,), n) for x, j in draw(slots)]
+    spread = Perm.identity(p**n)
+    for j, x in enumerate(draw(st.lists(st.sampled_from(probes), min_size=p, max_size=p))):
+        spread = spread * subtree_embed(x, p, (j,), n)
+    letters = [gv.rooted(p, n, 1).to_perm(n)]
+    letters += [subtree_embed(x, p, (j,), n) for j in range(p) for x in g.generators]
+    words = []
+    for word in draw(st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=6), min_size=1, max_size=4)):
+        w = Perm.identity(p**n)
+        for x in word:
+            w = w * x
+        words.append(w)
+    arbitrary = Perm(draw(st.permutations(range(p**n))))
+    return p, subgens, embedded + [spread] + words, arbitrary
+
+
+class TestBlockPower:
+    @settings(max_examples=30)
+    @given(_block_power_cases())
+    def test_agrees_with_the_closure_of_the_embedded_generators(self, case):
+        p, subgens, probes, arbitrary = case
+        h = PermGroup(subgens[0].degree, subgens, prime=p)
+        power = h.block_power()
+        n = power.level
+        embedded = [subtree_embed(x, p, (j,), n) for j in range(p) for x in subgens]
+        ref = generate(p**n, embedded, prime=p)
+        assert [x.tolist() for x in power.generators] == [x.tolist() for x in embedded]
+        assert power.order_exponent == ref.order_exponent == p * h.order_exponent
+        dims = power.chain_summary()["level_dimensions"]
+        assert dims == ref.chain_summary()["level_dimensions"]
+        assert dims == [0] + [p * d for d in h.chain_summary()["level_dimensions"]]
+        for x in probes + [arbitrary]:
+            assert power.contains(x) == ref.contains(x)
+        for m in range(n + 1):
+            assert (
+                power.level_stabilizer(m).order_exponent
+                == ref.level_stabilizer(m).order_exponent
+            )
 
 
 class TestOutsideTheTree:
