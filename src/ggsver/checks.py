@@ -216,17 +216,18 @@ def _require_depth(session, minimum, what):
 
 
 def _equality_verdict(claim_id, session, lhs, rhs, details):
-    """Two-sided comparison with a sifting witness on failure."""
+    """lhs <= rhs by sifting lhs's generators, then equal orders; on failure
+    the witness is the first generator outside the other group."""
     details = dict(details)
     details["lhs_exponent"] = lhs.order_exponent
     details["rhs_exponent"] = rhs.order_exponent
     missing = rhs.containment_witness(lhs)
-    if missing is not None:
-        return Verdict(claim_id, session.depth, FAILS, details, witness=missing)
-    missing = lhs.containment_witness(rhs)
-    if missing is not None:
-        return Verdict(claim_id, session.depth, FAILS, details, witness=missing)
-    return Verdict(claim_id, session.depth, HOLDS, details)
+    if missing is None and lhs.order_exponent == rhs.order_exponent:
+        return Verdict(claim_id, session.depth, HOLDS, details)
+    if missing is None:
+        # lhs is a proper subgroup, so some generator of rhs lies outside it
+        missing = lhs.containment_witness(rhs)
+    return Verdict(claim_id, session.depth, FAILS, details, witness=missing)
 
 
 def check_abelianization(session: GroupSession, ws=None) -> Verdict:
@@ -575,9 +576,12 @@ def default_depth(spec: GGSSpec) -> int:
     return min(spec.r + 4, cap)
 
 
-def run_all(spec: GGSSpec, depth=None, checks=None, label=None) -> Report:
+def run_all(
+    spec: GGSSpec, depth=None, checks=None, label=None, allow_large: bool = False
+) -> Report:
     """Build one session, run every requested check against it, and fold the
-    verdicts into a report."""
+    verdicts into a report.  Depths with more than DEGREE_CAP leaves are
+    refused with SpecError unless allow_large is set, as in build."""
     if depth is None:
         depth = default_depth(spec)
     if checks is None:
@@ -587,7 +591,7 @@ def run_all(spec: GGSSpec, depth=None, checks=None, label=None) -> Report:
         if unknown:
             raise KeyError(f"unknown checks: {', '.join(unknown)}")
         chosen = [c for c in CHECKS if c in set(checks)]
-    session = build(spec, depth, allow_large=True)
+    session = build(spec, depth, allow_large=allow_large)
     ws = _Workspace(session)
     verdicts = []
     times = {}

@@ -338,7 +338,9 @@ def cmd_verify(args) -> int:
             print("note: reusing cached report", file=sys.stderr)
             payload = _relabel(payload, label)
     if payload is None:
-        report = run_all(spec, depth=depth, checks=checks, label=label)
+        report = run_all(
+            spec, depth=depth, checks=checks, label=label, allow_large=args.allow_slow
+        )
         payload = report_payload(report)
         if not args.no_cache:
             cache_store(spec, depth, checks, payload)

@@ -54,6 +54,25 @@ and the canonical products from level m on are H_m, each once.  H_0 holds
 every seed and is invariant under the ambient generators, so it is the
 closure, and H_0 & st(m) = H_m.
 
+Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
+and the closure queues such candidates as vectors, not leaf permutations.
+Conjugation permutes labels: y^-1 w y has labels u[pull], pull being the
+level-(N-1) vertex map of y^-1, built once per closure for each ambient
+generator.  The p-th power and the commutators of a new level-(N-2)
+representative are evaluated on the first leaf below each level-(N-1)
+vertex only, the commutators with all its peers in one 2-D gather.  A run
+of up to _RUN label vectors at the head of a queue is reduced against the
+last layer in one matrix product; when a row is added, the rest of the run
+loses its pivot-column multiple of that row.  A vector's residual against a
+reduced echelon basis is the one vector of its coset that vanishes on the
+pivots, so this is the residual that reducing it afresh would give.  Hence a
+vector whose residual is zero is dropped exactly where sifting it as a
+permutation would drop it: it lies in the span, and the span only grows.
+The live vectors are added one at a time in queue order, so the rows,
+pivots, representatives and generators found are those of the
+one-candidate-at-a-time closure.  Only a main-queue vector that leaves a
+residual becomes a permutation again, as one of the generators found.
+
 Block powers.  For H <= W_(N-1), block_power() returns H^p <= W_N, the
 product of p copies of H with copy j acting on the leaves below the
 first-level vertex j.  An element (h_0, ..., h_(p-1)) of H^p fixes level
@@ -109,9 +128,9 @@ def _inverse(arr: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _comm(x: np.ndarray, y: np.ndarray, xinv: np.ndarray, yinv: np.ndarray) -> np.ndarray:
     # x^-1 y^-1 x y, composed left to right
-    return y[x[_inverse(y)[_inverse(x)]]]
+    return y[x[yinv[xinv]]]
 
 
 def _conj(w: np.ndarray, s: np.ndarray, sinv: np.ndarray) -> np.ndarray:
@@ -130,6 +149,9 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     # a mod p for float arrays of small integers; exact, and faster than %
     return a - p * np.floor(a / p)
 
+
+# label vectors of st(N-1) reduced against the last layer in one product
+_RUN = 64
 
 _TREES: dict = {}
 
@@ -153,6 +175,25 @@ class _Tree:
     def from_last_labels(self, u: np.ndarray) -> np.ndarray:
         """The element of st(n-1) whose level-(n-1) labels are u."""
         return self.base + (self.identity + u[self.parent]) % self.p
+
+    def pull(self, yinv: np.ndarray) -> np.ndarray:
+        """The level-(n-1) vertex map of y^-1: the labels of y^-1 w y, for w
+        in st(n-1) with labels u, are u[pull(y^-1)]."""
+        return yinv[self.starts[-1]] // self.p
+
+    def power_labels(self, x: np.ndarray) -> np.ndarray:
+        """The level-(n-1) labels of x^p, for x in st(n-2)."""
+        v = self.starts[-1]
+        for _ in range(self.p):
+            v = x[v]
+        return self.digits[-1][v]
+
+    def commutator_labels(self, x, xinv, ys, yinvs) -> np.ndarray:
+        """Row j: the level-(n-1) labels of [x, ys[j]], for x and the ys in
+        st(n-2), evaluated on the first leaf below each level-(n-1) vertex."""
+        v = np.stack(yinvs)[:, xinv[self.starts[-1]]]
+        v = np.take_along_axis(np.stack(ys), x[v], axis=1)
+        return self.digits[-1][v]
 
     def in_wreath(self, x: np.ndarray) -> bool:
         """x preserves every level and shifts each vertex's children
@@ -315,18 +356,20 @@ class _Layers:
             r = tree.digits[m][x[tree.starts[m]]]
             if r.any():
                 return m, x, r
-        lvl = self.levels[last]
-        v = tree.digits[last][x[tree.starts[last]]]
-        r = _mod(v - v[lvl.pivots[: lvl.dim]] @ lvl.rows[: lvl.dim], tree.p)
+        r = self.bottom_residual(tree.digits[last][x[tree.starts[last]]])
         return (last, None, r.astype(np.intp)) if r.any() else None
 
+    def bottom_residual(self, u: np.ndarray) -> np.ndarray:
+        """The residuals against the last layer of u, one label vector of
+        st(N-1) or a stack of them, one per row."""
+        lvl = self.levels[-1]
+        return _mod(u - u[..., lvl.pivots[: lvl.dim]] @ lvl.rows[: lvl.dim], self.tree.p)
+
     def _adjoin(self, m: int, x, residual: np.ndarray) -> np.ndarray:
-        """Make the residual a level-m representative; returns its images."""
+        """Make the residual a representative at a level m below the last;
+        returns its images."""
         p = self.tree.p
         lvl = self.levels[m]
-        if m == self.tree.depth - 1:
-            lvl.add(residual, p)
-            return self.tree.from_last_labels(lvl.rows[lvl.dim - 1].astype(np.intp))
         column = lvl.rows[: lvl.dim, np.flatnonzero(residual)[0]]
         hits = [(i, int(t)) for i, t in enumerate(column) if t]
         rep = _power(x, lvl.add(residual, p))
@@ -348,24 +391,61 @@ def _close(tree: _Tree, seeds, conj_by):
         return layers, []
     p = tree.p
     last = tree.depth - 1
+    bottom = layers.levels[last]
     conj = [(y, _inverse(y)) for y in conj_by]
+    pulls = [tree.pull(yinv) for _, yinv in conj]
+    # (element, level its sift starts at), or (labels, None) for an element
+    # of st(N-1) given by its level-(N-1) labels
     main = deque((x, 0) for x in seeds)
     side: deque = deque()
     found = []
+
+    def grow_bottom(residual):
+        bottom.add(residual, p)
+        row = bottom.rows[bottom.dim - 1].astype(np.intp)
+        main.extend((row[pull], None) for pull in pulls)
+
     while side or main:
         from_main = not side
-        x, start = main.popleft() if from_main else side.popleft()
+        queue = main if from_main else side
+        if queue[0][1] is None:
+            run = []
+            while queue and queue[0][1] is None and len(run) < _RUN:
+                run.append(queue.popleft()[0])
+            res = layers.bottom_residual(np.array(run))
+            for i, u in enumerate(run):
+                if not res[i].any():
+                    continue
+                if from_main:
+                    found.append(tree.from_last_labels(u))
+                grow_bottom(res[i])
+                # keep the rest reduced against the grown layer
+                j, row = bottom.pivots[bottom.dim - 1], bottom.rows[bottom.dim - 1]
+                rest = res[i + 1 :]
+                hit = np.flatnonzero(rest[:, j])
+                rest[hit] = _mod(rest[hit] - np.outer(rest[hit, j], row), p)
+            continue
+        x, start = queue.popleft()
         hit = layers._sift(x, start)
         if hit is None:
             continue
         m, y, residual = hit
         if from_main:
             found.append(x)
-        peers = list(layers.levels[m].reps) if m < last else []
+        if m == last:
+            grow_bottom(residual)
+            continue
+        lvl = layers.levels[m]
+        peers, peer_invs = list(lvl.reps), [d[1] for d in lvl.divs]
         rep = layers._adjoin(m, y, residual)
-        if m < last:
+        rinv = lvl.divs[-1][1]
+        if m + 1 < last:
             side.append((_power(rep, p), m + 1))
-            side.extend((_comm(rep, r), m + 1) for r in peers)
+            side.extend((_comm(rep, q, rinv, qinv), m + 1) for q, qinv in zip(peers, peer_invs))
+        else:
+            side.append((tree.power_labels(rep), None))
+            if peers:
+                side.extend((u, None) for u in tree.commutator_labels(rep, rinv, peers, peer_invs))
         main.extend((_conj(rep, s, sinv), m) for s, sinv in conj)
     return layers, found
 
@@ -554,7 +634,7 @@ def _commutators(pairs) -> list[Perm]:
     """The non-trivial commutators [x, y] of the pairs."""
     out = []
     for x, y in pairs:
-        c = _comm(x.images, y.images)
+        c = _comm(x.images, y.images, _inverse(x.images), _inverse(y.images))
         if not np.array_equal(c, np.arange(len(c))):
             out.append(Perm._wrap(c))
     return out

@@ -5,9 +5,16 @@ inline.  SchreierSims is a generic stabilizer-chain engine on numpy image
 arrays that knows nothing of the tree; it is the reference the layered
 engine in ggsver.permgroups is tested against.  Neither shares a code path
 with the package.
+
+reference_close is the exception: it runs the package's closure one
+candidate at a time, every candidate a leaf permutation.  It shares the
+package's per-level arithmetic (ggsver.permgroups._Layers) and differs in
+the queue, so it is the reference for what the closure does with its
+candidates.
 """
 
 from bisect import bisect_left
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -217,3 +224,47 @@ def reference_commutator(x, y):
     """x^-1 y^-1 x y, composed left to right, on image arrays."""
     x, y = np.asarray(x), np.asarray(y)
     return y[x[_inverse(y)[_inverse(x)]]]
+
+
+def _power(x, k):
+    out = x
+    for _ in range(k - 1):
+        out = x[out]
+    return out
+
+
+def reference_close(tree, seeds, conj_by):
+    """Layers of the closure of the seeds under conjugation by conj_by, and
+    the seeds and conjugates that left a residual, sifting every candidate as
+    a leaf permutation in queue order."""
+    from ggsver.permgroups import _Layers
+
+    layers = _Layers(tree)
+    if not tree.depth:
+        return layers, []
+    p = tree.p
+    last = tree.depth - 1
+    conj = [(y, _inverse(y)) for y in conj_by]
+    main = deque((x, 0) for x in seeds)
+    side = deque()
+    found = []
+    while side or main:
+        from_main = not side
+        x, start = main.popleft() if from_main else side.popleft()
+        hit = layers._sift(x, start)
+        if hit is None:
+            continue
+        m, y, residual = hit
+        if from_main:
+            found.append(x)
+        if m == last:
+            bottom = layers.levels[last]
+            bottom.add(residual, p)
+            rep = tree.from_last_labels(bottom.rows[bottom.dim - 1].astype(np.intp))
+        else:
+            peers = list(layers.levels[m].reps)
+            rep = layers._adjoin(m, y, residual)
+            side.append((_power(rep, p), m + 1))
+            side.extend((reference_commutator(rep, r), m + 1) for r in peers)
+        main.extend((y[rep[yinv]], m) for y, yinv in conj)
+    return layers, found

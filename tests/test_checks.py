@@ -1,10 +1,20 @@
 import random
+from unittest import mock
 
 import pytest
 
 import ggsver as gv
-from ggsver.checks import FAILS, HOLDS, SKIPPED, VACUOUS, _stabilizer_containment, _Workspace
-from ggsver.permgroups import equals, generate
+from ggsver.checks import (
+    FAILS,
+    HOLDS,
+    SKIPPED,
+    VACUOUS,
+    _equality_verdict,
+    _stabilizer_containment,
+    _Workspace,
+)
+from ggsver.ggs import DEGREE_CAP
+from ggsver.permgroups import commutator_subgroup, equals, generate
 from ggsver.portraits import subtree_section
 
 SPEC_FIXTURES = ["gs_spec", "const_spec", "r2_spec", "sym5_spec"]
@@ -222,7 +232,42 @@ class TestWitnesses:
         assert v.status == FAILS and v.witness is not None
 
 
+class TestEqualityVerdict:
+    def test_equal_groups_are_sifted_one_way(self, gs4):
+        g = gs4.G
+        lhs, rhs = g.derived(), commutator_subgroup(g, g, g)
+        # the rhs -> lhs sweep would ask lhs about rhs's generators
+        with mock.patch.object(lhs, "containment_witness", wraps=lhs.containment_witness) as sweep:
+            v = _equality_verdict("claim", gs4, lhs, rhs, {})
+        assert v.status == HOLDS and sweep.call_count == 0
+        assert v.details["lhs_exponent"] == v.details["rhs_exponent"]
+
+    def test_proper_subgroup_is_named_by_a_generator_of_the_larger(self, gs4):
+        lhs, rhs = gs4.G.derived(), gs4.G.level_stabilizer(1)
+        v = _equality_verdict("claim", gs4, lhs, rhs, {})
+        assert v.status == FAILS
+        assert v.witness is lhs.containment_witness(rhs)
+        assert rhs.contains(v.witness) and not lhs.contains(v.witness)
+
+    def test_larger_lhs_is_named_by_its_own_generator(self, gs4):
+        lhs, rhs = gs4.G.level_stabilizer(1), gs4.G.derived()
+        v = _equality_verdict("claim", gs4, lhs, rhs, {})
+        assert v.status == FAILS
+        assert v.witness is rhs.containment_witness(lhs)
+        assert lhs.contains(v.witness) and not rhs.contains(v.witness)
+
+
 class TestRunAll:
+    def test_oversized_depth_is_refused_before_any_work(self, gs_spec):
+        depth = 11
+        assert 3**depth > DEGREE_CAP
+        with mock.patch("ggsver.ggs.rooted", side_effect=AssertionError("work started")):
+            with pytest.raises(gv.SpecError, match="cap"):
+                gv.run_all(gs_spec, depth=depth)
+            # opting in goes on to build, which the patch stops at once
+            with pytest.raises(AssertionError, match="work started"):
+                gv.run_all(gs_spec, depth=depth, allow_large=True)
+
     def test_basic_spec_all_applicable_hold(self, gs_spec):
         rep = gv.run_all(gs_spec, depth=4)
         assert not rep.failed

@@ -291,6 +291,21 @@ class TestDepthPolicy:
         assert "vacuous" in captured.err or "depth 5" in captured.err
         assert json.loads(captured.out)["report"]["depth"] == 5
 
+    @pytest.mark.parametrize("flag,opted_in", [([], False), (["--allow-slow"], True)])
+    def test_verify_passes_allow_slow_to_run_all(self, flag, opted_in, monkeypatch):
+        calls = []
+
+        def fake_run_all(spec, **kwargs):
+            calls.append(kwargs)
+            raise gv.SpecError("stopped before work")
+
+        monkeypatch.setattr(cli, "run_all", fake_run_all)
+        code = cli.main(
+            ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3", "--no-cache"] + flag
+        )
+        assert code == 2
+        assert calls[0]["allow_large"] is opted_in
+
     def test_table_slow_gate(self, capsys):
         code = cli.main(["table", "--p", "3", "--vectors", "1,2", "--max-depth", "6"])
         assert code == 2

@@ -3,6 +3,7 @@ import random
 import weakref
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from oracles import (
     SchreierSims,
     bfs_closure,
     log_order,
+    reference_close,
     reference_commutator,
     reference_normal_closure,
 )
@@ -389,6 +391,110 @@ class TestBlockPower:
                 power.level_stabilizer(m).order_exponent
                 == ref.level_stabilizer(m).order_exponent
             )
+
+
+# -- the closure against its one-candidate-at-a-time reference -------------------
+
+
+def _recorded_closures(build):
+    """Run build() and return the (tree, seeds, conj_by, result) of every
+    closure it made."""
+    calls = []
+    real = permgroups._close
+
+    def record(tree, seeds, conj_by):
+        seeds, conj_by = list(seeds), list(conj_by)
+        out = real(tree, seeds, conj_by)
+        calls.append((tree, seeds, conj_by, out))
+        return out
+
+    with mock.patch.object(permgroups, "_close", side_effect=record):
+        build()
+    return calls
+
+
+def _assert_same_closure(tree, seeds, conj_by, got):
+    layers, found = got
+    ref_layers, ref_found = reference_close(tree, seeds, conj_by)
+    assert layers.dimensions() == ref_layers.dimensions()
+    for lvl, ref in zip(layers.levels, ref_layers.levels):
+        assert np.array_equal(lvl.rows[: lvl.dim], ref.rows[: ref.dim])
+        assert np.array_equal(lvl.pivots[: lvl.dim], ref.pivots[: ref.dim])
+        assert len(lvl.reps) == len(ref.reps)
+        for a, b in zip(lvl.reps, ref.reps):
+            assert np.array_equal(a, b)
+    assert len(found) == len(ref_found)
+    for a, b in zip(found, ref_found):
+        assert np.array_equal(a, b)
+
+
+class TestAgainstSequentialClosure:
+    """The closure sifts label vectors of st(N-1) in runs; processed one at a
+    time as leaf permutations they must give the same layers, array for
+    array, and the same generators."""
+
+    @settings(max_examples=30)
+    @given(_random_subgroups())
+    def test_random_subgroups_and_their_derived(self, case):
+        g, subgens, _, _ = case
+        g.chain
+
+        def build():
+            h = PermGroup(g.degree, subgens, prime=g.prime)
+            h.chain
+            h.derived().chain
+            normal_closure(g, subgens).chain
+
+        calls = _recorded_closures(build)
+        assert len(calls) == 3
+        for tree, seeds, conj_by, got in calls:
+            _assert_same_closure(tree, seeds, conj_by, got)
+
+    def test_second_derived_of_two_generators_at_depth_five(self, r2_spec):
+        def build():
+            g = gv.build(r2_spec, 5).G
+            d = g.derived()
+            commutator_subgroup(d, d, g).chain
+
+        calls = _recorded_closures(build)
+        assert [sum(got[0].dimensions()) for *_, got in calls] == [100, 97, 91]
+        for tree, seeds, conj_by, got in calls:
+            _assert_same_closure(tree, seeds, conj_by, got)
+
+
+def _labels(x, p):
+    """Level-(N-1) labels of an element of st(N-1): where the first leaf
+    below each last-level vertex goes, mod p."""
+    return x[::p] % p
+
+
+class TestBottomLabelArithmetic:
+    """Conjugates, commutators and p-th powers computed on label vectors
+    equal the labels read off the composed permutations."""
+
+    @pytest.mark.parametrize(
+        "fixture,depth",
+        [("gs_spec", n) for n in (3, 4, 5)]
+        + [("r2_spec", n) for n in (3, 4, 5)]
+        + [("sym5_spec", n) for n in (3, 4, 5)],
+    )
+    def test_against_composed_permutations(self, fixture, depth, request):
+        g = gv.build(request.getfixturevalue(fixture), depth).G
+        p, tree = g.prime, g.chain.tree
+        reps = g.chain.levels[depth - 2].reps[:6]
+        invs = [x.inverse().images for x in map(Perm._wrap, reps)]
+        assert reps
+        for x, xinv in zip(reps, invs):
+            assert np.array_equal(tree.power_labels(x), _labels((Perm._wrap(x) ** p).images, p))
+            got = tree.commutator_labels(x, xinv, reps, invs)
+            for row, y in zip(got, reps):
+                assert np.array_equal(row, _labels(reference_commutator(x, y), p))
+        bottom = g.chain.levels[depth - 1]
+        for u in bottom.rows[: bottom.dim][:6].astype(np.intp):
+            w = Perm._wrap(tree.from_last_labels(u))
+            for s in g.generators:
+                conj = s.inverse() * w * s
+                assert np.array_equal(u[tree.pull(s.inverse().images)], _labels(conj.images, p))
 
 
 class TestOutsideTheTree:
