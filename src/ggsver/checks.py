@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .ggs import GGSSpec, GroupSession, build, is_constant, normalize
+from .ggs import DEGREE_CAP, GGSSpec, GroupSession, build, is_constant, normalize
 from .permgroups import PermGroup, commutator_subgroup, equals, generate
 from .portraits import (
     Perm,
@@ -140,74 +140,6 @@ def classify_csp(spec: GGSSpec) -> str:
     return CONSTANT_VECTOR_EXCEPTION if is_constant(spec) else HAS_CSP
 
 
-class _Workspace:
-    """Shared sessions and subgroup handles for one verification run."""
-
-    def __init__(self, session: GroupSession):
-        self.base = session
-        self._sessions = {session.depth: session}
-        self._derived: dict[int, PermGroup] = {}
-        self._gamma3: dict[int, PermGroup] = {}
-        self._st1 = None
-        self._st1_derived = None
-        self._second = None
-
-    def session(self, depth: int) -> GroupSession:
-        got = self._sessions.get(depth)
-        if got is None:
-            got = build(self.base.spec, depth, allow_large=True)
-            self._sessions[depth] = got
-        return got
-
-    def group(self, depth: int) -> PermGroup:
-        return self.session(depth).G
-
-    def derived(self, depth: int) -> PermGroup:
-        got = self._derived.get(depth)
-        if got is None:
-            got = self.group(depth).derived()
-            self._derived[depth] = got
-        return got
-
-    def gamma3(self, depth: int) -> PermGroup:
-        """Third lower-central term [[G,G],G] of the level-`depth` group."""
-        got = self._gamma3.get(depth)
-        if got is None:
-            g = self.group(depth)
-            got = commutator_subgroup(self.derived(depth), g, g)
-            self._gamma3[depth] = got
-        return got
-
-    def st1(self) -> PermGroup:
-        """The level-1 stabilizer, generated by the p*r conjugates b_i^(a^k).
-        They fix level 1, contain every b_i and are permuted by a, so they
-        generate a normal subgroup of index p, which is st(1)."""
-        if self._st1 is None:
-            g = self.base.G
-            a, bs = g.generators[0], g.generators[1:]
-            gens = [a**-k * b * a**k for k in range(g.prime) for b in bs]
-            self._st1 = PermGroup(g.degree, gens, prime=g.prime)
-        return self._st1
-
-    def st1_derived(self) -> PermGroup:
-        # st(1) is normal here, so closing its generator commutators under
-        # the three ambient generators already yields its derived subgroup
-        if self._st1_derived is None:
-            st1 = self.st1()
-            self._st1_derived = commutator_subgroup(st1, st1, self.base.G)
-        return self._st1_derived
-
-    def second_derived(self) -> PermGroup:
-        if self._second is None:
-            d = self.derived(self.base.depth)
-            self._second = commutator_subgroup(d, d, self.base.G)
-        return self._second
-
-
-def _ws(session, ws):
-    return ws if ws is not None else _Workspace(session)
-
-
 def _require_depth(session, minimum, what):
     if session.depth < minimum:
         raise VacuousCheck(
@@ -230,13 +162,12 @@ def _equality_verdict(claim_id, session, lhs, rhs, details):
     return Verdict(claim_id, session.depth, FAILS, details, witness=missing)
 
 
-def check_abelianization(session: GroupSession, ws=None) -> Verdict:
+def check_abelianization(session: GroupSession) -> Verdict:
     """Index of the derived subgroup is p**(r+1) and the quotient is
     elementary abelian (Frattini equals derived)."""
-    ws = _ws(session, ws)
     spec = session.spec
     g = session.G
-    d = ws.derived(session.depth)
+    d = g.derived()
     index_exp = g.order_exponent - d.order_exponent
     # G/G' is abelian, so Frattini = G'G^p, generated modulo G' by the p-th
     # powers of the generators
@@ -256,7 +187,7 @@ def check_abelianization(session: GroupSession, ws=None) -> Verdict:
     )
 
 
-def check_gamma3_product(session: GroupSession, ws=None) -> Verdict:
+def check_gamma3_product(session: GroupSession) -> Verdict:
     """The first-level sections of the third lower-central term of the
     level-1 stabilizer fill the full product of p lower-central copies."""
     spec = session.spec
@@ -265,14 +196,13 @@ def check_gamma3_product(session: GroupSession, ws=None) -> Verdict:
             "gamma3_product", session.depth, SKIPPED, reason=CONSTANT_HYPOTHESIS
         )
     _require_depth(session, 3, "the lower-central product identity")
-    ws = _ws(session, ws)
     g = session.G
-    lhs = commutator_subgroup(ws.st1_derived(), ws.st1(), g)
-    rhs = ws.gamma3(session.depth - 1).block_power()
+    lhs = commutator_subgroup(session.st1_derived(), session.st1(), g)
+    rhs = session.at(session.depth - 1).gamma3().block_power()
     return _equality_verdict("gamma3_product", session, lhs, rhs, {})
 
 
-def check_key_congruence(session: GroupSession, ws=None) -> Verdict:
+def check_key_congruence(session: GroupSession) -> Verdict:
     """Product of conjugate-commutators of the reduced first generator lands
     on a first-slot commutator, modulo the product of lower-central copies.
 
@@ -316,7 +246,6 @@ def check_key_congruence(session: GroupSession, ws=None) -> Verdict:
             ),
         )
     _require_depth(session, 3, "the commutator-product congruence")
-    ws = _ws(session, ws)
     p = spec.p
     n = session.depth
 
@@ -334,7 +263,7 @@ def check_key_congruence(session: GroupSession, ws=None) -> Verdict:
     target = embed_at_vertex(small ** ((1 - m) % p), (0,), n)
     delta = w * target.inverse()
 
-    gamma = ws.gamma3(n - 1)
+    gamma = session.at(n - 1).gamma3()
     details = {"m": m, "reduced_row": list(row)}
     for j, part in enumerate(delta.psi()):
         q = part.to_perm(n - 1)
@@ -346,7 +275,7 @@ def check_key_congruence(session: GroupSession, ws=None) -> Verdict:
     return Verdict("key_congruence", session.depth, HOLDS, details)
 
 
-def check_regular_branch(session: GroupSession, ws=None) -> Verdict:
+def check_regular_branch(session: GroupSession) -> Verdict:
     """First-level sections of the derived subgroup of the level-1 stabilizer
     fill the full product of p derived-subgroup copies."""
     spec = session.spec
@@ -355,21 +284,19 @@ def check_regular_branch(session: GroupSession, ws=None) -> Verdict:
             "regular_branch", session.depth, SKIPPED, reason=CONSTANT_HYPOTHESIS
         )
     _require_depth(session, 3, "the branch identity")
-    ws = _ws(session, ws)
     details = {}
     if spec.r == 1:
         details["mode"] = "extended: r=1 non-constant"
-    lhs = ws.st1_derived()
-    rhs = ws.derived(session.depth - 1).block_power()
+    lhs = session.st1_derived()
+    rhs = session.at(session.depth - 1).G.derived().block_power()
     return _equality_verdict("regular_branch", session, lhs, rhs, details)
 
 
-def check_stab1_derived_in_gamma3(session: GroupSession, ws=None) -> Verdict:
+def check_stab1_derived_in_gamma3(session: GroupSession) -> Verdict:
     """The derived subgroup of the level-1 stabilizer sits inside the third
     lower-central term; no exclusions."""
-    ws = _ws(session, ws)
-    gamma = ws.gamma3(session.depth)
-    lhs = ws.st1_derived()
+    gamma = session.gamma3()
+    lhs = session.st1_derived()
     details = {
         "stab1_derived_exponent": lhs.order_exponent,
         "gamma3_exponent": gamma.order_exponent,
@@ -386,7 +313,7 @@ def check_stab1_derived_in_gamma3(session: GroupSession, ws=None) -> Verdict:
     return Verdict("stab1_derived_in_gamma3", session.depth, HOLDS, details)
 
 
-def check_subdirect(session: GroupSession, ws=None) -> Verdict:
+def check_subdirect(session: GroupSession) -> Verdict:
     """Every first-level projection of the derived subgroup is the whole
     level-(N-1) group.
 
@@ -400,11 +327,10 @@ def check_subdirect(session: GroupSession, ws=None) -> Verdict:
             "subdirect", session.depth, SKIPPED, reason=CONSTANT_HYPOTHESIS
         )
     _require_depth(session, 3, "the subdirect projection check")
-    ws = _ws(session, ws)
     p = spec.p
     n = session.depth
-    d = ws.derived(n)
-    full = ws.group(n - 1)
+    d = session.G.derived()
+    full = session.at(n - 1).G
     sections = [subtree_section(g, p, (0,)) for g in d.generators]
     proj = generate(full.degree, sections, prime=p)
     details = {
@@ -419,7 +345,7 @@ def check_subdirect(session: GroupSession, ws=None) -> Verdict:
     return Verdict("subdirect", session.depth, HOLDS, details)
 
 
-def check_psi2_second_derived(session: GroupSession, ws=None) -> Verdict:
+def check_psi2_second_derived(session: GroupSession) -> Verdict:
     """Each level-2 embedded copy of the depth-(N-2) derived subgroup lies in
     the second derived subgroup; needs at least two directed generators."""
     spec = session.spec
@@ -431,23 +357,17 @@ def check_psi2_second_derived(session: GroupSession, ws=None) -> Verdict:
             reason="hypothesis not met: needs at least two directed generators",
         )
     _require_depth(session, 3, "the level-2 second-derived containment")
-    ws = _ws(session, ws)
     p = spec.p
     n = session.depth
-    second = ws.second_derived()
-    if n - 2 >= 2:
-        inner = ws.derived(n - 2)
-        sub_gens, inner_exponent = inner.generators, inner.order_exponent
-    else:
-        # the depth-1 group is cyclic, so its derived part is trivial
-        sub_gens, inner_exponent = (), 0
+    second = session.second_derived()
+    inner = session.at(n - 2).G.derived()
     details = {
         "second_derived_exponent": second.order_exponent,
-        "inner_derived_exponent": inner_exponent,
+        "inner_derived_exponent": inner.order_exponent,
     }
     for k in range(p * p):
         word = vertex_word(k, 2, p)
-        for h in sub_gens:
+        for h in inner.generators:
             emb = subtree_embed(h, p, word, n)
             if not second.contains(emb):
                 details["failing_vertex"] = list(word)
@@ -461,16 +381,15 @@ def check_psi2_second_derived(session: GroupSession, ws=None) -> Verdict:
     return Verdict("psi2_second_derived", session.depth, HOLDS, details)
 
 
-def check_rank_growth(session: GroupSession, ws=None) -> Verdict:
+def check_rank_growth(session: GroupSession) -> Verdict:
     """Minimal generator counts grow along levels: rank at level n is at
     least n for n = 2..r+1, with equality r+1 at level r+1."""
-    ws = _ws(session, ws)
     spec = session.spec
     top = min(session.depth, spec.r + 1)
     ranks = []
     ok = True
     for n in range(2, top + 1):
-        rk = ws.group(n).rank()
+        rk = session.at(n).G.rank()
         ranks.append([n, rk])
         if rk < n:
             ok = False
@@ -484,7 +403,7 @@ def check_rank_growth(session: GroupSession, ws=None) -> Verdict:
     )
 
 
-def _stabilizer_containment(ws: _Workspace, m: int, h: PermGroup):
+def _stabilizer_containment(session: GroupSession, m: int, h: PermGroup):
     """Decide st(m) <= h, for h a subgroup of G, by layer dimensions:
     (log_p|st(m)|, None) when it holds, else (log_p|st(m)|, an element of
     st(m) outside h).
@@ -494,7 +413,7 @@ def _stabilizer_containment(ws: _Workspace, m: int, h: PermGroup):
     sums agree.  On failure the witness is the first representative of G at
     a level >= m that h does not contain.
     """
-    st = ws.base.G.level_stabilizer(m)
+    st = session.G.level_stabilizer(m)
     if h.level_stabilizer(m).order_exponent == st.order_exponent:
         return st.order_exponent, None
     missing = h.containment_witness(st)
@@ -503,19 +422,19 @@ def _stabilizer_containment(ws: _Workspace, m: int, h: PermGroup):
     return st.order_exponent, missing
 
 
-def _stabilizer_verdict(claim_id, ws, m, h, name):
-    exponent, missing = _stabilizer_containment(ws, m, h)
+def _stabilizer_verdict(claim_id, session, m, h, name):
+    exponent, missing = _stabilizer_containment(session, m, h)
     details = {
         "stabilizer_level": m,
         "stabilizer_exponent": exponent,
         f"{name}_exponent": h.order_exponent,
     }
     if missing is not None:
-        return Verdict(claim_id, ws.base.depth, FAILS, details, witness=missing)
-    return Verdict(claim_id, ws.base.depth, HOLDS, details)
+        return Verdict(claim_id, session.depth, FAILS, details, witness=missing)
+    return Verdict(claim_id, session.depth, HOLDS, details)
 
 
-def check_derived_contains_stab(session: GroupSession, ws=None) -> Verdict:
+def check_derived_contains_stab(session: GroupSession) -> Verdict:
     """The level-(r+1) stabilizer sits inside the derived subgroup."""
     spec = session.spec
     if session.depth < spec.r + 2:
@@ -523,13 +442,12 @@ def check_derived_contains_stab(session: GroupSession, ws=None) -> Verdict:
             f"the level-{spec.r + 1} stabilizer is trivial or everything at "
             f"depth {session.depth}; need depth at least {spec.r + 2}"
         )
-    ws = _ws(session, ws)
     return _stabilizer_verdict(
-        "derived_contains_stab", ws, spec.r + 1, ws.derived(session.depth), "derived"
+        "derived_contains_stab", session, spec.r + 1, session.G.derived(), "derived"
     )
 
 
-def check_second_derived_contains_stab(session: GroupSession, ws=None) -> Verdict:
+def check_second_derived_contains_stab(session: GroupSession) -> Verdict:
     """The level-(r+3) stabilizer sits inside the second derived subgroup."""
     spec = session.spec
     if is_constant(spec):
@@ -544,9 +462,12 @@ def check_second_derived_contains_stab(session: GroupSession, ws=None) -> Verdic
             f"the level-{spec.r + 3} stabilizer is trivial or everything at "
             f"depth {session.depth}; need depth at least {spec.r + 4}"
         )
-    ws = _ws(session, ws)
     return _stabilizer_verdict(
-        "second_derived_contains_stab", ws, spec.r + 3, ws.second_derived(), "second_derived"
+        "second_derived_contains_stab",
+        session,
+        spec.r + 3,
+        session.second_derived(),
+        "second_derived",
     )
 
 
@@ -566,8 +487,6 @@ CHECKS = {
 
 def default_depth(spec: GGSSpec) -> int:
     """Deep enough for the second-derived containment, inside the leaf cap."""
-    from .ggs import DEGREE_CAP
-
     cap = 0
     d = 1
     while d * spec.p <= DEGREE_CAP:
@@ -592,14 +511,13 @@ def run_all(
             raise KeyError(f"unknown checks: {', '.join(unknown)}")
         chosen = [c for c in CHECKS if c in set(checks)]
     session = build(spec, depth, allow_large=allow_large)
-    ws = _Workspace(session)
     verdicts = []
     times = {}
     for cid in chosen:
         fn = CHECKS[cid]
         t0 = time.perf_counter()
         try:
-            v = fn(session, ws)
+            v = fn(session)
         except VacuousCheck as exc:
             v = Verdict(cid, depth, VACUOUS, reason=str(exc))
         times[cid] = time.perf_counter() - t0

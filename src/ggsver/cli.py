@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .checks import CHECKS, FAILS, default_depth, run_all
+from .checks import CHECKS, FAILS, classify_csp, default_depth, run_all
 from .ggs import (
     DEGREE_CAP,
     SpecError,
@@ -26,9 +26,6 @@ from .ggs import (
     normalize,
     validate,
 )
-from .checks import classify_csp
-from .permgroups import generate
-from .portraits import Perm, rooted
 
 SPEC_FORMAT = "ggsver-spec/1"
 REPORT_FORMAT = "ggsver-report/1"
@@ -396,25 +393,10 @@ def cmd_info(args) -> int:
 
 def cmd_table(args) -> int:
     spec, _ = _spec_from_args(args)
-    max_depth = args.max_depth
-    if spec.p**max_depth > DEGREE_CAP and not args.allow_slow:
-        raise SpecError(
-            f"{spec.p}^{max_depth} leaves exceeds the cap of {DEGREE_CAP}; "
-            "pass --allow-slow to override"
-        )
-    if is_slow(spec.p, max_depth, spec.r) and not args.allow_slow:
-        raise SpecError(
-            f"depth {max_depth} for p={spec.p} is a long run; "
-            "pass --allow-slow to confirm"
-        )
+    max_depth = _resolve_depth(spec, args.max_depth, args.allow_slow)
     rows = []
     for n in range(1, max_depth + 1):
-        if n == 1:
-            cycle = rooted(spec.p, 1, 1).to_perm(1)
-            gens = [cycle] + [Perm.identity(spec.p)] * spec.r
-            g = generate(spec.p, gens, prime=spec.p)
-        else:
-            g = build(spec, n, allow_large=args.allow_slow).G
+        g = build(spec, n, allow_large=args.allow_slow).G
         d = g.derived()
         # G_n/st(m) is the level-m group, so the index of st(m) is its order
         st_exps = [row["order_exponent"] for row in rows] + [g.order_exponent]

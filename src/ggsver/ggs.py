@@ -10,7 +10,7 @@ p**N leaves, which is exactly the level-N quotient of the infinite group.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .portraits import (
     Automorphism,
@@ -21,7 +21,7 @@ from .portraits import (
     restrict_to_level,
     rooted,
 )
-from .permgroups import PermGroup, generate
+from .permgroups import PermGroup, commutator_subgroup
 
 __all__ = [
     "SpecError",
@@ -296,7 +296,10 @@ class GroupSession:
     """A defining-data object built at a fixed depth.
 
     Holds the generator portraits, their leaf permutations and the group
-    handle for the induced group on the p**depth leaves.  Immutable.
+    handle for the induced group on the p**depth leaves.  Immutable apart
+    from one memo of the subgroups the checks share: the sessions at lower
+    depths, gamma3, st(1), st(1)' and G''.  G' is G.derived(), which the
+    group handle memoizes itself.
     """
 
     spec: GGSSpec
@@ -304,6 +307,50 @@ class GroupSession:
     a: Automorphism
     b: tuple[Automorphism, ...]
     G: PermGroup
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _memoized(self, key, make):
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = make()
+        return got
+
+    def at(self, m: int) -> "GroupSession":
+        """The session of the same defining data at depth m, 1 <= m <= depth;
+        at(depth) is this session."""
+        if m == self.depth:
+            return self
+        if not 1 <= m < self.depth:
+            raise ValueError(f"depth {m} outside 1..{self.depth}")
+        return self._memoized(("at", m), lambda: build(self.spec, m, allow_large=True))
+
+    def gamma3(self) -> PermGroup:
+        """Third lower-central term [[G,G],G]."""
+        g = self.G
+        return self._memoized("gamma3", lambda: commutator_subgroup(g.derived(), g, g))
+
+    def st1(self) -> PermGroup:
+        """The level-1 stabilizer, generated by the p*r conjugates b_i^(a^k).
+        They fix level 1, contain every b_i and are permuted by a, so they
+        generate a normal subgroup of index p, which is st(1)."""
+
+        def make():
+            g = self.G
+            a, bs = g.generators[0], g.generators[1:]
+            gens = [a**-k * b * a**k for k in range(g.prime) for b in bs]
+            return PermGroup(g.degree, gens, prime=g.prime)
+
+        return self._memoized("st1", make)
+
+    def st1_derived(self) -> PermGroup:
+        # st(1) is normal here, so closing its generator commutators under
+        # the ambient generators already yields its derived subgroup
+        st1 = self.st1()
+        return self._memoized("st1_derived", lambda: commutator_subgroup(st1, st1, self.G))
+
+    def second_derived(self) -> PermGroup:
+        d = self.G.derived()
+        return self._memoized("second_derived", lambda: commutator_subgroup(d, d, self.G))
 
     @property
     def degree(self) -> int:
@@ -339,8 +386,8 @@ def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
     """
     if not isinstance(spec, GGSSpec):
         raise SpecError("build expects validated defining data")
-    if depth < 2:
-        raise SpecError("sessions need depth at least 2")
+    if depth < 1:
+        raise SpecError("sessions need depth at least 1")
     p = spec.p
     degree = p**depth
     if degree > DEGREE_CAP and not allow_large:

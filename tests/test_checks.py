@@ -11,8 +11,8 @@ from ggsver.checks import (
     VACUOUS,
     _equality_verdict,
     _stabilizer_containment,
-    _Workspace,
 )
+from ggsver import permgroups
 from ggsver.ggs import DEGREE_CAP
 from ggsver.permgroups import commutator_subgroup, equals, generate
 from ggsver.portraits import subtree_section
@@ -194,7 +194,7 @@ class TestOrderDecidedStabilizers:
     @pytest.mark.parametrize("name", SPEC_FIXTURES)
     def test_st1_handle_is_the_level_one_stabilizer(self, request, name, depth):
         session = gv.build(request.getfixturevalue(name), depth)
-        st1 = _Workspace(session).st1()
+        st1 = session.st1()
         assert len(st1.generators) == session.spec.p * session.spec.r
         assert equals(st1, session.G.level_stabilizer(1))
 
@@ -202,18 +202,43 @@ class TestOrderDecidedStabilizers:
     def test_helper_agrees_with_containment_witness(self, request, name):
         spec = request.getfixturevalue(name)
         session = gv.build(spec, 4)
-        ws = _Workspace(session)
-        d = ws.derived(4)
+        d = session.G.derived()
         # st(r+1) lies in G'; st(1) does not, since b_1 is outside G'
         for m, contained in ((spec.r + 1, True), (1, False)):
             st = session.G.level_stabilizer(m)
-            exponent, witness = _stabilizer_containment(ws, m, d)
+            exponent, witness = _stabilizer_containment(session, m, d)
             assert exponent == st.order_exponent
             assert (witness is None) == contained
             assert (d.containment_witness(st) is None) == contained
             if witness is not None:
                 assert st.contains(witness)
                 assert not d.contains(witness)
+
+
+class TestSessionMemo:
+    def test_shared_subgroups_are_memoized_once(self, gs_spec):
+        s = gv.build(gs_spec, 4)
+        assert s.at(s.depth) is s
+        assert s.at(2) is s.at(2) and s.at(2).depth == 2
+        assert s.at(1).G.order_exponent == 1
+        assert s.second_derived() is s.second_derived()
+        assert s.gamma3() is s.gamma3() and s.st1_derived() is s.st1_derived()
+        for m in (0, 5):
+            with pytest.raises(ValueError):
+                s.at(m)
+
+    def test_standalone_checks_share_the_closures(self, gs_spec):
+        s = gv.build(gs_spec, 4)
+        with mock.patch(
+            "ggsver.permgroups.normal_closure", wraps=permgroups.normal_closure
+        ) as closure:
+            assert gv.check_regular_branch(s).holds
+            assert gv.check_gamma3_product(s).holds
+        ambients = [c.args[0] for c in closure.call_args_list]
+        # in G: st(1)' once, then [st(1)', st(1)]; in G_3: G_3', then gamma3
+        assert sum(g is s.G for g in ambients) == 2
+        assert sum(g is s.at(3).G for g in ambients) == 2
+        assert len(ambients) == 4
 
 
 class TestWitnesses:

@@ -309,6 +309,9 @@ class TestDepthPolicy:
     def test_table_slow_gate(self, capsys):
         code = cli.main(["table", "--p", "3", "--vectors", "1,2", "--max-depth", "6"])
         assert code == 2
+        code = cli.main(["table", "--p", "3", "--vectors", "1,2", "--max-depth", "11"])
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
 
 
 class TestInfoAndTable:
@@ -332,16 +335,20 @@ class TestInfoAndTable:
         assert "HasCSP" in out
 
     def test_table_values(self, capsys):
-        assert cli.main(
-            ["table", "--p", "3", "--vectors", "1,2", "--max-depth", "3",
-             "--format", "csv"]
-        ) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        rows = [line.split(",") for line in lines[1:]]
-        assert [r[0] for r in rows] == ["1", "2", "3"]
-        assert [int(r[1]) for r in rows] == [1, 3, 7]
-        assert [int(r[2]) for r in rows] == [1, 2, 2]
-        assert [int(r[3]) for r in rows] == [1, 2, 2]
+        header = "level,order_exponent,derived_index_exponent,rank,stabilizer_index_exponents"
+        tables = {
+            "1,2": ['1,1,1,1,"1"', '2,3,2,2,"1;3"', '3,7,2,2,"1;3;7"', '4,19,2,2,"1;3;7;19"'],
+            "1,0;0,1": [
+                '1,1,1,1,"1"', '2,4,2,2,"1;4"', '3,12,3,3,"1;4;12"', '4,34,3,3,"1;4;12;34"'
+            ],
+            "1,1": ['1,1,1,1,"1"', '2,4,2,2,"1;4"', '3,9,2,2,"1;4;9"', '4,23,2,2,"1;4;9;23"'],
+        }
+        for vectors, rows in tables.items():
+            assert cli.main(
+                ["table", "--p", "3", "--vectors", vectors, "--max-depth", "4",
+                 "--format", "csv"]
+            ) == 0
+            assert capsys.readouterr().out.splitlines() == [header] + rows, vectors
 
     def test_table_text_matches_csv(self, capsys):
         assert cli.main(

@@ -185,7 +185,8 @@ class TestBuild:
         with pytest.raises(gv.SpecError):
             gv.build(gs_spec, 11)
         with pytest.raises(gv.SpecError):
-            gv.build(gs_spec, 1)
+            gv.build(gs_spec, 0)
+        assert gv.build(gs_spec, 1).G.order_exponent == 1
 
     def test_restriction_diagram_on_random_words(self, gs_spec):
         s = gv.build(gs_spec, 4)

@@ -156,6 +156,16 @@ class TestDerivedAndFrattini:
             freed = weakref.ref(g)
             del g
             assert freed() is None
+            # so is a session on which every check ran, with its memo
+            s = gv.build(gs_spec, 4)
+            for check in gv.CHECKS.values():
+                try:
+                    check(s)
+                except gv.VacuousCheck:
+                    pass
+            freed = [weakref.ref(x) for x in (s, s.G, s.at(3), s.second_derived())]
+            del s
+            assert [f() for f in freed] == [None] * 4
         finally:
             gc.enable()
 
