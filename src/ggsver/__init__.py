@@ -1,120 +1,28 @@
-"""Multi-GGS groups on p-regular rooted trees, verified on finite quotients."""
+"""Multi-GGS groups on p-regular rooted trees, verified on finite quotients.
+
+The top level holds what a verification run needs; everything else is
+imported from ggsver.portraits, ggsver.permgroups, ggsver.ggs and
+ggsver.checks.
+"""
 
 __version__ = "0.1.0"
 
-from .portraits import (
-    Automorphism,
-    DegreeMismatch,
-    NotLevel1Stabilized,
-    Perm,
-    commutator,
-    directed,
-    embed_at_vertex,
-    identity,
-    rooted,
-    vertex_index,
-    vertex_word,
-)
-from .permgroups import (
-    ElementNotInAmbient,
-    NotPGroup,
-    PermGroup,
-    commutator_subgroup,
-    equals,
-    generate,
-    is_subgroup,
-    normal_closure,
-)
-from .ggs import (
-    BadLength,
-    DependentVectors,
-    GGSSpec,
-    GroupSession,
-    Normalization,
-    NormalizationImpossible,
-    NotOdd,
-    NotPrime,
-    SpecError,
-    build,
-    is_constant,
-    is_symmetric,
-    normalize,
-    validate,
-)
-from .checks import (
-    CHECKS,
-    CONSTANT_VECTOR_EXCEPTION,
-    HAS_CSP,
-    Report,
-    VacuousCheck,
-    Verdict,
-    check_abelianization,
-    check_derived_contains_stab,
-    check_gamma3_product,
-    check_key_congruence,
-    check_psi2_second_derived,
-    check_rank_growth,
-    check_regular_branch,
-    check_second_derived_contains_stab,
-    check_stab1_derived_in_gamma3,
-    check_subdirect,
-    classify_csp,
-    default_depth,
-    run_all,
-)
+from .portraits import Perm
+from .permgroups import PermGroup
+from .ggs import GGSSpec, GroupSession, SpecError, build, validate
+from .checks import CHECKS, Report, Verdict, run_all
 
 __all__ = [
     "__version__",
-    "Automorphism",
-    "DegreeMismatch",
-    "NotLevel1Stabilized",
-    "Perm",
-    "commutator",
-    "directed",
-    "embed_at_vertex",
-    "identity",
-    "rooted",
-    "vertex_index",
-    "vertex_word",
-    "ElementNotInAmbient",
-    "NotPGroup",
-    "PermGroup",
-    "commutator_subgroup",
-    "equals",
-    "generate",
-    "is_subgroup",
-    "normal_closure",
-    "BadLength",
-    "DependentVectors",
+    "validate",
+    "build",
+    "run_all",
+    "SpecError",
     "GGSSpec",
     "GroupSession",
-    "Normalization",
-    "NormalizationImpossible",
-    "NotOdd",
-    "NotPrime",
-    "SpecError",
-    "build",
-    "is_constant",
-    "is_symmetric",
-    "normalize",
-    "validate",
-    "CHECKS",
-    "CONSTANT_VECTOR_EXCEPTION",
-    "HAS_CSP",
     "Report",
-    "VacuousCheck",
     "Verdict",
-    "check_abelianization",
-    "check_derived_contains_stab",
-    "check_gamma3_product",
-    "check_key_congruence",
-    "check_psi2_second_derived",
-    "check_rank_growth",
-    "check_regular_branch",
-    "check_second_derived_contains_stab",
-    "check_stab1_derived_in_gamma3",
-    "check_subdirect",
-    "classify_csp",
-    "default_depth",
-    "run_all",
+    "CHECKS",
+    "PermGroup",
+    "Perm",
 ]

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .ggs import DEGREE_CAP, GGSSpec, GroupSession, build, is_constant, normalize
-from .permgroups import PermGroup, commutator_subgroup, equals, generate
+from .permgroups import PermGroup, commutator_subgroup, equals
 from .portraits import (
     Perm,
     commutator,
@@ -109,18 +109,11 @@ class Report:
     def failed(self) -> list:
         return [v for v in self.verdicts if v.status == FAILS]
 
-    def verdict(self, claim_id: str) -> Verdict:
-        for v in self.verdicts:
-            if v.claim_id == claim_id:
-                return v
-        raise KeyError(claim_id)
-
-    def to_jsonable(self, include_timings: bool = True) -> dict:
+    def to_jsonable(self) -> dict:
         checks = []
         for v in self.verdicts:
             entry = v.to_jsonable()
-            if include_timings:
-                entry["wall_time"] = self.wall_times.get(v.claim_id, 0.0)
+            entry["wall_time"] = self.wall_times.get(v.claim_id, 0.0)
             checks.append(entry)
         return {
             "spec": {"p": self.p, "vectors": self.vectors, "label": self.label},
@@ -332,7 +325,7 @@ def check_subdirect(session: GroupSession) -> Verdict:
     d = session.G.derived()
     full = session.at(n - 1).G
     sections = [subtree_section(g, p, (0,)) for g in d.generators]
-    proj = generate(full.degree, sections, prime=p)
+    proj = PermGroup(full.degree, sections, prime=p)
     details = {
         "full_exponent": full.order_exponent,
         "projection_exponents": [proj.order_exponent],
@@ -384,6 +377,7 @@ def check_psi2_second_derived(session: GroupSession) -> Verdict:
 def check_rank_growth(session: GroupSession) -> Verdict:
     """Minimal generator counts grow along levels: rank at level n is at
     least n for n = 2..r+1, with equality r+1 at level r+1."""
+    _require_depth(session, 2, "rank growth")
     spec = session.spec
     top = min(session.depth, spec.r + 1)
     ranks = []
@@ -393,7 +387,7 @@ def check_rank_growth(session: GroupSession) -> Verdict:
         ranks.append([n, rk])
         if rk < n:
             ok = False
-    if spec.r + 1 <= session.depth and ranks and ranks[-1][1] != spec.r + 1:
+    if spec.r + 1 <= session.depth and ranks[-1][1] != spec.r + 1:
         ok = False
     details = {"ranks": ranks, "expected_terminal_rank": spec.r + 1}
     if ok:

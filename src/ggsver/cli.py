@@ -144,7 +144,7 @@ def _seal(body: dict) -> dict:
 
 
 def report_payload(report) -> dict:
-    return _seal(report.to_jsonable(include_timings=True))
+    return _seal(report.to_jsonable())
 
 
 def _relabel(payload: dict, label) -> dict:
@@ -231,7 +231,7 @@ def _cache_key(spec, depth, checks) -> str:
         "p": spec.p,
         "vectors": [list(v) for v in spec.vectors],
         "depth": depth,
-        "checks": sorted(checks) if checks else None,
+        "checks": sorted(checks) if checks is not None else None,
         "version": __version__,
         "source": source_digest(),
     }
@@ -293,6 +293,8 @@ def is_slow(p: int, depth: int, r: int) -> bool:
 
 def _resolve_depth(spec, requested, allow_slow):
     if requested is not None:
+        if requested < 1:
+            raise SpecError(f"depth must be at least 1, got {requested}")
         if spec.p**requested > DEGREE_CAP and not allow_slow:
             raise SpecError(
                 f"{spec.p}^{requested} leaves exceeds the cap of {DEGREE_CAP}; "
@@ -322,8 +324,10 @@ def _resolve_depth(spec, requested, allow_slow):
 def cmd_verify(args) -> int:
     spec, label = _spec_from_args(args)
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not checks:
+            raise SpecError(f"--checks {args.checks!r} names no check")
         unknown = [c for c in checks if c not in CHECKS]
         if unknown:
             raise SpecError(f"unknown checks: {', '.join(unknown)}")

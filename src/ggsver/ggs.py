@@ -9,18 +9,9 @@ p**N leaves, which is exactly the level-N quotient of the infinite group.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .portraits import (
-    Automorphism,
-    Perm,
-    directed,
-    identity,
-    is_odd_prime,
-    restrict_to_level,
-    rooted,
-)
+from .portraits import Automorphism, directed, is_odd_prime, restrict_to_level, rooted
 from .permgroups import PermGroup, commutator_subgroup
 
 __all__ = [
@@ -331,8 +322,8 @@ class GroupSession:
 
     def st1(self) -> PermGroup:
         """The level-1 stabilizer, generated by the p*r conjugates b_i^(a^k).
-        They fix level 1, contain every b_i and are permuted by a, so they
-        generate a normal subgroup of index p, which is st(1)."""
+        They fix level 1, contain every b_i and are permuted by a, so the
+        subgroup they span is normal of index p, which is st(1)."""
 
         def make():
             g = self.G
@@ -353,27 +344,8 @@ class GroupSession:
         return self._memoized("second_derived", lambda: commutator_subgroup(d, d, self.G))
 
     @property
-    def degree(self) -> int:
-        return self.spec.p ** self.depth
-
-    @property
     def generators(self) -> tuple[Automorphism, ...]:
         return (self.a,) + self.b
-
-    def summary(self) -> dict:
-        """Canonical run summary; byte-identical across repeated builds."""
-        info = self.G.chain_summary()
-        return {
-            "p": self.spec.p,
-            "vectors": [list(v) for v in self.spec.vectors],
-            "depth": self.depth,
-            "order_exponent": info["order_exponent"],
-            "level_dimensions": info["level_dimensions"],
-            "generator_images": [g.tolist() for g in self.G.generators],
-        }
-
-    def summary_bytes(self) -> bytes:
-        return json.dumps(self.summary(), sort_keys=True, separators=(",", ":")).encode()
 
 
 def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:

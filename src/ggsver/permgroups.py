@@ -27,19 +27,19 @@ An element of st(N-1) is determined by its labels, so the last layer keeps
 label rows only and decides by comparing labels.
 
 Closure.  One routine builds every handle: the closure of seed elements
-under conjugation by a list of ambient generators (generate(X) takes X for
-both, normal_closure(K, S) takes S and the generators of K).  Each candidate
-is reduced level by level; a non-zero residual at level m is scaled to a
-unit pivot, cleared from the other rows of its layer (an old representative
-is multiplied by a power of the new one), and becomes a representative r.
-It queues (a) its conjugates by the ambient generators, (b) r^p and (c) its
-commutators with the other level-m representatives.  (b) and (c) lie in
-st(m+1) and go ahead of the next seed or conjugate.  The loop stops when
-every queued element has reduced to the identity.
+under conjugation by a list of ambient generators (PermGroup(degree, X, p)
+takes X for both, normal_closure(K, S) takes S and the generators of K).
+Each candidate is reduced level by level; a non-zero residual at level m is
+scaled to a unit pivot, cleared from the other rows of its layer (an old
+representative is multiplied by a power of the new one), and becomes a
+representative r.  It queues (a) its conjugates by the ambient generators,
+(b) r^p and (c) its commutators with the other level-m representatives.  (b)
+and (c) lie in st(m+1) and go ahead of the next seed or conjugate.  The loop
+stops when every queued element has reduced to the identity.
 
 Why that is the closure.  Every representative is a product of seeds,
 conjugates and earlier representatives, so it lies in the closure.  Clearing
-a pivot keeps, level by level, the group that the representatives generate,
+a pivot keeps, level by level, the group spanned by the representatives,
 so an element that reduced to the identity lies in H_m, the group generated
 by the final representatives at levels >= m, where m is its level.  Hence
 (a) makes each H_m invariant under the ambient generators, and so normal in
@@ -106,8 +106,6 @@ __all__ = [
     "NotPGroup",
     "ElementNotInAmbient",
     "PermGroup",
-    "generate",
-    "is_subgroup",
     "equals",
     "normal_closure",
     "commutator_subgroup",
@@ -162,15 +160,14 @@ class _Tree:
     def __init__(self, p, n: int):
         self.p = p
         self.depth = n
-        idn = np.arange(p**n if n else 1, dtype=np.intp)
+        idn = np.arange(p**n, dtype=np.intp)
         idn.setflags(write=False)
         self.identity = idn
         # the level-m labels of x are digits[m][x[starts[m]]]
         self.starts = [idn[:: p ** (n - m)] for m in range(n)]
         self.digits = [idn // p ** (n - m - 1) % p for m in range(n)]
-        if n:
-            self.parent = idn // p
-            self.base = idn - idn % p
+        self.parent = idn // p
+        self.base = idn - idn % p
 
     def from_last_labels(self, u: np.ndarray) -> np.ndarray:
         """The element of st(n-1) whose level-(n-1) labels are u."""
@@ -298,8 +295,9 @@ class _Layers:
         empty = [_Layer(self.tree.p**k) for k in range(m)]
         return _Layers(self.tree, empty + self.levels[m:])
 
-    def representatives(self, start: int = 0):
-        """Representatives level by level, in the order they were found."""
+    def representatives(self, start: int):
+        """Representatives from level start on, level by level, in the order
+        they were found."""
         last = self.tree.depth - 1
         for m in range(start, self.tree.depth):
             lvl = self.levels[m]
@@ -327,8 +325,6 @@ class _Layers:
         """x with the levels below the last divided out, and the element of
         the last layer whose exponents are then read off it."""
         tree = self.tree
-        if not tree.depth:
-            return x, tree.identity
         for m in range(tree.depth - 1):
             x = self._divide(x, m)
         lvl = self.levels[-1]
@@ -338,12 +334,6 @@ class _Layers:
     def contains(self, x: np.ndarray) -> bool:
         x, last = self._reduce(x)
         return bool((x == last).all())
-
-    def residue(self, x: np.ndarray) -> np.ndarray:
-        """x divided by the canonical product that reduction reads off it;
-        the identity exactly for members."""
-        x, last = self._reduce(x)
-        return _inverse(last)[x]
 
     def _sift(self, x: np.ndarray, start: int):
         """(level, element, labels) of the first non-zero residual of an
@@ -385,10 +375,8 @@ class _Layers:
 
 def _close(tree: _Tree, seeds, conj_by):
     """Layers of the closure of the seeds under conjugation by conj_by, and
-    the seeds and conjugates that left a residual (they generate it)."""
+    the seeds and conjugates that left a residual, a generating set."""
     layers = _Layers(tree)
-    if not tree.depth:
-        return layers, []
     p = tree.p
     last = tree.depth - 1
     bottom = layers.levels[last]
@@ -458,7 +446,12 @@ class PermGroup:
     constructed and safe to share.
     """
 
-    def __init__(self, degree: int, generators, prime: int | None = None):
+    def __init__(self, degree: int, generators, prime: int):
+        if degree < prime:
+            raise ValueError(f"degree {degree} is below the prime {prime}: no tree level")
+        self.degree = int(degree)
+        self.prime = int(prime)
+        self._tree = _tree(self.prime, level_of_degree(self.degree, self.prime))
         gens = []
         for g in generators:
             if not isinstance(g, Perm):
@@ -468,9 +461,6 @@ class PermGroup:
                     f"generator of degree {g.degree} in a degree-{degree} group"
                 )
             gens.append(g)
-        self.degree = int(degree)
-        self.prime = self._infer_prime(prime)
-        self._tree = _tree(self.prime, self.level)
         if not all(self._tree.in_wreath(g.images) for g in gens):
             raise NotPGroup("a generator is not a tree automorphism with cyclic vertex labels")
         self._setup(gens, None)
@@ -494,20 +484,6 @@ class PermGroup:
         obj._setup(generators, layers, closed_from)
         return obj
 
-    def _infer_prime(self, prime):
-        if prime is not None:
-            if self.degree > 1:
-                level_of_degree(self.degree, prime)
-            return int(prime)
-        if self.degree == 1:
-            return None
-        n = self.degree
-        p = 2
-        while n % p:
-            p += 1
-        level_of_degree(self.degree, p)
-        return p
-
     # -- layers and order ----------------------------------------------------
 
     @property
@@ -522,24 +498,13 @@ class PermGroup:
         return sum(self.chain.dimensions())
 
     @property
-    def order(self) -> int:
-        return (self.prime or 1) ** self.order_exponent
-
-    @property
     def level(self) -> int:
-        return level_of_degree(self.degree, self.prime) if self.degree > 1 else 0
+        return self._tree.depth
 
     def is_trivial(self) -> bool:
         return self.order_exponent == 0
 
     # -- membership ---------------------------------------------------------
-
-    def sift(self, x: Perm) -> Perm:
-        """x divided by the canonical product its labels select; the
-        identity exactly when x lies in the group."""
-        if x.degree != self.degree:
-            raise DegreeMismatch("element degree differs from the group degree")
-        return Perm._wrap(self.chain.residue(x.images).copy())
 
     def contains(self, x: Perm) -> bool:
         if x.degree != self.degree:
@@ -620,10 +585,6 @@ class PermGroup:
             "strong_generator_count": sum(dims),
         }
 
-    def strong_generators(self) -> list[Perm]:
-        """The representatives, level by level."""
-        return [Perm._wrap(r) for r in self.chain.representatives()]
-
     def __repr__(self):
         built = self._chain is not None
         size = f"order {self.prime}^{self.order_exponent}" if built else "not built"
@@ -638,18 +599,6 @@ def _commutators(pairs) -> list[Perm]:
         if not np.array_equal(c, np.arange(len(c))):
             out.append(Perm._wrap(c))
     return out
-
-
-def generate(degree: int, gens, prime: int | None = None) -> PermGroup:
-    """Build a handle and its layers."""
-    g = PermGroup(degree, gens, prime=prime)
-    g.chain
-    return g
-
-
-def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
-    """True when every generator of h lies in g."""
-    return g.contains_subgroup(h)
 
 
 def equals(a: PermGroup, b: PermGroup) -> bool:

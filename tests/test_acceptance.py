@@ -11,8 +11,20 @@ import time
 
 import ggsver as gv
 from ggsver import cli
-from ggsver.checks import HOLDS, SKIPPED
-from ggsver.permgroups import equals, generate
+from ggsver.checks import (
+    CONSTANT_VECTOR_EXCEPTION,
+    HOLDS,
+    SKIPPED,
+    VacuousCheck,
+    check_derived_contains_stab,
+    check_regular_branch,
+    check_second_derived_contains_stab,
+    check_stab1_derived_in_gamma3,
+    classify_csp,
+)
+from ggsver.ggs import normalize
+from ggsver.permgroups import PermGroup, equals
+from ggsver.portraits import commutator, directed, identity, rooted
 
 from oracles import bfs_closure, log_order
 
@@ -30,10 +42,10 @@ def test_criterion_1_oracle_equivalence(gs_spec):
     for depth in (1, 2):
         if depth == 1:
             gens = [
-                gv.rooted(3, 1, 1).to_perm(1),
-                gv.directed(gs_spec, 2, 1).truncate(1).to_perm(1),
+                rooted(3, 1, 1).to_perm(1),
+                directed(gs_spec, 2, 1).truncate(1).to_perm(1),
             ]
-            handle = generate(3, gens, prime=3)
+            handle = PermGroup(3, gens, prime=3)
         else:
             handle = gv.build(gs_spec, 2).G
         count = len(bfs_closure([g.tolist() for g in handle.generators]))
@@ -81,7 +93,7 @@ def test_criterion_3_two_generator_suite(r2_spec):
     ok = ok and got["rank_growth"].status == HOLDS
     ok = ok and got["rank_growth"].details["ranks"] == [[2, 2], [3, 3]]
     s5 = gv.build(r2_spec, 5)
-    v5 = gv.check_derived_contains_stab(s5)
+    v5 = check_derived_contains_stab(s5)
     ok = ok and v5.holds and v5.details["stabilizer_level"] == 3
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300
@@ -91,7 +103,7 @@ def test_criterion_3_two_generator_suite(r2_spec):
 def test_criterion_3_slow_second_derived_containment(r2_spec):
     t0 = time.perf_counter()
     s6 = gv.build(r2_spec, 6)
-    v = gv.check_second_derived_contains_stab(s6)
+    v = check_second_derived_contains_stab(s6)
     elapsed = time.perf_counter() - t0
     ok = v.holds and v.details["stabilizer_level"] == 5 and elapsed < 1800
     _line(
@@ -104,11 +116,11 @@ def test_criterion_3_slow_second_derived_containment(r2_spec):
 
 def test_criterion_4_symmetric_branch(sym5_spec):
     t0 = time.perf_counter()
-    norm = gv.normalize(sym5_spec)
+    norm = normalize(sym5_spec)
     ok = norm.case == "symmetric"
     second = norm.spec.vectors[1]
     ok = ok and second[0] == 0 and second[-1] == 0 and any(second)
-    v = gv.check_regular_branch(gv.build(sym5_spec, 3))
+    v = check_regular_branch(gv.build(sym5_spec, 3))
     ok = ok and v.holds
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120
@@ -121,7 +133,7 @@ def test_criterion_4_symmetric_branch(sym5_spec):
 
 
 def test_criterion_5_negative_control(const_spec, monkeypatch, tmp_path, capsys):
-    ok = gv.classify_csp(const_spec) == gv.CONSTANT_VECTOR_EXCEPTION
+    ok = classify_csp(const_spec) == CONSTANT_VECTOR_EXCEPTION
     rep = gv.run_all(const_spec, depth=4)
     got = {v.claim_id: v for v in rep.verdicts}
     for cid in ("gamma3_product", "subdirect"):
@@ -146,10 +158,10 @@ def test_criterion_6_property_suites():
     }
 
     def random_word(spec, depth):
-        gens = [gv.rooted(spec.p, depth, 1)] + [
-            gv.directed(spec, depth, i) for i in range(1, spec.r + 1)
+        gens = [rooted(spec.p, depth, 1)] + [
+            directed(spec, depth, i) for i in range(1, spec.r + 1)
         ]
-        w = gv.identity(spec.p, depth)
+        w = identity(spec.p, depth)
         for _ in range(rng.randint(1, 5)):
             w = w * rng.choice(gens) ** rng.randint(1, spec.p - 1)
         return w
@@ -190,13 +202,13 @@ def test_criterion_6_property_suites():
         p = rng.choice([3, 3, 5])
         depth = rng.randint(2, 4 if p == 3 else 3)
         spec = specs[p]
-        a = gv.rooted(p, depth, 1)
-        b = gv.directed(spec, depth, 1)
+        a = rooted(p, depth, 1)
+        b = directed(spec, depth, 1)
         n = rng.randint(1, 2 * p)
-        lhs = gv.commutator(a**n, b)
-        rhs = gv.identity(p, depth)
+        lhs = commutator(a**n, b)
+        rhs = identity(p, depth)
         for k in range(n - 1, -1, -1):
-            rhs = rhs * gv.commutator(a, b).conjugated_by(a**k)
+            rhs = rhs * commutator(a, b).conjugated_by(a**k)
         assert lhs == rhs
         counts["comm"] += 1
 
@@ -207,7 +219,7 @@ def test_criterion_6_property_suites():
         rows = [tuple(rng.randrange(p) for _ in range(p - 1)) for _ in range(r)]
         try:
             spec = gv.validate(p, rows)
-            norm = gv.normalize(spec)
+            norm = normalize(spec)
         except gv.SpecError:
             continue
         if p == 3:
@@ -226,9 +238,9 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_monotonic_evidence(gs_spec):
     containments = (
-        gv.check_stab1_derived_in_gamma3,
-        gv.check_derived_contains_stab,
-        gv.check_second_derived_contains_stab,
+        check_stab1_derived_in_gamma3,
+        check_derived_contains_stab,
+        check_second_derived_contains_stab,
     )
     sessions = {n: gv.build(gs_spec, n) for n in (3, 4, 5)}
     status = {}
@@ -236,7 +248,7 @@ def test_criterion_7_monotonic_evidence(gs_spec):
         for n, session in sessions.items():
             try:
                 status[(check.__name__, n)] = check(session).holds
-            except gv.VacuousCheck:
+            except VacuousCheck:
                 pass
     violations = []
     for check in containments:

@@ -5,17 +5,32 @@ import pytest
 
 import ggsver as gv
 from ggsver.checks import (
+    CONSTANT_VECTOR_EXCEPTION,
     FAILS,
+    HAS_CSP,
     HOLDS,
     SKIPPED,
     VACUOUS,
+    VacuousCheck,
     _equality_verdict,
     _stabilizer_containment,
+    check_abelianization,
+    check_derived_contains_stab,
+    check_gamma3_product,
+    check_key_congruence,
+    check_psi2_second_derived,
+    check_rank_growth,
+    check_regular_branch,
+    check_second_derived_contains_stab,
+    check_stab1_derived_in_gamma3,
+    check_subdirect,
+    classify_csp,
+    default_depth,
 )
 from ggsver import permgroups
 from ggsver.ggs import DEGREE_CAP
-from ggsver.permgroups import commutator_subgroup, equals, generate
-from ggsver.portraits import subtree_section
+from ggsver.permgroups import PermGroup, commutator_subgroup, equals
+from ggsver.portraits import identity, subtree_section
 
 SPEC_FIXTURES = ["gs_spec", "const_spec", "r2_spec", "sym5_spec"]
 
@@ -24,18 +39,18 @@ class TestClassify:
     @pytest.mark.parametrize(
         "p,rows,expected",
         [
-            (3, [(1, 1)], gv.CONSTANT_VECTOR_EXCEPTION),
-            (3, [(1, 2)], gv.HAS_CSP),
-            (5, [(1, 0, 0, 0), (0, 1, 0, 0)], gv.HAS_CSP),
+            (3, [(1, 1)], CONSTANT_VECTOR_EXCEPTION),
+            (3, [(1, 2)], HAS_CSP),
+            (5, [(1, 0, 0, 0), (0, 1, 0, 0)], HAS_CSP),
         ],
     )
     def test_examples(self, p, rows, expected):
-        assert gv.classify_csp(gv.validate(p, rows)) == expected
+        assert classify_csp(gv.validate(p, rows)) == expected
 
 
 class TestAbelianization:
     def test_index_exponent(self, gs3):
-        v = gv.check_abelianization(gs3)
+        v = check_abelianization(gs3)
         assert v.holds
         assert v.details["index_exponent"] == 2
         assert v.details["frattini_equals_derived"]
@@ -43,89 +58,89 @@ class TestAbelianization:
     def test_two_generators_need_depth_three(self, r2_spec):
         # at depth 2 the two directed generators collide, so the index is
         # smaller than p^(r+1) and the claim honestly fails there
-        v = gv.check_abelianization(gv.build(r2_spec, 2))
+        v = check_abelianization(gv.build(r2_spec, 2))
         assert v.status == FAILS
         assert v.details["index_exponent"] == 2
         assert v.witness is not None
-        v3 = gv.check_abelianization(gv.build(r2_spec, 3))
+        v3 = check_abelianization(gv.build(r2_spec, 3))
         assert v3.holds and v3.details["index_exponent"] == 3
 
 
 class TestGamma3Product:
     def test_holds_at_depth_four(self, gs4):
-        assert gv.check_gamma3_product(gs4).holds
+        assert check_gamma3_product(gs4).holds
 
     def test_holds_for_two_generators(self, r2_4):
-        assert gv.check_gamma3_product(r2_4).holds
+        assert check_gamma3_product(r2_4).holds
 
     def test_skipped_for_constant(self, const_spec):
-        v = gv.check_gamma3_product(gv.build(const_spec, 3))
+        v = check_gamma3_product(gv.build(const_spec, 3))
         assert v.status == SKIPPED
         assert "constant" in v.reason
 
     def test_vacuous_below_depth_three(self, gs_spec):
-        with pytest.raises(gv.VacuousCheck):
-            gv.check_gamma3_product(gv.build(gs_spec, 2))
+        with pytest.raises(VacuousCheck):
+            check_gamma3_product(gv.build(gs_spec, 2))
 
 
 class TestKeyCongruence:
     def test_holds_for_the_basic_spec(self, gs4):
-        v = gv.check_key_congruence(gs4)
+        v = check_key_congruence(gs4)
         assert v.holds
         assert v.details["m"] == 2
 
     def test_skipped_for_constant(self, const_spec):
-        v = gv.check_key_congruence(gv.build(const_spec, 3))
+        v = check_key_congruence(gv.build(const_spec, 3))
         assert v.status == SKIPPED
         assert "m = 1" in v.reason or "m != 1" in v.reason
 
     def test_skipped_for_symmetric(self, sym5_spec):
-        v = gv.check_key_congruence(gv.build(sym5_spec, 3))
+        v = check_key_congruence(gv.build(sym5_spec, 3))
         assert v.status == SKIPPED
         assert "symmetric" in v.reason
 
 
 class TestRegularBranch:
     def test_two_generator_case(self, r2_4):
-        v = gv.check_regular_branch(r2_4)
+        v = check_regular_branch(r2_4)
         assert v.holds
         assert "mode" not in v.details
 
     def test_symmetric_pair(self, sym5_spec):
-        v = gv.check_regular_branch(gv.build(sym5_spec, 3))
+        v = check_regular_branch(gv.build(sym5_spec, 3))
         assert v.holds
 
     def test_single_generator_is_flagged_extended(self, gs4):
-        v = gv.check_regular_branch(gs4)
+        v = check_regular_branch(gs4)
         assert v.holds
         assert v.details["mode"] == "extended: r=1 non-constant"
 
     def test_skipped_for_constant(self, const_spec):
-        v = gv.check_regular_branch(gv.build(const_spec, 3))
+        v = check_regular_branch(gv.build(const_spec, 3))
         assert v.status == SKIPPED
 
 
 class TestStab1DerivedInGamma3:
     def test_holds_everywhere(self, gs3, const_spec):
-        assert gv.check_stab1_derived_in_gamma3(gs3).holds
+        assert check_stab1_derived_in_gamma3(gs3).holds
         # no constant-vector exclusion on this one
-        assert gv.check_stab1_derived_in_gamma3(gv.build(const_spec, 3)).holds
+        assert check_stab1_derived_in_gamma3(gv.build(const_spec, 3)).holds
 
     def test_degenerate_depth_two(self, gs_spec):
-        assert gv.check_stab1_derived_in_gamma3(gv.build(gs_spec, 2)).holds
+        assert check_stab1_derived_in_gamma3(gv.build(gs_spec, 2)).holds
 
 
 class TestSubdirect:
     def test_all_projections_full(self, gs3):
-        v = gv.check_subdirect(gs3)
+        v = check_subdirect(gs3)
         assert v.holds
         assert v.details["projection_exponents"] == [v.details["full_exponent"]] * 3
 
     def test_two_generators(self, r2_spec):
-        assert gv.check_subdirect(gv.build(r2_spec, 3)).holds
+        assert check_subdirect(gv.build(r2_spec, 3)).holds
 
     def test_skipped_for_constant(self, const_spec):
-        v = gv.check_subdirect(gv.build(const_spec, 3))
+        v = check_subdirect(gv.build(const_spec, 3))
         assert v.status == SKIPPED
         assert "constant" in v.reason
 
@@ -137,7 +152,7 @@ class TestSubdirect:
         p = s.spec.p
         d = s.G.derived()
         exponents = [
-            generate(
+            PermGroup(
                 p**3, [subtree_section(g, p, (j,)) for g in d.generators], prime=p
             ).order_exponent
             for j in range(p)
@@ -147,45 +162,50 @@ class TestSubdirect:
 
 class TestPsi2SecondDerived:
     def test_two_generators_depth_four(self, r2_4):
-        assert gv.check_psi2_second_derived(r2_4).holds
+        assert check_psi2_second_derived(r2_4).holds
 
     def test_five_regular_pair(self, sym5_spec):
-        assert gv.check_psi2_second_derived(gv.build(sym5_spec, 3)).holds
+        assert check_psi2_second_derived(gv.build(sym5_spec, 3)).holds
 
     def test_skipped_for_single_generator(self, gs3):
-        v = gv.check_psi2_second_derived(gs3)
+        v = check_psi2_second_derived(gs3)
         assert v.status == SKIPPED
         assert "two directed generators" in v.reason
 
 
 class TestRankGrowth:
     def test_single_generator(self, gs3):
-        v = gv.check_rank_growth(gs3)
+        v = check_rank_growth(gs3)
         assert v.holds
         assert v.details["ranks"] == [[2, 2]]
 
     def test_two_generators(self, r2_spec):
-        v = gv.check_rank_growth(gv.build(r2_spec, 3))
+        v = check_rank_growth(gv.build(r2_spec, 3))
         assert v.holds
         assert v.details["ranks"] == [[2, 2], [3, 3]]
+
+    def test_vacuous_at_depth_one(self, gs_spec):
+        # level 1 has no rank to compare, so a verdict there has no evidence
+        with pytest.raises(VacuousCheck):
+            check_rank_growth(gv.build(gs_spec, 1))
 
 
 class TestStabilizerContainments:
     def test_derived_contains_second_level(self, gs4):
-        v = gv.check_derived_contains_stab(gs4)
+        v = check_derived_contains_stab(gs4)
         assert v.holds
         assert v.details["stabilizer_level"] == 2
 
     def test_vacuous_at_threshold(self, gs_spec):
-        with pytest.raises(gv.VacuousCheck):
-            gv.check_derived_contains_stab(gv.build(gs_spec, 2))
+        with pytest.raises(VacuousCheck):
+            check_derived_contains_stab(gv.build(gs_spec, 2))
 
     def test_second_derived_vacuous_below_threshold(self, gs4):
-        with pytest.raises(gv.VacuousCheck):
-            gv.check_second_derived_contains_stab(gs4)
+        with pytest.raises(VacuousCheck):
+            check_second_derived_contains_stab(gs4)
 
     def test_second_derived_skipped_for_constant(self, const_spec):
-        v = gv.check_second_derived_contains_stab(gv.build(const_spec, 4))
+        v = check_second_derived_contains_stab(gv.build(const_spec, 4))
         assert v.status == SKIPPED
 
 
@@ -232,8 +252,8 @@ class TestSessionMemo:
         with mock.patch(
             "ggsver.permgroups.normal_closure", wraps=permgroups.normal_closure
         ) as closure:
-            assert gv.check_regular_branch(s).holds
-            assert gv.check_gamma3_product(s).holds
+            assert check_regular_branch(s).holds
+            assert check_gamma3_product(s).holds
         ambients = [c.args[0] for c in closure.call_args_list]
         # in G: st(1)' once, then [st(1)', st(1)]; in G_3: G_3', then gamma3
         assert sum(g is s.G for g in ambients) == 2
@@ -253,7 +273,7 @@ class TestWitnesses:
         assert not d.contains(w)
 
     def test_failing_verdicts_carry_witnesses(self, r2_spec):
-        v = gv.check_abelianization(gv.build(r2_spec, 2))
+        v = check_abelianization(gv.build(r2_spec, 2))
         assert v.status == FAILS and v.witness is not None
 
 
@@ -303,7 +323,7 @@ class TestRunAll:
 
     def test_constant_spec_report(self, const_spec):
         rep = gv.run_all(const_spec, depth=4)
-        assert rep.classification == gv.CONSTANT_VECTOR_EXCEPTION
+        assert rep.classification == CONSTANT_VECTOR_EXCEPTION
         assert not rep.failed
         statuses = {v.claim_id: v for v in rep.verdicts}
         for cid in ("gamma3_product", "subdirect", "regular_branch"):
@@ -328,8 +348,8 @@ class TestRunAll:
             gv.run_all(gs_spec, depth=3, checks=["nope"])
 
     def test_default_depths(self, gs_spec, sym5_spec):
-        assert gv.default_depth(gs_spec) == 5
-        assert gv.default_depth(sym5_spec) == 6
+        assert default_depth(gs_spec) == 5
+        assert default_depth(sym5_spec) == 6
 
 
 class TestProjectionSoundness:
@@ -339,7 +359,7 @@ class TestProjectionSoundness:
         rng = random.Random(47)
         gens = list(gs4.generators)
         for _ in range(30):
-            w = gv.identity(3, 4)
+            w = identity(3, 4)
             for _ in range(rng.randint(1, 6)):
                 w = w * rng.choice(gens) ** rng.randint(1, 2)
             for m in (1, 2, 3):
@@ -356,12 +376,12 @@ class TestMonotonicEvidence:
         for depth in (3, 4):
             session = gv.build(gs_spec, depth)
             for check in (
-                gv.check_derived_contains_stab,
-                gv.check_stab1_derived_in_gamma3,
+                check_derived_contains_stab,
+                check_stab1_derived_in_gamma3,
             ):
                 try:
                     v = check(session)
-                except gv.VacuousCheck:
+                except VacuousCheck:
                     continue
                 holds_at[(check.__name__, depth)] = v.holds
         for (name, depth), ok in holds_at.items():

@@ -255,6 +255,23 @@ class TestCache:
         assert cli.main(args) == 0
         assert "cached" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selection", [",", ""])
+    def test_empty_selection_is_refused_and_not_cached(
+        self, selection, monkeypatch, tmp_path, capsys
+    ):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(cache))
+        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
+                "--format", "json"]
+        assert cli.main(args + ["--checks", selection]) == 2
+        assert "names no check" in capsys.readouterr().err
+        assert not cache.exists() or list(cache.iterdir()) == []
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert "cached" not in captured.err
+        ids = [entry["id"] for entry in json.loads(captured.out)["report"]["checks"]]
+        assert ids == list(gv.CHECKS)
+
     def test_failed_write_leaves_no_entry(self, monkeypatch, tmp_path, capsys):
         cache = tmp_path / "cache"
         monkeypatch.setenv("GGSVER_CACHE_DIR", str(cache))
@@ -312,6 +329,12 @@ class TestDepthPolicy:
         code = cli.main(["table", "--p", "3", "--vectors", "1,2", "--max-depth", "11"])
         assert code == 2
         assert "exceeds the cap" in capsys.readouterr().err
+        for depth in ("0", "-2"):
+            code = cli.main(["table", "--p", "3", "--vectors", "1,2", "--max-depth", depth])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "at least 1" in captured.err
 
 
 class TestInfoAndTable:

@@ -3,24 +3,32 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-import ggsver as gv
 from ggsver.portraits import (
+    DegreeMismatch,
+    NotLevel1Stabilized,
     Perm,
+    commutator,
+    directed,
+    embed_at_vertex,
+    identity,
     level_of_degree,
     restrict_to_level,
+    rooted,
     subtree_embed,
     subtree_section,
+    vertex_index,
+    vertex_word,
 )
 
 
 def word_elements(spec, depth, rng, count):
     """Random words in the session generators, evaluated as portraits."""
-    gens = [gv.rooted(spec.p, depth, 1)] + [
-        gv.directed(spec, depth, i) for i in range(1, spec.r + 1)
+    gens = [rooted(spec.p, depth, 1)] + [
+        directed(spec, depth, i) for i in range(1, spec.r + 1)
     ]
     out = []
     for _ in range(count):
-        w = gv.identity(spec.p, depth)
+        w = identity(spec.p, depth)
         for _ in range(rng.randint(1, 6)):
             g = rng.choice(gens)
             w = w * g ** rng.randint(1, spec.p - 1)
@@ -30,37 +38,37 @@ def word_elements(spec, depth, rng, count):
 
 class TestIdentityAndRooted:
     def test_identity_fixes_vertices(self):
-        e = gv.identity(3, 2)
+        e = identity(3, 2)
         for k in range(9):
-            v = gv.vertex_word(k, 2, 3)
+            v = vertex_word(k, 2, 3)
             assert e.apply(v) == v
 
     def test_identity_is_neutral(self, gs_spec):
-        g = gv.directed(gs_spec, 2, 1) * gv.rooted(3, 2, 1)
-        e = gv.identity(3, 2)
+        g = directed(gs_spec, 2, 1) * rooted(3, 2, 1)
+        e = identity(3, 2)
         assert e * g == g
         assert g * e == g
 
     def test_identity_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            gv.identity(4, 2)
+            identity(4, 2)
         with pytest.raises(ValueError):
-            gv.identity(2, 2)
+            identity(2, 2)
         with pytest.raises(ValueError):
-            gv.identity(9, 2)
+            identity(9, 2)
         with pytest.raises(ValueError):
-            gv.identity(3, -1)
+            identity(3, -1)
 
     def test_rooted_cycles_first_level(self):
-        a = gv.rooted(3, 3, 1)
+        a = rooted(3, 3, 1)
         assert a.apply((0,)) == (1,)
         assert a.apply((2,)) == (0,)
 
     def test_rooted_power_zero_is_identity(self):
-        assert gv.rooted(3, 2, 0) == gv.identity(3, 2)
+        assert rooted(3, 2, 0) == identity(3, 2)
 
     def test_rooted_has_order_p(self):
-        a = gv.rooted(5, 2, 1)
+        a = rooted(5, 2, 1)
         cur = a
         for _ in range(4):
             assert not cur.is_identity()
@@ -70,31 +78,31 @@ class TestIdentityAndRooted:
 
 class TestDirected:
     def test_sections_follow_the_vector(self, gs_spec):
-        b = gv.directed(gs_spec, 4, 1)
+        b = directed(gs_spec, 4, 1)
         parts = b.psi()
-        assert parts[0] == gv.rooted(3, 3, 1)
-        assert parts[1] == gv.rooted(3, 3, 2)
-        assert parts[2] == gv.directed(gs_spec, 3, 1)
+        assert parts[0] == rooted(3, 3, 1)
+        assert parts[1] == rooted(3, 3, 2)
+        assert parts[2] == directed(gs_spec, 3, 1)
 
     def test_depth_one_truncates_to_identity(self, gs_spec):
-        assert gv.directed(gs_spec, 1, 1) == gv.identity(3, 1)
+        assert directed(gs_spec, 1, 1) == identity(3, 1)
 
     def test_index_out_of_range(self, gs_spec):
         with pytest.raises(ValueError):
-            gv.directed(gs_spec, 3, 2)
+            directed(gs_spec, 3, 2)
 
     def test_generators_have_order_p(self, gs_spec, sym5_spec):
         for spec, depth in [(gs_spec, 2), (gs_spec, 3), (sym5_spec, 2), (sym5_spec, 3)]:
-            a = gv.rooted(spec.p, depth, 1)
+            a = rooted(spec.p, depth, 1)
             assert (a ** spec.p).is_identity()
             for i in range(1, spec.r + 1):
-                b = gv.directed(spec, depth, i)
+                b = directed(spec, depth, i)
                 assert (b ** spec.p).is_identity()
 
     def test_conjugation_by_rooted_shifts_sections(self, sym5_spec):
-        a = gv.rooted(5, 3, 1)
+        a = rooted(5, 3, 1)
         for i in (1, 2):
-            b = gv.directed(sym5_spec, 3, i)
+            b = directed(sym5_spec, 3, i)
             shifted = b.conjugated_by(a).psi()
             parts = b.psi()
             assert shifted == tuple(parts[(d - 1) % 5] for d in range(5))
@@ -102,17 +110,17 @@ class TestDirected:
 
 class TestComposeInverse:
     def test_cycle_times_its_inverse_power(self):
-        a = gv.rooted(3, 3, 1)
+        a = rooted(3, 3, 1)
         assert (a * a**2).is_identity()
         assert a.inverse() == a**2
 
     def test_squared_directed_section(self, gs_spec):
-        b = gv.directed(gs_spec, 3, 1)
+        b = directed(gs_spec, 3, 1)
         bb = b * b
-        assert bb.section((2,)) == gv.directed(gs_spec, 2, 1) ** 2
+        assert bb.section((2,)) == directed(gs_spec, 2, 1) ** 2
 
     def test_inverse_of_identity(self):
-        assert gv.identity(3, 2).inverse() == gv.identity(3, 2)
+        assert identity(3, 2).inverse() == identity(3, 2)
 
     def test_inverse_antihomomorphism(self, gs_spec):
         rng = random.Random(7)
@@ -122,14 +130,14 @@ class TestComposeInverse:
             assert (f * f.inverse()).is_identity()
 
     def test_depth_mismatch_rejected(self, gs_spec):
-        with pytest.raises(gv.DegreeMismatch):
-            gv.rooted(3, 2, 1) * gv.rooted(3, 3, 1)
+        with pytest.raises(DegreeMismatch):
+            rooted(3, 2, 1) * rooted(3, 3, 1)
 
 
 class TestSectionsAndPsi:
     def test_section_of_identity(self):
-        e = gv.identity(3, 3)
-        assert e.section((0, 1)) == gv.identity(3, 1)
+        e = identity(3, 3)
+        assert e.section((0, 1)) == identity(3, 1)
 
     def test_section_twist_law(self, gs_spec):
         rng = random.Random(11)
@@ -142,11 +150,11 @@ class TestSectionsAndPsi:
                 assert lhs == rhs
 
     def test_psi_requires_trivial_root(self):
-        with pytest.raises(gv.NotLevel1Stabilized):
-            gv.rooted(3, 2, 1).psi()
+        with pytest.raises(NotLevel1Stabilized):
+            rooted(3, 2, 1).psi()
 
     def test_psi_of_identity(self):
-        assert gv.identity(3, 2).psi() == (gv.identity(3, 1),) * 3
+        assert identity(3, 2).psi() == (identity(3, 1),) * 3
 
     def test_psi_matches_sections(self, gs_spec):
         rng = random.Random(13)
@@ -159,49 +167,49 @@ class TestSectionsAndPsi:
 
     def test_commutator_with_shifted_conjugate(self, gs_spec):
         # expand [b, b^a] through first-level sections by hand
-        b = gv.directed(gs_spec, 3, 1)
-        a = gv.rooted(3, 3, 1)
-        got = gv.commutator(b, b.conjugated_by(a)).psi()
-        a2 = gv.rooted(3, 2, 1)
-        b2 = gv.directed(gs_spec, 2, 1)
-        assert got[0] == gv.commutator(a2, b2)
-        assert got[1] == gv.identity(3, 2)
-        assert got[2] == gv.commutator(b2, a2**2)
+        b = directed(gs_spec, 3, 1)
+        a = rooted(3, 3, 1)
+        got = commutator(b, b.conjugated_by(a)).psi()
+        a2 = rooted(3, 2, 1)
+        b2 = directed(gs_spec, 2, 1)
+        assert got[0] == commutator(a2, b2)
+        assert got[1] == identity(3, 2)
+        assert got[2] == commutator(b2, a2**2)
 
 
 class TestEmbed:
     def test_embed_identity(self):
-        e = gv.identity(3, 2)
-        assert gv.embed_at_vertex(e, (0, 1), 4).is_identity()
+        e = identity(3, 2)
+        assert embed_at_vertex(e, (0, 1), 4).is_identity()
 
     def test_embed_fills_one_slot(self, gs_spec):
-        g = gv.directed(gs_spec, 3, 1)
-        emb = gv.embed_at_vertex(g, (0,), 4)
-        assert emb.psi() == (g, gv.identity(3, 3), gv.identity(3, 3))
+        g = directed(gs_spec, 3, 1)
+        emb = embed_at_vertex(g, (0,), 4)
+        assert emb.psi() == (g, identity(3, 3), identity(3, 3))
 
     def test_disjoint_embeddings_commute(self, gs_spec):
-        g = gv.directed(gs_spec, 3, 1)
-        h = gv.rooted(3, 3, 1)
-        e0 = gv.embed_at_vertex(g, (0,), 4)
-        e1 = gv.embed_at_vertex(h, (1,), 4)
+        g = directed(gs_spec, 3, 1)
+        h = rooted(3, 3, 1)
+        e0 = embed_at_vertex(g, (0,), 4)
+        e1 = embed_at_vertex(h, (1,), 4)
         assert e0 * e1 == e1 * e0
 
     def test_depth_mismatch(self, gs_spec):
         with pytest.raises(ValueError):
-            gv.embed_at_vertex(gv.directed(gs_spec, 3, 1), (0,), 3)
+            embed_at_vertex(directed(gs_spec, 3, 1), (0,), 3)
 
 
 class TestToPerm:
     def test_rooted_level_one(self):
-        assert gv.rooted(3, 2, 1).to_perm(1) == Perm([1, 2, 0])
+        assert rooted(3, 2, 1).to_perm(1) == Perm([1, 2, 0])
 
     def test_identity_levels(self):
         for m in range(3):
-            assert gv.identity(3, 2).to_perm(min(m, 2)).is_identity()
+            assert identity(3, 2).to_perm(min(m, 2)).is_identity()
 
     def test_directed_level_two(self, gs_spec):
         # blocks 0 and 1 follow the vector entries, block 2 truncates away
-        b = gv.directed(gs_spec, 2, 1)
+        b = directed(gs_spec, 2, 1)
         assert b.to_perm(2) == Perm([1, 2, 0, 5, 3, 4, 6, 7, 8])
 
     def test_homomorphism_and_faithfulness(self, gs_spec):
@@ -215,18 +223,18 @@ class TestToPerm:
 
     def test_level_too_deep(self):
         with pytest.raises(ValueError):
-            gv.rooted(3, 2, 1).to_perm(3)
+            rooted(3, 2, 1).to_perm(3)
 
 
 class TestVertexIndexing:
     @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
     def test_round_trip(self, p, m):
         for k in range(p**m):
-            assert gv.vertex_index(gv.vertex_word(k, m, p), p) == k
+            assert vertex_index(vertex_word(k, m, p), p) == k
 
     def test_digit_out_of_range(self):
         with pytest.raises(ValueError):
-            gv.vertex_index((3,), 3)
+            vertex_index((3,), 3)
 
 
 class TestBlockOps:
@@ -238,15 +246,15 @@ class TestBlockOps:
                 assert restrict_to_level(full, 3, m) == w.truncate(m).to_perm(m)
 
     def test_section_and_embed_round_trip(self, gs_spec):
-        g = gv.directed(gs_spec, 2, 1).to_perm(2)
+        g = directed(gs_spec, 2, 1).to_perm(2)
         emb = subtree_embed(g, 3, (1,), 3)
         assert subtree_section(emb, 3, (1,)) == g
         assert subtree_section(emb, 3, (0,)).is_identity()
 
     def test_embed_matches_portrait_embedding(self, gs_spec):
-        g = gv.directed(gs_spec, 2, 1)
+        g = directed(gs_spec, 2, 1)
         lhs = subtree_embed(g.to_perm(2), 3, (2, 1), 4)
-        rhs = gv.embed_at_vertex(g, (2, 1), 4).to_perm(4)
+        rhs = embed_at_vertex(g, (2, 1), 4).to_perm(4)
         assert lhs == rhs
 
     def test_level_of_degree(self):
@@ -283,8 +291,8 @@ _gen_word = st.lists(
 
 
 def _evaluate(spec, depth, word):
-    gens = [gv.rooted(spec.p, depth, 1), gv.directed(spec, depth, 1)]
-    out = gv.identity(spec.p, depth)
+    gens = [rooted(spec.p, depth, 1), directed(spec, depth, 1)]
+    out = identity(spec.p, depth)
     for sym, e in word:
         out = out * gens[sym] ** e
     return out
@@ -311,10 +319,10 @@ class TestHypothesisProperties:
     @given(st.integers(1, 8))
     def test_power_commutator_identity(self, gs_spec, n):
         # [a^n, b] expands into the conjugate-chain product of [a, b]
-        a = gv.rooted(3, 3, 1)
-        b = gv.directed(gs_spec, 3, 1)
-        lhs = gv.commutator(a**n, b)
-        rhs = gv.identity(3, 3)
+        a = rooted(3, 3, 1)
+        b = directed(gs_spec, 3, 1)
+        lhs = commutator(a**n, b)
+        rhs = identity(3, 3)
         for k in range(n - 1, -1, -1):
-            rhs = rhs * gv.commutator(a, b).conjugated_by(a**k)
+            rhs = rhs * commutator(a, b).conjugated_by(a**k)
         assert lhs == rhs
