@@ -159,6 +159,7 @@ def check_abelianization(session: GroupSession) -> Verdict:
     """Index of the derived subgroup is p**(r+1) and the quotient is
     elementary abelian (Frattini equals derived)."""
     spec = session.spec
+    _require_depth(session, spec.r + 1, "the abelianization index")
     g = session.G
     d = g.derived()
     index_exp = g.order_exponent - d.order_exponent
@@ -288,6 +289,7 @@ def check_regular_branch(session: GroupSession) -> Verdict:
 def check_stab1_derived_in_gamma3(session: GroupSession) -> Verdict:
     """The derived subgroup of the level-1 stabilizer sits inside the third
     lower-central term; no exclusions."""
+    _require_depth(session, 3, "the level-1 stabilizer containment")
     gamma = session.gamma3()
     lhs = session.st1_derived()
     details = {

@@ -60,18 +60,29 @@ Conjugation permutes labels: y^-1 w y has labels u[pull], pull being the
 level-(N-1) vertex map of y^-1, built once per closure for each ambient
 generator.  The p-th power and the commutators of a new level-(N-2)
 representative are evaluated on the first leaf below each level-(N-1)
-vertex only, the commutators with all its peers in one 2-D gather.  A run
-of up to _RUN label vectors at the head of a queue is reduced against the
-last layer in one matrix product; when a row is added, the rest of the run
-loses its pivot-column multiple of that row.  A vector's residual against a
-reduced echelon basis is the one vector of its coset that vanishes on the
-pivots, so this is the residual that reducing it afresh would give.  Hence a
-vector whose residual is zero is dropped exactly where sifting it as a
-permutation would drop it: it lies in the span, and the span only grows.
-The live vectors are added one at a time in queue order, so the rows,
-pivots, representatives and generators found are those of the
-one-candidate-at-a-time closure.  Only a main-queue vector that leaves a
-residual becomes a permutation again, as one of the generators found.
+vertex only, the commutators with all its peers in one gather: on level N-2
+the representatives and their inverses are rows of two 2-D arrays.  A
+permutation candidate is sifted through the levels above the last only; if
+it leaves no residual there, its level-(N-1) labels join the current run of
+label vectors, tagged with the permutation.  The run is reduced against the
+last layer in one matrix product once it holds _RUN vectors, when the
+queues run dry, and before any residual above the last level is adjoined;
+when a row is added, the rest of the run loses its pivot-column multiple of
+that row.  Deferring the last level so is exact: a sift above the last
+level reads only the layers above it, adding a bottom row changes only the
+last layer and appends to the tail of the main queue, and nothing else is
+queued while a run is pending.  So every candidate is reduced against the
+layers, and the queues grow in the order, of the one-candidate-at-a-time
+closure.  A vector's residual against a reduced echelon basis is the one vector
+of its coset that vanishes on the pivots, so this is the residual that
+reducing it afresh would give.  Hence a vector whose residual is zero is
+dropped exactly where sifting it as a permutation would drop it: it lies in
+the span, and the span only grows.  The live vectors are added one at a
+time in queue order, so the rows, pivots, representatives and generators
+found are those of the one-candidate-at-a-time closure.  A main-queue
+candidate that leaves a residual on the last level is recorded as a
+generator: its permutation, or for a label vector the element of st(N-1)
+that it determines.
 
 Block powers.  For H <= W_(N-1), block_power() returns H^p <= W_N, the
 product of p copies of H with copy j acting on the leaves below the
@@ -186,11 +197,13 @@ class _Tree:
         return self.digits[-1][v]
 
     def commutator_labels(self, x, xinv, ys, yinvs) -> np.ndarray:
-        """Row j: the level-(n-1) labels of [x, ys[j]], for x and the ys in
-        st(n-2), evaluated on the first leaf below each level-(n-1) vertex."""
-        v = np.stack(yinvs)[:, xinv[self.starts[-1]]]
-        v = np.take_along_axis(np.stack(ys), x[v], axis=1)
-        return self.digits[-1][v]
+        """Row j: the level-(n-1) labels of [x, ys[j]], for x and the rows of
+        ys in st(n-2), yinvs their inverses, evaluated on the first leaf
+        below each level-(n-1) vertex."""
+        v = x[np.take(yinvs, xinv[self.starts[-1]], axis=1)]
+        # flat indices into ys, row j offset by j times its length
+        v += np.arange(0, ys.size, ys.shape[1])[:, None]
+        return self.digits[-1][np.take(ys, v)]
 
     def in_wreath(self, x: np.ndarray) -> bool:
         """x preserves every level and shifts each vertex's children
@@ -219,16 +232,22 @@ class _Layer:
     """Reduced echelon basis over F_p of the level-m labels of H & st(m), as
     float rows (exact for these small integers).  Below the last level each
     row has a representative, and divs[j][c] is representative j raised to
-    -c."""
+    -c.  On level N-2 of a closure the representatives and their inverses
+    are also the rows of stacks[0] and stacks[1], with reps[j] and
+    divs[j][1] views of those rows, so that the commutators with all of them
+    are one gather."""
 
-    __slots__ = ("rows", "pivots", "dim", "reps", "divs")
+    __slots__ = ("rows", "pivots", "dim", "reps", "divs", "stacks")
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, degree: int = 0):
         self.rows = np.zeros((4, width))
         self.pivots = np.zeros(4, dtype=np.intp)
         self.dim = 0
         self.reps: list[np.ndarray] = []
         self.divs: list[list] = []
+        # room for the most rows a layer of this width can have, until
+        # trim(); np.empty writes nothing, so a row costs memory once added
+        self.stacks = np.empty((2, width, degree), dtype=np.intp) if degree else None
 
     def add(self, residual: np.ndarray, p: int) -> int:
         """Append a residual (zero at every pivot) as a unit-pivot row and
@@ -249,6 +268,42 @@ class _Layer:
         self.dim += 1
         return scale
 
+    def push(self, rep: np.ndarray, divs: list, hits, p: int) -> np.ndarray:
+        """Append the representative of the newest row, with its divisors,
+        after clearing its multiples out of the older representatives: hits
+        holds (row, multiple) for each old row that lost a multiple of the
+        new one.  Returns the representative as stored."""
+        for i, t in hits:
+            # row i lost t times the new row, so its representative does too
+            rep_i = divs[t][self.reps[i]]
+            self._store(i, rep_i, _divisors(rep_i, p))
+        return self._store(len(self.reps), rep, divs)
+
+    def _store(self, i: int, rep: np.ndarray, divs: list) -> np.ndarray:
+        if self.stacks is not None:
+            self.stacks[0, i], self.stacks[1, i] = rep, divs[1]
+            rep, divs[1] = self.stacks[0, i], self.stacks[1, i]
+        if i == len(self.reps):
+            self.reps.append(rep)
+            self.divs.append(divs)
+        else:
+            self.reps[i], self.divs[i] = rep, divs
+        return rep
+
+    def trim(self) -> None:
+        """Once the closure is done, keep only the stacked rows in use, so
+        that a finished group holds no room it never filled."""
+        d = len(self.reps)
+        self.stacks = self.stacks[:, :d].copy()
+        for j in range(d):
+            self.reps[j], self.divs[j][1] = self.stacks[0, j], self.stacks[1, j]
+
+    def peers(self):
+        """The representatives and their inverses as two 2-D arrays, on
+        level N-2 of a closure."""
+        d = len(self.reps)
+        return self.stacks[0, :d], self.stacks[1, :d]
+
 
 def _divisors(rep: np.ndarray, p: int) -> list:
     inv = _inverse(rep)
@@ -266,7 +321,10 @@ class _Layers:
 
     def __init__(self, tree: _Tree, levels=None):
         self.tree = tree
-        self.levels = levels or [_Layer(tree.p**m) for m in range(tree.depth)]
+        n = tree.depth
+        self.levels = levels or [
+            _Layer(tree.p**m, tree.p**n if m == n - 2 else 0) for m in range(n)
+        ]
 
     def dimensions(self) -> list[int]:
         return [lvl.dim for lvl in self.levels]
@@ -335,10 +393,11 @@ class _Layers:
         x, last = self._reduce(x)
         return bool((x == last).all())
 
-    def _sift(self, x: np.ndarray, start: int):
-        """(level, element, labels) of the first non-zero residual of an
-        element of st(start) & W_N, or None when it lies in H.  On the last
-        level the labels determine the element, which is left out."""
+    def _sift_upper(self, x: np.ndarray, start: int):
+        """Sift an element of st(start) & W_N through the levels above the
+        last: (level, element, labels) of the first non-zero residual there,
+        else (last level, element, its level-(N-1) labels).  Reads only the
+        layers above the last."""
         tree = self.tree
         last = tree.depth - 1
         for m in range(start, last):
@@ -346,8 +405,17 @@ class _Layers:
             r = tree.digits[m][x[tree.starts[m]]]
             if r.any():
                 return m, x, r
-        r = self.bottom_residual(tree.digits[last][x[tree.starts[last]]])
-        return (last, None, r.astype(np.intp)) if r.any() else None
+        return last, x, tree.digits[last][x[tree.starts[last]]]
+
+    def _sift(self, x: np.ndarray, start: int):
+        """(level, element, labels) of the first non-zero residual of an
+        element of st(start) & W_N, or None when it lies in H.  On the last
+        level the labels determine the element, which is left out."""
+        m, x, r = self._sift_upper(x, start)
+        if m < self.tree.depth - 1:
+            return m, x, r
+        r = self.bottom_residual(r)
+        return (m, None, r.astype(np.intp)) if r.any() else None
 
     def bottom_residual(self, u: np.ndarray) -> np.ndarray:
         """The residuals against the last layer of u, one label vector of
@@ -355,22 +423,22 @@ class _Layers:
         lvl = self.levels[-1]
         return _mod(u - u[..., lvl.pivots[: lvl.dim]] @ lvl.rows[: lvl.dim], self.tree.p)
 
-    def _adjoin(self, m: int, x, residual: np.ndarray) -> np.ndarray:
-        """Make the residual a representative at a level m below the last;
-        returns its images."""
+    def _admit(self, m: int, x, residual: np.ndarray):
+        """Add the residual as a row at a level m below the last.  Returns
+        its representative, that representative's divisors and the hits to
+        pass to _Layer.push; until then the older representatives are as
+        they were before."""
         p = self.tree.p
         lvl = self.levels[m]
         column = lvl.rows[: lvl.dim, np.flatnonzero(residual)[0]]
         hits = [(i, int(t)) for i, t in enumerate(column) if t]
         rep = _power(x, lvl.add(residual, p))
-        divs = _divisors(rep, p)
-        for i, t in hits:
-            # row i lost t times the new row, so its representative does too
-            lvl.reps[i] = divs[t][lvl.reps[i]]
-            lvl.divs[i] = _divisors(lvl.reps[i], p)
-        lvl.reps.append(rep)
-        lvl.divs.append(divs)
-        return rep
+        return rep, _divisors(rep, p), hits
+
+    def _adjoin(self, m: int, x, residual: np.ndarray) -> np.ndarray:
+        """Make the residual a representative at a level m below the last;
+        returns its images."""
+        return self.levels[m].push(*self._admit(m, x, residual), self.tree.p)
 
 
 def _close(tree: _Tree, seeds, conj_by):
@@ -387,54 +455,68 @@ def _close(tree: _Tree, seeds, conj_by):
     main = deque((x, 0) for x in seeds)
     side: deque = deque()
     found = []
+    # level-(N-1) labels waiting for the last layer, in queue order, each
+    # with (from main, the element sifted or None for a label item)
+    run, tags = [], []
 
-    def grow_bottom(residual):
-        bottom.add(residual, p)
-        row = bottom.rows[bottom.dim - 1].astype(np.intp)
-        main.extend((row[pull], None) for pull in pulls)
+    def flush():
+        res = layers.bottom_residual(np.array(run))
+        for i in np.flatnonzero(res.any(axis=1)).tolist():
+            # a row that was zero stays zero below; a live one may not
+            if not res[i].any():
+                continue
+            from_main, x = tags[i]
+            if from_main:
+                found.append(tree.from_last_labels(run[i]) if x is None else x)
+            bottom.add(res[i], p)
+            j, row = bottom.pivots[bottom.dim - 1], bottom.rows[bottom.dim - 1]
+            labels = row.astype(np.intp)
+            main.extend((labels[pull], None) for pull in pulls)
+            # keep the rest reduced against the grown layer
+            rest = res[i + 1 :]
+            hit = np.flatnonzero(rest[:, j])
+            rest[hit] = _mod(rest[hit] - np.outer(rest[hit, j], row), p)
+        run.clear()
+        tags.clear()
+
+    def adjoin(m, y, residual):
+        lvl = layers.levels[m]
+        rep, divs, hits = layers._admit(m, y, residual)
+        rinv = divs[1]
+        # the p-th power, and the commutators with the peers as they were
+        # before push clears the new pivot out of them
+        if m + 1 < last:
+            side.append((_power(rep, p), m + 1))
+            side.extend((_comm(rep, q, rinv, d[1]), m + 1) for q, d in zip(lvl.reps, lvl.divs))
+        else:
+            side.append((tree.power_labels(rep), None))
+            if lvl.reps:
+                side.extend((u, None) for u in tree.commutator_labels(rep, rinv, *lvl.peers()))
+        rep = lvl.push(rep, divs, hits, p)
+        main.extend((_conj(rep, s, sinv), m) for s, sinv in conj)
 
     while side or main:
         from_main = not side
-        queue = main if from_main else side
-        if queue[0][1] is None:
-            run = []
-            while queue and queue[0][1] is None and len(run) < _RUN:
-                run.append(queue.popleft()[0])
-            res = layers.bottom_residual(np.array(run))
-            for i, u in enumerate(run):
-                if not res[i].any():
-                    continue
-                if from_main:
-                    found.append(tree.from_last_labels(u))
-                grow_bottom(res[i])
-                # keep the rest reduced against the grown layer
-                j, row = bottom.pivots[bottom.dim - 1], bottom.rows[bottom.dim - 1]
-                rest = res[i + 1 :]
-                hit = np.flatnonzero(rest[:, j])
-                rest[hit] = _mod(rest[hit] - np.outer(rest[hit, j], row), p)
-            continue
-        x, start = queue.popleft()
-        hit = layers._sift(x, start)
-        if hit is None:
-            continue
-        m, y, residual = hit
-        if from_main:
-            found.append(x)
-        if m == last:
-            grow_bottom(residual)
-            continue
-        lvl = layers.levels[m]
-        peers, peer_invs = list(lvl.reps), [d[1] for d in lvl.divs]
-        rep = layers._adjoin(m, y, residual)
-        rinv = lvl.divs[-1][1]
-        if m + 1 < last:
-            side.append((_power(rep, p), m + 1))
-            side.extend((_comm(rep, q, rinv, qinv), m + 1) for q, qinv in zip(peers, peer_invs))
+        x, start = (main if from_main else side).popleft()
+        if start is None:
+            m, labels, x = last, x, None
         else:
-            side.append((tree.power_labels(rep), None))
-            if peers:
-                side.extend((u, None) for u in tree.commutator_labels(rep, rinv, peers, peer_invs))
-        main.extend((_conj(rep, s, sinv), m) for s, sinv in conj)
+            m, y, labels = layers._sift_upper(x, start)
+        if m == last:
+            run.append(labels)
+            tags.append((from_main, x))
+        else:
+            # one at a time, the run's bottom rows and their conjugates
+            # come before this residual and its consequences
+            if run:
+                flush()
+            if from_main:
+                found.append(x)
+            adjoin(m, y, labels)
+        if run and (len(run) == _RUN or not (side or main)):
+            flush()
+    if last:
+        layers.levels[last - 1].trim()
     return layers, found
 
 

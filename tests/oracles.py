@@ -262,7 +262,8 @@ def reference_close(tree, seeds, conj_by):
             bottom.add(residual, p)
             rep = tree.from_last_labels(bottom.rows[bottom.dim - 1].astype(np.intp))
         else:
-            peers = list(layers.levels[m].reps)
+            # copies: a representative may be a view that _adjoin rewrites
+            peers = [r.copy() for r in layers.levels[m].reps]
             rep = layers._adjoin(m, y, residual)
             side.append((_power(rep, p), m + 1))
             side.extend((reference_commutator(rep, r), m + 1) for r in peers)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from unittest import mock
 
@@ -57,13 +58,21 @@ class TestAbelianization:
 
     def test_two_generators_need_depth_three(self, r2_spec):
         # at depth 2 the two directed generators collide, so the index is
-        # smaller than p^(r+1) and the claim honestly fails there
-        v = check_abelianization(gv.build(r2_spec, 2))
-        assert v.status == FAILS
-        assert v.details["index_exponent"] == 2
-        assert v.witness is not None
+        # smaller than p^(r+1): the claim needs depth r+1 to say anything
+        g = gv.build(r2_spec, 2).G
+        assert g.order_exponent - g.derived().order_exponent == 2
+        for depth in (1, 2):
+            with pytest.raises(VacuousCheck, match="at least 3"):
+                check_abelianization(gv.build(r2_spec, depth))
         v3 = check_abelianization(gv.build(r2_spec, 3))
         assert v3.holds and v3.details["index_exponent"] == 3
+
+    def test_one_generator_needs_depth_two(self, gs_spec):
+        # at depth 1 G is cyclic of order p, so G' is trivial
+        with pytest.raises(VacuousCheck, match="at least 2"):
+            check_abelianization(gv.build(gs_spec, 1))
+        v = check_abelianization(gv.build(gs_spec, 2))
+        assert v.holds and v.details["index_exponent"] == 2
 
 
 class TestGamma3Product:
@@ -127,7 +136,12 @@ class TestStab1DerivedInGamma3:
         assert check_stab1_derived_in_gamma3(gv.build(const_spec, 3)).holds
 
     def test_degenerate_depth_two(self, gs_spec):
-        assert check_stab1_derived_in_gamma3(gv.build(gs_spec, 2)).holds
+        # st(1)' is trivial below depth 3, a containment with no evidence
+        for depth in (1, 2):
+            session = gv.build(gs_spec, depth)
+            assert session.st1_derived().is_trivial()
+            with pytest.raises(VacuousCheck, match="at least 3"):
+                check_stab1_derived_in_gamma3(session)
 
 
 class TestSubdirect:
@@ -273,8 +287,14 @@ class TestWitnesses:
         assert not d.contains(w)
 
     def test_failing_verdicts_carry_witnesses(self, r2_spec):
-        v = check_abelianization(gv.build(r2_spec, 2))
+        # a mutant session whose G lacks the second directed generator: its
+        # abelianization has index p^2, not p^(r+1) = p^3
+        session = dataclasses.replace(
+            gv.build(r2_spec, 3), G=gv.build(gv.validate(3, [(1, 0)]), 3).G
+        )
+        v = check_abelianization(session)
         assert v.status == FAILS and v.witness is not None
+        assert v.witness["index_exponent"] == 2
 
 
 class TestEqualityVerdict:

@@ -93,6 +93,32 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["classification"] == "ConstantVectorException"
 
+    @pytest.mark.parametrize(
+        "vectors,depth,abelianization",
+        [
+            ("1,2", 1, "vacuous"),
+            ("1,2", 2, "holds"),
+            ("1,0;0,1", 1, "vacuous"),
+            ("1,0;0,1", 2, "vacuous"),
+        ],
+    )
+    def test_shallow_depths_give_no_verdict_without_evidence(
+        self, vectors, depth, abelianization, capsys, monkeypatch, tmp_path
+    ):
+        # abelianization needs depth r+1 and the st(1)' containment depth 3;
+        # below that they are vacuous, and nothing fails
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+        code = cli.main(
+            ["verify", "--p", "3", "--vectors", vectors, "--depth", str(depth),
+             "--no-cache", "--format", "json"]
+        )
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["report"]["checks"]}
+        assert "fails" not in {c["status"] for c in checks.values()}
+        assert checks["abelianization"]["status"] == abelianization
+        assert checks["stab1_derived_in_gamma3"]["status"] == "vacuous"
+        assert "needs depth at least 3" in checks["stab1_derived_in_gamma3"]["reason"]
+
     def test_failing_verdict_maps_to_exit_one(self):
         payload = {"report": {"checks": [{"status": "fails"}, {"status": "holds"}]}}
         assert cli.exit_code_for(payload) == 1

@@ -214,3 +214,30 @@ class TestBuild:
         one = gv.build(gv.validate(3, [(1, 1)]), 3)
         two = gv.build(gv.validate(3, [(2, 2)]), 3)
         assert equals(one.G, two.G)
+
+
+class TestLevelDimensions:
+    """Golden layer dimensions d_m = log_p|G & st(m) : G & st(m+1)| of the
+    level-N quotient, m = 0..N-1; they guard the layers of the closure."""
+
+    @pytest.mark.parametrize(
+        "p,rows,measured",
+        [
+            (3, [(1, 0), (0, 1)], [1, 3, 8, 22, 66, 198]),
+            (5, [(1, 0, 0, 0), (0, 1, 0, 0)], [1, 5, 24, 116]),
+            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], [1, 5, 23, 112]),
+        ],
+    )
+    def test_measured_multi_ggs(self, p, rows, measured):
+        # measured: read off this engine's layers, not derived from a formula
+        g = gv.build(gv.validate(p, rows), len(measured)).G
+        assert g.chain_summary()["level_dimensions"] == measured
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_fitted_constant_vector_formula(self, depth):
+        # fitted to measured runs, not proved: d_0 = 1, d_1 = p and
+        # d_k = p^k - (p^k - 1)/(p - 1) for k >= 2
+        p = 3
+        fitted = [1, p] + [p**k - (p**k - 1) // (p - 1) for k in range(2, depth)]
+        g = gv.build(gv.validate(p, [(1, 1)]), depth).G
+        assert g.chain_summary()["level_dimensions"] == fitted[:depth]

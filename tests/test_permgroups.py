@@ -489,6 +489,47 @@ class TestAgainstSequentialClosure:
         for tree, seeds, conj_by, got in calls:
             _assert_same_closure(tree, seeds, conj_by, got)
 
+    @pytest.mark.parametrize(
+        "p,rows,depth",
+        [(p, rows, n) for p, rows in _DIFF_SPECS for n in (2, 3)]
+        + [(5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4), (3, [(1, 1)], 5)],
+    )
+    def test_second_derived_series(self, p, rows, depth):
+        # depths 2 and 3 put the last level at 1 or 2, so level N-2 is the
+        # root or the first level
+        def build():
+            g = gv.build(gv.validate(p, rows), depth).G
+            d = g.derived()
+            commutator_subgroup(d, d, g).chain
+
+        calls = _recorded_closures(build)
+        assert len(calls) == 3
+        for tree, seeds, conj_by, got in calls:
+            _assert_same_closure(tree, seeds, conj_by, got)
+
+    def test_run_flushed_before_an_upper_residual(self, gs_spec):
+        # members of st(N-1) join the run; the directed generator leaves a
+        # residual on level 1, so the run is reduced before it is adjoined
+        g = gv.build(gs_spec, 4).G
+        tree = g.chain.tree
+        bottom = [x.images for x in g.level_stabilizer(3).generators]
+        a, b = (x.images for x in g.generators)
+        seeds = bottom[:2] + [b] + bottom[2:] + [a] + bottom[:1]
+        conj_by = [x.images for x in g.generators]
+        sizes = []
+        real = permgroups._Layers.bottom_residual
+
+        def spy(layers, u):
+            sizes.append(len(u))
+            return real(layers, u)
+
+        assert len(bottom) > 2
+        with mock.patch.object(permgroups._Layers, "bottom_residual", spy):
+            got = permgroups._close(tree, seeds, conj_by)
+        assert sizes[0] == 2
+        _assert_same_closure(tree, seeds, conj_by, got)
+        assert [x.tolist() for x in got[1][:3]] == [x.tolist() for x in seeds[:3]]
+
 
 def _labels(x, p):
     """Level-(N-1) labels of an element of st(N-1): where the first leaf
@@ -514,7 +555,7 @@ class TestBottomLabelArithmetic:
         assert reps
         for x, xinv in zip(reps, invs):
             assert np.array_equal(tree.power_labels(x), _labels((Perm._wrap(x) ** p).images, p))
-            got = tree.commutator_labels(x, xinv, reps, invs)
+            got = tree.commutator_labels(x, xinv, np.stack(reps), np.stack(invs))
             for row, y in zip(got, reps):
                 assert np.array_equal(row, _labels(reference_commutator(x, y), p))
         bottom = g.chain.levels[depth - 1]
