@@ -21,8 +21,7 @@ from .portraits import (
     Perm,
     commutator,
     directed,
-    embed_at_vertex,
-    rooted,
+    embed_at_vertex,  # unused here; bench/spans.py traces checks.embed_at_vertex
     subtree_embed,
     subtree_section,
     vertex_word,
@@ -243,24 +242,28 @@ def check_key_congruence(session: GroupSession) -> Verdict:
     p = spec.p
     n = session.depth
 
-    a = session.a
-    # the reduced first generator is the directed automorphism of the
+    a = session.G.generators[0]
+    powers = [a**k for k in range(p)]
+    # the reduced first generator is the directed generator of the
     # transformed row; it lies in the same group
-    b1 = directed(norm.spec, n, 1)
+    b1 = directed(norm.spec, n, 1).to_perm(n)
+    # conj[j] = b1^(a^j)
+    conj = [powers[-j % p] * b1 * powers[j] for j in range(p)]
     w = None
     for k in range(p):
-        left = b1.conjugated_by(a ** (-k % p))
-        right = b1.conjugated_by(a ** ((1 - k) % p))
-        term = commutator(left, right) ** pow(m, k, p)
+        term = commutator(conj[-k % p], conj[(1 - k) % p]) ** pow(m, k, p)
         w = term if w is None else w * term
-    small = commutator(rooted(p, n - 1, 1), directed(norm.spec, n - 1, 1))
-    target = embed_at_vertex(small ** ((1 - m) % p), (0,), n)
+    lower = session.at(n - 1)
+    small = commutator(
+        lower.G.generators[0], directed(norm.spec, n - 1, 1).to_perm(n - 1)
+    )
+    target = subtree_embed(small ** ((1 - m) % p), p, (0,), n)
     delta = w * target.inverse()
 
-    gamma = session.at(n - 1).gamma3()
+    gamma = lower.gamma3()
     details = {"m": m, "reduced_row": list(row)}
-    for j, part in enumerate(delta.psi()):
-        q = part.to_perm(n - 1)
+    for j in range(p):
+        q = subtree_section(delta, p, (j,))
         if not gamma.contains(q):
             details["failing_slot"] = j
             return Verdict(

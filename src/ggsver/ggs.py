@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .portraits import Automorphism, directed, is_odd_prime, restrict_to_level, rooted
+from .portraits import directed, is_odd_prime, restrict_to_level, rooted
 from .permgroups import PermGroup, commutator_subgroup
 
 __all__ = [
@@ -286,17 +286,15 @@ def normalize(spec: GGSSpec) -> Normalization:
 class GroupSession:
     """A defining-data object built at a fixed depth.
 
-    Holds the generator portraits, their leaf permutations and the group
-    handle for the induced group on the p**depth leaves.  Immutable apart
-    from one memo of the subgroups the checks share: the sessions at lower
-    depths, gamma3, st(1), st(1)' and G''.  G' is G.derived(), which the
-    group handle memoizes itself.
+    Holds the group handle for the induced group on the p**depth leaves,
+    generated by the leaf permutations of a, b_1, ..., b_r in that order.
+    Immutable apart from one memo of the subgroups the checks share: the
+    sessions at lower depths, gamma3, st(1), st(1)' and G''.  G' is
+    G.derived(), which the group handle memoizes itself.
     """
 
     spec: GGSSpec
     depth: int
-    a: Automorphism
-    b: tuple[Automorphism, ...]
     G: PermGroup
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -343,10 +341,6 @@ class GroupSession:
         d = self.G.derived()
         return self._memoized("second_derived", lambda: commutator_subgroup(d, d, self.G))
 
-    @property
-    def generators(self) -> tuple[Automorphism, ...]:
-        return (self.a,) + self.b
-
 
 def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
     """Assemble generators and the leaf-action handle at the given depth.
@@ -367,9 +361,9 @@ def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
             f"{p}^{depth} = {degree} leaves exceeds the cap of {DEGREE_CAP}; "
             "pass allow_large to override"
         )
-    a = rooted(p, depth, 1)
-    b = tuple(directed(spec, depth, i) for i in range(1, spec.r + 1))
-    gens = [g.to_perm(depth) for g in (a,) + b]
+    auts = [rooted(p, depth, 1)]
+    auts += [directed(spec, depth, i) for i in range(1, spec.r + 1)]
+    gens = [g.to_perm(depth) for g in auts]
     G = PermGroup(degree, gens, prime=p)
 
     # level-1 image is the full cycle generated by a
@@ -382,10 +376,10 @@ def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
 
     # truncation of the leaf action agrees with building at a smaller depth
     for m in range(1, depth):
-        for aut, perm in zip((a,) + b, gens):
-            if restrict_to_level(perm, p, m) != aut.truncate(m).to_perm(m):
+        for aut, perm in zip(auts, gens):
+            if restrict_to_level(perm, p, m) != aut.to_perm(m):
                 raise AssertionError(
                     "level restriction disagrees with direct construction"
                 )
 
-    return GroupSession(spec=spec, depth=depth, a=a, b=b, G=G)
+    return GroupSession(spec=spec, depth=depth, G=G)

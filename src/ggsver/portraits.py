@@ -1,13 +1,14 @@
-"""Depth-bounded automorphisms of the p-regular rooted tree.
+"""Leaf permutations of the p-regular rooted tree, and the generator portraits.
+
+Level-m vertices are words of m digits in {0, ..., p-1}, indexed by their
+base-p value with the most significant digit first, so the subtree below a
+vertex occupies a contiguous index block at every deeper level.  Elements are
+Perms of the leaves; products compose left to right: (f * g) sends a leaf x
+to g(f(x)).  The block helpers read and write the action below one vertex.
 
 A depth-N portrait stores a permutation of the p first-level subtrees plus p
-child portraits of depth N-1; depth 0 is the identity leaf.  Level-m vertices
-are words of m digits in {0, ..., p-1}, indexed by their base-p value with the
-most significant digit first, so the subtree below a vertex occupies a
-contiguous index block at every deeper level.
-
-Products compose left to right: (f * g) sends a vertex v to g(f(v)), and the
-same convention is used for the induced leaf permutations.
+child portraits of depth N-1; depth 0 is the identity leaf.  Portraits only
+construct the generators (rooted, directed) and turn them into Perms.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "DegreeMismatch",
-    "NotLevel1Stabilized",
     "Perm",
     "Automorphism",
     "identity",
@@ -36,10 +36,6 @@ __all__ = [
 
 class DegreeMismatch(ValueError):
     """Operands live on different point sets."""
-
-
-class NotLevel1Stabilized(ValueError):
-    """First-level sections need a trivial root permutation."""
 
 
 _RANGES: dict[int, np.ndarray] = {}
@@ -139,18 +135,6 @@ class Perm:
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, _arange(self.degree)))
 
-    def first_moved(self):
-        moved = np.flatnonzero(self.images != _arange(self.degree))
-        return int(moved[0]) if moved.size else None
-
-    def order(self) -> int:
-        k = 1
-        cur = self
-        while not cur.is_identity():
-            cur = cur * self
-            k += 1
-        return k
-
     def tolist(self) -> list[int]:
         return [int(x) for x in self.images]
 
@@ -200,46 +184,18 @@ def vertex_word(index: int, level: int, p: int) -> tuple[int, ...]:
 class Automorphism:
     """Portrait of a tree automorphism, truncated at a fixed depth.
 
-    Immutable; sub-portraits may be shared between values.
+    Built only by identity, rooted, directed and embed_at_vertex, which pass
+    valid parts; sub-portraits may be shared between values.
     """
 
-    __slots__ = ("p", "depth", "root_perm", "children", "_hash", "_ident")
+    __slots__ = ("p", "depth", "root_perm", "children", "_ident")
 
-    def __init__(self, root_perm, children=()):
-        root = tuple(int(x) for x in root_perm)
-        p = len(root)
-        if sorted(root) != list(range(p)):
-            raise ValueError("root label is not a permutation")
-        kids = tuple(children)
-        if kids:
-            if len(kids) != p:
-                raise ValueError(f"expected {p} children, got {len(kids)}")
-            d = kids[0].depth
-            for c in kids:
-                if not isinstance(c, Automorphism) or c.p != p or c.depth != d:
-                    raise ValueError("children must share arity and depth")
-            depth = d + 1
-        else:
-            if root != tuple(range(p)):
-                raise ValueError("a depth-0 leaf carries no action")
-            depth = 0
+    def __init__(self, p, depth, root_perm, children):
         self.p = p
         self.depth = depth
-        self.root_perm = root
-        self.children = kids
-        self._hash = None
+        self.root_perm = root_perm
+        self.children = children
         self._ident = None
-
-    @classmethod
-    def _make(cls, p, depth, root, kids) -> "Automorphism":
-        obj = object.__new__(cls)
-        obj.p = p
-        obj.depth = depth
-        obj.root_perm = root
-        obj.children = kids
-        obj._hash = None
-        obj._ident = None
-        return obj
 
     def is_identity(self) -> bool:
         if self._ident is None:
@@ -248,84 +204,6 @@ class Automorphism:
             else:
                 self._ident = all(c.is_identity() for c in self.children)
         return self._ident
-
-    def __mul__(self, other):
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        if other.p != self.p or other.depth != self.depth:
-            raise DegreeMismatch("portraits must share arity and depth")
-        if self.is_identity():
-            return other
-        if other.is_identity():
-            return self
-        root = tuple(other.root_perm[x] for x in self.root_perm)
-        kids = tuple(
-            self.children[d] * other.children[self.root_perm[d]]
-            for d in range(self.p)
-        )
-        return Automorphism._make(self.p, self.depth, root, kids)
-
-    def inverse(self) -> "Automorphism":
-        if self.is_identity():
-            return self
-        p = self.p
-        inv_root = [0] * p
-        for d, x in enumerate(self.root_perm):
-            inv_root[x] = d
-        kids = tuple(self.children[inv_root[d]].inverse() for d in range(p))
-        return Automorphism._make(p, self.depth, tuple(inv_root), kids)
-
-    __invert__ = inverse
-
-    def __pow__(self, n: int) -> "Automorphism":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = identity(self.p, self.depth)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def conjugated_by(self, h: "Automorphism") -> "Automorphism":
-        return h.inverse() * self * h
-
-    def apply(self, word) -> tuple[int, ...]:
-        """Image of a vertex, given as a digit word."""
-        if len(word) > self.depth:
-            raise ValueError("vertex deeper than the portrait")
-        cur = self
-        out = []
-        for d in word:
-            d = int(d)
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range for arity {self.p}")
-            out.append(cur.root_perm[d])
-            cur = cur.children[d]
-        return tuple(out)
-
-    def section(self, word) -> "Automorphism":
-        """Portrait induced on the subtree rooted at the given vertex."""
-        if len(word) > self.depth:
-            raise ValueError("vertex deeper than the portrait")
-        cur = self
-        for d in word:
-            d = int(d)
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range for arity {self.p}")
-            cur = cur.children[d]
-        return cur
-
-    def psi(self) -> tuple["Automorphism", ...]:
-        """The p first-level sections, in vertex order."""
-        if self.depth < 1:
-            raise ValueError("sections need depth at least 1")
-        if self.root_perm != tuple(range(self.p)):
-            raise NotLevel1Stabilized("portrait moves a level-1 vertex")
-        return self.children
 
     def to_perm(self, level: int) -> Perm:
         """Induced permutation of the p**level vertices at the given level."""
@@ -348,47 +226,6 @@ class Automorphism:
             )
         return out
 
-    def truncate(self, depth: int) -> "Automorphism":
-        """Cut the portrait down to a smaller depth."""
-        if depth > self.depth or depth < 0:
-            raise ValueError("truncation depth outside the portrait depth")
-        if depth == self.depth:
-            return self
-        if depth == 0 or self.is_identity():
-            return identity(self.p, depth)
-        kids = tuple(c.truncate(depth - 1) for c in self.children)
-        return Automorphism._make(self.p, depth, self.root_perm, kids)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        if (
-            self.p != other.p
-            or self.depth != other.depth
-            or self.root_perm != other.root_perm
-        ):
-            return False
-        if (
-            self._hash is not None
-            and other._hash is not None
-            and self._hash != other._hash
-        ):
-            return False
-        return all(a == b for a, b in zip(self.children, other.children))
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.p, self.depth, self.root_perm, tuple(hash(c) for c in self.children))
-            )
-        return self._hash
-
-    def __repr__(self):
-        tag = "identity" if self.is_identity() else f"root={self.root_perm}"
-        return f"<Automorphism p={self.p} depth={self.depth} {tag}>"
-
 
 _IDENTITY_CACHE: dict[tuple[int, int], Automorphism] = {}
 
@@ -405,13 +242,13 @@ def identity(p: int, depth: int) -> Automorphism:
     trivial = tuple(range(p))
     cur = _IDENTITY_CACHE.get((p, 0))
     if cur is None:
-        cur = Automorphism._make(p, 0, trivial, ())
+        cur = Automorphism(p, 0, trivial, ())
         cur._ident = True
         _IDENTITY_CACHE[(p, 0)] = cur
     for d in range(1, depth + 1):
         nxt = _IDENTITY_CACHE.get((p, d))
         if nxt is None:
-            nxt = Automorphism._make(p, d, trivial, (cur,) * p)
+            nxt = Automorphism(p, d, trivial, (cur,) * p)
             nxt._ident = True
             _IDENTITY_CACHE[(p, d)] = nxt
         cur = nxt
@@ -429,7 +266,7 @@ def rooted(p: int, depth: int, power: int = 1) -> Automorphism:
         return identity(p, depth)
     root = tuple((d + power) % p for d in range(p))
     sub = identity(p, depth - 1)
-    return Automorphism._make(p, depth, root, (sub,) * p)
+    return Automorphism(p, depth, root, (sub,) * p)
 
 
 def directed(spec, depth: int, i: int) -> Automorphism:
@@ -453,7 +290,7 @@ def directed(spec, depth: int, i: int) -> Automorphism:
             kids = (identity(p, 0),) * p
         else:
             kids = tuple(rooted(p, d - 1, e) for e in vec) + (cur,)
-        cur = Automorphism._make(p, d, trivial, kids)
+        cur = Automorphism(p, d, trivial, kids)
     return cur
 
 
@@ -474,10 +311,11 @@ def embed_at_vertex(g: Automorphism, word, depth: int) -> Automorphism:
     kids = tuple(
         sub if d == d0 else identity(g.p, depth - 1) for d in range(g.p)
     )
-    return Automorphism._make(g.p, depth, tuple(range(g.p)), kids)
+    return Automorphism(g.p, depth, tuple(range(g.p)), kids)
 
 
-def commutator(f: Automorphism, g: Automorphism) -> Automorphism:
+def commutator(f: Perm, g: Perm) -> Perm:
+    """[f, g] = f^-1 g^-1 f g."""
     return f.inverse() * g.inverse() * f * g
 
 

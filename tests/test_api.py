@@ -1,9 +1,11 @@
 """The top-level namespace is the API that the README documents."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import ggsver as gv
+from ggsver import portraits
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,6 +25,26 @@ PUBLIC = [
 ]
 
 
+# portraits build the generators; every element past that is a leaf Perm
+PORTRAITS = [
+    "DegreeMismatch",
+    "Perm",
+    "Automorphism",
+    "identity",
+    "rooted",
+    "directed",
+    "embed_at_vertex",
+    "commutator",
+    "vertex_index",
+    "vertex_word",
+    "is_odd_prime",
+    "level_of_degree",
+    "restrict_to_level",
+    "subtree_section",
+    "subtree_embed",
+]
+
+
 def _library_block() -> str:
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Library\n", 1)[1]
@@ -36,3 +58,17 @@ def test_all_is_the_documented_names():
 
 def test_readme_library_block_runs():
     exec(compile(_library_block(), str(README), "exec"), {})
+
+
+def test_portraits_surface():
+    assert sorted(portraits.__all__) == sorted(PORTRAITS)
+    assert all(hasattr(portraits, name) for name in PORTRAITS)
+    # a portrait is only turned into a Perm; it has no arithmetic of its own
+    for name in ("__mul__", "inverse", "__pow__", "section", "psi", "truncate"):
+        assert not hasattr(portraits.Automorphism, name)
+
+
+def test_session_holds_no_portraits():
+    fields = {f.name for f in dataclasses.fields(gv.GroupSession)}
+    assert fields == {"spec", "depth", "G", "_memo"}
+    assert not hasattr(gv.GroupSession, "generators")

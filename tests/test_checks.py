@@ -28,12 +28,26 @@ from ggsver.checks import (
     classify_csp,
     default_depth,
 )
-from ggsver import permgroups
-from ggsver.ggs import DEGREE_CAP
+from ggsver import checks, permgroups
+from ggsver.ggs import DEGREE_CAP, normalize
 from ggsver.permgroups import PermGroup, commutator_subgroup, equals
-from ggsver.portraits import identity, subtree_section
+from ggsver.portraits import Perm, restrict_to_level, subtree_section
+
+from oracles import SchreierSims
 
 SPEC_FIXTURES = ["gs_spec", "const_spec", "r2_spec", "sym5_spec"]
+
+# slot 0 of the key-congruence quotient when p=5 `1,2,3,4` at depth 4 is
+# handed the reduction of `1,2,0,3` instead of its own
+MUTANT_WITNESS = [
+    12, 13, 14, 10, 11, 17, 18, 19, 15, 16, 23, 24, 20, 21, 22, 0, 1, 2, 3, 4, 5, 6,
+    7, 8, 9, 45, 46, 47, 48, 49, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37,
+    38, 39, 40, 41, 42, 43, 44, 73, 74, 70, 71, 72, 50, 51, 52, 53, 54, 56, 57, 58,
+    59, 55, 62, 63, 64, 60, 61, 65, 66, 67, 68, 69, 85, 86, 87, 88, 89, 90, 91, 92,
+    93, 94, 95, 96, 97, 98, 99, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 119, 115,
+    116, 117, 118, 124, 120, 121, 122, 123, 103, 104, 100, 101, 102, 106, 107, 108,
+    109, 105, 110, 111, 112, 113, 114,
+]
 
 
 class TestClassify:
@@ -97,6 +111,37 @@ class TestKeyCongruence:
         v = check_key_congruence(gs4)
         assert v.holds
         assert v.details["m"] == 2
+
+    @pytest.mark.parametrize(
+        "p,rows,depth,m",
+        [
+            (5, [(1, 2, 3, 4)], 4, 4),
+            (7, [(1, 2, 3, 4, 5, 6)], 3, 6),
+            # two generators; m = 0 leaves only the k = 0 commutator
+            (5, [(1, 2, 3, 4), (1, 0, 0, 1)], 4, 4),
+            (5, [(1, 0, 0, 0), (0, 1, 0, 0)], 4, 0),
+        ],
+    )
+    def test_holds_beyond_the_basic_spec(self, p, rows, depth, m):
+        v = check_key_congruence(gv.build(gv.validate(p, rows), depth))
+        assert v.holds
+        assert v.details == {"m": m, "reduced_row": list(rows[0])}
+
+    def test_wrong_reduction_fails_with_a_rechecked_witness(self):
+        # mutation control: handed the reduction of (1,2,0,3), a row outside
+        # this group's row space, the check multiplies commutators of a
+        # directed generator from another group, and slot 0 misses gamma3
+        s = gv.build(gv.validate(5, [(1, 2, 3, 4)]), 4)
+        mutant = normalize(gv.validate(5, [(1, 2, 0, 3)]))
+        with mock.patch.object(checks, "normalize", lambda spec: mutant):
+            v = check_key_congruence(s)
+        assert v.status == FAILS
+        assert v.details == {"m": 3, "reduced_row": [1, 2, 0, 3], "failing_slot": 0}
+        assert v.witness.tolist() == MUTANT_WITNESS
+        # re-checked outside the layers
+        gamma = s.at(3).gamma3()
+        ref = SchreierSims(125, [g.images for g in gamma.generators])
+        assert not ref.contains(v.witness.images)
 
     def test_skipped_for_constant(self, const_spec):
         v = check_key_congruence(gv.build(const_spec, 3))
@@ -377,15 +422,15 @@ class TestProjectionSoundness:
         # membership in st(m) of the depth-4 quotient is decided by the
         # level-m action alone
         rng = random.Random(47)
-        gens = list(gs4.generators)
+        gens = gs4.G.generators
         for _ in range(30):
-            w = identity(3, 4)
+            w = Perm.identity(81)
             for _ in range(rng.randint(1, 6)):
                 w = w * rng.choice(gens) ** rng.randint(1, 2)
             for m in (1, 2, 3):
-                assert gs4.G.level_stabilizer(m).contains(
-                    w.to_perm(4)
-                ) == w.truncate(m).to_perm(m).is_identity()
+                assert gs4.G.level_stabilizer(m).contains(w) == (
+                    restrict_to_level(w, 3, m).is_identity()
+                )
 
 
 class TestMonotonicEvidence:

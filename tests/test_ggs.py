@@ -14,7 +14,7 @@ from ggsver.ggs import (
     normalize,
 )
 from ggsver.permgroups import PermGroup, equals
-from ggsver.portraits import directed, identity
+from ggsver.portraits import Perm, directed, restrict_to_level
 
 from oracles import bfs_closure, independent_by_enumeration, log_order
 
@@ -171,11 +171,11 @@ class TestNormalize:
         norm = normalize(sym5_spec)
         depth = 3
         for t_row, _ in zip(norm.transform, norm.spec.vectors):
-            word = identity(5, depth)
+            word = Perm.identity(5**depth)
             for i, c in enumerate(t_row, start=1):
-                word = word * directed(sym5_spec, depth, i) ** c
+                word = word * directed(sym5_spec, depth, i).to_perm(depth) ** c
             idx = norm.transform.index(t_row) + 1
-            assert word == directed(norm.spec, depth, idx)
+            assert word == directed(norm.spec, depth, idx).to_perm(depth)
 
 
 class TestBuild:
@@ -187,7 +187,7 @@ class TestBuild:
     def test_level_one_image_is_the_cycle(self, gs_spec):
         s = gv.build(gs_spec, 3)
         img = PermGroup(
-            3, [g.truncate(1).to_perm(1) for g in s.generators], prime=3
+            3, [restrict_to_level(g, 3, 1) for g in s.G.generators], prime=3
         )
         assert img.order_exponent == 1
 
@@ -199,16 +199,17 @@ class TestBuild:
         assert gv.build(gs_spec, 1).G.order_exponent == 1
 
     def test_restriction_diagram_on_random_words(self, gs_spec):
-        s = gv.build(gs_spec, 4)
+        # a word at depth 4 restricted to level 2 is the same word at depth 2
+        deep, shallow = gv.build(gs_spec, 4).G, gv.build(gs_spec, 2).G
+        gens = list(zip(deep.generators, shallow.generators))
         rng = random.Random(43)
-        gens = list(s.generators)
-        from ggsver.portraits import restrict_to_level
-
         for _ in range(50):
-            w = identity(3, 4)
+            w4, w2 = Perm.identity(81), Perm.identity(9)
             for _ in range(rng.randint(1, 5)):
-                w = w * rng.choice(gens) ** rng.randint(1, 2)
-            assert restrict_to_level(w.to_perm(4), 3, 2) == w.truncate(2).to_perm(2)
+                g4, g2 = rng.choice(gens)
+                e = rng.randint(1, 2)
+                w4, w2 = w4 * g4**e, w2 * g2**e
+            assert restrict_to_level(w4, 3, 2) == w2
 
     def test_all_constant_vectors_give_the_same_group(self):
         one = gv.build(gv.validate(3, [(1, 1)]), 3)
@@ -226,6 +227,9 @@ class TestLevelDimensions:
             (3, [(1, 0), (0, 1)], [1, 3, 8, 22, 66, 198]),
             (5, [(1, 0, 0, 0), (0, 1, 0, 0)], [1, 5, 24, 116]),
             (5, [(1, 1, 1, 1), (1, 0, 0, 1)], [1, 5, 23, 112]),
+            (5, [(1, 2, 3, 4), (1, 0, 0, 1)], [1, 5, 22, 108]),
+            (5, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [1, 5, 24, 119]),
+            (7, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], [1, 7, 48]),
         ],
     )
     def test_measured_multi_ggs(self, p, rows, measured):
@@ -233,11 +237,14 @@ class TestLevelDimensions:
         g = gv.build(gv.validate(p, rows), len(measured)).G
         assert g.chain_summary()["level_dimensions"] == measured
 
-    @pytest.mark.parametrize("depth", range(1, 7))
-    def test_fitted_constant_vector_formula(self, depth):
+    @pytest.mark.parametrize(
+        "p,depth",
+        [pytest.param(3, depth, id=str(depth)) for depth in range(1, 7)]
+        + [pytest.param(5, 5, id="p5-5"), pytest.param(7, 4, id="p7-4")],
+    )
+    def test_fitted_constant_vector_formula(self, p, depth):
         # fitted to measured runs, not proved: d_0 = 1, d_1 = p and
         # d_k = p^k - (p^k - 1)/(p - 1) for k >= 2
-        p = 3
         fitted = [1, p] + [p**k - (p**k - 1) // (p - 1) for k in range(2, depth)]
-        g = gv.build(gv.validate(p, [(1, 1)]), depth).G
+        g = gv.build(gv.validate(p, [(1,) * (p - 1)]), depth).G
         assert g.chain_summary()["level_dimensions"] == fitted[:depth]

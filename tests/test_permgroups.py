@@ -23,7 +23,6 @@ from ggsver.portraits import (
     Perm,
     commutator,
     directed,
-    identity,
     restrict_to_level,
     rooted,
     subtree_embed,
@@ -37,10 +36,6 @@ from oracles import (
     reference_commutator,
     reference_normal_closure,
 )
-
-
-def session_perms(session):
-    return [g.to_perm(session.depth) for g in session.generators]
 
 
 class TestGenerate:
@@ -80,16 +75,16 @@ class TestMembership:
     def test_directed_acts_trivially_at_level_one(self, gs_spec):
         a1 = rooted(3, 1, 1).to_perm(1)
         cyc = PermGroup(3, [a1], prime=3)
-        b1 = directed(gs_spec, 2, 1).truncate(1).to_perm(1)
+        b1 = directed(gs_spec, 2, 1).to_perm(1)
         assert cyc.contains(b1)
 
     def test_rooted_outside_derived(self, gs3, gs4):
         for s in (gs3, gs4):
-            a = s.a.to_perm(s.depth)
+            a = s.G.generators[0]
             assert not s.G.derived().contains(a)
 
     def test_words_in_the_generators_are_members(self, gs3):
-        a, b = session_perms(gs3)
+        a, b = gs3.G.generators
         assert gs3.G.contains(a * b * a)
 
 
@@ -113,20 +108,19 @@ class TestSubgroupsAndClosure:
         # the level-1 stabilizer is normally generated by the directed
         # conjugates, so their pairwise commutators normally generate its
         # derived subgroup
-        a = gs4.a
-        b = gs4.b[0]
+        a, b = gs4.G.generators
         st1 = gs4.G.level_stabilizer(1)
-        conj = [b.conjugated_by(a**k) for k in range(3)]
+        conj = [a ** (-k) * b * a**k for k in range(3)]
         seeds = []
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    seeds.append(commutator(conj[i], conj[j]).to_perm(4))
+                    seeds.append(commutator(conj[i], conj[j]))
         closed = normal_closure(st1, seeds)
         assert equals(closed, st1.derived())
 
     def test_closure_is_conjugation_closed(self, gs3):
-        a, b = session_perms(gs3)
+        a, b = gs3.G.generators
         n = normal_closure(gs3.G, [a * b * a.inverse() * b.inverse()])
         for w in n.generators:
             for s in (a, b):
@@ -228,7 +222,7 @@ class TestLevelStabilizers:
             st = gs4.G.level_stabilizer(m)
             img = PermGroup(
                 3**m,
-                [g.truncate(m).to_perm(m) for g in gs4.generators],
+                [restrict_to_level(g, 3, m) for g in gs4.G.generators],
                 prime=3,
             )
             assert img.order_exponent + st.order_exponent == gs4.G.order_exponent
@@ -240,15 +234,14 @@ class TestLevelStabilizers:
     def test_membership_matches_level_action(self, gs_spec, gs4):
         # an element lies in st(m) exactly when its level-m action is trivial
         rng = random.Random(23)
-        gens = list(gs4.generators)
+        gens = gs4.G.generators
         for _ in range(40):
-            w = identity(3, 4)
+            perm = Perm.identity(81)
             for _ in range(rng.randint(1, 6)):
-                w = w * rng.choice(gens) ** rng.randint(1, 2)
-            perm = w.to_perm(4)
+                perm = perm * rng.choice(gens) ** rng.randint(1, 2)
             for m in (1, 2, 3):
                 in_st = gs4.G.level_stabilizer(m).contains(perm)
-                assert in_st == w.truncate(m).to_perm(m).is_identity()
+                assert in_st == restrict_to_level(perm, 3, m).is_identity()
 
 
 class TestOracleAndDeterminism:

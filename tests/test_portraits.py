@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from ggsver.portraits import (
     DegreeMismatch,
-    NotLevel1Stabilized,
     Perm,
     commutator,
     directed,
@@ -21,33 +20,32 @@ from ggsver.portraits import (
 )
 
 
-def word_elements(spec, depth, rng, count):
-    """Random words in the session generators, evaluated as portraits."""
-    gens = [rooted(spec.p, depth, 1)] + [
-        directed(spec, depth, i) for i in range(1, spec.r + 1)
-    ]
+def leaf_generators(spec, depth):
+    """Leaf permutations of a, b_1, ..., b_r at the given depth."""
+    gens = [rooted(spec.p, depth, 1)]
+    gens += [directed(spec, depth, i) for i in range(1, spec.r + 1)]
+    return [g.to_perm(depth) for g in gens]
+
+
+def leaf_words(spec, depths, rng, count):
+    """Random words in the generators, one leaf permutation per depth."""
+    gens = {n: leaf_generators(spec, n) for n in depths}
     out = []
     for _ in range(count):
-        w = identity(spec.p, depth)
+        w = {n: Perm.identity(spec.p**n) for n in depths}
         for _ in range(rng.randint(1, 6)):
-            g = rng.choice(gens)
-            w = w * g ** rng.randint(1, spec.p - 1)
+            i = rng.randrange(spec.r + 1)
+            e = rng.randint(1, spec.p - 1)
+            w = {n: w[n] * gens[n][i] ** e for n in depths}
         out.append(w)
     return out
 
 
 class TestIdentityAndRooted:
     def test_identity_fixes_vertices(self):
-        e = identity(3, 2)
+        e = identity(3, 2).to_perm(2)
         for k in range(9):
-            v = vertex_word(k, 2, 3)
-            assert e.apply(v) == v
-
-    def test_identity_is_neutral(self, gs_spec):
-        g = directed(gs_spec, 2, 1) * rooted(3, 2, 1)
-        e = identity(3, 2)
-        assert e * g == g
-        assert g * e == g
+            assert e(k) == k
 
     def test_identity_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -60,15 +58,16 @@ class TestIdentityAndRooted:
             identity(3, -1)
 
     def test_rooted_cycles_first_level(self):
-        a = rooted(3, 3, 1)
-        assert a.apply((0,)) == (1,)
-        assert a.apply((2,)) == (0,)
+        # the first digit moves up by one, the digits below stay
+        a = rooted(3, 3, 1).to_perm(3)
+        assert a(vertex_index((0, 1, 2), 3)) == vertex_index((1, 1, 2), 3)
+        assert a(vertex_index((2, 0, 1), 3)) == vertex_index((0, 0, 1), 3)
 
     def test_rooted_power_zero_is_identity(self):
-        assert rooted(3, 2, 0) == identity(3, 2)
+        assert rooted(3, 2, 0).is_identity()
 
     def test_rooted_has_order_p(self):
-        a = rooted(5, 2, 1)
+        a = rooted(5, 2, 1).to_perm(2)
         cur = a
         for _ in range(4):
             assert not cur.is_identity()
@@ -77,15 +76,19 @@ class TestIdentityAndRooted:
 
 
 class TestDirected:
-    def test_sections_follow_the_vector(self, gs_spec):
-        b = directed(gs_spec, 4, 1)
-        parts = b.psi()
-        assert parts[0] == rooted(3, 3, 1)
-        assert parts[1] == rooted(3, 3, 2)
-        assert parts[2] == directed(gs_spec, 3, 1)
+    def test_sections_follow_the_vector(self, gs_spec, sym5_spec):
+        # b_i's first-level sections are a^e_1, ..., a^e_(p-1), b_i
+        for spec, n in ((gs_spec, 4), (sym5_spec, 3)):
+            p = spec.p
+            for i, vec in enumerate(spec.vectors, start=1):
+                b = directed(spec, n, i).to_perm(n)
+                parts = [subtree_section(b, p, (j,)) for j in range(p)]
+                expected = [rooted(p, n - 1, e).to_perm(n - 1) for e in vec]
+                expected.append(directed(spec, n - 1, i).to_perm(n - 1))
+                assert parts == expected
 
     def test_depth_one_truncates_to_identity(self, gs_spec):
-        assert directed(gs_spec, 1, 1) == identity(3, 1)
+        assert directed(gs_spec, 1, 1).is_identity()
 
     def test_index_out_of_range(self, gs_spec):
         with pytest.raises(ValueError):
@@ -93,88 +96,67 @@ class TestDirected:
 
     def test_generators_have_order_p(self, gs_spec, sym5_spec):
         for spec, depth in [(gs_spec, 2), (gs_spec, 3), (sym5_spec, 2), (sym5_spec, 3)]:
-            a = rooted(spec.p, depth, 1)
-            assert (a ** spec.p).is_identity()
-            for i in range(1, spec.r + 1):
-                b = directed(spec, depth, i)
-                assert (b ** spec.p).is_identity()
+            for g in leaf_generators(spec, depth):
+                assert not g.is_identity()
+                assert (g**spec.p).is_identity()
 
     def test_conjugation_by_rooted_shifts_sections(self, sym5_spec):
-        a = rooted(5, 3, 1)
+        # section d of b^a is section d-1 of b; check_subdirect relies on it
+        a = rooted(5, 3, 1).to_perm(3)
         for i in (1, 2):
-            b = directed(sym5_spec, 3, i)
-            shifted = b.conjugated_by(a).psi()
-            parts = b.psi()
-            assert shifted == tuple(parts[(d - 1) % 5] for d in range(5))
+            b = directed(sym5_spec, 3, i).to_perm(3)
+            shifted = a.inverse() * b * a
+            for d in range(5):
+                assert subtree_section(shifted, 5, (d,)) == subtree_section(
+                    b, 5, ((d - 1) % 5,)
+                )
 
 
 class TestComposeInverse:
-    def test_cycle_times_its_inverse_power(self):
-        a = rooted(3, 3, 1)
-        assert (a * a**2).is_identity()
-        assert a.inverse() == a**2
-
-    def test_squared_directed_section(self, gs_spec):
-        b = directed(gs_spec, 3, 1)
-        bb = b * b
-        assert bb.section((2,)) == directed(gs_spec, 2, 1) ** 2
-
-    def test_inverse_of_identity(self):
-        assert identity(3, 2).inverse() == identity(3, 2)
-
     def test_inverse_antihomomorphism(self, gs_spec):
         rng = random.Random(7)
-        els = word_elements(gs_spec, 3, rng, 20)
+        els = [w[3] for w in leaf_words(gs_spec, (3,), rng, 20)]
         for f, g in zip(els[::2], els[1::2]):
             assert (f * g).inverse() == g.inverse() * f.inverse()
             assert (f * f.inverse()).is_identity()
 
+    def test_squared_directed_section(self, gs_spec):
+        bb = directed(gs_spec, 3, 1).to_perm(3) ** 2
+        assert subtree_section(bb, 3, (2,)) == directed(gs_spec, 2, 1).to_perm(2) ** 2
+
     def test_depth_mismatch_rejected(self, gs_spec):
         with pytest.raises(DegreeMismatch):
-            rooted(3, 2, 1) * rooted(3, 3, 1)
+            rooted(3, 2, 1).to_perm(2) * rooted(3, 3, 1).to_perm(3)
 
 
 class TestSectionsAndPsi:
+    """Sections of leaf permutations below a vertex; at level 1, the map psi."""
+
     def test_section_of_identity(self):
-        e = identity(3, 3)
-        assert e.section((0, 1)) == identity(3, 1)
+        e = identity(3, 3).to_perm(3)
+        assert subtree_section(e, 3, (0, 1)).is_identity()
 
     def test_section_twist_law(self, gs_spec):
+        # (fg)|v = f|v g|f(v): the slots of a product are read off its factors
         rng = random.Random(11)
-        els = word_elements(gs_spec, 3, rng, 30)
+        els = [w[3] for w in leaf_words(gs_spec, (3,), rng, 30)]
         for f, g in zip(els[::2], els[1::2]):
+            top = restrict_to_level(f, 3, 1)
             for k in range(3):
-                v = (k,)
-                lhs = (f * g).section(v)
-                rhs = f.section(v) * g.section(f.apply(v))
+                lhs = subtree_section(f * g, 3, (k,))
+                rhs = subtree_section(f, 3, (k,)) * subtree_section(g, 3, (top(k),))
                 assert lhs == rhs
-
-    def test_psi_requires_trivial_root(self):
-        with pytest.raises(NotLevel1Stabilized):
-            rooted(3, 2, 1).psi()
-
-    def test_psi_of_identity(self):
-        assert identity(3, 2).psi() == (identity(3, 1),) * 3
-
-    def test_psi_matches_sections(self, gs_spec):
-        rng = random.Random(13)
-        for w in word_elements(gs_spec, 3, rng, 30):
-            if w.root_perm != (0, 1, 2):
-                continue
-            parts = w.psi()
-            for j in range(3):
-                assert parts[j] == w.section((j,))
 
     def test_commutator_with_shifted_conjugate(self, gs_spec):
         # expand [b, b^a] through first-level sections by hand
-        b = directed(gs_spec, 3, 1)
-        a = rooted(3, 3, 1)
-        got = commutator(b, b.conjugated_by(a)).psi()
-        a2 = rooted(3, 2, 1)
-        b2 = directed(gs_spec, 2, 1)
-        assert got[0] == commutator(a2, b2)
-        assert got[1] == identity(3, 2)
-        assert got[2] == commutator(b2, a2**2)
+        b = directed(gs_spec, 3, 1).to_perm(3)
+        a = rooted(3, 3, 1).to_perm(3)
+        got = commutator(b, a.inverse() * b * a)
+        a2 = rooted(3, 2, 1).to_perm(2)
+        b2 = directed(gs_spec, 2, 1).to_perm(2)
+        assert subtree_section(got, 3, (0,)) == commutator(a2, b2)
+        assert subtree_section(got, 3, (1,)).is_identity()
+        assert subtree_section(got, 3, (2,)) == commutator(b2, a2**2)
 
 
 class TestEmbed:
@@ -184,14 +166,16 @@ class TestEmbed:
 
     def test_embed_fills_one_slot(self, gs_spec):
         g = directed(gs_spec, 3, 1)
-        emb = embed_at_vertex(g, (0,), 4)
-        assert emb.psi() == (g, identity(3, 3), identity(3, 3))
+        emb = embed_at_vertex(g, (0,), 4).to_perm(4)
+        assert subtree_section(emb, 3, (0,)) == g.to_perm(3)
+        assert subtree_section(emb, 3, (1,)).is_identity()
+        assert subtree_section(emb, 3, (2,)).is_identity()
 
     def test_disjoint_embeddings_commute(self, gs_spec):
         g = directed(gs_spec, 3, 1)
         h = rooted(3, 3, 1)
-        e0 = embed_at_vertex(g, (0,), 4)
-        e1 = embed_at_vertex(h, (1,), 4)
+        e0 = embed_at_vertex(g, (0,), 4).to_perm(4)
+        e1 = embed_at_vertex(h, (1,), 4).to_perm(4)
         assert e0 * e1 == e1 * e0
 
     def test_depth_mismatch(self, gs_spec):
@@ -212,15 +196,6 @@ class TestToPerm:
         b = directed(gs_spec, 2, 1)
         assert b.to_perm(2) == Perm([1, 2, 0, 5, 3, 4, 6, 7, 8])
 
-    def test_homomorphism_and_faithfulness(self, gs_spec):
-        rng = random.Random(17)
-        els = word_elements(gs_spec, 3, rng, 40)
-        for f, g in zip(els[::2], els[1::2]):
-            for m in (1, 2, 3):
-                assert (f * g).to_perm(m) == f.to_perm(m) * g.to_perm(m)
-            same = f.to_perm(3) == g.to_perm(3)
-            assert same == (f == g)
-
     def test_level_too_deep(self):
         with pytest.raises(ValueError):
             rooted(3, 2, 1).to_perm(3)
@@ -239,11 +214,11 @@ class TestVertexIndexing:
 
 class TestBlockOps:
     def test_restrict_matches_truncation(self, gs_spec):
+        # restricting a word to level m gives the same word built at depth m
         rng = random.Random(19)
-        for w in word_elements(gs_spec, 3, rng, 15):
-            full = w.to_perm(3)
+        for w in leaf_words(gs_spec, (1, 2, 3), rng, 15):
             for m in (1, 2, 3):
-                assert restrict_to_level(full, 3, m) == w.truncate(m).to_perm(m)
+                assert restrict_to_level(w[3], 3, m) == w[m]
 
     def test_section_and_embed_round_trip(self, gs_spec):
         g = directed(gs_spec, 2, 1).to_perm(2)
@@ -278,10 +253,6 @@ class TestPermBasics:
         assert q**3 == Perm.identity(3)
         assert q**-1 == q.inverse()
 
-    def test_first_moved(self):
-        assert Perm([0, 1, 2]).first_moved() is None
-        assert Perm([0, 2, 1]).first_moved() == 1
-
 
 # -- hypothesis property suites ------------------------------------------------
 
@@ -290,9 +261,8 @@ _gen_word = st.lists(
 )
 
 
-def _evaluate(spec, depth, word):
-    gens = [rooted(spec.p, depth, 1), directed(spec, depth, 1)]
-    out = identity(spec.p, depth)
+def _evaluate(gens, word):
+    out = Perm.identity(gens[0].degree)
     for sym, e in word:
         out = out * gens[sym] ** e
     return out
@@ -301,28 +271,20 @@ def _evaluate(spec, depth, word):
 class TestHypothesisProperties:
     @given(_gen_word, _gen_word)
     def test_to_perm_homomorphism(self, gs_spec, w1, w2):
-        f = _evaluate(gs_spec, 3, w1)
-        g = _evaluate(gs_spec, 3, w2)
-        assert (f * g).to_perm(2) == f.to_perm(2) * g.to_perm(2)
-
-    @given(_gen_word)
-    def test_inverse_round_trip(self, gs_spec, w):
-        f = _evaluate(gs_spec, 3, w)
-        assert (f * f.inverse()).is_identity()
-
-    @given(_gen_word, st.integers(0, 2))
-    def test_section_consistency(self, gs_spec, w, j):
-        f = _evaluate(gs_spec, 3, w)
-        if f.root_perm == (0, 1, 2):
-            assert f.psi()[j] == f.section((j,))
+        # restriction to level 2 is a homomorphism on leaf words
+        gens = leaf_generators(gs_spec, 3)
+        f = _evaluate(gens, w1)
+        g = _evaluate(gens, w2)
+        assert restrict_to_level(f * g, 3, 2) == (
+            restrict_to_level(f, 3, 2) * restrict_to_level(g, 3, 2)
+        )
 
     @given(st.integers(1, 8))
     def test_power_commutator_identity(self, gs_spec, n):
         # [a^n, b] expands into the conjugate-chain product of [a, b]
-        a = rooted(3, 3, 1)
-        b = directed(gs_spec, 3, 1)
+        a, b = leaf_generators(gs_spec, 3)
         lhs = commutator(a**n, b)
-        rhs = identity(3, 3)
+        rhs = Perm.identity(27)
         for k in range(n - 1, -1, -1):
-            rhs = rhs * commutator(a, b).conjugated_by(a**k)
+            rhs = rhs * a ** (-k) * commutator(a, b) * a**k
         assert lhs == rhs
