@@ -15,7 +15,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .ggs import DEGREE_CAP, GGSSpec, GroupSession, build, is_constant, normalize
+from .ggs import (
+    DEGREE_CAP,
+    GGSSpec,
+    GroupSession,
+    NormalizationImpossible,
+    build,
+    is_constant,
+    is_symmetric,
+    normalize,
+)
 from .permgroups import PermGroup, commutator_subgroup, equals
 from .portraits import (
     Perm,
@@ -205,7 +214,18 @@ def check_key_congruence(session: GroupSession) -> Verdict:
     terms; this needs m != 1 and is skipped otherwise.
     """
     spec = session.spec
-    norm = normalize(spec)
+    try:
+        norm = normalize(spec)
+    except NormalizationImpossible:
+        return Verdict(
+            "key_congruence",
+            session.depth,
+            SKIPPED,
+            reason=(
+                "hypothesis not met: no row starts with a nonzero entry, so row "
+                "operations cannot reach a first row with leading entry 1"
+            ),
+        )
     if norm.case == "symmetric":
         if is_constant(spec):
             return Verdict(
@@ -274,11 +294,28 @@ def check_key_congruence(session: GroupSession) -> Verdict:
 
 def check_regular_branch(session: GroupSession) -> Verdict:
     """First-level sections of the derived subgroup of the level-1 stabilizer
-    fill the full product of p derived-subgroup copies."""
+    fill the full product of p derived-subgroup copies.
+
+    With one directed generator this is the non-symmetric case of
+    Fernandez-Alcober and Zugadi-Reizabal (Trans. AMS 2014); a symmetric
+    single vector is skipped.  Measured at N = 3..5 for p = 5 and N = 3, 4
+    for p = 7, its sections fill a subgroup of index p in the product."""
     spec = session.spec
     if is_constant(spec):
         return Verdict(
             "regular_branch", session.depth, SKIPPED, reason=CONSTANT_HYPOTHESIS
+        )
+    if spec.r == 1 and is_symmetric(spec.vectors[0]):
+        return Verdict(
+            "regular_branch",
+            session.depth,
+            SKIPPED,
+            reason=(
+                "hypothesis not met: for one directed generator the identity is "
+                "the non-symmetric case, and this defining vector is symmetric; "
+                "its branch structure over the third lower-central term is "
+                "what gamma3_product checks"
+            ),
         )
     _require_depth(session, 3, "the branch identity")
     details = {}

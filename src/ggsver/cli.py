@@ -19,6 +19,7 @@ from . import __version__
 from .checks import CHECKS, FAILS, classify_csp, default_depth, run_all
 from .ggs import (
     DEGREE_CAP,
+    NormalizationImpossible,
     SpecError,
     build,
     is_constant,
@@ -371,19 +372,23 @@ def cmd_info(args) -> int:
             + (f"  [{', '.join(tags)}]" if tags else "")
         )
     lines.append(f"constant: {'yes' if is_constant(spec) else 'no'}")
-    norm = normalize(spec)
-    lines.append(f"reduction case: {norm.case}")
-    if norm.steps:
-        lines.append("reduced form: " + "; ".join(
-            "(" + ",".join(str(x) for x in row) + ")" for row in norm.spec.vectors
-        ))
-        lines.append("row operations: " + "; ".join(norm.steps))
-        lines.append(
-            "transform: "
-            + "; ".join("(" + ",".join(str(x) for x in row) + ")" for row in norm.transform)
-        )
+    try:
+        norm = normalize(spec)
+    except NormalizationImpossible as exc:
+        lines.append(f"reduction: unreachable ({exc})")
     else:
-        lines.append("already in reduced form")
+        lines.append(f"reduction case: {norm.case}")
+        if norm.steps:
+            lines.append("reduced form: " + "; ".join(
+                "(" + ",".join(str(x) for x in row) + ")" for row in norm.spec.vectors
+            ))
+            lines.append("row operations: " + "; ".join(norm.steps))
+            lines.append(
+                "transform: "
+                + "; ".join("(" + ",".join(str(x) for x in row) + ")" for row in norm.transform)
+            )
+        else:
+            lines.append("already in reduced form")
     cls = classify_csp(spec)
     note = (
         "no congruence subgroup property"

@@ -60,8 +60,8 @@ Conjugation permutes labels: y^-1 w y has labels u[pull], pull being the
 level-(N-1) vertex map of y^-1, built once per closure for each ambient
 generator.  The p-th power and the commutators of a new level-(N-2)
 representative are evaluated on the first leaf below each level-(N-1)
-vertex only, the commutators with all its peers in one gather: on level N-2
-the representatives and their inverses are rows of two 2-D arrays.  A
+vertex only, the commutators with all its peers in one gather: on every
+level below the last the representatives and inverses are 2-D arrays.  A
 permutation candidate is sifted through the levels above the last only; if
 it leaves no residual there, its level-(N-1) labels join the current run of
 label vectors, tagged with the permutation.  The run is reduced against the
@@ -96,8 +96,8 @@ H.  The block-diagonal matrix of p copies of H's level-m basis spans that
 sum, and it is reduced echelon: copy j's pivots are H's pivots shifted by
 j p^m, and each pivot column is zero outside its own row.  Row i of copy j
 is the labels of H's level-m representative i embedded in slot j, which
-lies in H^p & st(m+1), so that embedding is its representative.  No
-closure is needed.
+lies in H^p & st(m+1), so that embedding is its representative, and
+embedding H's divisors gives its divisors.  No closure is needed.
 
 Everything here is deterministic: candidates are processed in queue order
 and representatives are kept in the order they were found.
@@ -140,6 +140,15 @@ def _inverse(arr: np.ndarray) -> np.ndarray:
 def _comm(x: np.ndarray, y: np.ndarray, xinv: np.ndarray, yinv: np.ndarray) -> np.ndarray:
     # x^-1 y^-1 x y, composed left to right
     return y[x[yinv[xinv]]]
+
+
+def _comm_rows(x, xinv, ys, yinvs, points) -> np.ndarray:
+    """Row j: [x, ys[j]] at the points, an index into the leaves, in one
+    gather; ys and yinvs hold elements and their inverses, one per row."""
+    v = x[yinvs.take(xinv[points], axis=1)]
+    # flat indices into ys, row j offset by j times its length
+    v += np.arange(0, ys.size, ys.shape[1])[:, None]
+    return ys.take(v)
 
 
 def _conj(w: np.ndarray, s: np.ndarray, sinv: np.ndarray) -> np.ndarray:
@@ -196,15 +205,6 @@ class _Tree:
             v = x[v]
         return self.digits[-1][v]
 
-    def commutator_labels(self, x, xinv, ys, yinvs) -> np.ndarray:
-        """Row j: the level-(n-1) labels of [x, ys[j]], for x and the rows of
-        ys in st(n-2), yinvs their inverses, evaluated on the first leaf
-        below each level-(n-1) vertex."""
-        v = x[np.take(yinvs, xinv[self.starts[-1]], axis=1)]
-        # flat indices into ys, row j offset by j times its length
-        v += np.arange(0, ys.size, ys.shape[1])[:, None]
-        return self.digits[-1][np.take(ys, v)]
-
     def in_wreath(self, x: np.ndarray) -> bool:
         """x preserves every level and shifts each vertex's children
         cyclically."""
@@ -230,24 +230,32 @@ def _tree(p, n: int) -> _Tree:
 
 class _Layer:
     """Reduced echelon basis over F_p of the level-m labels of H & st(m), as
-    float rows (exact for these small integers).  Below the last level each
-    row has a representative, and divs[j][c] is representative j raised to
-    -c.  On level N-2 of a closure the representatives and their inverses
-    are also the rows of stacks[0] and stacks[1], with reps[j] and
-    divs[j][1] views of those rows, so that the commutators with all of them
-    are one gather."""
+    float rows (exact for these small integers).  Below the last level row j
+    has a representative reps[j], and divs[c-1, j] is reps[j] raised to -c.
+    The arrays grow by doubling up to the width; rows from dim on are unused
+    until the closure drops them.  steps[c-1][j] is a view of divs[c-1, j],
+    made once per array, as a list is indexed faster than numpy makes a view."""
 
-    __slots__ = ("rows", "pivots", "dim", "reps", "divs", "stacks")
+    __slots__ = ("rows", "pivots", "dim", "reps", "divs", "steps")
 
-    def __init__(self, width: int, degree: int = 0):
-        self.rows = np.zeros((4, width))
-        self.pivots = np.zeros(4, dtype=np.intp)
+    def __init__(self, tree: _Tree, m: int):
+        degree = len(tree.identity) if m < tree.depth - 1 else 0
+        self.rows = np.empty((0, tree.p**m))
+        self.pivots = np.empty(0, dtype=np.intp)
         self.dim = 0
-        self.reps: list[np.ndarray] = []
-        self.divs: list[list] = []
-        # room for the most rows a layer of this width can have, until
-        # trim(); np.empty writes nothing, so a row costs memory once added
-        self.stacks = np.empty((2, width, degree), dtype=np.intp) if degree else None
+        self.reps = np.empty((0, degree), dtype=np.intp)
+        self.divs = np.empty((tree.p - 1, 0, degree), dtype=np.intp)
+        self.steps = None
+
+    def resize(self, size: int) -> None:
+        """Room for exactly `size` rows, the first dim kept, one array at a time."""
+        d = self.dim
+        self.rows = _fit(self.rows, size, d)
+        self.pivots = _fit(self.pivots, size, d)
+        self.reps = _fit(self.reps, size, d)
+        divs = np.empty((len(self.divs), size, self.reps.shape[1]), dtype=np.intp)
+        divs[:, :d] = self.divs[:, :d]
+        self.divs, self.steps = divs, None
 
     def add(self, residual: np.ndarray, p: int) -> int:
         """Append a residual (zero at every pivot) as a unit-pivot row and
@@ -257,8 +265,8 @@ class _Layer:
         j = int(np.flatnonzero(residual)[0])
         scale = pow(int(residual[j]), -1, p)
         if self.dim == len(self.rows):
-            self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
-            self.pivots = np.resize(self.pivots, len(self.rows))
+            # a layer has at most as many rows as columns
+            self.resize(min(max(16, 2 * self.dim), self.rows.shape[1]))
         live = self.rows[: self.dim]
         hit = np.flatnonzero(live[:, j])
         row = residual * scale % p
@@ -268,49 +276,40 @@ class _Layer:
         self.dim += 1
         return scale
 
-    def push(self, rep: np.ndarray, divs: list, hits, p: int) -> np.ndarray:
-        """Append the representative of the newest row, with its divisors,
-        after clearing its multiples out of the older representatives: hits
-        holds (row, multiple) for each old row that lost a multiple of the
-        new one.  Returns the representative as stored."""
+    def push(self, hits) -> np.ndarray:
+        """Clear the newest representative's multiples out of the older
+        ones: hits holds (row, multiple) for each old row that lost a
+        multiple of the new one.  Returns the newest representative."""
+        d = self.dim - 1
         for i, t in hits:
             # row i lost t times the new row, so its representative does too
-            rep_i = divs[t][self.reps[i]]
-            self._store(i, rep_i, _divisors(rep_i, p))
-        return self._store(len(self.reps), rep, divs)
-
-    def _store(self, i: int, rep: np.ndarray, divs: list) -> np.ndarray:
-        if self.stacks is not None:
-            self.stacks[0, i], self.stacks[1, i] = rep, divs[1]
-            rep, divs[1] = self.stacks[0, i], self.stacks[1, i]
-        if i == len(self.reps):
-            self.reps.append(rep)
-            self.divs.append(divs)
-        else:
-            self.reps[i], self.divs[i] = rep, divs
-        return rep
-
-    def trim(self) -> None:
-        """Once the closure is done, keep only the stacked rows in use, so
-        that a finished group holds no room it never filled."""
-        d = len(self.reps)
-        self.stacks = self.stacks[:, :d].copy()
-        for j in range(d):
-            self.reps[j], self.divs[j][1] = self.stacks[0, j], self.stacks[1, j]
-
-    def peers(self):
-        """The representatives and their inverses as two 2-D arrays, on
-        level N-2 of a closure."""
-        d = len(self.reps)
-        return self.stacks[0, :d], self.stacks[1, :d]
+            self.reps[i] = self.divs[t - 1, d][self.reps[i]]
+            _divisors(self.reps[i], self.divs[:, i])
+        return self.reps[d]
 
 
-def _divisors(rep: np.ndarray, p: int) -> list:
-    inv = _inverse(rep)
-    out = [None, inv]
-    for _ in range(p - 2):
-        out.append(inv[out[-1]])
+def _fit(a: np.ndarray, size: int, keep: int) -> np.ndarray:
+    """A new array like a with `size` rows, the first `keep` copied from a."""
+    out = np.empty((size, *a.shape[1:]), a.dtype)
+    out[:keep] = a[:keep]
     return out
+
+
+def _divisors(rep: np.ndarray, out: np.ndarray) -> None:
+    """Write rep raised to -1, -2, ..., -(p-1) into the p-1 rows of out."""
+    out[0][rep] = np.arange(len(rep))
+    for c in range(1, len(out)):
+        out[c] = out[0][out[c - 1]]
+
+
+def _blocks(a: np.ndarray, p: int) -> np.ndarray:
+    """(..., d, D) -> (..., p d, p D): row j d + i acts as row i of a on the
+    leaves below first-level vertex j of the deeper tree, and fixes the rest."""
+    *lead, d, size = a.shape
+    out = np.broadcast_to(np.arange(p * size), (*lead, p, d, p * size)).copy()
+    for j in range(p):
+        out[..., j, :, j * size : (j + 1) * size] = a + j * size
+    return out.reshape(*lead, p * d, p * size)
 
 
 class _Layers:
@@ -321,10 +320,7 @@ class _Layers:
 
     def __init__(self, tree: _Tree, levels=None):
         self.tree = tree
-        n = tree.depth
-        self.levels = levels or [
-            _Layer(tree.p**m, tree.p**n if m == n - 2 else 0) for m in range(n)
-        ]
+        self.levels = levels or [_Layer(tree, m) for m in range(tree.depth)]
 
     def dimensions(self) -> list[int]:
         return [lvl.dim for lvl in self.levels]
@@ -334,36 +330,30 @@ class _Layers:
         first-level vertex j of `tree`, which is one level deeper; see the
         module docstring."""
         p = tree.p
-        levels = [_Layer(1)]
+        levels = [_Layer(tree, 0)]
         for m, lvl in enumerate(self.levels):
             d, cols = lvl.dim, p**m
-            out = _Layer(p * cols)
+            out = _Layer(tree, m + 1)
             out.rows = np.kron(np.eye(p), lvl.rows[:d])
             out.pivots = (lvl.pivots[:d] + cols * np.arange(p)[:, None]).ravel()
             out.dim = p * d
-            for j in range(p):
-                for rep in lvl.reps:
-                    emb = subtree_embed(Perm._wrap(rep), p, (j,), tree.depth).images
-                    out.reps.append(emb)
-                    out.divs.append(_divisors(emb, p))
+            out.reps = _blocks(lvl.reps[:d], p)
+            out.divs = _blocks(lvl.divs[:, :d], p)
             levels.append(out)
         return _Layers(tree, levels)
 
     def suffix(self, m: int) -> "_Layers":
-        empty = [_Layer(self.tree.p**k) for k in range(m)]
+        empty = [_Layer(self.tree, k) for k in range(m)]
         return _Layers(self.tree, empty + self.levels[m:])
 
     def representatives(self, start: int):
         """Representatives from level start on, level by level, in the order
         they were found."""
-        last = self.tree.depth - 1
-        for m in range(start, self.tree.depth):
-            lvl = self.levels[m]
-            if m < last:
-                yield from lvl.reps
-            else:
-                for row in lvl.rows[: lvl.dim]:
-                    yield self.tree.from_last_labels(row.astype(np.intp))
+        for lvl in self.levels[start:-1]:
+            yield from lvl.reps[: lvl.dim]
+        last = self.levels[-1]
+        for row in last.rows[: last.dim]:
+            yield self.tree.from_last_labels(row.astype(np.intp))
 
     # -- reduction -----------------------------------------------------------
 
@@ -374,9 +364,11 @@ class _Layers:
     def _divide(self, x: np.ndarray, m: int) -> np.ndarray:
         lvl = self.levels[m]
         if lvl.dim:
+            if lvl.steps is None:
+                lvl.steps = [list(plane) for plane in lvl.divs]
             for j, k in enumerate(self._exponents(x, m).tolist()):
                 if k:
-                    x = lvl.divs[j][k][x]
+                    x = lvl.steps[k - 1][j][x]
         return x
 
     def _reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -424,21 +416,24 @@ class _Layers:
         return _mod(u - u[..., lvl.pivots[: lvl.dim]] @ lvl.rows[: lvl.dim], self.tree.p)
 
     def _admit(self, m: int, x, residual: np.ndarray):
-        """Add the residual as a row at a level m below the last.  Returns
-        its representative, that representative's divisors and the hits to
-        pass to _Layer.push; until then the older representatives are as
-        they were before."""
+        """Add the residual as row d at a level m below the last, with its
+        representative and divisors.  Returns d and the hits to pass to
+        _Layer.push; until then the older representatives are as they were
+        before."""
         p = self.tree.p
         lvl = self.levels[m]
         column = lvl.rows[: lvl.dim, np.flatnonzero(residual)[0]]
         hits = [(i, int(t)) for i, t in enumerate(column) if t]
-        rep = _power(x, lvl.add(residual, p))
-        return rep, _divisors(rep, p), hits
+        scale = lvl.add(residual, p)
+        d = lvl.dim - 1
+        lvl.reps[d] = _power(x, scale)
+        _divisors(lvl.reps[d], lvl.divs[:, d])
+        return d, hits
 
     def _adjoin(self, m: int, x, residual: np.ndarray) -> np.ndarray:
         """Make the residual a representative at a level m below the last;
         returns its images."""
-        return self.levels[m].push(*self._admit(m, x, residual), self.tree.p)
+        return self.levels[m].push(self._admit(m, x, residual)[1])
 
 
 def _close(tree: _Tree, seeds, conj_by):
@@ -481,18 +476,19 @@ def _close(tree: _Tree, seeds, conj_by):
 
     def adjoin(m, y, residual):
         lvl = layers.levels[m]
-        rep, divs, hits = layers._admit(m, y, residual)
-        rinv = divs[1]
+        d, hits = layers._admit(m, y, residual)
+        rep = lvl.reps[d]
         # the p-th power, and the commutators with the peers as they were
         # before push clears the new pivot out of them
+        comm = rep, lvl.divs[0, d], lvl.reps[:d], lvl.divs[0, :d]
         if m + 1 < last:
             side.append((_power(rep, p), m + 1))
-            side.extend((_comm(rep, q, rinv, d[1]), m + 1) for q, d in zip(lvl.reps, lvl.divs))
+            side.extend((c, m + 1) for c in _comm_rows(*comm, slice(None)))
         else:
             side.append((tree.power_labels(rep), None))
-            if lvl.reps:
-                side.extend((u, None) for u in tree.commutator_labels(rep, rinv, *lvl.peers()))
-        rep = lvl.push(rep, divs, hits, p)
+            labels = tree.digits[-1][_comm_rows(*comm, tree.starts[-1])]
+            side.extend((u, None) for u in labels)
+        lvl.push(hits)
         main.extend((_conj(rep, s, sinv), m) for s, sinv in conj)
 
     while side or main:
@@ -515,8 +511,10 @@ def _close(tree: _Tree, seeds, conj_by):
             adjoin(m, y, labels)
         if run and (len(run) == _RUN or not (side or main)):
             flush()
-    if last:
-        layers.levels[last - 1].trim()
+    # a finished group holds no room it never filled
+    for lvl in layers.levels:
+        if len(lvl.rows) > lvl.dim:
+            lvl.resize(lvl.dim)
     return layers, found
 
 

@@ -263,7 +263,8 @@ def reference_close(tree, seeds, conj_by):
             rep = tree.from_last_labels(bottom.rows[bottom.dim - 1].astype(np.intp))
         else:
             # copies: a representative may be a view that _adjoin rewrites
-            peers = [r.copy() for r in layers.levels[m].reps]
+            lvl = layers.levels[m]
+            peers = [r.copy() for r in lvl.reps[: lvl.dim]]
             rep = layers._adjoin(m, y, residual)
             side.append((_power(rep, p), m + 1))
             side.extend((reference_commutator(rep, r), m + 1) for r in peers)

@@ -29,13 +29,22 @@ from ggsver.checks import (
     default_depth,
 )
 from ggsver import checks, permgroups
-from ggsver.ggs import DEGREE_CAP, normalize
+from ggsver.ggs import DEGREE_CAP, NormalizationImpossible, normalize
 from ggsver.permgroups import PermGroup, commutator_subgroup, equals
 from ggsver.portraits import Perm, restrict_to_level, subtree_section
 
 from oracles import SchreierSims
 
 SPEC_FIXTURES = ["gs_spec", "const_spec", "r2_spec", "sym5_spec"]
+
+# one directed generator with a symmetric, non-constant defining vector
+SYMMETRIC_SINGLE_VECTORS = [
+    (5, (1, 2, 2, 1)),
+    (5, (1, 0, 0, 1)),
+    (5, (0, 1, 1, 0)),
+    (7, (1, 2, 3, 3, 2, 1)),
+    (7, (0, 0, 1, 1, 0, 0)),
+]
 
 # slot 0 of the key-congruence quotient when p=5 `1,2,3,4` at depth 4 is
 # handed the reduction of `1,2,0,3` instead of its own
@@ -153,6 +162,19 @@ class TestKeyCongruence:
         assert v.status == SKIPPED
         assert "symmetric" in v.reason
 
+    @pytest.mark.parametrize(
+        "p,row",
+        # the non-symmetric and the symmetric branch of normalize
+        [(3, (0, 1)), (5, (0, 1, 1, 0))],
+    )
+    def test_skipped_when_no_row_starts_with_a_nonzero_entry(self, p, row):
+        spec = gv.validate(p, [row])
+        with pytest.raises(NormalizationImpossible):
+            normalize(spec)
+        v = check_key_congruence(gv.build(spec, 3))
+        assert v.status == SKIPPED
+        assert "no row starts with a nonzero entry" in v.reason
+
 
 class TestRegularBranch:
     def test_two_generator_case(self, r2_4):
@@ -172,6 +194,27 @@ class TestRegularBranch:
     def test_skipped_for_constant(self, const_spec):
         v = check_regular_branch(gv.build(const_spec, 3))
         assert v.status == SKIPPED
+
+    @pytest.mark.parametrize("p,row", SYMMETRIC_SINGLE_VECTORS)
+    def test_skipped_for_a_symmetric_single_vector(self, p, row):
+        v = check_regular_branch(gv.build(gv.validate(p, [row]), 3))
+        assert v.status == SKIPPED
+        assert "symmetric" in v.reason
+        assert "gamma3_product" in v.reason
+
+    @pytest.mark.parametrize(
+        "p,row,depth",
+        [(p, row, n) for p, row in SYMMETRIC_SINGLE_VECTORS for n in (3, 4)]
+        + [(5, (1, 2, 2, 1), 5)],
+    )
+    def test_symmetric_single_vector_misses_the_product_by_index_p(self, p, row, depth):
+        # measured: the sections of st(1)' fill a subgroup of index p in
+        # G' x ... x G', so the identity the check would assert is false here
+        s = gv.build(gv.validate(p, [row]), depth)
+        lhs = s.st1_derived()
+        rhs = s.at(depth - 1).G.derived().block_power()
+        assert rhs.contains_subgroup(lhs)
+        assert rhs.order_exponent - lhs.order_exponent == 1
 
 
 class TestStab1DerivedInGamma3:

@@ -119,6 +119,28 @@ class TestVerifyCommand:
         assert checks["stab1_derived_in_gamma3"]["status"] == "vacuous"
         assert "needs depth at least 3" in checks["stab1_derived_in_gamma3"]["reason"]
 
+    @pytest.mark.parametrize(
+        "p,vectors,skipped",
+        [
+            # a symmetric single vector: the branch identity is not claimed
+            ("5", "1,2,2,1", "regular_branch"),
+            # no row starts with a nonzero entry: no reduction is reachable
+            ("3", "0,1", "key_congruence"),
+        ],
+    )
+    def test_unmet_hypotheses_are_skipped_not_failed(
+        self, p, vectors, skipped, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+        code = cli.main(
+            ["verify", "--p", p, "--vectors", vectors, "--depth", "4",
+             "--no-cache", "--format", "json"]
+        )
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["report"]["checks"]}
+        assert "fails" not in {c["status"] for c in checks.values()}
+        assert checks[skipped]["status"] == "skipped"
+
     def test_failing_verdict_maps_to_exit_one(self):
         payload = {"report": {"checks": [{"status": "fails"}, {"status": "holds"}]}}
         assert cli.exit_code_for(payload) == 1
@@ -381,6 +403,13 @@ class TestInfoAndTable:
         assert cli.main(["info", "--p", "3", "--vectors", "1,2"]) == 0
         out = capsys.readouterr().out
         assert "already in reduced form" in out
+        assert "HasCSP" in out
+
+    @pytest.mark.parametrize("p,vectors", [("3", "0,1"), ("5", "0,1,1,0")])
+    def test_info_unreachable_reduction(self, p, vectors, capsys):
+        assert cli.main(["info", "--p", p, "--vectors", vectors]) == 0
+        out = capsys.readouterr().out
+        assert "reduction: unreachable" in out
         assert "HasCSP" in out
 
     def test_table_values(self, capsys):

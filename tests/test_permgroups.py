@@ -441,8 +441,8 @@ def _assert_same_closure(tree, seeds, conj_by, got):
     for lvl, ref in zip(layers.levels, ref_layers.levels):
         assert np.array_equal(lvl.rows[: lvl.dim], ref.rows[: ref.dim])
         assert np.array_equal(lvl.pivots[: lvl.dim], ref.pivots[: ref.dim])
-        assert len(lvl.reps) == len(ref.reps)
-        for a, b in zip(lvl.reps, ref.reps):
+        assert len(lvl.reps[: lvl.dim]) == len(ref.reps[: ref.dim])
+        for a, b in zip(lvl.reps[: lvl.dim], ref.reps[: ref.dim]):
             assert np.array_equal(a, b)
     assert len(found) == len(ref_found)
     for a, b in zip(found, ref_found):
@@ -545,10 +545,11 @@ class TestBottomLabelArithmetic:
         p, tree = g.prime, g.chain.tree
         reps = g.chain.levels[depth - 2].reps[:6]
         invs = [x.inverse().images for x in map(Perm._wrap, reps)]
-        assert reps
+        assert len(reps)
         for x, xinv in zip(reps, invs):
             assert np.array_equal(tree.power_labels(x), _labels((Perm._wrap(x) ** p).images, p))
-            got = tree.commutator_labels(x, xinv, np.stack(reps), np.stack(invs))
+            got = permgroups._comm_rows(x, xinv, np.stack(reps), np.stack(invs), tree.starts[-1])
+            got = tree.digits[-1][got]
             for row, y in zip(got, reps):
                 assert np.array_equal(row, _labels(reference_commutator(x, y), p))
         bottom = g.chain.levels[depth - 1]
@@ -557,6 +558,31 @@ class TestBottomLabelArithmetic:
             for s in g.generators:
                 conj = s.inverse() * w * s
                 assert np.array_equal(u[tree.pull(s.inverse().images)], _labels(conj.images, p))
+
+
+class TestLayerLayout:
+    """Below the last level a layer holds its representatives and their
+    divisors as two arrays of exactly its dimension: nothing reserved for
+    rows never filled is kept, and divs[c-1, j] is reps[j] raised to -c."""
+
+    @pytest.mark.parametrize("fixture", ["gs_spec", "r2_spec", "sym5_spec"])
+    def test_closure_block_power_and_stabilizer(self, fixture, request):
+        spec = request.getfixturevalue(fixture)
+        g = gv.build(spec, 5 if spec.p == 3 else 4).G
+        for h in (g, g.derived().block_power(), g.level_stabilizer(2)):
+            p, degree = h.prime, h.degree
+            identity = np.arange(degree)
+            layers = h.chain.levels
+            assert len(layers) == h.level
+            for lvl in layers[:-1]:
+                d = lvl.dim
+                assert lvl.reps.shape == (d, degree)
+                assert lvl.divs.shape == (p - 1, d, degree)
+                for j in range(d):
+                    assert np.array_equal(lvl.divs[0, j][lvl.reps[j]], identity)
+                    for c in range(1, p - 1):
+                        assert np.array_equal(lvl.divs[c, j], lvl.divs[0, j][lvl.divs[c - 1, j]])
+            assert sum(lvl.dim for lvl in layers[:-1])
 
 
 class TestOutsideTheTree:
