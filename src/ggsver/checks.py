@@ -31,6 +31,7 @@ from .portraits import (
     commutator,
     directed,
     embed_at_vertex,  # unused here; bench/spans.py traces checks.embed_at_vertex
+    restrict_to_level,
     subtree_embed,
     subtree_section,
     vertex_word,
@@ -105,6 +106,10 @@ class Verdict:
 
 @dataclass
 class Report:
+    """Verdicts of one run, in CHECKS order.  wall_times[id] is the time the
+    check took, the shared subgroups it was first to build included: a
+    later check that reuses them does not pay for them again."""
+
     p: int
     vectors: list
     label: str | None
@@ -274,9 +279,7 @@ def check_key_congruence(session: GroupSession) -> Verdict:
         term = commutator(conj[-k % p], conj[(1 - k) % p]) ** pow(m, k, p)
         w = term if w is None else w * term
     lower = session.at(n - 1)
-    small = commutator(
-        lower.G.generators[0], directed(norm.spec, n - 1, 1).to_perm(n - 1)
-    )
+    small = commutator(lower.G.generators[0], restrict_to_level(b1, p, n - 1))
     target = subtree_embed(small ** ((1 - m) % p), p, (0,), n)
     delta = w * target.inverse()
 

@@ -403,9 +403,10 @@ def cmd_info(args) -> int:
 def cmd_table(args) -> int:
     spec, _ = _spec_from_args(args)
     max_depth = _resolve_depth(spec, args.max_depth, args.allow_slow)
+    session = build(spec, max_depth, allow_large=args.allow_slow)
     rows = []
     for n in range(1, max_depth + 1):
-        g = build(spec, n, allow_large=args.allow_slow).G
+        g = session.at(n).G
         d = g.derived()
         # G_n/st(m) is the level-m group, so the index of st(m) is its order
         st_exps = [row["order_exponent"] for row in rows] + [g.order_exponent]

@@ -306,12 +306,20 @@ class GroupSession:
 
     def at(self, m: int) -> "GroupSession":
         """The session of the same defining data at depth m, 1 <= m <= depth;
-        at(depth) is this session."""
+        at(depth) is this session.  Its generators are this session's
+        restricted to the level-m vertices: the level-m quotient of G is the
+        group they generate."""
         if m == self.depth:
             return self
         if not 1 <= m < self.depth:
             raise ValueError(f"depth {m} outside 1..{self.depth}")
-        return self._memoized(("at", m), lambda: build(self.spec, m, allow_large=True))
+
+        def make():
+            p = self.spec.p
+            gens = [restrict_to_level(g, p, m) for g in self.G.generators]
+            return GroupSession(self.spec, m, PermGroup(p**m, gens, prime=p))
+
+        return self._memoized(("at", m), make)
 
     def gamma3(self) -> PermGroup:
         """Third lower-central term [[G,G],G]."""
@@ -319,15 +327,16 @@ class GroupSession:
         return self._memoized("gamma3", lambda: commutator_subgroup(g.derived(), g, g))
 
     def st1(self) -> PermGroup:
-        """The level-1 stabilizer, generated by the p*r conjugates b_i^(a^k).
-        They fix level 1, contain every b_i and are permuted by a, so the
-        subgroup they span is normal of index p, which is st(1)."""
+        """The level-1 stabilizer: G's layers from level 1 on, with no
+        closure, generated by the p*r conjugates b_i^(a^k).  They fix level
+        1, contain every b_i and are permuted by a, so the subgroup they span
+        is normal of index p, which is st(1)."""
 
         def make():
             g = self.G
             a, bs = g.generators[0], g.generators[1:]
             gens = [a**-k * b * a**k for k in range(g.prime) for b in bs]
-            return PermGroup(g.degree, gens, prime=g.prime)
+            return g._built(gens, g.chain.suffix(1))
 
         return self._memoized("st1", make)
 
@@ -346,9 +355,8 @@ def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
     """Assemble generators and the leaf-action handle at the given depth.
 
     Depths with more than DEGREE_CAP leaves are refused unless allow_large is
-    set.  Construction checks that truncating the leaf permutations to any
-    intermediate level matches building directly at that level, and that the
-    level-1 image is the full cycle.
+    set.  The sessions at smaller depths are restrictions of this one; see
+    GroupSession.at.
     """
     if not isinstance(spec, GGSSpec):
         raise SpecError("build expects validated defining data")
@@ -363,23 +371,5 @@ def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
         )
     auts = [rooted(p, depth, 1)]
     auts += [directed(spec, depth, i) for i in range(1, spec.r + 1)]
-    gens = [g.to_perm(depth) for g in auts]
-    G = PermGroup(degree, gens, prime=p)
-
-    # level-1 image is the full cycle generated by a
-    cycle = rooted(p, 1, 1).to_perm(1)
-    if restrict_to_level(gens[0], p, 1) != cycle:
-        raise AssertionError("rooted generator does not induce the cycle at level 1")
-    for g in gens[1:]:
-        if not restrict_to_level(g, p, 1).is_identity():
-            raise AssertionError("directed generator moves a level-1 vertex")
-
-    # truncation of the leaf action agrees with building at a smaller depth
-    for m in range(1, depth):
-        for aut, perm in zip(auts, gens):
-            if restrict_to_level(perm, p, m) != aut.to_perm(m):
-                raise AssertionError(
-                    "level restriction disagrees with direct construction"
-                )
-
+    G = PermGroup(degree, [g.to_perm(depth) for g in auts], prime=p)
     return GroupSession(spec=spec, depth=depth, G=G)

@@ -111,7 +111,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .portraits import DegreeMismatch, Perm, level_of_degree, subtree_embed
+from .portraits import DegreeMismatch, Perm, level_of_degree
 
 __all__ = [
     "NotPGroup",
@@ -399,16 +399,6 @@ class _Layers:
                 return m, x, r
         return last, x, tree.digits[last][x[tree.starts[last]]]
 
-    def _sift(self, x: np.ndarray, start: int):
-        """(level, element, labels) of the first non-zero residual of an
-        element of st(start) & W_N, or None when it lies in H.  On the last
-        level the labels determine the element, which is left out."""
-        m, x, r = self._sift_upper(x, start)
-        if m < self.tree.depth - 1:
-            return m, x, r
-        r = self.bottom_residual(r)
-        return (m, None, r.astype(np.intp)) if r.any() else None
-
     def bottom_residual(self, u: np.ndarray) -> np.ndarray:
         """The residuals against the last layer of u, one label vector of
         st(N-1) or a stack of them, one per row."""
@@ -429,11 +419,6 @@ class _Layers:
         lvl.reps[d] = _power(x, scale)
         _divisors(lvl.reps[d], lvl.divs[:, d])
         return d, hits
-
-    def _adjoin(self, m: int, x, residual: np.ndarray) -> np.ndarray:
-        """Make the residual a representative at a level m below the last;
-        returns its images."""
-        return self.levels[m].push(self._admit(m, x, residual)[1])
 
 
 def _close(tree: _Tree, seeds, conj_by):
@@ -631,7 +616,8 @@ class PermGroup:
         below the first-level vertex j of the tree one level deeper.  Its
         layers are read off this group's layers, with no closure."""
         p, n = self.prime, self.level + 1
-        gens = [subtree_embed(g, p, (j,), n) for j in range(p) for g in self.generators]
+        images = np.array([g.images for g in self.generators], dtype=np.intp)
+        gens = [Perm._wrap(x) for x in _blocks(images.reshape(-1, self.degree), p)]
         return self._built(gens, self.chain.block_power(_tree(p, n)))
 
     # -- level stabilizers ----------------------------------------------------

@@ -8,9 +8,9 @@ with the package.
 
 reference_close is the exception: it runs the package's closure one
 candidate at a time, every candidate a leaf permutation.  It shares the
-package's per-level arithmetic (ggsver.permgroups._Layers) and differs in
-the queue, so it is the reference for what the closure does with its
-candidates.
+package's per-level arithmetic (ggsver.permgroups._Layers, through _sift and
+_adjoin below) and differs in the queue, so it is the reference for what the
+closure does with its candidates.
 """
 
 from bisect import bisect_left
@@ -233,6 +233,23 @@ def _power(x, k):
     return out
 
 
+def _sift(layers, x, start):
+    """(level, element, labels) of the first non-zero residual of an element
+    of st(start) & W_N, or None when it lies in the layers' group.  On the
+    last level the labels determine the element, which is left out."""
+    m, x, r = layers._sift_upper(x, start)
+    if m < layers.tree.depth - 1:
+        return m, x, r
+    r = layers.bottom_residual(r)
+    return (m, None, r.astype(np.intp)) if r.any() else None
+
+
+def _adjoin(layers, m, x, residual):
+    """Make the residual a representative at a level m below the last;
+    returns its images."""
+    return layers.levels[m].push(layers._admit(m, x, residual)[1])
+
+
 def reference_close(tree, seeds, conj_by):
     """Layers of the closure of the seeds under conjugation by conj_by, and
     the seeds and conjugates that left a residual, sifting every candidate as
@@ -251,7 +268,7 @@ def reference_close(tree, seeds, conj_by):
     while side or main:
         from_main = not side
         x, start = main.popleft() if from_main else side.popleft()
-        hit = layers._sift(x, start)
+        hit = _sift(layers, x, start)
         if hit is None:
             continue
         m, y, residual = hit
@@ -265,7 +282,7 @@ def reference_close(tree, seeds, conj_by):
             # copies: a representative may be a view that _adjoin rewrites
             lvl = layers.levels[m]
             peers = [r.copy() for r in lvl.reps[: lvl.dim]]
-            rep = layers._adjoin(m, y, residual)
+            rep = _adjoin(layers, m, y, residual)
             side.append((_power(rep, p), m + 1))
             side.extend((reference_commutator(rep, r), m + 1) for r in peers)
         main.extend((y[rep[yinv]], m) for y, yinv in conj)

@@ -28,7 +28,7 @@ from ggsver.checks import (
     classify_csp,
     default_depth,
 )
-from ggsver import checks, permgroups
+from ggsver import checks, ggs, permgroups
 from ggsver.ggs import DEGREE_CAP, NormalizationImpossible, normalize
 from ggsver.permgroups import PermGroup, commutator_subgroup, equals
 from ggsver.portraits import Perm, restrict_to_level, subtree_section
@@ -316,9 +316,18 @@ class TestOrderDecidedStabilizers:
     @pytest.mark.parametrize("name", SPEC_FIXTURES)
     def test_st1_handle_is_the_level_one_stabilizer(self, request, name, depth):
         session = gv.build(request.getfixturevalue(name), depth)
-        st1 = session.st1()
-        assert len(st1.generators) == session.spec.p * session.spec.r
-        assert equals(st1, session.G.level_stabilizer(1))
+        g = session.G
+        g.chain
+        with mock.patch.object(
+            permgroups, "_close", side_effect=AssertionError("closure ran")
+        ):
+            st1 = session.st1()
+            assert len(st1.generators) == session.spec.p * session.spec.r
+            assert equals(st1, g.level_stabilizer(1))
+        # G's own layers from level 1 on, shared, and nothing on level 0
+        assert st1.chain.levels[0].dim == 0
+        for k in range(1, depth):
+            assert st1.chain.levels[k] is g.chain.levels[k]
 
     @pytest.mark.parametrize("name", ["gs_spec", "const_spec", "r2_spec"])
     def test_helper_agrees_with_containment_witness(self, request, name):
@@ -446,6 +455,13 @@ class TestRunAll:
         allowed = {HOLDS, FAILS, SKIPPED, VACUOUS}
         assert all(v.status in allowed for v in rep.verdicts)
         assert all(cid in rep.wall_times for cid in ids)
+
+    def test_one_build_per_run(self, r2_spec):
+        with mock.patch.object(checks, "build", wraps=checks.build) as build:
+            with mock.patch.object(ggs, "build", side_effect=AssertionError("rebuilt")):
+                rep = gv.run_all(r2_spec, depth=4)
+        assert build.call_count == 1
+        assert not rep.failed
 
     def test_check_filter(self, gs_spec):
         rep = gv.run_all(gs_spec, depth=3, checks=["abelianization", "rank_growth"])

@@ -1,5 +1,6 @@
 import json
 import os
+from unittest import mock
 
 import pytest
 
@@ -427,6 +428,15 @@ class TestInfoAndTable:
                  "--format", "csv"]
             ) == 0
             assert capsys.readouterr().out.splitlines() == [header] + rows, vectors
+
+    def test_table_builds_once(self, capsys):
+        # rows below the top depth are the top session's restrictions
+        with mock.patch.object(cli, "build", wraps=cli.build) as build:
+            assert cli.main(
+                ["table", "--p", "3", "--vectors", "1,0;0,1", "--max-depth", "4"]
+            ) == 0
+        assert build.call_count == 1
+        assert len(capsys.readouterr().out.splitlines()) == 5
 
     def test_table_text_matches_csv(self, capsys):
         assert cli.main(

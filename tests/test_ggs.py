@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 
 import ggsver as gv
+from ggsver import ggs
 from ggsver.ggs import (
     BadLength,
     DependentVectors,
@@ -215,6 +217,48 @@ class TestBuild:
         one = gv.build(gv.validate(3, [(1, 1)]), 3)
         two = gv.build(gv.validate(3, [(2, 2)]), 3)
         assert equals(one.G, two.G)
+
+
+# every conftest spec, at every depth the suite builds it
+RESTRICTION_CASES = [
+    ("gs_spec", 6),
+    ("const_spec", 6),
+    ("r2_spec", 6),
+    ("sym5_spec", 4),
+]
+
+
+class TestRestriction:
+    """The level-m quotient of G is generated by G's generators restricted
+    to level m; sessions at lower depths are built that way."""
+
+    @pytest.mark.parametrize("name,top", RESTRICTION_CASES)
+    def test_truncation_matches_building_at_each_level(self, request, name, top):
+        spec = request.getfixturevalue(name)
+        p = spec.p
+        gens = {n: gv.build(spec, n).G.generators for n in range(1, top + 1)}
+        for n in range(1, top + 1):
+            for m in range(1, n + 1):
+                assert [restrict_to_level(g, p, m) for g in gens[n]] == list(gens[m])
+        # at level 1, a is the p-cycle and every b_i fixes each vertex
+        a, *bs = gens[1]
+        assert a == Perm([(x + 1) % p for x in range(p)])
+        assert len(bs) == spec.r and all(b.is_identity() for b in bs)
+
+    @pytest.mark.parametrize("name,top", RESTRICTION_CASES)
+    def test_lower_sessions_match_building_at_that_depth(self, request, name, top):
+        spec = request.getfixturevalue(name)
+        session = gv.build(spec, top)
+        with mock.patch.object(ggs, "build", side_effect=AssertionError("rebuilt")):
+            lowers = [session.at(m) for m in range(1, top)]
+        for m, lower in enumerate(lowers, 1):
+            direct = gv.build(spec, m)
+            assert lower.depth == m and lower.spec == spec
+            assert lower.G.generators == direct.G.generators
+            assert (
+                lower.G.chain_summary()["level_dimensions"]
+                == direct.G.chain_summary()["level_dimensions"]
+            )
 
 
 class TestLevelDimensions:

@@ -391,6 +391,12 @@ def _block_power_cases(draw):
 
 
 class TestBlockPower:
+    def test_trivial_group_without_generators(self):
+        h = PermGroup(9, [], prime=3)
+        power = h.block_power()
+        assert power.generators == () and power.degree == 27
+        assert power.chain_summary()["level_dimensions"] == [0, 0, 0]
+
     @settings(max_examples=30)
     @given(_block_power_cases())
     def test_agrees_with_the_closure_of_the_embedded_generators(self, case):
