@@ -5,13 +5,18 @@ leaf action of a session.  The statements about the infinite group project
 onto each finite level, so a verdict only ever asserts "verified at level N";
 a failure comes with a witness that can be re-checked by sifting alone.
 
-Checks whose hypotheses exclude the given defining data report "skipped" with
-the hypothesis named; checks run below the depth where they say anything
-report "vacuous".
+Each check is a body registered once under its claim id with @_check, which
+puts it in CHECKS in definition order.  The body returns (details, witness),
+witness None exactly when the claim holds, or raises NoVerdict: "skipped"
+when its hypotheses exclude the defining data, with the hypothesis named, and
+"vacuous" when the depth is too small for it to say anything.  The registered
+function is the only code that builds a Verdict, so a direct call returns
+the same verdict that run_all records.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -20,6 +25,7 @@ from .ggs import (
     GGSSpec,
     GroupSession,
     NormalizationImpossible,
+    SpecError,
     build,
     is_constant,
     is_symmetric,
@@ -38,7 +44,7 @@ from .portraits import (
 )
 
 __all__ = [
-    "VacuousCheck",
+    "NoVerdict",
     "Verdict",
     "Report",
     "HAS_CSP",
@@ -55,6 +61,7 @@ __all__ = [
     "check_derived_contains_stab",
     "check_second_derived_contains_stab",
     "CHECKS",
+    "select_checks",
     "run_all",
     "default_depth",
 ]
@@ -67,14 +74,16 @@ VACUOUS = "vacuous"
 HAS_CSP = "HasCSP"
 CONSTANT_VECTOR_EXCEPTION = "ConstantVectorException"
 
-CONSTANT_HYPOTHESIS = (
-    "hypothesis not met: the defining data is the constant-vector group, "
-    "which this statement excludes"
-)
 
+class NoVerdict(Exception):
+    """A check has nothing to decide on this session: status is SKIPPED when
+    its hypotheses exclude the defining data, VACUOUS when the depth is too
+    small for it to say anything."""
 
-class VacuousCheck(Exception):
-    """The requested depth is too small for the check to say anything."""
+    def __init__(self, status: str, reason: str):
+        super().__init__(reason)
+        self.status = status
+        self.reason = reason
 
 
 @dataclass
@@ -146,29 +155,61 @@ def classify_csp(spec: GGSSpec) -> str:
     return CONSTANT_VECTOR_EXCEPTION if is_constant(spec) else HAS_CSP
 
 
+CHECKS: dict = {}
+
+
+def _check(claim_id):
+    """Register a check body under claim_id and return the function that
+    turns its (details, witness) or NoVerdict into the Verdict."""
+
+    def register(body):
+        @functools.wraps(body)
+        def check(session: GroupSession) -> Verdict:
+            try:
+                details, witness = body(session)
+            except NoVerdict as exc:
+                return Verdict(claim_id, session.depth, exc.status, reason=exc.reason)
+            status = HOLDS if witness is None else FAILS
+            return Verdict(claim_id, session.depth, status, details, witness=witness)
+
+        CHECKS[claim_id] = check
+        return check
+
+    return register
+
+
 def _require_depth(session, minimum, what):
     if session.depth < minimum:
-        raise VacuousCheck(
-            f"{what} needs depth at least {minimum}, got {session.depth}"
+        raise NoVerdict(
+            VACUOUS, f"{what} needs depth at least {minimum}, got {session.depth}"
         )
 
 
-def _equality_verdict(claim_id, session, lhs, rhs, details):
-    """lhs <= rhs by sifting lhs's generators, then equal orders; on failure
-    the witness is the first generator outside the other group."""
+def _require_nonconstant(spec):
+    if is_constant(spec):
+        raise NoVerdict(
+            SKIPPED,
+            "hypothesis not met: the defining data is the constant-vector group, "
+            "which this statement excludes",
+        )
+
+
+def _equality_verdict(lhs, rhs, details):
+    """(details, witness) for lhs == rhs: lhs <= rhs by sifting lhs's
+    generators, then equal orders; on failure the witness is the first
+    generator outside the other group."""
     details = dict(details)
     details["lhs_exponent"] = lhs.order_exponent
     details["rhs_exponent"] = rhs.order_exponent
     missing = rhs.containment_witness(lhs)
-    if missing is None and lhs.order_exponent == rhs.order_exponent:
-        return Verdict(claim_id, session.depth, HOLDS, details)
-    if missing is None:
+    if missing is None and lhs.order_exponent != rhs.order_exponent:
         # lhs is a proper subgroup, so some generator of rhs lies outside it
         missing = lhs.containment_witness(rhs)
-    return Verdict(claim_id, session.depth, FAILS, details, witness=missing)
+    return details, missing
 
 
-def check_abelianization(session: GroupSession) -> Verdict:
+@_check("abelianization")
+def check_abelianization(session: GroupSession):
     """Index of the derived subgroup is p**(r+1) and the quotient is
     elementary abelian (Frattini equals derived)."""
     spec = session.spec
@@ -187,29 +228,22 @@ def check_abelianization(session: GroupSession) -> Verdict:
         "frattini_equals_derived": frattini_eq,
     }
     ok = index_exp == spec.r + 1 and frattini_eq
-    if ok:
-        return Verdict("abelianization", session.depth, HOLDS, details)
-    return Verdict(
-        "abelianization", session.depth, FAILS, details, witness=dict(details)
-    )
+    return details, None if ok else dict(details)
 
 
-def check_gamma3_product(session: GroupSession) -> Verdict:
+@_check("gamma3_product")
+def check_gamma3_product(session: GroupSession):
     """The first-level sections of the third lower-central term of the
     level-1 stabilizer fill the full product of p lower-central copies."""
-    spec = session.spec
-    if is_constant(spec):
-        return Verdict(
-            "gamma3_product", session.depth, SKIPPED, reason=CONSTANT_HYPOTHESIS
-        )
+    _require_nonconstant(session.spec)
     _require_depth(session, 3, "the lower-central product identity")
-    g = session.G
-    lhs = commutator_subgroup(session.st1_derived(), session.st1(), g)
+    lhs = commutator_subgroup(session.st1_derived(), session.st1(), session.G)
     rhs = session.at(session.depth - 1).gamma3().block_power()
-    return _equality_verdict("gamma3_product", session, lhs, rhs, {})
+    return _equality_verdict(lhs, rhs, {})
 
 
-def check_key_congruence(session: GroupSession) -> Verdict:
+@_check("key_congruence")
+def check_key_congruence(session: GroupSession):
     """Product of conjugate-commutators of the reduced first generator lands
     on a first-slot commutator, modulo the product of lower-central copies.
 
@@ -222,46 +256,27 @@ def check_key_congruence(session: GroupSession) -> Verdict:
     try:
         norm = normalize(spec)
     except NormalizationImpossible:
-        return Verdict(
-            "key_congruence",
-            session.depth,
+        raise NoVerdict(
             SKIPPED,
-            reason=(
-                "hypothesis not met: no row starts with a nonzero entry, so row "
-                "operations cannot reach a first row with leading entry 1"
-            ),
-        )
+            "hypothesis not met: no row starts with a nonzero entry, so row "
+            "operations cannot reach a first row with leading entry 1",
+        ) from None
     if norm.case == "symmetric":
-        if is_constant(spec):
-            return Verdict(
-                "key_congruence",
-                session.depth,
-                SKIPPED,
-                reason=(
-                    "hypothesis not met: m != 1 is required and the constant "
-                    "vector forces m = 1"
-                ),
-            )
-        return Verdict(
-            "key_congruence",
-            session.depth,
+        raise NoVerdict(
             SKIPPED,
-            reason=(
-                "hypothesis not met: every row is symmetric after reduction, "
-                "so no generator of shape (1, ..., m) with m != 1 exists"
-            ),
+            "hypothesis not met: m != 1 is required and the constant vector "
+            "forces m = 1"
+            if is_constant(spec)
+            else "hypothesis not met: every row is symmetric after reduction, "
+            "so no generator of shape (1, ..., m) with m != 1 exists",
         )
     row = norm.spec.vectors[0]
     m = row[-1]
     if row[0] != 1 or m == 1:
-        return Verdict(
-            "key_congruence",
-            session.depth,
+        raise NoVerdict(
             SKIPPED,
-            reason=(
-                "hypothesis not met: row operations cannot reach a first row "
-                "with leading entry 1 and last entry different from 1"
-            ),
+            "hypothesis not met: row operations cannot reach a first row with "
+            "leading entry 1 and last entry different from 1",
         )
     _require_depth(session, 3, "the commutator-product congruence")
     p = spec.p
@@ -289,13 +304,12 @@ def check_key_congruence(session: GroupSession) -> Verdict:
         q = subtree_section(delta, p, (j,))
         if not gamma.contains(q):
             details["failing_slot"] = j
-            return Verdict(
-                "key_congruence", session.depth, FAILS, details, witness=q
-            )
-    return Verdict("key_congruence", session.depth, HOLDS, details)
+            return details, q
+    return details, None
 
 
-def check_regular_branch(session: GroupSession) -> Verdict:
+@_check("regular_branch")
+def check_regular_branch(session: GroupSession):
     """First-level sections of the derived subgroup of the level-1 stabilizer
     fill the full product of p derived-subgroup copies.
 
@@ -304,32 +318,24 @@ def check_regular_branch(session: GroupSession) -> Verdict:
     single vector is skipped.  Measured at N = 3..5 for p = 5 and N = 3, 4
     for p = 7, its sections fill a subgroup of index p in the product."""
     spec = session.spec
-    if is_constant(spec):
-        return Verdict(
-            "regular_branch", session.depth, SKIPPED, reason=CONSTANT_HYPOTHESIS
-        )
+    _require_nonconstant(spec)
     if spec.r == 1 and is_symmetric(spec.vectors[0]):
-        return Verdict(
-            "regular_branch",
-            session.depth,
+        raise NoVerdict(
             SKIPPED,
-            reason=(
-                "hypothesis not met: for one directed generator the identity is "
-                "the non-symmetric case, and this defining vector is symmetric; "
-                "its branch structure over the third lower-central term is "
-                "what gamma3_product checks"
-            ),
+            "hypothesis not met: for one directed generator the identity is "
+            "the non-symmetric case, and this defining vector is symmetric; "
+            "its branch structure over the third lower-central term is "
+            "what gamma3_product checks",
         )
     _require_depth(session, 3, "the branch identity")
-    details = {}
-    if spec.r == 1:
-        details["mode"] = "extended: r=1 non-constant"
+    details = {"mode": "extended: r=1 non-constant"} if spec.r == 1 else {}
     lhs = session.st1_derived()
     rhs = session.at(session.depth - 1).G.derived().block_power()
-    return _equality_verdict("regular_branch", session, lhs, rhs, details)
+    return _equality_verdict(lhs, rhs, details)
 
 
-def check_stab1_derived_in_gamma3(session: GroupSession) -> Verdict:
+@_check("stab1_derived_in_gamma3")
+def check_stab1_derived_in_gamma3(session: GroupSession):
     """The derived subgroup of the level-1 stabilizer sits inside the third
     lower-central term; no exclusions."""
     _require_depth(session, 3, "the level-1 stabilizer containment")
@@ -339,19 +345,11 @@ def check_stab1_derived_in_gamma3(session: GroupSession) -> Verdict:
         "stab1_derived_exponent": lhs.order_exponent,
         "gamma3_exponent": gamma.order_exponent,
     }
-    missing = gamma.containment_witness(lhs)
-    if missing is not None:
-        return Verdict(
-            "stab1_derived_in_gamma3",
-            session.depth,
-            FAILS,
-            details,
-            witness=missing,
-        )
-    return Verdict("stab1_derived_in_gamma3", session.depth, HOLDS, details)
+    return details, gamma.containment_witness(lhs)
 
 
-def check_subdirect(session: GroupSession) -> Verdict:
+@_check("subdirect")
+def check_subdirect(session: GroupSession):
     """Every first-level projection of the derived subgroup is the whole
     level-(N-1) group.
 
@@ -360,15 +358,11 @@ def check_subdirect(session: GroupSession) -> Verdict:
     pi_(i-1)(x), so every slot has the projection of slot 0.
     """
     spec = session.spec
-    if is_constant(spec):
-        return Verdict(
-            "subdirect", session.depth, SKIPPED, reason=CONSTANT_HYPOTHESIS
-        )
+    _require_nonconstant(spec)
     _require_depth(session, 3, "the subdirect projection check")
     p = spec.p
-    n = session.depth
     d = session.G.derived()
-    full = session.at(n - 1).G
+    full = session.at(session.depth - 1).G
     sections = [subtree_section(g, p, (0,)) for g in d.generators]
     proj = PermGroup(full.degree, sections, prime=p)
     details = {
@@ -377,22 +371,19 @@ def check_subdirect(session: GroupSession) -> Verdict:
     }
     if not equals(proj, full):
         details["failing_slot"] = 0
-        missing = proj.containment_witness(full)
-        return Verdict("subdirect", session.depth, FAILS, details, witness=missing)
+        return details, proj.containment_witness(full)
     details["projection_exponents"] *= p
-    return Verdict("subdirect", session.depth, HOLDS, details)
+    return details, None
 
 
-def check_psi2_second_derived(session: GroupSession) -> Verdict:
+@_check("psi2_second_derived")
+def check_psi2_second_derived(session: GroupSession):
     """Each level-2 embedded copy of the depth-(N-2) derived subgroup lies in
     the second derived subgroup; needs at least two directed generators."""
     spec = session.spec
     if spec.r < 2:
-        return Verdict(
-            "psi2_second_derived",
-            session.depth,
-            SKIPPED,
-            reason="hypothesis not met: needs at least two directed generators",
+        raise NoVerdict(
+            SKIPPED, "hypothesis not met: needs at least two directed generators"
         )
     _require_depth(session, 3, "the level-2 second-derived containment")
     p = spec.p
@@ -409,17 +400,12 @@ def check_psi2_second_derived(session: GroupSession) -> Verdict:
             emb = subtree_embed(h, p, word, n)
             if not second.contains(emb):
                 details["failing_vertex"] = list(word)
-                return Verdict(
-                    "psi2_second_derived",
-                    session.depth,
-                    FAILS,
-                    details,
-                    witness=emb,
-                )
-    return Verdict("psi2_second_derived", session.depth, HOLDS, details)
+                return details, emb
+    return details, None
 
 
-def check_rank_growth(session: GroupSession) -> Verdict:
+@_check("rank_growth")
+def check_rank_growth(session: GroupSession):
     """Minimal generator counts grow along levels: rank at level n is at
     least n for n = 2..r+1, with equality r+1 at level r+1."""
     _require_depth(session, 2, "rank growth")
@@ -435,11 +421,7 @@ def check_rank_growth(session: GroupSession) -> Verdict:
     if spec.r + 1 <= session.depth and ranks[-1][1] != spec.r + 1:
         ok = False
     details = {"ranks": ranks, "expected_terminal_rank": spec.r + 1}
-    if ok:
-        return Verdict("rank_growth", session.depth, HOLDS, details)
-    return Verdict(
-        "rank_growth", session.depth, FAILS, details, witness=dict(details)
-    )
+    return details, None if ok else dict(details)
 
 
 def _stabilizer_containment(session: GroupSession, m: int, h: PermGroup):
@@ -461,67 +443,53 @@ def _stabilizer_containment(session: GroupSession, m: int, h: PermGroup):
     return st.order_exponent, missing
 
 
-def _stabilizer_verdict(claim_id, session, m, h, name):
+def _stabilizer_verdict(session, m, subgroup, name):
+    """(details, witness) for st(m) <= subgroup(); vacuous below depth
+    m + 1, where st(m) is trivial, and subgroup is only called past that."""
+    if session.depth < m + 1:
+        raise NoVerdict(
+            VACUOUS,
+            f"the level-{m} stabilizer is trivial or everything at depth "
+            f"{session.depth}; need depth at least {m + 1}",
+        )
+    h = subgroup()
     exponent, missing = _stabilizer_containment(session, m, h)
     details = {
         "stabilizer_level": m,
         "stabilizer_exponent": exponent,
         f"{name}_exponent": h.order_exponent,
     }
-    if missing is not None:
-        return Verdict(claim_id, session.depth, FAILS, details, witness=missing)
-    return Verdict(claim_id, session.depth, HOLDS, details)
+    return details, missing
 
 
-def check_derived_contains_stab(session: GroupSession) -> Verdict:
+@_check("derived_contains_stab")
+def check_derived_contains_stab(session: GroupSession):
     """The level-(r+1) stabilizer sits inside the derived subgroup."""
-    spec = session.spec
-    if session.depth < spec.r + 2:
-        raise VacuousCheck(
-            f"the level-{spec.r + 1} stabilizer is trivial or everything at "
-            f"depth {session.depth}; need depth at least {spec.r + 2}"
-        )
     return _stabilizer_verdict(
-        "derived_contains_stab", session, spec.r + 1, session.G.derived(), "derived"
+        session, session.spec.r + 1, session.G.derived, "derived"
     )
 
 
-def check_second_derived_contains_stab(session: GroupSession) -> Verdict:
+@_check("second_derived_contains_stab")
+def check_second_derived_contains_stab(session: GroupSession):
     """The level-(r+3) stabilizer sits inside the second derived subgroup."""
-    spec = session.spec
-    if is_constant(spec):
-        return Verdict(
-            "second_derived_contains_stab",
-            session.depth,
-            SKIPPED,
-            reason=CONSTANT_HYPOTHESIS,
-        )
-    if session.depth < spec.r + 4:
-        raise VacuousCheck(
-            f"the level-{spec.r + 3} stabilizer is trivial or everything at "
-            f"depth {session.depth}; need depth at least {spec.r + 4}"
-        )
+    _require_nonconstant(session.spec)
     return _stabilizer_verdict(
-        "second_derived_contains_stab",
-        session,
-        spec.r + 3,
-        session.second_derived(),
-        "second_derived",
+        session, session.spec.r + 3, session.second_derived, "second_derived"
     )
 
 
-CHECKS = {
-    "abelianization": check_abelianization,
-    "gamma3_product": check_gamma3_product,
-    "key_congruence": check_key_congruence,
-    "regular_branch": check_regular_branch,
-    "stab1_derived_in_gamma3": check_stab1_derived_in_gamma3,
-    "subdirect": check_subdirect,
-    "psi2_second_derived": check_psi2_second_derived,
-    "rank_growth": check_rank_growth,
-    "derived_contains_stab": check_derived_contains_stab,
-    "second_derived_contains_stab": check_second_derived_contains_stab,
-}
+def select_checks(checks=None) -> list:
+    """The ids to run, in CHECKS order; None selects every check.  An empty
+    selection or an unknown id is refused with SpecError."""
+    if checks is None:
+        return list(CHECKS)
+    if not checks:
+        raise SpecError("the check selection names no check")
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise SpecError(f"unknown checks: {', '.join(unknown)}")
+    return [c for c in CHECKS if c in set(checks)]
 
 
 def default_depth(spec: GGSSpec) -> int:
@@ -538,29 +506,19 @@ def run_all(
     spec: GGSSpec, depth=None, checks=None, label=None, allow_large: bool = False
 ) -> Report:
     """Build one session, run every requested check against it, and fold the
-    verdicts into a report.  Depths with more than DEGREE_CAP leaves are
-    refused with SpecError unless allow_large is set, as in build."""
+    verdicts into a report.  The selection is checked by select_checks before
+    the build.  Depths with more than DEGREE_CAP leaves are refused with
+    SpecError unless allow_large is set, as in build."""
+    chosen = select_checks(checks)
     if depth is None:
         depth = default_depth(spec)
-    if checks is None:
-        chosen = list(CHECKS)
-    else:
-        unknown = [c for c in checks if c not in CHECKS]
-        if unknown:
-            raise KeyError(f"unknown checks: {', '.join(unknown)}")
-        chosen = [c for c in CHECKS if c in set(checks)]
     session = build(spec, depth, allow_large=allow_large)
     verdicts = []
     times = {}
     for cid in chosen:
-        fn = CHECKS[cid]
         t0 = time.perf_counter()
-        try:
-            v = fn(session)
-        except VacuousCheck as exc:
-            v = Verdict(cid, depth, VACUOUS, reason=str(exc))
+        verdicts.append(CHECKS[cid](session))
         times[cid] = time.perf_counter() - t0
-        verdicts.append(v)
     return Report(
         p=spec.p,
         vectors=[list(v) for v in spec.vectors],

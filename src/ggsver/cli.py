@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .checks import CHECKS, FAILS, classify_csp, default_depth, run_all
+from .checks import FAILS, classify_csp, default_depth, run_all, select_checks
 from .ggs import (
     DEGREE_CAP,
     NormalizationImpossible,
@@ -326,12 +326,7 @@ def cmd_verify(args) -> int:
     spec, label = _spec_from_args(args)
     checks = None
     if args.checks is not None:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        if not checks:
-            raise SpecError(f"--checks {args.checks!r} names no check")
-        unknown = [c for c in checks if c not in CHECKS]
-        if unknown:
-            raise SpecError(f"unknown checks: {', '.join(unknown)}")
+        checks = select_checks([c.strip() for c in args.checks.split(",") if c.strip()])
     depth = _resolve_depth(spec, args.depth, args.allow_slow)
     payload = None
     if not args.no_cache:

@@ -598,13 +598,17 @@ class PermGroup:
 
     def frattini(self) -> "PermGroup":
         """Smallest normal subgroup with elementary abelian quotient
-        (commutators plus p-th powers of the generators, closed up)."""
+        (commutators plus p-th powers of the generators, closed up).  G/G' is
+        abelian, so Phi = G'G^p is G' itself when every generator's p-th
+        power lies in G'."""
         if self._frattini is None:
-            p = self.prime
-            seeds = _commutators(combinations(self.generators, 2))
-            for g in self.generators:
-                seeds.append(g**p)
-            self._frattini = normal_closure(self, seeds)
+            d = self.derived()
+            powers = [g**self.prime for g in self.generators]
+            if all(d.contains(x) for x in powers):
+                self._frattini = d
+            else:
+                seeds = _commutators(combinations(self.generators, 2)) + powers
+                self._frattini = normal_closure(self, seeds)
         return self._frattini
 
     def rank(self) -> int:

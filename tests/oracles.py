@@ -71,6 +71,36 @@ def independent_by_enumeration(p, rows):
     return True
 
 
+def circulant_rank(p, e):
+    """F_p-rank of the p x p circulant matrix whose rows are the cyclic
+    shifts of (e_1, ..., e_(p-1), 0), by plain Gaussian elimination."""
+    first = [x % p for x in e] + [0]
+    rows = [first[-k:] + first[:-k] for k in range(p)]
+    rank = 0
+    for col in range(p):
+        pivot = next((i for i in range(rank, p) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        top = [x * inv % p for x in rows[rank]]
+        rows[rank] = top
+        for i in range(rank + 1, p):
+            f = rows[i][col]
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def ggs_order_exponent(p, e, n):
+    """log_p|G_n| for the GGS group of a non-constant vector e, n >= 2:
+    t * p^(n-2) + 1 - delta * (p^(n-2) - 1)/(p - 1), with t the circulant
+    rank and delta = 1 exactly when e is symmetric (Fernandez-Alcober and
+    Zugadi-Reizabal, Trans. AMS 2014)."""
+    delta = 1 if list(e) == list(e)[::-1] else 0
+    return circulant_rank(p, e) * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1)
+
+
 # -- reference Schreier-Sims ---------------------------------------------------
 
 

@@ -12,7 +12,6 @@ from ggsver.checks import (
     HOLDS,
     SKIPPED,
     VACUOUS,
-    VacuousCheck,
     _equality_verdict,
     _stabilizer_containment,
     check_abelianization,
@@ -85,15 +84,15 @@ class TestAbelianization:
         g = gv.build(r2_spec, 2).G
         assert g.order_exponent - g.derived().order_exponent == 2
         for depth in (1, 2):
-            with pytest.raises(VacuousCheck, match="at least 3"):
-                check_abelianization(gv.build(r2_spec, depth))
+            v = check_abelianization(gv.build(r2_spec, depth))
+            assert v.status == VACUOUS and "at least 3" in v.reason
         v3 = check_abelianization(gv.build(r2_spec, 3))
         assert v3.holds and v3.details["index_exponent"] == 3
 
     def test_one_generator_needs_depth_two(self, gs_spec):
         # at depth 1 G is cyclic of order p, so G' is trivial
-        with pytest.raises(VacuousCheck, match="at least 2"):
-            check_abelianization(gv.build(gs_spec, 1))
+        v = check_abelianization(gv.build(gs_spec, 1))
+        assert v.status == VACUOUS and "at least 2" in v.reason
         v = check_abelianization(gv.build(gs_spec, 2))
         assert v.holds and v.details["index_exponent"] == 2
 
@@ -111,8 +110,8 @@ class TestGamma3Product:
         assert "constant" in v.reason
 
     def test_vacuous_below_depth_three(self, gs_spec):
-        with pytest.raises(VacuousCheck):
-            check_gamma3_product(gv.build(gs_spec, 2))
+        v = check_gamma3_product(gv.build(gs_spec, 2))
+        assert v.status == VACUOUS and "at least 3" in v.reason
 
 
 class TestKeyCongruence:
@@ -228,8 +227,8 @@ class TestStab1DerivedInGamma3:
         for depth in (1, 2):
             session = gv.build(gs_spec, depth)
             assert session.st1_derived().is_trivial()
-            with pytest.raises(VacuousCheck, match="at least 3"):
-                check_stab1_derived_in_gamma3(session)
+            v = check_stab1_derived_in_gamma3(session)
+            assert v.status == VACUOUS and "at least 3" in v.reason
 
 
 class TestSubdirect:
@@ -288,8 +287,8 @@ class TestRankGrowth:
 
     def test_vacuous_at_depth_one(self, gs_spec):
         # level 1 has no rank to compare, so a verdict there has no evidence
-        with pytest.raises(VacuousCheck):
-            check_rank_growth(gv.build(gs_spec, 1))
+        v = check_rank_growth(gv.build(gs_spec, 1))
+        assert v.status == VACUOUS and "at least 2" in v.reason
 
 
 class TestStabilizerContainments:
@@ -299,12 +298,12 @@ class TestStabilizerContainments:
         assert v.details["stabilizer_level"] == 2
 
     def test_vacuous_at_threshold(self, gs_spec):
-        with pytest.raises(VacuousCheck):
-            check_derived_contains_stab(gv.build(gs_spec, 2))
+        v = check_derived_contains_stab(gv.build(gs_spec, 2))
+        assert v.status == VACUOUS and "at least 3" in v.reason
 
     def test_second_derived_vacuous_below_threshold(self, gs4):
-        with pytest.raises(VacuousCheck):
-            check_second_derived_contains_stab(gs4)
+        v = check_second_derived_contains_stab(gs4)
+        assert v.status == VACUOUS and "at least 5" in v.reason
 
     def test_second_derived_skipped_for_constant(self, const_spec):
         v = check_second_derived_contains_stab(gv.build(const_spec, 4))
@@ -400,23 +399,21 @@ class TestEqualityVerdict:
         lhs, rhs = g.derived(), commutator_subgroup(g, g, g)
         # the rhs -> lhs sweep would ask lhs about rhs's generators
         with mock.patch.object(lhs, "containment_witness", wraps=lhs.containment_witness) as sweep:
-            v = _equality_verdict("claim", gs4, lhs, rhs, {})
-        assert v.status == HOLDS and sweep.call_count == 0
-        assert v.details["lhs_exponent"] == v.details["rhs_exponent"]
+            details, witness = _equality_verdict(lhs, rhs, {})
+        assert witness is None and sweep.call_count == 0
+        assert details["lhs_exponent"] == details["rhs_exponent"]
 
     def test_proper_subgroup_is_named_by_a_generator_of_the_larger(self, gs4):
         lhs, rhs = gs4.G.derived(), gs4.G.level_stabilizer(1)
-        v = _equality_verdict("claim", gs4, lhs, rhs, {})
-        assert v.status == FAILS
-        assert v.witness is lhs.containment_witness(rhs)
-        assert rhs.contains(v.witness) and not lhs.contains(v.witness)
+        _, witness = _equality_verdict(lhs, rhs, {})
+        assert witness is lhs.containment_witness(rhs)
+        assert rhs.contains(witness) and not lhs.contains(witness)
 
     def test_larger_lhs_is_named_by_its_own_generator(self, gs4):
         lhs, rhs = gs4.G.level_stabilizer(1), gs4.G.derived()
-        v = _equality_verdict("claim", gs4, lhs, rhs, {})
-        assert v.status == FAILS
-        assert v.witness is rhs.containment_witness(lhs)
-        assert lhs.contains(v.witness) and not rhs.contains(v.witness)
+        _, witness = _equality_verdict(lhs, rhs, {})
+        assert witness is rhs.containment_witness(lhs)
+        assert lhs.contains(witness) and not rhs.contains(witness)
 
 
 class TestRunAll:
@@ -468,8 +465,14 @@ class TestRunAll:
         assert [v.claim_id for v in rep.verdicts] == ["abelianization", "rank_growth"]
 
     def test_unknown_check_rejected(self, gs_spec):
-        with pytest.raises(KeyError):
+        with pytest.raises(gv.SpecError, match="unknown checks: nope"):
             gv.run_all(gs_spec, depth=3, checks=["nope"])
+
+    @pytest.mark.parametrize("selection", [[], ["nope"], ["abelianization", "nope"]])
+    def test_bad_selection_refused_before_build(self, gs_spec, selection):
+        with mock.patch.object(checks, "build", side_effect=AssertionError("built")):
+            with pytest.raises(gv.SpecError):
+                gv.run_all(gs_spec, depth=3, checks=selection)
 
     def test_default_depths(self, gs_spec, sym5_spec):
         assert default_depth(gs_spec) == 5
@@ -503,11 +506,9 @@ class TestMonotonicEvidence:
                 check_derived_contains_stab,
                 check_stab1_derived_in_gamma3,
             ):
-                try:
-                    v = check(session)
-                except VacuousCheck:
-                    continue
-                holds_at[(check.__name__, depth)] = v.holds
+                v = check(session)
+                if v.status != VACUOUS:
+                    holds_at[(check.__name__, depth)] = v.holds
         for (name, depth), ok in holds_at.items():
             if depth == 4 and ok and (name, 3) in holds_at:
                 assert holds_at[(name, 3)]

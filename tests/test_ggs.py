@@ -18,7 +18,13 @@ from ggsver.ggs import (
 from ggsver.permgroups import PermGroup, equals
 from ggsver.portraits import Perm, directed, restrict_to_level
 
-from oracles import bfs_closure, independent_by_enumeration, log_order
+from oracles import (
+    bfs_closure,
+    circulant_rank,
+    ggs_order_exponent,
+    independent_by_enumeration,
+    log_order,
+)
 
 
 class TestValidate:
@@ -259,6 +265,42 @@ class TestRestriction:
                 lower.G.chain_summary()["level_dimensions"]
                 == direct.G.chain_summary()["level_dimensions"]
             )
+
+
+class TestClosedFormOrders:
+    """log_p|G_n| of GGS groups against a formula proved in the literature,
+    computed apart from the package."""
+
+    @pytest.mark.parametrize(
+        "p,e,depth",
+        [
+            (3, (1, 2), 6),
+            (3, (1, 0), 6),
+            (3, (0, 1), 6),
+            (5, (1, 2, 3, 4), 4),
+            (5, (1, 2, 2, 1), 4),
+            (5, (1, 0, 0, 1), 4),
+            (5, (0, 1, 1, 0), 4),
+            (5, (1, 2, 0, 3), 4),
+            (7, (1, 2, 3, 4, 5, 6), 3),
+            (7, (1, 2, 3, 3, 2, 1), 3),
+            (7, (0, 0, 1, 1, 0, 0), 3),
+        ],
+    )
+    def test_closed_form_orders_of_ggs_groups(self, p, e, depth):
+        # proved, not fitted: the order formula of Fernandez-Alcober and
+        # Zugadi-Reizabal, symmetric vectors included
+        session = gv.build(gv.validate(p, [e]), depth)
+        got = [session.at(n).G.order_exponent for n in range(1, depth + 1)]
+        assert got == [1] + [ggs_order_exponent(p, e, n) for n in range(2, depth + 1)]
+
+    def test_circulant_rank(self):
+        # x^p - 1 = (x - 1)^p over F_p, so the rank is p minus the order of
+        # x = 1 as a root of e_1 + e_2 x + ... + e_(p-1) x^(p-2)
+        assert circulant_rank(3, (1, 2)) == 2  # 2(x - 1)
+        assert circulant_rank(5, (1, 3, 1, 0)) == 3  # (x - 1)^2
+        assert circulant_rank(5, (1, 1, 1, 1)) == 5  # 4 at x = 1
+        assert circulant_rank(7, (1, 0, 0, 0, 0, 0)) == 7
 
 
 class TestLevelDimensions:
