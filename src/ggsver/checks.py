@@ -21,17 +21,17 @@ import time
 from dataclasses import dataclass, field
 
 from .ggs import (
-    DEGREE_CAP,
     GGSSpec,
     GroupSession,
     NormalizationImpossible,
     SpecError,
     build,
+    default_depth,
     is_constant,
     is_symmetric,
     normalize,
 )
-from .permgroups import PermGroup, commutator_subgroup, equals
+from .permgroups import PermGroup, commutator_subgroup
 from .portraits import (
     Perm,
     commutator,
@@ -63,7 +63,6 @@ __all__ = [
     "CHECKS",
     "select_checks",
     "run_all",
-    "default_depth",
 ]
 
 HOLDS = "holds"
@@ -197,7 +196,7 @@ def _require_nonconstant(spec):
 def _equality_verdict(lhs, rhs, details):
     """(details, witness) for lhs == rhs: lhs <= rhs by sifting lhs's
     generators, then equal orders; on failure the witness is the first
-    generator outside the other group."""
+    generator of one group outside the other."""
     details = dict(details)
     details["lhs_exponent"] = lhs.order_exponent
     details["rhs_exponent"] = rhs.order_exponent
@@ -369,9 +368,12 @@ def check_subdirect(session: GroupSession):
         "full_exponent": full.order_exponent,
         "projection_exponents": [proj.order_exponent],
     }
-    if not equals(proj, full):
+    # only the witness: a projection that misses a generator of full is
+    # named by it, one that strictly contains full by its own generator
+    _, missing = _equality_verdict(full, proj, {})
+    if missing is not None:
         details["failing_slot"] = 0
-        return details, proj.containment_witness(full)
+        return details, missing
     details["projection_exponents"] *= p
     return details, None
 
@@ -434,13 +436,13 @@ def _stabilizer_containment(session: GroupSession, m: int, h: PermGroup):
     sums agree.  On failure the witness is the first representative of G at
     a level >= m that h does not contain.
     """
-    st = session.G.level_stabilizer(m)
-    if h.level_stabilizer(m).order_exponent == st.order_exponent:
-        return st.order_exponent, None
-    missing = h.containment_witness(st)
+    exponent = sum(session.G.chain.dimensions()[m:])
+    if sum(h.chain.dimensions()[m:]) == exponent:
+        return exponent, None
+    missing = h.containment_witness(session.G.level_stabilizer(m))
     if missing is None:
         raise AssertionError("orders deny a containment that every generator passes")
-    return st.order_exponent, missing
+    return exponent, missing
 
 
 def _stabilizer_verdict(session, m, subgroup, name):
@@ -492,23 +494,13 @@ def select_checks(checks=None) -> list:
     return [c for c in CHECKS if c in set(checks)]
 
 
-def default_depth(spec: GGSSpec) -> int:
-    """Deep enough for the second-derived containment, inside the leaf cap."""
-    cap = 0
-    d = 1
-    while d * spec.p <= DEGREE_CAP:
-        d *= spec.p
-        cap += 1
-    return min(spec.r + 4, cap)
-
-
 def run_all(
     spec: GGSSpec, depth=None, checks=None, label=None, allow_large: bool = False
 ) -> Report:
     """Build one session, run every requested check against it, and fold the
     verdicts into a report.  The selection is checked by select_checks before
-    the build.  Depths with more than DEGREE_CAP leaves are refused with
-    SpecError unless allow_large is set, as in build."""
+    the build.  The depth defaults to ggs.default_depth; build decides
+    whether it is too large, with allow_large as its opt-in."""
     chosen = select_checks(checks)
     if depth is None:
         depth = default_depth(spec)

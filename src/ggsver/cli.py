@@ -2,7 +2,9 @@
 per-level tables, and a checksummed result cache.
 
 Exit codes: 0 when no check failed (skipped and vacuous checks do not fail),
-1 when some verdict failed, 2 on usage or validation errors.
+1 when some verdict failed, 2 on usage or validation errors and on a run too
+large to start: more than ggs.DEGREE_CAP leaves without --allow-slow, more
+leaves than numpy can index, or out of memory.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import sys
 import tempfile
 
 from . import __version__
-from .checks import FAILS, classify_csp, default_depth, run_all, select_checks
+from .checks import FAILS, classify_csp, run_all, select_checks
 from .ggs import (
     DEGREE_CAP,
     NormalizationImpossible,
     SpecError,
     build,
+    default_depth,
     is_constant,
     is_symmetric,
     normalize,
@@ -30,6 +33,7 @@ from .ggs import (
 
 SPEC_FORMAT = "ggsver-spec/1"
 REPORT_FORMAT = "ggsver-report/1"
+SLOW_HELP = f"allow more than {DEGREE_CAP} leaves"
 
 
 # -- defining-data input ------------------------------------------------------
@@ -284,41 +288,6 @@ def cache_store(spec, depth, checks, payload) -> None:
         print(f"warning: cache write failed: {exc}", file=sys.stderr)
 
 
-# -- depth policy ---------------------------------------------------------------
-
-
-def is_slow(p: int, depth: int, r: int) -> bool:
-    """Runs that need an explicit opt-in."""
-    return (p == 3 and depth >= 6) or (p >= 5 and depth > r + 3)
-
-
-def _resolve_depth(spec, requested, allow_slow):
-    if requested is not None:
-        if requested < 1:
-            raise SpecError(f"depth must be at least 1, got {requested}")
-        if spec.p**requested > DEGREE_CAP and not allow_slow:
-            raise SpecError(
-                f"{spec.p}^{requested} leaves exceeds the cap of {DEGREE_CAP}; "
-                "pass --allow-slow to override"
-            )
-        if is_slow(spec.p, requested, spec.r) and not allow_slow:
-            raise SpecError(
-                f"depth {requested} for p={spec.p} is a long run; "
-                "pass --allow-slow to confirm"
-            )
-        return requested
-    depth = default_depth(spec)
-    if is_slow(spec.p, depth, spec.r) and not allow_slow:
-        clamped = 5 if spec.p == 3 else spec.r + 3
-        print(
-            f"note: default depth {depth} needs --allow-slow; running at "
-            f"depth {clamped} instead (deeper checks report as vacuous)",
-            file=sys.stderr,
-        )
-        depth = clamped
-    return depth
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -327,7 +296,7 @@ def cmd_verify(args) -> int:
     checks = None
     if args.checks is not None:
         checks = select_checks([c.strip() for c in args.checks.split(",") if c.strip()])
-    depth = _resolve_depth(spec, args.depth, args.allow_slow)
+    depth = default_depth(spec) if args.depth is None else args.depth
     payload = None
     if not args.no_cache:
         payload = cache_load(spec, depth, checks)
@@ -397,10 +366,9 @@ def cmd_info(args) -> int:
 
 def cmd_table(args) -> int:
     spec, _ = _spec_from_args(args)
-    max_depth = _resolve_depth(spec, args.max_depth, args.allow_slow)
-    session = build(spec, max_depth, allow_large=args.allow_slow)
+    session = build(spec, args.max_depth, allow_large=args.allow_slow)
     rows = []
-    for n in range(1, max_depth + 1):
+    for n in range(1, session.depth + 1):
         g = session.at(n).G
         d = g.derived()
         # G_n/st(m) is the level-m group, so the index of st(m) is its order
@@ -463,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--format", choices=sorted(RENDERERS), default="json", help="output format"
     )
-    v.add_argument("--allow-slow", action="store_true", help="confirm long runs")
+    v.add_argument("--allow-slow", action="store_true", help=SLOW_HELP)
     v.add_argument("--no-cache", action="store_true", help="ignore the result cache")
     v.set_defaults(fn=cmd_verify)
 
@@ -475,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(t)
     t.add_argument("--max-depth", type=int, required=True)
     t.add_argument("--format", choices=["text", "csv"], default="text")
-    t.add_argument("--allow-slow", action="store_true", help="confirm long runs")
+    t.add_argument("--allow-slow", action="store_true", help=SLOW_HELP)
     t.set_defaults(fn=cmd_table)
     return parser
 
@@ -485,11 +453,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory; try a smaller depth ({exc})", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ p**N leaves, which is exactly the level-N quotient of the infinite group.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .portraits import directed, is_odd_prime, restrict_to_level, rooted
@@ -30,9 +31,12 @@ __all__ = [
     "normalize",
     "build",
     "DEGREE_CAP",
+    "default_depth",
 ]
 
-DEGREE_CAP = 100_000
+# Runs with more leaves need an opt-in.  5^5: every run measured at or under
+# it took at most 36 s on 2 vCPU, and the defaults it allows run in seconds.
+DEGREE_CAP = 3125
 
 
 class SpecError(ValueError):
@@ -351,24 +355,38 @@ class GroupSession:
         return self._memoized("second_derived", lambda: commutator_subgroup(d, d, self.G))
 
 
+def default_depth(spec: GGSSpec) -> int:
+    """r + 4, deep enough for the second-derived containment, or the deepest
+    level with at most DEGREE_CAP leaves when that is shallower (but at
+    least 1, which build then refuses if p alone exceeds the cap)."""
+    n = 1
+    while n < spec.r + 4 and spec.p ** (n + 1) <= DEGREE_CAP:
+        n += 1
+    return n
+
+
 def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
     """Assemble generators and the leaf-action handle at the given depth.
 
-    Depths with more than DEGREE_CAP leaves are refused unless allow_large is
-    set.  The sessions at smaller depths are restrictions of this one; see
-    GroupSession.at.
+    The one size gate: depths with more than DEGREE_CAP leaves are refused
+    unless allow_large is set, and depths whose leaf arrays numpy cannot
+    index are refused always, both before any work.  The sessions at
+    smaller depths are restrictions of this one; see GroupSession.at.
     """
     if not isinstance(spec, GGSSpec):
         raise SpecError("build expects validated defining data")
+    # first: p**depth of a negative depth is a float that passes the cap
     if depth < 1:
-        raise SpecError("sessions need depth at least 1")
+        raise SpecError(f"depth must be at least 1, got {depth}")
     p = spec.p
     degree = p**depth
     if degree > DEGREE_CAP and not allow_large:
         raise SpecError(
             f"{p}^{depth} = {degree} leaves exceeds the cap of {DEGREE_CAP}; "
-            "pass allow_large to override"
+            "opt in with allow_large=True, or --allow-slow on the command line"
         )
+    if 8 * degree > sys.maxsize:
+        raise SpecError(f"{p}^{depth} leaves is more than a numpy array can hold")
     auts = [rooted(p, depth, 1)]
     auts += [directed(spec, depth, i) for i in range(1, spec.r + 1)]
     G = PermGroup(degree, [g.to_perm(depth) for g in auts], prime=p)

@@ -538,7 +538,6 @@ class PermGroup:
         self._closed_from = closed_from
         self._derived = None
         self._frattini = None
-        self._stabilizers: dict[int, "PermGroup"] = {}
 
     def _built(self, generators, layers, closed_from=None) -> "PermGroup":
         """A handle with the same prime on the tree of the given layers,
@@ -634,13 +633,8 @@ class PermGroup:
             raise ValueError(f"level {m} outside 0..{n}")
         if m == 0:
             return self
-        got = self._stabilizers.get(m)
-        if got is None:
-            layers = self.chain.suffix(m)
-            gens = [Perm._wrap(r) for r in layers.representatives(m)]
-            got = self._built(gens, layers)
-            self._stabilizers[m] = got
-        return got
+        layers = self.chain.suffix(m)
+        return self._built([Perm._wrap(r) for r in layers.representatives(m)], layers)
 
     # -- reporting ------------------------------------------------------------
 

@@ -25,10 +25,9 @@ from ggsver.checks import (
     check_stab1_derived_in_gamma3,
     check_subdirect,
     classify_csp,
-    default_depth,
 )
 from ggsver import checks, ggs, permgroups
-from ggsver.ggs import DEGREE_CAP, NormalizationImpossible, normalize
+from ggsver.ggs import DEGREE_CAP, NormalizationImpossible, default_depth, normalize
 from ggsver.permgroups import PermGroup, commutator_subgroup, equals
 from ggsver.portraits import Perm, restrict_to_level, subtree_section
 
@@ -56,6 +55,33 @@ MUTANT_WITNESS = [
     116, 117, 118, 124, 120, 121, 122, 123, 103, 104, 100, 101, 102, 106, 107, 108,
     109, 105, 110, 111, 112, 113, 114,
 ]
+
+
+def last_vertex_mutant(spec, depth, gen, vertex):
+    """The session of spec at depth with b_gen replaced by b_gen * c, for c
+    the p-cycle on the leaves below last-level vertex `vertex`: one label
+    off the true generator, and still a tree automorphism."""
+    s = gv.build(spec, depth)
+    p = spec.p
+    images = list(range(p**depth))
+    for k in range(p):
+        images[vertex * p + k] = vertex * p + (k + 1) % p
+    gens = list(s.G.generators)
+    gens[gen] = gens[gen] * Perm(images)
+    return dataclasses.replace(s, G=PermGroup(p**depth, gens, prime=p))
+
+
+def member(group, x):
+    """x in the group its generators span, decided by SchreierSims, apart
+    from the layers."""
+    return SchreierSims(group.degree, [g.images for g in group.generators]).contains(
+        x.images
+    )
+
+
+def separates(witness, one, other):
+    """The witness lies in exactly one of the two groups compared."""
+    return member(one, witness) != member(other, witness)
 
 
 class TestClassify:
@@ -260,6 +286,26 @@ class TestSubdirect:
         ]
         assert exponents == [exponents[0]] * p
 
+    def test_projection_above_the_level_below_fails(self, r2_spec):
+        # every mutant of b_1 or b_2 below one last-level vertex makes slot
+        # 0's projection of G' strictly contain the level-3 group; the
+        # witness is a generator of the projection outside it
+        for gen in (1, 2):
+            for vertex in range(27):
+                s = last_vertex_mutant(r2_spec, 4, gen, vertex)
+                v = check_subdirect(s)
+                assert v.status == FAILS, (gen, vertex)
+                if (gen, vertex) == (1, 0):
+                    assert v.details == {
+                        "full_exponent": 12,
+                        "projection_exponents": [13],
+                        "failing_slot": 0,
+                    }
+                full = s.at(3).G
+                sections = [subtree_section(g, 3, (0,)) for g in s.G.derived().generators]
+                proj = PermGroup(27, sections, prime=3)
+                assert member(proj, v.witness) and not member(full, v.witness)
+
 
 class TestPsi2SecondDerived:
     def test_two_generators_depth_four(self, r2_4):
@@ -343,6 +389,15 @@ class TestOrderDecidedStabilizers:
             if witness is not None:
                 assert st.contains(witness)
                 assert not d.contains(witness)
+
+    def test_holding_containment_builds_no_stabilizer_handle(self, gs4):
+        # st(2) <= G' is read off the layer dimensions alone
+        d = gs4.G.derived()
+        exponent = gs4.G.level_stabilizer(2).order_exponent
+        with mock.patch.object(
+            PermGroup, "level_stabilizer", side_effect=AssertionError("handle built")
+        ):
+            assert _stabilizer_containment(gs4, 2, d) == (exponent, None)
 
 
 class TestSessionMemo:
@@ -474,9 +529,77 @@ class TestRunAll:
             with pytest.raises(gv.SpecError):
                 gv.run_all(gs_spec, depth=3, checks=selection)
 
-    def test_default_depths(self, gs_spec, sym5_spec):
-        assert default_depth(gs_spec) == 5
-        assert default_depth(sym5_spec) == 6
+    @pytest.mark.parametrize(
+        "p,r,depth",
+        # r + 4, or the deepest level with at most DEGREE_CAP = 3125 leaves
+        [(3, 1, 5), (3, 2, 6), (5, 1, 5), (5, 2, 5), (7, 6, 4), (11, 1, 3), (13, 12, 3)],
+    )
+    def test_default_depths(self, p, r, depth):
+        rows = [[int(i == j) for j in range(p - 1)] for i in range(r)]
+        spec = gv.validate(p, rows)
+        assert default_depth(spec) == depth
+        assert p**depth <= DEGREE_CAP < p ** (depth + 1) or depth == r + 4
+
+    def test_default_depth_of_a_prime_above_the_cap_is_refused_by_build(self):
+        spec = gv.validate(3137, [[1] + [0] * 3135])
+        assert default_depth(spec) == 1
+        with pytest.raises(gv.SpecError, match="exceeds the cap"):
+            gv.run_all(spec)
+
+
+class TestMutationControls:
+    """p=3 (1,2) at depth 5 with b_1 times the p-cycle below last-level
+    vertex 0.  Each failing check names a permutation that lies in exactly
+    one of the two groups it compares, re-checked apart from the layers."""
+
+    @pytest.fixture(scope="class")
+    def mutant(self, gs_spec):
+        return last_vertex_mutant(gs_spec, 5, 1, 0)
+
+    def test_statuses(self, mutant):
+        statuses = {cid: check(mutant).status for cid, check in gv.CHECKS.items()}
+        assert statuses == {
+            "abelianization": FAILS,
+            "gamma3_product": FAILS,
+            "key_congruence": HOLDS,
+            "regular_branch": FAILS,
+            "stab1_derived_in_gamma3": HOLDS,
+            "subdirect": FAILS,
+            "psi2_second_derived": SKIPPED,
+            "rank_growth": HOLDS,
+            "derived_contains_stab": FAILS,
+            "second_derived_contains_stab": FAILS,
+        }
+
+    def test_gamma3_product_witness(self, mutant):
+        s = mutant
+        v = check_gamma3_product(s)
+        lhs = commutator_subgroup(s.st1_derived(), s.st1(), s.G)
+        assert separates(v.witness, lhs, s.at(4).gamma3().block_power())
+
+    def test_regular_branch_witness(self, mutant):
+        v = check_regular_branch(mutant)
+        rhs = mutant.at(4).G.derived().block_power()
+        assert separates(v.witness, mutant.st1_derived(), rhs)
+
+    def test_subdirect_witness(self, mutant):
+        v = check_subdirect(mutant)
+        sections = [subtree_section(g, 3, (0,)) for g in mutant.G.derived().generators]
+        proj = PermGroup(81, sections, prime=3)
+        assert separates(v.witness, proj, mutant.at(4).G)
+
+    @pytest.mark.parametrize(
+        "check,m,subgroup",
+        [
+            (check_derived_contains_stab, 2, lambda s: s.G.derived()),
+            (check_second_derived_contains_stab, 4, lambda s: s.second_derived()),
+        ],
+    )
+    def test_stabilizer_witness(self, mutant, check, m, subgroup):
+        # in st(m): in G, and trivial on the level-m vertices
+        w = check(mutant).witness
+        assert restrict_to_level(w, 3, m).is_identity() and member(mutant.G, w)
+        assert not member(subgroup(mutant), w)
 
 
 class TestProjectionSoundness:

@@ -6,6 +6,7 @@ import pytest
 
 import ggsver as gv
 from ggsver import cli
+from ggsver.ggs import DEGREE_CAP, default_depth
 
 
 def run(args, env=None, monkeypatch=None, tmp_path=None):
@@ -338,24 +339,120 @@ class TestCache:
         assert cli.cache_load(spec, 3, None) is None
 
 
-class TestDepthPolicy:
-    def test_explicit_slow_depth_needs_flag(self, capsys):
-        code = cli.main(
-            ["verify", "--p", "3", "--vectors", "1,0;0,1", "--depth", "6", "--no-cache"]
-        )
-        assert code == 2
-        assert "allow-slow" in capsys.readouterr().err
+SIX_UNIT_ROWS = ";".join(",".join(str(int(i == j)) for j in range(6)) for i in range(6))
 
-    def test_default_depth_clamped_with_note(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+# (p, vectors, the deepest depth within DEGREE_CAP = 3125 leaves): 2187,
+# exactly 3125 and 2401 leaves; one level deeper is 6561, 15625 and 16807
+CAP_EDGES = [(3, "1,2", 7), (5, "1,2,3,4", 5), (7, SIX_UNIT_ROWS, 4)]
+
+
+def entry_points(p, vectors, depth, opt_in):
+    """build, run_all, verify and table at one depth, with or without the
+    opt-in; the CLI ones return the exit code."""
+    spec = cli.validate(p, cli.parse_vectors(vectors))
+    args = ["--p", str(p), "--vectors", vectors]
+    flag = ["--allow-slow"] if opt_in else []
+    return [
+        lambda: gv.build(spec, depth, allow_large=opt_in),
+        lambda: gv.run_all(spec, depth=depth, allow_large=opt_in),
+        lambda: cli.main(["verify", *args, "--depth", str(depth), "--no-cache", *flag]),
+        lambda: cli.main(["table", *args, "--max-depth", str(depth), *flag]),
+    ]
+
+
+def work_started():
+    return mock.patch("ggsver.ggs.rooted", side_effect=AssertionError("work started"))
+
+
+class TestDepthPolicy:
+    """One size gate, in build: every entry point refuses the same depths
+    with the same message and accepts them with the opt-in."""
+
+    @pytest.mark.parametrize("p,vectors,deepest", CAP_EDGES)
+    def test_refused_above_the_cap_with_one_message(self, p, vectors, deepest, capsys):
+        depth = deepest + 1
+        assert p**deepest <= DEGREE_CAP < p**depth
+        build, run_all, verify, table = entry_points(p, vectors, depth, False)
+        with work_started():
+            with pytest.raises(gv.SpecError) as refused:
+                build()
+            message = str(refused.value)
+            assert "allow_large" in message and "--allow-slow" in message
+            with pytest.raises(gv.SpecError) as again:
+                run_all()
+            assert str(again.value) == message
+            for command in (verify, table):
+                assert command() == 2
+                assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("p,vectors,deepest", CAP_EDGES)
+    def test_accepted_within_the_cap_or_with_the_opt_in(self, p, vectors, deepest):
+        runs = entry_points(p, vectors, deepest, False)
+        runs += entry_points(p, vectors, deepest + 1, True)
+        with work_started():
+            for run in runs:
+                with pytest.raises(AssertionError, match="work started"):
+                    run()
+
+    @pytest.mark.parametrize(
+        "p,vectors",
+        [(3, "1,2"), (3, "1,0;0,1"), (5, "1,2,3,4"), (11, "1,2,3,4,5,6,7,8,9,10")],
+    )
+    def test_default_depth_runs_quietly(self, p, vectors, capsys):
         code = cli.main(
-            ["verify", "--p", "3", "--vectors", "1,0;0,1", "--no-cache",
-             "--checks", "rank_growth", "--format", "json"]
+            ["verify", "--p", str(p), "--vectors", vectors, "--no-cache", "--format", "json"]
         )
         captured = capsys.readouterr()
-        assert code == 0
-        assert "vacuous" in captured.err or "depth 5" in captured.err
-        assert json.loads(captured.out)["report"]["depth"] == 5
+        assert code == 0 and captured.err == ""
+        spec = cli.validate(p, cli.parse_vectors(vectors))
+        assert json.loads(captured.out)["report"]["depth"] == default_depth(spec)
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "command,option", [(["verify", "--no-cache"], "--depth"), (["table"], "--max-depth")]
+    )
+    def test_depth_below_one_refused(self, command, option, depth, capsys):
+        code = cli.main(command + ["--p", "3", "--vectors", "1,2", option, depth])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: depth must be at least 1, got {depth}\n")
+
+    def test_past_what_numpy_can_index_is_refused_without_a_traceback(self, capsys):
+        code = cli.main(
+            ["verify", "--p", "3", "--vectors", "1,2", "--depth", "40", "--allow-slow",
+             "--no-cache"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_out_of_memory_is_exit_two(self, capsys):
+        with mock.patch("ggsver.ggs.rooted", side_effect=MemoryError("no room")):
+            code = cli.main(
+                ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3", "--no-cache"]
+            )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    def test_cached_report_above_the_cap_is_served_without_the_flag(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+        # rank_growth at r = 1 reads only the level-2 restriction, so the
+        # depth-8 run is cheap
+        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "8",
+                "--checks", "rank_growth", "--format", "json"]
+        assert cli.main(args + ["--allow-slow"]) == 0
+        stored = json.loads(capsys.readouterr().out)
+        with work_started(), mock.patch.object(
+            cli, "run_all", side_effect=AssertionError("work started")
+        ):
+            assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert "cached" in captured.err
+        assert json.loads(captured.out) == stored
+        assert cli.main(args + ["--no-cache"]) == 2
 
     @pytest.mark.parametrize("flag,opted_in", [([], False), (["--allow-slow"], True)])
     def test_verify_passes_allow_slow_to_run_all(self, flag, opted_in, monkeypatch):
@@ -371,19 +468,6 @@ class TestDepthPolicy:
         )
         assert code == 2
         assert calls[0]["allow_large"] is opted_in
-
-    def test_table_slow_gate(self, capsys):
-        code = cli.main(["table", "--p", "3", "--vectors", "1,2", "--max-depth", "6"])
-        assert code == 2
-        code = cli.main(["table", "--p", "3", "--vectors", "1,2", "--max-depth", "11"])
-        assert code == 2
-        assert "exceeds the cap" in capsys.readouterr().err
-        for depth in ("0", "-2"):
-            code = cli.main(["table", "--p", "3", "--vectors", "1,2", "--max-depth", depth])
-            assert code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "at least 1" in captured.err
 
 
 class TestInfoAndTable:
