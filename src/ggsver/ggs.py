@@ -334,19 +334,22 @@ class GroupSession:
         """The level-1 stabilizer: G's layers from level 1 on, with no
         closure, generated by the p*r conjugates b_i^(a^k).  They fix level
         1, contain every b_i and are permuted by a, so the subgroup they span
-        is normal of index p, which is st(1)."""
+        is normal of index p, which is st(1).  It is recorded as closed from
+        b_1, ..., b_r in G: their normal closure holds every b_i^(a^k) and
+        lies in the normal st(1), so it is st(1), and commutator_subgroup
+        seeds st(1)' with r*p*r commutators instead of (p*r)^2."""
 
         def make():
             g = self.G
             a, bs = g.generators[0], g.generators[1:]
             gens = [a**-k * b * a**k for k in range(g.prime) for b in bs]
-            return g._built(gens, g.chain.suffix(1))
+            return g._built(gens, g.chain.suffix(1), bs)
 
         return self._memoized("st1", make)
 
     def st1_derived(self) -> PermGroup:
-        # st(1) is normal here, so closing its generator commutators under
-        # the ambient generators already yields its derived subgroup
+        # st(1) is normal here, so closing the commutators of b_1, ..., b_r
+        # with its generators under G's generators yields its derived subgroup
         st1 = self.st1()
         return self._memoized("st1_derived", lambda: commutator_subgroup(st1, st1, self.G))
 

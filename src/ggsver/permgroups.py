@@ -54,6 +54,21 @@ and the canonical products from level m on are H_m, each once.  H_0 holds
 every seed and is invariant under the ambient generators, so it is the
 closure, and H_0 & st(m) = H_m.
 
+Normal generators.  The seeds that leave a residual already close to H_0, so
+normal_closure keeps only those as the elements its result was closed from.
+They are the prefix of the generators found, since conjugates join the main
+queue behind every seed, so no conjugate leaves it before the last seed.
+Let N' be the closure of the kept seeds under the ambient generators;
+N' <= H_0 as H_0 holds every seed.  By induction over the queue, everything
+the closure handles lies in N': a kept seed does; a seed that left no
+residual reduced to the identity, so it is a product of representatives
+found before it; a residual is the candidate divided by earlier
+representatives, and a representative is a power of a residual or an earlier
+one times a power of it; a conjugate of a representative by an ambient
+generator lies in N', which those generators normalize; p-th powers and
+commutators of representatives lie in N' too.  So every representative lies
+in N', H_0 <= N', and H_0 = N'.
+
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
 and the closure queues such candidates as vectors, not leaf permutations.
 Conjugation permutes labels: y^-1 w y has labels u[pull], pull being the
@@ -533,18 +548,24 @@ class PermGroup:
     def _setup(self, generators, layers, closed_from=None) -> None:
         self.generators: tuple[Perm, ...] = tuple(generators)
         self._chain: _Layers | None = layers
-        # (weak reference to the ambient, seeds) for a normal closure; a
-        # strong one would make a cycle with the ambient's memo of it
+        # (weak reference to the ambient, elements) for a normal closure: the
+        # seeds that left a residual, or any elements whose closure under
+        # the ambient generators is this group.  A strong reference would
+        # make a cycle with the ambient's memo of it
         self._closed_from = closed_from
         self._derived = None
         self._frattini = None
 
-    def _built(self, generators, layers, closed_from=None) -> "PermGroup":
+    def _built(self, generators, layers, normal_generators=None) -> "PermGroup":
         """A handle with the same prime on the tree of the given layers,
-        already built."""
+        already built; normal_generators, if given, are elements whose
+        closure under this group's generators is the new group."""
         obj = PermGroup.__new__(PermGroup)
         tree = layers.tree
         obj.degree, obj.prime, obj._tree = len(tree.identity), self.prime, tree
+        closed_from = None
+        if normal_generators is not None:
+            closed_from = (weakref.ref(self), tuple(normal_generators))
         obj._setup(generators, layers, closed_from)
         return obj
 
@@ -686,16 +707,23 @@ def normal_closure(ambient: PermGroup, elements) -> PermGroup:
         ambient._tree, [e.images for e in seeds], [g.images for g in ambient.generators]
     )
     gens = [Perm._wrap(a) for a in found]
-    return ambient._built(gens, layers, (weakref.ref(ambient), tuple(seeds)))
+    # the seeds that left a residual are found's prefix, the very arrays
+    # handed in; they alone close to the result (Normal generators)
+    kept = []
+    for e in seeds:
+        if len(kept) < len(found) and found[len(kept)] is e.images:
+            kept.append(e)
+    return ambient._built(gens, layers, kept)
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:
     """Normal closure in the ambient group of the commutators [s, y], with s
-    running over the elements `a` was normally closed from in the ambient
-    group (else its generators) and y over the generators of `b`.  That is
-    [a, b] whenever both are normal in the ambient group: modulo the closure
-    each s centralizes b, and so does each conjugate of s, since b is
-    normal."""
+    running over normal generators of `a` in the ambient group (the seeds
+    that left a residual when `a` was closed, or those its maker recorded;
+    else its generators) and y over the generators of `b`.  That is [a, b]
+    whenever both are normal in the ambient group: modulo the closure each s
+    centralizes b, and so does each conjugate of s, since b is normal, and
+    the conjugates of the s generate `a`."""
     for sub in (a, b):
         w = ambient.containment_witness(sub)
         if w is not None:

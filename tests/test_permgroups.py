@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ggsver as gv
 from ggsver import permgroups
+from ggsver.ggs import _row_reduce
 from ggsver.permgroups import (
     ElementNotInAmbient,
     NotPGroup,
@@ -539,6 +540,99 @@ class TestAgainstSequentialClosure:
         assert sizes[0] == 2
         _assert_same_closure(tree, seeds, conj_by, got)
         assert [x.tolist() for x in got[1][:3]] == [x.tolist() for x in seeds[:3]]
+
+
+# -- normal generators: the seeds a closure keeps ---------------------------------
+
+
+def _same_spans(h, k):
+    """Layer by layer, h and k have the same label span."""
+    for a, b in zip(h.chain.levels, k.chain.levels):
+        both = np.vstack([a.rows[: a.dim], b.rows[: b.dim]]).astype(int).tolist()
+        if a.dim != b.dim or _row_reduce(both, h.prime)[0] != a.dim:
+            return False
+    return True
+
+
+def _is_subsequence(kept, seeds):
+    # by identity: the very elements handed in, in their order
+    rest = iter(seeds)
+    return all(any(k is s for s in rest) for k in kept)
+
+
+class TestNormalGenerators:
+    """A normal closure records only the seeds that left a residual, and
+    st(1) records b_1, ..., b_r; commutator subgroups seeded from those are
+    the ones seeded from every pair of group generators."""
+
+    @pytest.mark.parametrize(
+        "p,rows,depth",
+        [(p, rows, n) for p, rows in _DIFF_SPECS for n in range(2, 4 if p == 5 else 5)],
+    )
+    def test_shared_subgroups(self, p, rows, depth):
+        s = gv.build(gv.validate(p, rows), depth)
+        g = s.G
+        handed = []
+        real = permgroups.normal_closure
+
+        def record(ambient, elements):
+            elements = list(elements)
+            out = real(ambient, elements)
+            handed.append((out, elements))
+            return out
+
+        with mock.patch.object(permgroups, "normal_closure", side_effect=record):
+            st1, st1d = s.st1(), s.st1_derived()
+            # name, handle, and the pair it is the commutator subgroup of
+            subgroups = [
+                ("G'", g.derived(), (g, g)),
+                ("gamma3", s.gamma3(), (g.derived(), g)),
+                ("st(1)", st1, None),
+                ("st(1)'", st1d, (st1, st1)),
+                ("gamma3(st(1))", commutator_subgroup(st1d, st1, g), (st1d, st1)),
+                ("G''", s.second_derived(), (g.derived(), g.derived())),
+            ]
+        for name, h, pair in subgroups:
+            ambient, kept = h._closed_from
+            assert ambient() is g, name
+            seeds = g.generators[1:] if pair is None else next(
+                e for out, e in handed if out is h
+            )
+            assert _is_subsequence(kept, seeds), name
+            again = normal_closure(g, kept)
+            assert again.order_exponent == h.order_exponent, name
+            assert again.contains_subgroup(h) and h.contains_subgroup(again), name
+            if pair is not None:
+                x, y = pair
+                every = normal_closure(
+                    g, [commutator(u, v) for u in x.generators for v in y.generators]
+                )
+                assert every.order_exponent == h.order_exponent, name
+                assert _same_spans(every, h), name
+
+    def test_seed_counts(self, sym5_spec):
+        s = gv.build(sym5_spec, 3)
+        g = s.G
+        st1 = s.st1()
+        assert st1._closed_from[0]() is g
+        bs = st1._closed_from[1]
+        assert len(bs) == s.spec.r
+        assert all(b is x for b, x in zip(bs, g.generators[1:]))
+        g.derived().chain
+        counts = []
+        real = permgroups._close
+
+        def record(tree, seeds, conj_by):
+            seeds = list(seeds)
+            counts.append(len(seeds))
+            return real(tree, seeds, conj_by)
+
+        with mock.patch.object(permgroups, "_close", side_effect=record):
+            st1d = s.st1_derived()
+            commutator_subgroup(st1d, st1, g).chain
+        # r*pr = 20 pairs for st(1)' (70 from all (pr)^2 pairs); the 79 for
+        # gamma3(st(1)) pair st(1)''s kept seeds with st(1)'s generators
+        assert counts == [14, 79]
 
 
 def _labels(x, p):
