@@ -25,6 +25,7 @@ from .ggs import (
     GroupSession,
     NormalizationImpossible,
     SpecError,
+    _require_spec,
     build,
     default_depth,
     is_constant,
@@ -501,6 +502,7 @@ def run_all(
     verdicts into a report.  The selection is checked by select_checks before
     the build.  The depth defaults to ggs.default_depth; build decides
     whether it is too large, with allow_large as its opt-in."""
+    _require_spec(spec)
     chosen = select_checks(checks)
     if depth is None:
         depth = default_depth(spec)

@@ -358,6 +358,12 @@ class GroupSession:
         return self._memoized("second_derived", lambda: commutator_subgroup(d, d, self.G))
 
 
+def _require_spec(spec) -> None:
+    """Refuse anything but validated defining data, before any work."""
+    if not isinstance(spec, GGSSpec):
+        raise SpecError("build expects validated defining data")
+
+
 def default_depth(spec: GGSSpec) -> int:
     """r + 4, deep enough for the second-derived containment, or the deepest
     level with at most DEGREE_CAP leaves when that is shallower (but at
@@ -376,8 +382,7 @@ def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
     index are refused always, both before any work.  The sessions at
     smaller depths are restrictions of this one; see GroupSession.at.
     """
-    if not isinstance(spec, GGSSpec):
-        raise SpecError("build expects validated defining data")
+    _require_spec(spec)
     # first: p**depth of a negative depth is a float that passes the cap
     if depth < 1:
         raise SpecError(f"depth must be at least 1, got {depth}")

@@ -70,34 +70,43 @@ commutators of representatives lie in N' too.  So every representative lies
 in N', H_0 <= N', and H_0 = N'.
 
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
-and the closure queues such candidates as vectors, not leaf permutations.
-Conjugation permutes labels: y^-1 w y has labels u[pull], pull being the
-level-(N-1) vertex map of y^-1, built once per closure for each ambient
-generator.  The p-th power and the commutators of a new level-(N-2)
-representative are evaluated on the first leaf below each level-(N-1)
-vertex only, the commutators with all its peers in one gather: on every
-level below the last the representatives and inverses are 2-D arrays.  A
-permutation candidate is sifted through the levels above the last only; if
-it leaves no residual there, its level-(N-1) labels join the current run of
-label vectors, tagged with the permutation.  The run is reduced against the
-last layer in one matrix product once it holds _RUN vectors, when the
-queues run dry, and before any residual above the last level is adjoined;
-when a row is added, the rest of the run loses its pivot-column multiple of
-that row.  Deferring the last level so is exact: a sift above the last
-level reads only the layers above it, adding a bottom row changes only the
-last layer and appends to the tail of the main queue, and nothing else is
-queued while a run is pending.  So every candidate is reduced against the
-layers, and the queues grow in the order, of the one-candidate-at-a-time
-closure.  A vector's residual against a reduced echelon basis is the one vector
-of its coset that vanishes on the pivots, so this is the residual that
-reducing it afresh would give.  Hence a vector whose residual is zero is
-dropped exactly where sifting it as a permutation would drop it: it lies in
-the span, and the span only grows.  The live vectors are added one at a
-time in queue order, so the rows, pivots, representatives and generators
-found are those of the one-candidate-at-a-time closure.  A main-queue
-candidate that leaves a residual on the last level is recorded as a
-generator: its permutation, or for a label vector the element of st(N-1)
-that it determines.
+and the closure queues such candidates as vectors, not leaf permutations,
+in stacks, one vector per row.  Conjugation permutes labels: y^-1 w y has
+labels u[pull], pull being the level-(N-1) vertex map of y^-1, built once
+per closure for each ambient generator.  The p-th power and the commutators
+of a new level-(N-2) representative are evaluated on the first leaf below
+each level-(N-1) vertex only, the commutators with all its peers in one
+gather (on every level below the last the representatives and inverses are
+2-D arrays), and queued as one stack.  A permutation candidate is sifted
+through the levels above the last only; if it leaves no residual there, its
+level-(N-1) labels join the current run of label vectors as a stack of one,
+tagged with the permutation.  A stack leaves its queue whole and joins the
+run.  The run is reduced against the last layer in one matrix product once
+it holds _RUN vectors, when the queues run dry, and before any residual
+above the last level is adjoined; it may pass _RUN by one stack.  Its
+residuals are written into the last layer's own rows and added one at a
+time in queue order: each that is still non-zero becomes a row, and one
+elimination clears its pivot from the layer and from the residuals still
+pending.  The conjugates of the rows one reduction adds form one stack,
+taken from each row as it was added, before later rows cleared their
+pivots, row by row in the order added; that is the order and the value in
+which one-at-a-time adding queues them.
+
+Deferring the last level so is exact.  A sift above the last level reads
+only the layers above it, adding a bottom row changes only the last layer
+and appends to the tail of the main queue, and nothing else is queued while
+a run is pending.  So taking a stack whole, or reducing a run that passed
+_RUN, leaves every candidate reduced against the layers, and the queues
+growing in the order, of the one-candidate-at-a-time closure.  A vector's
+residual against a reduced echelon basis is the one vector of its coset
+that vanishes on the pivots, so this is the residual that reducing it
+afresh would give.  Hence a vector whose residual is zero is dropped exactly
+where sifting it as a permutation would drop it: it lies in the span, and
+the span only grows.  The live vectors are added one at a time in queue
+order, so the rows, pivots, representatives and generators found are those
+of the one-candidate-at-a-time closure.  A main-queue candidate that leaves
+a residual on the last level is recorded as a generator: its permutation,
+or for a label vector the element of st(N-1) that it determines.
 
 Block powers.  For H <= W_(N-1), block_power() returns H^p <= W_N, the
 product of p copies of H with copy j acting on the leaves below the
@@ -179,11 +188,17 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _mod(a: np.ndarray, p: int) -> np.ndarray:
-    # a mod p for float arrays of small integers; exact, and faster than %
-    return a - p * np.floor(a / p)
+    # a mod p, in place, for float arrays of small integers; exact, and
+    # faster than %
+    q = a / p
+    np.floor(q, out=q)
+    q *= p
+    a -= q
+    return a
 
 
-# label vectors of st(N-1) reduced against the last layer in one product
+# label vectors of st(N-1) reduced against the last layer in one product;
+# a run may pass it by one stack
 _RUN = 64
 
 _TREES: dict = {}
@@ -205,8 +220,9 @@ class _Tree:
         self.base = idn - idn % p
 
     def from_last_labels(self, u: np.ndarray) -> np.ndarray:
-        """The element of st(n-1) whose level-(n-1) labels are u."""
-        return self.base + (self.identity + u[self.parent]) % self.p
+        """The element of st(n-1) whose level-(n-1) labels are u, or a stack
+        of them, one per row of u."""
+        return self.base + (self.identity + u.take(self.parent, axis=-1)) % self.p
 
     def pull(self, yinv: np.ndarray) -> np.ndarray:
         """The level-(n-1) vertex map of y^-1: the labels of y^-1 w y, for w
@@ -247,9 +263,11 @@ class _Layer:
     """Reduced echelon basis over F_p of the level-m labels of H & st(m), as
     float rows (exact for these small integers).  Below the last level row j
     has a representative reps[j], and divs[c-1, j] is reps[j] raised to -c.
-    The arrays grow by doubling up to the width; rows from dim on are unused
-    until the closure drops them.  steps[c-1][j] is a view of divs[c-1, j],
-    made once per array, as a list is indexed faster than numpy makes a view."""
+    The arrays grow by doubling, up to the width plus the rows being added;
+    rows from dim on are unused, or hold residuals on their way in, until the
+    closure drops them.  add and extend take residuals through one
+    elimination, _clear.  steps[c-1][j] is a view of divs[c-1, j], made once
+    per array, as a list is indexed faster than numpy makes a view."""
 
     __slots__ = ("rows", "pivots", "dim", "reps", "divs", "steps")
 
@@ -272,24 +290,86 @@ class _Layer:
         divs[:, :d] = self.divs[:, :d]
         self.divs, self.steps = divs, None
 
-    def add(self, residual: np.ndarray, p: int) -> int:
-        """Append a residual (zero at every pivot) as a unit-pivot row and
-        clear its pivot from the other rows; returns the scale applied."""
-        if residual[self.pivots[: self.dim]].any():
+    def residual(self, u: np.ndarray, p: int, out=None) -> np.ndarray:
+        """The residuals against this layer of u, one label vector or a stack
+        of them, one per row; written into out when given."""
+        d = self.dim
+        r = np.matmul(u[..., self.pivots[:d]], self.rows[:d], out=out)
+        return _mod(np.subtract(u, r, out=r), p)
+
+    def _take(self, n: int) -> np.ndarray:
+        """The n rows from dim on, room for them made first."""
+        d = self.dim
+        if d + n > len(self.rows):
+            # a layer has at most as many rows as columns, plus those coming in
+            self.resize(min(max(16, 2 * len(self.rows), d + n), self.rows.shape[1] + n))
+        return self.rows[d : d + n]
+
+    def _reduced(self, r: np.ndarray) -> np.ndarray:
+        """r, a residual or a stack of them, checked to be zero at every pivot."""
+        if r[..., self.pivots[: self.dim]].any():
             raise AssertionError("a residual is not reduced against its layer")
-        j = int(np.flatnonzero(residual)[0])
-        scale = pow(int(residual[j]), -1, p)
-        if self.dim == len(self.rows):
-            # a layer has at most as many rows as columns
-            self.resize(min(max(16, 2 * self.dim), self.rows.shape[1]))
-        live = self.rows[: self.dim]
-        hit = np.flatnonzero(live[:, j])
-        row = residual * scale % p
-        live[hit] = _mod(live[hit] - np.outer(live[hit, j], row), p)
-        self.rows[self.dim] = row
-        self.pivots[self.dim] = j
-        self.dim += 1
-        return scale
+        return r
+
+    def _clear(self, k: int, end: int, p: int):
+        """Make row k, zero at every pivot, row dim: scaled to a unit pivot,
+        with its pivot column cleared from every other row before end.  The
+        rows from dim up to k must be zero.  Returns the new row, the rows
+        hit (k among them) with their multiples, and the scale, or None when
+        row k is zero."""
+        rows = self.rows
+        row = rows[k]
+        nonzero = row.nonzero()[0]
+        if not len(nonzero):
+            return None
+        j = int(nonzero[0])
+        scale = pow(int(row[j]), -1, p)
+        col = rows[:end, j]
+        hit = col.nonzero()[0]
+        t = col[hit]
+        # one product scales row k and clears column j from the others: row
+        # k loses 1 - scale times itself, row i loses t_i scale times it
+        c = t * scale
+        c[hit.searchsorted(k)] = 1 - scale
+        rows[hit] = _mod(rows[hit] - np.multiply.outer(c, row), p)
+        d = self.dim
+        row = rows[k].copy()
+        if k != d:
+            rows[k] = 0
+            rows[d] = row
+        self.pivots[d] = j
+        self.dim = d + 1
+        return row, hit, t, scale
+
+    def add(self, residual: np.ndarray, p: int):
+        """Append a residual (zero at every pivot) as a unit-pivot row and
+        clear its pivot from the other rows.  Returns the scale applied and
+        (row, multiple) for each older row that lost a multiple of the new
+        one."""
+        d = self.dim
+        self._take(1)[0] = self._reduced(residual)
+        _, hit, t, scale = self._clear(d, d + 1, p)
+        return scale, [(i, int(c)) for i, c in zip(hit.tolist(), t.tolist()) if i != d]
+
+    def extend(self, u: np.ndarray, p: int):
+        """Add the residuals of u, a stack of label vectors, one at a time in
+        order, as add would: each residual still non-zero once the rows added
+        before it are cleared from it becomes a row.  The residuals are
+        computed into the rows from dim on; one elimination per new row
+        clears it from the layer and from the residuals still pending, and
+        moves it up to follow the rows before it.  Returns the indices into
+        u of the new rows and those rows as added, before later rows cleared
+        their pivots."""
+        d = self.dim
+        residuals = self._reduced(self.residual(u, p, out=self._take(len(u))))
+        end = d + len(u)
+        added, as_added = [], []
+        for i in np.flatnonzero(residuals.any(axis=1)).tolist():
+            got = self._clear(d + i, end, p)
+            if got is not None:
+                added.append(i)
+                as_added.append(got[0])
+        return added, np.array(as_added).reshape(len(added), self.rows.shape[1])
 
     def push(self, hits) -> np.ndarray:
         """Clear the newest representative's multiples out of the older
@@ -414,22 +494,13 @@ class _Layers:
                 return m, x, r
         return last, x, tree.digits[last][x[tree.starts[last]]]
 
-    def bottom_residual(self, u: np.ndarray) -> np.ndarray:
-        """The residuals against the last layer of u, one label vector of
-        st(N-1) or a stack of them, one per row."""
-        lvl = self.levels[-1]
-        return _mod(u - u[..., lvl.pivots[: lvl.dim]] @ lvl.rows[: lvl.dim], self.tree.p)
-
     def _admit(self, m: int, x, residual: np.ndarray):
         """Add the residual as row d at a level m below the last, with its
         representative and divisors.  Returns d and the hits to pass to
         _Layer.push; until then the older representatives are as they were
         before."""
-        p = self.tree.p
         lvl = self.levels[m]
-        column = lvl.rows[: lvl.dim, np.flatnonzero(residual)[0]]
-        hits = [(i, int(t)) for i, t in enumerate(column) if t]
-        scale = lvl.add(residual, p)
+        scale, hits = lvl.add(residual, self.tree.p)
         d = lvl.dim - 1
         lvl.reps[d] = _power(x, scale)
         _divisors(lvl.reps[d], lvl.divs[:, d])
@@ -444,35 +515,35 @@ def _close(tree: _Tree, seeds, conj_by):
     last = tree.depth - 1
     bottom = layers.levels[last]
     conj = [(y, _inverse(y)) for y in conj_by]
-    pulls = [tree.pull(yinv) for _, yinv in conj]
-    # (element, level its sift starts at), or (labels, None) for an element
-    # of st(N-1) given by its level-(N-1) labels
+    pulls = np.array([tree.pull(yinv) for _, yinv in conj], dtype=np.intp)
+    # (element, level its sift starts at), or (labels, None) for a stack of
+    # elements of st(N-1) given by their level-(N-1) labels, one per row
     main = deque((x, 0) for x in seeds)
     side: deque = deque()
     found = []
-    # level-(N-1) labels waiting for the last layer, in queue order, each
-    # with (from main, the element sifted or None for a label item)
-    run, tags = [], []
+    # stacks of level-(N-1) labels waiting for the last layer, in queue
+    # order, each tagged (from main, the element sifted or None for a
+    # stack of label items), and the length of the run after each
+    run, tags, ends = [], [], []
 
     def flush():
-        res = layers.bottom_residual(np.array(run))
-        for i in np.flatnonzero(res.any(axis=1)).tolist():
-            # a row that was zero stays zero below; a live one may not
-            if not res[i].any():
-                continue
-            from_main, x = tags[i]
-            if from_main:
-                found.append(tree.from_last_labels(run[i]) if x is None else x)
-            bottom.add(res[i], p)
-            j, row = bottom.pivots[bottom.dim - 1], bottom.rows[bottom.dim - 1]
-            labels = row.astype(np.intp)
-            main.extend((labels[pull], None) for pull in pulls)
-            # keep the rest reduced against the grown layer
-            rest = res[i + 1 :]
-            hit = np.flatnonzero(rest[:, j])
-            rest[hit] = _mod(rest[hit] - np.outer(rest[hit, j], row), p)
+        u = np.concatenate(run)
+        # the stacks are copied into u; let them go before the product
         run.clear()
+        added, rows = bottom.extend(u, p)
+        if added:
+            owners = [tags[s] for s in np.searchsorted(ends, added, side="right").tolist()]
+            # a label item that left a residual stands for the element of
+            # st(N-1) its labels determine
+            items = [i for i, (from_main, x) in zip(added, owners) if from_main and x is None]
+            made = iter(tree.from_last_labels(u[items]) if items else ())
+            for from_main, x in owners:
+                if from_main:
+                    found.append(next(made) if x is None else x)
+            # the conjugates of each new row as it was added, row by row
+            main.append((rows.astype(np.intp)[:, pulls].reshape(-1, u.shape[1]), None))
         tags.clear()
+        ends.clear()
 
     def adjoin(m, y, residual):
         lvl = layers.levels[m]
@@ -485,9 +556,8 @@ def _close(tree: _Tree, seeds, conj_by):
             side.append((_power(rep, p), m + 1))
             side.extend((c, m + 1) for c in _comm_rows(*comm, slice(None)))
         else:
-            side.append((tree.power_labels(rep), None))
             labels = tree.digits[-1][_comm_rows(*comm, tree.starts[-1])]
-            side.extend((u, None) for u in labels)
+            side.append((np.vstack((tree.power_labels(rep), labels)), None))
         lvl.push(hits)
         main.extend((_conj(rep, s, sinv), m) for s, sinv in conj)
 
@@ -495,21 +565,24 @@ def _close(tree: _Tree, seeds, conj_by):
         from_main = not side
         x, start = (main if from_main else side).popleft()
         if start is None:
-            m, labels, x = last, x, None
+            labels, x = x, None
         else:
             m, y, labels = layers._sift_upper(x, start)
-        if m == last:
-            run.append(labels)
-            tags.append((from_main, x))
-        else:
-            # one at a time, the run's bottom rows and their conjugates
-            # come before this residual and its consequences
-            if run:
-                flush()
-            if from_main:
-                found.append(x)
-            adjoin(m, y, labels)
-        if run and (len(run) == _RUN or not (side or main)):
+            if m < last:
+                # one at a time, the run's bottom rows and their conjugates
+                # come before this residual and its consequences
+                if run:
+                    flush()
+                if from_main:
+                    found.append(x)
+                adjoin(m, y, labels)
+                continue
+            labels = labels[None]
+        # a stack joins the run whole, so a run may pass _RUN by one stack
+        run.append(labels)
+        tags.append((from_main, x))
+        ends.append(len(labels) + (ends[-1] if ends else 0))
+        if ends[-1] >= _RUN or not (side or main):
             flush()
     # a finished group holds no room it never filled
     for lvl in layers.levels:

@@ -270,7 +270,7 @@ def _sift(layers, x, start):
     m, x, r = layers._sift_upper(x, start)
     if m < layers.tree.depth - 1:
         return m, x, r
-    r = layers.bottom_residual(r)
+    r = layers.levels[-1].residual(r, layers.tree.p)
     return (m, None, r.astype(np.intp)) if r.any() else None
 
 

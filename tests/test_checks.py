@@ -523,6 +523,14 @@ class TestRunAll:
         with pytest.raises(gv.SpecError, match="unknown checks: nope"):
             gv.run_all(gs_spec, depth=3, checks=["nope"])
 
+    @pytest.mark.parametrize("depth", [None, 3])
+    def test_a_session_for_a_spec_is_refused_before_any_work(self, gs_spec, depth):
+        session = gv.build(gs_spec, 3)
+        with mock.patch.object(checks, "build", side_effect=AssertionError("built")):
+            for bad in (session, (3, [[1, 2]])):
+                with pytest.raises(gv.SpecError, match="validated defining data"):
+                    gv.run_all(bad, depth=depth)
+
     @pytest.mark.parametrize("selection", [[], ["nope"], ["abelianization", "nope"]])
     def test_bad_selection_refused_before_build(self, gs_spec, selection):
         with mock.patch.object(checks, "build", side_effect=AssertionError("built")):

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -452,6 +453,20 @@ def _recorded_closures(build):
     return calls
 
 
+@contextmanager
+def _run_sizes():
+    """The length of every run the closure reduces, in order."""
+    sizes = []
+    real = permgroups._Layer.extend
+
+    def spy(lvl, u, p):
+        sizes.append(len(u))
+        return real(lvl, u, p)
+
+    with mock.patch.object(permgroups._Layer, "extend", spy):
+        yield sizes
+
+
 def _assert_same_closure(tree, seeds, conj_by, got):
     layers, found = got
     ref_layers, ref_found = reference_close(tree, seeds, conj_by)
@@ -518,6 +533,25 @@ class TestAgainstSequentialClosure:
         for tree, seeds, conj_by, got in calls:
             _assert_same_closure(tree, seeds, conj_by, got)
 
+    @pytest.mark.parametrize(
+        "p,rows,depth",
+        # the depth-6 closures of the deep_containment benchmark, and a p=5
+        # spec whose stacks come from three conjugating generators
+        [(3, [(1, 0), (0, 1)], 6), (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4)],
+    )
+    def test_runs_that_pass_the_run_length(self, p, rows, depth):
+        # a stack joins the run whole, so a run may pass _RUN; G, G' and G''
+        # still match the one-at-a-time closure
+        def build():
+            gv.build(gv.validate(p, rows), depth).second_derived().chain
+
+        with _run_sizes() as sizes:
+            calls = _recorded_closures(build)
+        assert len(calls) == 3
+        assert max(sizes) > permgroups._RUN
+        for tree, seeds, conj_by, got in calls:
+            _assert_same_closure(tree, seeds, conj_by, got)
+
     def test_run_flushed_before_an_upper_residual(self, gs_spec):
         # members of st(N-1) join the run; the directed generator leaves a
         # residual on level 1, so the run is reduced before it is adjoined
@@ -527,15 +561,8 @@ class TestAgainstSequentialClosure:
         a, b = (x.images for x in g.generators)
         seeds = bottom[:2] + [b] + bottom[2:] + [a] + bottom[:1]
         conj_by = [x.images for x in g.generators]
-        sizes = []
-        real = permgroups._Layers.bottom_residual
-
-        def spy(layers, u):
-            sizes.append(len(u))
-            return real(layers, u)
-
         assert len(bottom) > 2
-        with mock.patch.object(permgroups._Layers, "bottom_residual", spy):
+        with _run_sizes() as sizes:
             got = permgroups._close(tree, seeds, conj_by)
         assert sizes[0] == 2
         _assert_same_closure(tree, seeds, conj_by, got)
@@ -671,8 +698,105 @@ class TestBottomLabelArithmetic:
                 assert np.array_equal(u[tree.pull(s.inverse().images)], _labels(conj.images, p))
 
 
+def _echelon_add(p, rows, pivots, v):
+    """Add v to a reduced echelon basis over F_p, in plain integers: its
+    residual, if non-zero, becomes a unit-pivot row and is cleared from the
+    others.  Returns the new row, or None."""
+    r = list(v)
+    for row, j in zip(rows, pivots):
+        c = r[j]
+        r = [(x - c * y) % p for x, y in zip(r, row)]
+    if not any(r):
+        return None
+    j = next(i for i, x in enumerate(r) if x)
+    inv = pow(r[j], -1, p)
+    r = [x * inv % p for x in r]
+    for i, row in enumerate(rows):
+        c = row[j]
+        rows[i] = [(x - c * y) % p for x, y in zip(row, r)]
+    rows.append(r)
+    pivots.append(j)
+    return r
+
+
+def _bottom_layer(p, depth, rng, k):
+    """A last layer of the depth-`depth` tree holding the residuals of k
+    random label vectors, added one at a time."""
+    lvl = permgroups._Layer(permgroups._tree(p, depth), depth - 1)
+    for v in rng.integers(0, p, (k, p ** (depth - 1))):
+        r = lvl.residual(v, p)
+        if r.any():
+            lvl.add(r, p)
+    return lvl
+
+
+class TestBatchedElimination:
+    """_Layer.extend adds the residuals of a stack of label vectors as
+    sequential _Layer.add would, and as textbook elimination in integers
+    does: the same rows, pivots and live indices, and each new row as it was
+    when added, before later rows of the stack cleared their pivots."""
+
+    @pytest.mark.parametrize("p,depth", [(3, 4), (5, 3), (7, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_against_sequential_add(self, p, depth, seed, fill):
+        rng = np.random.default_rng([p, seed, fill])
+        width = p ** (depth - 1)
+        batched = _bottom_layer(p, depth, np.random.default_rng([p, seed]), width // 3)
+        one_by_one = _bottom_layer(p, depth, np.random.default_rng([p, seed]), width // 3)
+        d = batched.dim
+        free = sorted(set(range(width)) - set(batched.pivots[:d].tolist()))
+        assert len(free) >= 3
+        a, b, c = free[:3]
+        unit = np.eye(width, dtype=np.intp)
+        zero = np.zeros(width, dtype=np.intp)
+        # e_a + e_b, and e_c with pivot entry 2, so scaled by 1/2
+        stack = [(unit[a] + unit[b]) % p, 2 * unit[c] % p, zero]
+        stack += list(rng.integers(0, p, (8, width)))
+        # depends on earlier vectors of the stack
+        stack.append(sum(int(rng.integers(1, p)) * v for v in stack[3:6]) % p)
+        # unit[b] clears column b from the row added for e_a + e_b, unless a
+        # random vector before it took pivot b
+        stack += [zero, unit[b]]
+        stack += list(rng.integers(0, p, (4, width)))
+        if fill:
+            stack += list(unit[rng.permutation(width)])
+        stack = np.array(stack, dtype=np.intp)
+
+        plain_rows = batched.rows[:d].astype(int).tolist()
+        plain_pivots = batched.pivots[:d].tolist()
+        got, as_added = batched.extend(stack, p)
+        rows = batched.rows[: batched.dim]
+        want, want_rows = [], []
+        for i, v in enumerate(stack):
+            r = one_by_one.residual(v, p)
+            plain = _echelon_add(p, plain_rows, plain_pivots, v.tolist())
+            if r.any():
+                one_by_one.add(r, p)
+                want.append(i)
+                want_rows.append(one_by_one.rows[one_by_one.dim - 1].copy())
+                assert plain == want_rows[-1].tolist()
+            else:
+                assert plain is None
+        assert got == want
+        assert np.array_equal(as_added, np.array(want_rows).reshape(-1, width))
+        assert batched.dim == one_by_one.dim == len(plain_rows)
+        assert np.array_equal(rows, one_by_one.rows[: one_by_one.dim])
+        assert np.array_equal(rows, plain_rows)
+        assert np.array_equal(batched.pivots[: batched.dim], plain_pivots)
+        assert np.array_equal(batched.pivots[: batched.dim], one_by_one.pivots[: one_by_one.dim])
+        assert got[:2] == [0, 1]
+        assert np.array_equal(as_added[1], unit[c])
+        # e_a + e_b as added, and after a later row took pivot b
+        assert np.array_equal(as_added[0], unit[a] + unit[b]) and rows[d][b] == 0
+        if fill:
+            assert batched.dim == width
+
+
 class TestLayerLayout:
-    """Below the last level a layer holds its representatives and their
+    """A finished layer holds exactly its dimension of rows, the last layer
+    too, whose buffer may hold a run past its width while a closure runs.
+    Below the last level a layer holds its representatives and their
     divisors as two arrays of exactly its dimension: nothing reserved for
     rows never filled is kept, and divs[c-1, j] is reps[j] raised to -c."""
 
@@ -685,6 +809,9 @@ class TestLayerLayout:
             identity = np.arange(degree)
             layers = h.chain.levels
             assert len(layers) == h.level
+            for m, lvl in enumerate(layers):
+                assert lvl.rows.shape == (lvl.dim, p**m)
+                assert len(lvl.pivots) == lvl.dim
             for lvl in layers[:-1]:
                 d = lvl.dim
                 assert lvl.reps.shape == (d, degree)
