@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .ggs import (
     GGSSpec,
@@ -238,7 +239,7 @@ def check_gamma3_product(session: GroupSession):
     _require_nonconstant(session.spec)
     _require_depth(session, 3, "the lower-central product identity")
     lhs = commutator_subgroup(session.st1_derived(), session.st1(), session.G)
-    rhs = session.at(session.depth - 1).gamma3().block_power()
+    rhs = session.gamma3().truncate(session.depth - 1).block_power()
     return _equality_verdict(lhs, rhs, {})
 
 
@@ -293,12 +294,11 @@ def check_key_congruence(session: GroupSession):
     for k in range(p):
         term = commutator(conj[-k % p], conj[(1 - k) % p]) ** pow(m, k, p)
         w = term if w is None else w * term
-    lower = session.at(n - 1)
-    small = commutator(lower.G.generators[0], restrict_to_level(b1, p, n - 1))
+    small = restrict_to_level(commutator(a, b1), p, n - 1)
     target = subtree_embed(small ** ((1 - m) % p), p, (0,), n)
     delta = w * target.inverse()
 
-    gamma = lower.gamma3()
+    gamma = session.gamma3().truncate(n - 1)
     details = {"m": m, "reduced_row": list(row)}
     for j in range(p):
         q = subtree_section(delta, p, (j,))
@@ -330,7 +330,7 @@ def check_regular_branch(session: GroupSession):
     _require_depth(session, 3, "the branch identity")
     details = {"mode": "extended: r=1 non-constant"} if spec.r == 1 else {}
     lhs = session.st1_derived()
-    rhs = session.at(session.depth - 1).G.derived().block_power()
+    rhs = session.G.derived().truncate(session.depth - 1).block_power()
     return _equality_verdict(lhs, rhs, details)
 
 
@@ -362,7 +362,7 @@ def check_subdirect(session: GroupSession):
     _require_depth(session, 3, "the subdirect projection check")
     p = spec.p
     d = session.G.derived()
-    full = session.at(session.depth - 1).G
+    full = session.G.truncate(session.depth - 1)
     sections = [subtree_section(g, p, (0,)) for g in d.generators]
     proj = PermGroup(full.degree, sections, prime=p)
     details = {
@@ -392,7 +392,7 @@ def check_psi2_second_derived(session: GroupSession):
     p = spec.p
     n = session.depth
     second = session.second_derived()
-    inner = session.at(n - 2).G.derived()
+    inner = session.G.derived().truncate(n - 2)
     details = {
         "second_derived_exponent": second.order_exponent,
         "inner_derived_exponent": inner.order_exponent,
@@ -416,8 +416,13 @@ def check_rank_growth(session: GroupSession):
     top = min(session.depth, spec.r + 1)
     ranks = []
     ok = True
+    # log_p of the level-n quotient of a subgroup H is the sum of H's first n
+    # layer dimensions, and Phi(G_n) = G_n' G_n^p is the level-n quotient of
+    # Phi(G), so both orders are read off depth-N layers
+    orders = list(accumulate(session.G.chain.dimensions()))
+    frattini = list(accumulate(session.G.frattini().chain.dimensions()))
     for n in range(2, top + 1):
-        rk = session.at(n).G.rank()
+        rk = orders[n - 1] - frattini[n - 1]
         ranks.append([n, rk])
         if rk < n:
             ok = False

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import accumulate
 
 from . import __version__
 from .checks import FAILS, classify_csp, run_all, select_checks
@@ -366,20 +367,24 @@ def cmd_info(args) -> int:
 
 def cmd_table(args) -> int:
     spec, _ = _spec_from_args(args)
-    session = build(spec, args.max_depth, allow_large=args.allow_slow)
+    g = build(spec, args.max_depth, allow_large=args.allow_slow).G
+    # log_p of the level-n quotient of a subgroup H of G is the sum of H's
+    # first n layer dimensions, and the level-n quotients of G' and Phi(G)
+    # are G_n' and Phi(G_n), so every row is read off depth-N layers
+    orders = list(accumulate(g.chain.dimensions()))
+    derived = accumulate(g.derived().chain.dimensions())
+    frattini = accumulate(g.frattini().chain.dimensions())
     rows = []
-    for n in range(1, session.depth + 1):
-        g = session.at(n).G
-        d = g.derived()
-        # G_n/st(m) is the level-m group, so the index of st(m) is its order
-        st_exps = [row["order_exponent"] for row in rows] + [g.order_exponent]
+    for n, (order, d, phi) in enumerate(zip(orders, derived, frattini), 1):
         rows.append(
             {
                 "level": n,
-                "order_exponent": g.order_exponent,
-                "derived_index_exponent": g.order_exponent - d.order_exponent,
-                "rank": g.rank(),
-                "stabilizer_index_exponents": st_exps,
+                "order_exponent": order,
+                "derived_index_exponent": order - d,
+                "rank": order - phi,
+                # G_n/st(m) is the level-m group, so the index of st(m) is
+                # its order
+                "stabilizer_index_exponents": orders[:n],
             }
         )
     if args.format == "csv":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .portraits import directed, is_odd_prime, restrict_to_level, rooted
+from .portraits import directed, is_odd_prime, rooted
 from .permgroups import PermGroup, commutator_subgroup
 
 __all__ = [
@@ -292,9 +292,11 @@ class GroupSession:
 
     Holds the group handle for the induced group on the p**depth leaves,
     generated by the leaf permutations of a, b_1, ..., b_r in that order.
-    Immutable apart from one memo of the subgroups the checks share: the
-    sessions at lower depths, gamma3, st(1), st(1)' and G''.  G' is
-    G.derived(), which the group handle memoizes itself.
+    Immutable apart from one memo of the subgroups the checks share: gamma3,
+    st(1), st(1)' and G''.  G' is G.derived(), which the group handle
+    memoizes itself.  Each is closed once, at this depth; a check that needs
+    one at a lower depth m truncates it with PermGroup.truncate(m), which
+    reads the level-m quotient off its layers with no closure.
     """
 
     spec: GGSSpec
@@ -307,23 +309,6 @@ class GroupSession:
         if got is None:
             got = self._memo[key] = make()
         return got
-
-    def at(self, m: int) -> "GroupSession":
-        """The session of the same defining data at depth m, 1 <= m <= depth;
-        at(depth) is this session.  Its generators are this session's
-        restricted to the level-m vertices: the level-m quotient of G is the
-        group they generate."""
-        if m == self.depth:
-            return self
-        if not 1 <= m < self.depth:
-            raise ValueError(f"depth {m} outside 1..{self.depth}")
-
-        def make():
-            p = self.spec.p
-            gens = [restrict_to_level(g, p, m) for g in self.G.generators]
-            return GroupSession(self.spec, m, PermGroup(p**m, gens, prime=p))
-
-        return self._memoized(("at", m), make)
 
     def gamma3(self) -> PermGroup:
         """Third lower-central term [[G,G],G]."""
@@ -379,8 +364,8 @@ def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
 
     The one size gate: depths with more than DEGREE_CAP leaves are refused
     unless allow_large is set, and depths whose leaf arrays numpy cannot
-    index are refused always, both before any work.  The sessions at
-    smaller depths are restrictions of this one; see GroupSession.at.
+    index are refused always, both before any work.  Lower depths are
+    truncations of this session's subgroups; see PermGroup.truncate.
     """
     _require_spec(spec)
     # first: p**depth of a negative depth is a float that passes the cap

@@ -123,6 +123,32 @@ is the labels of H's level-m representative i embedded in slot j, which
 lies in H^p & st(m+1), so that embedding is its representative, and
 embedding H's divisors gives its divisors.  No closure is needed.
 
+Quotients.  For H <= W_N and m < N, truncate(m) returns pi_m(H), the
+action of H on the level-m vertices, read off H's layers with no closure.
+For k < m the level-k labels of pi_m(h) are those of h, and pi_m(h) fixes
+level k exactly when h does, so pi_m(H) & st(k) = pi_m(H & st(k)): layer k
+of pi_m(H) has the rows and pivots of layer k of H, and the restrictions of
+its representatives and divisors to level m are representatives and
+divisors there (x restricted to level m is x[::p^(N-m)] // p^(N-m), as each
+level-m vertex is read at the first leaf below it).  Level m-1 becomes the
+last layer and keeps its rows only; level-k labels are read on level
+k+1 <= m, so every layer is exact.  The layers at levels >= m lie in st(m)
+and drop out.
+
+Generators of a quotient.  The closure records, with each generator it
+finds, the level where it left its residual.  truncate(m) keeps the
+restrictions of those found above level m, and all of the generators given
+by hand (a handle's own, a block power's, a level stabilizer's
+representatives).  They generate pi_m(H): the canonical products are H, so
+the restricted representatives at levels below m generate pi_m(H), and by
+induction over the closure each of them is, modulo st(m), a word in the
+kept generators.  A representative at level k < m is a power of a residual,
+or an earlier one times a power of one, and a residual is its candidate
+divided by representatives at levels <= k.  The candidate is a seed or a
+conjugate that left its residual at level k, so a kept generator, or a p-th
+power or commutator of representatives at a level below k, words by
+induction.  Representatives at levels >= m lie in st(m).
+
 Everything here is deterministic: candidates are processed in queue order
 and representatives are kept in the order they were found.
 """
@@ -437,6 +463,23 @@ class _Layers:
             levels.append(out)
         return _Layers(tree, levels)
 
+    def truncate(self, m: int) -> "_Layers":
+        """Layers of the level-m quotient, 1 <= m < depth: levels 0..m-2
+        share rows and pivots and restrict their representatives and
+        divisors, level m-1 keeps its rows only; see Quotients in the module
+        docstring."""
+        tree = _tree(self.tree.p, m)
+        step = self.tree.p ** (self.tree.depth - m)
+        levels = []
+        for k, lvl in enumerate(self.levels[:m]):
+            out = _Layer(tree, k)
+            out.rows, out.pivots, out.dim = lvl.rows, lvl.pivots, lvl.dim
+            if k < m - 1:
+                out.reps = lvl.reps[: lvl.dim, ::step] // step
+                out.divs = lvl.divs[:, : lvl.dim, ::step] // step
+            levels.append(out)
+        return _Layers(tree, levels)
+
     def suffix(self, m: int) -> "_Layers":
         empty = [_Layer(self.tree, k) for k in range(m)]
         return _Layers(self.tree, empty + self.levels[m:])
@@ -509,7 +552,8 @@ class _Layers:
 
 def _close(tree: _Tree, seeds, conj_by):
     """Layers of the closure of the seeds under conjugation by conj_by, and
-    the seeds and conjugates that left a residual, a generating set."""
+    the seeds and conjugates that left a residual, a generating set, each
+    paired with the level of its residual."""
     layers = _Layers(tree)
     p = tree.p
     last = tree.depth - 1
@@ -539,7 +583,7 @@ def _close(tree: _Tree, seeds, conj_by):
             made = iter(tree.from_last_labels(u[items]) if items else ())
             for from_main, x in owners:
                 if from_main:
-                    found.append(next(made) if x is None else x)
+                    found.append((next(made) if x is None else x, last))
             # the conjugates of each new row as it was added, row by row
             main.append((rows.astype(np.intp)[:, pulls].reshape(-1, u.shape[1]), None))
         tags.clear()
@@ -574,7 +618,7 @@ def _close(tree: _Tree, seeds, conj_by):
                 if run:
                     flush()
                 if from_main:
-                    found.append(x)
+                    found.append((x, m))
                 adjoin(m, y, labels)
                 continue
             labels = labels[None]
@@ -618,9 +662,13 @@ class PermGroup:
             raise NotPGroup("a generator is not a tree automorphism with cyclic vertex labels")
         self._setup(gens, None)
 
-    def _setup(self, generators, layers, closed_from=None) -> None:
+    def _setup(self, generators, layers, closed_from=None, levels=None) -> None:
         self.generators: tuple[Perm, ...] = tuple(generators)
         self._chain: _Layers | None = layers
+        # the level where each generator left its residual in the closure
+        # that found it, or None for generators given by hand; truncate
+        # reads it
+        self._levels = levels
         # (weak reference to the ambient, elements) for a normal closure: the
         # seeds that left a residual, or any elements whose closure under
         # the ambient generators is this group.  A strong reference would
@@ -629,17 +677,18 @@ class PermGroup:
         self._derived = None
         self._frattini = None
 
-    def _built(self, generators, layers, normal_generators=None) -> "PermGroup":
+    def _built(self, generators, layers, normal_generators=None, levels=None) -> "PermGroup":
         """A handle with the same prime on the tree of the given layers,
         already built; normal_generators, if given, are elements whose
-        closure under this group's generators is the new group."""
+        closure under this group's generators is the new group, and levels
+        the level of each generator's residual when a closure found them."""
         obj = PermGroup.__new__(PermGroup)
         tree = layers.tree
         obj.degree, obj.prime, obj._tree = len(tree.identity), self.prime, tree
         closed_from = None
         if normal_generators is not None:
             closed_from = (weakref.ref(self), tuple(normal_generators))
-        obj._setup(generators, layers, closed_from)
+        obj._setup(generators, layers, closed_from, levels)
         return obj
 
     # -- layers and order ----------------------------------------------------
@@ -717,6 +766,26 @@ class PermGroup:
         gens = [Perm._wrap(x) for x in _blocks(images.reshape(-1, self.degree), p)]
         return self._built(gens, self.chain.block_power(_tree(p, n)))
 
+    def truncate(self, m: int) -> "PermGroup":
+        """The level-m quotient, 1 <= m <= level: this group acting on the
+        level-m vertices, with layers read off this group's and no closure.
+        Its generators are the restrictions of this group's, less those a
+        closure found at level m or below; see Quotients in the module
+        docstring."""
+        n = self.level
+        if not 1 <= m <= n:
+            raise ValueError(f"level {m} outside 1..{n}")
+        if m == n:
+            return self
+        gens, levels = self.generators, self._levels
+        if levels is not None:
+            kept = [i for i, k in enumerate(levels) if k < m]
+            gens, levels = [gens[i] for i in kept], [levels[i] for i in kept]
+        step = self.prime ** (n - m)
+        images = np.array([g.images for g in gens], dtype=np.intp).reshape(-1, self.degree)
+        restricted = [Perm._wrap(x) for x in images[:, ::step] // step]
+        return self._built(restricted, self.chain.truncate(m), levels=levels)
+
     # -- level stabilizers ----------------------------------------------------
 
     def level_stabilizer(self, m: int) -> "PermGroup":
@@ -779,14 +848,14 @@ def normal_closure(ambient: PermGroup, elements) -> PermGroup:
     layers, found = _close(
         ambient._tree, [e.images for e in seeds], [g.images for g in ambient.generators]
     )
-    gens = [Perm._wrap(a) for a in found]
+    gens = [Perm._wrap(a) for a, _ in found]
     # the seeds that left a residual are found's prefix, the very arrays
     # handed in; they alone close to the result (Normal generators)
     kept = []
     for e in seeds:
-        if len(kept) < len(found) and found[len(kept)] is e.images:
+        if len(kept) < len(found) and found[len(kept)][0] is e.images:
             kept.append(e)
-    return ambient._built(gens, layers, kept)
+    return ambient._built(gens, layers, kept, [k for _, k in found])
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:

@@ -282,8 +282,8 @@ def _adjoin(layers, m, x, residual):
 
 def reference_close(tree, seeds, conj_by):
     """Layers of the closure of the seeds under conjugation by conj_by, and
-    the seeds and conjugates that left a residual, sifting every candidate as
-    a leaf permutation in queue order."""
+    the seeds and conjugates that left a residual, each with the level of its
+    residual, sifting every candidate as a leaf permutation in queue order."""
     from ggsver.permgroups import _Layers
 
     layers = _Layers(tree)
@@ -303,7 +303,7 @@ def reference_close(tree, seeds, conj_by):
             continue
         m, y, residual = hit
         if from_main:
-            found.append(x)
+            found.append((x, m))
         if m == last:
             bottom = layers.levels[last]
             bottom.add(residual, p)

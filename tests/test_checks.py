@@ -26,7 +26,7 @@ from ggsver.checks import (
     check_subdirect,
     classify_csp,
 )
-from ggsver import checks, ggs, permgroups
+from ggsver import checks, cli, ggs, permgroups
 from ggsver.ggs import DEGREE_CAP, NormalizationImpossible, default_depth, normalize
 from ggsver.permgroups import PermGroup, commutator_subgroup, equals
 from ggsver.portraits import Perm, restrict_to_level, subtree_section
@@ -173,7 +173,7 @@ class TestKeyCongruence:
         assert v.details == {"m": 3, "reduced_row": [1, 2, 0, 3], "failing_slot": 0}
         assert v.witness.tolist() == MUTANT_WITNESS
         # re-checked outside the layers
-        gamma = s.at(3).gamma3()
+        gamma = s.gamma3().truncate(3)
         ref = SchreierSims(125, [g.images for g in gamma.generators])
         assert not ref.contains(v.witness.images)
 
@@ -237,7 +237,7 @@ class TestRegularBranch:
         # G' x ... x G', so the identity the check would assert is false here
         s = gv.build(gv.validate(p, [row]), depth)
         lhs = s.st1_derived()
-        rhs = s.at(depth - 1).G.derived().block_power()
+        rhs = s.G.derived().truncate(depth - 1).block_power()
         assert rhs.contains_subgroup(lhs)
         assert rhs.order_exponent - lhs.order_exponent == 1
 
@@ -301,7 +301,7 @@ class TestSubdirect:
                         "projection_exponents": [13],
                         "failing_slot": 0,
                     }
-                full = s.at(3).G
+                full = s.G.truncate(3)
                 sections = [subtree_section(g, 3, (0,)) for g in s.G.derived().generators]
                 proj = PermGroup(27, sections, prime=3)
                 assert member(proj, v.witness) and not member(full, v.witness)
@@ -403,14 +403,8 @@ class TestOrderDecidedStabilizers:
 class TestSessionMemo:
     def test_shared_subgroups_are_memoized_once(self, gs_spec):
         s = gv.build(gs_spec, 4)
-        assert s.at(s.depth) is s
-        assert s.at(2) is s.at(2) and s.at(2).depth == 2
-        assert s.at(1).G.order_exponent == 1
         assert s.second_derived() is s.second_derived()
         assert s.gamma3() is s.gamma3() and s.st1_derived() is s.st1_derived()
-        for m in (0, 5):
-            with pytest.raises(ValueError):
-                s.at(m)
 
     def test_standalone_checks_share_the_closures(self, gs_spec):
         s = gv.build(gs_spec, 4)
@@ -420,10 +414,44 @@ class TestSessionMemo:
             assert check_regular_branch(s).holds
             assert check_gamma3_product(s).holds
         ambients = [c.args[0] for c in closure.call_args_list]
-        # in G: st(1)' once, then [st(1)', st(1)]; in G_3: G_3', then gamma3
-        assert sum(g is s.G for g in ambients) == 2
-        assert sum(g is s.at(3).G for g in ambients) == 2
+        # all in G: st(1)' once, then [st(1)', st(1)], G' and gamma3; the
+        # level-3 groups are their truncations
         assert len(ambients) == 4
+        assert all(g is s.G for g in ambients)
+
+
+def _closure_depths(run):
+    """The tree depth of every closure run() makes, in order."""
+    depths = []
+    real = permgroups._close
+
+    def record(tree, seeds, conj_by):
+        depths.append(tree.depth)
+        return real(tree, seeds, conj_by)
+
+    with mock.patch.object(permgroups, "_close", side_effect=record):
+        run()
+    return depths
+
+
+class TestClosureCensus:
+    """Each subgroup is closed once, at the session's depth; the groups the
+    checks compare one or two levels down are truncations of those."""
+
+    @pytest.mark.parametrize(
+        "p,rows,depth",
+        [(5, [(1, 1, 1, 1), (1, 0, 0, 1)], 5), (3, [(1, 0), (0, 1)], 6)],
+    )
+    def test_run_all_closes_below_the_depth_only_the_projection(self, p, rows, depth):
+        depths = _closure_depths(lambda: gv.run_all(gv.validate(p, rows), depth))
+        # G, G', gamma3, st(1)', [st(1)', st(1)] and G''; subdirect's
+        # projection is a new group one level down
+        assert sorted(depths) == [depth - 1] + [depth] * 6
+
+    def test_table_closes_g_and_its_derived_subgroup(self, capsys):
+        args = ["table", "--p", "3", "--vectors", "1,0;0,1", "--max-depth", "6"]
+        assert _closure_depths(lambda: cli.main(args)) == [6, 6]
+        assert capsys.readouterr().out.splitlines()[-1].split()[:4] == ["6", "298", "3", "3"]
 
 
 class TestWitnesses:
@@ -583,18 +611,18 @@ class TestMutationControls:
         s = mutant
         v = check_gamma3_product(s)
         lhs = commutator_subgroup(s.st1_derived(), s.st1(), s.G)
-        assert separates(v.witness, lhs, s.at(4).gamma3().block_power())
+        assert separates(v.witness, lhs, s.gamma3().truncate(4).block_power())
 
     def test_regular_branch_witness(self, mutant):
         v = check_regular_branch(mutant)
-        rhs = mutant.at(4).G.derived().block_power()
+        rhs = mutant.G.derived().truncate(4).block_power()
         assert separates(v.witness, mutant.st1_derived(), rhs)
 
     def test_subdirect_witness(self, mutant):
         v = check_subdirect(mutant)
         sections = [subtree_section(g, 3, (0,)) for g in mutant.G.derived().generators]
         proj = PermGroup(81, sections, prime=3)
-        assert separates(v.witness, proj, mutant.at(4).G)
+        assert separates(v.witness, proj, mutant.G.truncate(4))
 
     @pytest.mark.parametrize(
         "check,m,subgroup",

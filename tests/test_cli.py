@@ -439,10 +439,10 @@ class TestDepthPolicy:
         self, monkeypatch, tmp_path, capsys
     ):
         monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
-        # rank_growth at r = 1 reads only the level-2 restriction, so the
+        # psi2_second_derived is skipped at r = 1 before any closure, so the
         # depth-8 run is cheap
         args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "8",
-                "--checks", "rank_growth", "--format", "json"]
+                "--checks", "psi2_second_derived", "--format", "json"]
         assert cli.main(args + ["--allow-slow"]) == 0
         stored = json.loads(capsys.readouterr().out)
         with work_started(), mock.patch.object(

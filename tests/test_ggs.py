@@ -1,10 +1,11 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import ggsver as gv
-from ggsver import ggs
+from ggsver import permgroups
 from ggsver.ggs import (
     BadLength,
     DependentVectors,
@@ -236,7 +237,8 @@ RESTRICTION_CASES = [
 
 class TestRestriction:
     """The level-m quotient of G is generated by G's generators restricted
-    to level m; sessions at lower depths are built that way."""
+    to level m, and the level-m quotients of the subgroups a session closes
+    are read off their layers by PermGroup.truncate."""
 
     @pytest.mark.parametrize("name,top", RESTRICTION_CASES)
     def test_truncation_matches_building_at_each_level(self, request, name, top):
@@ -252,19 +254,41 @@ class TestRestriction:
         assert len(bs) == spec.r and all(b.is_identity() for b in bs)
 
     @pytest.mark.parametrize("name,top", RESTRICTION_CASES)
-    def test_lower_sessions_match_building_at_that_depth(self, request, name, top):
+    def test_truncations_match_building_at_that_depth(self, request, name, top):
+        # G, G' and gamma3 truncated to level m are the groups a depth-m
+        # build closes, array for array; G'' has their rows in another order
         spec = request.getfixturevalue(name)
         session = gv.build(spec, top)
-        with mock.patch.object(ggs, "build", side_effect=AssertionError("rebuilt")):
-            lowers = [session.at(m) for m in range(1, top)]
-        for m, lower in enumerate(lowers, 1):
+        tops = [session.G, session.G.derived(), session.gamma3(), session.second_derived()]
+        for h in tops:
+            h.chain
+        with mock.patch.object(permgroups, "_close", side_effect=AssertionError("closed")):
+            cuts = {m: [h.truncate(m) for h in tops] for m in range(1, top)}
+        for m, (*same, second) in cuts.items():
             direct = gv.build(spec, m)
-            assert lower.depth == m and lower.spec == spec
-            assert lower.G.generators == direct.G.generators
-            assert (
-                lower.G.chain_summary()["level_dimensions"]
-                == direct.G.chain_summary()["level_dimensions"]
-            )
+            wants = [direct.G, direct.G.derived(), direct.gamma3()]
+            for got, want in zip(same, wants):
+                assert got.level == m and got.generators == want.generators
+                assert got.chain.dimensions() == want.chain.dimensions()
+                for a, b in zip(got.chain.levels, want.chain.levels):
+                    assert np.array_equal(a.rows[: a.dim], b.rows[: b.dim])
+                    assert np.array_equal(a.pivots[: a.dim], b.pivots[: b.dim])
+                for a, b in zip(got.chain.levels[:-1], want.chain.levels[:-1]):
+                    assert np.array_equal(a.divs[:, : a.dim], b.divs[:, : b.dim])
+                reps = [list(h.chain.representatives(0)) for h in (got, want)]
+                assert np.array_equal(reps[0], reps[1])
+            want = direct.second_derived()
+            assert second.chain.dimensions() == want.chain.dimensions()
+            for a, b in zip(second.chain.levels, want.chain.levels):
+                rows = [{tuple(r) for r in x.rows[: x.dim].tolist()} for x in (a, b)]
+                assert rows[0] == rows[1]
+
+    def test_truncate_refuses_a_level_outside_one_to_depth(self, gs4):
+        g = gs4.G
+        assert g.truncate(4) is g
+        for m in (-1, 0, 5):
+            with pytest.raises(ValueError, match="outside 1..4"):
+                g.truncate(m)
 
 
 class TestClosedFormOrders:
@@ -291,7 +315,7 @@ class TestClosedFormOrders:
         # proved, not fitted: the order formula of Fernandez-Alcober and
         # Zugadi-Reizabal, symmetric vectors included
         session = gv.build(gv.validate(p, [e]), depth)
-        got = [session.at(n).G.order_exponent for n in range(1, depth + 1)]
+        got = [session.G.truncate(n).order_exponent for n in range(1, depth + 1)]
         assert got == [1] + [ggs_order_exponent(p, e, n) for n in range(2, depth + 1)]
 
     def test_circulant_rank(self):

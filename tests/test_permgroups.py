@@ -170,7 +170,7 @@ class TestDerivedAndFrattini:
             s = gv.build(gs_spec, 4)
             for check in gv.CHECKS.values():
                 check(s)
-            freed = [weakref.ref(x) for x in (s, s.G, s.at(3), s.second_derived())]
+            freed = [weakref.ref(x) for x in (s, s.G, s.gamma3(), s.second_derived())]
             del s
             assert [f() for f in freed] == [None] * 4
         finally:
@@ -372,6 +372,26 @@ class TestAgainstSchreierSims:
                 in_st = restrict_to_level(x, p, m).is_identity()
                 assert st_m.contains(x) == (in_st and ref.contains(x.images))
 
+    @settings(max_examples=30)
+    @given(_random_subgroups())
+    def test_truncations(self, case):
+        # each level-m quotient against SchreierSims on the generators of
+        # the depth-N group restricted to level m; the generators truncate
+        # keeps generate it too
+        g, subgens, probes, _ = case
+        p, n = g.prime, g.level
+        h = PermGroup(g.degree, subgens, prime=p)
+        for group in (h, h.derived(), normal_closure(g, subgens)):
+            for m in range(1, n):
+                cut = group.truncate(m)
+                image = [restrict_to_level(x, p, m) for x in group.generators]
+                ref = SchreierSims(p**m, [x.images for x in image])
+                assert cut.order_exponent == log_order(ref.order(), p)
+                assert _reference_exponent(p**m, cut.generators, p) == cut.order_exponent
+                for x in probes + list(group.generators):
+                    y = restrict_to_level(x, p, m)
+                    assert cut.contains(y) == ref.contains(y.images)
+
 
 @st.composite
 def _block_power_cases(draw):
@@ -477,8 +497,8 @@ def _assert_same_closure(tree, seeds, conj_by, got):
         assert len(lvl.reps[: lvl.dim]) == len(ref.reps[: ref.dim])
         for a, b in zip(lvl.reps[: lvl.dim], ref.reps[: ref.dim]):
             assert np.array_equal(a, b)
-    assert len(found) == len(ref_found)
-    for a, b in zip(found, ref_found):
+    assert [k for _, k in found] == [k for _, k in ref_found]
+    for (a, _), (b, _) in zip(found, ref_found):
         assert np.array_equal(a, b)
 
 
@@ -566,7 +586,7 @@ class TestAgainstSequentialClosure:
             got = permgroups._close(tree, seeds, conj_by)
         assert sizes[0] == 2
         _assert_same_closure(tree, seeds, conj_by, got)
-        assert [x.tolist() for x in got[1][:3]] == [x.tolist() for x in seeds[:3]]
+        assert [x.tolist() for x, _ in got[1][:3]] == [x.tolist() for x in seeds[:3]]
 
 
 # -- normal generators: the seeds a closure keeps ---------------------------------
