@@ -1,5 +1,5 @@
-"""Command line front end: verification runs, defining-data inspection,
-per-level tables, and a checksummed result cache.
+"""Command line front end: verification runs, defining-data inspection and
+per-level tables.
 
 Exit codes: 0 when no check failed (skipped and vacuous checks do not fail),
 1 when some verdict failed, 2 on usage or validation errors and on a run too
@@ -10,22 +10,18 @@ leaves than numpy can index, or out of memory.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from itertools import accumulate
 
 from . import __version__
-from .checks import FAILS, classify_csp, run_all, select_checks
+from .checks import FAILS, classify_csp, run_all
 from .ggs import (
     DEGREE_CAP,
     NormalizationImpossible,
     SpecError,
     build,
-    default_depth,
     is_constant,
     is_symmetric,
     normalize,
@@ -107,16 +103,17 @@ def format_spec_file(p: int, vectors, label: str | None = None) -> str:
 
 def _spec_from_args(args):
     if args.spec:
+        if args.p is not None or args.vectors is not None:
+            raise SpecError("--spec FILE cannot be combined with --p or --vectors")
         with open(args.spec, "r", encoding="utf-8") as fh:
             p, vectors, label = parse_spec_file(fh.read())
-        if getattr(args, "label", None):
-            label = args.label
+        label = args.label or label
     else:
         if args.p is None or args.vectors is None:
             raise SpecError("give either --spec FILE or both --p and --vectors")
         p = args.p
         vectors = parse_vectors(args.vectors)
-        label = getattr(args, "label", None)
+        label = args.label
     for row in vectors:
         for x in row:
             if not 0 <= x < p:
@@ -141,25 +138,13 @@ def strip_timings(payload: dict) -> dict:
     return out
 
 
-def _seal(body: dict) -> dict:
+def report_payload(report) -> dict:
+    body = report.to_jsonable()
     shell = {"format": REPORT_FORMAT, "version": __version__, "report": body}
     shell["fingerprint"] = hashlib.sha256(
         _canonical(strip_timings(shell))
     ).hexdigest()
     return shell
-
-
-def report_payload(report) -> dict:
-    return _seal(report.to_jsonable())
-
-
-def _relabel(payload: dict, label) -> dict:
-    """The same report under another label; the label is fingerprinted."""
-    body = payload["report"]
-    if body["spec"]["label"] == label:
-        return payload
-    body["spec"]["label"] = label
-    return _seal(body)
 
 
 def render_json(payload: dict) -> str:
@@ -209,86 +194,6 @@ def exit_code_for(payload: dict) -> int:
     return 1 if FAILS in statuses else 0
 
 
-# -- result cache -------------------------------------------------------------
-
-
-def cache_dir() -> str:
-    env = os.environ.get("GGSVER_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "ggsver")
-
-
-@functools.cache
-def source_digest() -> str:
-    """Digest of the package's own .py files, so that a code change within
-    one version does not serve reports the old code computed."""
-    h = hashlib.sha256()
-    here = os.path.dirname(os.path.abspath(__file__))
-    for name in sorted(os.listdir(here)):
-        if name.endswith(".py"):
-            with open(os.path.join(here, name), "rb") as fh:
-                h.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
-    return h.hexdigest()
-
-
-def _cache_key(spec, depth, checks) -> str:
-    ident = {
-        "p": spec.p,
-        "vectors": [list(v) for v in spec.vectors],
-        "depth": depth,
-        "checks": sorted(checks) if checks is not None else None,
-        "version": __version__,
-        "source": source_digest(),
-    }
-    return hashlib.sha256(_canonical(ident)).hexdigest()
-
-
-def cache_load(spec, depth, checks):
-    path = os.path.join(cache_dir(), _cache_key(spec, depth, checks) + ".json")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entry = json.load(fh)
-        payload = entry["payload"]
-        checksum = entry["checksum"]
-    except (OSError, ValueError, KeyError):
-        print("warning: unreadable cache entry ignored", file=sys.stderr)
-        return None
-    if hashlib.sha256(_canonical(payload)).hexdigest() != checksum:
-        print("warning: cache entry failed its checksum; recomputing", file=sys.stderr)
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    return payload
-
-
-def cache_store(spec, depth, checks, payload) -> None:
-    """Write the entry to a temporary file and rename it into place, so a
-    failed write leaves no partial entry behind."""
-    d = cache_dir()
-    entry = {
-        "checksum": hashlib.sha256(_canonical(payload)).hexdigest(),
-        "payload": payload,
-    }
-    path = os.path.join(d, _cache_key(spec, depth, checks) + ".json")
-    try:
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    except OSError as exc:
-        print(f"warning: cache write failed: {exc}", file=sys.stderr)
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -296,21 +201,11 @@ def cmd_verify(args) -> int:
     spec, label = _spec_from_args(args)
     checks = None
     if args.checks is not None:
-        checks = select_checks([c.strip() for c in args.checks.split(",") if c.strip()])
-    depth = default_depth(spec) if args.depth is None else args.depth
-    payload = None
-    if not args.no_cache:
-        payload = cache_load(spec, depth, checks)
-        if payload is not None:
-            print("note: reusing cached report", file=sys.stderr)
-            payload = _relabel(payload, label)
-    if payload is None:
-        report = run_all(
-            spec, depth=depth, checks=checks, label=label, allow_large=args.allow_slow
-        )
-        payload = report_payload(report)
-        if not args.no_cache:
-            cache_store(spec, depth, checks, payload)
+        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    report = run_all(
+        spec, depth=args.depth, checks=checks, label=label, allow_large=args.allow_slow
+    )
+    payload = report_payload(report)
     rendered = RENDERERS[args.format](payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -437,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=sorted(RENDERERS), default="json", help="output format"
     )
     v.add_argument("--allow-slow", action="store_true", help=SLOW_HELP)
-    v.add_argument("--no-cache", action="store_true", help="ignore the result cache")
+    # accepted and ignored: bench/workloads.py::verify_argv still passes it;
+    # it goes once the benchmark stops doing so
+    v.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
     v.set_defaults(fn=cmd_verify)
 
     i = sub.add_parser("info", help="inspect defining data without building groups")

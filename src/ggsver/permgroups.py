@@ -753,10 +753,6 @@ class PermGroup:
                 self._frattini = normal_closure(self, seeds)
         return self._frattini
 
-    def rank(self) -> int:
-        """Minimal number of generators, by the Burnside basis theorem."""
-        return self.order_exponent - self.frattini().order_exponent
-
     def block_power(self) -> "PermGroup":
         """The product of p copies of this group, copy j acting on the leaves
         below the first-level vertex j of the tree one level deeper.  Its

@@ -227,31 +227,19 @@ class Automorphism:
         return out
 
 
-_IDENTITY_CACHE: dict[tuple[int, int], Automorphism] = {}
-
-
 def identity(p: int, depth: int) -> Automorphism:
-    """The trivial portrait of the given depth."""
+    """The trivial portrait of the given depth, one node per level shared by
+    all p children."""
     if not is_odd_prime(p):
         raise ValueError(f"arity must be an odd prime, got {p}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    got = _IDENTITY_CACHE.get((p, depth))
-    if got is not None:
-        return got
     trivial = tuple(range(p))
-    cur = _IDENTITY_CACHE.get((p, 0))
-    if cur is None:
-        cur = Automorphism(p, 0, trivial, ())
-        cur._ident = True
-        _IDENTITY_CACHE[(p, 0)] = cur
+    cur = Automorphism(p, 0, trivial, ())
+    cur._ident = True
     for d in range(1, depth + 1):
-        nxt = _IDENTITY_CACHE.get((p, d))
-        if nxt is None:
-            nxt = Automorphism(p, d, trivial, (cur,) * p)
-            nxt._ident = True
-            _IDENTITY_CACHE[(p, d)] = nxt
-        cur = nxt
+        cur = Automorphism(p, d, trivial, (cur,) * p)
+        cur._ident = True
     return cur
 
 

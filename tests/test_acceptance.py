@@ -132,7 +132,7 @@ def test_criterion_4_symmetric_branch(sym5_spec):
     )
 
 
-def test_criterion_5_negative_control(const_spec, monkeypatch, tmp_path, capsys):
+def test_criterion_5_negative_control(const_spec, capsys):
     ok = classify_csp(const_spec) == CONSTANT_VECTOR_EXCEPTION
     rep = gv.run_all(const_spec, depth=4)
     got = {v.claim_id: v for v in rep.verdicts}
@@ -140,10 +140,9 @@ def test_criterion_5_negative_control(const_spec, monkeypatch, tmp_path, capsys)
         ok = ok and got[cid].status == SKIPPED
         ok = ok and "constant" in got[cid].reason
     ok = ok and got["stab1_derived_in_gamma3"].status == HOLDS
-    monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
     code = cli.main(
         ["verify", "--p", "3", "--vectors", "1,1", "--depth", "4",
-         "--no-cache", "--format", "json"]
+         "--format", "json"]
     )
     capsys.readouterr()
     ok = ok and code == 0
@@ -244,14 +243,13 @@ def test_criterion_7_monotonic_evidence(gs_spec):
     _line(7, "monotonic evidence across depths", not violations, str(status))
 
 
-def test_criterion_8_byte_identical_reports(monkeypatch, tmp_path):
-    monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+def test_criterion_8_byte_identical_reports(tmp_path):
     outs = []
     for name in ("one.json", "two.json"):
         out = tmp_path / name
         code = cli.main(
             ["verify", "--p", "3", "--vectors", "1,2", "--depth", "5",
-             "--no-cache", "--out", str(out), "--format", "json"]
+             "--out", str(out), "--format", "json"]
         )
         assert code == 0
         outs.append(out.read_bytes())

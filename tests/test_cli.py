@@ -9,12 +9,6 @@ from ggsver import cli
 from ggsver.ggs import DEGREE_CAP, default_depth
 
 
-def run(args, env=None, monkeypatch=None, tmp_path=None):
-    if monkeypatch is not None and tmp_path is not None:
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
-    return cli.main(args)
-
-
 class TestVectorParsing:
     def test_rows_and_entries(self):
         assert cli.parse_vectors("1,2;2,1") == [[1, 2], [2, 1]]
@@ -23,11 +17,10 @@ class TestVectorParsing:
         with pytest.raises(gv.SpecError):
             cli.parse_vectors("1,x")
 
-    def test_out_of_range_warns_and_reduces(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+    def test_out_of_range_warns_and_reduces(self, capsys):
         code = cli.main(
             ["verify", "--p", "3", "--vectors", "4,2", "--depth", "2",
-             "--checks", "rank_growth", "--no-cache", "--format", "json"]
+             "--checks", "rank_growth", "--format", "json"]
         )
         captured = capsys.readouterr()
         assert code == 0
@@ -37,7 +30,7 @@ class TestVectorParsing:
 
 
 class TestSpecFiles:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         text = cli.format_spec_file(5, [(1, 1, 1, 1), (1, 0, 0, 1)], label="pair")
         p, vectors, label = cli.parse_spec_file(text)
         assert (p, vectors, label) == (5, [[1, 1, 1, 1], [1, 0, 0, 1]], "pair")
@@ -52,25 +45,52 @@ class TestSpecFiles:
         with pytest.raises(gv.SpecError):
             cli.parse_spec_file("format = ggsver-spec/1\np = 3\n")
 
-    def test_file_input(self, tmp_path, capsys, monkeypatch):
+    def test_file_input(self, tmp_path, capsys):
         path = tmp_path / "spec.txt"
         path.write_text(cli.format_spec_file(3, [(1, 2)], label="basic"))
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
         code = cli.main(
             ["verify", "--spec", str(path), "--depth", "2",
-             "--checks", "rank_growth", "--no-cache", "--format", "json"]
+             "--checks", "rank_growth", "--format", "json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["spec"]["label"] == "basic"
 
+    def test_label_overrides_the_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.txt"
+        path.write_text(cli.format_spec_file(3, [(1, 2)], label="basic"))
+        assert cli.main(["info", "--spec", str(path), "--label", "other"]) == 0
+        assert capsys.readouterr().out.startswith("label: other\n")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["verify"], ["info"], ["table", "--max-depth", "2"]],
+        ids=["verify", "info", "table"],
+    )
+    @pytest.mark.parametrize(
+        "mixed",
+        [["--p", "5"], ["--vectors", "1,1,1,1"], ["--p", "5", "--vectors", "1,1,1,1"]],
+        ids=["p", "vectors", "both"],
+    )
+    def test_spec_file_with_p_or_vectors_refused(self, command, mixed, tmp_path, capsys):
+        # the file says p = 3; neither source may silently win
+        path = tmp_path / "spec.txt"
+        path.write_text(cli.format_spec_file(3, [(1, 2)]))
+        with work_started(), mock.patch.object(
+            cli, "run_all", side_effect=AssertionError("work started")
+        ):
+            code = cli.main(command + ["--spec", str(path), *mixed])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: --spec FILE cannot be combined with --p or --vectors\n"
+        )
+
 
 class TestVerifyCommand:
-    def test_exit_zero_and_report_shape(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+    def test_exit_zero_and_report_shape(self, capsys):
         code = cli.main(
             ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-             "--no-cache", "--format", "json"]
+             "--format", "json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -80,16 +100,15 @@ class TestVerifyCommand:
 
     def test_validation_error_is_exit_two(self, capsys):
         code = cli.main(
-            ["verify", "--p", "3", "--vectors", "1,2;2,1", "--depth", "3", "--no-cache"]
+            ["verify", "--p", "3", "--vectors", "1,2;2,1", "--depth", "3"]
         )
         assert code == 2
         assert "dependent" in capsys.readouterr().err
 
-    def test_constant_spec_exit_zero(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+    def test_constant_spec_exit_zero(self, capsys):
         code = cli.main(
             ["verify", "--p", "3", "--vectors", "1,1", "--depth", "4",
-             "--no-cache", "--format", "json"]
+             "--format", "json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -105,14 +124,13 @@ class TestVerifyCommand:
         ],
     )
     def test_shallow_depths_give_no_verdict_without_evidence(
-        self, vectors, depth, abelianization, capsys, monkeypatch, tmp_path
+        self, vectors, depth, abelianization, capsys
     ):
         # abelianization needs depth r+1 and the st(1)' containment depth 3;
         # below that they are vacuous, and nothing fails
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
         code = cli.main(
             ["verify", "--p", "3", "--vectors", vectors, "--depth", str(depth),
-             "--no-cache", "--format", "json"]
+             "--format", "json"]
         )
         assert code == 0
         checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["report"]["checks"]}
@@ -130,13 +148,10 @@ class TestVerifyCommand:
             ("3", "0,1", "key_congruence"),
         ],
     )
-    def test_unmet_hypotheses_are_skipped_not_failed(
-        self, p, vectors, skipped, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+    def test_unmet_hypotheses_are_skipped_not_failed(self, p, vectors, skipped, capsys):
         code = cli.main(
             ["verify", "--p", p, "--vectors", vectors, "--depth", "4",
-             "--no-cache", "--format", "json"]
+             "--format", "json"]
         )
         assert code == 0
         checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["report"]["checks"]}
@@ -149,28 +164,54 @@ class TestVerifyCommand:
         payload = {"report": {"checks": [{"status": "skipped"}, {"status": "vacuous"}]}}
         assert cli.exit_code_for(payload) == 0
 
-    def test_out_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+    def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = cli.main(
             ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-             "--no-cache", "--out", str(out)]
+             "--out", str(out)]
         )
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["report"]["depth"] == 3
 
+    @pytest.mark.parametrize("selection", [",", ""])
+    def test_empty_selection_is_refused(self, selection, capsys):
+        code = cli.main(
+            ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3", "--checks", selection]
+        )
+        assert code == 2
+        assert "names no check" in capsys.readouterr().err
+
+    def test_writes_nothing_but_the_out_report(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's guard against stored reports reads these two places
+        home, store = tmp_path / "home", tmp_path / "store"
+        home.mkdir()
+        store.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("GGSVER_CACHE_DIR", str(store))
+        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3", "--format", "json"]
+        out = tmp_path / "report.json"
+        assert cli.main(args + ["--no-cache"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert list(home.iterdir()) == [] and list(store.iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == [home, out, store]
+        written = json.loads(out.read_text())
+        assert cli.strip_timings(printed) == cli.strip_timings(written)
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        assert "cache" not in capsys.readouterr().out.lower()
+
     def test_unknown_check_exit_two(self, capsys):
         code = cli.main(
             ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-             "--checks", "nope", "--no-cache"]
+             "--checks", "nope"]
         )
         assert code == 2
 
 
 class TestFormatAgreement:
-    def test_all_formats_carry_the_same_numbers(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+    def test_all_formats_carry_the_same_numbers(self, capsys):
         spec = gv.validate(3, [(1, 2)])
         report = gv.run_all(spec, depth=3)
         payload = cli.report_payload(report)
@@ -200,14 +241,13 @@ class TestFormatAgreement:
 
 
 class TestDeterminism:
-    def test_reports_identical_modulo_timings(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+    def test_reports_identical_modulo_timings(self, tmp_path, capsys):
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             code = cli.main(
                 ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-                 "--no-cache", "--out", str(out)]
+                 "--out", str(out)]
             )
             assert code == 0
             outs.append(json.loads(out.read_text()))
@@ -223,120 +263,17 @@ class TestDeterminism:
         with open(golden_path, "r", encoding="utf-8") as fh:
             return json.load(fh)
 
-    def test_golden_report(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
+    def test_golden_report(self):
         spec = gv.validate(3, [(1, 2)])
         payload = cli.strip_timings(cli.report_payload(gv.run_all(spec, depth=4)))
         assert payload == self._golden("gupta_sidki_depth4.json")
 
-    def test_golden_two_generator_report(self, monkeypatch, tmp_path):
+    def test_golden_two_generator_report(self):
         # r = 2 runs psi2_second_derived and builds block products and the
         # subdirect projection from a group with two directed generators
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
         spec = gv.validate(3, [(1, 0), (0, 1)])
         payload = cli.strip_timings(cli.report_payload(gv.run_all(spec, depth=4)))
         assert payload == self._golden("two_generators_depth4.json")
-
-
-class TestCache:
-    def test_second_run_hits_cache(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
-        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-                "--format", "json"]
-        assert cli.main(args) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert cli.main(args) == 0
-        captured = capsys.readouterr()
-        second = json.loads(captured.out)
-        assert "cached" in captured.err
-        assert first == second
-
-    def test_tampered_entry_recomputed_with_warning(self, monkeypatch, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(cache))
-        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-                "--format", "json"]
-        assert cli.main(args) == 0
-        capsys.readouterr()
-        entries = list(cache.iterdir())
-        assert len(entries) == 1
-        blob = json.loads(entries[0].read_text())
-        blob["payload"]["report"]["depth"] = 99
-        entries[0].write_text(json.dumps(blob))
-        assert cli.main(args) == 0
-        captured = capsys.readouterr()
-        assert "checksum" in captured.err
-        assert json.loads(captured.out)["report"]["depth"] == 3
-
-    def test_version_keyed(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
-        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-                "--format", "json"]
-        assert cli.main(args) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(cli, "__version__", "0.0.0-test")
-        assert cli.main(args) == 0
-        captured = capsys.readouterr()
-        assert "cached" not in captured.err
-
-    def test_hit_reports_current_label(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
-        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-                "--format", "json", "--label"]
-        assert cli.main(args + ["first"]) == 0
-        capsys.readouterr()
-        assert cli.main(args + ["second"]) == 0
-        captured = capsys.readouterr()
-        assert "cached" in captured.err
-        hit = json.loads(captured.out)
-        assert hit["report"]["spec"]["label"] == "second"
-        assert cli.main(args + ["second", "--no-cache"]) == 0
-        fresh = json.loads(capsys.readouterr().out)
-        assert hit["fingerprint"] == fresh["fingerprint"]
-
-    def test_source_digest_keyed(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
-        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-                "--format", "json"]
-        assert cli.main(args) == 0
-        capsys.readouterr()
-        # an entry written by other sources of the same version is a miss
-        monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64, raising=False)
-        assert cli.main(args) == 0
-        assert "cached" not in capsys.readouterr().err
-
-    @pytest.mark.parametrize("selection", [",", ""])
-    def test_empty_selection_is_refused_and_not_cached(
-        self, selection, monkeypatch, tmp_path, capsys
-    ):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(cache))
-        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3",
-                "--format", "json"]
-        assert cli.main(args + ["--checks", selection]) == 2
-        assert "names no check" in capsys.readouterr().err
-        assert not cache.exists() or list(cache.iterdir()) == []
-        assert cli.main(args) == 0
-        captured = capsys.readouterr()
-        assert "cached" not in captured.err
-        ids = [entry["id"] for entry in json.loads(captured.out)["report"]["checks"]]
-        assert ids == list(gv.CHECKS)
-
-    def test_failed_write_leaves_no_entry(self, monkeypatch, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(cache))
-        spec = cli.validate(3, [(1, 2)])
-        payload = cli.report_payload(cli.run_all(spec, depth=3))
-
-        def broken_dump(obj, fh):
-            fh.write('{"checksum": "')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli.json, "dump", broken_dump)
-        cli.cache_store(spec, 3, None, payload)
-        assert "cache write failed" in capsys.readouterr().err
-        assert list(cache.iterdir()) == []
-        assert cli.cache_load(spec, 3, None) is None
 
 
 SIX_UNIT_ROWS = ";".join(",".join(str(int(i == j)) for j in range(6)) for i in range(6))
@@ -355,7 +292,7 @@ def entry_points(p, vectors, depth, opt_in):
     return [
         lambda: gv.build(spec, depth, allow_large=opt_in),
         lambda: gv.run_all(spec, depth=depth, allow_large=opt_in),
-        lambda: cli.main(["verify", *args, "--depth", str(depth), "--no-cache", *flag]),
+        lambda: cli.main(["verify", *args, "--depth", str(depth), *flag]),
         lambda: cli.main(["table", *args, "--max-depth", str(depth), *flag]),
     ]
 
@@ -400,7 +337,7 @@ class TestDepthPolicy:
     )
     def test_default_depth_runs_quietly(self, p, vectors, capsys):
         code = cli.main(
-            ["verify", "--p", str(p), "--vectors", vectors, "--no-cache", "--format", "json"]
+            ["verify", "--p", str(p), "--vectors", vectors, "--format", "json"]
         )
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
@@ -409,7 +346,7 @@ class TestDepthPolicy:
 
     @pytest.mark.parametrize("depth", ["0", "-2"])
     @pytest.mark.parametrize(
-        "command,option", [(["verify", "--no-cache"], "--depth"), (["table"], "--max-depth")]
+        "command,option", [(["verify"], "--depth"), (["table"], "--max-depth")]
     )
     def test_depth_below_one_refused(self, command, option, depth, capsys):
         code = cli.main(command + ["--p", "3", "--vectors", "1,2", option, depth])
@@ -418,8 +355,7 @@ class TestDepthPolicy:
 
     def test_past_what_numpy_can_index_is_refused_without_a_traceback(self, capsys):
         code = cli.main(
-            ["verify", "--p", "3", "--vectors", "1,2", "--depth", "40", "--allow-slow",
-             "--no-cache"]
+            ["verify", "--p", "3", "--vectors", "1,2", "--depth", "40", "--allow-slow"]
         )
         err = capsys.readouterr().err
         assert code == 2
@@ -429,30 +365,11 @@ class TestDepthPolicy:
     def test_out_of_memory_is_exit_two(self, capsys):
         with mock.patch("ggsver.ggs.rooted", side_effect=MemoryError("no room")):
             code = cli.main(
-                ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3", "--no-cache"]
+                ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3"]
             )
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: out of memory") and err.count("\n") == 1
-
-    def test_cached_report_above_the_cap_is_served_without_the_flag(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        monkeypatch.setenv("GGSVER_CACHE_DIR", str(tmp_path / "cache"))
-        # psi2_second_derived is skipped at r = 1 before any closure, so the
-        # depth-8 run is cheap
-        args = ["verify", "--p", "3", "--vectors", "1,2", "--depth", "8",
-                "--checks", "psi2_second_derived", "--format", "json"]
-        assert cli.main(args + ["--allow-slow"]) == 0
-        stored = json.loads(capsys.readouterr().out)
-        with work_started(), mock.patch.object(
-            cli, "run_all", side_effect=AssertionError("work started")
-        ):
-            assert cli.main(args) == 0
-        captured = capsys.readouterr()
-        assert "cached" in captured.err
-        assert json.loads(captured.out) == stored
-        assert cli.main(args + ["--no-cache"]) == 2
 
     @pytest.mark.parametrize("flag,opted_in", [([], False), (["--allow-slow"], True)])
     def test_verify_passes_allow_slow_to_run_all(self, flag, opted_in, monkeypatch):
@@ -464,7 +381,7 @@ class TestDepthPolicy:
 
         monkeypatch.setattr(cli, "run_all", fake_run_all)
         code = cli.main(
-            ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3", "--no-cache"] + flag
+            ["verify", "--p", "3", "--vectors", "1,2", "--depth", "3"] + flag
         )
         assert code == 2
         assert calls[0]["allow_large"] is opted_in
