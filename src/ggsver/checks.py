@@ -216,11 +216,10 @@ def check_abelianization(session: GroupSession):
     spec = session.spec
     _require_depth(session, spec.r + 1, "the abelianization index")
     g = session.G
-    d = g.derived()
+    d = session.derived()
     index_exp = g.order_exponent - d.order_exponent
-    # G/G' is abelian, so Frattini = G'G^p, generated modulo G' by the p-th
-    # powers of the generators
-    frattini_eq = all(d.contains(x**spec.p) for x in g.generators)
+    # Phi(G) contains G', so equal orders mean equal groups
+    frattini_eq = session.frattini().order_exponent == d.order_exponent
     details = {
         "order_exponent": g.order_exponent,
         "derived_exponent": d.order_exponent,
@@ -330,7 +329,7 @@ def check_regular_branch(session: GroupSession):
     _require_depth(session, 3, "the branch identity")
     details = {"mode": "extended: r=1 non-constant"} if spec.r == 1 else {}
     lhs = session.st1_derived()
-    rhs = session.G.derived().truncate(session.depth - 1).block_power()
+    rhs = session.derived().truncate(session.depth - 1).block_power()
     return _equality_verdict(lhs, rhs, details)
 
 
@@ -361,7 +360,7 @@ def check_subdirect(session: GroupSession):
     _require_nonconstant(spec)
     _require_depth(session, 3, "the subdirect projection check")
     p = spec.p
-    d = session.G.derived()
+    d = session.derived()
     full = session.G.truncate(session.depth - 1)
     sections = [subtree_section(g, p, (0,)) for g in d.generators]
     proj = PermGroup(full.degree, sections, prime=p)
@@ -392,7 +391,7 @@ def check_psi2_second_derived(session: GroupSession):
     p = spec.p
     n = session.depth
     second = session.second_derived()
-    inner = session.G.derived().truncate(n - 2)
+    inner = session.derived().truncate(n - 2)
     details = {
         "second_derived_exponent": second.order_exponent,
         "inner_derived_exponent": inner.order_exponent,
@@ -420,7 +419,7 @@ def check_rank_growth(session: GroupSession):
     # layer dimensions, and Phi(G_n) = G_n' G_n^p is the level-n quotient of
     # Phi(G), so both orders are read off depth-N layers
     orders = list(accumulate(session.G.chain.dimensions()))
-    frattini = list(accumulate(session.G.frattini().chain.dimensions()))
+    frattini = list(accumulate(session.frattini().chain.dimensions()))
     for n in range(2, top + 1):
         rk = orders[n - 1] - frattini[n - 1]
         ranks.append([n, rk])
@@ -474,7 +473,7 @@ def _stabilizer_verdict(session, m, subgroup, name):
 def check_derived_contains_stab(session: GroupSession):
     """The level-(r+1) stabilizer sits inside the derived subgroup."""
     return _stabilizer_verdict(
-        session, session.spec.r + 1, session.G.derived, "derived"
+        session, session.spec.r + 1, session.derived, "derived"
     )
 
 

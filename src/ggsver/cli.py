@@ -262,13 +262,13 @@ def cmd_info(args) -> int:
 
 def cmd_table(args) -> int:
     spec, _ = _spec_from_args(args)
-    g = build(spec, args.max_depth, allow_large=args.allow_slow).G
+    session = build(spec, args.max_depth, allow_large=args.allow_slow)
     # log_p of the level-n quotient of a subgroup H of G is the sum of H's
     # first n layer dimensions, and the level-n quotients of G' and Phi(G)
     # are G_n' and Phi(G_n), so every row is read off depth-N layers
-    orders = list(accumulate(g.chain.dimensions()))
-    derived = accumulate(g.derived().chain.dimensions())
-    frattini = accumulate(g.frattini().chain.dimensions())
+    orders = list(accumulate(session.G.chain.dimensions()))
+    derived = accumulate(session.derived().chain.dimensions())
+    frattini = accumulate(session.frattini().chain.dimensions())
     rows = []
     for n, (order, d, phi) in enumerate(zip(orders, derived, frattini), 1):
         rows.append(

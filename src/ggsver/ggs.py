@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .portraits import directed, is_odd_prime, rooted
+from . import permgroups
 from .permgroups import PermGroup, commutator_subgroup
 
 __all__ = [
@@ -292,11 +293,12 @@ class GroupSession:
 
     Holds the group handle for the induced group on the p**depth leaves,
     generated by the leaf permutations of a, b_1, ..., b_r in that order.
-    Immutable apart from one memo of the subgroups the checks share: gamma3,
-    st(1), st(1)' and G''.  G' is G.derived(), which the group handle
-    memoizes itself.  Each is closed once, at this depth; a check that needs
-    one at a lower depth m truncates it with PermGroup.truncate(m), which
-    reads the level-m quotient off its layers with no closure.
+    Immutable apart from one memo of the subgroups the checks share: G',
+    Phi(G), gamma3, st(1), st(1)' and G''.  It is the only memo: a group
+    handle keeps no subgroup of its own.  Each is closed at most once, at
+    this depth; a check that needs one at a lower depth m truncates it with
+    PermGroup.truncate(m), which reads the level-m quotient off its layers
+    with no closure.
     """
 
     spec: GGSSpec
@@ -310,10 +312,31 @@ class GroupSession:
             got = self._memo[key] = make()
         return got
 
+    def derived(self) -> PermGroup:
+        """The derived subgroup G'."""
+        return self._memoized("derived", self.G.derived)
+
+    def frattini(self) -> PermGroup:
+        """The Frattini subgroup Phi(G) = G'G^p, the smallest normal
+        subgroup with elementary abelian quotient.  G/G' is abelian, so it
+        is G' itself when every generator's p-th power lies in G', and
+        otherwise the normal closure of G' and those powers."""
+
+        def make():
+            g, d = self.G, self.derived()
+            powers = [x**g.prime for x in g.generators]
+            if all(d.contains(x) for x in powers):
+                return d
+            # looked up on the module, as every other closure is, so a
+            # tracer that wraps permgroups.normal_closure counts this one
+            return permgroups.normal_closure(g, [*d.generators, *powers])
+
+        return self._memoized("frattini", make)
+
     def gamma3(self) -> PermGroup:
         """Third lower-central term [[G,G],G]."""
         g = self.G
-        return self._memoized("gamma3", lambda: commutator_subgroup(g.derived(), g, g))
+        return self._memoized("gamma3", lambda: commutator_subgroup(self.derived(), g, g))
 
     def st1(self) -> PermGroup:
         """The level-1 stabilizer: G's layers from level 1 on, with no
@@ -339,7 +362,7 @@ class GroupSession:
         return self._memoized("st1_derived", lambda: commutator_subgroup(st1, st1, self.G))
 
     def second_derived(self) -> PermGroup:
-        d = self.G.derived()
+        d = self.derived()
         return self._memoized("second_derived", lambda: commutator_subgroup(d, d, self.G))
 
 

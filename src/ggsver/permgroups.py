@@ -155,7 +155,6 @@ and representatives are kept in the order they were found.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from itertools import combinations, product
 
@@ -167,7 +166,6 @@ __all__ = [
     "NotPGroup",
     "ElementNotInAmbient",
     "PermGroup",
-    "equals",
     "normal_closure",
     "commutator_subgroup",
 ]
@@ -227,11 +225,8 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
 # a run may pass it by one stack
 _RUN = 64
 
-_TREES: dict = {}
-
-
 class _Tree:
-    """Index tables of the depth-n p-regular tree; see _tree()."""
+    """Index tables of the depth-n p-regular tree."""
 
     def __init__(self, p, n: int):
         self.p = p
@@ -276,13 +271,6 @@ class _Tree:
             if not ((kids - kids[:, :1]) % p == np.arange(p)).all():
                 return False
         return True
-
-
-def _tree(p, n: int) -> _Tree:
-    got = _TREES.get((p, n))
-    if got is None:
-        got = _TREES[(p, n)] = _Tree(p, n)
-    return got
 
 
 class _Layer:
@@ -468,7 +456,7 @@ class _Layers:
         share rows and pivots and restrict their representatives and
         divisors, level m-1 keeps its rows only; see Quotients in the module
         docstring."""
-        tree = _tree(self.tree.p, m)
+        tree = _Tree(self.tree.p, m)
         step = self.tree.p ** (self.tree.depth - m)
         levels = []
         for k, lvl in enumerate(self.levels[:m]):
@@ -648,7 +636,7 @@ class PermGroup:
             raise ValueError(f"degree {degree} is below the prime {prime}: no tree level")
         self.degree = int(degree)
         self.prime = int(prime)
-        self._tree = _tree(self.prime, level_of_degree(self.degree, self.prime))
+        self._tree = _Tree(self.prime, level_of_degree(self.degree, self.prime))
         gens = []
         for g in generators:
             if not isinstance(g, Perm):
@@ -669,13 +657,11 @@ class PermGroup:
         # that found it, or None for generators given by hand; truncate
         # reads it
         self._levels = levels
-        # (weak reference to the ambient, elements) for a normal closure: the
-        # seeds that left a residual, or any elements whose closure under
-        # the ambient generators is this group.  A strong reference would
-        # make a cycle with the ambient's memo of it
+        # (ambient, elements) for a normal closure: the seeds that left a
+        # residual, or any elements whose closure under the ambient
+        # generators is this group.  A handle keeps no subgroup of its own,
+        # so holding the ambient makes no cycle
         self._closed_from = closed_from
-        self._derived = None
-        self._frattini = None
 
     def _built(self, generators, layers, normal_generators=None, levels=None) -> "PermGroup":
         """A handle with the same prime on the tree of the given layers,
@@ -687,7 +673,7 @@ class PermGroup:
         obj.degree, obj.prime, obj._tree = len(tree.identity), self.prime, tree
         closed_from = None
         if normal_generators is not None:
-            closed_from = (weakref.ref(self), tuple(normal_generators))
+            closed_from = (self, tuple(normal_generators))
         obj._setup(generators, layers, closed_from, levels)
         return obj
 
@@ -708,18 +694,12 @@ class PermGroup:
     def level(self) -> int:
         return self._tree.depth
 
-    def is_trivial(self) -> bool:
-        return self.order_exponent == 0
-
     # -- membership ---------------------------------------------------------
 
     def contains(self, x: Perm) -> bool:
         if x.degree != self.degree:
             raise DegreeMismatch("element degree differs from the group degree")
         return self.chain.contains(x.images)
-
-    def contains_subgroup(self, other: "PermGroup") -> bool:
-        return self.containment_witness(other) is None
 
     def containment_witness(self, other: "PermGroup"):
         """First generator of `other` outside self, or None when contained."""
@@ -733,25 +713,10 @@ class PermGroup:
     # -- derived machinery --------------------------------------------------
 
     def derived(self) -> "PermGroup":
-        if self._derived is None:
-            seeds = _commutators(combinations(self.generators, 2))
-            self._derived = normal_closure(self, seeds)
-        return self._derived
-
-    def frattini(self) -> "PermGroup":
-        """Smallest normal subgroup with elementary abelian quotient
-        (commutators plus p-th powers of the generators, closed up).  G/G' is
-        abelian, so Phi = G'G^p is G' itself when every generator's p-th
-        power lies in G'."""
-        if self._frattini is None:
-            d = self.derived()
-            powers = [g**self.prime for g in self.generators]
-            if all(d.contains(x) for x in powers):
-                self._frattini = d
-            else:
-                seeds = _commutators(combinations(self.generators, 2)) + powers
-                self._frattini = normal_closure(self, seeds)
-        return self._frattini
+        """The derived subgroup: the normal closure of the commutators of
+        the generators.  Each call runs a new closure; a handle keeps no
+        subgroup, and GroupSession.derived() is the one that is remembered."""
+        return normal_closure(self, _commutators(combinations(self.generators, 2)))
 
     def block_power(self) -> "PermGroup":
         """The product of p copies of this group, copy j acting on the leaves
@@ -760,7 +725,7 @@ class PermGroup:
         p, n = self.prime, self.level + 1
         images = np.array([g.images for g in self.generators], dtype=np.intp)
         gens = [Perm._wrap(x) for x in _blocks(images.reshape(-1, self.degree), p)]
-        return self._built(gens, self.chain.block_power(_tree(p, n)))
+        return self._built(gens, self.chain.block_power(_Tree(p, n)))
 
     def truncate(self, m: int) -> "PermGroup":
         """The level-m quotient, 1 <= m <= level: this group acting on the
@@ -824,13 +789,6 @@ def _commutators(pairs) -> list[Perm]:
     return out
 
 
-def equals(a: PermGroup, b: PermGroup) -> bool:
-    """Order comparison plus one-sided generator membership."""
-    if a.degree != b.degree:
-        raise DegreeMismatch("groups act on different point sets")
-    return a.order_exponent == b.order_exponent and b.contains_subgroup(a)
-
-
 def normal_closure(ambient: PermGroup, elements) -> PermGroup:
     """Smallest subgroup containing the elements and closed under
     conjugation by the ambient generators."""
@@ -869,5 +827,5 @@ def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermG
                 "commutator arguments must be subgroups of the ambient group"
             )
     closed = a._closed_from
-    left = closed[1] if closed is not None and closed[0]() is ambient else a.generators
+    left = closed[1] if closed is not None and closed[0] is ambient else a.generators
     return normal_closure(ambient, _commutators(product(left, b.generators)))

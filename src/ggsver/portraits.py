@@ -38,18 +38,6 @@ class DegreeMismatch(ValueError):
     """Operands live on different point sets."""
 
 
-_RANGES: dict[int, np.ndarray] = {}
-
-
-def _arange(n: int) -> np.ndarray:
-    r = _RANGES.get(n)
-    if r is None:
-        r = np.arange(n, dtype=np.intp)
-        r.setflags(write=False)
-        _RANGES[n] = r
-    return r
-
-
 def is_odd_prime(n: int) -> bool:
     """Deterministic trial division; arities here are single digits."""
     if n < 3 or n % 2 == 0:
@@ -94,7 +82,7 @@ class Perm:
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
-        return cls._wrap(_arange(n))
+        return cls._wrap(np.arange(n, dtype=np.intp))
 
     @property
     def degree(self) -> int:
@@ -124,16 +112,14 @@ class Perm:
 
     def inverse(self) -> "Perm":
         inv = np.empty_like(self.images)
-        inv[self.images] = _arange(self.degree)
+        inv[self.images] = np.arange(self.degree, dtype=np.intp)
         return Perm._wrap(inv)
-
-    __invert__ = inverse
 
     def __call__(self, point: int) -> int:
         return int(self.images[point])
 
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self.images, _arange(self.degree)))
+        return bool(np.array_equal(self.images, np.arange(self.degree)))
 
     def tolist(self) -> list[int]:
         return [int(x) for x in self.images]
@@ -215,7 +201,7 @@ class Automorphism:
         if level == 0:
             return np.zeros(1, dtype=np.intp)
         if self.is_identity():
-            return _arange(self.p**level)
+            return np.arange(self.p**level, dtype=np.intp)
         if level == 1:
             return np.array(self.root_perm, dtype=np.intp)
         block = self.p ** (level - 1)
@@ -358,6 +344,6 @@ def subtree_embed(perm: Perm, p: int, word, level: int) -> Perm:
             f"block of size {bs} cannot hold a permutation of degree {perm.degree}"
         )
     start = vertex_index(word, p) * bs
-    out = _arange(p**n).copy()
+    out = np.arange(p**n, dtype=np.intp)
     out[start : start + bs] = start + perm.images
     return Perm._wrap(out)

@@ -11,6 +11,9 @@ candidate at a time, every candidate a leaf permutation.  It shares the
 package's per-level arithmetic (ggsver.permgroups._Layers, through _sift and
 _adjoin below) and differs in the queue, so it is the reference for what the
 closure does with its candidates.
+
+same_group compares two of the package's group handles through their public
+membership and orders; the tests use it where they assert an equality.
 """
 
 from bisect import bisect_left
@@ -254,6 +257,11 @@ def reference_commutator(x, y):
     """x^-1 y^-1 x y, composed left to right, on image arrays."""
     x, y = np.asarray(x), np.asarray(y)
     return y[x[_inverse(y)[_inverse(x)]]]
+
+
+def same_group(a, b):
+    """Equal orders, and every generator of a lies in b."""
+    return a.order_exponent == b.order_exponent and b.containment_witness(a) is None
 
 
 def _power(x, k):

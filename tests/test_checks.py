@@ -28,10 +28,10 @@ from ggsver.checks import (
 )
 from ggsver import checks, cli, ggs, permgroups
 from ggsver.ggs import DEGREE_CAP, NormalizationImpossible, default_depth, normalize
-from ggsver.permgroups import PermGroup, commutator_subgroup, equals
+from ggsver.permgroups import PermGroup, commutator_subgroup
 from ggsver.portraits import Perm, restrict_to_level, subtree_section
 
-from oracles import SchreierSims
+from oracles import SchreierSims, same_group
 
 SPEC_FIXTURES = ["gs_spec", "const_spec", "r2_spec", "sym5_spec"]
 
@@ -237,8 +237,8 @@ class TestRegularBranch:
         # G' x ... x G', so the identity the check would assert is false here
         s = gv.build(gv.validate(p, [row]), depth)
         lhs = s.st1_derived()
-        rhs = s.G.derived().truncate(depth - 1).block_power()
-        assert rhs.contains_subgroup(lhs)
+        rhs = s.derived().truncate(depth - 1).block_power()
+        assert rhs.containment_witness(lhs) is None
         assert rhs.order_exponent - lhs.order_exponent == 1
 
 
@@ -252,7 +252,7 @@ class TestStab1DerivedInGamma3:
         # st(1)' is trivial below depth 3, a containment with no evidence
         for depth in (1, 2):
             session = gv.build(gs_spec, depth)
-            assert session.st1_derived().is_trivial()
+            assert session.st1_derived().order_exponent == 0
             v = check_stab1_derived_in_gamma3(session)
             assert v.status == VACUOUS and "at least 3" in v.reason
 
@@ -277,7 +277,7 @@ class TestSubdirect:
         # permutes the slots, so each slot's projection has its order
         s = gv.build(request.getfixturevalue(fixture), 4)
         p = s.spec.p
-        d = s.G.derived()
+        d = s.derived()
         exponents = [
             PermGroup(
                 p**3, [subtree_section(g, p, (j,)) for g in d.generators], prime=p
@@ -302,7 +302,7 @@ class TestSubdirect:
                         "failing_slot": 0,
                     }
                 full = s.G.truncate(3)
-                sections = [subtree_section(g, 3, (0,)) for g in s.G.derived().generators]
+                sections = [subtree_section(g, 3, (0,)) for g in s.derived().generators]
                 proj = PermGroup(27, sections, prime=3)
                 assert member(proj, v.witness) and not member(full, v.witness)
 
@@ -368,7 +368,7 @@ class TestOrderDecidedStabilizers:
         ):
             st1 = session.st1()
             assert len(st1.generators) == session.spec.p * session.spec.r
-            assert equals(st1, g.level_stabilizer(1))
+            assert same_group(st1, g.level_stabilizer(1))
         # G's own layers from level 1 on, shared, and nothing on level 0
         assert st1.chain.levels[0].dim == 0
         for k in range(1, depth):
@@ -378,7 +378,7 @@ class TestOrderDecidedStabilizers:
     def test_helper_agrees_with_containment_witness(self, request, name):
         spec = request.getfixturevalue(name)
         session = gv.build(spec, 4)
-        d = session.G.derived()
+        d = session.derived()
         # st(r+1) lies in G'; st(1) does not, since b_1 is outside G'
         for m, contained in ((spec.r + 1, True), (1, False)):
             st = session.G.level_stabilizer(m)
@@ -392,7 +392,7 @@ class TestOrderDecidedStabilizers:
 
     def test_holding_containment_builds_no_stabilizer_handle(self, gs4):
         # st(2) <= G' is read off the layer dimensions alone
-        d = gs4.G.derived()
+        d = gs4.derived()
         exponent = gs4.G.level_stabilizer(2).order_exponent
         with mock.patch.object(
             PermGroup, "level_stabilizer", side_effect=AssertionError("handle built")
@@ -405,6 +405,15 @@ class TestSessionMemo:
         s = gv.build(gs_spec, 4)
         assert s.second_derived() is s.second_derived()
         assert s.gamma3() is s.gamma3() and s.st1_derived() is s.st1_derived()
+
+    @pytest.mark.parametrize("name", SPEC_FIXTURES)
+    def test_the_session_alone_remembers_g_prime(self, request, name):
+        s = gv.build(request.getfixturevalue(name), 3)
+        assert s.derived() is s.derived()
+        # the generators have order p, so Phi(G) = G'G^p is G' itself
+        assert s.frattini() is s.derived()
+        # a group handle keeps no memo: each derived() is a new closure
+        assert s.G.derived() is not s.G.derived()
 
     def test_standalone_checks_share_the_closures(self, gs_spec):
         s = gv.build(gs_spec, 4)
@@ -459,7 +468,7 @@ class TestWitnesses:
         # st(1) is strictly larger than the derived subgroup, so asking the
         # derived subgroup to contain it must fail with a witness
         st1 = gs3.G.level_stabilizer(1)
-        d = gs3.G.derived()
+        d = gs3.derived()
         w = d.containment_witness(st1)
         assert w is not None
         assert st1.contains(w)
@@ -487,13 +496,13 @@ class TestEqualityVerdict:
         assert details["lhs_exponent"] == details["rhs_exponent"]
 
     def test_proper_subgroup_is_named_by_a_generator_of_the_larger(self, gs4):
-        lhs, rhs = gs4.G.derived(), gs4.G.level_stabilizer(1)
+        lhs, rhs = gs4.derived(), gs4.G.level_stabilizer(1)
         _, witness = _equality_verdict(lhs, rhs, {})
         assert witness is lhs.containment_witness(rhs)
         assert rhs.contains(witness) and not lhs.contains(witness)
 
     def test_larger_lhs_is_named_by_its_own_generator(self, gs4):
-        lhs, rhs = gs4.G.level_stabilizer(1), gs4.G.derived()
+        lhs, rhs = gs4.G.level_stabilizer(1), gs4.derived()
         _, witness = _equality_verdict(lhs, rhs, {})
         assert witness is rhs.containment_witness(lhs)
         assert lhs.contains(witness) and not rhs.contains(witness)
@@ -615,19 +624,19 @@ class TestMutationControls:
 
     def test_regular_branch_witness(self, mutant):
         v = check_regular_branch(mutant)
-        rhs = mutant.G.derived().truncate(4).block_power()
+        rhs = mutant.derived().truncate(4).block_power()
         assert separates(v.witness, mutant.st1_derived(), rhs)
 
     def test_subdirect_witness(self, mutant):
         v = check_subdirect(mutant)
-        sections = [subtree_section(g, 3, (0,)) for g in mutant.G.derived().generators]
+        sections = [subtree_section(g, 3, (0,)) for g in mutant.derived().generators]
         proj = PermGroup(81, sections, prime=3)
         assert separates(v.witness, proj, mutant.G.truncate(4))
 
     @pytest.mark.parametrize(
         "check,m,subgroup",
         [
-            (check_derived_contains_stab, 2, lambda s: s.G.derived()),
+            (check_derived_contains_stab, 2, lambda s: s.derived()),
             (check_second_derived_contains_stab, 4, lambda s: s.second_derived()),
         ],
     )
