@@ -21,7 +21,10 @@ basis row, its representative.  With d_m the dimension of layer m:
 * x lies in H exactly when reducing it level by level leaves the identity.
   At level m the exponents are the labels of x at the pivot columns, and x
   is divided by that product of representatives.  Everything divided out
-  lies in H, so the test is exact for any permutation of the leaves.
+  lies in H, so the test is exact for any permutation of the leaves.  A
+  level m with no rows refuses x as soon as x has non-zero labels there:
+  once the levels above m are divided out, a member lies in H & st(m), which
+  is H & st(m+1) when layer m is empty, so its level-m labels are zero.
 
 An element of st(N-1) is determined by its labels, so the last layer keeps
 label rows only and decides by comparing labels.
@@ -275,20 +278,27 @@ class _Tree:
 
 class _Layer:
     """Reduced echelon basis over F_p of the level-m labels of H & st(m), as
-    float rows (exact for these small integers).  Below the last level row j
-    has a representative reps[j], and divs[c-1, j] is reps[j] raised to -c.
+    float rows (exact for these small integers).  leaves[j] = pivots[j] *
+    below, with below = p**(N-m), is the first leaf below the vertex of
+    pivot j, so one gather reads an element's exponents.  Below the last
+    level row j has a representative reps[j], and divs[c-1, j] is reps[j]
+    raised to -c.  A layer with no rows makes membership refuse at once an
+    element with non-zero labels at its level: a member's are zero there
+    (module docstring).
     The arrays grow by doubling, up to the width plus the rows being added;
     rows from dim on are unused, or hold residuals on their way in, until the
     closure drops them.  add and extend take residuals through one
     elimination, _clear.  steps[c-1][j] is a view of divs[c-1, j], made once
     per array, as a list is indexed faster than numpy makes a view."""
 
-    __slots__ = ("rows", "pivots", "dim", "reps", "divs", "steps")
+    __slots__ = ("rows", "pivots", "leaves", "below", "dim", "reps", "divs", "steps")
 
     def __init__(self, tree: _Tree, m: int):
         degree = len(tree.identity) if m < tree.depth - 1 else 0
         self.rows = np.empty((0, tree.p**m))
         self.pivots = np.empty(0, dtype=np.intp)
+        self.below = tree.p ** (tree.depth - m)
+        self.leaves = np.empty(0, dtype=np.intp)
         self.dim = 0
         self.reps = np.empty((0, degree), dtype=np.intp)
         self.divs = np.empty((tree.p - 1, 0, degree), dtype=np.intp)
@@ -299,6 +309,7 @@ class _Layer:
         d = self.dim
         self.rows = _fit(self.rows, size, d)
         self.pivots = _fit(self.pivots, size, d)
+        self.leaves = _fit(self.leaves, size, d)
         self.reps = _fit(self.reps, size, d)
         divs = np.empty((len(self.divs), size, self.reps.shape[1]), dtype=np.intp)
         divs[:, :d] = self.divs[:, :d]
@@ -352,6 +363,7 @@ class _Layer:
             rows[k] = 0
             rows[d] = row
         self.pivots[d] = j
+        self.leaves[d] = j * self.below
         self.dim = d + 1
         return row, hit, t, scale
 
@@ -445,6 +457,7 @@ class _Layers:
             out = _Layer(tree, m + 1)
             out.rows = np.kron(np.eye(p), lvl.rows[:d])
             out.pivots = (lvl.pivots[:d] + cols * np.arange(p)[:, None]).ravel()
+            out.leaves = out.pivots * out.below
             out.dim = p * d
             out.reps = _blocks(lvl.reps[:d], p)
             out.divs = _blocks(lvl.divs[:, :d], p)
@@ -454,14 +467,15 @@ class _Layers:
     def truncate(self, m: int) -> "_Layers":
         """Layers of the level-m quotient, 1 <= m < depth: levels 0..m-2
         share rows and pivots and restrict their representatives and
-        divisors, level m-1 keeps its rows only; see Quotients in the module
-        docstring."""
+        divisors, level m-1 keeps its rows only, and every level reads its
+        leaves on the smaller tree; see Quotients in the module docstring."""
         tree = _Tree(self.tree.p, m)
         step = self.tree.p ** (self.tree.depth - m)
         levels = []
         for k, lvl in enumerate(self.levels[:m]):
             out = _Layer(tree, k)
             out.rows, out.pivots, out.dim = lvl.rows, lvl.pivots, lvl.dim
+            out.leaves = lvl.pivots[: lvl.dim] * out.below
             if k < m - 1:
                 out.reps = lvl.reps[: lvl.dim, ::step] // step
                 out.divs = lvl.divs[:, : lvl.dim, ::step] // step
@@ -485,7 +499,7 @@ class _Layers:
 
     def _exponents(self, x: np.ndarray, m: int) -> np.ndarray:
         lvl = self.levels[m]
-        return self.tree.digits[m][x[self.tree.starts[m][lvl.pivots[: lvl.dim]]]]
+        return self.tree.digits[m][x[lvl.leaves[: lvl.dim]]]
 
     def _divide(self, x: np.ndarray, m: int) -> np.ndarray:
         lvl = self.levels[m]
@@ -497,19 +511,20 @@ class _Layers:
                     x = lvl.steps[k - 1][j][x]
         return x
 
-    def _reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x with the levels below the last divided out, and the element of
-        the last layer whose exponents are then read off it."""
-        tree = self.tree
-        for m in range(tree.depth - 1):
-            x = self._divide(x, m)
-        lvl = self.levels[-1]
-        u = _mod(self._exponents(x, tree.depth - 1) @ lvl.rows[: lvl.dim], tree.p)
-        return x, tree.from_last_labels(u.astype(np.intp))
-
     def contains(self, x: np.ndarray) -> bool:
-        x, last = self._reduce(x)
-        return bool((x == last).all())
+        """Divide x level by level and compare what is left with the element
+        of the last layer whose exponents it shows; a level with no rows
+        refuses x at once if x has non-zero labels there."""
+        tree = self.tree
+        last = tree.depth - 1
+        for m, lvl in enumerate(self.levels[:last]):
+            if lvl.dim:
+                x = self._divide(x, m)
+            elif np.count_nonzero(tree.digits[m][x[tree.starts[m]]]):
+                return False
+        lvl = self.levels[last]
+        u = _mod(self._exponents(x, last) @ lvl.rows[: lvl.dim], tree.p)
+        return bool((x == tree.from_last_labels(u.astype(np.intp))).all())
 
     def _sift_upper(self, x: np.ndarray, start: int):
         """Sift an element of st(start) & W_N through the levels above the

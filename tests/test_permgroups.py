@@ -88,6 +88,53 @@ class TestMembership:
         assert gs3.G.contains(a * b * a)
 
 
+def _words(gens, rng, count=8, length=6):
+    """Seeded words in gens, each a product of 1..length letters."""
+    out = []
+    for _ in range(count):
+        w = Perm.identity(gens[0].degree)
+        for _ in range(rng.randint(1, length)):
+            w = w * rng.choice(gens)
+        out.append(w)
+    return out
+
+
+def _first_moved_level(x: Perm, p: int, n: int) -> int:
+    """The level k with x in st(k) but not st(k+1), for x in W_N."""
+    return next(k for k in range(n) if not restrict_to_level(x, p, k + 1).is_identity())
+
+
+class TestEmptyLayerExit:
+    """Membership refuses x at the first level with no rows where x has
+    non-zero labels, before any division when no level above it has rows;
+    members have zero labels there and still pass."""
+
+    @pytest.mark.parametrize("fixture", ["gs_spec", "const_spec", "r2_spec", "sym5_spec"])
+    def test_refused_without_division_and_members_kept(self, fixture, request):
+        spec = request.getfixturevalue(fixture)
+        p, n = spec.p, 4
+        session = gv.build(spec, n)
+        g = session.G
+        handles = [g.level_stabilizer(m) for m in (1, 2, 3)]
+        handles += [session.derived(), gv.build(spec, n - 1).G.derived().block_power()]
+        rng = random.Random(n * p)
+        # every level's representatives have non-zero labels at their level
+        words = [Perm(r) for r in g.chain.representatives(0)] + _words(list(g.generators), rng)
+        for h in handles:
+            assert h.level == n
+            layers = h.chain.levels
+            n_empty = next(k for k, lvl in enumerate(layers) if lvl.dim)
+            assert n_empty >= 1
+            outside = [x for x in words if _first_moved_level(x, p, n) < min(n_empty, n - 1)]
+            assert outside
+            fail = AssertionError("divided before the empty layer refused it")
+            with mock.patch.object(permgroups._Layers, "_divide", side_effect=fail):
+                for x in outside:
+                    assert not h.contains(x)
+            for x in list(h.generators) + _words(list(h.generators), rng):
+                assert h.contains(x)
+
+
 class TestSubgroupsAndClosure:
     def test_trivial_and_self(self, gs3):
         triv = PermGroup(27, [], prime=3)
@@ -366,24 +413,32 @@ class TestAgainstSchreierSims:
     def test_orders_membership_derived_and_stabilizers(self, case):
         g, subgens, probes, arbitrary = case
         p, n = g.prime, g.level
+        # the arbitrary permutation, and each probe times a transposition
+        # of two leaves: an odd permutation, so outside W_N
+        swap = np.arange(g.degree)
+        i, j = arbitrary.images[:2]
+        swap[[i, j]] = swap[[j, i]]
+        outside = [arbitrary] + [x * Perm(swap) for x in probes]
         h = PermGroup(g.degree, subgens, prime=p)
         ref = SchreierSims(g.degree, [x.images for x in subgens])
         assert h.order_exponent == log_order(ref.order(), p)
-        for x in probes + [arbitrary]:
+        for x in probes + outside:
             assert h.contains(x) == ref.contains(x.images)
         seeds = [reference_commutator(x.images, y.images) for x in subgens for y in subgens]
         derived = reference_normal_closure(g.degree, seeds, [x.images for x in subgens])
-        assert h.derived().order_exponent == log_order(derived.order(), p)
-        for x in probes + list(h.derived().generators):
-            assert h.derived().contains(x) == derived.contains(x.images)
+        h_derived = h.derived()
+        assert h_derived.order_exponent == log_order(derived.order(), p)
+        for x in probes + list(h_derived.generators) + outside:
+            assert h_derived.contains(x) == derived.contains(x.images)
         for m in range(1, n):
             image = [restrict_to_level(x, p, m) for x in subgens]
             kernel = h.order_exponent - _reference_exponent(p**m, image, p)
             st_m = h.level_stabilizer(m)
             assert st_m.order_exponent == kernel
-            for x in probes + list(st_m.generators):
-                in_st = restrict_to_level(x, p, m).is_identity()
-                assert st_m.contains(x) == (in_st and ref.contains(x.images))
+            for x in probes + list(st_m.generators) + outside:
+                # a member of h lies in W_N, so its level-m restriction exists
+                in_st = ref.contains(x.images) and restrict_to_level(x, p, m).is_identity()
+                assert st_m.contains(x) == in_st
 
     @settings(max_examples=30)
     @given(_random_subgroups())
@@ -829,16 +884,21 @@ class TestBatchedElimination:
 
 class TestLayerLayout:
     """A finished layer holds exactly its dimension of rows, the last layer
-    too, whose buffer may hold a run past its width while a closure runs.
-    Below the last level a layer holds its representatives and their
-    divisors as two arrays of exactly its dimension: nothing reserved for
-    rows never filled is kept, and divs[c-1, j] is reps[j] raised to -c."""
+    too, whose buffer may hold a run past its width while a closure runs,
+    and for each pivot the first leaf below its vertex in the handle's own
+    tree: in closures, block powers, truncations and suffixes alike.  Below
+    the last level a layer holds its representatives and their divisors as
+    two arrays of exactly its dimension: nothing reserved for rows never
+    filled is kept, and divs[c-1, j] is reps[j] raised to -c."""
 
     @pytest.mark.parametrize("fixture", ["gs_spec", "r2_spec", "sym5_spec"])
     def test_closure_block_power_and_stabilizer(self, fixture, request):
         spec = request.getfixturevalue(fixture)
         g = gv.build(spec, 5 if spec.p == 3 else 4).G
-        for h in (g, g.derived().block_power(), g.level_stabilizer(2)):
+        n = g.level
+        handles = (g, g.derived().block_power(), g.level_stabilizer(2))
+        handles += (g.truncate(n - 1), g.derived().truncate(3), g.truncate(n - 1).level_stabilizer(1))
+        for h in handles:
             p, degree = h.prime, h.degree
             identity = np.arange(degree)
             layers = h.chain.levels
@@ -846,6 +906,8 @@ class TestLayerLayout:
             for m, lvl in enumerate(layers):
                 assert lvl.rows.shape == (lvl.dim, p**m)
                 assert len(lvl.pivots) == lvl.dim
+                below = p ** (h.level - m)
+                assert np.array_equal(lvl.leaves, lvl.pivots[: lvl.dim] * below)
             for lvl in layers[:-1]:
                 d = lvl.dim
                 assert lvl.reps.shape == (d, degree)
