@@ -33,6 +33,7 @@ from .ggs import (
     is_symmetric,
     normalize,
 )
+from . import permgroups
 from .permgroups import PermGroup, commutator_subgroup
 from .portraits import (
     Perm,
@@ -355,15 +356,29 @@ def check_subdirect(session: GroupSession):
     One slot decides all p: G' lies in st(1) and is normal in G, and for x
     in st(1) the rooted generator a shifts the sections, pi_i(x^a) =
     pi_(i-1)(x), so every slot has the projection of slot 0.
+
+    P = pi_0(G') is closed from the p slot sections of the elements E that
+    G' was closed from in G, under the p*r sections pi_0(b_i^(a^k)).  G' is
+    generated by the conjugates e^g, e in E, g in G; G = st(1)<a>, so g =
+    a^k t with t in st(1), and pi_0 is a homomorphism on st(1), so
+    pi_0(e^(a^k t)) = pi_(k')(e)^(pi_0(t)) for the slot k' that a^k moves
+    to 0.  The pi_0(t) make up pi_0(st(1)), generated by the sections of
+    st(1)'s generators b_i^(a^k).  This uses only that each b_i fixes level
+    1, so it holds for any such generators, not just the GGS ones.
     """
     spec = session.spec
     _require_nonconstant(spec)
     _require_depth(session, 3, "the subdirect projection check")
     p = spec.p
-    d = session.derived()
     full = session.G.truncate(session.depth - 1)
-    sections = [subtree_section(g, p, (0,)) for g in d.generators]
-    proj = PermGroup(full.degree, sections, prime=p)
+    _, kept = session.derived()._closed_from
+    sections = [subtree_section(e, p, (j,)).images for j in range(p) for e in kept]
+    conj_by = [subtree_section(t, p, (0,)).images for t in session.st1().generators]
+    # looked up on the module, so a tracer or test that wraps
+    # permgroups._close sees this closure
+    layers, found = permgroups._close(full._tree, sections, conj_by)
+    gens = [Perm._wrap(x) for x, _ in found]
+    proj = full._built(gens, layers, levels=[k for _, k in found])
     details = {
         "full_exponent": full.order_exponent,
         "projection_exponents": [proj.order_exponent],

@@ -72,6 +72,13 @@ generator lies in N', which those generators normalize; p-th powers and
 commutators of representatives lie in N' too.  So every representative lies
 in N', H_0 <= N', and H_0 = N'.
 
+Containment reads the same record.  If H was closed from E in an ambient A,
+and K is A or was closed in A too, K is invariant under A's generators, so
+the closure H of E under them lies in K exactly when E does:
+containment_witness sifts E alone.  E is the prefix of H's generators, so
+the first of them outside K is the first element of E outside K, the
+witness a scan of every generator gives.
+
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
 and the closure queues such candidates as vectors, not leaf permutations,
 in stacks, one vector per row.  Conjugation permutes labels: y^-1 w y has
@@ -332,7 +339,7 @@ class _Layer:
 
     def _reduced(self, r: np.ndarray) -> np.ndarray:
         """r, a residual or a stack of them, checked to be zero at every pivot."""
-        if r[..., self.pivots[: self.dim]].any():
+        if np.count_nonzero(r[..., self.pivots[: self.dim]]):
             raise AssertionError("a residual is not reduced against its layer")
         return r
 
@@ -390,7 +397,7 @@ class _Layer:
         residuals = self._reduced(self.residual(u, p, out=self._take(len(u))))
         end = d + len(u)
         added, as_added = [], []
-        for i in np.flatnonzero(residuals.any(axis=1)).tolist():
+        for i in np.flatnonzero(np.count_nonzero(residuals, axis=1)).tolist():
             got = self._clear(d + i, end, p)
             if got is not None:
                 added.append(i)
@@ -536,7 +543,7 @@ class _Layers:
         for m in range(start, last):
             x = self._divide(x, m)
             r = tree.digits[m][x[tree.starts[m]]]
-            if r.any():
+            if np.count_nonzero(r):
                 return m, x, r
         return last, x, tree.digits[last][x[tree.starts[last]]]
 
@@ -717,10 +724,19 @@ class PermGroup:
         return self.chain.contains(x.images)
 
     def containment_witness(self, other: "PermGroup"):
-        """First generator of `other` outside self, or None when contained."""
+        """First generator of `other` outside self, or None when contained.
+
+        When `other` was closed from elements E in an ambient A, and self is
+        A or was closed in A too, only E is sifted: self is then invariant
+        under A's generators, so it holds the closure `other` of E exactly
+        when it holds E, and E is the prefix of `other`'s generators, so the
+        first of them outside self is the first element of E outside it
+        (Normal generators in the module docstring)."""
         if other.degree != self.degree:
             raise DegreeMismatch("groups act on different point sets")
-        for g in other.generators:
+        closed = self._closed_from
+        ambients = (self,) if closed is None else (self, closed[0])
+        for g in _normal_generators(other, ambients):
             if not self.contains(g):
                 return g
         return None
@@ -794,6 +810,16 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} gens={len(self.generators)} {size}>"
 
 
+def _normal_generators(group: PermGroup, ambients) -> tuple:
+    """The elements `group` was closed from, when it was closed in one of
+    the ambients (their closure under that ambient's generators is
+    `group`), else the generators of `group`."""
+    closed = group._closed_from
+    if closed is not None and any(closed[0] is a for a in ambients):
+        return closed[1]
+    return group.generators
+
+
 def _commutators(pairs) -> list[Perm]:
     """The non-trivial commutators [x, y] of the pairs."""
     out = []
@@ -841,6 +867,5 @@ def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermG
             raise ElementNotInAmbient(
                 "commutator arguments must be subgroups of the ambient group"
             )
-    closed = a._closed_from
-    left = closed[1] if closed is not None and closed[0] is ambient else a.generators
+    left = _normal_generators(a, (ambient,))
     return normal_closure(ambient, _commutators(product(left, b.generators)))

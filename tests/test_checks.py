@@ -307,6 +307,47 @@ class TestSubdirect:
                 assert member(proj, v.witness) and not member(full, v.witness)
 
 
+def _projection(session):
+    """The projection check_subdirect compares with the level-(N-1) group."""
+    verdict = checks._equality_verdict
+    with mock.patch.object(checks, "_equality_verdict", wraps=verdict) as eq:
+        check_subdirect(session)
+    (_, proj, _), _ = eq.call_args
+    return proj
+
+
+class TestSubdirectProjection:
+    """check_subdirect closes slot 0's projection of G' from the slot
+    sections of G''s kept seeds under the sections of st(1)'s generators; it
+    is the group the slot-0 sections of every generator of G' span."""
+
+    @pytest.mark.parametrize(
+        "fixture,depth",
+        [(f, n) for f in ("gs_spec", "r2_spec") for n in (3, 4, 5)]
+        + [("sym5_spec", 3), ("sym5_spec", 4)],
+    )
+    def test_equals_the_sections_of_every_generator(self, fixture, depth, request):
+        self._check(gv.build(request.getfixturevalue(fixture), depth))
+
+    def test_equals_the_sections_of_every_generator_on_a_mutant(self, gs_spec):
+        self._check(last_vertex_mutant(gs_spec, 5, 1, 0))
+
+    def test_conjugates_by_every_slot_of_the_directed_generators(self):
+        # a leading zero makes pi_0(b) trivial: the sections of b's
+        # conjugates by a, not b's own, carry the rest of pi_0(st(1))
+        self._check(gv.build(gv.validate(3, [(0, 1)]), 4))
+
+    @staticmethod
+    def _check(s):
+        p = s.spec.p
+        sections = [subtree_section(g, p, (0,)) for g in s.derived().generators]
+        reference = PermGroup(p ** (s.depth - 1), sections, prime=p)
+        proj = _projection(s)
+        assert proj.order_exponent == reference.order_exponent
+        assert proj.containment_witness(reference) is None
+        assert reference.containment_witness(proj) is None
+
+
 class TestPsi2SecondDerived:
     def test_two_generators_depth_four(self, r2_4):
         assert check_psi2_second_derived(r2_4).holds

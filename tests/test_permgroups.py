@@ -37,6 +37,7 @@ from oracles import (
     reference_normal_closure,
     same_group,
 )
+from test_checks import SPEC_FIXTURES, last_vertex_mutant
 
 
 class TestGenerate:
@@ -749,6 +750,81 @@ class TestNormalGenerators:
         # r*pr = 20 pairs for st(1)' (70 from all (pr)^2 pairs); the 79 for
         # gamma3(st(1)) pair st(1)''s kept seeds with st(1)'s generators
         assert counts == [14, 79]
+
+
+def _first_outside(group, other):
+    """The first generator of `other` outside `group`, by sifting every one."""
+    return next((x for x in other.generators if not group.contains(x)), None)
+
+
+def _witness_groups(s):
+    """The subgroups the checks compare, by name: the shared ones, the level
+    stabilizers of G and the block power of G' one level down, and the
+    subgroup G''s kept seeds span, which G need not normalize."""
+    g, n = s.G, s.depth
+    groups = {
+        "<E(G')>": PermGroup(g.degree, s.derived()._closed_from[1], prime=g.prime),
+        "G": g,
+        "G'": s.derived(),
+        "Phi(G)": s.frattini(),
+        "gamma3": s.gamma3(),
+        "st(1)": s.st1(),
+        "st(1)'": s.st1_derived(),
+        "[st(1)', st(1)]": commutator_subgroup(s.st1_derived(), s.st1(), g),
+        "G''": s.second_derived(),
+        "G'(N-1)^p": s.derived().truncate(n - 1).block_power(),
+    }
+    groups.update((f"st_{m}", g.level_stabilizer(m)) for m in range(1, n))
+    return groups
+
+
+class TestContainmentWitnessRule:
+    """containment_witness sifts only the elements a normal closure was
+    closed from when the container is invariant under the same ambient, and
+    names the element a scan of every generator names."""
+
+    @pytest.mark.parametrize("fixture,depth", [(f, n) for f in SPEC_FIXTURES for n in (3, 4)])
+    def test_matches_a_full_scan(self, fixture, depth, request):
+        self._check_every_pair(gv.build(request.getfixturevalue(fixture), depth))
+
+    def test_matches_a_full_scan_on_a_mutant(self, gs_spec):
+        self._check_every_pair(last_vertex_mutant(gs_spec, 5, 1, 0))
+
+    @staticmethod
+    def _check_every_pair(s):
+        groups = _witness_groups(s)
+        outside = 0
+        for name, group in groups.items():
+            for other_name, other in groups.items():
+                want = _first_outside(group, other)
+                assert group.containment_witness(other) == want, (name, other_name)
+                outside += want is not None
+        # the pairs are not all containments
+        assert outside
+
+    def test_commutator_arguments_sift_kept_seeds_and_generators(self, gs4):
+        s = gs4
+        g, d = s.G, s.derived()
+        _, kept = d._closed_from
+        assert len(kept) < len(d.generators)
+        sifted = []
+        real_contains = PermGroup.contains
+        real_closure = permgroups.normal_closure
+
+        def contains(group, x):
+            sifted.append(x)
+            return real_contains(group, x)
+
+        def closure(ambient, elements):
+            sifted.append("closure")
+            return real_closure(ambient, elements)
+
+        sift = mock.patch.object(PermGroup, "contains", autospec=True, side_effect=contains)
+        with sift, mock.patch.object(permgroups, "normal_closure", side_effect=closure):
+            commutator_subgroup(d, g, g)
+        # the very elements, in order: G' by its kept seeds, G by its generators
+        before, want = sifted[: sifted.index("closure")], [*kept, *g.generators]
+        assert len(before) == len(want) and all(x is y for x, y in zip(before, want))
 
 
 def _labels(x, p):
