@@ -370,8 +370,9 @@ def check_subdirect(session: GroupSession):
     _require_nonconstant(spec)
     _require_depth(session, 3, "the subdirect projection check")
     p = spec.p
-    full = session.G.truncate(session.depth - 1)
+    # G' first, so that G's layers grow from it
     _, kept = session.derived()._closed_from
+    full = session.G.truncate(session.depth - 1)
     sections = [subtree_section(e, p, (j,)).images for j in range(p) for e in kept]
     conj_by = [subtree_section(t, p, (0,)).images for t in session.st1().generators]
     # looked up on the module, so a tracer or test that wraps
@@ -432,9 +433,10 @@ def check_rank_growth(session: GroupSession):
     ok = True
     # log_p of the level-n quotient of a subgroup H is the sum of H's first n
     # layer dimensions, and Phi(G_n) = G_n' G_n^p is the level-n quotient of
-    # Phi(G), so both orders are read off depth-N layers
-    orders = list(accumulate(session.G.chain.dimensions()))
+    # Phi(G), so both orders are read off depth-N layers; Phi(G) closes G'
+    # first, so that G's layers grow from it
     frattini = list(accumulate(session.frattini().chain.dimensions()))
+    orders = list(accumulate(session.G.chain.dimensions()))
     for n in range(2, top + 1):
         rk = orders[n - 1] - frattini[n - 1]
         ranks.append([n, rk])

@@ -265,9 +265,10 @@ def cmd_table(args) -> int:
     session = build(spec, args.max_depth, allow_large=args.allow_slow)
     # log_p of the level-n quotient of a subgroup H of G is the sum of H's
     # first n layer dimensions, and the level-n quotients of G' and Phi(G)
-    # are G_n' and Phi(G_n), so every row is read off depth-N layers
-    orders = list(accumulate(session.G.chain.dimensions()))
+    # are G_n' and Phi(G_n), so every row is read off depth-N layers; G' is
+    # closed first, so that G's layers grow from it
     derived = accumulate(session.derived().chain.dimensions())
+    orders = list(accumulate(session.G.chain.dimensions()))
     frattini = accumulate(session.frattini().chain.dimensions())
     rows = []
     for n, (order, d, phi) in enumerate(zip(orders, derived, frattini), 1):

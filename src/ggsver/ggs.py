@@ -299,6 +299,11 @@ class GroupSession:
     this depth; a check that needs one at a lower depth m truncates it with
     PermGroup.truncate(m), which reads the level-m quotient off its layers
     with no closure.
+
+    derived() is G.derived(), remembered.  Every reader of G's layers here
+    and in the checks closes G' first: PermGroup.derived() then hands G''s
+    layers to G, and G's closure grows from them, sifting a, b_1, ..., b_r
+    alone (Warm start in the permgroups module docstring).
     """
 
     spec: GGSSpec
@@ -327,8 +332,9 @@ class GroupSession:
             powers = [x**g.prime for x in g.generators]
             if all(d.contains(x) for x in powers):
                 return d
-            # looked up on the module, as every other closure is, so a
-            # tracer that wraps permgroups.normal_closure counts this one
+            # looked up on the module, so a tracer that wraps
+            # permgroups.normal_closure counts this closure; G' is closed
+            # by PermGroup.derived() without it
             return permgroups.normal_closure(g, [*d.generators, *powers])
 
         return self._memoized("frattini", make)
@@ -345,10 +351,13 @@ class GroupSession:
         is normal of index p, which is st(1).  It is recorded as closed from
         b_1, ..., b_r in G: their normal closure holds every b_i^(a^k) and
         lies in the normal st(1), so it is st(1), and commutator_subgroup
-        seeds st(1)' with r*p*r commutators instead of (p*r)^2."""
+        seeds st(1)' with r*p*r commutators instead of (p*r)^2.  While G's
+        layers are unbuilt, G' is closed first, so that they grow from it."""
 
         def make():
             g = self.G
+            if g._chain is None:
+                self.derived()
             a, bs = g.generators[0], g.generators[1:]
             gens = [a**-k * b * a**k for k in range(g.prime) for b in bs]
             return g._built(gens, g.chain.suffix(1), bs)

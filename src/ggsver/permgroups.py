@@ -57,6 +57,24 @@ and the canonical products from level m on are H_m, each once.  H_0 holds
 every seed and is invariant under the ambient generators, so it is the
 closure, and H_0 & st(m) = H_m.
 
+Warm start.  A closure may start from the layers of a subgroup L that is
+invariant under the ambient generators and lies in the closure, and sift
+only the seeds.  Then every L & st(m) is invariant under those generators,
+and the p-th powers and commutators of L's level-m representatives lie in
+L & st(m+1).  The induction above holds unchanged.  Clearing pivots keeps
+the group the representatives span, so H_m contains L & st(m) throughout.
+The conjugates of L's representatives were never queued, but they lie in
+L & st(m), inside H_m; their p-th powers and mutual commutators lie in
+L & st(m+1), inside H_(m+1); the commutators of a new representative with
+L's are queued as with any peer.  H_0 holds L and every seed and is
+invariant, and L lies in the closure, so H_0 is the closure.  G' is normal
+in G and lies in it, so PermGroup.derived() hands its layers to G while G's
+are unbuilt, and G's closure starts from them and sifts only a, b_1, ...,
+b_r.  It starts from shares (_Layer.share): views of exactly the rows L
+holds, so the first row a level gains moves it into new arrays, and L's
+layers never change.  A warm closure's generators are those it added, not a generating
+set; PermGroup.chain, the one that runs it, reads only its layers.
+
 Normal generators.  The seeds that leave a residual already close to H_0, so
 normal_closure keeps only those as the elements its result was closed from.
 They are the prefix of the generators found, since conjugates join the main
@@ -415,6 +433,18 @@ class _Layer:
             _divisors(self.reps[i], self.divs[:, i])
         return self.reps[d]
 
+    def share(self) -> "_Layer":
+        """A layer with this one's rows that a closure may grow apart from it.
+        Its arrays are views of exactly dim rows, so the first row it gains
+        resizes them into new arrays before anything is written, and this
+        layer never changes."""
+        out = _Layer.__new__(_Layer)
+        d = out.dim = self.dim
+        out.rows, out.pivots, out.leaves = self.rows[:d], self.pivots[:d], self.leaves[:d]
+        out.reps, out.divs = self.reps[:d], self.divs[:, :d]
+        out.below, out.steps = self.below, None
+        return out
+
 
 def _fit(a: np.ndarray, size: int, keep: int) -> np.ndarray:
     """A new array like a with `size` rows, the first `keep` copied from a."""
@@ -560,11 +590,14 @@ class _Layers:
         return d, hits
 
 
-def _close(tree: _Tree, seeds, conj_by):
+def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     """Layers of the closure of the seeds under conjugation by conj_by, and
-    the seeds and conjugates that left a residual, a generating set, each
-    paired with the level of its residual."""
-    layers = _Layers(tree)
+    the seeds and conjugates that left a residual, each paired with the
+    level of its residual: a generating set when there is no start.  A
+    start is the layers of a subgroup normalized by conj_by and contained in
+    the result; the closure grows from a share of them (Warm start in the
+    module docstring)."""
+    layers = _Layers(tree, None if start is None else [lvl.share() for lvl in start.levels])
     p = tree.p
     last = tree.depth - 1
     bottom = layers.levels[last]
@@ -649,8 +682,9 @@ class PermGroup:
     """Subgroup of W_N, acting on its p**N leaves, with exact order and
     membership.
 
-    The layers are built lazily on first use; handles are immutable once
-    constructed and safe to share.
+    The layers are built lazily on first use, from the derived subgroup's
+    when derived() ran first; handles are immutable once constructed, apart
+    from that start, and safe to share.
     """
 
     def __init__(self, degree: int, generators, prime: int):
@@ -684,6 +718,9 @@ class PermGroup:
         # generators is this group.  A handle keeps no subgroup of its own,
         # so holding the ambient makes no cycle
         self._closed_from = closed_from
+        # the layers of a normal subgroup to grow this group's from, until
+        # they are built; derived() sets it
+        self._start: _Layers | None = None
 
     def _built(self, generators, layers, normal_generators=None, levels=None) -> "PermGroup":
         """A handle with the same prime on the tree of the given layers,
@@ -705,7 +742,8 @@ class PermGroup:
     def chain(self) -> _Layers:
         if self._chain is None:
             gens = [g.images for g in self.generators]
-            self._chain, _ = _close(self._tree, gens, gens)
+            self._chain, _ = _close(self._tree, gens, gens, self._start)
+            self._start = None
         return self._chain
 
     @property
@@ -745,9 +783,16 @@ class PermGroup:
 
     def derived(self) -> "PermGroup":
         """The derived subgroup: the normal closure of the commutators of
-        the generators.  Each call runs a new closure; a handle keeps no
+        the generators.  They lie in this group by construction, so they are
+        not sifted, and the closure needs none of this group's layers.  While
+        those are unbuilt, they will grow from the derived subgroup's, which
+        is normal and contained in this group (Warm start in the module
+        docstring).  Each call runs a new closure; a handle keeps no
         subgroup, and GroupSession.derived() is the one that is remembered."""
-        return normal_closure(self, _commutators(combinations(self.generators, 2)))
+        d = _normal_closure(self, _commutators(combinations(self.generators, 2)))
+        if self._chain is None:
+            self._start = d.chain
+        return d
 
     def block_power(self) -> "PermGroup":
         """The product of p copies of this group, copy j acting on the leaves
@@ -840,6 +885,12 @@ def normal_closure(ambient: PermGroup, elements) -> PermGroup:
         if not ambient.contains(e):
             raise ElementNotInAmbient("seed element lies outside the ambient group")
         seeds.append(e)
+    return _normal_closure(ambient, seeds)
+
+
+def _normal_closure(ambient: PermGroup, seeds) -> PermGroup:
+    """normal_closure of seeds known to lie in the ambient group, which are
+    not sifted."""
     layers, found = _close(
         ambient._tree, [e.images for e in seeds], [g.images for g in ambient.generators]
     )

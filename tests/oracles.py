@@ -288,13 +288,29 @@ def _adjoin(layers, m, x, residual):
     return layers.levels[m].push(layers._admit(m, x, residual)[1])
 
 
-def reference_close(tree, seeds, conj_by):
+def _copied(start):
+    """New layers holding copies of the start's arrays, trimmed to its rows."""
+    from ggsver.permgroups import _Layer, _Layers
+
+    levels = []
+    for m, lvl in enumerate(start.levels):
+        d = lvl.dim
+        out = _Layer(start.tree, m)
+        out.rows, out.pivots = lvl.rows[:d].copy(), lvl.pivots[:d].copy()
+        out.leaves, out.dim = lvl.leaves[:d].copy(), d
+        out.reps, out.divs = lvl.reps[:d].copy(), lvl.divs[:, :d].copy()
+        levels.append(out)
+    return _Layers(start.tree, levels)
+
+
+def reference_close(tree, seeds, conj_by, start=None):
     """Layers of the closure of the seeds under conjugation by conj_by, and
     the seeds and conjugates that left a residual, each with the level of its
-    residual, sifting every candidate as a leaf permutation in queue order."""
+    residual, sifting every candidate as a leaf permutation in queue order;
+    from copies of the start's layers when given."""
     from ggsver.permgroups import _Layers
 
-    layers = _Layers(tree)
+    layers = _Layers(tree) if start is None else _copied(start)
     if not tree.depth:
         return layers, []
     p = tree.p

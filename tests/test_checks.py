@@ -464,24 +464,28 @@ class TestSessionMemo:
             assert check_regular_branch(s).holds
             assert check_gamma3_product(s).holds
         ambients = [c.args[0] for c in closure.call_args_list]
-        # all in G: st(1)' once, then [st(1)', st(1)], G' and gamma3; the
-        # level-3 groups are their truncations
-        assert len(ambients) == 4
+        # all in G: st(1)' once, then [st(1)', st(1)] and gamma3; G' is
+        # closed without normal_closure, as its seeds need no sift, and the
+        # level-3 groups are truncations
+        assert len(ambients) == 3
         assert all(g is s.G for g in ambients)
 
 
-def _closure_depths(run):
-    """The tree depth of every closure run() makes, in order."""
-    depths = []
+def _closures(run):
+    """(tree depth, start, layers made) of every closure run() makes, in
+    order; the start is "seeds" for a closure of seeds under other
+    conjugators, and None or the layers it grew from for a handle's own."""
+    calls = []
     real = permgroups._close
 
-    def record(tree, seeds, conj_by):
-        depths.append(tree.depth)
-        return real(tree, seeds, conj_by)
+    def record(tree, seeds, conj_by, start=None):
+        out = real(tree, seeds, conj_by, start)
+        calls.append((tree.depth, start if seeds is conj_by else "seeds", out[0]))
+        return out
 
     with mock.patch.object(permgroups, "_close", side_effect=record):
         run()
-    return depths
+    return calls
 
 
 class TestClosureCensus:
@@ -493,15 +497,30 @@ class TestClosureCensus:
         [(5, [(1, 1, 1, 1), (1, 0, 0, 1)], 5), (3, [(1, 0), (0, 1)], 6)],
     )
     def test_run_all_closes_below_the_depth_only_the_projection(self, p, rows, depth):
-        depths = _closure_depths(lambda: gv.run_all(gv.validate(p, rows), depth))
+        calls = _closures(lambda: gv.run_all(gv.validate(p, rows), depth))
         # G, G', gamma3, st(1)', [st(1)', st(1)] and G''; subdirect's
         # projection is a new group one level down
-        assert sorted(depths) == [depth - 1] + [depth] * 6
+        assert sorted(d for d, _, _ in calls) == [depth - 1] + [depth] * 6
+        # G' closes first and G's own layers grow from it: none closes cold
+        starts = [start for _, start, _ in calls]
+        assert None not in starts and starts.index(calls[0][2]) == 1
 
     def test_table_closes_g_and_its_derived_subgroup(self, capsys):
         args = ["table", "--p", "3", "--vectors", "1,0;0,1", "--max-depth", "6"]
-        assert _closure_depths(lambda: cli.main(args)) == [6, 6]
+        (d1, s1, derived), (d2, s2, _) = _closures(lambda: cli.main(args))
+        assert (d1, s1, d2, s2) == (6, "seeds", 6, derived)
         assert capsys.readouterr().out.splitlines()[-1].split()[:4] == ["6", "298", "3", "3"]
+
+    @pytest.mark.parametrize("cid", list(gv.CHECKS))
+    def test_each_check_alone_grows_g_from_g_prime(self, r2_spec, cid):
+        s = gv.build(r2_spec, 4)
+        starts = [start for _, start, _ in _closures(lambda: gv.CHECKS[cid](s))]
+        if s.G._chain is None:
+            # second_derived_contains_stab is vacuous at depth 4
+            assert starts == [] and cid == "second_derived_contains_stab"
+        else:
+            assert starts[0] == "seeds" and None not in starts
+            assert starts.count(s.derived().chain) == 1
 
 
 class TestWitnesses:

@@ -26,6 +26,7 @@ from ggsver.portraits import (
     restrict_to_level,
     rooted,
     subtree_embed,
+    vertex_word,
 )
 
 from oracles import (
@@ -526,15 +527,15 @@ class TestBlockPower:
 
 
 def _recorded_closures(build):
-    """Run build() and return the (tree, seeds, conj_by, result) of every
-    closure it made."""
+    """Run build() and return the (tree, seeds, conj_by, start, result) of
+    every closure it made."""
     calls = []
     real = permgroups._close
 
-    def record(tree, seeds, conj_by):
+    def record(tree, seeds, conj_by, start=None):
         seeds, conj_by = list(seeds), list(conj_by)
-        out = real(tree, seeds, conj_by)
-        calls.append((tree, seeds, conj_by, out))
+        out = real(tree, seeds, conj_by, start)
+        calls.append((tree, seeds, conj_by, start, out))
         return out
 
     with mock.patch.object(permgroups, "_close", side_effect=record):
@@ -556,9 +557,9 @@ def _run_sizes():
         yield sizes
 
 
-def _assert_same_closure(tree, seeds, conj_by, got):
+def _assert_same_closure(tree, seeds, conj_by, start, got):
     layers, found = got
-    ref_layers, ref_found = reference_close(tree, seeds, conj_by)
+    ref_layers, ref_found = reference_close(tree, seeds, conj_by, start)
     assert layers.dimensions() == ref_layers.dimensions()
     for lvl, ref in zip(layers.levels, ref_layers.levels):
         assert np.array_equal(lvl.rows[: lvl.dim], ref.rows[: ref.dim])
@@ -590,8 +591,8 @@ class TestAgainstSequentialClosure:
 
         calls = _recorded_closures(build)
         assert len(calls) == 3
-        for tree, seeds, conj_by, got in calls:
-            _assert_same_closure(tree, seeds, conj_by, got)
+        for call in calls:
+            _assert_same_closure(*call)
 
     def test_second_derived_of_two_generators_at_depth_five(self, r2_spec):
         def build():
@@ -600,9 +601,11 @@ class TestAgainstSequentialClosure:
             commutator_subgroup(d, d, g).chain
 
         calls = _recorded_closures(build)
-        assert [sum(got[0].dimensions()) for *_, got in calls] == [100, 97, 91]
-        for tree, seeds, conj_by, got in calls:
-            _assert_same_closure(tree, seeds, conj_by, got)
+        # G' first, then G grown from it, then G''
+        assert [sum(got[0].dimensions()) for *_, got in calls] == [97, 100, 91]
+        assert [start is not None for *_, start, _ in calls] == [False, True, False]
+        for call in calls:
+            _assert_same_closure(*call)
 
     @pytest.mark.parametrize(
         "p,rows,depth",
@@ -619,8 +622,8 @@ class TestAgainstSequentialClosure:
 
         calls = _recorded_closures(build)
         assert len(calls) == 3
-        for tree, seeds, conj_by, got in calls:
-            _assert_same_closure(tree, seeds, conj_by, got)
+        for call in calls:
+            _assert_same_closure(*call)
 
     @pytest.mark.parametrize(
         "p,rows,depth",
@@ -638,8 +641,8 @@ class TestAgainstSequentialClosure:
             calls = _recorded_closures(build)
         assert len(calls) == 3
         assert max(sizes) > permgroups._RUN
-        for tree, seeds, conj_by, got in calls:
-            _assert_same_closure(tree, seeds, conj_by, got)
+        for call in calls:
+            _assert_same_closure(*call)
 
     def test_run_flushed_before_an_upper_residual(self, gs_spec):
         # members of st(N-1) join the run; the directed generator leaves a
@@ -654,7 +657,7 @@ class TestAgainstSequentialClosure:
         with _run_sizes() as sizes:
             got = permgroups._close(tree, seeds, conj_by)
         assert sizes[0] == 2
-        _assert_same_closure(tree, seeds, conj_by, got)
+        _assert_same_closure(tree, seeds, conj_by, None, got)
         assert [x.tolist() for x, _ in got[1][:3]] == [x.tolist() for x in seeds[:3]]
 
 
@@ -689,15 +692,17 @@ class TestNormalGenerators:
         s = gv.build(gv.validate(p, rows), depth)
         g = s.G
         handed = []
-        real = permgroups.normal_closure
+        # normal_closure sifts its seeds and hands them on here; derived()
+        # hands its seeds here directly
+        real = permgroups._normal_closure
 
-        def record(ambient, elements):
-            elements = list(elements)
-            out = real(ambient, elements)
-            handed.append((out, elements))
+        def record(ambient, seeds):
+            seeds = list(seeds)
+            out = real(ambient, seeds)
+            handed.append((out, seeds))
             return out
 
-        with mock.patch.object(permgroups, "normal_closure", side_effect=record):
+        with mock.patch.object(permgroups, "_normal_closure", side_effect=record):
             st1, st1d = s.st1(), s.st1_derived()
             # name, handle, and the pair it is the commutator subgroup of
             subgroups = [
@@ -739,10 +744,10 @@ class TestNormalGenerators:
         counts = []
         real = permgroups._close
 
-        def record(tree, seeds, conj_by):
+        def record(tree, seeds, conj_by, start=None):
             seeds = list(seeds)
             counts.append(len(seeds))
-            return real(tree, seeds, conj_by)
+            return real(tree, seeds, conj_by, start)
 
         with mock.patch.object(permgroups, "_close", side_effect=record):
             st1d = s.st1_derived()
@@ -750,6 +755,103 @@ class TestNormalGenerators:
         # r*pr = 20 pairs for st(1)' (70 from all (pr)^2 pairs); the 79 for
         # gamma3(st(1)) pair st(1)''s kept seeds with st(1)'s generators
         assert counts == [14, 79]
+
+
+# -- warm start: G's layers grown from G''s ---------------------------------------
+
+
+def _pivot_sorted(layers):
+    """Per level, the pivots and rows of a layer sorted by pivot."""
+    out = []
+    for lvl in layers.levels:
+        order = np.argsort(lvl.pivots[: lvl.dim])
+        out.append((lvl.pivots[: lvl.dim][order], lvl.rows[: lvl.dim][order]))
+    return out
+
+
+def _layer_arrays(layers):
+    """Copies of every array of every layer, to see that none changed."""
+    return [
+        [a.copy() for a in (lvl.rows, lvl.pivots, lvl.leaves, lvl.reps, lvl.divs)]
+        for lvl in layers.levels
+    ]
+
+
+def _wreath_elements(p, n, rng, count):
+    """Seeded elements of W_N: each vertex above the leaves turns its
+    children by a random power of the p-cycle."""
+    out = []
+    for _ in range(count):
+        x = Perm.identity(p**n)
+        for k in range(n):
+            cycle = rooted(p, n - k, 1).to_perm(n - k)
+            for v in range(p**k):
+                x = x * subtree_embed(cycle ** rng.randrange(p), p, vertex_word(v, k, p), n)
+        out.append(x)
+    return out
+
+
+_WARM_CASES = [(p, rows, n) for p, rows in _DIFF_SPECS for n in range(2, 5 if p == 5 else 6)]
+
+
+class TestWarmStart:
+    """G's layers grow from G''s when G.derived() runs before they are
+    built: the same group as a cold closure, reached without sifting G''s
+    seeds and without changing G''s layers."""
+
+    @pytest.mark.parametrize("p,rows,depth", _WARM_CASES)
+    def test_warm_g_is_the_cold_closure(self, p, rows, depth):
+        g = gv.build(gv.validate(p, rows), depth).G
+        d = g.derived()
+        assert g._chain is None and g._start is d.chain
+        before = _layer_arrays(d.chain)
+        warm = g.chain
+        # the start is released, and the layers it lent are as they were
+        assert g._start is None
+        for got, want in zip(_layer_arrays(d.chain), before):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        cold = PermGroup(g.degree, g.generators, prime=p)
+        assert warm.dimensions() == cold.chain.dimensions()
+        for (pa, ra), (pb, rb) in zip(_pivot_sorted(warm), _pivot_sorted(cold.chain)):
+            assert np.array_equal(pa, pb) and np.array_equal(ra, rb)
+        if depth <= (3 if p == 5 else 4):
+            ref = SchreierSims(g.degree, [x.images for x in g.generators])
+            rng = random.Random(depth * p)
+            probes = _words(list(g.generators), rng) + _wreath_elements(p, depth, rng, 8)
+            # some probe lies outside G unless G is all of W_N
+            whole = g.order_exponent == (p**depth - 1) // (p - 1)
+            assert whole or any(not ref.contains(x.images) for x in probes)
+            for x in probes:
+                assert g.contains(x) == ref.contains(x.images)
+
+    def test_derived_sifts_nothing(self, r2_spec):
+        g = gv.build(r2_spec, 4).G
+        fail = AssertionError("a seed was sifted")
+        with mock.patch.object(PermGroup, "contains", side_effect=fail):
+            d = g.derived()
+        # G' closed before G's layers exist; two directed generators leave
+        # index p^3
+        assert g._chain is None
+        assert g.order_exponent - d.order_exponent == 3
+
+    def test_built_handles_keep_no_start(self, gs4):
+        g = gs4.G
+        g.chain
+        g.derived()
+        assert g._start is None
+        st1 = g.level_stabilizer(1)
+        st1.derived()
+        assert st1._start is None
+
+    @settings(max_examples=30)
+    @given(_random_subgroups())
+    def test_random_subgroups(self, case):
+        g, subgens, _, _ = case
+        h = PermGroup(g.degree, subgens, prime=g.prime)
+        h.derived()
+        cold = PermGroup(g.degree, subgens, prime=g.prime)
+        assert _same_spans(h, cold)
+        assert h._start is None
 
 
 def _first_outside(group, other):
