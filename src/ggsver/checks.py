@@ -210,6 +210,38 @@ def _equality_verdict(lhs, rhs, details):
     return details, missing
 
 
+def _in_power(g, k) -> bool:
+    """g lies in K^p, the product of p copies of k with copy j acting below
+    the first-level vertex j: g fixes every first-level vertex and its
+    section below each lies in k.  Exact for any permutation of the leaves."""
+    p = k.prime
+    try:
+        fixed = restrict_to_level(g, p, 1).is_identity()
+    except ValueError:
+        # g splits a first-level block, so it is no tree automorphism
+        return False
+    return fixed and all(k.contains(subtree_section(g, p, (j,))) for j in range(p))
+
+
+def _power_verdict(lhs, k, details):
+    """(details, witness) for lhs == K^p, with no layers built for K^p.  K^p
+    is generated by k's generators placed in each slot, so it equals lhs
+    exactly when lhs holds every placement and the orders agree.  On
+    failure the witness is the first generator of lhs outside K^p, else the
+    first placement outside lhs, slot by slot."""
+    p, n = k.prime, k.level + 1
+    placed = [subtree_embed(h, p, (j,), n) for j in range(p) for h in k.generators]
+    details = dict(details)
+    details["lhs_exponent"] = lhs.order_exponent
+    details["rhs_exponent"] = p * k.order_exponent
+    if lhs.order_exponent == details["rhs_exponent"] and all(map(lhs.contains, placed)):
+        return details, None
+    missing = next((g for g in lhs.generators if not _in_power(g, k)), None)
+    if missing is None:
+        missing = next(x for x in placed if not lhs.contains(x))
+    return details, missing
+
+
 @_check("abelianization")
 def check_abelianization(session: GroupSession):
     """Index of the derived subgroup is p**(r+1) and the quotient is
@@ -239,8 +271,7 @@ def check_gamma3_product(session: GroupSession):
     _require_nonconstant(session.spec)
     _require_depth(session, 3, "the lower-central product identity")
     lhs = commutator_subgroup(session.st1_derived(), session.st1(), session.G)
-    rhs = session.gamma3().truncate(session.depth - 1).block_power()
-    return _equality_verdict(lhs, rhs, {})
+    return _power_verdict(lhs, session.gamma3().truncate(session.depth - 1), {})
 
 
 @_check("key_congruence")
@@ -330,8 +361,7 @@ def check_regular_branch(session: GroupSession):
     _require_depth(session, 3, "the branch identity")
     details = {"mode": "extended: r=1 non-constant"} if spec.r == 1 else {}
     lhs = session.st1_derived()
-    rhs = session.derived().truncate(session.depth - 1).block_power()
-    return _equality_verdict(lhs, rhs, details)
+    return _power_verdict(lhs, session.derived().truncate(session.depth - 1), details)
 
 
 @_check("stab1_derived_in_gamma3")
@@ -373,13 +403,9 @@ def check_subdirect(session: GroupSession):
     # G' first, so that G's layers grow from it
     _, kept = session.derived()._closed_from
     full = session.G.truncate(session.depth - 1)
-    sections = [subtree_section(e, p, (j,)).images for j in range(p) for e in kept]
-    conj_by = [subtree_section(t, p, (0,)).images for t in session.st1().generators]
-    # looked up on the module, so a tracer or test that wraps
-    # permgroups._close sees this closure
-    layers, found = permgroups._close(full._tree, sections, conj_by)
-    gens = [Perm._wrap(x) for x, _ in found]
-    proj = full._built(gens, layers, levels=[k for _, k in found])
+    sections = [subtree_section(e, p, (j,)) for j in range(p) for e in kept]
+    conj_by = [subtree_section(t, p, (0,)) for t in session.st1().generators]
+    proj = permgroups._normal_closure(PermGroup(full.degree, conj_by, p), sections)
     details = {
         "full_exponent": full.order_exponent,
         "projection_exponents": [proj.order_exponent],

@@ -9,6 +9,7 @@ p**N leaves, which is exactly the level-N quotient of the infinite group.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -114,18 +115,28 @@ def _row_reduce(rows, p):
     return rank, m, t
 
 
+def _integer(x, what: str) -> int:
+    """x as an int, refused with SpecError unless it is an integer (a float
+    such as 3.0 is refused too, not truncated)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise SpecError(f"{what} must be an integer, got {x!r}") from None
+
+
 def validate(p, vectors) -> GGSSpec:
     """Accept defining data or raise a structured rejection.
 
-    Entries are reduced mod p.  Independence is decided by Gaussian
-    elimination; the DependentVectors error carries a vanishing combination.
+    p and the entries must be integers; entries are reduced mod p.
+    Independence is decided by Gaussian elimination; the DependentVectors
+    error carries a vanishing combination.
     """
-    p = int(p)
+    p = _integer(p, "the arity prime")
     if p == 2:
         raise NotOdd("the arity prime must be odd")
     if not is_odd_prime(p):
         raise NotPrime(f"{p} is not prime")
-    rows = [tuple(int(x) % p for x in v) for v in vectors]
+    rows = [tuple(_integer(x, "a vector entry") % p for x in v) for v in vectors]
     if not rows:
         raise BadLength("at least one defining vector is required")
     for i, row in enumerate(rows):
@@ -400,6 +411,7 @@ def build(spec: GGSSpec, depth: int, allow_large: bool = False) -> GroupSession:
     truncations of this session's subgroups; see PermGroup.truncate.
     """
     _require_spec(spec)
+    depth = _integer(depth, "the depth")
     # first: p**depth of a negative depth is a float that passes the cap
     if depth < 1:
         raise SpecError(f"depth must be at least 1, got {depth}")

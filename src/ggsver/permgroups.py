@@ -136,21 +136,6 @@ of the one-candidate-at-a-time closure.  A main-queue candidate that leaves
 a residual on the last level is recorded as a generator: its permutation,
 or for a label vector the element of st(N-1) that it determines.
 
-Block powers.  For H <= W_(N-1), block_power() returns H^p <= W_N, the
-product of p copies of H with copy j acting on the leaves below the
-first-level vertex j.  An element (h_0, ..., h_(p-1)) of H^p fixes level
-m+1 exactly when every h_j fixes level m of the smaller tree, so
-H^p & st(m+1) = (H & st(m))^p, and its level-(m+1) labels are the level-m
-labels of h_0, ..., h_(p-1) side by side, copy j in the columns
-j p^m .. (j+1) p^m - 1.  Hence layer 0 of H^p is empty, and the label
-vectors of layer m+1 are the direct sum of p copies of those of layer m of
-H.  The block-diagonal matrix of p copies of H's level-m basis spans that
-sum, and it is reduced echelon: copy j's pivots are H's pivots shifted by
-j p^m, and each pivot column is zero outside its own row.  Row i of copy j
-is the labels of H's level-m representative i embedded in slot j, which
-lies in H^p & st(m+1), so that embedding is its representative, and
-embedding H's divisors gives its divisors.  No closure is needed.
-
 Quotients.  For H <= W_N and m < N, truncate(m) returns pi_m(H), the
 action of H on the level-m vertices, read off H's layers with no closure.
 For k < m the level-k labels of pi_m(h) are those of h, and pi_m(h) fixes
@@ -166,8 +151,8 @@ and drop out.
 Generators of a quotient.  The closure records, with each generator it
 finds, the level where it left its residual.  truncate(m) keeps the
 restrictions of those found above level m, and all of the generators given
-by hand (a handle's own, a block power's, a level stabilizer's
-representatives).  They generate pi_m(H): the canonical products are H, so
+by hand (a handle's own, a level stabilizer's representatives).  They
+generate pi_m(H): the canonical products are H, so
 the restricted representatives at levels below m generate pi_m(H), and by
 induction over the closure each of them is, modulo st(m), a word in the
 kept generators.  A representative at level k < m is a power of a residual,
@@ -460,16 +445,6 @@ def _divisors(rep: np.ndarray, out: np.ndarray) -> None:
         out[c] = out[0][out[c - 1]]
 
 
-def _blocks(a: np.ndarray, p: int) -> np.ndarray:
-    """(..., d, D) -> (..., p d, p D): row j d + i acts as row i of a on the
-    leaves below first-level vertex j of the deeper tree, and fixes the rest."""
-    *lead, d, size = a.shape
-    out = np.broadcast_to(np.arange(p * size), (*lead, p, d, p * size)).copy()
-    for j in range(p):
-        out[..., j, :, j * size : (j + 1) * size] = a + j * size
-    return out.reshape(*lead, p * d, p * size)
-
-
 class _Layers:
     """The layers of one subgroup of W_N.  Layers are shared with the
     suffixes handed out as level stabilizers and never change once built."""
@@ -482,24 +457,6 @@ class _Layers:
 
     def dimensions(self) -> list[int]:
         return [lvl.dim for lvl in self.levels]
-
-    def block_power(self, tree: _Tree) -> "_Layers":
-        """Layers of the product of p copies of this group, copy j below the
-        first-level vertex j of `tree`, which is one level deeper; see the
-        module docstring."""
-        p = tree.p
-        levels = [_Layer(tree, 0)]
-        for m, lvl in enumerate(self.levels):
-            d, cols = lvl.dim, p**m
-            out = _Layer(tree, m + 1)
-            out.rows = np.kron(np.eye(p), lvl.rows[:d])
-            out.pivots = (lvl.pivots[:d] + cols * np.arange(p)[:, None]).ravel()
-            out.leaves = out.pivots * out.below
-            out.dim = p * d
-            out.reps = _blocks(lvl.reps[:d], p)
-            out.divs = _blocks(lvl.divs[:, :d], p)
-            levels.append(out)
-        return _Layers(tree, levels)
 
     def truncate(self, m: int) -> "_Layers":
         """Layers of the level-m quotient, 1 <= m < depth: levels 0..m-2
@@ -793,15 +750,6 @@ class PermGroup:
         if self._chain is None:
             self._start = d.chain
         return d
-
-    def block_power(self) -> "PermGroup":
-        """The product of p copies of this group, copy j acting on the leaves
-        below the first-level vertex j of the tree one level deeper.  Its
-        layers are read off this group's layers, with no closure."""
-        p, n = self.prime, self.level + 1
-        images = np.array([g.images for g in self.generators], dtype=np.intp)
-        gens = [Perm._wrap(x) for x in _blocks(images.reshape(-1, self.degree), p)]
-        return self._built(gens, self.chain.block_power(_Tree(p, n)))
 
     def truncate(self, m: int) -> "PermGroup":
         """The level-m quotient, 1 <= m <= level: this group acting on the

@@ -29,7 +29,7 @@ from ggsver.checks import (
 from ggsver import checks, cli, ggs, permgroups
 from ggsver.ggs import DEGREE_CAP, NormalizationImpossible, default_depth, normalize
 from ggsver.permgroups import PermGroup, commutator_subgroup
-from ggsver.portraits import Perm, restrict_to_level, subtree_section
+from ggsver.portraits import Perm, restrict_to_level, subtree_embed, subtree_section
 
 from oracles import SchreierSims, same_group
 
@@ -82,6 +82,18 @@ def member(group, x):
 def separates(witness, one, other):
     """The witness lies in exactly one of the two groups compared."""
     return member(one, witness) != member(other, witness)
+
+
+def placements(k):
+    """The generators of k placed below each first-level vertex of the tree
+    one level deeper, slot by slot, in generator order within a slot."""
+    p, n = k.prime, k.level + 1
+    return [subtree_embed(h, p, (j,), n) for j in range(p) for h in k.generators]
+
+
+def power_reference(k):
+    """K^p, the product of p copies of k, closed from its placements."""
+    return PermGroup(k.prime ** (k.level + 1), placements(k), prime=k.prime)
 
 
 class TestClassify:
@@ -237,7 +249,7 @@ class TestRegularBranch:
         # G' x ... x G', so the identity the check would assert is false here
         s = gv.build(gv.validate(p, [row]), depth)
         lhs = s.st1_derived()
-        rhs = s.derived().truncate(depth - 1).block_power()
+        rhs = power_reference(s.derived().truncate(depth - 1))
         assert rhs.containment_witness(lhs) is None
         assert rhs.order_exponent - lhs.order_exponent == 1
 
@@ -568,6 +580,77 @@ class TestEqualityVerdict:
         assert lhs.contains(witness) and not rhs.contains(witness)
 
 
+def _power_sides(session):
+    """(check, lhs, K) for the two checks that compare lhs with K^p."""
+    s, n = session, session.depth
+    return [
+        (
+            check_gamma3_product,
+            commutator_subgroup(s.st1_derived(), s.st1(), s.G),
+            s.gamma3().truncate(n - 1),
+        ),
+        (check_regular_branch, s.st1_derived(), s.derived().truncate(n - 1)),
+    ]
+
+
+class TestPowerVerdict:
+    """gamma3_product and regular_branch decide lhs == K^p from K's
+    generators placed in each first-level slot; no layers are built for K^p,
+    and the witness is the one a comparison with K^p's own layers names."""
+
+    @pytest.mark.parametrize("check", [check_gamma3_product, check_regular_branch])
+    def test_holding_path_sifts_only_the_placements(self, r2_spec, check):
+        s = gv.build(r2_spec, 5)
+        real_verdict, real_contains = checks._power_verdict, PermGroup.contains
+        seen, sifted = [], []
+
+        def contains(group, x):
+            sifted.append((group, x))
+            return real_contains(group, x)
+
+        def verdict(lhs, k, details):
+            seen.append((lhs, k))
+            with mock.patch.object(PermGroup, "contains", contains):
+                return real_verdict(lhs, k, details)
+
+        with mock.patch.object(checks, "_power_verdict", side_effect=verdict):
+            assert check(s).holds
+        [(lhs, k)] = seen
+        # p * |K.generators| sifts, each of a placement into lhs: none of
+        # lhs's generators and nothing into K
+        assert len(sifted) == s.spec.p * len(k.generators)
+        assert all(group is lhs for group, _ in sifted)
+        assert [x for _, x in sifted] == placements(k)
+
+    @pytest.mark.parametrize("fixture", SPEC_FIXTURES)
+    def test_witness_matches_a_comparison_with_the_reference(self, fixture, request):
+        spec = request.getfixturevalue(fixture)
+        n = 4
+        sessions = [gv.build(spec, n)]
+        sessions += [last_vertex_mutant(spec, n, gen, 0) for gen in range(spec.r + 1)]
+        failed = 0
+        for s in sessions:
+            for check, lhs, k in _power_sides(s):
+                ref = power_reference(k)
+                # the first generator of lhs outside K^p, else the first
+                # placement outside lhs
+                want = next((g for g in lhs.generators if not ref.contains(g)), None)
+                if want is None and lhs.order_exponent != ref.order_exponent:
+                    want = next(x for x in placements(k) if not lhs.contains(x))
+                details, witness = checks._power_verdict(lhs, k, {})
+                assert witness == want
+                assert details == {
+                    "lhs_exponent": lhs.order_exponent,
+                    "rhs_exponent": ref.order_exponent,
+                }
+                v = check(s)
+                if v.status != SKIPPED:
+                    assert v.witness == want
+                failed += want is not None
+        # the mutants make comparisons fail
+        assert failed
+
+
 class TestRunAll:
     def test_oversized_depth_is_refused_before_any_work(self, gs_spec):
         depth = 11
@@ -680,11 +763,11 @@ class TestMutationControls:
         s = mutant
         v = check_gamma3_product(s)
         lhs = commutator_subgroup(s.st1_derived(), s.st1(), s.G)
-        assert separates(v.witness, lhs, s.gamma3().truncate(4).block_power())
+        assert separates(v.witness, lhs, power_reference(s.gamma3().truncate(4)))
 
     def test_regular_branch_witness(self, mutant):
         v = check_regular_branch(mutant)
-        rhs = mutant.derived().truncate(4).block_power()
+        rhs = power_reference(mutant.derived().truncate(4))
         assert separates(v.witness, mutant.st1_derived(), rhs)
 
     def test_subdirect_witness(self, mutant):

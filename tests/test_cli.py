@@ -269,8 +269,8 @@ class TestDeterminism:
         assert payload == self._golden("gupta_sidki_depth4.json")
 
     def test_golden_two_generator_report(self):
-        # r = 2 runs psi2_second_derived and builds block products and the
-        # subdirect projection from a group with two directed generators
+        # r = 2 runs psi2_second_derived and compares with block products
+        # and the subdirect projection of a group with two directed generators
         spec = gv.validate(3, [(1, 0), (0, 1)])
         payload = cli.strip_timings(cli.report_payload(gv.run_all(spec, depth=4)))
         assert payload == self._golden("two_generators_depth4.json")

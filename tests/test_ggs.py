@@ -73,6 +73,20 @@ class TestValidate:
         spec = gv.validate(3, [(4, -1)])
         assert spec.vectors == ((1, 2),)
 
+    def test_rejects_a_non_integral_entry(self):
+        # int() would truncate 1.5 to 1 and accept the spec of (1, 2)
+        with pytest.raises(gv.SpecError, match="entry must be an integer"):
+            gv.validate(3, [(1.5, 2)])
+
+    def test_rejects_a_non_integral_prime(self):
+        with pytest.raises(gv.SpecError, match="prime must be an integer"):
+            gv.validate(3.0, [(1, 2)])
+
+    def test_accepts_numpy_integers(self):
+        spec = gv.validate(np.int64(3), [np.array([4, 2])])
+        assert spec == gv.validate(3, [(1, 2)])
+        assert type(spec.p) is int and all(type(x) is int for x in spec.vectors[0])
+
     def test_agrees_with_enumeration(self):
         rng = random.Random(31)
         for _ in range(150):
@@ -207,6 +221,11 @@ class TestBuild:
         with pytest.raises(gv.SpecError):
             gv.build(gs_spec, 0)
         assert gv.build(gs_spec, 1).G.order_exponent == 1
+
+    def test_rejects_a_non_integral_depth_before_any_work(self, gs_spec):
+        with mock.patch("ggsver.ggs.rooted", side_effect=AssertionError("work started")):
+            with pytest.raises(gv.SpecError, match="depth must be an integer"):
+                gv.build(gs_spec, 2.5)
 
     def test_restriction_diagram_on_random_words(self, gs_spec):
         # a word at depth 4 restricted to level 2 is the same word at depth 2

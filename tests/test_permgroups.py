@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ggsver as gv
-from ggsver import permgroups
+from ggsver import checks, permgroups
 from ggsver.ggs import _row_reduce
 from ggsver.permgroups import (
     ElementNotInAmbient,
@@ -38,7 +38,7 @@ from oracles import (
     reference_normal_closure,
     same_group,
 )
-from test_checks import SPEC_FIXTURES, last_vertex_mutant
+from test_checks import SPEC_FIXTURES, last_vertex_mutant, power_reference
 
 
 class TestGenerate:
@@ -118,7 +118,7 @@ class TestEmptyLayerExit:
         session = gv.build(spec, n)
         g = session.G
         handles = [g.level_stabilizer(m) for m in (1, 2, 3)]
-        handles += [session.derived(), gv.build(spec, n - 1).G.derived().block_power()]
+        handles += [session.derived(), power_reference(gv.build(spec, n - 1).G.derived())]
         rng = random.Random(n * p)
         # every level's representatives have non-zero labels at their level
         words = [Perm(r) for r in g.chain.representatives(0)] + _words(list(g.generators), rng)
@@ -494,33 +494,35 @@ def _block_power_cases(draw):
 
 
 class TestBlockPower:
+    """checks._in_power decides membership in H^p, the product of p copies
+    of H, from H's layers alone, and checks._power_verdict compares a group
+    with H^p; both against H^p closed cold from H's generators placed in
+    each first-level slot."""
+
     def test_trivial_group_without_generators(self):
         h = PermGroup(9, [], prime=3)
-        power = h.block_power()
-        assert power.generators == () and power.degree == 27
-        assert power.chain_summary()["level_dimensions"] == [0, 0, 0]
+        power = PermGroup(27, [], prime=3)
+        assert checks._power_verdict(power, h, {}) == (
+            {"lhs_exponent": 0, "rhs_exponent": 0},
+            None,
+        )
+        assert checks._in_power(Perm.identity(27), h)
+        assert not checks._in_power(rooted(3, 3, 1).to_perm(3), h)
 
     @settings(max_examples=30)
     @given(_block_power_cases())
     def test_agrees_with_the_closure_of_the_embedded_generators(self, case):
         p, subgens, probes, arbitrary = case
         h = PermGroup(subgens[0].degree, subgens, prime=p)
-        power = h.block_power()
-        n = power.level
-        embedded = [subtree_embed(x, p, (j,), n) for j in range(p) for x in subgens]
-        ref = PermGroup(p**n, embedded, prime=p)
-        assert [x.tolist() for x in power.generators] == [x.tolist() for x in embedded]
-        assert power.order_exponent == ref.order_exponent == p * h.order_exponent
-        dims = power.chain_summary()["level_dimensions"]
-        assert dims == ref.chain_summary()["level_dimensions"]
-        assert dims == [0] + [p * d for d in h.chain_summary()["level_dimensions"]]
+        ref = power_reference(h)
+        assert ref.order_exponent == p * h.order_exponent
+        assert ref.chain_summary()["level_dimensions"] == [0] + [
+            p * d for d in h.chain_summary()["level_dimensions"]
+        ]
         for x in probes + [arbitrary]:
-            assert power.contains(x) == ref.contains(x)
-        for m in range(n + 1):
-            assert (
-                power.level_stabilizer(m).order_exponent
-                == ref.level_stabilizer(m).order_exponent
-            )
+            assert checks._in_power(x, h) == ref.contains(x)
+        details, witness = checks._power_verdict(ref, h, {})
+        assert witness is None and details["rhs_exponent"] == ref.order_exponent
 
 
 # -- the closure against its one-candidate-at-a-time reference -------------------
@@ -874,7 +876,7 @@ def _witness_groups(s):
         "st(1)'": s.st1_derived(),
         "[st(1)', st(1)]": commutator_subgroup(s.st1_derived(), s.st1(), g),
         "G''": s.second_derived(),
-        "G'(N-1)^p": s.derived().truncate(n - 1).block_power(),
+        "G'(N-1)^p": power_reference(s.derived().truncate(n - 1)),
     }
     groups.update((f"st_{m}", g.level_stabilizer(m)) for m in range(1, n))
     return groups
@@ -1064,17 +1066,17 @@ class TestLayerLayout:
     """A finished layer holds exactly its dimension of rows, the last layer
     too, whose buffer may hold a run past its width while a closure runs,
     and for each pivot the first leaf below its vertex in the handle's own
-    tree: in closures, block powers, truncations and suffixes alike.  Below
-    the last level a layer holds its representatives and their divisors as
-    two arrays of exactly its dimension: nothing reserved for rows never
-    filled is kept, and divs[c-1, j] is reps[j] raised to -c."""
+    tree: in closures, truncations and suffixes alike.  Below the last
+    level a layer holds its representatives and their divisors as two
+    arrays of exactly its dimension: nothing reserved for rows never filled
+    is kept, and divs[c-1, j] is reps[j] raised to -c."""
 
     @pytest.mark.parametrize("fixture", ["gs_spec", "r2_spec", "sym5_spec"])
-    def test_closure_block_power_and_stabilizer(self, fixture, request):
+    def test_closure_truncation_and_stabilizer(self, fixture, request):
         spec = request.getfixturevalue(fixture)
         g = gv.build(spec, 5 if spec.p == 3 else 4).G
         n = g.level
-        handles = (g, g.derived().block_power(), g.level_stabilizer(2))
+        handles = (g, g.level_stabilizer(2))
         handles += (g.truncate(n - 1), g.derived().truncate(3), g.truncate(n - 1).level_stabilizer(1))
         for h in handles:
             p, degree = h.prime, h.degree
