@@ -34,7 +34,7 @@ from .ggs import (
     normalize,
 )
 from . import permgroups
-from .permgroups import PermGroup, commutator_subgroup
+from .permgroups import PermGroup
 from .portraits import (
     Perm,
     commutator,
@@ -227,8 +227,17 @@ def _power_verdict(lhs, k, details):
     """(details, witness) for lhs == K^p, with no layers built for K^p.  K^p
     is generated by k's generators placed in each slot, so it equals lhs
     exactly when lhs holds every placement and the orders agree.  On
-    failure the witness is the first generator of lhs outside K^p, else the
-    first placement outside lhs, slot by slot."""
+    failure the witness is the first element of lhs outside K^p among the
+    seeds it was closed from and then its generators, else the first
+    placement outside lhs, slot by slot.
+
+    The seeds come first so that the witness does not depend on whether
+    lhs grew from a start.  A seed that left no residual lies in the group
+    generated by the seeds before it, so the first seed outside K^p is one
+    that left a residual.  Those are the prefix of a cold closure's
+    generators, so for a cold lhs this is the first generator outside K^p;
+    a warm closure records every seed (Normal generators in the permgroups
+    module docstring)."""
     p, n = k.prime, k.level + 1
     placed = [subtree_embed(h, p, (j,), n) for j in range(p) for h in k.generators]
     details = dict(details)
@@ -236,7 +245,8 @@ def _power_verdict(lhs, k, details):
     details["rhs_exponent"] = p * k.order_exponent
     if lhs.order_exponent == details["rhs_exponent"] and all(map(lhs.contains, placed)):
         return details, None
-    missing = next((g for g in lhs.generators if not _in_power(g, k)), None)
+    seeds = () if lhs._closed_from is None else lhs._closed_from[1]
+    missing = next((g for g in (*seeds, *lhs.generators) if not _in_power(g, k)), None)
     if missing is None:
         missing = next(x for x in placed if not lhs.contains(x))
     return details, missing
@@ -270,7 +280,8 @@ def check_gamma3_product(session: GroupSession):
     level-1 stabilizer fill the full product of p lower-central copies."""
     _require_nonconstant(session.spec)
     _require_depth(session, 3, "the lower-central product identity")
-    lhs = commutator_subgroup(session.st1_derived(), session.st1(), session.G)
+    # [st(1)', st(1)] first, so that gamma3 can grow from it
+    lhs = session.st1_gamma3()
     return _power_verdict(lhs, session.gamma3().truncate(session.depth - 1), {})
 
 
@@ -420,10 +431,43 @@ def check_subdirect(session: GroupSession):
     return details, None
 
 
+def _one_vertex_decides(session: GroupSession) -> bool:
+    """Whether G'' holds the embeddings of G'_(N-2) at every level-2 vertex
+    as soon as it holds those at (0,0): true when G is transitive on level 2
+    and every first-level section of a generator of G lies in G_(N-1), the
+    level-(N-1) quotient.
+
+    Sections compose, so then every element of G has its first-level
+    sections in G_(N-1), and its sections at level 2 in G_(N-2).  Take g in
+    G with g(0,0) = u and s its section at (0,0).  Conjugating by g carries
+    the embedding at (0,0) of h to the embedding at u of h conjugated by s.
+    s normalizes G'_(N-2), the derived subgroup of G_(N-2), and G'' is normal
+    in G, so it holds the embeddings at u once it holds those at (0,0).  A
+    group ggs.build makes passes both tests; a hand-made session may not."""
+    g, p, n = session.G, session.spec.p, session.depth
+    moves = [restrict_to_level(x, p, 2).images for x in g.generators]
+    orbit, todo = {0}, [0]
+    while todo:
+        v = todo.pop()
+        for w in (int(images[v]) for images in moves):
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    if len(orbit) < p * p:
+        return False
+    quotient = g.truncate(n - 1)
+    return all(
+        quotient.contains(subtree_section(x, p, (j,))) for x in g.generators for j in range(p)
+    )
+
+
 @_check("psi2_second_derived")
 def check_psi2_second_derived(session: GroupSession):
     """Each level-2 embedded copy of the depth-(N-2) derived subgroup lies in
-    the second derived subgroup; needs at least two directed generators."""
+    the second derived subgroup; needs at least two directed generators.
+    Only the copy at (0,0) is sifted when it decides the others
+    (_one_vertex_decides); it is the first the full scan visits, so the
+    verdict, details and witness are those of the full scan."""
     spec = session.spec
     if spec.r < 2:
         raise NoVerdict(
@@ -438,7 +482,8 @@ def check_psi2_second_derived(session: GroupSession):
         "second_derived_exponent": second.order_exponent,
         "inner_derived_exponent": inner.order_exponent,
     }
-    for k in range(p * p):
+    vertices = 1 if _one_vertex_decides(session) else p * p
+    for k in range(vertices):
         word = vertex_word(k, 2, p)
         for h in inner.generators:
             emb = subtree_embed(h, p, word, n)
@@ -542,30 +587,49 @@ def select_checks(checks=None) -> list:
     return [c for c in CHECKS if c in set(checks)]
 
 
+# run ahead of the others: abelianization builds G' and G, and the next two
+# read G'', so that st(1)' and gamma3 grow from it
+_RUN_FIRST = ("abelianization", "psi2_second_derived", "second_derived_contains_stab")
+
+
+def _run(session: GroupSession, chosen) -> tuple[dict, dict]:
+    """Verdicts and wall times of the chosen checks on one session, run in
+    _RUN_FIRST's order and then in CHECKS order; both dicts are keyed in
+    the order of chosen."""
+    order = [c for c in _RUN_FIRST if c in chosen]
+    order += [c for c in chosen if c not in order]
+    verdicts, times = {}, {}
+    for cid in order:
+        t0 = time.perf_counter()
+        verdicts[cid] = CHECKS[cid](session)
+        times[cid] = time.perf_counter() - t0
+    return {c: verdicts[c] for c in chosen}, {c: times[c] for c in chosen}
+
+
 def run_all(
     spec: GGSSpec, depth=None, checks=None, label=None, allow_large: bool = False
 ) -> Report:
     """Build one session, run every requested check against it, and fold the
     verdicts into a report.  The selection is checked by select_checks before
     the build.  The depth defaults to ggs.default_depth; build decides
-    whether it is too large, with allow_large as its opt-in."""
+    whether it is too large, with allow_large as its opt-in.
+
+    abelianization, psi2_second_derived and second_derived_contains_stab
+    run first, so that G'' is built, where they build it, before st(1)'
+    and gamma3, which then grow from it (GroupSession).  The report lists
+    verdicts and wall times in CHECKS order, whatever the run order."""
     _require_spec(spec)
     chosen = select_checks(checks)
     if depth is None:
         depth = default_depth(spec)
     session = build(spec, depth, allow_large=allow_large)
-    verdicts = []
-    times = {}
-    for cid in chosen:
-        t0 = time.perf_counter()
-        verdicts.append(CHECKS[cid](session))
-        times[cid] = time.perf_counter() - t0
+    verdicts, times = _run(session, chosen)
     return Report(
         p=spec.p,
         vectors=[list(v) for v in spec.vectors],
         label=label,
         depth=depth,
         classification=classify_csp(spec),
-        verdicts=verdicts,
+        verdicts=list(verdicts.values()),
         wall_times=times,
     )

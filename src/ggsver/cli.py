@@ -10,6 +10,7 @@ leaves than numpy can index, or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -313,7 +314,11 @@ def _add_spec_args(sub):
     sub.add_argument("--label", help="label echoed into reports")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it takes about a
+    millisecond, and parse_args leaves it as it was.  The commands it sets
+    look up what they call when they run."""
     parser = argparse.ArgumentParser(
         prog="ggsver",
         description=(

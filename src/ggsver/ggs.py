@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .portraits import directed, is_odd_prime, rooted
 from . import permgroups
-from .permgroups import PermGroup, commutator_subgroup
+from .permgroups import PermGroup, _commutator_subgroup, commutator_subgroup
 
 __all__ = [
     "SpecError",
@@ -305,16 +305,24 @@ class GroupSession:
     Holds the group handle for the induced group on the p**depth leaves,
     generated by the leaf permutations of a, b_1, ..., b_r in that order.
     Immutable apart from one memo of the subgroups the checks share: G',
-    Phi(G), gamma3, st(1), st(1)' and G''.  It is the only memo: a group
-    handle keeps no subgroup of its own.  Each is closed at most once, at
-    this depth; a check that needs one at a lower depth m truncates it with
-    PermGroup.truncate(m), which reads the level-m quotient off its layers
-    with no closure.
+    Phi(G), gamma3, st(1), st(1)', [st(1)', st(1)] and G''.  It is the only
+    memo: a group handle keeps no subgroup of its own.  Each is closed at
+    most once, at this depth; a check that needs one at a lower depth m
+    truncates it with PermGroup.truncate(m), which reads the level-m
+    quotient off its layers with no closure.
 
-    derived() is G.derived(), remembered.  Every reader of G's layers here
-    and in the checks closes G' first: PermGroup.derived() then hands G''s
-    layers to G, and G's closure grows from them, sifting a, b_1, ..., b_r
-    alone (Warm start in the permgroups module docstring).
+    A subgroup grows from one already in the memo that it always contains
+    (Warm start in the permgroups module docstring), and closes cold when
+    there is none:
+    - G from G': derived() is G.derived(), remembered, and every reader of
+      G's layers here and in the checks closes G' first, so that G's
+      closure sifts a, b_1, ..., b_r alone;
+    - st(1)' from G'': G' <= st(1), as W_N/st(1) is cyclic, so
+      G'' = [G', G'] <= [st(1), st(1)];
+    - gamma3 from G'' = [G', G'] <= [G', G], else from [st(1)', st(1)] <=
+      [G', G].
+    Each start is normal in G.  No subgroup is built only to be a start:
+    run_all runs the checks that build G'' first.
     """
 
     spec: GGSSpec
@@ -351,9 +359,13 @@ class GroupSession:
         return self._memoized("frattini", make)
 
     def gamma3(self) -> PermGroup:
-        """Third lower-central term [[G,G],G]."""
-        g = self.G
-        return self._memoized("gamma3", lambda: commutator_subgroup(self.derived(), g, g))
+        """Third lower-central term [[G,G],G], grown from G'' when that is
+        built, else from [st(1)', st(1)] when that is: both lie in it."""
+        g, memo = self.G, self._memo
+        start = memo.get("second_derived") or memo.get("st1_gamma3")
+        return self._memoized(
+            "gamma3", lambda: _commutator_subgroup(self.derived(), g, g, start)
+        )
 
     def st1(self) -> PermGroup:
         """The level-1 stabilizer: G's layers from level 1 on, with no
@@ -376,12 +388,24 @@ class GroupSession:
         return self._memoized("st1", make)
 
     def st1_derived(self) -> PermGroup:
-        # st(1) is normal here, so closing the commutators of b_1, ..., b_r
-        # with its generators under G's generators yields its derived subgroup
+        """st(1)', grown from G'' when that is built.  st(1) is normal here,
+        so closing the commutators of b_1, ..., b_r with its generators
+        under G's generators yields its derived subgroup."""
         st1 = self.st1()
-        return self._memoized("st1_derived", lambda: commutator_subgroup(st1, st1, self.G))
+        start = self._memo.get("second_derived")
+        return self._memoized(
+            "st1_derived", lambda: _commutator_subgroup(st1, st1, self.G, start)
+        )
+
+    def st1_gamma3(self) -> PermGroup:
+        """[st(1)', st(1)], the third lower-central term of st(1)."""
+        st1 = self.st1()
+        return self._memoized(
+            "st1_gamma3", lambda: commutator_subgroup(self.st1_derived(), st1, self.G)
+        )
 
     def second_derived(self) -> PermGroup:
+        """G'' = [G', G']."""
         d = self.derived()
         return self._memoized("second_derived", lambda: commutator_subgroup(d, d, self.G))
 

@@ -67,18 +67,23 @@ The conjugates of L's representatives were never queued, but they lie in
 L & st(m), inside H_m; their p-th powers and mutual commutators lie in
 L & st(m+1), inside H_(m+1); the commutators of a new representative with
 L's are queued as with any peer.  H_0 holds L and every seed and is
-invariant, and L lies in the closure, so H_0 is the closure.  G' is normal
-in G and lies in it, so PermGroup.derived() hands its layers to G while G's
-are unbuilt, and G's closure starts from them and sifts only a, b_1, ...,
-b_r.  It starts from shares (_Layer.share): views of exactly the rows L
-holds, so the first row a level gains moves it into new arrays, and L's
-layers never change.  A warm closure's generators are those it added, not a generating
-set; PermGroup.chain, the one that runs it, reads only its layers.
+invariant, and L lies in the closure, so H_0 is the closure.  It starts
+from shares (_Layer.share): views of exactly the rows L holds, so the first
+row a level gains moves it into new arrays, and L's layers never change.
+Two kinds of closure start warm.  G' is normal in G and lies in it, so
+PermGroup.derived() hands its layers to G while G's are unbuilt, and G's
+closure starts from them and sifts only a, b_1, ..., b_r; its generators
+are those it added, not a generating set, and PermGroup.chain, the one that
+runs it, reads only its layers.  A normal closure may be handed a start
+(_normal_closure), a subgroup normal in the ambient group that lies in the
+result; its generators are then the start's followed by those it found.
+GroupSession grows st(1)' and gamma3 so, from G'' or [st(1)', st(1)].
 
 Normal generators.  The seeds that leave a residual already close to H_0, so
-normal_closure keeps only those as the elements its result was closed from.
-They are the prefix of the generators found, since conjugates join the main
-queue behind every seed, so no conjugate leaves it before the last seed.
+a cold normal closure keeps only those as the elements its result was
+closed from.  They are the prefix of the generators found, since conjugates
+join the main queue behind every seed, so no conjugate leaves it before the
+last seed.
 Let N' be the closure of the kept seeds under the ambient generators;
 N' <= H_0 as H_0 holds every seed.  By induction over the queue, everything
 the closure handles lies in N': a kept seed does; a seed that left no
@@ -88,14 +93,21 @@ representatives, and a representative is a power of a residual or an earlier
 one times a power of it; a conjugate of a representative by an ambient
 generator lies in N', which those generators normalize; p-th powers and
 commutators of representatives lie in N' too.  So every representative lies
-in N', H_0 <= N', and H_0 = N'.
+in N', H_0 <= N', and H_0 = N'.  A seed that left no residual even lies in
+the group generated by the seeds before it: no conjugate is handled before
+the last seed, so the representatives it was reduced by are built from
+those seeds by products, powers and commutators.  A warm closure keeps
+every seed, as those that left no residual may reduce by the start's
+representatives; the closure of every seed is H_0, as the start lies in
+it.
 
 Containment reads the same record.  If H was closed from E in an ambient A,
 and K is A or was closed in A too, K is invariant under A's generators, so
 the closure H of E under them lies in K exactly when E does:
-containment_witness sifts E alone.  E is the prefix of H's generators, so
-the first of them outside K is the first element of E outside K, the
-witness a scan of every generator gives.
+containment_witness sifts E alone, and names the first element of E outside
+K.  By the above, that is the first seed outside K, whether H was closed
+cold or warm, and for a cold closure it is the first of H's generators
+outside K, the witness a scan of every generator gives.
 
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
 and the closure queues such candidates as vectors, not leaf permutations,
@@ -154,13 +166,18 @@ restrictions of those found above level m, and all of the generators given
 by hand (a handle's own, a level stabilizer's representatives).  They
 generate pi_m(H): the canonical products are H, so
 the restricted representatives at levels below m generate pi_m(H), and by
-induction over the closure each of them is, modulo st(m), a word in the
-kept generators.  A representative at level k < m is a power of a residual,
-or an earlier one times a power of one, and a residual is its candidate
-divided by representatives at levels <= k.  The candidate is a seed or a
-conjugate that left its residual at level k, so a kept generator, or a p-th
-power or commutator of representatives at a level below k, words by
-induction.  Representatives at levels >= m lie in st(m).
+induction over the closure each representative at a level k < m is, modulo
+st(m), a word in the kept generators found at levels <= k.  A
+representative at level k is a power of a residual, or an earlier one times
+a power of one, and a residual is its candidate divided by representatives
+at levels <= k.  The candidate is a seed or a conjugate that left its
+residual at level k, so a kept generator, or a p-th power or commutator of
+representatives at a level below k, words by induction.  Representatives
+at levels >= m lie in st(m).  A warm normal closure lists the start's
+generators and levels first, a start's generators given by hand at level 0
+so that every truncation keeps them: a start's representatives at level k
+are, by the same induction, words in the start's generators found at
+levels <= k, and the induction goes through from them.
 
 Everything here is deterministic: candidates are processed in queue order
 and representatives are kept in the order they were found.
@@ -198,9 +215,12 @@ def _inverse(arr: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _comm(x: np.ndarray, y: np.ndarray, xinv: np.ndarray, yinv: np.ndarray) -> np.ndarray:
-    # x^-1 y^-1 x y, composed left to right
-    return y[x[yinv[xinv]]]
+def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x^-1 y^-1 x y, composed left to right: it sends x(y(m)) to y(x(m)),
+    # so one scatter makes it, with no inverse
+    out = np.empty_like(x)
+    out[x[y]] = y[x]
+    return out
 
 
 def _comm_rows(x, xinv, ys, yinvs, points) -> np.ndarray:
@@ -724,9 +744,9 @@ class PermGroup:
         When `other` was closed from elements E in an ambient A, and self is
         A or was closed in A too, only E is sifted: self is then invariant
         under A's generators, so it holds the closure `other` of E exactly
-        when it holds E, and E is the prefix of `other`'s generators, so the
-        first of them outside self is the first element of E outside it
-        (Normal generators in the module docstring)."""
+        when it holds E.  The first element of E outside self is then the
+        first seed outside it, the first generator outside it of the cold
+        closure of those seeds (Containment in the module docstring)."""
         if other.degree != self.degree:
             raise DegreeMismatch("groups act on different point sets")
         closed = self._closed_from
@@ -816,9 +836,12 @@ def _normal_generators(group: PermGroup, ambients) -> tuple:
 def _commutators(pairs) -> list[Perm]:
     """The non-trivial commutators [x, y] of the pairs."""
     out = []
+    identity = None
     for x, y in pairs:
-        c = _comm(x.images, y.images, _inverse(x.images), _inverse(y.images))
-        if not np.array_equal(c, np.arange(len(c))):
+        c = _comm(x.images, y.images)
+        if identity is None:
+            identity = np.arange(len(c))
+        if not np.array_equal(c, identity):
             out.append(Perm._wrap(c))
     return out
 
@@ -836,20 +859,31 @@ def normal_closure(ambient: PermGroup, elements) -> PermGroup:
     return _normal_closure(ambient, seeds)
 
 
-def _normal_closure(ambient: PermGroup, seeds) -> PermGroup:
+def _normal_closure(ambient: PermGroup, seeds, start: PermGroup | None = None) -> PermGroup:
     """normal_closure of seeds known to lie in the ambient group, which are
-    not sifted."""
+    not sifted.  A start is a subgroup normal in the ambient group that lies
+    in the result; the closure grows from its layers (Warm start), its
+    generators and their levels come first, and every seed is recorded as a
+    normal generator (Normal generators in the module docstring)."""
     layers, found = _close(
-        ambient._tree, [e.images for e in seeds], [g.images for g in ambient.generators]
+        ambient._tree,
+        [e.images for e in seeds],
+        [g.images for g in ambient.generators],
+        None if start is None else start.chain,
     )
     gens = [Perm._wrap(a) for a, _ in found]
+    levels = [k for _, k in found]
+    if start is not None:
+        # generators given by hand are kept by every truncation, as level 0
+        before = start._levels or [0] * len(start.generators)
+        return ambient._built([*start.generators, *gens], layers, seeds, [*before, *levels])
     # the seeds that left a residual are found's prefix, the very arrays
     # handed in; they alone close to the result (Normal generators)
     kept = []
     for e in seeds:
         if len(kept) < len(found) and found[len(kept)][0] is e.images:
             kept.append(e)
-    return ambient._built(gens, layers, kept, [k for _, k in found])
+    return ambient._built(gens, layers, kept, levels)
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:
@@ -860,11 +894,22 @@ def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermG
     whenever both are normal in the ambient group: modulo the closure each s
     centralizes b, and so does each conjugate of s, since b is normal, and
     the conjugates of the s generate `a`."""
+    return _commutator_subgroup(a, b, ambient)
+
+
+def _commutator_subgroup(a, b, ambient, start: PermGroup | None = None) -> PermGroup:
+    """commutator_subgroup, grown from the layers of a start when one is
+    given: a subgroup normal in the ambient group that lies in [a, b].  The
+    commutators lie in the ambient group once a and b do, so a warm closure
+    sifts none of them; a cold one closes through normal_closure."""
     for sub in (a, b):
         w = ambient.containment_witness(sub)
         if w is not None:
             raise ElementNotInAmbient(
                 "commutator arguments must be subgroups of the ambient group"
             )
-    left = _normal_generators(a, (ambient,))
-    return normal_closure(ambient, _commutators(product(left, b.generators)))
+    seeds = _commutators(product(_normal_generators(a, (ambient,)), b.generators))
+    if start is None:
+        # looked up on the module, so a tracer that wraps it counts this
+        return normal_closure(ambient, seeds)
+    return _normal_closure(ambient, seeds, start)

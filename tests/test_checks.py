@@ -29,7 +29,14 @@ from ggsver.checks import (
 from ggsver import checks, cli, ggs, permgroups
 from ggsver.ggs import DEGREE_CAP, NormalizationImpossible, default_depth, normalize
 from ggsver.permgroups import PermGroup, commutator_subgroup
-from ggsver.portraits import Perm, restrict_to_level, subtree_embed, subtree_section
+from ggsver.portraits import (
+    Perm,
+    restrict_to_level,
+    rooted,
+    subtree_embed,
+    subtree_section,
+    vertex_word,
+)
 
 from oracles import SchreierSims, same_group
 
@@ -373,6 +380,89 @@ class TestPsi2SecondDerived:
         assert "two directed generators" in v.reason
 
 
+def _psi2_sifted(session):
+    """The verdict of psi2_second_derived, and the elements it sifted into
+    G'' in order."""
+    second = session.second_derived()
+    real = PermGroup.contains
+    sifted = []
+
+    def contains(group, x):
+        if group is second:
+            sifted.append(x)
+        return real(group, x)
+
+    with mock.patch.object(PermGroup, "contains", contains):
+        v = check_psi2_second_derived(session)
+    return v, sifted
+
+
+def _scan_every_vertex(session):
+    """The embeddings a scan of every level-2 vertex sifts into G'', up to
+    the first outside it, with that vertex and embedding, or None."""
+    p, n = session.spec.p, session.depth
+    second = session.second_derived()
+    inner = session.derived().truncate(n - 2)
+    tried = []
+    for k in range(p * p):
+        word = vertex_word(k, 2, p)
+        for h in inner.generators:
+            tried.append(subtree_embed(h, p, word, n))
+            if not second.contains(tried[-1]):
+                return tried, list(word), tried[-1]
+    return tried, None, None
+
+
+def _off_level_two(spec, depth):
+    """A session of spec whose G is generated by a and two elements of
+    st(2), the p-cycle's action placed below (0,0) and (0,1): G permutes
+    the level-2 vertices only through a, so not transitively."""
+    s = gv.build(spec, depth)
+    p = spec.p
+    cycle = rooted(p, depth - 2, 1).to_perm(depth - 2)
+    deep = [subtree_embed(cycle, p, (0, j), depth) for j in range(2)]
+    return dataclasses.replace(s, G=PermGroup(p**depth, [s.G.generators[0], *deep], prime=p))
+
+
+class TestPsi2OneVertex:
+    """psi2_second_derived sifts only the embeddings at (0,0) when G is
+    transitive on level 2 and self-similar down two levels, and scans every
+    vertex otherwise; the verdict is the full scan's either way."""
+
+    @pytest.mark.parametrize(
+        "fixture,depth", [("r2_spec", n) for n in (3, 4, 5)] + [("sym5_spec", n) for n in (3, 4)]
+    )
+    def test_a_built_session_sifts_one_vertex(self, fixture, depth, request):
+        s = gv.build(request.getfixturevalue(fixture), depth)
+        assert checks._one_vertex_decides(s)
+        v, sifted = _psi2_sifted(s)
+        tried, vertex, witness = _scan_every_vertex(s)
+        assert v.holds and vertex is None and witness is None
+        inner = s.derived().truncate(depth - 2)
+        # one sift per generator of G'_(N-2), each placed at (0,0), where
+        # the full scan starts
+        assert sifted == tried[: len(inner.generators)]
+        assert len(tried) == s.spec.p**2 * len(inner.generators)
+
+    @pytest.mark.parametrize("gen,vertex", [(0, 0), (1, 0), (2, 0), (2, 26)])
+    def test_a_mutant_scans_every_vertex(self, r2_spec, gen, vertex):
+        s = last_vertex_mutant(r2_spec, 4, gen, vertex)
+        assert not checks._one_vertex_decides(s)
+        v, sifted = _psi2_sifted(s)
+        tried, failing, witness = _scan_every_vertex(s)
+        assert sifted == tried and v.witness == witness
+        assert v.details.get("failing_vertex") == failing
+
+    @pytest.mark.parametrize("depth", [4, 5])
+    def test_a_group_off_level_two_transitivity_scans_every_vertex(self, r2_spec, depth):
+        s = _off_level_two(r2_spec, depth)
+        assert not checks._one_vertex_decides(s)
+        v, sifted = _psi2_sifted(s)
+        tried, failing, witness = _scan_every_vertex(s)
+        assert sifted == tried and v.witness == witness
+        assert v.details.get("failing_vertex") == failing
+
+
 class TestRankGrowth:
     def test_single_generator(self, gs3):
         v = check_rank_growth(gs3)
@@ -476,28 +566,45 @@ class TestSessionMemo:
             assert check_regular_branch(s).holds
             assert check_gamma3_product(s).holds
         ambients = [c.args[0] for c in closure.call_args_list]
-        # all in G: st(1)' once, then [st(1)', st(1)] and gamma3; G' is
-        # closed without normal_closure, as its seeds need no sift, and the
-        # level-3 groups are truncations
-        assert len(ambients) == 3
+        # all in G: st(1)' once, then [st(1)', st(1)]; G' is closed without
+        # normal_closure, as its seeds need no sift, gamma3 grows from
+        # [st(1)', st(1)] without it too, and the level-3 groups are
+        # truncations
+        assert len(ambients) == 2
         assert all(g is s.G for g in ambients)
 
 
 def _closures(run):
     """(tree depth, start, layers made) of every closure run() makes, in
-    order; the start is "seeds" for a closure of seeds under other
-    conjugators, and None or the layers it grew from for a handle's own."""
+    order; the start is "seeds" for a cold closure of seeds under other
+    conjugators, and None or the layers it grew from otherwise."""
     calls = []
     real = permgroups._close
 
     def record(tree, seeds, conj_by, start=None):
         out = real(tree, seeds, conj_by, start)
-        calls.append((tree.depth, start if seeds is conj_by else "seeds", out[0]))
+        cold_seeds = seeds is not conj_by and start is None
+        calls.append((tree.depth, "seeds" if cold_seeds else start, out[0]))
         return out
 
     with mock.patch.object(permgroups, "_close", side_effect=record):
         run()
     return calls
+
+
+def _run_session(run):
+    """run(), and the session the run_all inside it built."""
+    sessions = []
+    real = checks.build
+
+    def build(*args, **kwargs):
+        sessions.append(real(*args, **kwargs))
+        return sessions[-1]
+
+    with mock.patch.object(checks, "build", side_effect=build):
+        out = run()
+    [session] = sessions
+    return out, session
 
 
 class TestClosureCensus:
@@ -509,13 +616,20 @@ class TestClosureCensus:
         [(5, [(1, 1, 1, 1), (1, 0, 0, 1)], 5), (3, [(1, 0), (0, 1)], 6)],
     )
     def test_run_all_closes_below_the_depth_only_the_projection(self, p, rows, depth):
-        calls = _closures(lambda: gv.run_all(gv.validate(p, rows), depth))
+        run = lambda: gv.run_all(gv.validate(p, rows), depth)
+        calls, s = _run_session(lambda: _closures(run))
         # G, G', gamma3, st(1)', [st(1)', st(1)] and G''; subdirect's
         # projection is a new group one level down
         assert sorted(d for d, _, _ in calls) == [depth - 1] + [depth] * 6
         # G' closes first and G's own layers grow from it: none closes cold
         starts = [start for _, start, _ in calls]
         assert None not in starts and starts.index(calls[0][2]) == 1
+        # G'' is built before st(1)' and gamma3, and both grow from it
+        grown = {id(layers): start for _, start, layers in calls}
+        second = s.second_derived().chain
+        assert grown[id(s.st1_derived().chain)] is second
+        assert grown[id(s.gamma3().chain)] is second
+        assert grown[id(second)] == grown[id(s.st1_gamma3().chain)] == "seeds"
 
     def test_table_closes_g_and_its_derived_subgroup(self, capsys):
         args = ["table", "--p", "3", "--vectors", "1,0;0,1", "--max-depth", "6"]
@@ -533,6 +647,28 @@ class TestClosureCensus:
         else:
             assert starts[0] == "seeds" and None not in starts
             assert starts.count(s.derived().chain) == 1
+
+    @pytest.mark.parametrize(
+        "p,rows,depth",
+        [(5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4), (3, [(1, 2)], 6), (3, [(1, 1)], 5)],
+    )
+    def test_warm_starts_add_no_closure(self, p, rows, depth):
+        # every selection makes as many closures as with every normal
+        # closure cold, in CHECKS order, so no start is built for its own sake
+        spec = gv.validate(p, rows)
+        real = permgroups._commutator_subgroup
+
+        def cold(a, b, ambient, start=None):
+            return real(a, b, ambient)
+
+        for chosen in [None, *([cid] for cid in gv.CHECKS)]:
+            run = lambda: gv.run_all(spec, depth, checks=chosen)
+            warm = _closures(run)
+            with mock.patch.object(ggs, "_commutator_subgroup", cold), mock.patch.object(
+                checks, "_RUN_FIRST", ()
+            ):
+                before = _closures(run)
+            assert len(warm) == len(before), chosen
 
 
 class TestWitnesses:
@@ -649,6 +785,50 @@ class TestPowerVerdict:
                 failed += want is not None
         # the mutants make comparisons fail
         assert failed
+
+
+class TestRunOrder:
+    """run_all runs abelianization, psi2_second_derived and
+    second_derived_contains_stab first, so that st(1)' and gamma3 grow from
+    G'', and reports in CHECKS order; each check alone gives the status,
+    details and witness it gives in the full run."""
+
+    @pytest.mark.parametrize(
+        "fixture,depth",
+        [(f, n) for f in SPEC_FIXTURES for n in (3, 4)] + [("gs_spec", 5), ("r2_spec", 5)],
+    )
+    def test_each_check_alone_agrees_with_the_full_run(self, fixture, depth, request):
+        spec = request.getfixturevalue(fixture)
+        p = spec.p
+        makers = [lambda: gv.build(spec, depth)]
+        makers += [
+            lambda gen=gen, vertex=vertex: last_vertex_mutant(spec, depth, gen, vertex)
+            for gen in range(spec.r + 1)
+            for vertex in (0, p ** (depth - 1) - 1)
+        ]
+        failed = 0
+        for make in makers:
+            full, times = checks._run(make(), list(gv.CHECKS))
+            assert list(full) == list(times) == list(gv.CHECKS)
+            for cid, v in full.items():
+                alone = gv.CHECKS[cid](make())
+                assert (alone.status, alone.details) == (v.status, v.details), cid
+                assert alone.witness == v.witness, cid
+                failed += v.status == FAILS
+        # the mutants make checks fail, so witnesses are compared; at p=5,
+        # depth 3, every check passes on them
+        assert failed or (p, depth) == (5, 3)
+
+    def test_checks_that_build_g_second_run_first(self, r2_spec):
+        ran = []
+        wrapped = {}
+        for cid, check in gv.CHECKS.items():
+            wrapped[cid] = lambda s, cid=cid, check=check: ran.append(cid) or check(s)
+        with mock.patch.dict(checks.CHECKS, wrapped):
+            rep = gv.run_all(r2_spec, 5)
+        first = ["abelianization", "psi2_second_derived", "second_derived_contains_stab"]
+        assert ran == first + [c for c in gv.CHECKS if c not in first]
+        assert [v.claim_id for v in rep.verdicts] == list(rep.wall_times) == list(gv.CHECKS)
 
 
 class TestRunAll:

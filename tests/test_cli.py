@@ -257,6 +257,24 @@ class TestDeterminism:
         )
         assert outs[0]["fingerprint"] == outs[1]["fingerprint"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p", "3", "--vectors", "1,0;0,1", "--depth", "4", "--format", "text"],
+            ["table", "--p", "3", "--vectors", "1,2", "--max-depth", "4", "--format", "csv"],
+            ["info", "--p", "5", "--vectors", "1,1,1,1;1,0,0,1"],
+        ],
+    )
+    def test_the_one_parser_gives_byte_identical_output(self, argv, capsys):
+        # the text report has no wall times; the parser is built once per
+        # process and parsing leaves it as it was
+        outs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].out
+        assert cli.build_parser() is cli.build_parser()
+
     @staticmethod
     def _golden(name):
         golden_path = os.path.join(os.path.dirname(__file__), "golden", name)

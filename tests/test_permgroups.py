@@ -682,9 +682,9 @@ def _is_subsequence(kept, seeds):
 
 
 class TestNormalGenerators:
-    """A normal closure records only the seeds that left a residual, and
-    st(1) records b_1, ..., b_r; commutator subgroups seeded from those are
-    the ones seeded from every pair of group generators."""
+    """A cold normal closure records only the seeds that left a residual,
+    and st(1) records b_1, ..., b_r; commutator subgroups seeded from those
+    are the ones seeded from every pair of group generators."""
 
     @pytest.mark.parametrize(
         "p,rows,depth",
@@ -854,6 +854,105 @@ class TestWarmStart:
         cold = PermGroup(g.degree, subgens, prime=g.prime)
         assert _same_spans(h, cold)
         assert h._start is None
+
+
+_WARM_NORMAL_CASES = [
+    (p, rows, n) for p, rows in _DIFF_SPECS for n in range(3, 5 if p == 5 else 6)
+]
+
+
+def _warm_closures(s):
+    """(name, warm handle, cold handle, start, copies of the start's arrays
+    before the warm closure) for st(1)' and gamma3 grown from G'' and from
+    [st(1)', st(1)], each start closed cold first."""
+    g, d, st1 = s.G, s.derived(), s.st1()
+    cold = {"st(1)'": commutator_subgroup(st1, st1, g), "gamma3": commutator_subgroup(d, g, g)}
+    starts = {
+        "G''": commutator_subgroup(d, d, g),
+        "[st(1)', st(1)]": commutator_subgroup(cold["st(1)'"], st1, g),
+    }
+    pairs = {"st(1)'": (st1, st1), "gamma3": (d, g)}
+    out = []
+    for start_name, start in starts.items():
+        for name, (a, b) in pairs.items():
+            before = _layer_arrays(start.chain)
+            warm = permgroups._commutator_subgroup(a, b, g, start)
+            out.append((f"{name} from {start_name}", warm, cold[name], start, before))
+    return out
+
+
+class TestWarmNormalClosure:
+    """st(1)' and gamma3 grown from G'' or from [st(1)', st(1)], normal
+    subgroups of G that both contain: the cold closure's group, generated by
+    the start's generators and those found, and closed from every seed."""
+
+    @pytest.mark.parametrize("p,rows,depth", _WARM_NORMAL_CASES)
+    def test_warm_equals_cold(self, p, rows, depth):
+        s = gv.build(gv.validate(p, rows), depth)
+        g = s.G
+        small = depth <= (3 if p == 5 else 4)
+        for name, warm, cold, start, before in _warm_closures(s):
+            assert warm.chain.dimensions() == cold.chain.dimensions(), name
+            assert _same_spans(warm, cold), name
+            # the start lent its layers and kept them as they were
+            for got, want in zip(_layer_arrays(start.chain), before):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+            # generators: the start's, then those the closure found
+            n = len(start.generators)
+            assert all(x is y for x, y in zip(warm.generators[:n], start.generators)), name
+            assert warm._levels[:n] == start._levels, name
+            # every truncation is generated by the generators it keeps
+            for m in range(1, depth):
+                t = warm.truncate(m)
+                again = PermGroup(t.degree, t.generators, prime=p)
+                assert again.order_exponent == cold.truncate(m).order_exponent, (name, m)
+            # the seeds it records close to it
+            ambient, seeds = warm._closed_from
+            again = normal_closure(ambient, seeds)
+            assert ambient is g and same_group(again, warm) and same_group(warm, again), name
+            if small:
+                ref = SchreierSims(g.degree, [x.images for x in cold.generators])
+                gen_ref = SchreierSims(g.degree, [x.images for x in warm.generators])
+                assert gen_ref.order() == ref.order() == p**warm.order_exponent, name
+                rng = random.Random(depth * p)
+                probes = _words(list(g.generators), rng) + _words(list(warm.generators), rng)
+                probes += _wreath_elements(p, depth, rng, 4)
+                assert any(not ref.contains(x.images) for x in probes), name
+                for x in probes:
+                    assert warm.contains(x) == ref.contains(x.images), name
+
+    def test_a_warm_closure_sifts_no_seed(self, r2_spec):
+        s = gv.build(r2_spec, 4)
+        g, d = s.G, s.derived()
+        start = commutator_subgroup(d, d, g)
+        start.chain
+        sifted = []
+        real = PermGroup.contains
+
+        def contains(group, x):
+            sifted.append(group)
+            return real(group, x)
+
+        with mock.patch.object(PermGroup, "contains", contains), mock.patch.object(
+            permgroups, "normal_closure", side_effect=AssertionError("cold path")
+        ):
+            warm = permgroups._commutator_subgroup(d, g, g, start)
+        # only the argument check: G' by its kept seeds, G by its generators
+        assert len(sifted) == len(d._closed_from[1]) + len(g.generators)
+        assert warm.order_exponent == s.gamma3().order_exponent
+
+
+def test_commutators_need_no_inverse(gs4):
+    from itertools import product
+
+    g, d = gs4.G, gs4.derived()
+    xs, ys = list(d.generators[:4]), list(g.generators)
+    with mock.patch.object(permgroups, "_inverse", side_effect=AssertionError("inverted")):
+        got = permgroups._commutators(product(xs, ys))
+    want = [reference_commutator(x.images, y.images) for x, y in product(xs, ys)]
+    want = [c for c in want if not np.array_equal(c, np.arange(len(c)))]
+    assert got and len(got) == len(want)
+    assert all(np.array_equal(a.images, b) for a, b in zip(got, want))
 
 
 def _first_outside(group, other):
