@@ -467,7 +467,9 @@ def check_psi2_second_derived(session: GroupSession):
     the second derived subgroup; needs at least two directed generators.
     Only the copy at (0,0) is sifted when it decides the others
     (_one_vertex_decides); it is the first the full scan visits, so the
-    verdict, details and witness are those of the full scan."""
+    verdict, details and witness are those of the full scan.  When the
+    derived subgroup at depth N-2 has no generators there is nothing to
+    sift, and _one_vertex_decides is not asked."""
     spec = session.spec
     if spec.r < 2:
         raise NoVerdict(
@@ -482,6 +484,8 @@ def check_psi2_second_derived(session: GroupSession):
         "second_derived_exponent": second.order_exponent,
         "inner_derived_exponent": inner.order_exponent,
     }
+    if not inner.generators:
+        return details, None
     vertices = 1 if _one_vertex_decides(session) else p * p
     for k in range(vertices):
         word = vertex_word(k, 2, p)

@@ -37,8 +37,9 @@ scaled to a unit pivot, cleared from the other rows of its layer (an old
 representative is multiplied by a power of the new one), and becomes a
 representative r.  It queues (a) its conjugates by the ambient generators,
 (b) r^p and (c) its commutators with the other level-m representatives.  (b)
-and (c) lie in st(m+1) and go ahead of the next seed or conjugate.  The loop
-stops when every queued element has reduced to the identity.
+and (c) lie in st(m+1) and go ahead of the next seed or conjugate; (a) are
+made as they leave the queue (Bottom layer).  The loop stops when every
+queued element has reduced to the identity.
 
 Why that is the closure.  Every representative is a product of seeds,
 conjugates and earlier representatives, so it lies in the closure.  Clearing
@@ -131,6 +132,37 @@ pending.  The conjugates of the rows one reduction adds form one stack,
 taken from each row as it was added, before later rows cleared their
 pivots, row by row in the order added; that is the order and the value in
 which one-at-a-time adding queues them.
+
+The label vectors are stored in the narrowest unsigned type that holds
+p - 1, uint8 unless p > 256: the tree's level-(N-1) digits have that type,
+and so do the last-level labels a sift reads, the stacks of p-th powers and
+commutators of level-(N-2) representatives and the conjugate stacks.  A
+stack takes an eighth of the bytes of intp, and its product with float32
+rows (Exact in float32) runs in single precision, where intp would promote
+it to float64.
+Above the last level a new representative is queued as one copy, taken
+once push has cleared its pivot from the older representatives, once per
+ambient generator; the conjugate by that generator is made when the item
+leaves the queue.  push rewrites a representative in place when a later row
+clears its pivot, which is why the copy is needed: the conjugate is then
+the one made at once from the representative as it was, and one array of
+the degree's length is held per representative instead of one per ambient
+generator.
+
+Exact in float32.  The label rows of a tree's layers are float32 when
+(p-1)^2 p^(N-1) + p^3 < 2^22 (_row_type), else float64.  The float code
+forms only integers, and under that bound every one of them is below 2^22 in
+absolute value, which float32 holds exactly: a residual, or a membership
+product, sums u_i r_ij over at most p^(N-1) pivots, each term in
+0..(p-1)^2, so every partial sum too, in whatever order the product adds
+them, and u minus that sum lies above -(p-1)^2 p^(N-1); _clear subtracts
+from rows in 0..p-1 the products c r_j, with c = t scale in 0..(p-1)^2 or
+c = 1 - scale above -p, so its values lie strictly between -p^3 and p^3.
+_mod(a, p) rounds a/p to float32 with relative error at most 2^-24, so off
+by less than 2^22/p 2^-24 = 1/(4p); a/p is an integer, which is then
+exact, or lies at least 1/p from every integer, so its floor is exact, and
+so are q p and a - q p.  The bound admits p=3 up to N=13, p=5 up to N=8 and
+p=7 up to N=6.
 
 Deferring the last level so is exact.  A sift above the last level reads
 only the layers above it, adding a bottom row changes only the last layer
@@ -258,18 +290,31 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
 # a run may pass it by one stack
 _RUN = 64
 
+
+def _row_type(p: int, n: int):
+    """The float type of the label rows of the depth-n tree: float32 when
+    every value the float code forms is an integer below 2**22, so held
+    exactly (Exact in float32 in the module docstring), else float64."""
+    return np.float32 if (p - 1) ** 2 * p ** (n - 1) + p**3 < 2**22 else np.float64
+
+
 class _Tree:
-    """Index tables of the depth-n p-regular tree."""
+    """Index tables of the depth-n p-regular tree, and the float type of its
+    layers' label rows."""
 
     def __init__(self, p, n: int):
         self.p = p
         self.depth = n
+        self.row_type = _row_type(p, n)
         idn = np.arange(p**n, dtype=np.intp)
         idn.setflags(write=False)
         self.identity = idn
-        # the level-m labels of x are digits[m][x[starts[m]]]
+        # the level-m labels of x are digits[m][x[starts[m]]]; the last
+        # level's in the narrowest unsigned type, so that the label stacks
+        # a closure queues are narrow and multiply the rows in one precision
         self.starts = [idn[:: p ** (n - m)] for m in range(n)]
         self.digits = [idn // p ** (n - m - 1) % p for m in range(n)]
+        self.digits[-1] = self.digits[-1].astype(np.min_scalar_type(p - 1))
         self.parent = idn // p
         self.base = idn - idn % p
 
@@ -308,7 +353,9 @@ class _Tree:
 
 class _Layer:
     """Reduced echelon basis over F_p of the level-m labels of H & st(m), as
-    float rows (exact for these small integers).  leaves[j] = pivots[j] *
+    float rows of the tree's row_type: float32 where that is exact, else
+    float64 (Exact in float32 in the module docstring); a truncation shares
+    rows in the type they have.  leaves[j] = pivots[j] *
     below, with below = p**(N-m), is the first leaf below the vertex of
     pivot j, so one gather reads an element's exponents.  Below the last
     level row j has a representative reps[j], and divs[c-1, j] is reps[j]
@@ -325,7 +372,7 @@ class _Layer:
 
     def __init__(self, tree: _Tree, m: int):
         degree = len(tree.identity) if m < tree.depth - 1 else 0
-        self.rows = np.empty((0, tree.p**m))
+        self.rows = np.empty((0, tree.p**m), dtype=tree.row_type)
         self.pivots = np.empty(0, dtype=np.intp)
         self.below = tree.p ** (tree.depth - m)
         self.leaves = np.empty(0, dtype=np.intp)
@@ -580,9 +627,11 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     bottom = layers.levels[last]
     conj = [(y, _inverse(y)) for y in conj_by]
     pulls = np.array([tree.pull(yinv) for _, yinv in conj], dtype=np.intp)
-    # (element, level its sift starts at), or (labels, None) for a stack of
-    # elements of st(N-1) given by their level-(N-1) labels, one per row
-    main = deque((x, 0) for x in seeds)
+    # (element, level its sift starts at, None), or (labels, None, None) for
+    # a stack of elements of st(N-1) given by their level-(N-1) labels, one
+    # per row; (representative, level, (s, s^-1)) stands for the conjugate
+    # s^-1 rep s, made when it is taken from the queue
+    main = deque((x, 0, None) for x in seeds)
     side: deque = deque()
     found = []
     # stacks of level-(N-1) labels waiting for the last layer, in queue
@@ -605,7 +654,8 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
                 if from_main:
                     found.append((next(made) if x is None else x, last))
             # the conjugates of each new row as it was added, row by row
-            main.append((rows.astype(np.intp)[:, pulls].reshape(-1, u.shape[1]), None))
+            stack = rows.astype(tree.digits[-1].dtype)[:, pulls]
+            main.append((stack.reshape(-1, u.shape[1]), None, None))
         tags.clear()
         ends.clear()
 
@@ -617,17 +667,23 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
         # before push clears the new pivot out of them
         comm = rep, lvl.divs[0, d], lvl.reps[:d], lvl.divs[0, :d]
         if m + 1 < last:
-            side.append((_power(rep, p), m + 1))
-            side.extend((c, m + 1) for c in _comm_rows(*comm, slice(None)))
+            side.append((_power(rep, p), m + 1, None))
+            side.extend((c, m + 1, None) for c in _comm_rows(*comm, slice(None)))
         else:
             labels = tree.digits[-1][_comm_rows(*comm, tree.starts[-1])]
-            side.append((np.vstack((tree.power_labels(rep), labels)), None))
+            side.append((np.vstack((tree.power_labels(rep), labels)), None, None))
         lvl.push(hits)
-        main.extend((_conj(rep, s, sinv), m) for s, sinv in conj)
+        # push rewrites older representatives in place, and this one once a
+        # later row clears its pivot: its conjugates are made, when taken
+        # from the queue, from a copy of it as it is now
+        rep = rep.copy()
+        main.extend((rep, m, by) for by in conj)
 
     while side or main:
         from_main = not side
-        x, start = (main if from_main else side).popleft()
+        x, start, by = (main if from_main else side).popleft()
+        if by is not None:
+            x = _conj(x, *by)
         if start is None:
             labels, x = x, None
         else:

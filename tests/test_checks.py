@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -463,6 +464,36 @@ class TestPsi2OneVertex:
         assert v.details.get("failing_vertex") == failing
 
 
+    def test_nothing_to_embed_asks_nothing(self, sym5_spec):
+        # at depth 3, G'_(N-2) is the level-1 quotient of G', which is
+        # trivial and has no generators: _one_vertex_decides, which sifts
+        # p(r+1) first-level sections, is not asked, and the check sifts
+        # only what closing G'' sifts, 31 elements where it sifted 46
+        real_check, real_contains = checks.CHECKS["psi2_second_derived"], PermGroup.contains
+        sifted, counted = [], []
+
+        def contains(group, x):
+            sifted.append(x)
+            return real_contains(group, x)
+
+        def check(session):
+            before = len(sifted)
+            v = real_check(session)
+            counted.append(len(sifted) - before)
+            return v
+
+        asked = mock.patch.object(
+            checks, "_one_vertex_decides", side_effect=AssertionError("asked")
+        )
+        with asked, mock.patch.object(PermGroup, "contains", contains):
+            with mock.patch.dict(checks.CHECKS, {"psi2_second_derived": check}):
+                rep = gv.run_all(sym5_spec, depth=3)
+        v = next(v for v in rep.verdicts if v.claim_id == "psi2_second_derived")
+        assert v.holds
+        assert v.details == {"second_derived_exponent": 20, "inner_derived_exponent": 0}
+        assert counted == [31]
+
+
 class TestRankGrowth:
     def test_single_generator(self, gs3):
         v = check_rank_growth(gs3)
@@ -829,6 +860,67 @@ class TestRunOrder:
         first = ["abelianization", "psi2_second_derived", "second_derived_contains_stab"]
         assert ran == first + [c for c in gv.CHECKS if c not in first]
         assert [v.claim_id for v in rep.verdicts] == list(rep.wall_times) == list(gv.CHECKS)
+
+
+# the five row spaces of F_3^2: the four lines and the plane
+P3_ROW_SPACES = [[(1, 0)], [(0, 1)], [(1, 1)], [(1, 2)], [(1, 0), (0, 1)]]
+
+
+def _span(p, rows):
+    return frozenset(
+        tuple(sum(c * x for c, x in zip(cs, col)) % p for col in zip(*rows))
+        for cs in product(range(p), repeat=len(rows))
+    )
+
+
+def _p3_paper_status(claim, rows):
+    """The status the hypotheses of each statement give claim for the p=3
+    multi-GGS group with these defining rows, at its default depth r + 4,
+    where no check is vacuous.
+
+    The constant vector (1, 1) is the one exception to the congruence
+    subgroup property, and the identities that prove it for the others
+    exclude it: gamma3_product, regular_branch, subdirect and
+    second_derived_contains_stab.  No other single vector at p=3 is
+    symmetric, so regular_branch excludes nothing more.
+    psi2_second_derived needs two directed generators.  key_congruence
+    needs a first row that row operations bring to (1, m) with m != 1: the
+    line of (0, 1) has no row with a non-zero first entry, and the constant
+    vector forces m = 1.  abelianization, stab1_derived_in_gamma3,
+    rank_growth and derived_contains_stab exclude nothing."""
+    constant = rows == [(1, 1)]
+    if claim in ("gamma3_product", "regular_branch", "subdirect", "second_derived_contains_stab"):
+        return SKIPPED if constant else HOLDS
+    if claim == "psi2_second_derived":
+        return HOLDS if len(rows) >= 2 else SKIPPED
+    if claim == "key_congruence":
+        return HOLDS if any(row[0] for row in rows) and not constant else SKIPPED
+    return HOLDS
+
+
+class TestP3Census:
+    """Every multi-GGS group at p=3, one per row space of F_3^2, at its
+    default depth: each status is the one the hypotheses give, only the
+    constant vector is classified as the exception, and G/G' has order
+    p^(r+1)."""
+
+    def test_the_row_spaces_are_every_one_once(self):
+        lines = (3**2 - 1) // (3 - 1)
+        assert len({_span(3, rows) for rows in P3_ROW_SPACES}) == lines + 1 == 5
+
+    @pytest.mark.parametrize(
+        "rows", P3_ROW_SPACES, ids=lambda rows: ";".join(",".join(map(str, r)) for r in rows)
+    )
+    def test_statuses_follow_the_hypotheses(self, rows):
+        r = len(rows)
+        rep = gv.run_all(gv.validate(3, rows))
+        assert rep.depth == r + 4
+        exception = rows == [(1, 1)]
+        assert rep.classification == (CONSTANT_VECTOR_EXCEPTION if exception else HAS_CSP)
+        got = {v.claim_id: v.status for v in rep.verdicts}
+        assert got == {c: _p3_paper_status(c, rows) for c in gv.CHECKS}
+        abelianization = next(v for v in rep.verdicts if v.claim_id == "abelianization")
+        assert abelianization.details["index_exponent"] == r + 1
 
 
 class TestRunAll:

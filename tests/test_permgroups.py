@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from unittest import mock
@@ -1159,6 +1160,158 @@ class TestBatchedElimination:
         assert np.array_equal(as_added[0], unit[a] + unit[b]) and rows[d][b] == 0
         if fill:
             assert batched.dim == width
+
+
+def _float64_rows():
+    """Every tree made meanwhile keeps its label rows in float64."""
+    return mock.patch.object(permgroups, "_row_type", lambda p, n: np.float64)
+
+
+def _assert_same_closures(narrow, wide):
+    """Closures recorded with float32 rows and again with float64 rows give
+    the same layers, array for array, and the same generators."""
+    assert len(narrow) == len(wide)
+    for (*_, (layers, found)), (*_, (ref, ref_found)) in zip(narrow, wide):
+        assert layers.tree.row_type is np.float32 and ref.tree.row_type is np.float64
+        assert layers.dimensions() == ref.dimensions()
+        for a, b in zip(layers.levels, ref.levels):
+            assert a.rows.dtype == np.float32 and b.rows.dtype == np.float64
+            for name in ("rows", "pivots", "leaves", "reps", "divs"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert [k for _, k in found] == [k for _, k in ref_found]
+        for (x, _), (y, _) in zip(found, ref_found):
+            assert np.array_equal(x, y)
+
+
+class TestNarrowTypes:
+    """Label rows are float32 where every value the float code forms is an
+    integer below 2**22, and float64 elsewhere; the last level's labels are
+    the narrowest unsigned type holding p - 1.  Neither moves a row, pivot,
+    representative or generator."""
+
+    @pytest.mark.parametrize(
+        "p,n,row_type",
+        # (p-1)^2 p^(n-1) + p^3 against 2^22 = 4194304, on both sides
+        [
+            (3, 13, np.float32),  # 4 * 3^12 + 27 = 2125791
+            (3, 14, np.float64),  # 4 * 3^13 + 27 = 6377319
+            (5, 8, np.float32),  # 16 * 5^7 + 125 = 1250125
+            (5, 9, np.float64),  # 16 * 5^8 + 125 = 6250125
+            (7, 6, np.float32),  # 36 * 7^5 + 343 = 605395
+            (7, 7, np.float64),  # 36 * 7^6 + 343 = 4236707
+            (2, 22, np.float32),  # 2^21 + 8
+            (2, 23, np.float64),  # 2^22 + 8
+            (257, 1, np.float64),  # 256^2 + 257^3
+        ],
+    )
+    def test_row_type_on_both_sides_of_the_bound(self, p, n, row_type):
+        assert permgroups._row_type(p, n) is row_type
+
+    @pytest.mark.parametrize(
+        "p,n,label_type", [(3, 4, np.uint8), (7, 2, np.uint8), (257, 1, np.uint16)]
+    )
+    def test_last_labels_are_the_narrowest_unsigned_type(self, p, n, label_type):
+        tree = permgroups._Tree(p, n)
+        assert tree.digits[-1].dtype == label_type
+        assert np.array_equal(tree.digits[-1], np.arange(p**n) % p)
+        # the levels above the last keep intp
+        assert all(d.dtype == np.intp for d in tree.digits[:-1])
+
+    def test_runs_are_label_stacks_times_float32_rows(self, r2_spec):
+        # every run the closures of G, G' and G'' reduce is uint8, and so is
+        # every stack of conjugates, commutators and p-th powers in it
+        dtypes = []
+        real = permgroups._Layer.extend
+
+        def spy(lvl, u, p):
+            dtypes.append((u.dtype, lvl.rows.dtype))
+            return real(lvl, u, p)
+
+        with mock.patch.object(permgroups._Layer, "extend", spy):
+            gv.build(r2_spec, 5).second_derived().chain
+        assert len(dtypes) > 3
+        assert set(dtypes) == {(np.dtype(np.uint8), np.dtype(np.float32))}
+
+    @pytest.mark.parametrize("fixture", SPEC_FIXTURES)
+    def test_float32_and_float64_rows_agree_on_a_full_run(self, fixture, request):
+        spec = request.getfixturevalue(fixture)
+        depth = 4 if spec.p == 3 else 3
+        reports = []
+
+        def build():
+            reports.append([v.to_jsonable() for v in gv.run_all(spec, depth=depth).verdicts])
+
+        narrow = _recorded_closures(build)
+        with _float64_rows():
+            wide = _recorded_closures(build)
+        _assert_same_closures(narrow, wide)
+        assert reports[0] == reports[1]
+
+    @settings(max_examples=30)
+    @given(_random_subgroups())
+    def test_float32_and_float64_rows_agree_on_random_subgroups(self, case):
+        g, subgens, _, _ = case
+
+        def build():
+            ambient = PermGroup(g.degree, g.generators, prime=g.prime)
+            h = PermGroup(g.degree, subgens, prime=g.prime)
+            h.chain
+            h.derived().chain
+            normal_closure(ambient, subgens).chain
+
+        narrow = _recorded_closures(build)
+        with _float64_rows():
+            wide = _recorded_closures(build)
+        assert len(narrow) == 4
+        _assert_same_closures(narrow, wide)
+
+    def test_push_rewrites_a_representative_whose_conjugates_wait(self, r2_spec):
+        # b1 b2 and b2 leave residuals (1, 1, 0) and (0, 1, 0) on level 1:
+        # the second clears its pivot out of the first's row, and so
+        # rewrites the first representative in place, before any conjugate
+        # of the first is made
+        g = gv.build(r2_spec, 4).G
+        tree = g.chain.tree
+        _, b1, b2 = g.generators
+        seeds = [(b1 * b2).images, b2.images]
+        conj_by = [x.images for x in g.generators]
+        events = []
+        real_push, real_conj = permgroups._Layer.push, permgroups._conj
+
+        def push(lvl, hits):
+            events.append(("push", [i for i, _ in hits]))
+            return real_push(lvl, hits)
+
+        def conj(w, s, sinv):
+            events.append(("conj",))
+            return real_conj(w, s, sinv)
+
+        with mock.patch.object(permgroups._Layer, "push", push):
+            with mock.patch.object(permgroups, "_conj", conj):
+                got = permgroups._close(tree, seeds, conj_by)
+        assert events[:2] == [("push", []), ("push", [0])]
+        assert ("conj",) in events
+        _assert_same_closure(tree, seeds, conj_by, None, got)
+
+
+class TestWorkingSet:
+    def test_depth_six_second_derived_containment_peak(self, r2_spec):
+        # the live bytes Python and numpy allocate, so the heap's reuse of
+        # freed pages cannot move it: 9.48 MiB with float64 rows, intp label
+        # stacks and eager conjugates, 6.81 MiB without
+        before = tracemalloc.is_tracing()
+        if not before:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rep = gv.run_all(r2_spec, depth=6, checks=["second_derived_contains_stab"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not before:
+                tracemalloc.stop()
+        assert rep.verdicts[0].holds
+        assert peak < 8 * 2**20
 
 
 class TestLayerLayout:
