@@ -280,7 +280,6 @@ def check_gamma3_product(session: GroupSession):
     level-1 stabilizer fill the full product of p lower-central copies."""
     _require_nonconstant(session.spec)
     _require_depth(session, 3, "the lower-central product identity")
-    # [st(1)', st(1)] first, so that gamma3 can grow from it
     lhs = session.st1_gamma3()
     return _power_verdict(lhs, session.gamma3().truncate(session.depth - 1), {})
 
@@ -591,25 +590,6 @@ def select_checks(checks=None) -> list:
     return [c for c in CHECKS if c in set(checks)]
 
 
-# run ahead of the others: abelianization builds G' and G, and the next two
-# read G'', so that st(1)' and gamma3 grow from it
-_RUN_FIRST = ("abelianization", "psi2_second_derived", "second_derived_contains_stab")
-
-
-def _run(session: GroupSession, chosen) -> tuple[dict, dict]:
-    """Verdicts and wall times of the chosen checks on one session, run in
-    _RUN_FIRST's order and then in CHECKS order; both dicts are keyed in
-    the order of chosen."""
-    order = [c for c in _RUN_FIRST if c in chosen]
-    order += [c for c in chosen if c not in order]
-    verdicts, times = {}, {}
-    for cid in order:
-        t0 = time.perf_counter()
-        verdicts[cid] = CHECKS[cid](session)
-        times[cid] = time.perf_counter() - t0
-    return {c: verdicts[c] for c in chosen}, {c: times[c] for c in chosen}
-
-
 def run_all(
     spec: GGSSpec, depth=None, checks=None, label=None, allow_large: bool = False
 ) -> Report:
@@ -618,22 +598,25 @@ def run_all(
     the build.  The depth defaults to ggs.default_depth; build decides
     whether it is too large, with allow_large as its opt-in.
 
-    abelianization, psi2_second_derived and second_derived_contains_stab
-    run first, so that G'' is built, where they build it, before st(1)'
-    and gamma3, which then grow from it (GroupSession).  The report lists
-    verdicts and wall times in CHECKS order, whatever the run order."""
+    The checks run, and the report lists their verdicts and wall times, in
+    CHECKS order.  The closures they make do not depend on that order:
+    GroupSession builds each start it grows a subgroup from."""
     _require_spec(spec)
     chosen = select_checks(checks)
     if depth is None:
         depth = default_depth(spec)
     session = build(spec, depth, allow_large=allow_large)
-    verdicts, times = _run(session, chosen)
+    verdicts, times = [], {}
+    for cid in chosen:
+        t0 = time.perf_counter()
+        verdicts.append(CHECKS[cid](session))
+        times[cid] = time.perf_counter() - t0
     return Report(
         p=spec.p,
         vectors=[list(v) for v in spec.vectors],
         label=label,
         depth=depth,
         classification=classify_csp(spec),
-        verdicts=list(verdicts.values()),
+        verdicts=verdicts,
         wall_times=times,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .portraits import directed, is_odd_prime, rooted
 from . import permgroups
-from .permgroups import PermGroup, _commutator_subgroup, commutator_subgroup
+from .permgroups import PermGroup, commutator_subgroup
 
 __all__ = [
     "SpecError",
@@ -36,8 +36,9 @@ __all__ = [
     "default_depth",
 ]
 
-# Runs with more leaves need an opt-in.  5^5: every run measured at or under
-# it took at most 36 s on 2 vCPU, and the defaults it allows run in seconds.
+# Runs with more leaves need an opt-in.  5^5: on 2 vCPU a full verify at p=5
+# N=5 takes 1.2-1.4 s and at p=3 N=7 2.6-3.2 s, while above the cap p=7 N=5
+# takes 3.7 s and 577 MiB and p=5 N=6 118 s and 2013 MiB.
 DEGREE_CAP = 3125
 
 
@@ -311,18 +312,16 @@ class GroupSession:
     truncates it with PermGroup.truncate(m), which reads the level-m
     quotient off its layers with no closure.
 
-    A subgroup grows from one already in the memo that it always contains
-    (Warm start in the permgroups module docstring), and closes cold when
-    there is none:
+    A subgroup grows from one in the memo that it always contains (Warm
+    start in the permgroups module docstring), and that one is built first
+    when it is not yet, so the closures a selection of checks makes depend
+    on the subgroups it reads and not on the order it reads them in:
     - G from G': derived() is G.derived(), remembered, and every reader of
       G's layers here and in the checks closes G' first, so that G's
       closure sifts a, b_1, ..., b_r alone;
-    - st(1)' from G'': G' <= st(1), as W_N/st(1) is cyclic, so
-      G'' = [G', G'] <= [st(1), st(1)];
-    - gamma3 from G'' = [G', G'] <= [G', G], else from [st(1)', st(1)] <=
-      [G', G].
-    Each start is normal in G.  No subgroup is built only to be a start:
-    run_all runs the checks that build G'' first.
+    - st(1)' and gamma3 from G'': G' <= st(1), as W_N/st(1) is cyclic, so
+      G'' = [G', G'] <= [st(1), st(1)], and G'' = [G', G'] <= [G', G].
+    Each start is normal in G.  G'', Phi(G) and [st(1)', st(1)] close cold.
     """
 
     spec: GGSSpec
@@ -359,12 +358,11 @@ class GroupSession:
         return self._memoized("frattini", make)
 
     def gamma3(self) -> PermGroup:
-        """Third lower-central term [[G,G],G], grown from G'' when that is
-        built, else from [st(1)', st(1)] when that is: both lie in it."""
-        g, memo = self.G, self._memo
-        start = memo.get("second_derived") or memo.get("st1_gamma3")
+        """Third lower-central term [[G,G],G], grown from G''."""
+        g = self.G
         return self._memoized(
-            "gamma3", lambda: _commutator_subgroup(self.derived(), g, g, start)
+            "gamma3",
+            lambda: commutator_subgroup(self.derived(), g, g, self.second_derived()),
         )
 
     def st1(self) -> PermGroup:
@@ -388,13 +386,13 @@ class GroupSession:
         return self._memoized("st1", make)
 
     def st1_derived(self) -> PermGroup:
-        """st(1)', grown from G'' when that is built.  st(1) is normal here,
-        so closing the commutators of b_1, ..., b_r with its generators
-        under G's generators yields its derived subgroup."""
+        """st(1)', grown from G''.  st(1) is normal here, so closing the
+        commutators of b_1, ..., b_r with its generators under G's
+        generators yields its derived subgroup."""
         st1 = self.st1()
-        start = self._memo.get("second_derived")
         return self._memoized(
-            "st1_derived", lambda: _commutator_subgroup(st1, st1, self.G, start)
+            "st1_derived",
+            lambda: commutator_subgroup(st1, st1, self.G, self.second_derived()),
         )
 
     def st1_gamma3(self) -> PermGroup:

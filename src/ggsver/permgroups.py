@@ -78,7 +78,8 @@ are those it added, not a generating set, and PermGroup.chain, the one that
 runs it, reads only its layers.  A normal closure may be handed a start
 (_normal_closure), a subgroup normal in the ambient group that lies in the
 result; its generators are then the start's followed by those it found.
-GroupSession grows st(1)' and gamma3 so, from G'' or [st(1)', st(1)].
+GroupSession grows st(1)' and gamma3 so, always from G'', which it closes
+first when it is not yet built.
 
 Normal generators.  The seeds that leave a residual already close to H_0, so
 a cold normal closure keeps only those as the elements its result was
@@ -942,22 +943,22 @@ def _normal_closure(ambient: PermGroup, seeds, start: PermGroup | None = None) -
     return ambient._built(gens, layers, kept, levels)
 
 
-def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:
+def commutator_subgroup(
+    a: PermGroup, b: PermGroup, ambient: PermGroup, start: PermGroup | None = None
+) -> PermGroup:
     """Normal closure in the ambient group of the commutators [s, y], with s
     running over normal generators of `a` in the ambient group (the seeds
     that left a residual when `a` was closed, or those its maker recorded;
     else its generators) and y over the generators of `b`.  That is [a, b]
     whenever both are normal in the ambient group: modulo the closure each s
     centralizes b, and so does each conjugate of s, since b is normal, and
-    the conjugates of the s generate `a`."""
-    return _commutator_subgroup(a, b, ambient)
+    the conjugates of the s generate `a`.
 
-
-def _commutator_subgroup(a, b, ambient, start: PermGroup | None = None) -> PermGroup:
-    """commutator_subgroup, grown from the layers of a start when one is
-    given: a subgroup normal in the ambient group that lies in [a, b].  The
-    commutators lie in the ambient group once a and b do, so a warm closure
-    sifts none of them; a cold one closes through normal_closure."""
+    A start is a subgroup normal in the ambient group that lies in [a, b];
+    the closure then grows from its layers (Warm start in the module
+    docstring).  The commutators lie in the ambient group once a and b do,
+    so a warm closure sifts none of them; a cold one closes through
+    normal_closure."""
     for sub in (a, b):
         w = ambient.containment_witness(sub)
         if w is not None:

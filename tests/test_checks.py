@@ -39,7 +39,13 @@ from ggsver.portraits import (
     vertex_word,
 )
 
-from oracles import SchreierSims, same_group
+from oracles import (
+    SchreierSims,
+    log_order,
+    reference_commutator,
+    reference_normal_closure,
+    same_group,
+)
 
 SPEC_FIXTURES = ["gs_spec", "const_spec", "r2_spec", "sym5_spec"]
 
@@ -90,6 +96,50 @@ def member(group, x):
 def separates(witness, one, other):
     """The witness lies in exactly one of the two groups compared."""
     return member(one, witness) != member(other, witness)
+
+
+def recheck_witness(s, cid, v):
+    """Re-check the witness of a failing verdict of check cid on session s
+    apart from the layers, by SchreierSims on the generators of the groups
+    the check compares: the rules of TestMutationControls, one per claim."""
+    p, n, w = s.spec.p, s.depth, v.witness
+    if cid == "abelianization":
+        # the witness repeats the details; G' and Phi(G) = G'G^p are closed
+        # here from the commutators and powers of G's generators
+        gens = [x.images for x in s.G.generators]
+        comms = [reference_commutator(x, y) for x in gens for y in gens]
+        powers = [(x**p).images for x in s.G.generators]
+        exps = [
+            log_order(chain.order(), p)
+            for chain in (
+                SchreierSims(s.G.degree, gens),
+                reference_normal_closure(s.G.degree, comms, gens),
+                reference_normal_closure(s.G.degree, comms + powers, gens),
+            )
+        ]
+        index, frattini_eq = exps[0] - exps[1], exps[2] == exps[1]
+        assert w == v.details
+        assert (w["index_exponent"], w["frattini_equals_derived"]) == (index, frattini_eq)
+        assert index != s.spec.r + 1 or not frattini_eq
+    elif cid == "gamma3_product":
+        assert separates(w, s.st1_gamma3(), power_reference(s.gamma3().truncate(n - 1)))
+    elif cid == "regular_branch":
+        assert separates(w, s.st1_derived(), power_reference(s.derived().truncate(n - 1)))
+    elif cid == "key_congruence":
+        # a first-level section of the product, outside gamma3 one level down
+        assert not member(s.gamma3().truncate(n - 1), w)
+    elif cid == "subdirect":
+        sections = [subtree_section(g, p, (0,)) for g in s.derived().generators]
+        proj = PermGroup(p ** (n - 1), sections, prime=p)
+        assert separates(w, proj, s.G.truncate(n - 1))
+    elif cid in ("derived_contains_stab", "second_derived_contains_stab"):
+        # in st(m): in G, and trivial on the level-m vertices
+        h = s.derived() if cid == "derived_contains_stab" else s.second_derived()
+        m = v.details["stabilizer_level"]
+        assert restrict_to_level(w, p, m).is_identity() and member(s.G, w)
+        assert not member(h, w)
+    else:
+        raise AssertionError(f"no rule re-checks a failing {cid}")
 
 
 def placements(k):
@@ -467,8 +517,8 @@ class TestPsi2OneVertex:
     def test_nothing_to_embed_asks_nothing(self, sym5_spec):
         # at depth 3, G'_(N-2) is the level-1 quotient of G', which is
         # trivial and has no generators: _one_vertex_decides, which sifts
-        # p(r+1) first-level sections, is not asked, and the check sifts
-        # only what closing G'' sifts, 31 elements where it sifted 46
+        # p(r+1) first-level sections, is not asked; gamma3_product has
+        # built G'' already, so the check sifts nothing
         real_check, real_contains = checks.CHECKS["psi2_second_derived"], PermGroup.contains
         sifted, counted = [], []
 
@@ -491,7 +541,7 @@ class TestPsi2OneVertex:
         v = next(v for v in rep.verdicts if v.claim_id == "psi2_second_derived")
         assert v.holds
         assert v.details == {"second_derived_exponent": 20, "inner_derived_exponent": 0}
-        assert counted == [31]
+        assert counted == [0]
 
 
 class TestRankGrowth:
@@ -597,10 +647,9 @@ class TestSessionMemo:
             assert check_regular_branch(s).holds
             assert check_gamma3_product(s).holds
         ambients = [c.args[0] for c in closure.call_args_list]
-        # all in G: st(1)' once, then [st(1)', st(1)]; G' is closed without
-        # normal_closure, as its seeds need no sift, gamma3 grows from
-        # [st(1)', st(1)] without it too, and the level-3 groups are
-        # truncations
+        # all in G: G'' once, then [st(1)', st(1)]; G' is closed without
+        # normal_closure, as its seeds need no sift, st(1)' and gamma3 grow
+        # from G'' without it too, and the level-3 groups are truncations
         assert len(ambients) == 2
         assert all(g is s.G for g in ambients)
 
@@ -680,26 +729,30 @@ class TestClosureCensus:
             assert starts.count(s.derived().chain) == 1
 
     @pytest.mark.parametrize(
-        "p,rows,depth",
-        [(5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4), (3, [(1, 2)], 6), (3, [(1, 1)], 5)],
+        "p,rows,depth,counts",
+        # closures made by run_all over every check, then over each check
+        # alone in CHECKS order
+        [
+            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 2, 6, 0, 4, 5, 3, 3, 2, 2, 0]),
+            (3, [(1, 2)], 6, [7, 2, 6, 4, 4, 5, 3, 0, 2, 2, 3]),
+            (3, [(1, 1)], 5, [5, 2, 0, 0, 0, 5, 0, 0, 2, 2, 0]),
+        ],
     )
-    def test_warm_starts_add_no_closure(self, p, rows, depth):
-        # every selection makes as many closures as with every normal
-        # closure cold, in CHECKS order, so no start is built for its own sake
+    def test_st1_derived_and_gamma3_grow_from_g_second(self, p, rows, depth, counts):
+        # whatever the selection, the closures that grow from G'' are
+        # exactly those of st(1)' and gamma3 that it makes
         spec = gv.validate(p, rows)
-        real = permgroups._commutator_subgroup
-
-        def cold(a, b, ambient, start=None):
-            return real(a, b, ambient)
-
+        made = []
         for chosen in [None, *([cid] for cid in gv.CHECKS)]:
             run = lambda: gv.run_all(spec, depth, checks=chosen)
-            warm = _closures(run)
-            with mock.patch.object(ggs, "_commutator_subgroup", cold), mock.patch.object(
-                checks, "_RUN_FIRST", ()
-            ):
-                before = _closures(run)
-            assert len(warm) == len(before), chosen
+            calls, s = _run_session(lambda: _closures(run))
+            memo = s._memo
+            warm = [memo[k].chain for k in ("st1_derived", "gamma3") if k in memo]
+            second = memo["second_derived"].chain if warm else None
+            from_second = [layers for _, start, layers in calls if start is second]
+            assert sorted(map(id, from_second)) == sorted(map(id, warm)), chosen
+            made.append(len(calls))
+        assert made == counts
 
 
 class TestWitnesses:
@@ -748,15 +801,22 @@ class TestEqualityVerdict:
 
 
 def _power_sides(session):
-    """(check, lhs, K) for the two checks that compare lhs with K^p."""
+    """(check, (lhs, K) closed cold, (lhs, K) the session's) for the two
+    checks that compare lhs with K^p.  The cold sides are closed here with
+    commutator_subgroup and no start; the session grows st(1)' and gamma3
+    from G''."""
     s, n = session, session.depth
+    g, d, st1 = s.G, s.derived(), s.st1()
+    st1d = commutator_subgroup(st1, st1, g)
+    gamma = commutator_subgroup(d, g, g)
+    down = d.truncate(n - 1)
     return [
         (
             check_gamma3_product,
-            commutator_subgroup(s.st1_derived(), s.st1(), s.G),
-            s.gamma3().truncate(n - 1),
+            (commutator_subgroup(st1d, st1, g), gamma.truncate(n - 1)),
+            (s.st1_gamma3(), s.gamma3().truncate(n - 1)),
         ),
-        (check_regular_branch, s.st1_derived(), s.derived().truncate(n - 1)),
+        (check_regular_branch, (st1d, down), (s.st1_derived(), down)),
     ]
 
 
@@ -797,10 +857,10 @@ class TestPowerVerdict:
         sessions += [last_vertex_mutant(spec, n, gen, 0) for gen in range(spec.r + 1)]
         failed = 0
         for s in sessions:
-            for check, lhs, k in _power_sides(s):
+            for check, (lhs, k), warm in _power_sides(s):
                 ref = power_reference(k)
-                # the first generator of lhs outside K^p, else the first
-                # placement outside lhs
+                # the first generator of the cold lhs outside K^p, else the
+                # first placement outside lhs
                 want = next((g for g in lhs.generators if not ref.contains(g)), None)
                 if want is None and lhs.order_exponent != ref.order_exponent:
                     want = next(x for x in placements(k) if not lhs.contains(x))
@@ -810,6 +870,8 @@ class TestPowerVerdict:
                     "lhs_exponent": lhs.order_exponent,
                     "rhs_exponent": ref.order_exponent,
                 }
+                # the warm handles sift their seeds first, so they name it too
+                assert checks._power_verdict(*warm, {}) == (details, want)
                 v = check(s)
                 if v.status != SKIPPED:
                     assert v.witness == want
@@ -819,10 +881,10 @@ class TestPowerVerdict:
 
 
 class TestRunOrder:
-    """run_all runs abelianization, psi2_second_derived and
-    second_derived_contains_stab first, so that st(1)' and gamma3 grow from
-    G'', and reports in CHECKS order; each check alone gives the status,
-    details and witness it gives in the full run."""
+    """Each check alone gives the status, details and witness it gives when
+    every check runs in CHECKS order on one session, as run_all runs them:
+    GroupSession builds each start it grows a subgroup from, so no check
+    depends on what the checks before it built."""
 
     @pytest.mark.parametrize(
         "fixture,depth",
@@ -837,29 +899,24 @@ class TestRunOrder:
             for gen in range(spec.r + 1)
             for vertex in (0, p ** (depth - 1) - 1)
         ]
+        # SchreierSims re-checks a witness in well under a second up to 81
+        # leaves, and in seconds each at 243 and 625
+        recheck = p**depth <= 81
         failed = 0
         for make in makers:
-            full, times = checks._run(make(), list(gv.CHECKS))
-            assert list(full) == list(times) == list(gv.CHECKS)
-            for cid, v in full.items():
-                alone = gv.CHECKS[cid](make())
+            session = make()
+            for cid, check in gv.CHECKS.items():
+                v = check(session)
+                alone = check(make())
                 assert (alone.status, alone.details) == (v.status, v.details), cid
                 assert alone.witness == v.witness, cid
-                failed += v.status == FAILS
+                if v.status == FAILS:
+                    failed += 1
+                    if recheck:
+                        recheck_witness(session, cid, v)
         # the mutants make checks fail, so witnesses are compared; at p=5,
         # depth 3, every check passes on them
         assert failed or (p, depth) == (5, 3)
-
-    def test_checks_that_build_g_second_run_first(self, r2_spec):
-        ran = []
-        wrapped = {}
-        for cid, check in gv.CHECKS.items():
-            wrapped[cid] = lambda s, cid=cid, check=check: ran.append(cid) or check(s)
-        with mock.patch.dict(checks.CHECKS, wrapped):
-            rep = gv.run_all(r2_spec, 5)
-        first = ["abelianization", "psi2_second_derived", "second_derived_contains_stab"]
-        assert ran == first + [c for c in gv.CHECKS if c not in first]
-        assert [v.claim_id for v in rep.verdicts] == list(rep.wall_times) == list(gv.CHECKS)
 
 
 # the five row spaces of F_3^2: the four lines and the plane
@@ -1060,6 +1117,37 @@ class TestMutationControls:
         w = check(mutant).witness
         assert restrict_to_level(w, 3, m).is_identity() and member(mutant.G, w)
         assert not member(subgroup(mutant), w)
+
+    def test_recheck_witness_refuses_a_false_witness(self, gs_spec):
+        # at depth 4, where the re-check is cheap: every failing verdict's
+        # witness passes recheck_witness, and the identity in its place, or
+        # an index one off, does not
+        claims = set()
+        for gen, vertex in product((0, 1), (0, 26)):
+            s = last_vertex_mutant(gs_spec, 4, gen, vertex)
+            for cid, check in gv.CHECKS.items():
+                v = check(s)
+                if v.status != FAILS:
+                    continue
+                claims.add(cid)
+                recheck_witness(s, cid, v)
+                if isinstance(v.witness, dict):
+                    bad = dict(v.witness, index_exponent=v.witness["index_exponent"] + 1)
+                    false = dataclasses.replace(v, details=bad, witness=bad)
+                else:
+                    false = dataclasses.replace(v, witness=Perm.identity(v.witness.degree))
+                with pytest.raises(AssertionError):
+                    recheck_witness(s, cid, false)
+        # every claim with a rule but second_derived_contains_stab, which is
+        # vacuous at depth 4
+        assert claims == {
+            "abelianization",
+            "gamma3_product",
+            "key_congruence",
+            "regular_branch",
+            "subdirect",
+            "derived_contains_stab",
+        }
 
 
 class TestProjectionSoundness:

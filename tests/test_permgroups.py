@@ -696,12 +696,12 @@ class TestNormalGenerators:
         g = s.G
         handed = []
         # normal_closure sifts its seeds and hands them on here; derived()
-        # hands its seeds here directly
+        # and the closures grown from G'' hand their seeds here directly
         real = permgroups._normal_closure
 
-        def record(ambient, seeds):
+        def record(ambient, seeds, start=None):
             seeds = list(seeds)
-            out = real(ambient, seeds)
+            out = real(ambient, seeds, start)
             handed.append((out, seeds))
             return out
 
@@ -744,6 +744,7 @@ class TestNormalGenerators:
         assert len(bs) == s.spec.r
         assert all(b is x for b, x in zip(bs, g.generators[1:]))
         s.derived().chain
+        s.second_derived().chain
         counts = []
         real = permgroups._close
 
@@ -755,9 +756,11 @@ class TestNormalGenerators:
         with mock.patch.object(permgroups, "_close", side_effect=record):
             st1d = s.st1_derived()
             commutator_subgroup(st1d, st1, g).chain
-        # r*pr = 20 pairs for st(1)' (70 from all (pr)^2 pairs); the 79 for
-        # gamma3(st(1)) pair st(1)''s kept seeds with st(1)'s generators
-        assert counts == [14, 79]
+        # r*pr = 20 pairs for st(1)' (70 from all (pr)^2 pairs); it grows
+        # from G'', so it records all 14 seeds, and the 112 for
+        # gamma3(st(1)) are the non-trivial ones of the 14*pr pairs of those
+        # with st(1)'s generators
+        assert counts == [14, 112]
 
 
 # -- warm start: G's layers grown from G''s ---------------------------------------
@@ -877,7 +880,7 @@ def _warm_closures(s):
     for start_name, start in starts.items():
         for name, (a, b) in pairs.items():
             before = _layer_arrays(start.chain)
-            warm = permgroups._commutator_subgroup(a, b, g, start)
+            warm = commutator_subgroup(a, b, g, start)
             out.append((f"{name} from {start_name}", warm, cold[name], start, before))
     return out
 
@@ -937,7 +940,7 @@ class TestWarmNormalClosure:
         with mock.patch.object(PermGroup, "contains", contains), mock.patch.object(
             permgroups, "normal_closure", side_effect=AssertionError("cold path")
         ):
-            warm = permgroups._commutator_subgroup(d, g, g, start)
+            warm = commutator_subgroup(d, g, g, start)
         # only the argument check: G' by its kept seeds, G by its generators
         assert len(sifted) == len(d._closed_from[1]) + len(g.generators)
         assert warm.order_exponent == s.gamma3().order_exponent
@@ -962,19 +965,21 @@ def _first_outside(group, other):
 
 
 def _witness_groups(s):
-    """The subgroups the checks compare, by name: the shared ones, the level
+    """The subgroups the checks compare, by name: the shared ones, with
+    st(1)', gamma3 and [st(1)', st(1)] closed cold here, the level
     stabilizers of G and the block power of G' one level down, and the
     subgroup G''s kept seeds span, which G need not normalize."""
     g, n = s.G, s.depth
+    st1d = commutator_subgroup(s.st1(), s.st1(), g)
     groups = {
         "<E(G')>": PermGroup(g.degree, s.derived()._closed_from[1], prime=g.prime),
         "G": g,
         "G'": s.derived(),
         "Phi(G)": s.frattini(),
-        "gamma3": s.gamma3(),
+        "gamma3": commutator_subgroup(s.derived(), g, g),
         "st(1)": s.st1(),
-        "st(1)'": s.st1_derived(),
-        "[st(1)', st(1)]": commutator_subgroup(s.st1_derived(), s.st1(), g),
+        "st(1)'": st1d,
+        "[st(1)', st(1)]": commutator_subgroup(st1d, s.st1(), g),
         "G''": s.second_derived(),
         "G'(N-1)^p": power_reference(s.derived().truncate(n - 1)),
     }
@@ -985,7 +990,9 @@ def _witness_groups(s):
 class TestContainmentWitnessRule:
     """containment_witness sifts only the elements a normal closure was
     closed from when the container is invariant under the same ambient, and
-    names the element a scan of every generator names."""
+    names the element a scan of every generator names; for the session's
+    st(1)', gamma3 and [st(1)', st(1)], grown from G'', that is the element
+    a scan of the cold closure's generators names."""
 
     @pytest.mark.parametrize("fixture,depth", [(f, n) for f in SPEC_FIXTURES for n in (3, 4)])
     def test_matches_a_full_scan(self, fixture, depth, request):
@@ -997,12 +1004,24 @@ class TestContainmentWitnessRule:
     @staticmethod
     def _check_every_pair(s):
         groups = _witness_groups(s)
+        g = s.G
+        warm = {"st(1)'": s.st1_derived(), "gamma3": s.gamma3(), "[st(1)', st(1)]": s.st1_gamma3()}
         outside = 0
         for name, group in groups.items():
+            closed = group._closed_from
+            invariant = group is g or (closed is not None and closed[0] is g)
             for other_name, other in groups.items():
                 want = _first_outside(group, other)
                 assert group.containment_witness(other) == want, (name, other_name)
                 outside += want is not None
+                if other_name in warm:
+                    assert warm[other_name].containment_witness(group) == (
+                        other.containment_witness(group)
+                    ), (other_name, name)
+                    if invariant:
+                        # the warm handle's seeds are sifted first
+                        got = group.containment_witness(warm[other_name])
+                        assert got == want, (name, other_name)
         # the pairs are not all containments
         assert outside
 
