@@ -223,7 +223,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .portraits import DegreeMismatch, Perm, level_of_degree
+from .portraits import DegreeMismatch, Perm, commutator, level_of_degree
 
 __all__ = [
     "NotPGroup",
@@ -246,14 +246,6 @@ def _inverse(arr: np.ndarray) -> np.ndarray:
     inv = np.empty_like(arr)
     inv[arr] = np.arange(len(arr), dtype=arr.dtype)
     return inv
-
-
-def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # x^-1 y^-1 x y, composed left to right: it sends x(y(m)) to y(x(m)),
-    # so one scatter makes it, with no inverse
-    out = np.empty_like(x)
-    out[x[y]] = y[x]
-    return out
 
 
 def _comm_rows(x, xinv, ys, yinvs, points) -> np.ndarray:
@@ -892,15 +884,8 @@ def _normal_generators(group: PermGroup, ambients) -> tuple:
 
 def _commutators(pairs) -> list[Perm]:
     """The non-trivial commutators [x, y] of the pairs."""
-    out = []
-    identity = None
-    for x, y in pairs:
-        c = _comm(x.images, y.images)
-        if identity is None:
-            identity = np.arange(len(c))
-        if not np.array_equal(c, identity):
-            out.append(Perm._wrap(c))
-    return out
+    comms = (commutator(x, y) for x, y in pairs)
+    return [c for c in comms if not c.is_identity()]
 
 
 def normal_closure(ambient: PermGroup, elements) -> PermGroup:

@@ -1,4 +1,4 @@
-"""Leaf permutations of the p-regular rooted tree, and the generator portraits.
+"""Leaf permutations of the p-regular rooted tree, and the generators.
 
 Level-m vertices are words of m digits in {0, ..., p-1}, indexed by their
 base-p value with the most significant digit first, so the subtree below a
@@ -6,9 +6,11 @@ vertex occupies a contiguous index block at every deeper level.  Elements are
 Perms of the leaves; products compose left to right: (f * g) sends a leaf x
 to g(f(x)).  The block helpers read and write the action below one vertex.
 
-A depth-N portrait stores a permutation of the p first-level subtrees plus p
-child portraits of depth N-1; depth 0 is the identity leaf.  Portraits only
-construct the generators (rooted, directed) and turn them into Perms.
+The generators are written down in closed form, as the images of the p**N
+leaves of the depth-N tree: a adds 1 to the first digit, and b_i follows
+its first-level rule psi(b_i) = (a^e_1, ..., a^e_(p-1), b_i) down the
+rightmost path.  An Automorphism holds those images; to_perm restricts them
+to a level.
 """
 
 from __future__ import annotations
@@ -59,9 +61,12 @@ class Perm:
     __slots__ = ("images", "_key")
 
     def __init__(self, images):
-        arr = np.array(images, dtype=np.intp)
+        arr = np.asarray(images)
         if arr.ndim != 1:
             raise ValueError("images must be a flat sequence")
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"images must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.intp)
         n = arr.shape[0]
         if n and (
             arr.min() < 0 or arr.max() >= n or np.bincount(arr, minlength=n).max() > 1
@@ -168,65 +173,39 @@ def vertex_word(index: int, level: int, p: int) -> tuple[int, ...]:
 
 
 class Automorphism:
-    """Portrait of a tree automorphism, truncated at a fixed depth.
+    """A tree automorphism truncated at a fixed depth, as its leaf images.
 
-    Built only by identity, rooted, directed and embed_at_vertex, which pass
-    valid parts; sub-portraits may be shared between values.
+    Built only by identity, rooted, directed and embed_at_vertex; images is
+    a read-only intp array of length p**depth.
     """
 
-    __slots__ = ("p", "depth", "root_perm", "children", "_ident")
+    __slots__ = ("p", "depth", "images")
 
-    def __init__(self, p, depth, root_perm, children):
+    def __init__(self, p, depth, images):
+        images.setflags(write=False)
         self.p = p
         self.depth = depth
-        self.root_perm = root_perm
-        self.children = children
-        self._ident = None
+        self.images = images
 
     def is_identity(self) -> bool:
-        if self._ident is None:
-            if self.root_perm != tuple(range(self.p)):
-                self._ident = False
-            else:
-                self._ident = all(c.is_identity() for c in self.children)
-        return self._ident
+        return bool(np.array_equal(self.images, np.arange(self.images.size)))
 
     def to_perm(self, level: int) -> Perm:
-        """Induced permutation of the p**level vertices at the given level."""
+        """Induced permutation of the p**level vertices at the given level:
+        the first leaf below a vertex lands in the block below its image."""
         if level < 0 or level > self.depth:
             raise ValueError("level outside the portrait depth")
-        return Perm._wrap(self._perm_array(level))
-
-    def _perm_array(self, level: int) -> np.ndarray:
-        if level == 0:
-            return np.zeros(1, dtype=np.intp)
-        if self.is_identity():
-            return np.arange(self.p**level, dtype=np.intp)
-        if level == 1:
-            return np.array(self.root_perm, dtype=np.intp)
-        block = self.p ** (level - 1)
-        out = np.empty(self.p * block, dtype=np.intp)
-        for d in range(self.p):
-            out[d * block : (d + 1) * block] = (
-                self.root_perm[d] * block + self.children[d]._perm_array(level - 1)
-            )
-        return out
+        s = self.p ** (self.depth - level)
+        return Perm._wrap(self.images[::s] // s)
 
 
 def identity(p: int, depth: int) -> Automorphism:
-    """The trivial portrait of the given depth, one node per level shared by
-    all p children."""
+    """The trivial automorphism of the given depth."""
     if not is_odd_prime(p):
         raise ValueError(f"arity must be an odd prime, got {p}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    trivial = tuple(range(p))
-    cur = Automorphism(p, 0, trivial, ())
-    cur._ident = True
-    for d in range(1, depth + 1):
-        cur = Automorphism(p, d, trivial, (cur,) * p)
-        cur._ident = True
-    return cur
+    return Automorphism(p, depth, np.arange(p**depth, dtype=np.intp))
 
 
 def rooted(p: int, depth: int, power: int = 1) -> Automorphism:
@@ -235,62 +214,48 @@ def rooted(p: int, depth: int, power: int = 1) -> Automorphism:
         raise ValueError(f"arity must be an odd prime, got {p}")
     if depth < 1:
         raise ValueError("rooted automorphisms need depth at least 1")
-    power = power % p
-    if power == 0:
-        return identity(p, depth)
-    root = tuple((d + power) % p for d in range(p))
-    sub = identity(p, depth - 1)
-    return Automorphism(p, depth, root, (sub,) * p)
+    n = p**depth
+    leaves = np.arange(n, dtype=np.intp)
+    return Automorphism(p, depth, (leaves + power % p * (n // p)) % n)
 
 
 def directed(spec, depth: int, i: int) -> Automorphism:
     """Directed generator number i of a defining-data object.
 
-    Child j < p-1 acts as the cycle raised to the (j+1)-th vector entry; the
-    last child repeats the generator one level down.  At depth 1 everything
-    truncates away and the result is the identity.
+    psi(b_i) = (a^e_1, ..., a^e_(p-1), b_i): below each vertex (p-1)^k of
+    the rightmost path, child j < p-1 turns its subtree by a^e_(j+1).  At
+    depth 1 everything truncates away and the result is the identity.
     """
     p = spec.p
-    vectors = spec.vectors
-    if not 1 <= i <= len(vectors):
-        raise ValueError(f"generator index {i} out of range 1..{len(vectors)}")
+    if not 1 <= i <= len(spec.vectors):
+        raise ValueError(f"generator index {i} out of range 1..{len(spec.vectors)}")
     if depth < 1:
         raise ValueError("directed generators need depth at least 1")
-    vec = vectors[i - 1]
-    trivial = tuple(range(p))
-    cur = identity(p, 0)
-    for d in range(1, depth + 1):
-        if d == 1:
-            kids = (identity(p, 0),) * p
-        else:
-            kids = tuple(rooted(p, d - 1, e) for e in vec) + (cur,)
-        cur = Automorphism(p, d, trivial, kids)
-    return cur
+    out = np.arange(p**depth, dtype=np.intp)
+    turns = np.array(spec.vectors[i - 1], dtype=np.intp)[:, None]
+    for k in range(depth - 1):
+        block = p ** (depth - k - 1)  # leaves below a child of (p-1)^k
+        start = (p**k - 1) * p * block  # first leaf below (p-1)^k
+        kids = out[start : start + (p - 1) * block].reshape(p - 1, block)
+        kids[:] = (np.arange(block) + turns * (block // p)) % block
+        kids += np.arange(start, start + (p - 1) * block, block)[:, None]
+    return Automorphism(p, depth, out)
 
 
 def embed_at_vertex(g: Automorphism, word, depth: int) -> Automorphism:
-    """Act as g on the subtree at the given vertex, trivially elsewhere."""
-    word = tuple(int(d) for d in word)
-    if depth - len(word) != g.depth:
-        raise ValueError(
-            f"element of depth {g.depth} does not fit at a level-{len(word)} "
-            f"vertex of a depth-{depth} tree"
-        )
-    if not word:
-        return g
-    d0 = word[0]
-    if not 0 <= d0 < g.p:
-        raise ValueError(f"digit {d0} out of range for arity {g.p}")
-    sub = embed_at_vertex(g, word[1:], depth - 1)
-    kids = tuple(
-        sub if d == d0 else identity(g.p, depth - 1) for d in range(g.p)
-    )
-    return Automorphism(g.p, depth, tuple(range(g.p)), kids)
+    """Act as g on the subtree at the given vertex, trivially elsewhere;
+    subtree_embed refuses a g that does not fit there."""
+    leaves = subtree_embed(g.to_perm(g.depth), g.p, word, depth)
+    return Automorphism(g.p, depth, leaves.images)
 
 
 def commutator(f: Perm, g: Perm) -> Perm:
-    """[f, g] = f^-1 g^-1 f g."""
-    return f.inverse() * g.inverse() * f * g
+    """[f, g] = f^-1 g^-1 f g, composed left to right.  It sends f(g(x)) to
+    g(f(x)), so one scatter makes it, with no inverse."""
+    fg, gf = f * g, g * f  # the products refuse a degree mismatch
+    out = np.empty_like(fg.images)
+    out[gf.images] = fg.images
+    return Perm._wrap(out)
 
 
 def level_of_degree(degree: int, p: int) -> int:

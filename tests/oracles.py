@@ -14,6 +14,10 @@ closure does with its candidates.
 
 same_group compares two of the package's group handles through their public
 membership and orders; the tests use it where they assert an equality.
+
+Portrait is the recursive reference for the generators the package writes in
+closed form: a permutation of the first-level subtrees plus p child
+portraits, flattened into leaf images one level at a time.
 """
 
 from bisect import bisect_left
@@ -102,6 +106,76 @@ def ggs_order_exponent(p, e, n):
     Zugadi-Reizabal, Trans. AMS 2014)."""
     delta = 1 if list(e) == list(e)[::-1] else 0
     return circulant_rank(p, e) * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1)
+
+
+# -- reference generator portraits -------------------------------------------
+
+
+class Portrait:
+    """A tree automorphism truncated at a fixed depth: the permutation of the
+    p first-level subtrees and p child portraits of depth one less; depth 0
+    is the identity leaf.  Children may be shared."""
+
+    def __init__(self, p, depth, root_perm, children):
+        self.p = p
+        self.depth = depth
+        self.root_perm = tuple(root_perm)
+        self.children = tuple(children)
+
+    def is_identity(self):
+        return self.root_perm == tuple(range(self.p)) and all(
+            c.is_identity() for c in self.children
+        )
+
+    def images(self, level):
+        """Images of the p**level vertices at the given level."""
+        if level == 0:
+            return np.zeros(1, dtype=np.intp)
+        if self.is_identity():
+            return np.arange(self.p**level, dtype=np.intp)
+        if level == 1:
+            return np.array(self.root_perm, dtype=np.intp)
+        block = self.p ** (level - 1)
+        out = np.empty(self.p * block, dtype=np.intp)
+        for d in range(self.p):
+            out[d * block : (d + 1) * block] = (
+                self.root_perm[d] * block + self.children[d].images(level - 1)
+            )
+        return out
+
+
+def portrait_identity(p, depth):
+    """The trivial portrait, one node per level shared by all p children."""
+    cur = Portrait(p, 0, range(p), ())
+    for d in range(1, depth + 1):
+        cur = Portrait(p, d, range(p), (cur,) * p)
+    return cur
+
+
+def portrait_rooted(p, depth, power):
+    """The arity cycle to the given power at the root, trivial below."""
+    root = [(d + power) % p for d in range(p)]
+    return Portrait(p, depth, root, (portrait_identity(p, depth - 1),) * p)
+
+
+def portrait_directed(p, vector, depth):
+    """psi(b) = (a^e_1, ..., a^e_(p-1), b), built from the leaf up; at depth 1
+    everything truncates away."""
+    cur = portrait_identity(p, 1)
+    for d in range(2, depth + 1):
+        kids = [portrait_rooted(p, d - 1, e) for e in vector] + [cur]
+        cur = Portrait(p, d, range(p), kids)
+    return cur
+
+
+def portrait_embed(g, word, depth):
+    """Act as g on the subtree at the given vertex, trivially elsewhere."""
+    if not word:
+        return g
+    sub = portrait_embed(g, word[1:], depth - 1)
+    idle = portrait_identity(g.p, depth - 1)
+    kids = [sub if d == word[0] else idle for d in range(g.p)]
+    return Portrait(g.p, depth, range(g.p), kids)
 
 
 # -- reference Schreier-Sims ---------------------------------------------------

@@ -1,8 +1,12 @@
+import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ggsver as gv
 from ggsver.portraits import (
     DegreeMismatch,
     Perm,
@@ -18,6 +22,23 @@ from ggsver.portraits import (
     vertex_index,
     vertex_word,
 )
+from oracles import portrait_directed, portrait_embed, portrait_rooted
+
+FINGERPRINTS = Path(__file__).parent / "golden" / "fingerprints.json"
+
+# the specs of tests/conftest.py and of the CI verify steps; the golden
+# fingerprints add theirs in _suite_specs
+EXTRA_SPECS = [
+    (3, [(1, 2)]),
+    (3, [(1, 1)]),
+    (3, [(1, 0), (0, 1)]),
+    (5, [(1, 1, 1, 1), (1, 0, 0, 1)]),
+    (5, [(1, 1, 1, 1)]),
+    (7, [tuple(int(j == i) for j in range(6)) for i in range(6)]),
+]
+
+# deepest tree compared per arity: past every depth the suite builds
+MAX_DEPTH = {3: 8, 5: 6, 7: 5}
 
 
 def leaf_generators(spec, depth):
@@ -75,6 +96,72 @@ class TestIdentityAndRooted:
         assert cur.is_identity()
 
 
+def _suite_specs():
+    specs = {(p, tuple(map(tuple, rows))) for p, rows in EXTRA_SPECS}
+    for entry in json.loads(FINGERPRINTS.read_text()):
+        specs.add((entry["p"], tuple(map(tuple, entry["vectors"]))))
+    return sorted(specs)
+
+
+def _assert_levels(aut, ref):
+    # the closed form against the recursive portrait, at every level
+    for m in range(aut.depth + 1):
+        assert np.array_equal(aut.to_perm(m).images, ref.images(m))
+
+
+class TestClosedForm:
+    """The closed-form generators against the recursive portraits of
+    tests/oracles.py, image for image."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_rooted_matches_portraits(self, p):
+        for depth in range(1, 4):
+            for power in range(p):
+                _assert_levels(rooted(p, depth, power), portrait_rooted(p, depth, power))
+
+    @pytest.mark.parametrize("p,rows", _suite_specs())
+    def test_directed_matches_portraits(self, p, rows):
+        spec = gv.validate(p, rows)
+        for depth in range(1, MAX_DEPTH[p] + 1):
+            for i, vec in enumerate(spec.vectors, start=1):
+                got = directed(spec, depth, i).to_perm(depth)
+                assert np.array_equal(got.images, portrait_directed(p, vec, depth).images(depth))
+        # every level of the deepest first generator
+        n = MAX_DEPTH[p]
+        _assert_levels(directed(spec, n, 1), portrait_directed(p, spec.vectors[0], n))
+
+    @pytest.mark.parametrize("spec_name", ["gs_spec", "sym5_spec"])
+    def test_embed_matches_portraits(self, request, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        p = spec.p
+        for level in (1, 2):
+            g = directed(spec, 4 - level, 1)
+            ref = portrait_directed(p, spec.vectors[0], 4 - level)
+            for k in range(p**level):
+                word = vertex_word(k, level, p)
+                _assert_levels(embed_at_vertex(g, word, 4), portrait_embed(ref, word, 4))
+
+    @given(
+        st.sampled_from([3, 5, 7]).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1).filter(any),
+                st.integers(2, 4 if p == 7 else 5),
+            )
+        )
+    )
+    def test_first_level_rule_on_random_vectors(self, case):
+        # psi(b) = (a^e_1, ..., a^e_(p-1), b), and a is the p-cycle on level 1
+        p, vec, n = case
+        spec = gv.validate(p, [vec])
+        b = directed(spec, n, 1).to_perm(n)
+        parts = [subtree_section(b, p, (j,)) for j in range(p)]
+        expected = [rooted(p, n - 1, e).to_perm(n - 1) for e in vec]
+        expected.append(directed(spec, n - 1, 1).to_perm(n - 1))
+        assert parts == expected
+        assert rooted(p, n, 1).to_perm(1) == Perm([(d + 1) % p for d in range(p)])
+
+
 class TestDirected:
     def test_sections_follow_the_vector(self, gs_spec, sym5_spec):
         # b_i's first-level sections are a^e_1, ..., a^e_(p-1), b_i
@@ -127,6 +214,14 @@ class TestComposeInverse:
     def test_depth_mismatch_rejected(self, gs_spec):
         with pytest.raises(DegreeMismatch):
             rooted(3, 2, 1).to_perm(2) * rooted(3, 3, 1).to_perm(3)
+        with pytest.raises(DegreeMismatch):
+            commutator(rooted(3, 2, 1).to_perm(2), rooted(3, 3, 1).to_perm(3))
+
+    def test_commutator_is_the_product(self, gs_spec):
+        rng = random.Random(5)
+        els = [w[3] for w in leaf_words(gs_spec, (3,), rng, 20)]
+        for f, g in zip(els[::2], els[1::2]):
+            assert commutator(f, g) == f.inverse() * g.inverse() * f * g
 
 
 class TestSectionsAndPsi:
@@ -242,6 +337,16 @@ class TestPermBasics:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Perm([0, 0, 1])
+
+    def test_rejects_non_integer_images(self):
+        # a float is refused, not truncated; a string is refused, not parsed
+        for images in ([0.7, 1.2, 2.9], [0.0, 1.0, 2.0], ["0", "1", "2"], [True, False]):
+            with pytest.raises(ValueError, match="integers"):
+                Perm(images)
+        with pytest.raises(ValueError, match="integers"):
+            gv.PermGroup(9, [[1.5, 2, 0, 3, 4, 5, 6, 7, 8]], prime=3)
+        assert Perm([]).degree == 0
+        assert Perm(np.array([2, 0, 1], dtype=np.uint8)) == Perm([2, 0, 1])
 
     def test_inverse_round_trip(self):
         q = Perm([2, 0, 1, 3])
