@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+import numpy as np
+
 from .ggs import (
     GGSSpec,
     GroupSession,
@@ -223,13 +225,22 @@ def _in_power(g, k) -> bool:
     return fixed and all(k.contains(subtree_section(g, p, (j,))) for j in range(p))
 
 
+def _placements(k, slots):
+    """k's generators placed below the first-level vertices 0..slots-1, one
+    level deeper, slot by slot."""
+    p, n = k.prime, k.level + 1
+    return (subtree_embed(h, p, (j,), n) for j in range(slots) for h in k.generators)
+
+
 def _power_verdict(lhs, k, details):
     """(details, witness) for lhs == K^p, with no layers built for K^p.  K^p
     is generated by k's generators placed in each slot, so it equals lhs
-    exactly when lhs holds every placement and the orders agree.  On
-    failure the witness is the first element of lhs outside K^p among the
-    seeds it was closed from and then its generators, else the first
-    placement outside lhs, slot by slot.
+    exactly when lhs holds every placement and the orders agree.  Only the
+    slot-0 placements are sifted when they decide the others
+    (_one_slot_decides), else those of every slot.  On failure the witness
+    is the first element of lhs outside K^p among the seeds it was closed
+    from and then its generators, else the first placement outside lhs,
+    slot by slot.
 
     The seeds come first so that the witness does not depend on whether
     lhs grew from a start.  A seed that left no residual lies in the group
@@ -238,17 +249,19 @@ def _power_verdict(lhs, k, details):
     generators, so for a cold lhs this is the first generator outside K^p;
     a warm closure records every seed (Normal generators in the permgroups
     module docstring)."""
-    p, n = k.prime, k.level + 1
-    placed = [subtree_embed(h, p, (j,), n) for j in range(p) for h in k.generators]
+    p = k.prime
+    slots = 1 if _one_slot_decides(lhs) else p
     details = dict(details)
     details["lhs_exponent"] = lhs.order_exponent
     details["rhs_exponent"] = p * k.order_exponent
-    if lhs.order_exponent == details["rhs_exponent"] and all(map(lhs.contains, placed)):
+    if lhs.order_exponent == details["rhs_exponent"] and all(
+        map(lhs.contains, _placements(k, slots))
+    ):
         return details, None
     seeds = () if lhs._closed_from is None else lhs._closed_from[1]
     missing = next((g for g in (*seeds, *lhs.generators) if not _in_power(g, k)), None)
     if missing is None:
-        missing = next(x for x in placed if not lhs.contains(x))
+        missing = next(x for x in _placements(k, p) if not lhs.contains(x))
     return details, missing
 
 
@@ -458,6 +471,27 @@ def _one_vertex_decides(session: GroupSession) -> bool:
     return all(
         quotient.contains(subtree_section(x, p, (j,))) for x in g.generators for j in range(p)
     )
+
+
+def _one_slot_decides(lhs) -> bool:
+    """Whether lhs holds an element placed below every first-level vertex as
+    soon as it holds it placed below vertex 0: true when lhs was closed in
+    an ambient group whose first generator is a rooted automorphism, its
+    leaf images (i + c p^(N-1)) mod p^N with c != 0 mod p.
+
+    lhs is then invariant under conjugation by that generator a.  a moves
+    whole first-level blocks, block j to block j + c, so a^-t x a^t, for x
+    acting as h below vertex 0 and trivially elsewhere, acts as h below
+    vertex t c and trivially elsewhere; as t runs over 0..p-1, t c runs over
+    every slot.  A group ggs.build makes passes: its first generator is a,
+    with c = 1.  A hand-made ambient, or one whose a was changed, may not."""
+    closed = lhs._closed_from
+    if closed is None or not closed[0].generators:
+        return False
+    images = closed[0].generators[0].images
+    degree, shift = len(images), int(images[0])
+    c, rest = divmod(shift, degree // lhs.prime)
+    return c != 0 and rest == 0 and np.array_equal(images, (np.arange(degree) + shift) % degree)
 
 
 @_check("psi2_second_derived")

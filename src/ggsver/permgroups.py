@@ -109,7 +109,11 @@ the closure H of E under them lies in K exactly when E does:
 containment_witness sifts E alone, and names the first element of E outside
 K.  By the above, that is the first seed outside K, whether H was closed
 cold or warm, and for a cold closure it is the first of H's generators
-outside K, the witness a scan of every generator gives.
+outside K, the witness a scan of every generator gives.  When K is A
+itself, or K is H, containment_witness sifts nothing.  H is then the
+closure under A's generators of elements of A, so it lies in A: a normal
+closure checks that its seeds lie in A, and derived(), commutator_subgroup
+and GroupSession.st1() build theirs from A's elements.
 
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
 and the closure queues such candidates as vectors, not leaf permutations,
@@ -162,8 +166,10 @@ c = 1 - scale above -p, so its values lie strictly between -p^3 and p^3.
 _mod(a, p) rounds a/p to float32 with relative error at most 2^-24, so off
 by less than 2^22/p 2^-24 = 1/(4p); a/p is an integer, which is then
 exact, or lies at least 1/p from every integer, so its floor is exact, and
-so are q p and a - q p.  The bound admits p=3 up to N=13, p=5 up to N=8 and
-p=7 up to N=6.
+so are q p and a - q p.  Membership takes no _mod: its product, an integer
+in 0..(p-1)^2 p^(N-1), is exact, and from_last_labels reduces it mod p in
+integers.  The bound admits p=3 up to N=13, p=5 up to N=8 and p=7 up to
+N=6.
 
 Deferring the last level so is exact.  A sift above the last level reads
 only the layers above it, adding a bottom row changes only the last layer
@@ -577,7 +583,8 @@ class _Layers:
             elif np.count_nonzero(tree.digits[m][x[tree.starts[m]]]):
                 return False
         lvl = self.levels[last]
-        u = _mod(self._exponents(x, last) @ lvl.rows[: lvl.dim], tree.p)
+        # exact unreduced (Exact in float32); from_last_labels reduces mod p
+        u = self._exponents(x, last) @ lvl.rows[: lvl.dim]
         return bool((x == tree.from_last_labels(u.astype(np.intp))).all())
 
     def _sift_upper(self, x: np.ndarray, start: int):
@@ -790,14 +797,19 @@ class PermGroup:
     def containment_witness(self, other: "PermGroup"):
         """First generator of `other` outside self, or None when contained.
 
-        When `other` was closed from elements E in an ambient A, and self is
-        A or was closed in A too, only E is sifted: self is then invariant
-        under A's generators, so it holds the closure `other` of E exactly
-        when it holds E.  The first element of E outside self is then the
-        first seed outside it, the first generator outside it of the cold
-        closure of those seeds (Containment in the module docstring)."""
+        None at once, with no sift, when `other` is self or was closed in
+        self: it is then the closure, under self's generators, of elements
+        of self.  When `other` was closed from elements E in an ambient A,
+        and self is A or was closed in A too, only E is sifted: self is then
+        invariant under A's generators, so it holds the closure `other` of E
+        exactly when it holds E.  The first element of E outside self is
+        then the first seed outside it, the first generator outside it of
+        the cold closure of those seeds (Containment in the module
+        docstring)."""
         if other.degree != self.degree:
             raise DegreeMismatch("groups act on different point sets")
+        if other is self or (other._closed_from is not None and other._closed_from[0] is self):
+            return None
         closed = self._closed_from
         ambients = (self,) if closed is None else (self, closed[0])
         for g in _normal_generators(other, ambients):

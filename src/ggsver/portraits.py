@@ -15,6 +15,8 @@ to a level.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -151,10 +153,12 @@ class Perm:
 
 
 def vertex_index(word, p: int) -> int:
-    """Base-p value of a digit word, most significant digit first."""
+    """Base-p value of a digit word, most significant digit first.  A digit
+    that is no integer (a float such as 1.0 too) is refused with TypeError,
+    not truncated."""
     k = 0
     for d in word:
-        d = int(d)
+        d = operator.index(d)
         if not 0 <= d < p:
             raise ValueError(f"digit {d} out of range for arity {p}")
         k = k * p + d
@@ -162,7 +166,9 @@ def vertex_index(word, p: int) -> int:
 
 
 def vertex_word(index: int, level: int, p: int) -> tuple[int, ...]:
-    """Inverse of vertex_index at a fixed level."""
+    """Inverse of vertex_index at a fixed level; index and level must be
+    integers (TypeError otherwise)."""
+    index, level = operator.index(index), operator.index(level)
     if not 0 <= index < p**level:
         raise ValueError(f"index {index} out of range for level {level}")
     digits = []
@@ -286,7 +292,7 @@ def restrict_to_level(perm: Perm, p: int, m: int) -> Perm:
 def subtree_section(perm: Perm, p: int, word) -> Perm:
     """Permutation induced on the leaf block below a vertex."""
     n = level_of_degree(perm.degree, p)
-    word = tuple(int(d) for d in word)
+    word = tuple(word)  # vertex_index refuses a digit that is no integer
     if len(word) > n:
         raise ValueError("vertex deeper than the leaf level")
     bs = p ** (n - len(word))
@@ -301,8 +307,8 @@ def subtree_section(perm: Perm, p: int, word) -> Perm:
 
 def subtree_embed(perm: Perm, p: int, word, level: int) -> Perm:
     """Inverse of subtree_section: act on one leaf block, fix the rest."""
-    n = level
-    word = tuple(int(d) for d in word)
+    n = operator.index(level)
+    word = tuple(word)  # vertex_index refuses a digit that is no integer
     bs = p ** (n - len(word))
     if perm.degree != bs:
         raise ValueError(

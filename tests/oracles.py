@@ -12,6 +12,11 @@ package's per-level arithmetic (ggsver.permgroups._Layers, through _sift and
 _adjoin below) and differs in the queue, so it is the reference for what the
 closure does with its candidates.
 
+power_verdict_all_slots compares a subgroup with a block product by
+sifting k's generators placed in every slot, whatever the subgroup was
+closed in; it reuses the package's witness rule and is the reference for
+checks._power_verdict, which sifts one slot when that decides the rest.
+
 same_group compares two of the package's group handles through their public
 membership and orders; the tests use it where they assert an equality.
 
@@ -415,3 +420,25 @@ def reference_close(tree, seeds, conj_by, start=None):
             side.extend((reference_commutator(rep, r), m + 1) for r in peers)
         main.extend((y[rep[yinv]], m) for y, yinv in conj)
     return layers, found
+
+
+def power_verdict_all_slots(lhs, k, details):
+    """(details, witness) for lhs == K^p as checks._power_verdict gives
+    them, deciding the holding case by sifting k's generators placed in
+    every first-level slot, p * |k.generators| sifts, whatever lhs was
+    closed in.  The witness rule is the package's."""
+    from ggsver.checks import _in_power
+    from ggsver.portraits import subtree_embed
+
+    p, n = k.prime, k.level + 1
+    placed = [subtree_embed(h, p, (j,), n) for j in range(p) for h in k.generators]
+    details = dict(details)
+    details["lhs_exponent"] = lhs.order_exponent
+    details["rhs_exponent"] = p * k.order_exponent
+    if lhs.order_exponent == details["rhs_exponent"] and all(map(lhs.contains, placed)):
+        return details, None
+    seeds = () if lhs._closed_from is None else lhs._closed_from[1]
+    missing = next((g for g in (*seeds, *lhs.generators) if not _in_power(g, k)), None)
+    if missing is None:
+        missing = next(x for x in placed if not lhs.contains(x))
+    return details, missing

@@ -42,6 +42,7 @@ from ggsver.portraits import (
 from oracles import (
     SchreierSims,
     log_order,
+    power_verdict_all_slots,
     reference_commutator,
     reference_normal_closure,
     same_group,
@@ -825,9 +826,10 @@ class TestPowerVerdict:
     generators placed in each first-level slot; no layers are built for K^p,
     and the witness is the one a comparison with K^p's own layers names."""
 
-    @pytest.mark.parametrize("check", [check_gamma3_product, check_regular_branch])
-    def test_holding_path_sifts_only_the_placements(self, r2_spec, check):
-        s = gv.build(r2_spec, 5)
+    @staticmethod
+    def _holding_sifts(check, s):
+        """(lhs, K, [(group, element)]) for every sift _power_verdict makes
+        while check holds on session s."""
         real_verdict, real_contains = checks._power_verdict, PermGroup.contains
         seen, sifted = [], []
 
@@ -843,8 +845,26 @@ class TestPowerVerdict:
         with mock.patch.object(checks, "_power_verdict", side_effect=verdict):
             assert check(s).holds
         [(lhs, k)] = seen
-        # p * |K.generators| sifts, each of a placement into lhs: none of
+        return lhs, k, sifted
+
+    @pytest.mark.parametrize("check", [check_gamma3_product, check_regular_branch])
+    def test_holding_path_sifts_only_the_placements(self, r2_spec, check):
+        lhs, k, sifted = self._holding_sifts(check, gv.build(r2_spec, 5))
+        # |K.generators| sifts, each of a slot-0 placement into lhs: lhs was
+        # closed in G, whose a moves slot 0 to every other slot; none of
         # lhs's generators and nothing into K
+        assert len(sifted) == len(k.generators)
+        assert all(group is lhs for group, _ in sifted)
+        assert [x for _, x in sifted] == placements(k)[: len(k.generators)]
+
+    @pytest.mark.parametrize("check", [check_gamma3_product, check_regular_branch])
+    def test_a_mutated_root_sifts_every_slot(self, r2_spec, check):
+        # a times a p-cycle on one last-level vertex is no rooted
+        # automorphism, so slot 0 decides nothing: p * |K.generators| sifts,
+        # every placement into lhs, and the comparison still holds at depth 3
+        s = last_vertex_mutant(r2_spec, 3, 0, 0)
+        lhs, k, sifted = self._holding_sifts(check, s)
+        assert not checks._one_slot_decides(lhs)
         assert len(sifted) == s.spec.p * len(k.generators)
         assert all(group is lhs for group, _ in sifted)
         assert [x for _, x in sifted] == placements(k)
@@ -878,6 +898,47 @@ class TestPowerVerdict:
                 failed += want is not None
         # the mutants make comparisons fail
         assert failed
+
+
+class TestOneSlotPowerVerdict:
+    """_power_verdict sifts the slot-0 placements alone when lhs was closed
+    in a group whose first generator is a rooted automorphism, and gives the
+    details and witness of the all-slot reference in every case: sessions,
+    their last-vertex mutants (gen 0 mutates a, so every slot is sifted
+    there) and handles closed in nothing."""
+
+    @pytest.mark.parametrize(
+        "fixture,depth", [(f, n) for f in SPEC_FIXTURES for n in (3, 4, 5)]
+    )
+    def test_agrees_with_the_all_slot_reference(self, fixture, depth, request):
+        spec = request.getfixturevalue(fixture)
+        sessions = [gv.build(spec, depth)]
+        sessions += [last_vertex_mutant(spec, depth, gen, 0) for gen in range(spec.r + 1)]
+        one_slot = failed = 0
+        for i, s in enumerate(sessions):
+            for _, cold, warm in _power_sides(s):
+                for lhs, k in (cold, warm):
+                    decides = checks._one_slot_decides(lhs)
+                    # the session's a, and a mutant's unless gen 0 mutates it
+                    assert decides == (i != 1), (i, decides)
+                    one_slot += decides
+                    got = checks._power_verdict(lhs, k, {})
+                    assert got == power_verdict_all_slots(lhs, k, {})
+                    failed += got[1] is not None
+        assert one_slot
+        if depth > 3:
+            # the mutants make comparisons fail
+            assert failed
+
+    @pytest.mark.parametrize("fixture", ["gs_spec", "r2_spec"])
+    def test_a_handle_closed_in_nothing_sifts_every_slot(self, fixture, request):
+        s = gv.build(request.getfixturevalue(fixture), 4)
+        for _, _, (lhs, k) in _power_sides(s):
+            bare = PermGroup(lhs.degree, lhs.generators, prime=lhs.prime)
+            assert bare._closed_from is None and not checks._one_slot_decides(bare)
+            got = checks._power_verdict(bare, k, {})
+            assert got == power_verdict_all_slots(bare, k, {})
+            assert got == checks._power_verdict(lhs, k, {})
 
 
 class TestRunOrder:

@@ -624,7 +624,10 @@ class TestAgainstSequentialClosure:
             commutator_subgroup(d, d, g).chain
 
         calls = _recorded_closures(build)
-        assert len(calls) == 3
+        # G', then G grown from it when G'' has seeds to check against it,
+        # then G''; at depth 2 G' is abelian, so G'' has no seeds, and G' is
+        # not sifted into G as it was closed there
+        assert len(calls) == (2 if depth == 2 else 3)
         for call in calls:
             _assert_same_closure(*call)
 
@@ -941,8 +944,8 @@ class TestWarmNormalClosure:
             permgroups, "normal_closure", side_effect=AssertionError("cold path")
         ):
             warm = commutator_subgroup(d, g, g, start)
-        # only the argument check: G' by its kept seeds, G by its generators
-        assert len(sifted) == len(d._closed_from[1]) + len(g.generators)
+        # not even the argument check: G' was closed in G, and G is G
+        assert sifted == []
         assert warm.order_exponent == s.gamma3().order_exponent
 
 
@@ -1025,11 +1028,10 @@ class TestContainmentWitnessRule:
         # the pairs are not all containments
         assert outside
 
-    def test_commutator_arguments_sift_kept_seeds_and_generators(self, gs4):
-        s = gs4
-        g, d = s.G, s.derived()
-        _, kept = d._closed_from
-        assert len(kept) < len(d.generators)
+    @staticmethod
+    def _sifted_before_the_closure(a, b, ambient):
+        """The elements commutator_subgroup(a, b, ambient) sifts before its
+        cold closure starts; raises what it raises."""
         sifted = []
         real_contains = PermGroup.contains
         real_closure = permgroups.normal_closure
@@ -1044,10 +1046,40 @@ class TestContainmentWitnessRule:
 
         sift = mock.patch.object(PermGroup, "contains", autospec=True, side_effect=contains)
         with sift, mock.patch.object(permgroups, "normal_closure", side_effect=closure):
-            commutator_subgroup(d, g, g)
-        # the very elements, in order: G' by its kept seeds, G by its generators
-        before, want = sifted[: sifted.index("closure")], [*kept, *g.generators]
-        assert len(before) == len(want) and all(x is y for x, y in zip(before, want))
+            commutator_subgroup(a, b, ambient)
+        return sifted[: sifted.index("closure")]
+
+    def test_commutator_arguments_closed_in_the_ambient_are_not_sifted(self, gs4):
+        s = gs4
+        g, d = s.G, s.derived()
+        # G' was closed in G, and G is the ambient itself: both lie in it
+        assert d._closed_from[0] is g
+        assert self._sifted_before_the_closure(d, g, g) == []
+        assert self._sifted_before_the_closure(s.st1(), s.st1(), g) == []
+
+    def test_other_commutator_arguments_are_sifted(self, gs4):
+        s = gs4
+        g, d = s.G, s.derived()
+        # a level stabilizer and a hand-made group were closed in nothing:
+        # each is checked by its generators, in order, and G not at all
+        st2 = g.level_stabilizer(2)
+        made = PermGroup(g.degree, d.generators[:3], prime=g.prime)
+        for sub in (st2, made):
+            assert sub._closed_from is None
+            got = self._sifted_before_the_closure(sub, g, g)
+            assert len(got) == len(sub.generators)
+            assert all(x is y for x, y in zip(got, sub.generators))
+
+    def test_arguments_outside_the_ambient_are_refused(self, gs4):
+        s = gs4
+        g, d = s.G, s.derived()
+        # G is no subgroup of G', by hand or closed in another ambient
+        made = PermGroup(g.degree, g.generators, prime=g.prime)
+        for sub in (made, s.st1()):
+            with pytest.raises(ElementNotInAmbient):
+                commutator_subgroup(sub, d, d)
+            with pytest.raises(ElementNotInAmbient):
+                commutator_subgroup(d, sub, d)
 
 
 def _labels(x, p):

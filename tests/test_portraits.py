@@ -306,6 +306,35 @@ class TestVertexIndexing:
         with pytest.raises(ValueError):
             vertex_index((3,), 3)
 
+    def test_non_integral_vertices_are_refused(self):
+        # a float digit, index or level was truncated before: vertex 3,
+        # the word (1.0, 1.5) and an embedding at vertex 1
+        with pytest.raises(TypeError):
+            vertex_index((1.9, 0.2), 3)
+        with pytest.raises(TypeError):
+            vertex_word(4.5, 2, 3)
+        with pytest.raises(TypeError):
+            vertex_word(4, 2.0, 3)
+        with pytest.raises(TypeError):
+            embed_at_vertex(rooted(3, 1), (1.9,), 2)
+        g = rooted(3, 1).to_perm(1)
+        with pytest.raises(TypeError):
+            subtree_embed(g, 3, (1.0,), 2)
+        with pytest.raises(TypeError):
+            subtree_embed(g, 3, (1,), 2.0)
+        with pytest.raises(TypeError):
+            subtree_section(subtree_embed(g, 3, (1,), 2), 3, (np.float64(1),))
+
+    def test_numpy_integers_pass(self):
+        one, two = np.int64(1), np.uint8(2)
+        assert vertex_index((one, two), 3) == 5
+        assert vertex_word(np.int32(5), np.int64(2), 3) == (1, 2)
+        g = rooted(3, 1)
+        assert embed_at_vertex(g, (one,), 2).to_perm(2) == embed_at_vertex(g, (1,), 2).to_perm(2)
+        emb = subtree_embed(g.to_perm(1), 3, (two,), np.int64(2))
+        assert emb == subtree_embed(g.to_perm(1), 3, (2,), 2)
+        assert subtree_section(emb, 3, (two,)) == g.to_perm(1)
+
 
 class TestBlockOps:
     def test_restrict_matches_truncation(self, gs_spec):
