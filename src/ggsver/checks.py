@@ -403,95 +403,92 @@ def check_stab1_derived_in_gamma3(session: GroupSession):
 
 @_check("subdirect")
 def check_subdirect(session: GroupSession):
-    """Every first-level projection of the derived subgroup is the whole
-    level-(N-1) group.
+    """Every first-level projection pi_i of the derived subgroup is the
+    whole level-(N-1) group.  pi_i is a homomorphism on st(1), which holds
+    G', so pi_i(G') is generated by the slot-i sections of G''s generators;
+    the projections are closed from them and compared slot by slot.
 
-    One slot decides all p: G' lies in st(1) and is normal in G, and for x
-    in st(1) the rooted generator a shifts the sections, pi_i(x^a) =
-    pi_(i-1)(x), so every slot has the projection of slot 0.
-
-    P = pi_0(G') is closed from the p slot sections of the elements E that
-    G' was closed from in G, under the p*r sections pi_0(b_i^(a^k)).  G' is
-    generated by the conjugates e^g, e in E, g in G; G = st(1)<a>, so g =
-    a^k t with t in st(1), and pi_0 is a homomorphism on st(1), so
-    pi_0(e^(a^k t)) = pi_(k')(e)^(pi_0(t)) for the slot k' that a^k moves
-    to 0.  The pi_0(t) make up pi_0(st(1)), generated by the sections of
-    st(1)'s generators b_i^(a^k).  This uses only that each b_i fixes level
-    1, so it holds for any such generators, not just the GGS ones.
-    """
+    One slot decides all p when a, G's first generator, passes
+    _rooted_shift and the others fix level 1: G' is normal, and pi_i(x^a) =
+    pi_(i-c)(x) for x in st(1).  pi_0(G') is then closed from the p slot
+    sections of the elements E that G' was closed from in G, under the
+    sections of st(1)'s generators: G = st(1)<a>, and for t in st(1)
+    pi_0(e^(a^k t)) = pi_k'(e)^(pi_0(t)), k' the slot a^k moves to 0."""
     spec = session.spec
     _require_nonconstant(spec)
     _require_depth(session, 3, "the subdirect projection check")
-    p = spec.p
+    p, (a, *bs) = spec.p, session.G.generators
     # G' first, so that G's layers grow from it
-    _, kept = session.derived()._closed_from
+    d = session.derived()
     full = session.G.truncate(session.depth - 1)
-    sections = [subtree_section(e, p, (j,)) for j in range(p) for e in kept]
-    conj_by = [subtree_section(t, p, (0,)) for t in session.st1().generators]
-    proj = permgroups._normal_closure(PermGroup(full.degree, conj_by, p), sections)
-    details = {
-        "full_exponent": full.order_exponent,
-        "projection_exponents": [proj.order_exponent],
-    }
-    # only the witness: a projection that misses a generator of full is
-    # named by it, one that strictly contains full by its own generator
-    _, missing = _equality_verdict(full, proj, {})
-    if missing is not None:
-        details["failing_slot"] = 0
-        return details, missing
-    details["projection_exponents"] *= p
+    if _rooted_shift(a, p) and all(restrict_to_level(b, p, 1).is_identity() for b in bs):
+        _, kept = d._closed_from
+        sections = [subtree_section(e, p, (j,)) for j in range(p) for e in kept]
+        conj_by = [subtree_section(t, p, (0,)) for t in session.st1().generators]
+        projections = [permgroups._normal_closure(PermGroup(full.degree, conj_by, p), sections)]
+    else:
+        projections = (
+            PermGroup(full.degree, [subtree_section(e, p, (i,)) for e in d.generators], p)
+            for i in range(p)
+        )
+    exponents = []
+    details = {"full_exponent": full.order_exponent, "projection_exponents": exponents}
+    for i, proj in enumerate(projections):
+        exponents.append(proj.order_exponent)
+        # only the witness: a projection that misses a generator of full is
+        # named by it, one that strictly contains full by its own generator
+        _, missing = _equality_verdict(full, proj, {})
+        if missing is not None:
+            details["failing_slot"] = i
+            return details, missing
+    # one slot stands for all p when it alone was closed
+    exponents *= p // len(exponents)
     return details, None
+
+
+def _rooted_shift(x: Perm, p: int) -> int:
+    """c when the leaf permutation x is i -> (i + c p^(n-1)) mod p^n with
+    c != 0 mod p, else 0: the rooted automorphism a^c, which moves
+    first-level block j onto block j + c and has trivial sections.  The
+    shortcuts below rely on this shape: G's first generator is a in every
+    session ggs.build makes, and each b_i fixes level 1 and acts below the
+    first-level vertex j < p-1 as a^(e_j), not all trivial.  A hand-made
+    session, or one whose a was changed, may not have it."""
+    images = x.images
+    degree, shift = len(images), int(images[0])
+    c, rest = divmod(shift, degree // p)
+    ok = c and not rest and np.array_equal(images, (np.arange(degree) + shift) % degree)
+    return c if ok else 0
 
 
 def _one_vertex_decides(session: GroupSession) -> bool:
     """Whether G'' holds the embeddings of G'_(N-2) at every level-2 vertex
-    as soon as it holds those at (0,0): true when G is transitive on level 2
-    and every first-level section of a generator of G lies in G_(N-1), the
-    level-(N-1) quotient.
-
-    Sections compose, so then every element of G has its first-level
-    sections in G_(N-1), and its sections at level 2 in G_(N-2).  Take g in
-    G with g(0,0) = u and s its section at (0,0).  Conjugating by g carries
-    the embedding at (0,0) of h to the embedding at u of h conjugated by s.
-    s normalizes G'_(N-2), the derived subgroup of G_(N-2), and G'' is normal
-    in G, so it holds the embeddings at u once it holds those at (0,0).  A
-    group ggs.build makes passes both tests; a hand-made session may not."""
-    g, p, n = session.G, session.spec.p, session.depth
-    moves = [restrict_to_level(x, p, 2).images for x in g.generators]
-    orbit, todo = {0}, [0]
-    while todo:
-        v = todo.pop()
-        for w in (int(images[v]) for images in moves):
-            if w not in orbit:
-                orbit.add(w)
-                todo.append(w)
-    if len(orbit) < p * p:
-        return False
-    quotient = g.truncate(n - 1)
-    return all(
-        quotient.contains(subtree_section(x, p, (j,))) for x in g.generators for j in range(p)
+    as soon as it holds those at (0,0): true when G's first generator a
+    passes _rooted_shift, and another generator b fixes level 1 and acts
+    below some first-level vertex j as a translation that passes it.
+    Conjugating by powers of a carries the embedding of h at (0,0) to the
+    one of h at (j,0); powers of b carry it on to (j,v) for every v, and
+    powers of a then to every (i,v), all with trivial sections, so h is
+    unchanged.  G'' is normal in G, and an embedding at one vertex is a
+    homomorphism, so G'' holds every embedding once it holds those at (0,0)."""
+    p = session.spec.p
+    a, *bs = session.G.generators
+    return bool(_rooted_shift(a, p)) and any(
+        restrict_to_level(b, p, 1).is_identity()
+        and any(_rooted_shift(subtree_section(b, p, (j,)), p) for j in range(p))
+        for b in bs
     )
 
 
 def _one_slot_decides(lhs) -> bool:
     """Whether lhs holds an element placed below every first-level vertex as
-    soon as it holds it placed below vertex 0: true when lhs was closed in
-    an ambient group whose first generator is a rooted automorphism, its
-    leaf images (i + c p^(N-1)) mod p^N with c != 0 mod p.
-
-    lhs is then invariant under conjugation by that generator a.  a moves
-    whole first-level blocks, block j to block j + c, so a^-t x a^t, for x
-    acting as h below vertex 0 and trivially elsewhere, acts as h below
-    vertex t c and trivially elsewhere; as t runs over 0..p-1, t c runs over
-    every slot.  A group ggs.build makes passes: its first generator is a,
-    with c = 1.  A hand-made ambient, or one whose a was changed, may not."""
+    soon as it holds it below vertex 0: true when lhs was closed in an
+    ambient group whose first generator a passes _rooted_shift.  lhs is then
+    invariant under a, and conjugating by a^t carries h placed below vertex
+    0 to h placed below vertex t c, which runs over every slot."""
     closed = lhs._closed_from
-    if closed is None or not closed[0].generators:
-        return False
-    images = closed[0].generators[0].images
-    degree, shift = len(images), int(images[0])
-    c, rest = divmod(shift, degree // lhs.prime)
-    return c != 0 and rest == 0 and np.array_equal(images, (np.arange(degree) + shift) % degree)
+    gens = () if closed is None else closed[0].generators
+    return bool(gens) and bool(_rooted_shift(gens[0], lhs.prime))
 
 
 @_check("psi2_second_derived")
@@ -500,9 +497,7 @@ def check_psi2_second_derived(session: GroupSession):
     the second derived subgroup; needs at least two directed generators.
     Only the copy at (0,0) is sifted when it decides the others
     (_one_vertex_decides); it is the first the full scan visits, so the
-    verdict, details and witness are those of the full scan.  When the
-    derived subgroup at depth N-2 has no generators there is nothing to
-    sift, and _one_vertex_decides is not asked."""
+    verdict, details and witness are those of the full scan."""
     spec = session.spec
     if spec.r < 2:
         raise NoVerdict(
@@ -517,8 +512,6 @@ def check_psi2_second_derived(session: GroupSession):
         "second_derived_exponent": second.order_exponent,
         "inner_derived_exponent": inner.order_exponent,
     }
-    if not inner.generators:
-        return details, None
     vertices = 1 if _one_vertex_decides(session) else p * p
     for k in range(vertices):
         word = vertex_word(k, 2, p)

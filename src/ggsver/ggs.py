@@ -367,11 +367,11 @@ class GroupSession:
 
     def st1(self) -> PermGroup:
         """The level-1 stabilizer: G's layers from level 1 on, with no
-        closure, generated by the p*r conjugates b_i^(a^k).  They fix level
-        1, contain every b_i and are permuted by a, so the subgroup they span
-        is normal of index p, which is st(1).  It is recorded as closed from
-        b_1, ..., b_r in G: their normal closure holds every b_i^(a^k) and
-        lies in the normal st(1), so it is st(1), and commutator_subgroup
+        closure.  The b_i fix level 1 and a moves it, so by Reidemeister-
+        Schreier the p*r conjugates b_i^(a^k) generate it, with a^p when that
+        is not 1 (it is 1 in every session build makes).  It is recorded as
+        closed from b_1, ..., b_r (and a^p) in G: their normal closure holds
+        every generator and lies in the normal st(1), so commutator_subgroup
         seeds st(1)' with r*p*r commutators instead of (p*r)^2.  While G's
         layers are unbuilt, G' is closed first, so that they grow from it."""
 
@@ -379,16 +379,17 @@ class GroupSession:
             g = self.G
             if g._chain is None:
                 self.derived()
-            a, bs = g.generators[0], g.generators[1:]
+            a, *bs = g.generators
+            power = [x for x in [a**g.prime] if not x.is_identity()]
             gens = [a**-k * b * a**k for k in range(g.prime) for b in bs]
-            return g._built(gens, g.chain.suffix(1), bs)
+            return g._built(gens + power, g.chain.suffix(1), bs + power)
 
         return self._memoized("st1", make)
 
     def st1_derived(self) -> PermGroup:
         """st(1)', grown from G''.  st(1) is normal here, so closing the
-        commutators of b_1, ..., b_r with its generators under G's
-        generators yields its derived subgroup."""
+        commutators of the elements it was closed from with its generators
+        under G's generators yields its derived subgroup."""
         st1 = self.st1()
         return self._memoized(
             "st1_derived",

@@ -224,6 +224,7 @@ and representatives are kept in the order they were found.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from itertools import combinations, product
 
@@ -838,7 +839,7 @@ class PermGroup:
         Its generators are the restrictions of this group's, less those a
         closure found at level m or below; see Quotients in the module
         docstring."""
-        n = self.level
+        m, n = operator.index(m), self.level
         if not 1 <= m <= n:
             raise ValueError(f"level {m} outside 1..{n}")
         if m == n:
@@ -857,7 +858,7 @@ class PermGroup:
     def level_stabilizer(self, m: int) -> "PermGroup":
         """Kernel of the induced action on the level-m vertices: the layers
         from m on, generated by their representatives."""
-        n = self.level
+        m, n = operator.index(m), self.level
         if not 0 <= m <= n:
             raise ValueError(f"level {m} outside 0..{n}")
         if m == 0:

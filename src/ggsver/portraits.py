@@ -169,7 +169,7 @@ def vertex_word(index: int, level: int, p: int) -> tuple[int, ...]:
     """Inverse of vertex_index at a fixed level; index and level must be
     integers (TypeError otherwise)."""
     index, level = operator.index(index), operator.index(level)
-    if not 0 <= index < p**level:
+    if level < 0 or not 0 <= index < p**level:
         raise ValueError(f"index {index} out of range for level {level}")
     digits = []
     for _ in range(level):
@@ -309,6 +309,8 @@ def subtree_embed(perm: Perm, p: int, word, level: int) -> Perm:
     """Inverse of subtree_section: act on one leaf block, fix the rest."""
     n = operator.index(level)
     word = tuple(word)  # vertex_index refuses a digit that is no integer
+    if len(word) > n:
+        raise ValueError("vertex deeper than the leaf level")
     bs = p ** (n - len(word))
     if perm.degree != bs:
         raise ValueError(

@@ -39,6 +39,7 @@ from ggsver.portraits import (
     vertex_word,
 )
 
+from census import P5_DEPTHS, P5_ROW_SPACES, paper_status, row_spaces, span
 from oracles import (
     SchreierSims,
     log_order,
@@ -130,7 +131,8 @@ def recheck_witness(s, cid, v):
         # a first-level section of the product, outside gamma3 one level down
         assert not member(s.gamma3().truncate(n - 1), w)
     elif cid == "subdirect":
-        sections = [subtree_section(g, p, (0,)) for g in s.derived().generators]
+        slot = (v.details["failing_slot"],)
+        sections = [subtree_section(g, p, slot) for g in s.derived().generators]
         proj = PermGroup(p ** (n - 1), sections, prime=p)
         assert separates(w, proj, s.G.truncate(n - 1))
     elif cid in ("derived_contains_stab", "second_derived_contains_stab"):
@@ -477,49 +479,65 @@ def _off_level_two(spec, depth):
 
 
 class TestPsi2OneVertex:
-    """psi2_second_derived sifts only the embeddings at (0,0) when G is
-    transitive on level 2 and self-similar down two levels, and scans every
-    vertex otherwise; the verdict is the full scan's either way."""
+    """psi2_second_derived sifts only the embeddings at (0,0) when a is a
+    rooted automorphism and some other generator fixes level 1 and acts as
+    one below a first-level vertex, and scans every vertex otherwise; the
+    verdict is the full scan's either way."""
+
+    @staticmethod
+    def _agrees_with_the_full_scan(s, one_vertex):
+        assert checks._one_vertex_decides(s) == one_vertex
+        v, sifted = _psi2_sifted(s)
+        tried, failing, witness = _scan_every_vertex(s)
+        assert v.witness == witness and v.details.get("failing_vertex") == failing
+        if one_vertex:
+            # one sift per generator of G'_(N-2), each placed at (0,0),
+            # where the full scan starts
+            inner = s.derived().truncate(s.depth - 2)
+            assert sifted == tried[: len(inner.generators)]
+        else:
+            assert sifted == tried
+        return v, tried
 
     @pytest.mark.parametrize(
         "fixture,depth", [("r2_spec", n) for n in (3, 4, 5)] + [("sym5_spec", n) for n in (3, 4)]
     )
     def test_a_built_session_sifts_one_vertex(self, fixture, depth, request):
         s = gv.build(request.getfixturevalue(fixture), depth)
-        assert checks._one_vertex_decides(s)
-        v, sifted = _psi2_sifted(s)
-        tried, vertex, witness = _scan_every_vertex(s)
-        assert v.holds and vertex is None and witness is None
+        v, tried = self._agrees_with_the_full_scan(s, True)
         inner = s.derived().truncate(depth - 2)
-        # one sift per generator of G'_(N-2), each placed at (0,0), where
-        # the full scan starts
-        assert sifted == tried[: len(inner.generators)]
-        assert len(tried) == s.spec.p**2 * len(inner.generators)
+        assert v.holds and len(tried) == s.spec.p**2 * len(inner.generators)
 
-    @pytest.mark.parametrize("gen,vertex", [(0, 0), (1, 0), (2, 0), (2, 26)])
+    @pytest.mark.parametrize("gen,vertex", [(0, 0), (0, 26)])
     def test_a_mutant_scans_every_vertex(self, r2_spec, gen, vertex):
-        s = last_vertex_mutant(r2_spec, 4, gen, vertex)
-        assert not checks._one_vertex_decides(s)
-        v, sifted = _psi2_sifted(s)
-        tried, failing, witness = _scan_every_vertex(s)
-        assert sifted == tried and v.witness == witness
-        assert v.details.get("failing_vertex") == failing
+        # a times a p-cycle below one last-level vertex is no rooted
+        # automorphism
+        self._agrees_with_the_full_scan(last_vertex_mutant(r2_spec, 4, gen, vertex), False)
+
+    @pytest.mark.parametrize("gen,vertex", [(1, 0), (2, 0), (2, 26)])
+    def test_a_directed_mutant_sifts_one_vertex(self, r2_spec, gen, vertex):
+        # b_1 = (a, 1, b_1) and b_2 = (1, a, b_2) at p = 3, and the mutant
+        # changes one section of one of them, so a section a is left
+        self._agrees_with_the_full_scan(last_vertex_mutant(r2_spec, 4, gen, vertex), True)
 
     @pytest.mark.parametrize("depth", [4, 5])
     def test_a_group_off_level_two_transitivity_scans_every_vertex(self, r2_spec, depth):
-        s = _off_level_two(r2_spec, depth)
-        assert not checks._one_vertex_decides(s)
-        v, sifted = _psi2_sifted(s)
-        tried, failing, witness = _scan_every_vertex(s)
-        assert sifted == tried and v.witness == witness
-        assert v.details.get("failing_vertex") == failing
+        self._agrees_with_the_full_scan(_off_level_two(r2_spec, depth), False)
 
+    def test_the_shape_test_sifts_nothing_and_truncates_nothing(self, r2_spec):
+        s = gv.build(r2_spec, 5)
+        sift = mock.patch.object(PermGroup, "contains", side_effect=AssertionError("sifted"))
+        cut = mock.patch.object(PermGroup, "truncate", side_effect=AssertionError("truncated"))
+        with sift, cut:
+            assert checks._one_vertex_decides(s)
+            assert not checks._one_vertex_decides(last_vertex_mutant(r2_spec, 5, 0, 0))
+        assert s.G._chain is None
 
     def test_nothing_to_embed_asks_nothing(self, sym5_spec):
         # at depth 3, G'_(N-2) is the level-1 quotient of G', which is
-        # trivial and has no generators: _one_vertex_decides, which sifts
-        # p(r+1) first-level sections, is not asked; gamma3_product has
-        # built G'' already, so the check sifts nothing
+        # trivial and has no generators, so nothing is embedded; the shape
+        # test sifts nothing and gamma3_product has built G'' already, so
+        # the check sifts nothing
         real_check, real_contains = checks.CHECKS["psi2_second_derived"], PermGroup.contains
         sifted, counted = [], []
 
@@ -533,10 +551,7 @@ class TestPsi2OneVertex:
             counted.append(len(sifted) - before)
             return v
 
-        asked = mock.patch.object(
-            checks, "_one_vertex_decides", side_effect=AssertionError("asked")
-        )
-        with asked, mock.patch.object(PermGroup, "contains", contains):
+        with mock.patch.object(PermGroup, "contains", contains):
             with mock.patch.dict(checks.CHECKS, {"psi2_second_derived": check}):
                 rep = gv.run_all(sym5_spec, depth=3)
         v = next(v for v in rep.verdicts if v.claim_id == "psi2_second_derived")
@@ -941,6 +956,95 @@ class TestOneSlotPowerVerdict:
             assert got == checks._power_verdict(lhs, k, {})
 
 
+def explicit_statuses(s):
+    """The statuses of regular_branch, gamma3_product,
+    stab1_derived_in_gamma3 and subdirect on session s, from closures of
+    explicit generating sets: st(1) from the representatives of
+    G.level_stabilizer(1), each projection of G' from the slot sections of
+    G''s generators, the level-(N-1) group from the restrictions of G's."""
+    p, n = s.spec.p, s.depth
+    g = PermGroup(s.G.degree, s.G.generators, prime=p)
+    st1 = PermGroup(g.degree, g.level_stabilizer(1).generators, prime=p)
+    st1d, d = st1.derived(), g.derived()
+    gamma = commutator_subgroup(d, g, g)
+    full = PermGroup(p ** (n - 1), [restrict_to_level(x, p, n - 1) for x in g.generators], prime=p)
+    projections = [
+        PermGroup(p ** (n - 1), [subtree_section(x, p, (i,)) for x in d.generators], prime=p)
+        for i in range(p)
+    ]
+    holds = {
+        "regular_branch": same_group(st1d, power_reference(d.truncate(n - 1))),
+        "gamma3_product": same_group(
+            commutator_subgroup(st1d, st1, st1), power_reference(gamma.truncate(n - 1))
+        ),
+        "stab1_derived_in_gamma3": gamma.containment_witness(st1d) is None,
+        "subdirect": all(same_group(proj, full) for proj in projections),
+    }
+    return {cid: HOLDS if ok else FAILS for cid, ok in holds.items()}
+
+
+class TestMutantSweep:
+    """On every last-vertex mutant, at last-level vertices 0 and p^(N-1)-1,
+    the checks that lean on the generators' shape give the statuses that
+    closures of explicit generating sets give.  A mutant of a is no rooted
+    automorphism, and a^p is no longer 1."""
+
+    @pytest.mark.parametrize(
+        "fixture,depth", [(f, n) for f in ("gs_spec", "r2_spec", "sym5_spec") for n in (3, 4)]
+    )
+    def test_statuses_match_explicit_closures(self, fixture, depth, request):
+        spec = request.getfixturevalue(fixture)
+        for gen in range(spec.r + 1):
+            for vertex in (0, spec.p ** (depth - 1) - 1):
+                s = last_vertex_mutant(spec, depth, gen, vertex)
+                want = explicit_statuses(s)
+                got = {cid: gv.CHECKS[cid](s).status for cid in want}
+                assert got == want, (gen, vertex)
+
+    @pytest.mark.parametrize(
+        "fixture,depth,vertex,cid",
+        [
+            (f, n, v, cid)
+            for f, n, last in (("gs_spec", 3, 8), ("r2_spec", 4, 26))
+            for v in (0, last)
+            for cid in ("regular_branch", "gamma3_product")
+        ]
+        + [("sym5_spec", 4, 0, "subdirect")],
+    )
+    def test_a_mutated_root_fails(self, fixture, depth, vertex, cid, request):
+        # each held while st(1) left out a^p, or while subdirect read one
+        # slot for all p whatever a was; the explicit closures disagree
+        s = last_vertex_mutant(request.getfixturevalue(fixture), depth, 0, vertex)
+        assert gv.CHECKS[cid](s).status == FAILS
+
+    def test_a_root_with_sections_reads_every_slot(self, gs_spec):
+        # a times the p-cycle below each level-2 vertex (j, 0) moves level 1
+        # as a does, but its sections are not trivial: every projection of
+        # G' is the level-2 group, and the one-slot projection under
+        # pi_0(st(1)) reports fails here
+        s = gv.build(gs_spec, 3)
+        a, b = s.G.generators
+        cycle = rooted(3, 1, 1).to_perm(1)
+        for j in range(3):
+            a = a * subtree_embed(cycle, 3, (j, 0), 3)
+        s = dataclasses.replace(s, G=PermGroup(27, [a, b], prime=3))
+        assert not checks._rooted_shift(a, 3)
+        want = explicit_statuses(s)
+        assert {cid: gv.CHECKS[cid](s).status for cid in want} == want
+        assert check_subdirect(s).details == {"full_exponent": 3, "projection_exponents": [3] * 3}
+
+    def test_st1_of_a_mutated_root_holds_its_p_th_power(self, gs_spec):
+        # at p=3 `1,2`, N=3, a^p is not 1 on the gen-0 mutant: without it
+        # the generators of st(1) span 3^6 of its 3^9, and st(1)' 3^3 of 3^5
+        s = last_vertex_mutant(gs_spec, 3, 0, 0)
+        a = s.G.generators[0]
+        assert not (a**3).is_identity()
+        st1 = s.st1()
+        assert st1.order_exponent == 9 and (a**3) in st1._closed_from[1]
+        assert same_group(PermGroup(27, st1.generators, prime=3), st1)
+        assert s.st1_derived().order_exponent == 5
+
+
 class TestRunOrder:
     """Each check alone gives the status, details and witness it gives when
     every check runs in CHECKS order on one session, as run_all runs them:
@@ -984,47 +1088,28 @@ class TestRunOrder:
 P3_ROW_SPACES = [[(1, 0)], [(0, 1)], [(1, 1)], [(1, 2)], [(1, 0), (0, 1)]]
 
 
-def _span(p, rows):
-    return frozenset(
-        tuple(sum(c * x for c, x in zip(cs, col)) % p for col in zip(*rows))
-        for cs in product(range(p), repeat=len(rows))
-    )
-
-
-def _p3_paper_status(claim, rows):
-    """The status the hypotheses of each statement give claim for the p=3
-    multi-GGS group with these defining rows, at its default depth r + 4,
-    where no check is vacuous.
-
-    The constant vector (1, 1) is the one exception to the congruence
-    subgroup property, and the identities that prove it for the others
-    exclude it: gamma3_product, regular_branch, subdirect and
-    second_derived_contains_stab.  No other single vector at p=3 is
-    symmetric, so regular_branch excludes nothing more.
-    psi2_second_derived needs two directed generators.  key_congruence
-    needs a first row that row operations bring to (1, m) with m != 1: the
-    line of (0, 1) has no row with a non-zero first entry, and the constant
-    vector forces m = 1.  abelianization, stab1_derived_in_gamma3,
-    rank_growth and derived_contains_stab exclude nothing."""
-    constant = rows == [(1, 1)]
-    if claim in ("gamma3_product", "regular_branch", "subdirect", "second_derived_contains_stab"):
-        return SKIPPED if constant else HOLDS
-    if claim == "psi2_second_derived":
-        return HOLDS if len(rows) >= 2 else SKIPPED
-    if claim == "key_congruence":
-        return HOLDS if any(row[0] for row in rows) and not constant else SKIPPED
-    return HOLDS
-
-
 class TestP3Census:
     """Every multi-GGS group at p=3, one per row space of F_3^2, at its
-    default depth: each status is the one the hypotheses give, only the
-    constant vector is classified as the exception, and G/G' has order
-    p^(r+1)."""
+    default depth: each status is the one census.paper_status gives, only
+    the constant vector is classified as the exception, and G/G' has order
+    p^(r+1).  The p=5 census runs the same rule on its 1119 row spaces
+    (python tests/census.py)."""
 
     def test_the_row_spaces_are_every_one_once(self):
         lines = (3**2 - 1) // (3 - 1)
-        assert len({_span(3, rows) for rows in P3_ROW_SPACES}) == lines + 1 == 5
+        assert len({frozenset(span(3, rows)) for rows in P3_ROW_SPACES}) == lines + 1 == 5
+        listed = [rows for r in (1, 2) for rows in row_spaces(3, r)]
+        assert sorted(listed) == sorted(P3_ROW_SPACES)
+
+    def test_p5_has_1119_row_spaces_one_per_space(self):
+        counts = {r: 0 for r in P5_DEPTHS}
+        spaces = set()
+        for r in P5_DEPTHS:
+            for rows in row_spaces(5, r):
+                counts[r] += 1
+                spaces.add(frozenset(span(5, rows)))
+        assert counts == {1: 156, 2: 806, 3: 156, 4: 1}
+        assert len(spaces) == sum(counts.values()) == P5_ROW_SPACES
 
     @pytest.mark.parametrize(
         "rows", P3_ROW_SPACES, ids=lambda rows: ";".join(",".join(map(str, r)) for r in rows)
@@ -1036,7 +1121,7 @@ class TestP3Census:
         exception = rows == [(1, 1)]
         assert rep.classification == (CONSTANT_VECTOR_EXCEPTION if exception else HAS_CSP)
         got = {v.claim_id: v.status for v in rep.verdicts}
-        assert got == {c: _p3_paper_status(c, rows) for c in gv.CHECKS}
+        assert got == {c: paper_status(c, 3, rows, rep.depth) for c in gv.CHECKS}
         abelianization = next(v for v in rep.verdicts if v.claim_id == "abelianization")
         assert abelianization.details["index_exponent"] == r + 1
 

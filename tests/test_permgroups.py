@@ -307,6 +307,18 @@ class TestLevelStabilizers:
         with pytest.raises(ValueError):
             gs3.G.level_stabilizer(4)
 
+    def test_a_level_that_is_no_integer_is_refused_before_any_closure(self, gs_spec):
+        # level_stabilizer(1.0) closed G, then failed in range()
+        g = gv.build(gs_spec, 3).G
+        with mock.patch.object(permgroups, "_close", side_effect=AssertionError("closed")):
+            for op in (g.level_stabilizer, g.truncate):
+                with pytest.raises(TypeError):
+                    op(1.0)
+        assert g._chain is None
+        # numpy integers pass; G acts on level 1 as a p-cycle
+        assert g.level_stabilizer(np.int64(1)).order_exponent == g.order_exponent - 1
+        assert g.truncate(np.int8(2)).level == 2
+
     def test_membership_matches_level_action(self, gs_spec, gs4):
         # an element lies in st(m) exactly when its level-m action is trivial
         rng = random.Random(23)

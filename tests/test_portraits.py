@@ -325,6 +325,19 @@ class TestVertexIndexing:
         with pytest.raises(TypeError):
             subtree_section(subtree_embed(g, 3, (1,), 2), 3, (np.float64(1),))
 
+    def test_a_negative_level_or_a_deep_vertex_is_refused(self):
+        # vertex_word(0, -1, 3) returned (), and an embedding two levels
+        # below a depth-1 tree reported a block of size 1/3
+        with pytest.raises(ValueError, match="out of range for level -1"):
+            vertex_word(0, -1, 3)
+        g = rooted(3, 1).to_perm(1)
+        for op in (
+            lambda: subtree_embed(g, 3, (0, 1), 1),
+            lambda: subtree_section(g, 3, (0, 1)),
+        ):
+            with pytest.raises(ValueError, match="vertex deeper than the leaf level"):
+                op()
+
     def test_numpy_integers_pass(self):
         one, two = np.int64(1), np.uint8(2)
         assert vertex_index((one, two), 3) == 5
