@@ -29,11 +29,13 @@ from .ggs import (
     NormalizationImpossible,
     SpecError,
     _require_spec,
+    _shift,
     build,
     default_depth,
     is_constant,
     is_symmetric,
     normalize,
+    transversal,
 )
 from . import permgroups
 from .permgroups import PermGroup
@@ -337,17 +339,16 @@ def check_key_congruence(session: GroupSession):
     p = spec.p
     n = session.depth
 
-    a = session.G.generators[0]
-    powers = [a**k for k in range(p)]
+    a = transversal(session.G)
+    if a is None:
+        raise NoVerdict(SKIPPED, "hypothesis not met: no generator of G moves level 1")
     # the reduced first generator is the directed generator of the
     # transformed row; it lies in the same group
     b1 = directed(norm.spec, n, 1).to_perm(n)
-    # conj[j] = b1^(a^j)
-    conj = [powers[-j % p] * b1 * powers[j] for j in range(p)]
-    w = None
-    for k in range(p):
-        term = commutator(conj[-k % p], conj[(1 - k) % p]) ** pow(m, k, p)
-        w = term if w is None else w * term
+    # conj[j] = b1^(a^j), as a^p = 1 for the rooted a
+    conj = [a ** (-j % p) * b1 * a**j for j in range(p)]
+    terms = (commutator(conj[-k % p], conj[(1 - k) % p]) ** pow(m, k, p) for k in range(p))
+    w = functools.reduce(Perm.__mul__, terms)
     small = restrict_to_level(commutator(a, b1), p, n - 1)
     target = subtree_embed(small ** ((1 - m) % p), p, (0,), n)
     delta = w * target.inverse()
@@ -404,33 +405,29 @@ def check_stab1_derived_in_gamma3(session: GroupSession):
 @_check("subdirect")
 def check_subdirect(session: GroupSession):
     """Every first-level projection pi_i of the derived subgroup is the
-    whole level-(N-1) group.  pi_i is a homomorphism on st(1), which holds
-    G', so pi_i(G') is generated by the slot-i sections of G''s generators;
-    the projections are closed from them and compared slot by slot.
-
-    One slot decides all p when a, G's first generator, passes
-    _rooted_shift and the others fix level 1: G' is normal, and pi_i(x^a) =
-    pi_(i-c)(x) for x in st(1).  pi_0(G') is then closed from the p slot
-    sections of the elements E that G' was closed from in G, under the
-    sections of st(1)'s generators: G = st(1)<a>, and for t in st(1)
-    pi_0(e^(a^k t)) = pi_k'(e)^(pi_0(t)), k' the slot a^k moves to 0."""
+    whole level-(N-1) group.  G = st(1)<t>, t = transversal(G), and pi_i is
+    a homomorphism on st(1), which holds G'; so pi_i(G') is the normal
+    closure of the pi_i(e^(t^-k)), k < p, e among the elements G' was closed
+    from in G, under the slot-i sections of st(1)'s generators.  It is
+    closed for slot 0 alone when t passes _rooted_shift, as a^c normalizes
+    G' and moves slot 0 to every slot with trivial sections, else for each
+    slot in turn, and the first slot that differs is named."""
     spec = session.spec
     _require_nonconstant(spec)
     _require_depth(session, 3, "the subdirect projection check")
-    p, (a, *bs) = spec.p, session.G.generators
+    p, t = spec.p, transversal(session.G)
     # G' first, so that G's layers grow from it
-    d = session.derived()
+    _, kept = session.derived()._closed_from
     full = session.G.truncate(session.depth - 1)
-    if _rooted_shift(a, p) and all(restrict_to_level(b, p, 1).is_identity() for b in bs):
-        _, kept = d._closed_from
-        sections = [subtree_section(e, p, (j,)) for j in range(p) for e in kept]
-        conj_by = [subtree_section(t, p, (0,)) for t in session.st1().generators]
-        projections = [permgroups._normal_closure(PermGroup(full.degree, conj_by, p), sections)]
-    else:
-        projections = (
-            PermGroup(full.degree, [subtree_section(e, p, (i,)) for e in d.generators], p)
-            for i in range(p)
+    moved = kept if t is None else [t**k * e * t**-k for k in range(p) for e in kept]
+    st1 = session.st1().generators
+    projections = (
+        permgroups._normal_closure(
+            PermGroup(full.degree, [subtree_section(x, p, (i,)) for x in st1], p),
+            [subtree_section(e, p, (i,)) for e in moved],
         )
+        for i in range(1 if _rooted_shift(t, p) else p)
+    )
     exponents = []
     details = {"full_exponent": full.order_exponent, "projection_exponents": exponents}
     for i, proj in enumerate(projections):
@@ -446,49 +443,43 @@ def check_subdirect(session: GroupSession):
     return details, None
 
 
-def _rooted_shift(x: Perm, p: int) -> int:
+def _rooted_shift(x: Perm | None, p: int) -> int:
     """c when the leaf permutation x is i -> (i + c p^(n-1)) mod p^n with
-    c != 0 mod p, else 0: the rooted automorphism a^c, which moves
-    first-level block j onto block j + c and has trivial sections.  The
-    shortcuts below rely on this shape: G's first generator is a in every
-    session ggs.build makes, and each b_i fixes level 1 and acts below the
-    first-level vertex j < p-1 as a^(e_j), not all trivial.  A hand-made
-    session, or one whose a was changed, may not have it."""
-    images = x.images
-    degree, shift = len(images), int(images[0])
-    c, rest = divmod(shift, degree // p)
-    ok = c and not rest and np.array_equal(images, (np.arange(degree) + shift) % degree)
-    return c if ok else 0
+    c != 0 mod p, else 0 (also for None): the rooted automorphism a^c, which
+    moves first-level block j onto block j + c and has trivial sections.
+    The shortcuts ask it of transversal(G) and run their one algorithm on
+    slot or vertex 0 alone when it passes, on all of them otherwise; in
+    every session ggs.build makes it passes with c = 1."""
+    if x is None:
+        return 0
+    c, n = _shift(x, p), x.degree
+    return c if np.array_equal(x.images, (np.arange(n) + c * n // p) % n) else 0
 
 
 def _one_vertex_decides(session: GroupSession) -> bool:
     """Whether G'' holds the embeddings of G'_(N-2) at every level-2 vertex
-    as soon as it holds those at (0,0): true when G's first generator a
-    passes _rooted_shift, and another generator b fixes level 1 and acts
+    as soon as it holds those at (0,0): true when transversal(G) passes
+    _rooted_shift, as a^c, and some generator b fixes level 1 and acts
     below some first-level vertex j as a translation that passes it.
-    Conjugating by powers of a carries the embedding of h at (0,0) to the
+    Conjugating by powers of a^c carries the embedding of h at (0,0) to the
     one of h at (j,0); powers of b carry it on to (j,v) for every v, and
-    powers of a then to every (i,v), all with trivial sections, so h is
+    powers of a^c then to every (i,v), all with trivial sections, so h is
     unchanged.  G'' is normal in G, and an embedding at one vertex is a
     homomorphism, so G'' holds every embedding once it holds those at (0,0)."""
-    p = session.spec.p
-    a, *bs = session.G.generators
-    return bool(_rooted_shift(a, p)) and any(
-        restrict_to_level(b, p, 1).is_identity()
+    p, g = session.spec.p, session.G
+    return bool(_rooted_shift(transversal(g), p)) and any(
+        not _shift(b, p)
         and any(_rooted_shift(subtree_section(b, p, (j,)), p) for j in range(p))
-        for b in bs
+        for b in g.generators
     )
 
 
 def _one_slot_decides(lhs) -> bool:
     """Whether lhs holds an element placed below every first-level vertex as
     soon as it holds it below vertex 0: true when lhs was closed in an
-    ambient group whose first generator a passes _rooted_shift.  lhs is then
-    invariant under a, and conjugating by a^t carries h placed below vertex
-    0 to h placed below vertex t c, which runs over every slot."""
-    closed = lhs._closed_from
-    gens = () if closed is None else closed[0].generators
-    return bool(gens) and bool(_rooted_shift(gens[0], lhs.prime))
+    ambient whose transversal t passes _rooted_shift, as a^c.  lhs is then
+    invariant under t, and t^k carries slot 0 to slot k c, every slot."""
+    return bool(_rooted_shift(lhs._closed_from and transversal(lhs._closed_from[0]), lhs.prime))
 
 
 @_check("psi2_second_derived")

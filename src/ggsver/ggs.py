@@ -13,9 +13,8 @@ import operator
 import sys
 from dataclasses import dataclass, field
 
-from .portraits import directed, is_odd_prime, rooted
-from . import permgroups
-from .permgroups import PermGroup, commutator_subgroup
+from .portraits import Perm, directed, is_odd_prime, rooted
+from .permgroups import PermGroup, _normal_closure, commutator_subgroup
 
 __all__ = [
     "SpecError",
@@ -27,6 +26,7 @@ __all__ = [
     "GGSSpec",
     "Normalization",
     "GroupSession",
+    "transversal",
     "validate",
     "is_constant",
     "is_symmetric",
@@ -299,12 +299,24 @@ def normalize(spec: GGSSpec) -> Normalization:
     )
 
 
+def _shift(x: Perm, p: int) -> int:
+    """The level-1 shift c of x in W_N, which moves vertex j to j + c mod p."""
+    return int(x.images[0]) // (x.degree // p)
+
+
+def transversal(G: PermGroup) -> Perm | None:
+    """The generator t that plays a wherever a is read: the first that
+    moves level 1, so G = st(1)<t>, or None when each fixes it."""
+    return next((x for x in G.generators if _shift(x, G.prime)), None)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupSession:
     """A defining-data object built at a fixed depth.
 
     Holds the group handle for the induced group on the p**depth leaves,
-    generated by the leaf permutations of a, b_1, ..., b_r in that order.
+    generated by the leaf permutations of a, b_1, ..., b_r in any order, or
+    any other generating set of it, at the spec's prime and this depth.
     Immutable apart from one memo of the subgroups the checks share: G',
     Phi(G), gamma3, st(1), st(1)', [st(1)', st(1)] and G''.  It is the only
     memo: a group handle keeps no subgroup of its own.  Each is closed at
@@ -318,16 +330,21 @@ class GroupSession:
     on the subgroups it reads and not on the order it reads them in:
     - G from G': derived() is G.derived(), remembered, and every reader of
       G's layers here and in the checks closes G' first, so that G's
-      closure sifts a, b_1, ..., b_r alone;
+      closure sifts G's generators alone;
+    - Phi(G) from G', when the two differ;
     - st(1)' and gamma3 from G'': G' <= st(1), as W_N/st(1) is cyclic, so
       G'' = [G', G'] <= [st(1), st(1)], and G'' = [G', G'] <= [G', G].
-    Each start is normal in G.  G'', Phi(G) and [st(1)', st(1)] close cold.
+    Each start is normal in G.  G'' and [st(1)', st(1)] close cold.
     """
 
     spec: GGSSpec
     depth: int
     G: PermGroup
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if (self.G.prime, self.G.level) != (self.spec.p, self.depth):
+            raise SpecError(f"G is no group of p={self.spec.p} at depth {self.depth}")
 
     def _memoized(self, key, make):
         got = self._memo.get(key)
@@ -343,17 +360,14 @@ class GroupSession:
         """The Frattini subgroup Phi(G) = G'G^p, the smallest normal
         subgroup with elementary abelian quotient.  G/G' is abelian, so it
         is G' itself when every generator's p-th power lies in G', and
-        otherwise the normal closure of G' and those powers."""
+        otherwise grown from G' by its normal generators and those powers."""
 
         def make():
             g, d = self.G, self.derived()
             powers = [x**g.prime for x in g.generators]
             if all(d.contains(x) for x in powers):
                 return d
-            # looked up on the module, so a tracer that wraps
-            # permgroups.normal_closure counts this closure; G' is closed
-            # by PermGroup.derived() without it
-            return permgroups.normal_closure(g, [*d.generators, *powers])
+            return _normal_closure(g, [*d._closed_from[1], *powers], start=d)
 
         return self._memoized("frattini", make)
 
@@ -367,22 +381,28 @@ class GroupSession:
 
     def st1(self) -> PermGroup:
         """The level-1 stabilizer: G's layers from level 1 on, with no
-        closure.  The b_i fix level 1 and a moves it, so by Reidemeister-
-        Schreier the p*r conjugates b_i^(a^k) generate it, with a^p when that
-        is not 1 (it is 1 in every session build makes).  It is recorded as
-        closed from b_1, ..., b_r (and a^p) in G: their normal closure holds
-        every generator and lies in the normal st(1), so commutator_subgroup
-        seeds st(1)' with r*p*r commutators instead of (p*r)^2.  While G's
-        layers are unbuilt, G' is closed first, so that they grow from it."""
+        closure, or G itself when no generator moves level 1.  With t =
+        transversal(G), each other generator x times t^(-j), j its level-1
+        shift over t's, is some n_x in st(1) (x itself when j = 0), and by
+        Reidemeister-Schreier the n_x^(t^k), k < p, generate st(1), with
+        t^p when that is not 1 (it is 1 in every session build makes).  It
+        is recorded as closed from the n_x (and t^p) in G, which seeds
+        st(1)' with r*p*r commutators instead of (p*r)^2.  While G's layers
+        are unbuilt, G' is closed first, so that they grow from it."""
 
         def make():
-            g = self.G
+            g, p = self.G, self.spec.p
+            t = transversal(g)
+            if t is None:
+                return g
             if g._chain is None:
                 self.derived()
-            a, *bs = g.generators
-            power = [x for x in [a**g.prime] if not x.is_identity()]
-            gens = [a**-k * b * a**k for k in range(g.prime) for b in bs]
-            return g._built(gens + power, g.chain.suffix(1), bs + power)
+            over = pow(_shift(t, p), -1, p)
+            js = [(x, _shift(x, p) * over % p) for x in g.generators if x is not t]
+            ns = [x * t**-j if j else x for x, j in js]
+            power = [x for x in [t**p] if not x.is_identity()]
+            gens = [t**-k * n * t**k for k in range(p) for n in ns]
+            return g._built(gens + power, g.chain.suffix(1), ns + power)
 
         return self._memoized("st1", make)
 

@@ -79,7 +79,7 @@ runs it, reads only its layers.  A normal closure may be handed a start
 (_normal_closure), a subgroup normal in the ambient group that lies in the
 result; its generators are then the start's followed by those it found.
 GroupSession grows st(1)' and gamma3 so, always from G'', which it closes
-first when it is not yet built.
+first when it is not yet built, and Phi(G) from G' when the two differ.
 
 Normal generators.  The seeds that leave a residual already close to H_0, so
 a cold normal closure keeps only those as the elements its result was

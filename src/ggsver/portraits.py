@@ -23,7 +23,6 @@ __all__ = [
     "DegreeMismatch",
     "Perm",
     "Automorphism",
-    "identity",
     "rooted",
     "directed",
     "embed_at_vertex",
@@ -181,7 +180,7 @@ def vertex_word(index: int, level: int, p: int) -> tuple[int, ...]:
 class Automorphism:
     """A tree automorphism truncated at a fixed depth, as its leaf images.
 
-    Built only by identity, rooted, directed and embed_at_vertex; images is
+    Built only by rooted, directed and embed_at_vertex; images is
     a read-only intp array of length p**depth.
     """
 
@@ -193,9 +192,6 @@ class Automorphism:
         self.depth = depth
         self.images = images
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.images, np.arange(self.images.size)))
-
     def to_perm(self, level: int) -> Perm:
         """Induced permutation of the p**level vertices at the given level:
         the first leaf below a vertex lands in the block below its image."""
@@ -203,15 +199,6 @@ class Automorphism:
             raise ValueError("level outside the portrait depth")
         s = self.p ** (self.depth - level)
         return Perm._wrap(self.images[::s] // s)
-
-
-def identity(p: int, depth: int) -> Automorphism:
-    """The trivial automorphism of the given depth."""
-    if not is_odd_prime(p):
-        raise ValueError(f"arity must be an odd prime, got {p}")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    return Automorphism(p, depth, np.arange(p**depth, dtype=np.intp))
 
 
 def rooted(p: int, depth: int, power: int = 1) -> Automorphism:

@@ -30,7 +30,6 @@ PORTRAITS = [
     "DegreeMismatch",
     "Perm",
     "Automorphism",
-    "identity",
     "rooted",
     "directed",
     "embed_at_vertex",

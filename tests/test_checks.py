@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from itertools import product
+from itertools import permutations, product
 from unittest import mock
 
 import pytest
@@ -390,9 +390,10 @@ def _projection(session):
 
 
 class TestSubdirectProjection:
-    """check_subdirect closes slot 0's projection of G' from the slot
-    sections of G''s kept seeds under the sections of st(1)'s generators; it
-    is the group the slot-0 sections of every generator of G' span."""
+    """check_subdirect closes slot 0's projection of G' from the slot-0
+    sections of the conjugates of G''s kept seeds by powers of a, under the
+    sections of st(1)'s generators; it is the group the slot-0 sections of
+    every generator of G' span."""
 
     @pytest.mark.parametrize(
         "fixture,depth",
@@ -917,7 +918,7 @@ class TestPowerVerdict:
 
 class TestOneSlotPowerVerdict:
     """_power_verdict sifts the slot-0 placements alone when lhs was closed
-    in a group whose first generator is a rooted automorphism, and gives the
+    in a group whose transversal is a rooted automorphism, and gives the
     details and witness of the all-slot reference in every case: sessions,
     their last-vertex mutants (gen 0 mutates a, so every slot is sifted
     there) and handles closed in nothing."""
@@ -1043,6 +1044,111 @@ class TestMutantSweep:
         assert st1.order_exponent == 9 and (a**3) in st1._closed_from[1]
         assert same_group(PermGroup(27, st1.generators, prime=3), st1)
         assert s.st1_derived().order_exponent == 5
+
+
+def _with_generators(s, gens):
+    """Session s with G generated by gens, and an empty memo."""
+    return dataclasses.replace(s, G=PermGroup(s.G.degree, gens, prime=s.spec.p))
+
+
+def _other_generating_sets(s):
+    """Generating sets of G other than a, b_1, ..., b_r in some order: a
+    only as a b_1, listed last; b_1 a listed before a, first; and the b_i
+    reversed, then b_1 a and a."""
+    a, b1, *rest = s.G.generators
+    return [[b1, *rest, a * b1], [b1 * a, a, b1, *rest], [*reversed([b1, *rest]), b1 * a, a]]
+
+
+def _statuses_and_details(s):
+    return {cid: (v.status, v.details) for cid, v in ((c, gv.CHECKS[c](s)) for c in gv.CHECKS)}
+
+
+GENERATOR_ORDER_CASES = [
+    (p, rows, n)
+    for p, rows in [(3, [(1, 2)]), (3, [(1, 0), (0, 1)]), (5, [(1, 1, 1, 1), (1, 0, 0, 1)])]
+    for n in (3, 4)
+] + [(5, [(1, 2, 3, 4)], 4)]
+
+
+class TestGeneratorOrder:
+    """No verdict depends on how G's generating set is listed: a is
+    ggs.transversal(G), the first generator that moves level 1, and st(1)
+    is generated by Reidemeister-Schreier on its powers.  Every order of a,
+    b_1, ..., b_r gives the build session's status and details on every
+    check, and other generating sets of the same group give the statuses
+    closures of explicit generating sets give."""
+
+    @pytest.mark.parametrize("p,rows,depth", GENERATOR_ORDER_CASES)
+    def test_every_order_gives_the_build_verdicts(self, p, rows, depth):
+        s = gv.build(gv.validate(p, rows), depth)
+        want = _statuses_and_details(s)
+        gens = s.G.generators
+        for order in permutations(range(len(gens))):
+            t = _with_generators(s, [gens[i] for i in order])
+            assert gv.ggs.transversal(t.G) is gens[0]
+            assert _statuses_and_details(t) == want, order
+
+    @pytest.mark.parametrize(
+        "fixture,depth", [(f, n) for f in ("gs_spec", "r2_spec", "sym5_spec") for n in (3, 4)]
+    )
+    def test_other_generating_sets_match_explicit_closures(self, fixture, depth, request):
+        s = gv.build(request.getfixturevalue(fixture), depth)
+        for i, gens in enumerate(_other_generating_sets(s)):
+            t = _with_generators(s, gens)
+            assert same_group(t.G, s.G)
+            want = explicit_statuses(t)
+            assert {cid: gv.CHECKS[cid](t).status for cid in want} == want, i
+
+    @pytest.mark.parametrize("fixture", ["gs_spec", "r2_spec", "sym5_spec"])
+    def test_st1_is_generated_and_normally_generated(self, fixture, request):
+        # its generators span G & st(1), and so do the conjugates under G of
+        # the elements it records; b_1 a to the p-th power is not always 1
+        s = gv.build(request.getfixturevalue(fixture), 4)
+        for gens in _other_generating_sets(s):
+            t = _with_generators(s, gens)
+            st1 = t.st1()
+            want = t.G.level_stabilizer(1)
+            assert same_group(PermGroup(st1.degree, st1.generators, prime=st1.prime), want)
+            ambient, kept = st1._closed_from
+            assert ambient is t.G
+            assert same_group(permgroups.normal_closure(t.G, kept), want)
+
+    def test_a_group_that_fixes_level_one_is_its_own_st1(self, r2_spec):
+        s = gv.build(r2_spec, 4)
+        t = _with_generators(s, s.G.generators[1:])
+        assert gv.ggs.transversal(t.G) is None
+        assert t.st1() is t.G
+        want = explicit_statuses(t)
+        assert {cid: gv.CHECKS[cid](t).status for cid in want} == want
+        # no generator plays a, so the congruence has nothing to conjugate by
+        v = check_key_congruence(t)
+        assert v.status == SKIPPED and "moves level 1" in v.reason
+
+    @pytest.mark.parametrize("fixture", ["gs_spec", "r2_spec", "sym5_spec"])
+    def test_every_slot_is_closed_when_a_is_not_rooted(self, fixture, request):
+        # b_1 a and a b_1 have the sections of b_1, so no slot stands for
+        # the others: one closure per slot, each the projection the slot
+        # sections of every generator of G' span; a built session closes
+        # slot 0 alone
+        s = gv.build(request.getfixturevalue(fixture), 4)
+        p, n = s.spec.p, s.depth
+        for gens in [s.G.generators, *_other_generating_sets(s)]:
+            t = _with_generators(s, gens)
+            rooted = bool(checks._rooted_shift(gv.ggs.transversal(t.G), p))
+            assert rooted == (gens is s.G.generators)
+            d = t.derived()
+            exponents = [
+                PermGroup(
+                    p ** (n - 1), [subtree_section(g, p, (i,)) for g in d.generators], prime=p
+                ).order_exponent
+                for i in range(p)
+            ]
+            with mock.patch.object(
+                permgroups, "_normal_closure", wraps=permgroups._normal_closure
+            ) as closure:
+                v = check_subdirect(t)
+            assert v.holds and v.details["projection_exponents"] == exponents
+            assert closure.call_count == (1 if rooted else p)
 
 
 class TestRunOrder:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from unittest import mock
 
@@ -226,6 +227,20 @@ class TestBuild:
         with mock.patch("ggsver.ggs.rooted", side_effect=AssertionError("work started")):
             with pytest.raises(gv.SpecError, match="depth must be an integer"):
                 gv.build(gs_spec, 2.5)
+
+    @pytest.mark.parametrize(
+        "p,rows,depth",
+        # a depth-4 group at depth 5; a p=3 group for p=5 defining data
+        [(3, [(1, 2)], 5), (5, [(1, 2, 3, 4)], 4)],
+    )
+    def test_a_session_refuses_a_group_of_another_level_or_prime(self, gs_spec, p, rows, depth):
+        g = gv.build(gs_spec, 4).G
+        with mock.patch.object(permgroups, "_close", side_effect=AssertionError("closed")):
+            with pytest.raises(gv.SpecError):
+                gv.GroupSession(gv.validate(p, rows), depth, g)
+            with pytest.raises(gv.SpecError):
+                dataclasses.replace(gv.build(gv.validate(p, rows), depth), G=g)
+        assert g._chain is None
 
     def test_restriction_diagram_on_random_words(self, gs_spec):
         # a word at depth 4 restricted to level 2 is the same word at depth 2

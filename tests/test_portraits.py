@@ -13,7 +13,6 @@ from ggsver.portraits import (
     commutator,
     directed,
     embed_at_vertex,
-    identity,
     level_of_degree,
     restrict_to_level,
     rooted,
@@ -64,19 +63,19 @@ def leaf_words(spec, depths, rng, count):
 
 class TestIdentityAndRooted:
     def test_identity_fixes_vertices(self):
-        e = identity(3, 2).to_perm(2)
+        e = Perm.identity(9)
         for k in range(9):
             assert e(k) == k
 
-    def test_identity_rejects_bad_input(self):
+    def test_rooted_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            identity(4, 2)
+            rooted(4, 2)
         with pytest.raises(ValueError):
-            identity(2, 2)
+            rooted(2, 2)
         with pytest.raises(ValueError):
-            identity(9, 2)
+            rooted(9, 2)
         with pytest.raises(ValueError):
-            identity(3, -1)
+            rooted(3, 0)
 
     def test_rooted_cycles_first_level(self):
         # the first digit moves up by one, the digits below stay
@@ -85,7 +84,7 @@ class TestIdentityAndRooted:
         assert a(vertex_index((2, 0, 1), 3)) == vertex_index((0, 0, 1), 3)
 
     def test_rooted_power_zero_is_identity(self):
-        assert rooted(3, 2, 0).is_identity()
+        assert rooted(3, 2, 0).to_perm(2) == Perm.identity(9)
 
     def test_rooted_has_order_p(self):
         a = rooted(5, 2, 1).to_perm(2)
@@ -175,7 +174,7 @@ class TestDirected:
                 assert parts == expected
 
     def test_depth_one_truncates_to_identity(self, gs_spec):
-        assert directed(gs_spec, 1, 1).is_identity()
+        assert directed(gs_spec, 1, 1).to_perm(1) == Perm.identity(3)
 
     def test_index_out_of_range(self, gs_spec):
         with pytest.raises(ValueError):
@@ -228,7 +227,7 @@ class TestSectionsAndPsi:
     """Sections of leaf permutations below a vertex; at level 1, the map psi."""
 
     def test_section_of_identity(self):
-        e = identity(3, 3).to_perm(3)
+        e = Perm.identity(27)
         assert subtree_section(e, 3, (0, 1)).is_identity()
 
     def test_section_twist_law(self, gs_spec):
@@ -256,8 +255,8 @@ class TestSectionsAndPsi:
 
 class TestEmbed:
     def test_embed_identity(self):
-        e = identity(3, 2)
-        assert embed_at_vertex(e, (0, 1), 4).is_identity()
+        e = rooted(3, 2, 0)
+        assert embed_at_vertex(e, (0, 1), 4).to_perm(4) == Perm.identity(81)
 
     def test_embed_fills_one_slot(self, gs_spec):
         g = directed(gs_spec, 3, 1)
@@ -284,7 +283,7 @@ class TestToPerm:
 
     def test_identity_levels(self):
         for m in range(3):
-            assert identity(3, 2).to_perm(min(m, 2)).is_identity()
+            assert rooted(3, 2, 0).to_perm(m).is_identity()
 
     def test_directed_level_two(self, gs_spec):
         # blocks 0 and 1 follow the vector entries, block 2 truncates away
