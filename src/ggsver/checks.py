@@ -260,8 +260,8 @@ def _power_verdict(lhs, k, details):
         map(lhs.contains, _placements(k, slots))
     ):
         return details, None
-    seeds = () if lhs._closed_from is None else lhs._closed_from[1]
-    missing = next((g for g in (*seeds, *lhs.generators) if not _in_power(g, k)), None)
+    candidates = (*lhs.origin.elements, *lhs.generators)
+    missing = next((g for g in candidates if not _in_power(g, k)), None)
     if missing is None:
         missing = next(x for x in _placements(k, p) if not lhs.contains(x))
     return details, missing
@@ -339,14 +339,15 @@ def check_key_congruence(session: GroupSession):
     p = spec.p
     n = session.depth
 
-    a = transversal(session.G)
-    if a is None:
+    t = transversal(session.G)
+    if t is None:
         raise NoVerdict(SKIPPED, "hypothesis not met: no generator of G moves level 1")
     # the reduced first generator is the directed generator of the
     # transformed row; it lies in the same group
     b1 = directed(norm.spec, n, 1).to_perm(n)
-    # conj[j] = b1^(a^j), as a^p = 1 for the rooted a
-    conj = [a ** (-j % p) * b1 * a**j for j in range(p)]
+    # conj[j] = b1^(a^j), a the power of t that shifts level 1 by one
+    a = t ** pow(_shift(t, p), -1, p)
+    conj = [a**-j * b1 * a**j for j in range(p)]
     terms = (commutator(conj[-k % p], conj[(1 - k) % p]) ** pow(m, k, p) for k in range(p))
     w = functools.reduce(Perm.__mul__, terms)
     small = restrict_to_level(commutator(a, b1), p, n - 1)
@@ -417,7 +418,7 @@ def check_subdirect(session: GroupSession):
     _require_depth(session, 3, "the subdirect projection check")
     p, t = spec.p, transversal(session.G)
     # G' first, so that G's layers grow from it
-    _, kept = session.derived()._closed_from
+    kept = session.derived().origin.elements
     full = session.G.truncate(session.depth - 1)
     moved = kept if t is None else [t**k * e * t**-k for k in range(p) for e in kept]
     st1 = session.st1().generators
@@ -476,10 +477,11 @@ def _one_vertex_decides(session: GroupSession) -> bool:
 
 def _one_slot_decides(lhs) -> bool:
     """Whether lhs holds an element placed below every first-level vertex as
-    soon as it holds it below vertex 0: true when lhs was closed in an
+    soon as it holds it below vertex 0: true when lhs.origin names an
     ambient whose transversal t passes _rooted_shift, as a^c.  lhs is then
     invariant under t, and t^k carries slot 0 to slot k c, every slot."""
-    return bool(_rooted_shift(lhs._closed_from and transversal(lhs._closed_from[0]), lhs.prime))
+    ambient = lhs.origin.ambient
+    return ambient is not None and bool(_rooted_shift(transversal(ambient), lhs.prime))
 
 
 @_check("psi2_second_derived")

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .portraits import Perm, directed, is_odd_prime, rooted
-from .permgroups import PermGroup, _normal_closure, commutator_subgroup
+from .permgroups import Origin, PermGroup, _normal_closure, commutator_subgroup
 
 __all__ = [
     "SpecError",
@@ -367,7 +367,7 @@ class GroupSession:
             powers = [x**g.prime for x in g.generators]
             if all(d.contains(x) for x in powers):
                 return d
-            return _normal_closure(g, [*d._closed_from[1], *powers], start=d)
+            return _normal_closure(g, [*d.origin.elements, *powers], start=d)
 
         return self._memoized("frattini", make)
 
@@ -385,24 +385,23 @@ class GroupSession:
         transversal(G), each other generator x times t^(-j), j its level-1
         shift over t's, is some n_x in st(1) (x itself when j = 0), and by
         Reidemeister-Schreier the n_x^(t^k), k < p, generate st(1), with
-        t^p when that is not 1 (it is 1 in every session build makes).  It
-        is recorded as closed from the n_x (and t^p) in G, which seeds
-        st(1)' with r*p*r commutators instead of (p*r)^2.  While G's layers
-        are unbuilt, G' is closed first, so that they grow from it."""
+        t^p when that is not 1 (it is 1 in every session build makes).  Its
+        origin is G and the n_x (and t^p), which seed st(1)' with r*p*r
+        commutators instead of (p*r)^2.  G' is closed first, so that G's
+        layers grow from it."""
 
         def make():
             g, p = self.G, self.spec.p
             t = transversal(g)
             if t is None:
                 return g
-            if g._chain is None:
-                self.derived()
+            self.derived()
             over = pow(_shift(t, p), -1, p)
             js = [(x, _shift(x, p) * over % p) for x in g.generators if x is not t]
             ns = [x * t**-j if j else x for x, j in js]
             power = [x for x in [t**p] if not x.is_identity()]
             gens = [t**-k * n * t**k for k in range(p) for n in ns]
-            return g._built(gens + power, g.chain.suffix(1), ns + power)
+            return g._built(gens + power, g.chain.suffix(1), Origin(g, (*ns, *power)))
 
         return self._memoized("st1", make)
 

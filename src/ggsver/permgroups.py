@@ -81,39 +81,41 @@ result; its generators are then the start's followed by those it found.
 GroupSession grows st(1)' and gamma3 so, always from G'', which it closes
 first when it is not yet built, and Phi(G) from G' when the two differ.
 
-Normal generators.  The seeds that leave a residual already close to H_0, so
-a cold normal closure keeps only those as the elements its result was
-closed from.  They are the prefix of the generators found, since conjugates
-join the main queue behind every seed, so no conjugate leaves it before the
-last seed.
-Let N' be the closure of the kept seeds under the ambient generators;
-N' <= H_0 as H_0 holds every seed.  By induction over the queue, everything
-the closure handles lies in N': a kept seed does; a seed that left no
-residual reduced to the identity, so it is a product of representatives
-found before it; a residual is the candidate divided by earlier
-representatives, and a representative is a power of a residual or an earlier
-one times a power of it; a conjugate of a representative by an ambient
-generator lies in N', which those generators normalize; p-th powers and
-commutators of representatives lie in N' too.  So every representative lies
-in N', H_0 <= N', and H_0 = N'.  A seed that left no residual even lies in
-the group generated by the seeds before it: no conjugate is handled before
-the last seed, so the representatives it was reduced by are built from
-those seeds by products, powers and commutators.  A warm closure keeps
-every seed, as those that left no residual may reduce by the start's
-representatives; the closure of every seed is H_0, as the start lies in
-it.
+Normal generators.  A handle records how it was made in one Origin, its
+origin: the ambient it was closed in, elements whose closure under the
+ambient's generators it is, and the levels of its generators (Generators of
+a quotient).  The seeds that leave a residual already close to H_0, so a
+cold normal closure records only those as its elements.  They are the prefix
+of the generators found, since conjugates join the main queue behind every
+seed, so no conjugate leaves it before the last seed.  Let N' be the closure
+of the kept seeds under the ambient generators; N' <= H_0 as H_0 holds every
+seed.  By induction over the queue, everything the closure handles lies in
+N': a kept seed does; a seed that left no residual reduced to the identity,
+so it is a product of representatives found before it; a residual is the
+candidate divided by earlier representatives, and a representative is a
+power of a residual or an earlier one times a power of it; a conjugate of a
+representative by an ambient generator lies in N', which those generators
+normalize; p-th powers and commutators of representatives lie in N' too.  So
+every representative lies in N', H_0 <= N', and H_0 = N'.  A seed that left
+no residual even lies in the group generated by the seeds before it: no
+conjugate is handled before the last seed, so the representatives it was
+reduced by are built from those seeds by products, powers and commutators.
+A warm closure keeps every seed, as those that left no residual may reduce
+by the start's representatives; the closure of every seed is H_0, as the
+start lies in it.
 
-Containment reads the same record.  If H was closed from E in an ambient A,
-and K is A or was closed in A too, K is invariant under A's generators, so
-the closure H of E under them lies in K exactly when E does:
+Containment reads the same record.  If H's origin is E in an ambient A, and
+K is A or its origin's ambient is A too, K is invariant under A's
+generators, so the closure H of E under them lies in K exactly when E does:
 containment_witness sifts E alone, and names the first element of E outside
-K.  By the above, that is the first seed outside K, whether H was closed
-cold or warm, and for a cold closure it is the first of H's generators
-outside K, the witness a scan of every generator gives.  When K is A
-itself, or K is H, containment_witness sifts nothing.  H is then the
-closure under A's generators of elements of A, so it lies in A: a normal
-closure checks that its seeds lie in A, and derived(), commutator_subgroup
-and GroupSession.st1() build theirs from A's elements.
+K.  By the above, that is the first seed outside K, whether H was closed cold
+or warm, and for a cold closure it is the first of H's generators outside K,
+the witness a scan of every generator gives.  When K is A itself, or K is H,
+containment_witness sifts nothing.  H is then the closure under A's
+generators of elements of A, so it lies in A: a normal closure checks that
+its seeds lie in A, and derived(), commutator_subgroup and
+GroupSession.st1() build theirs from A's elements.  A handle closed in no
+group has no ambient, and matches none.
 
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
 and the closure queues such candidates as vectors, not leaf permutations,
@@ -199,24 +201,24 @@ last layer and keeps its rows only; level-k labels are read on level
 k+1 <= m, so every layer is exact.  The layers at levels >= m lie in st(m)
 and drop out.
 
-Generators of a quotient.  The closure records, with each generator it
-finds, the level where it left its residual.  truncate(m) keeps the
-restrictions of those found above level m, and all of the generators given
-by hand (a handle's own, a level stabilizer's representatives).  They
-generate pi_m(H): the canonical products are H, so
-the restricted representatives at levels below m generate pi_m(H), and by
-induction over the closure each representative at a level k < m is, modulo
-st(m), a word in the kept generators found at levels <= k.  A
-representative at level k is a power of a residual, or an earlier one times
-a power of one, and a residual is its candidate divided by representatives
-at levels <= k.  The candidate is a seed or a conjugate that left its
-residual at level k, so a kept generator, or a p-th power or commutator of
-representatives at a level below k, words by induction.  Representatives
-at levels >= m lie in st(m).  A warm normal closure lists the start's
-generators and levels first, a start's generators given by hand at level 0
-so that every truncation keeps them: a start's representatives at level k
-are, by the same induction, words in the start's generators found at
-levels <= k, and the induction goes through from them.
+Generators of a quotient.  The closure records in its origin, with each
+generator it finds, the level where it left its residual.  truncate(m) keeps
+the restrictions of those found above level m, and all of the generators
+given by hand (a handle's own, a level stabilizer's representatives).  They
+generate pi_m(H): the canonical products are H, so the restricted
+representatives at levels below m generate pi_m(H), and by induction over
+the closure each representative at a level k < m is, modulo st(m), a word in
+the kept generators found at levels <= k.  A representative at level k is a
+power of a residual, or an earlier one times a power of one, and a residual
+is its candidate divided by representatives at levels <= k.  The candidate
+is a seed or a conjugate that left its residual at level k, so a kept
+generator, or a p-th power or commutator of representatives at a level below
+k, words by induction.  Representatives at levels >= m lie in st(m).  A warm
+normal closure lists the start's generators and levels first, a start's
+generators given by hand at level 0 so that every truncation keeps them: a
+start's representatives at level k are, by the same induction, words in the
+start's generators found at levels <= k, and the induction goes through from
+them.
 
 Everything here is deterministic: candidates are processed in queue order
 and representatives are kept in the order they were found.
@@ -227,6 +229,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,6 +238,7 @@ from .portraits import DegreeMismatch, Perm, commutator, level_of_degree
 __all__ = [
     "NotPGroup",
     "ElementNotInAmbient",
+    "Origin",
     "PermGroup",
     "normal_closure",
     "commutator_subgroup",
@@ -712,6 +716,17 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     return layers, found
 
 
+class Origin(NamedTuple):
+    """How a handle was made (module docstring, Normal generators): the
+    group it was closed in, or None (a handle keeps no subgroup, so no
+    cycle); elements whose closure under that group's generators it is;
+    each generator's residual level, None when all were given by hand."""
+
+    ambient: PermGroup | None = None
+    elements: tuple = ()
+    levels: tuple | None = None
+
+
 class PermGroup:
     """Subgroup of W_N, acting on its p**N leaves, with exact order and
     membership.
@@ -724,9 +739,7 @@ class PermGroup:
     def __init__(self, degree: int, generators, prime: int):
         if degree < prime:
             raise ValueError(f"degree {degree} is below the prime {prime}: no tree level")
-        self.degree = int(degree)
-        self.prime = int(prime)
-        self._tree = _Tree(self.prime, level_of_degree(self.degree, self.prime))
+        tree = _Tree(int(prime), level_of_degree(int(degree), int(prime)))
         gens = []
         for g in generators:
             if not isinstance(g, Perm):
@@ -736,38 +749,24 @@ class PermGroup:
                     f"generator of degree {g.degree} in a degree-{degree} group"
                 )
             gens.append(g)
-        if not all(self._tree.in_wreath(g.images) for g in gens):
+        if not all(tree.in_wreath(g.images) for g in gens):
             raise NotPGroup("a generator is not a tree automorphism with cyclic vertex labels")
-        self._setup(gens, None)
+        self._setup(tree, gens, None, Origin())
 
-    def _setup(self, generators, layers, closed_from=None, levels=None) -> None:
+    def _setup(self, tree: _Tree, generators, layers, origin: Origin) -> None:
+        self.degree, self.prime, self._tree = len(tree.identity), tree.p, tree
         self.generators: tuple[Perm, ...] = tuple(generators)
         self._chain: _Layers | None = layers
-        # the level where each generator left its residual in the closure
-        # that found it, or None for generators given by hand; truncate
-        # reads it
-        self._levels = levels
-        # (ambient, elements) for a normal closure: the seeds that left a
-        # residual, or any elements whose closure under the ambient
-        # generators is this group.  A handle keeps no subgroup of its own,
-        # so holding the ambient makes no cycle
-        self._closed_from = closed_from
+        self.origin = origin
         # the layers of a normal subgroup to grow this group's from, until
         # they are built; derived() sets it
         self._start: _Layers | None = None
 
-    def _built(self, generators, layers, normal_generators=None, levels=None) -> "PermGroup":
-        """A handle with the same prime on the tree of the given layers,
-        already built; normal_generators, if given, are elements whose
-        closure under this group's generators is the new group, and levels
-        the level of each generator's residual when a closure found them."""
+    def _built(self, generators, layers, origin: Origin = Origin()) -> "PermGroup":
+        """A handle on the tree of the given layers, already built, made as
+        origin records."""
         obj = PermGroup.__new__(PermGroup)
-        tree = layers.tree
-        obj.degree, obj.prime, obj._tree = len(tree.identity), self.prime, tree
-        closed_from = None
-        if normal_generators is not None:
-            closed_from = (self, tuple(normal_generators))
-        obj._setup(generators, layers, closed_from, levels)
+        obj._setup(layers.tree, generators, layers, origin)
         return obj
 
     # -- layers and order ----------------------------------------------------
@@ -809,11 +808,9 @@ class PermGroup:
         docstring)."""
         if other.degree != self.degree:
             raise DegreeMismatch("groups act on different point sets")
-        if other is self or (other._closed_from is not None and other._closed_from[0] is self):
+        if other is self or other.origin.ambient is self:
             return None
-        closed = self._closed_from
-        ambients = (self,) if closed is None else (self, closed[0])
-        for g in _normal_generators(other, ambients):
+        for g in _normal_generators(other, (self, self.origin.ambient)):
             if not self.contains(g):
                 return g
         return None
@@ -844,14 +841,14 @@ class PermGroup:
             raise ValueError(f"level {m} outside 1..{n}")
         if m == n:
             return self
-        gens, levels = self.generators, self._levels
+        gens, levels = self.generators, self.origin.levels
         if levels is not None:
             kept = [i for i, k in enumerate(levels) if k < m]
-            gens, levels = [gens[i] for i in kept], [levels[i] for i in kept]
+            gens, levels = [gens[i] for i in kept], tuple(levels[i] for i in kept)
         step = self.prime ** (n - m)
         images = np.array([g.images for g in gens], dtype=np.intp).reshape(-1, self.degree)
         restricted = [Perm._wrap(x) for x in images[:, ::step] // step]
-        return self._built(restricted, self.chain.truncate(m), levels=levels)
+        return self._built(restricted, self.chain.truncate(m), Origin(levels=levels))
 
     # -- level stabilizers ----------------------------------------------------
 
@@ -886,12 +883,12 @@ class PermGroup:
 
 
 def _normal_generators(group: PermGroup, ambients) -> tuple:
-    """The elements `group` was closed from, when it was closed in one of
-    the ambients (their closure under that ambient's generators is
-    `group`), else the generators of `group`."""
-    closed = group._closed_from
-    if closed is not None and any(closed[0] is a for a in ambients):
-        return closed[1]
+    """The elements of `group`'s origin, when its ambient is one of the
+    ambients and not None (a group closed in nothing matches none), else the
+    generators of `group`."""
+    ambient, elements, _ = group.origin
+    if ambient is not None and any(ambient is a for a in ambients):
+        return elements
     return group.generators
 
 
@@ -927,18 +924,19 @@ def _normal_closure(ambient: PermGroup, seeds, start: PermGroup | None = None) -
         None if start is None else start.chain,
     )
     gens = [Perm._wrap(a) for a, _ in found]
-    levels = [k for _, k in found]
+    levels = tuple(k for _, k in found)
     if start is not None:
         # generators given by hand are kept by every truncation, as level 0
-        before = start._levels or [0] * len(start.generators)
-        return ambient._built([*start.generators, *gens], layers, seeds, [*before, *levels])
+        before = start.origin.levels or (0,) * len(start.generators)
+        origin = Origin(ambient, tuple(seeds), before + levels)
+        return ambient._built([*start.generators, *gens], layers, origin)
     # the seeds that left a residual are found's prefix, the very arrays
     # handed in; they alone close to the result (Normal generators)
     kept = []
     for e in seeds:
         if len(kept) < len(found) and found[len(kept)][0] is e.images:
             kept.append(e)
-    return ambient._built(gens, layers, kept, levels)
+    return ambient._built(gens, layers, Origin(ambient, tuple(kept), levels))
 
 
 def commutator_subgroup(

@@ -6,10 +6,13 @@ Directed generators along the same path multiply as their vectors add, so
 the group depends only on the row space of its defining vectors; each row
 space is listed once, by its reduced echelon basis.
 
-Run as a script, the census builds every p=5 group and compares each
-verdict of run_all with paper_status: the 1118 row spaces with r <= 3 at
-depth 4 and the one with r = 4 at depth 5, 1119 in all, about a minute
-on 2 vCPU.  It exits 1 on any mismatch or on any other count:
+Run as a script, the census builds every p=5 group, runs every check on
+its session as run_all does and compares each verdict with paper_status:
+the 1118 row spaces with r <= 3 at depth 4 and the one with r = 4 at depth
+5, 1119 in all, about a minute on 2 vCPU.  For the 155 non-constant r = 1
+groups it also compares log_p|G_n| at each level n = 2..N, read off the
+layers of the session's G, with oracles.ggs_order_exponent.  It exits 1 on
+any mismatch or on any other count:
 
     PYTHONPATH=src python tests/census.py
 """
@@ -17,10 +20,11 @@ on 2 vCPU.  It exits 1 on any mismatch or on any other count:
 from __future__ import annotations
 
 import sys
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import ggsver as gv
 from ggsver.checks import HOLDS, SKIPPED, VACUOUS
+from oracles import ggs_order_exponent
 
 # the depth the p=5 census runs each r at, and the count of row spaces
 P5_DEPTHS = {1: 4, 2: 4, 3: 4, 4: 5}
@@ -83,18 +87,35 @@ def paper_status(claim, p, rows, depth):
     return VACUOUS if depth < needs.get(claim, 3) else HOLDS
 
 
+def order_mismatches(session) -> list:
+    """(n, log_p|G_n|, the formula's) for each level n = 2..N where the
+    order read off the session's layers of G differs from
+    oracles.ggs_order_exponent; G is one non-constant directed generator.
+    log_p|G_n| is the sum of G's first n layer dimensions, so no closure is
+    added once the checks have built G."""
+    p, e = session.spec.p, session.spec.vectors[0]
+    orders = list(accumulate(session.G.chain.dimensions()))
+    pairs = ((n, orders[n - 1], ggs_order_exponent(p, e, n)) for n in range(2, session.depth + 1))
+    return [(n, got, want) for n, got, want in pairs if got != want]
+
+
 def main() -> int:
-    count = mismatches = 0
+    count = mismatches = ordered = 0
     for r, depth in P5_DEPTHS.items():
         for rows in row_spaces(5, r):
             count += 1
-            report = gv.run_all(gv.validate(5, rows), depth)
-            for v in report.verdicts:
-                want = paper_status(v.claim_id, 5, rows, depth)
-                if v.status != want:
+            session = gv.build(gv.validate(5, rows), depth)
+            for cid, check in gv.CHECKS.items():
+                status, want = check(session).status, paper_status(cid, 5, rows, depth)
+                if status != want:
                     mismatches += 1
-                    print(f"{rows} N={depth} {v.claim_id}: {v.status}, expected {want}")
-    print(f"p=5 census: {count} row spaces, {mismatches} mismatches")
+                    print(f"{rows} N={depth} {cid}: {status}, expected {want}")
+            if r == 1 and len(set(rows[0])) > 1:
+                ordered += 1
+                for n, got, want in order_mismatches(session):
+                    mismatches += 1
+                    print(f"{rows} N={n} log_p|G_n|: {got}, expected {want}")
+    print(f"p=5 census: {count} row spaces, {ordered} orders checked, {mismatches} mismatches")
     return 0 if count == P5_ROW_SPACES and not mismatches else 1
 
 

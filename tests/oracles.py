@@ -437,8 +437,8 @@ def power_verdict_all_slots(lhs, k, details):
     details["rhs_exponent"] = p * k.order_exponent
     if lhs.order_exponent == details["rhs_exponent"] and all(map(lhs.contains, placed)):
         return details, None
-    seeds = () if lhs._closed_from is None else lhs._closed_from[1]
-    missing = next((g for g in (*seeds, *lhs.generators) if not _in_power(g, k)), None)
+    candidates = (*lhs.origin.elements, *lhs.generators)
+    missing = next((g for g in candidates if not _in_power(g, k)), None)
     if missing is None:
         missing = next(x for x in placed if not lhs.contains(x))
     return details, missing

@@ -1,5 +1,6 @@
 """The top-level namespace is the API that the README documents."""
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -71,3 +72,35 @@ def test_session_holds_no_portraits():
     fields = {f.name for f in dataclasses.fields(gv.GroupSession)}
     assert fields == {"spec", "depth", "G", "_memo"}
     assert not hasattr(gv.GroupSession, "generators")
+
+
+def _private_handle_fields() -> set:
+    """The private instance fields of PermGroup handles made every way: by
+    hand, by cold and warm closures, by truncation and as a level
+    stabilizer or st(1)."""
+    s = gv.build(gv.validate(3, [(1, 2)]), 3)
+    handles = [
+        gv.PermGroup(s.G.degree, s.G.generators, prime=3),
+        s.G,
+        s.derived(),
+        s.st1(),
+        s.st1_derived(),
+        s.G.truncate(2),
+        s.G.level_stabilizer(1),
+    ]
+    return {k for h in handles for k in vars(h) if k.startswith("_")}
+
+
+def test_no_module_reads_a_handles_private_fields():
+    # how a handle was made is public, in its origin; the rest is
+    # permgroups' own
+    private = _private_handle_fields()
+    assert private >= {"_chain", "_start", "_tree"}
+    reads = []
+    for path in sorted(Path(gv.__file__).parent.glob("*.py")):
+        if path.name == "permgroups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert reads == []

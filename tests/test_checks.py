@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import random
 from itertools import permutations, product
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ggsver as gv
 from ggsver.checks import (
@@ -39,7 +41,7 @@ from ggsver.portraits import (
     vertex_word,
 )
 
-from census import P5_DEPTHS, P5_ROW_SPACES, paper_status, row_spaces, span
+from census import P5_DEPTHS, P5_ROW_SPACES, order_mismatches, paper_status, row_spaces, span
 from oracles import (
     SchreierSims,
     log_order,
@@ -603,6 +605,9 @@ class TestOrderDecidedStabilizers:
     def test_st1_handle_is_the_level_one_stabilizer(self, request, name, depth):
         session = gv.build(request.getfixturevalue(name), depth)
         g = session.G
+        # st1() closes G' first, so that G's layers grow from it; then it
+        # makes no closure
+        session.derived()
         g.chain
         with mock.patch.object(
             permgroups, "_close", side_effect=AssertionError("closure ran")
@@ -951,7 +956,7 @@ class TestOneSlotPowerVerdict:
         s = gv.build(request.getfixturevalue(fixture), 4)
         for _, _, (lhs, k) in _power_sides(s):
             bare = PermGroup(lhs.degree, lhs.generators, prime=lhs.prime)
-            assert bare._closed_from is None and not checks._one_slot_decides(bare)
+            assert bare.origin.ambient is None and not checks._one_slot_decides(bare)
             got = checks._power_verdict(bare, k, {})
             assert got == power_verdict_all_slots(bare, k, {})
             assert got == checks._power_verdict(lhs, k, {})
@@ -1041,7 +1046,7 @@ class TestMutantSweep:
         a = s.G.generators[0]
         assert not (a**3).is_identity()
         st1 = s.st1()
-        assert st1.order_exponent == 9 and (a**3) in st1._closed_from[1]
+        assert st1.order_exponent == 9 and (a**3) in st1.origin.elements
         assert same_group(PermGroup(27, st1.generators, prime=3), st1)
         assert s.st1_derived().order_exponent == 5
 
@@ -1109,7 +1114,7 @@ class TestGeneratorOrder:
             st1 = t.st1()
             want = t.G.level_stabilizer(1)
             assert same_group(PermGroup(st1.degree, st1.generators, prime=st1.prime), want)
-            ambient, kept = st1._closed_from
+            ambient, kept, _ = st1.origin
             assert ambient is t.G
             assert same_group(permgroups.normal_closure(t.G, kept), want)
 
@@ -1151,6 +1156,63 @@ class TestGeneratorOrder:
             assert closure.call_count == (1 if rooted else p)
 
 
+# the conftest specs at N <= 4, sym5 at N = 3 only
+NIELSEN_CASES = [
+    (p, rows, n)
+    for p, rows in [(3, ((1, 2),)), (3, ((1, 1),)), (3, ((1, 0), (0, 1)))]
+    for n in (3, 4)
+] + [(5, ((1, 1, 1, 1), (1, 0, 0, 1)), 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _build_verdicts(p, rows, depth):
+    s = gv.build(gv.validate(p, rows), depth)
+    return s, _statuses_and_details(s)
+
+
+def _nielsen_moves(n, p):
+    """Lists of 1 to 4 Nielsen moves on n generators: (kind, i, step, k),
+    with j = i + step mod n another index."""
+    move = st.tuples(
+        st.sampled_from(["product", "power", "swap"]),
+        st.integers(0, n - 1),
+        st.integers(1, n - 1),
+        st.integers(1, p - 1),
+    )
+    return st.lists(move, min_size=1, max_size=4)
+
+
+def _apply_nielsen(gens, moves):
+    """gens after the moves: x_i <- x_i x_j^k, x_i <- x_i^k (k is a unit
+    mod p and x_i has p-power order, so it generates what x_i does), or
+    x_i and x_j swapped.  Each keeps the group the list generates."""
+    gens = list(gens)
+    for kind, i, step, k in moves:
+        j = (i + step) % len(gens)
+        if kind == "product":
+            gens[i] = gens[i] * gens[j] ** k
+        elif kind == "power":
+            gens[i] = gens[i] ** k
+        else:
+            gens[i], gens[j] = gens[j], gens[i]
+    return gens
+
+
+class TestNielsenMoves:
+    """Verdicts depend on the group only: any generating set that Nielsen
+    moves reach from a, b_1, ..., b_r gives every check the status and
+    details of the build session."""
+
+    @pytest.mark.parametrize("p,rows,depth", NIELSEN_CASES)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_every_check_gives_the_build_verdict(self, p, rows, depth, data):
+        s, want = _build_verdicts(p, rows, depth)
+        moves = data.draw(_nielsen_moves(len(s.G.generators), p))
+        t = _with_generators(s, _apply_nielsen(s.G.generators, moves))
+        assert _statuses_and_details(t) == want
+
+
 class TestRunOrder:
     """Each check alone gives the status, details and witness it gives when
     every check runs in CHECKS order on one session, as run_all runs them:
@@ -1185,9 +1247,9 @@ class TestRunOrder:
                     failed += 1
                     if recheck:
                         recheck_witness(session, cid, v)
-        # the mutants make checks fail, so witnesses are compared; at p=5,
-        # depth 3, every check passes on them
-        assert failed or (p, depth) == (5, 3)
+        # the mutants make checks fail, so witnesses are compared; at depth
+        # 3 every check passes on those of sym5 and of r2
+        assert failed or (fixture, depth) in {("sym5_spec", 3), ("r2_spec", 3)}
 
 
 # the five row spaces of F_3^2: the four lines and the plane
@@ -1230,6 +1292,17 @@ class TestP3Census:
         assert got == {c: paper_status(c, 3, rows, rep.depth) for c in gv.CHECKS}
         abelianization = next(v for v in rep.verdicts if v.claim_id == "abelianization")
         assert abelianization.details["index_exponent"] == r + 1
+
+    @pytest.mark.parametrize("rows", [[(1, 0)], [(0, 1)], [(1, 2)]], ids=str)
+    def test_orders_follow_the_formula(self, rows):
+        # the census's order comparison, on the non-constant p=3 lines at
+        # depth 5, and on two mutants whose level-4 order it catches
+        s = gv.build(gv.validate(3, rows), 5)
+        for check in gv.CHECKS.values():
+            check(s)
+        assert order_mismatches(s) == []
+        for gen in (0, 1):
+            assert order_mismatches(last_vertex_mutant(gv.validate(3, rows), 4, gen, 0))
 
 
 class TestRunAll:

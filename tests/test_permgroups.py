@@ -732,7 +732,7 @@ class TestNormalGenerators:
                 ("G''", s.second_derived(), (s.derived(), s.derived())),
             ]
         for name, h, pair in subgroups:
-            ambient, kept = h._closed_from
+            ambient, kept, _ = h.origin
             assert ambient is g, name
             seeds = g.generators[1:] if pair is None else next(
                 e for out, e in handed if out is h
@@ -754,8 +754,8 @@ class TestNormalGenerators:
         s = gv.build(sym5_spec, 3)
         g = s.G
         st1 = s.st1()
-        assert st1._closed_from[0] is g
-        bs = st1._closed_from[1]
+        assert st1.origin.ambient is g
+        bs = st1.origin.elements
         assert len(bs) == s.spec.r
         assert all(b is x for b, x in zip(bs, g.generators[1:]))
         s.derived().chain
@@ -919,14 +919,14 @@ class TestWarmNormalClosure:
             # generators: the start's, then those the closure found
             n = len(start.generators)
             assert all(x is y for x, y in zip(warm.generators[:n], start.generators)), name
-            assert warm._levels[:n] == start._levels, name
+            assert warm.origin.levels[:n] == start.origin.levels, name
             # every truncation is generated by the generators it keeps
             for m in range(1, depth):
                 t = warm.truncate(m)
                 again = PermGroup(t.degree, t.generators, prime=p)
                 assert again.order_exponent == cold.truncate(m).order_exponent, (name, m)
             # the seeds it records close to it
-            ambient, seeds = warm._closed_from
+            ambient, seeds, _ = warm.origin
             again = normal_closure(ambient, seeds)
             assert ambient is g and same_group(again, warm) and same_group(warm, again), name
             if small:
@@ -987,7 +987,7 @@ def _witness_groups(s):
     g, n = s.G, s.depth
     st1d = commutator_subgroup(s.st1(), s.st1(), g)
     groups = {
-        "<E(G')>": PermGroup(g.degree, s.derived()._closed_from[1], prime=g.prime),
+        "<E(G')>": PermGroup(g.degree, s.derived().origin.elements, prime=g.prime),
         "G": g,
         "G'": s.derived(),
         "Phi(G)": s.frattini(),
@@ -1023,8 +1023,7 @@ class TestContainmentWitnessRule:
         warm = {"st(1)'": s.st1_derived(), "gamma3": s.gamma3(), "[st(1)', st(1)]": s.st1_gamma3()}
         outside = 0
         for name, group in groups.items():
-            closed = group._closed_from
-            invariant = group is g or (closed is not None and closed[0] is g)
+            invariant = group is g or group.origin.ambient is g
             for other_name, other in groups.items():
                 want = _first_outside(group, other)
                 assert group.containment_witness(other) == want, (name, other_name)
@@ -1065,7 +1064,7 @@ class TestContainmentWitnessRule:
         s = gs4
         g, d = s.G, s.derived()
         # G' was closed in G, and G is the ambient itself: both lie in it
-        assert d._closed_from[0] is g
+        assert d.origin.ambient is g
         assert self._sifted_before_the_closure(d, g, g) == []
         assert self._sifted_before_the_closure(s.st1(), s.st1(), g) == []
 
@@ -1077,7 +1076,7 @@ class TestContainmentWitnessRule:
         st2 = g.level_stabilizer(2)
         made = PermGroup(g.degree, d.generators[:3], prime=g.prime)
         for sub in (st2, made):
-            assert sub._closed_from is None
+            assert sub.origin.ambient is None
             got = self._sifted_before_the_closure(sub, g, g)
             assert len(got) == len(sub.generators)
             assert all(x is y for x, y in zip(got, sub.generators))
