@@ -12,9 +12,10 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from .portraits import Perm, directed, is_odd_prime, rooted
-from .permgroups import Origin, PermGroup, _normal_closure, commutator_subgroup
+from .permgroups import Origin, PermGroup, _commutators, _normal_closure, commutator_subgroup
 
 __all__ = [
     "SpecError",
@@ -36,9 +37,10 @@ __all__ = [
     "default_depth",
 ]
 
-# Runs with more leaves need an opt-in.  5^5: on 2 vCPU a full verify at p=5
-# N=5 takes 1.2-1.4 s and at p=3 N=7 2.6-3.2 s, while above the cap p=7 N=5
-# takes 3.7 s and 577 MiB and p=5 N=6 118 s and 2013 MiB.
+# Runs with more leaves need an opt-in.  5^5: on 2 vCPU a full run of the
+# checks at p=5 N=5 takes 0.7-1.0 s and at p=3 N=7 2.2-2.5 s, while above the
+# cap p=7 N=5 takes 3.1-3.5 s and 453 MiB, and p=5 N=6 took 118 s and 2013
+# MiB when G'' still closed after G'.
 DEGREE_CAP = 3125
 
 
@@ -328,13 +330,17 @@ class GroupSession:
     start in the permgroups module docstring), and that one is built first
     when it is not yet, so the closures a selection of checks makes depend
     on the subgroups it reads and not on the order it reads them in:
-    - G from G': derived() is G.derived(), remembered, and every reader of
-      G's layers here and in the checks closes G' first, so that G's
-      closure sifts G's generators alone;
+    - G' from G'', and G from G': derived() and second_derived() close
+      the two together.  A subgroup N1 of G'' closes cold, G' grows from
+      it with G.derived(start=N1), which hands G its layers, and G'' is
+      N1, grown from it by any commutators of G' it lacks.  Every reader
+      of G's layers here and in the checks closes G' first, so that G's
+      closure sifts G's generators alone, and the layers that G, G' and
+      G'' share are built once;
     - Phi(G) from G', when the two differ;
     - st(1)' and gamma3 from G'': G' <= st(1), as W_N/st(1) is cyclic, so
       G'' = [G', G'] <= [st(1), st(1)], and G'' = [G', G'] <= [G', G].
-    Each start is normal in G.  G'' and [st(1)', st(1)] close cold.
+    Each start is normal in G.  N1 and [st(1)', st(1)] close cold.
     """
 
     spec: GGSSpec
@@ -352,9 +358,30 @@ class GroupSession:
             got = self._memo[key] = make()
         return got
 
+    def _derived_series(self) -> None:
+        """Close G'' and G' into the memo, building the layers they share
+        once (Derived series in the permgroups module docstring).  With S
+        the commutators of G's generators X, N1 <= G'' closes cold from the
+        [s, y], s in S and y in S or some x^-1 s x, x in X; G' grows from
+        N1, and hands G its layers; G'' is N1, grown by the [s, f], f a
+        generator of G', that N1 lacks."""
+        if "derived" in self._memo:
+            return
+        g = self.G
+        s = _commutators(combinations(g.generators, 2))
+        ys = [*s, *(x.inverse() * c * x for c in s for x in g.generators)]
+        n1 = _normal_closure(g, _commutators(product(s, ys)))
+        d = g.derived(start=n1)
+        missing = [c for c in _commutators(product(s, d.generators)) if not n1.contains(c)]
+        second = n1
+        if missing:
+            second = _normal_closure(g, [*n1.origin.elements, *missing], start=n1)
+        self._memo.update(derived=d, second_derived=second)
+
     def derived(self) -> PermGroup:
-        """The derived subgroup G'."""
-        return self._memoized("derived", self.G.derived)
+        """The derived subgroup G', closed with G''."""
+        self._derived_series()
+        return self._memo["derived"]
 
     def frattini(self) -> PermGroup:
         """The Frattini subgroup Phi(G) = G'G^p, the smallest normal
@@ -423,9 +450,9 @@ class GroupSession:
         )
 
     def second_derived(self) -> PermGroup:
-        """G'' = [G', G']."""
-        d = self.derived()
-        return self._memoized("second_derived", lambda: commutator_subgroup(d, d, self.G))
+        """G'' = [G', G'], closed with G'."""
+        self._derived_series()
+        return self._memo["second_derived"]
 
 
 def _require_spec(spec) -> None:

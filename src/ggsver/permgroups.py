@@ -77,9 +77,11 @@ closure starts from them and sifts only a, b_1, ..., b_r; its generators
 are those it added, not a generating set, and PermGroup.chain, the one that
 runs it, reads only its layers.  A normal closure may be handed a start
 (_normal_closure), a subgroup normal in the ambient group that lies in the
-result; its generators are then the start's followed by those it found.
-GroupSession grows st(1)' and gamma3 so, always from G'', which it closes
-first when it is not yet built, and Phi(G) from G' when the two differ.
+result; its generators are then the start's followed by those it found,
+but derived(start=) keeps those it found alone (Derived series).
+GroupSession grows G' so from a subgroup N1 of G'', and G'' from N1 when
+N1 is not all of it; st(1)' and gamma3 always from G'', which it closes
+first when it is not yet built; and Phi(G) from G' when the two differ.
 
 Normal generators.  A handle records how it was made in one Origin, its
 origin: the ambient it was closed in, elements whose closure under the
@@ -113,8 +115,9 @@ or warm, and for a cold closure it is the first of H's generators outside K,
 the witness a scan of every generator gives.  When K is A itself, or K is H,
 containment_witness sifts nothing.  H is then the closure under A's
 generators of elements of A, so it lies in A: a normal closure checks that
-its seeds lie in A, and derived(), commutator_subgroup and
-GroupSession.st1() build theirs from A's elements.  A handle closed in no
+its seeds lie in A, and derived(), commutator_subgroup,
+GroupSession.st1() and the session's derived series build theirs from A's
+elements.  A handle closed in no
 group has no ambient, and matches none.
 
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
@@ -219,6 +222,36 @@ generators given by hand at level 0 so that every truncation keeps them: a
 start's representatives at level k are, by the same induction, words in the
 start's generators found at levels <= k, and the induction goes through from
 them.
+
+Derived series.  GroupSession closes a subgroup of G'' first and grows G'
+from it, so the layers that G' and G'' share are built once, not once for
+each.  Let X be G's generators and S the non-trivial commutators of pairs
+of them: derived() closes S under X, and G' is that closure.
+(1) N1 <= G''.  N1 is the cold closure under X of the non-trivial [s, y],
+s in S and y in S or some x^-1 s x, x in X.  Each s and y lies in G', which
+is normal in G, so each seed is a commutator of two elements of G' and lies
+in G'' = [G', G'], which is normal in G and so holds the closure N1.  The
+seeds are words in X, so none is sifted into G.
+(2) Burnside for the generators of G'.  G' = G.derived(start=N1) grows from
+N1, which is normal in G and lies in G'.  By the induction of Generators of
+a quotient, for every m <= N (pi_N the identity) pi_m(G') is generated by
+the restrictions of the generators this closure found above level m
+together with pi_m(N1).  As pi_m is a homomorphism, pi_m(N1) lies in
+pi_m(G'') = [pi_m(G'), pi_m(G')], and the derived subgroup of a finite
+p-group P lies in its Frattini subgroup Phi(P), whose elements may be left
+out of any generating set (Burnside's basis theorem).  So the generators
+found above level m generate pi_m(G'), and all of them generate G':
+derived(start=) records those alone, with their levels, and truncate(m)
+keeps those found above level m.
+(3) The certificate for G''.  With F the generators G' records, G'' is the
+normal closure in G of the [s, f], s in S and f in F (commutator_subgroup:
+S closes to G' under X, F generates G', and G' is normal in G).  Each of
+them is sifted into N1.  When N1 holds all of them it holds their normal
+closure, so N1 = G''.  Otherwise G'' is the closure of N1's normal
+generators and the [s, f] outside N1, grown from N1: each seed lies in
+G'', and the closure holds N1 and every [s, f].  Either way the result is
+G'' exactly, whatever seeds (1) took; they decide only how much is left
+for the certificate.
 
 Everything here is deterministic: candidates are processed in queue order
 and representatives are kept in the order they were found.
@@ -817,15 +850,25 @@ class PermGroup:
 
     # -- derived machinery --------------------------------------------------
 
-    def derived(self) -> "PermGroup":
+    def derived(self, start: "PermGroup | None" = None) -> "PermGroup":
         """The derived subgroup: the normal closure of the commutators of
         the generators.  They lie in this group by construction, so they are
         not sifted, and the closure needs none of this group's layers.  While
         those are unbuilt, they will grow from the derived subgroup's, which
         is normal and contained in this group (Warm start in the module
         docstring).  Each call runs a new closure; a handle keeps no
-        subgroup, and GroupSession.derived() is the one that is remembered."""
-        d = _normal_closure(self, _commutators(combinations(self.generators, 2)))
+        subgroup, and GroupSession.derived() is the one that is remembered.
+
+        A start is a subgroup normal in this group that lies in the second
+        derived subgroup; the closure grows from its layers, and its
+        generators are those it found alone, with their levels: they
+        generate the result, and those found above level m its level-m
+        quotient (Derived series in the module docstring)."""
+        d = _normal_closure(self, _commutators(combinations(self.generators, 2)), start)
+        if start is not None:
+            k = len(start.generators)
+            levels = d.origin.levels[k:]
+            d = self._built(d.generators[k:], d.chain, d.origin._replace(levels=levels))
         if self._chain is None:
             self._start = d.chain
         return d

@@ -1,7 +1,19 @@
+import contextlib
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 import ggsver as gv
+
+# Hypothesis's pytest plugin imports libcst to print a patch for each failing
+# example; under -W error, libcst's DeprecationWarning at import would end the
+# session with INTERNALERROR in place of the counterexample, so it is imported
+# here first with that warning ignored
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    with contextlib.suppress(ImportError):
+        import libcst  # noqa: F401
 
 settings.register_profile(
     "det",

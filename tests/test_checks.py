@@ -669,11 +669,11 @@ class TestSessionMemo:
             assert check_regular_branch(s).holds
             assert check_gamma3_product(s).holds
         ambients = [c.args[0] for c in closure.call_args_list]
-        # all in G: G'' once, then [st(1)', st(1)]; G' is closed without
-        # normal_closure, as its seeds need no sift, st(1)' and gamma3 grow
-        # from G'' without it too, and the level-3 groups are truncations
-        assert len(ambients) == 2
-        assert all(g is s.G for g in ambients)
+        # [st(1)', st(1)] alone, in G: G'' and G' are closed without
+        # normal_closure, as their seeds are words in G's generators and need
+        # no sift, st(1)' and gamma3 grow from G'' without it too, and the
+        # level-3 groups are truncations
+        assert ambients == [s.G]
 
 
 def _closures(run):
@@ -720,56 +720,66 @@ class TestClosureCensus:
     def test_run_all_closes_below_the_depth_only_the_projection(self, p, rows, depth):
         run = lambda: gv.run_all(gv.validate(p, rows), depth)
         calls, s = _run_session(lambda: _closures(run))
-        # G, G', gamma3, st(1)', [st(1)', st(1)] and G''; subdirect's
+        # G'', G', G, gamma3, st(1)' and [st(1)', st(1)]; subdirect's
         # projection is a new group one level down
         assert sorted(d for d, _, _ in calls) == [depth - 1] + [depth] * 6
-        # G' closes first and G's own layers grow from it: none closes cold
-        starts = [start for _, start, _ in calls]
-        assert None not in starts and starts.index(calls[0][2]) == 1
-        # G'' is built before st(1)' and gamma3, and both grow from it
         grown = {id(layers): start for _, start, layers in calls}
-        second = s.second_derived().chain
+        second, derived = s.second_derived().chain, s.derived().chain
+        # G'' closes first, from seeds, and needs no seed beyond the first
+        # closure's; G' grows from it and G's own layers from G', so none
+        # closes from its own generators
+        assert calls[0][2] is second and None not in grown.values()
+        assert grown[id(derived)] is second and grown[id(s.G.chain)] is derived
+        # st(1)' and gamma3 grow from G'' too
         assert grown[id(s.st1_derived().chain)] is second
         assert grown[id(s.gamma3().chain)] is second
         assert grown[id(second)] == grown[id(s.st1_gamma3().chain)] == "seeds"
 
     def test_table_closes_g_and_its_derived_subgroup(self, capsys):
+        # G'' from seeds, G' from G'' and G from G', each once at depth 6
         args = ["table", "--p", "3", "--vectors", "1,0;0,1", "--max-depth", "6"]
-        (d1, s1, derived), (d2, s2, _) = _closures(lambda: cli.main(args))
-        assert (d1, s1, d2, s2) == (6, "seeds", 6, derived)
+        (d1, s1, second), (d2, s2, derived), (d3, s3, _) = _closures(lambda: cli.main(args))
+        assert (d1, s1, d2, s2, d3, s3) == (6, "seeds", 6, second, 6, derived)
         assert capsys.readouterr().out.splitlines()[-1].split()[:4] == ["6", "298", "3", "3"]
 
     @pytest.mark.parametrize("cid", list(gv.CHECKS))
     def test_each_check_alone_grows_g_from_g_prime(self, r2_spec, cid):
         s = gv.build(r2_spec, 4)
         starts = [start for _, start, _ in _closures(lambda: gv.CHECKS[cid](s))]
-        if s.G._chain is None:
-            # second_derived_contains_stab is vacuous at depth 4
-            assert starts == [] and cid == "second_derived_contains_stab"
+        if cid == "second_derived_contains_stab":
+            # vacuous at depth 4
+            assert starts == [] and s.G._chain is None
+            return
+        assert starts[0] == "seeds" and None not in starts
+        if cid in ("key_congruence", "psi2_second_derived"):
+            # they read G'', G' and gamma3, which close without G's layers
+            assert s.G._chain is None and s.derived().chain not in starts
         else:
-            assert starts[0] == "seeds" and None not in starts
             assert starts.count(s.derived().chain) == 1
 
     @pytest.mark.parametrize(
         "p,rows,depth,counts",
         # closures made by run_all over every check, then over each check
-        # alone in CHECKS order
+        # alone in CHECKS order: a check that reads G' closes G'' and G'
+        # (three with G's layers), and key_congruence and psi2_second_derived
+        # read no layers of G
         [
-            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 2, 6, 0, 4, 5, 3, 3, 2, 2, 0]),
-            (3, [(1, 2)], 6, [7, 2, 6, 4, 4, 5, 3, 0, 2, 2, 3]),
-            (3, [(1, 1)], 5, [5, 2, 0, 0, 0, 5, 0, 0, 2, 2, 0]),
+            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 3, 6, 0, 4, 5, 4, 2, 3, 3, 0]),
+            (3, [(1, 2)], 6, [7, 3, 6, 3, 4, 5, 4, 0, 3, 3, 3]),
+            (3, [(1, 1)], 5, [5, 3, 0, 0, 0, 5, 0, 0, 3, 3, 0]),
         ],
     )
     def test_st1_derived_and_gamma3_grow_from_g_second(self, p, rows, depth, counts):
         # whatever the selection, the closures that grow from G'' are
-        # exactly those of st(1)' and gamma3 that it makes
+        # exactly those of G', st(1)' and gamma3 that it makes: G'' needs
+        # no seed here beyond the first closure's, so it is that closure
         spec = gv.validate(p, rows)
         made = []
         for chosen in [None, *([cid] for cid in gv.CHECKS)]:
             run = lambda: gv.run_all(spec, depth, checks=chosen)
             calls, s = _run_session(lambda: _closures(run))
             memo = s._memo
-            warm = [memo[k].chain for k in ("st1_derived", "gamma3") if k in memo]
+            warm = [memo[k].chain for k in ("derived", "st1_derived", "gamma3") if k in memo]
             second = memo["second_derived"].chain if warm else None
             from_second = [layers for _, start, layers in calls if start is second]
             assert sorted(map(id, from_second)) == sorted(map(id, warm)), chosen

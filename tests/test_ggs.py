@@ -4,9 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ggsver as gv
-from ggsver import permgroups
+from ggsver import ggs, permgroups
 from ggsver.ggs import (
     BadLength,
     DependentVectors,
@@ -17,7 +18,7 @@ from ggsver.ggs import (
     is_symmetric,
     normalize,
 )
-from ggsver.permgroups import PermGroup
+from ggsver.permgroups import PermGroup, commutator_subgroup
 from ggsver.portraits import Perm, directed, restrict_to_level
 
 from oracles import (
@@ -27,6 +28,14 @@ from oracles import (
     independent_by_enumeration,
     log_order,
     same_group,
+)
+from test_checks import (
+    NIELSEN_CASES,
+    SPEC_FIXTURES,
+    _apply_nielsen,
+    _nielsen_moves,
+    _with_generators,
+    last_vertex_mutant,
 )
 
 
@@ -397,3 +406,59 @@ class TestLevelDimensions:
         fitted = [1, p] + [p**k - (p**k - 1) // (p - 1) for k in range(2, depth)]
         g = gv.build(gv.validate(p, [(1,) * (p - 1)]), depth).G
         assert g.chain_summary()["level_dimensions"] == fitted[:depth]
+
+
+def _row_spaces(h):
+    """Per level, the rows of h's reduced echelon basis as a sorted list: a
+    reduced echelon basis is the one such basis of its span, so two handles
+    have the same spans exactly when these agree."""
+    return [sorted(map(tuple, lvl.rows[: lvl.dim].astype(int).tolist())) for lvl in h.chain.levels]
+
+
+class TestDerivedSeries:
+    """GroupSession closes a subgroup of G'' cold, grows G' from it and
+    certifies G'' (Derived series in the permgroups module docstring): G'
+    and G'' must be the groups the cold closures give, level by level, and
+    the generators G' records must generate it and each of its quotients."""
+
+    @staticmethod
+    def _agrees_with_the_cold_closures(session):
+        g = PermGroup(session.G.degree, session.G.generators, prime=session.spec.p)
+        d = g.derived()
+        second = commutator_subgroup(d, d, g)
+        got = session.derived()
+        assert _row_spaces(got) == _row_spaces(d)
+        assert _row_spaces(session.second_derived()) == _row_spaces(second)
+        for m in range(1, session.depth + 1):
+            quotient = got.truncate(m)
+            rebuilt = PermGroup(quotient.degree, quotient.generators, prime=session.spec.p)
+            assert rebuilt.order_exponent == d.truncate(m).order_exponent, m
+
+    @pytest.mark.parametrize("fixture", SPEC_FIXTURES)
+    def test_build_sessions(self, request, fixture):
+        spec = request.getfixturevalue(fixture)
+        for n in range(1, 6):
+            self._agrees_with_the_cold_closures(gv.build(spec, n))
+
+    @pytest.mark.parametrize("gen,vertex", [(1, 0), (0, 0), (0, 80)])
+    def test_mutants(self, gs_spec, gen, vertex):
+        # b_1 mutated at vertex 0 is the TestMutationControls session; with
+        # a mutated, the first closure misses some of G'', so the
+        # certificate grows it
+        s = last_vertex_mutant(gs_spec, 5, gen, vertex)
+        with mock.patch.object(ggs, "_normal_closure", wraps=ggs._normal_closure) as closure:
+            s.second_derived()
+        # the closures ggs grows from a start: G'' from the first closure
+        grown = [c for c in closure.call_args_list if c.kwargs.get("start") is not None]
+        assert len(grown) == (gen == 0)
+        self._agrees_with_the_cold_closures(s)
+
+    @pytest.mark.parametrize("p,rows,depth", NIELSEN_CASES)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_nielsen_moved_sessions(self, p, rows, depth, data):
+        s = gv.build(gv.validate(p, rows), depth)
+        moves = data.draw(_nielsen_moves(len(s.G.generators), p))
+        self._agrees_with_the_cold_closures(
+            _with_generators(s, _apply_nielsen(s.G.generators, moves))
+        )

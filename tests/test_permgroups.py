@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ggsver as gv
-from ggsver import checks, permgroups
+from ggsver import checks, ggs, permgroups
 from ggsver.ggs import _row_reduce
 from ggsver.permgroups import (
     ElementNotInAmbient,
@@ -650,10 +650,12 @@ class TestAgainstSequentialClosure:
         [(3, [(1, 0), (0, 1)], 6), (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4)],
     )
     def test_runs_that_pass_the_run_length(self, p, rows, depth):
-        # a stack joins the run whole, so a run may pass _RUN; G, G' and G''
+        # a stack joins the run whole, so a run may pass _RUN; G'', G' and G
         # still match the one-at-a-time closure
         def build():
-            gv.build(gv.validate(p, rows), depth).second_derived().chain
+            s = gv.build(gv.validate(p, rows), depth)
+            s.second_derived().chain
+            s.G.chain
 
         with _run_sizes() as sizes:
             calls = _recorded_closures(build)
@@ -710,8 +712,9 @@ class TestNormalGenerators:
         s = gv.build(gv.validate(p, rows), depth)
         g = s.G
         handed = []
-        # normal_closure sifts its seeds and hands them on here; derived()
-        # and the closures grown from G'' hand their seeds here directly
+        # normal_closure sifts its seeds and hands them on here; derived(),
+        # the closures grown from G'' and the session's G'' (through the
+        # name ggs binds) hand their seeds here directly
         real = permgroups._normal_closure
 
         def record(ambient, seeds, start=None):
@@ -720,7 +723,9 @@ class TestNormalGenerators:
             handed.append((out, seeds))
             return out
 
-        with mock.patch.object(permgroups, "_normal_closure", side_effect=record):
+        with mock.patch.object(
+            permgroups, "_normal_closure", side_effect=record
+        ), mock.patch.object(ggs, "_normal_closure", side_effect=record):
             st1, st1d = s.st1(), s.st1_derived()
             # name, handle, and the pair it is the commutator subgroup of
             subgroups = [
@@ -734,8 +739,10 @@ class TestNormalGenerators:
         for name, h, pair in subgroups:
             ambient, kept, _ = h.origin
             assert ambient is g, name
+            # derived() hands on G' with the closure's layers and fewer
+            # generators
             seeds = g.generators[1:] if pair is None else next(
-                e for out, e in handed if out is h
+                e for out, e in handed if out.chain is h.chain
             )
             assert _is_subsequence(kept, seeds), name
             again = normal_closure(g, kept)
