@@ -12,7 +12,6 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 from .portraits import Perm, directed, is_odd_prime, rooted
 from .permgroups import Origin, PermGroup, _commutators, _normal_closure, commutator_subgroup
@@ -368,11 +367,11 @@ class GroupSession:
         if "derived" in self._memo:
             return
         g = self.G
-        s = _commutators(combinations(g.generators, 2))
+        s = _commutators(g.generators)
         ys = [*s, *(x.inverse() * c * x for c in s for x in g.generators)]
-        n1 = _normal_closure(g, _commutators(product(s, ys)))
+        n1 = _normal_closure(g, _commutators(s, ys))
         d = g.derived(start=n1)
-        missing = [c for c in _commutators(product(s, d.generators)) if not n1.contains(c)]
+        missing = [c for c in _commutators(s, d.generators) if not n1.contains(c)]
         second = n1
         if missing:
             second = _normal_closure(g, [*n1.origin.elements, *missing], start=n1)

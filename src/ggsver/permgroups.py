@@ -36,10 +36,12 @@ Each candidate is reduced level by level; a non-zero residual at level m is
 scaled to a unit pivot, cleared from the other rows of its layer (an old
 representative is multiplied by a power of the new one), and becomes a
 representative r.  It queues (a) its conjugates by the ambient generators,
-(b) r^p and (c) its commutators with the other level-m representatives.  (b)
-and (c) lie in st(m+1) and go ahead of the next seed or conjugate; (a) are
-made as they leave the queue (Bottom layer).  The loop stops when every
-queued element has reduced to the identity.
+(b) r^p and, below level N-2, (c) its commutators with the other level-m
+representatives.  (b) and (c) lie in st(m+1) and go ahead of the next seed
+or conjugate; (a) are made as they leave the queue (Bottom layer).  Level
+N-2 commutes only with module generators T, once the layers above the last
+are final (Level N-2).  The loop stops when every queued element has
+reduced to the identity.
 
 Why that is the closure.  Every representative is a product of seeds,
 conjugates and earlier representatives, so it lies in the closure.  Clearing
@@ -48,7 +50,8 @@ so an element that reduced to the identity lies in H_m, the group generated
 by the final representatives at levels >= m, where m is its level.  Hence
 (a) makes each H_m invariant under the ambient generators, and so normal in
 a group containing every representative; (b) and (c) put the p-th powers and
-the commutators of level-m representatives into H_(m+1).  Induction down
+the commutators of level-m representatives into H_(m+1), for m < N-2, and
+Level N-2 shows that H_(N-2)/H_(N-1) is elementary abelian.  Induction down
 from H_N = 1: H_m/H_(m+1) is elementary abelian and generated by the images
 of the d_m final representatives, so |H_m : H_(m+1)| <= p^(d_m); the labels
 map H_m onto their
@@ -124,24 +127,77 @@ Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
 and the closure queues such candidates as vectors, not leaf permutations,
 in stacks, one vector per row.  Conjugation permutes labels: y^-1 w y has
 labels u[pull], pull being the level-(N-1) vertex map of y^-1, built once
-per closure for each ambient generator.  The p-th power and the commutators
-of a new level-(N-2) representative are evaluated on the first leaf below
-each level-(N-1) vertex only, the commutators with all its peers in one
-gather (on every level below the last the representatives and inverses are
-2-D arrays), and queued as one stack.  A permutation candidate is sifted
-through the levels above the last only; if it leaves no residual there, its
-level-(N-1) labels join the current run of label vectors as a stack of one,
-tagged with the permutation.  A stack leaves its queue whole and joins the
-run.  The run is reduced against the last layer in one matrix product once
-it holds _RUN vectors, when the queues run dry, and before any residual
-above the last level is adjoined; it may pass _RUN by one stack.  Its
-residuals are written into the last layer's own rows and added one at a
-time in queue order: each that is still non-zero becomes a row, and one
-elimination clears its pivot from the layer and from the residuals still
-pending.  The conjugates of the rows one reduction adds form one stack,
-taken from each row as it was added, before later rows cleared their
-pivots, row by row in the order added; that is the order and the value in
-which one-at-a-time adding queues them.
+per closure for each ambient generator.  The p-th power of a new level-(N-2)
+representative, and the commutators of Level N-2, are evaluated on the
+first leaf below each level-(N-1) vertex only, the commutators of one t
+with its peers in one gather (on every level below the last the
+representatives and inverses are 2-D arrays).  A permutation candidate is
+sifted through the levels above the last only; if it leaves no residual
+there, its level-(N-1) labels join the current run of label vectors as a
+stack of one, tagged with the permutation.  A conjugate's labels wait
+instead, and so do the conjugate stacks of the rows the last layer gains,
+until the commutators of Level N-2 are queued: then the commutators go
+first and the waiting stacks after them, conjugates' labels in the order
+taken, in stacks of at most _RUN rows, then the conjugate stacks in the
+order made.  A stack leaves its queue whole and joins the run.  The run is
+reduced against the last layer in one matrix product once it holds _RUN
+vectors, when the queues run dry, and before any residual above the last
+level is adjoined; it may pass _RUN by one stack.  Its residuals are
+written into the last layer's own rows and added one at a time in queue
+order: each that is still non-zero becomes a row, and one elimination
+clears its pivot from the layer and from the residuals still pending.  On a
+layer of _BLOCK entries or more the rows the layer had before the run lose
+the new pivots at the end instead, in one product.  A reduced echelon basis
+is fixed by its span and its pivots, so the rows are the same either way.
+The conjugates of the rows one reduction adds form one stack, taken from
+each row as it was added, before later rows cleared their pivots, row by
+row in the order added; that is the order and the value in which
+one-at-a-time adding queues them.
+
+Level N-2.  Let V be the span of the level-(N-2) layer and V.I the sum of
+V(x - 1), x running over the ambient generators X (the rows moved by x's
+vertex map, less the rows).  A new level-(N-2) representative queues its
+p-th power alone.  Once no permutation candidate is left, the layers above
+the last are final, as work on the last level never feeds them; the closure
+then takes T, final level-(N-2) representatives whose rows span V modulo
+V.I, and queues [t, r] for each t in T and each final level-(N-2)
+representative r, as stacks of at most _RUN rows that are never recorded
+as generators.  T is the rows that still add a pivot, in row order, to a
+basis of V.I (_module_generators); when the closure added at most |X| rows
+at level N-2, T is the rows it added.  This needs the seeds, and the start,
+to lie in A, the group X generates: every caller closes elements of its
+ambient group under that group's generators (normal_closure checks its
+seeds; derived(), commutator_subgroup and the session's subgroups build
+theirs from the ambient group's elements; a start lies in the result), and
+so does the subdirect check, whose seeds are slot sections of elements of
+st(1), which the slot sections of st(1)'s generators generate.
+Why it is enough.  Let M = H_(N-1), the last layer's group at the end.  M is
+invariant under X, so normal in the finite group A, and every
+representative lies in A, so normalizes M; H_(N-2) is normal in A too, by
+(a).  For t in T the y with [t, y] in M form a subgroup among the elements
+that normalize M, as [t, y z] = [t, z] [t, y]^z; it holds each final
+level-(N-2) representative, whose commutator with t was queued, and M, as t
+normalizes it, so all of H_(N-2): t is central in H_(N-2) modulo M, and so
+is each A-conjugate of t, as [t^a, y] = [t, y^(a^-1)]^a.  A is a p-group, so
+its augmentation ideal I is nilpotent on V (V.I is the sum above, as I is
+generated by the x - 1), and the A-submodule spanned by T, which with V.I
+spans V, is V (Nakayama).  So K = <T^A> M has the labels V, and H_(N-2) =
+K (H_(N-2) & st(N-1)): K/M is central in H_(N-2)/M, and the second factor,
+in the abelian st(N-1), is abelian, so H_(N-2)/M is abelian.  When T is
+the rows the closure added, H_(N-2) = <R, T> M with R the start's
+level-(N-2) representatives, as each level-(N-2) representative ever made
+is a word in R and the final added ones: pairs in R commute modulo the
+start's last group, which lies in M, and t is central modulo M as above,
+so again H_(N-2)/M is abelian.  (T is not taken modulo the start's rows as
+well: nothing above shows that enough.)  Either way H_(N-2)/M is generated
+by the images of the level-(N-2) representatives ever made, each of order
+p modulo M by (b), so it is elementary abelian, as Why that is the closure
+needs.
+A conjugate that waited and leaves a residual is recorded as the element
+its labels determine, the conjugate divided by representatives above the
+last level; those generators, and the label vectors' others, are made only
+after the layers are trimmed (the end of _close), so that they never take
+memory together with the copies a trim makes.
 
 The label vectors are stored in the narrowest unsigned type that holds
 p - 1, uint8 unless p > 256: the tree's level-(N-1) digits have that type,
@@ -165,7 +221,9 @@ forms only integers, and under that bound every one of them is below 2^22 in
 absolute value, which float32 holds exactly: a residual, or a membership
 product, sums u_i r_ij over at most p^(N-1) pivots, each term in
 0..(p-1)^2, so every partial sum too, in whatever order the product adds
-them, and u minus that sum lies above -(p-1)^2 p^(N-1); _clear subtracts
+them, and u minus that sum lies above -(p-1)^2 p^(N-1); so does extend's
+product of the old rows' labels at the new pivots with the new rows, and
+the old rows less it; _clear subtracts
 from rows in 0..p-1 the products c r_j, with c = t scale in 0..(p-1)^2 or
 c = 1 - scale above -p, so its values lie strictly between -p^3 and p^3.
 _mod(a, p) rounds a/p to float32 with relative error at most 2^-24, so off
@@ -178,10 +236,12 @@ N=6.
 
 Deferring the last level so is exact.  A sift above the last level reads
 only the layers above it, adding a bottom row changes only the last layer
-and appends to the tail of the main queue, and nothing else is queued while
-a run is pending.  So taking a stack whole, or reducing a run that passed
-_RUN, leaves every candidate reduced against the layers, and the queues
-growing in the order, of the one-candidate-at-a-time closure.  A vector's
+and appends to the tail of the main queue, or of the waiting conjugate
+stacks, and nothing else is queued while a run is pending; a conjugate's
+labels wait in a list of their own, in the order taken.  So taking a stack
+whole, or reducing a run that passed _RUN, leaves every candidate reduced
+against the layers, and the queues growing in the order, of the
+one-candidate-at-a-time closure.  A vector's
 residual against a reduced echelon basis is the one vector of its coset
 that vanishes on the pivots, so this is the residual that reducing it
 afresh would give.  Hence a vector whose residual is zero is dropped exactly
@@ -261,12 +321,11 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
 
-from .portraits import DegreeMismatch, Perm, commutator, level_of_degree
+from .portraits import DegreeMismatch, Perm, level_of_degree
 
 __all__ = [
     "NotPGroup",
@@ -327,6 +386,11 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
 # a run may pass it by one stack
 _RUN = 64
 
+# entries of the last layer from which a run's new pivots leave its older
+# rows in one product (_Layer.extend); below it each elimination clears them,
+# as the product costs more numpy calls than it saves
+_BLOCK = 1 << 15
+
 
 def _row_type(p: int, n: int):
     """The float type of the label rows of the depth-n tree: float32 when
@@ -360,10 +424,12 @@ class _Tree:
         of them, one per row of u."""
         return self.base + (self.identity + u.take(self.parent, axis=-1)) % self.p
 
-    def pull(self, yinv: np.ndarray) -> np.ndarray:
-        """The level-(n-1) vertex map of y^-1: the labels of y^-1 w y, for w
-        in st(n-1) with labels u, are u[pull(y^-1)]."""
-        return yinv[self.starts[-1]] // self.p
+    def pull(self, yinv: np.ndarray, m: int = -1) -> np.ndarray:
+        """The level-m vertex map of y^-1, the last level's by default: the
+        labels of y^-1 w y, for w in st(m) with level-m labels u, are
+        u[pull(y^-1, m)]."""
+        m %= self.depth
+        return yinv[self.starts[m]] // self.p ** (self.depth - m)
 
     def power_labels(self, x: np.ndarray) -> np.ndarray:
         """The level-(n-1) labels of x^p, for x in st(n-2)."""
@@ -399,11 +465,14 @@ class _Layer:
     raised to -c.  A layer with no rows makes membership refuse at once an
     element with non-zero labels at its level: a member's are zero there
     (module docstring).
-    The arrays grow by doubling, up to the width plus the rows being added;
-    rows from dim on are unused, or hold residuals on their way in, until the
-    closure drops them.  add and extend take residuals through one
-    elimination, _clear.  steps[c-1][j] is a view of divs[c-1, j], made once
-    per array, as a list is indexed faster than numpy makes a view."""
+    The arrays grow by doubling, a share's first by 16 rows, up to the width
+    plus the rows being added; rows from dim on are unused, or hold
+    residuals on their way in, until the closure drops them.  add and extend
+    take residuals through one elimination, _clear; extend, on a layer of
+    _BLOCK entries or more, clears the pivots it adds from the rows the
+    layer had in one product.  steps[c-1][j] is a view of divs[c-1, j],
+    made once per array, as a list is indexed faster than numpy makes a
+    view."""
 
     __slots__ = ("rows", "pivots", "leaves", "below", "dim", "reps", "divs", "steps")
 
@@ -440,8 +509,11 @@ class _Layer:
         """The n rows from dim on, room for them made first."""
         d = self.dim
         if d + n > len(self.rows):
-            # a layer has at most as many rows as columns, plus those coming in
-            self.resize(min(max(16, 2 * len(self.rows), d + n), self.rows.shape[1] + n))
+            # a layer has at most as many rows as columns, plus those coming
+            # in; a share's arrays are views of its start's (Warm start), and
+            # it first grows by 16 rows, as a warm closure adds few
+            grow = max(16, len(self.rows)) if self.rows.base is None else 16
+            self.resize(min(max(len(self.rows) + grow, d + n), self.rows.shape[1] + n))
         return self.rows[d : d + n]
 
     def _reduced(self, r: np.ndarray) -> np.ndarray:
@@ -450,12 +522,12 @@ class _Layer:
             raise AssertionError("a residual is not reduced against its layer")
         return r
 
-    def _clear(self, k: int, end: int, p: int):
+    def _clear(self, k: int, end: int, p: int, start: int = 0):
         """Make row k, zero at every pivot, row dim: scaled to a unit pivot,
-        with its pivot column cleared from every other row before end.  The
-        rows from dim up to k must be zero.  Returns the new row, the rows
-        hit (k among them) with their multiples, and the scale, or None when
-        row k is zero."""
+        with its pivot column cleared from every other row from start to
+        end.  The rows from dim up to k must be zero.  Returns the new row,
+        the rows hit (k among them) with their multiples, and the scale, or
+        None when row k is zero."""
         rows = self.rows
         row = rows[k]
         nonzero = row.nonzero()[0]
@@ -463,9 +535,10 @@ class _Layer:
             return None
         j = int(nonzero[0])
         scale = pow(int(row[j]), -1, p)
-        col = rows[:end, j]
+        col = rows[start:end, j]
         hit = col.nonzero()[0]
         t = col[hit]
+        hit += start
         # one product scales row k and clears column j from the others: row
         # k loses 1 - scale times itself, row i loses t_i scale times it
         c = t * scale
@@ -496,19 +569,29 @@ class _Layer:
         order, as add would: each residual still non-zero once the rows added
         before it are cleared from it becomes a row.  The residuals are
         computed into the rows from dim on; one elimination per new row
-        clears it from the layer and from the residuals still pending, and
-        moves it up to follow the rows before it.  Returns the indices into
-        u of the new rows and those rows as added, before later rows cleared
-        their pivots."""
+        clears it from the rows added before it and from the residuals still
+        pending, and moves it up to follow the rows before it.  The rows the
+        layer had lose the new pivots in the same eliminations, or, once the
+        layer holds _BLOCK entries, last, in one product; the reduced echelon
+        basis with the pivots found is unique, so the rows are those of
+        adding one at a time either way.  Returns the indices into u of the
+        new rows and those rows as added, before later rows cleared their
+        pivots."""
         d = self.dim
         residuals = self._reduced(self.residual(u, p, out=self._take(len(u))))
         end = d + len(u)
+        start = d if d * self.rows.shape[1] >= _BLOCK else 0
         added, as_added = [], []
         for i in np.flatnonzero(np.count_nonzero(residuals, axis=1)).tolist():
-            got = self._clear(d + i, end, p)
+            got = self._clear(d + i, end, p, start=start)
             if got is not None:
                 added.append(i)
                 as_added.append(got[0])
+        if added and start:
+            rows, new = self.rows, self.pivots[d : self.dim]
+            hit = np.flatnonzero(np.count_nonzero(rows[:d, new], axis=1))
+            # exact: each entry sums len(new) <= p^m products below p^2
+            rows[hit] = _mod(rows[hit] - rows[hit][:, new] @ rows[d : self.dim], p)
         return added, np.array(as_added).reshape(len(added), self.rows.shape[1])
 
     def push(self, hits) -> np.ndarray:
@@ -652,25 +735,82 @@ class _Layers:
         return d, hits
 
 
+def _module_generators(tree: _Tree, lvl: _Layer, new: int, conj) -> list[int]:
+    """T: the indices of the rows of the level-(N-2) layer lvl that add a
+    pivot, in row order, to a basis of V.I, the span of its rows moved by
+    x - 1 over the ambient generators x, given with their inverses in conj
+    (Level N-2 in the module docstring).  The rows from `new` on are those
+    the closure added; when there are at most as many as the generators,
+    they are T.
+
+    A vector of the layer's span is the combination of its rows with its
+    labels at the pivots as coefficients, so row j is the unit vector e_j
+    in those coordinates, and it adds a pivot exactly when no vector of V.I
+    has its last non-zero coordinate at j.  The moved rows have a label or
+    two at the pivots, so they are eliminated as sparse rows, keyed by that
+    last coordinate."""
+    d, p = lvl.dim, tree.p
+    if d - new <= len(conj):
+        return list(range(new, d))
+    # x moves the rows by its level-(N-2) vertex map
+    pulls = [tree.pull(xinv, tree.depth - 2) for _, xinv in conj]
+    rows = lvl.rows[:d]
+    moved = np.concatenate([rows[:, pull[lvl.pivots[:d]]] for pull in pulls])
+    moved.reshape(len(pulls), d, d)[:] -= np.eye(d, dtype=moved.dtype)
+    _mod(moved, p)
+    sparse = [{} for _ in moved]
+    at = moved.nonzero()
+    for i, j, c in zip(*(a.tolist() for a in at), moved[at].astype(np.intp).tolist()):
+        sparse[i][j] = c
+    basis = {}
+    for row in sparse:
+        while row:
+            j = max(row)
+            b = basis.get(j)
+            if b is None:
+                basis[j] = row
+                break
+            # row minus f b, with f chosen to clear column j
+            f = row[j] * pow(b[j], -1, p) % p
+            row = dict(row)
+            for k, c in b.items():
+                c = (row.get(k, 0) - f * c) % p
+                if c:
+                    row[k] = c
+                else:
+                    row.pop(k, None)
+    return [j for j in range(d) if j not in basis]
+
+
 def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     """Layers of the closure of the seeds under conjugation by conj_by, and
     the seeds and conjugates that left a residual, each paired with the
     level of its residual: a generating set when there is no start.  A
     start is the layers of a subgroup normalized by conj_by and contained in
     the result; the closure grows from a share of them (Warm start in the
-    module docstring)."""
+    module docstring).  The seeds, and the start's group, must lie in the
+    group conj_by generates: Level N-2 in the module docstring rests on
+    it."""
     layers = _Layers(tree, None if start is None else [lvl.share() for lvl in start.levels])
     p = tree.p
     last = tree.depth - 1
     bottom = layers.levels[last]
     conj = [(y, _inverse(y)) for y in conj_by]
     pulls = np.array([tree.pull(yinv) for _, yinv in conj], dtype=np.intp)
+    # the level-(N-2) layer and the rows it had from the start
+    mid = layers.levels[last - 1] if last else None
+    mid_start = 0 if mid is None else mid.dim
     # (element, level its sift starts at, None), or (labels, None, None) for
     # a stack of elements of st(N-1) given by their level-(N-1) labels, one
     # per row; (representative, level, (s, s^-1)) stands for the conjugate
     # s^-1 rep s, made when it is taken from the queue
     main = deque((x, 0, None) for x in seeds)
     side: deque = deque()
+    # until the level-(N-2) commutators are queued, the bottom labels of
+    # conjugates wait in the order taken, and the conjugate stacks of the
+    # bottom rows in the order made
+    waiting, held = [], []
+    commuted = False
     found = []
     # stacks of level-(N-1) labels waiting for the last layer, in queue
     # order, each tagged (from main, the element sifted or None for a
@@ -685,15 +825,15 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
         if added:
             owners = [tags[s] for s in np.searchsorted(ends, added, side="right").tolist()]
             # a label item that left a residual stands for the element of
-            # st(N-1) its labels determine
+            # st(N-1) its labels determine, made once the closure is done
             items = [i for i, (from_main, x) in zip(added, owners) if from_main and x is None]
-            made = iter(tree.from_last_labels(u[items]) if items else ())
+            block, rows_of = u[items], iter(range(len(items)))
             for from_main, x in owners:
                 if from_main:
-                    found.append((next(made) if x is None else x, last))
+                    found.append(((block, next(rows_of)), None) if x is None else (x, last))
             # the conjugates of each new row as it was added, row by row
             stack = rows.astype(tree.digits[-1].dtype)[:, pulls]
-            main.append((stack.reshape(-1, u.shape[1]), None, None))
+            (main if commuted else held).append((stack.reshape(-1, u.shape[1]), None, None))
         tags.clear()
         ends.clear()
 
@@ -701,15 +841,16 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
         lvl = layers.levels[m]
         d, hits = layers._admit(m, y, residual)
         rep = lvl.reps[d]
-        # the p-th power, and the commutators with the peers as they were
-        # before push clears the new pivot out of them
-        comm = rep, lvl.divs[0, d], lvl.reps[:d], lvl.divs[0, :d]
         if m + 1 < last:
+            # the p-th power, and the commutators with the peers as they
+            # were before push clears the new pivot out of them
             side.append((_power(rep, p), m + 1, None))
+            comm = rep, lvl.divs[0, d], lvl.reps[:d], lvl.divs[0, :d]
             side.extend((c, m + 1, None) for c in _comm_rows(*comm, slice(None)))
         else:
-            labels = tree.digits[-1][_comm_rows(*comm, tree.starts[-1])]
-            side.append((np.vstack((tree.power_labels(rep), labels)), None, None))
+            # at level N-2 the p-th power alone; the commutators come once
+            # the layer is final
+            side.append((tree.power_labels(rep)[None], None, None))
         lvl.push(hits)
         # push rewrites older representatives in place, and this one once a
         # later row clears its pivot: its conjugates are made, when taken
@@ -717,7 +858,33 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
         rep = rep.copy()
         main.extend((rep, m, by) for by in conj)
 
-    while side or main:
+    def commutators():
+        """[t, r] for t in T and each level-(N-2) representative r, as label
+        stacks of at most _RUN rows, t by t and r in row order."""
+        if mid is None or not mid.dim:
+            return
+        reps, invs = mid.reps[: mid.dim], mid.divs[0, : mid.dim]
+        for t in _module_generators(tree, mid, mid_start, conj):
+            for i in range(0, len(reps), _RUN):
+                ys, yinvs = reps[i : i + _RUN], invs[i : i + _RUN]
+                comm = _comm_rows(reps[t], invs[t], ys, yinvs, tree.starts[-1])
+                yield tree.digits[-1][comm], None, None
+
+    while side or main or not commuted:
+        if not (side or main):
+            # no permutation is left, so the layers above the last are
+            # final: the commutators go ahead of what waits
+            side.extend(commutators())
+            if waiting:
+                u = np.array(waiting)
+                main.extend((u[i : i + _RUN], None, None) for i in range(0, len(u), _RUN))
+            main.extend(held)
+            commuted = True
+            # a run the queues left pending joins the commutators, or is
+            # reduced now when nothing came
+            if run and not (side or main):
+                flush()
+            continue
         from_main = not side
         x, start, by = (main if from_main else side).popleft()
         if by is not None:
@@ -735,17 +902,31 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
                     found.append((x, m))
                 adjoin(m, y, labels)
                 continue
+            if by is not None and not commuted:
+                waiting.append(labels)
+                continue
             labels = labels[None]
         # a stack joins the run whole, so a run may pass _RUN by one stack
         run.append(labels)
         tags.append((from_main, x))
         ends.append(len(labels) + (ends[-1] if ends else 0))
-        if ends[-1] >= _RUN or not (side or main):
+        if ends[-1] >= _RUN or not (side or main or not commuted):
             flush()
     # a finished group holds no room it never filled
     for lvl in layers.levels:
         if len(lvl.rows) > lvl.dim:
             lvl.resize(lvl.dim)
+    # the generators given by labels, made after the copies above are
+    # freed, so that the two never take memory at once: those of one
+    # reduction in one call
+    made = {}
+
+    def element(block, i):
+        if id(block) not in made:
+            made[id(block)] = tree.from_last_labels(block)
+        return made[id(block)][i]
+
+    found = [(element(*x), last) if k is None else (x, k) for x, k in found]
     return layers, found
 
 
@@ -864,7 +1045,7 @@ class PermGroup:
         generators are those it found alone, with their levels: they
         generate the result, and those found above level m its level-m
         quotient (Derived series in the module docstring)."""
-        d = _normal_closure(self, _commutators(combinations(self.generators, 2)), start)
+        d = _normal_closure(self, _commutators(self.generators), start)
         if start is not None:
             k = len(start.generators)
             levels = d.origin.levels[k:]
@@ -935,10 +1116,28 @@ def _normal_generators(group: PermGroup, ambients) -> tuple:
     return group.generators
 
 
-def _commutators(pairs) -> list[Perm]:
-    """The non-trivial commutators [x, y] of the pairs."""
-    comms = (commutator(x, y) for x, y in pairs)
-    return [c for c in comms if not c.is_identity()]
+def _commutators(xs, ys=None) -> list[Perm]:
+    """The non-trivial commutators [x, y], x in xs and y in ys, in the order
+    of product(xs, ys); with no ys, those of the pairs of xs in the order of
+    combinations(xs, 2).  [x, y] sends x(y(i)) to y(x(i)) (portraits.
+    commutator), so one gather and one scatter over the stacked right
+    factors make those of each x, with no inverse."""
+    xs = list(xs)
+    stack = np.array([y.images for y in (xs if ys is None else ys)], dtype=np.intp)
+    out = []
+    for k, x in enumerate(xs):
+        right = stack if ys is not None else stack[k + 1 :]
+        if len(right):
+            a = x.images
+            # flat indices: row j of x after right offset by j times its length
+            at = a[right]
+            at += np.arange(0, right.size, len(a))[:, None]
+            c = np.empty_like(right)
+            c.put(at, right[:, a])
+            # one array each, so that a closure that keeps some frees the rest
+            keep = np.flatnonzero((c != np.arange(len(a))).any(axis=1))
+            out.extend(Perm._wrap(c[j].copy()) for j in keep.tolist())
+    return out
 
 
 def normal_closure(ambient: PermGroup, elements) -> PermGroup:
@@ -1004,7 +1203,7 @@ def commutator_subgroup(
             raise ElementNotInAmbient(
                 "commutator arguments must be subgroups of the ambient group"
             )
-    seeds = _commutators(product(_normal_generators(a, (ambient,)), b.generators))
+    seeds = _commutators(_normal_generators(a, (ambient,)), b.generators)
     if start is None:
         # looked up on the module, so a tracer that wraps it counts this
         return normal_closure(ambient, seeds)

@@ -10,7 +10,9 @@ reference_close is the exception: it runs the package's closure one
 candidate at a time, every candidate a leaf permutation.  It shares the
 package's per-level arithmetic (ggsver.permgroups._Layers, through _sift and
 _adjoin below) and differs in the queue, so it is the reference for what the
-closure does with its candidates.
+closure does with its candidates.  It takes the level-(N-2) module
+generators T by its own integer elimination, and with all_pairs follows the
+earlier rule that commuted every pair of level-(N-2) representatives.
 
 power_verdict_all_slots compares a subgroup with a block product by
 sifting k's generators placed in every slot, whatever the subgroup was
@@ -382,11 +384,56 @@ def _copied(start):
     return _Layers(start.tree, levels)
 
 
-def reference_close(tree, seeds, conj_by, start=None):
+def _adds_pivot(p, rows):
+    """For each integer row in order, whether it lies outside the span over
+    F_p of the rows before it."""
+    basis, out = [], []
+    for v in rows:
+        v = np.asarray(v, dtype=np.int64) % p
+        for j, b in basis:
+            v = (v - v[j] * b) % p
+        nonzero = np.flatnonzero(v)
+        if len(nonzero):
+            j = nonzero[0]
+            basis.append((j, v * pow(int(v[j]), -1, p) % p))
+        out.append(bool(len(nonzero)))
+    return out
+
+
+def _module_generators(tree, lvl, new, conj_by):
+    """Indices of the level-(N-2) rows that span the layer modulo the sum of
+    its rows moved by x - 1, x in conj_by, in integers; the rows from `new`
+    on when there are at most len(conj_by) of them."""
+    d = lvl.dim
+    if d - new <= len(conj_by):
+        return list(range(new, d))
+    p, n = tree.p, tree.depth
+    below = p**2
+    rows = lvl.rows[:d].astype(np.int64)
+    # x's vertex permutation of level N-2: the first leaf below vertex v
+    # goes below vertex x(v)
+    moved = []
+    for x in conj_by:
+        perm = np.asarray(x)[np.arange(p ** (n - 2)) * below] // below
+        shifted = np.empty_like(rows)
+        shifted[:, perm] = rows
+        moved.extend(shifted - rows)
+    adds = _adds_pivot(p, moved + list(rows))[len(moved) :]
+    return [j for j in range(d) if adds[j]]
+
+
+def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
     """Layers of the closure of the seeds under conjugation by conj_by, and
     the seeds and conjugates that left a residual, each with the level of its
     residual, sifting every candidate as a leaf permutation in queue order;
-    from copies of the start's layers when given."""
+    from copies of the start's layers when given.  As the package's closure
+    does, it queues the p-th power alone of a new level-(N-2)
+    representative, holds back conjugates that reach the last level, then
+    queues [t, r] for t in T, computed here in integers, and each final
+    level-(N-2) representative r ahead of them, once no other candidate is
+    left.  With all_pairs it follows the rule the closure had before: a new
+    level-(N-2) representative is commuted at once with each of its peers,
+    as on every level above, and nothing is held back."""
     from ggsver.permgroups import _Layers
 
     layers = _Layers(tree) if start is None else _copied(start)
@@ -394,13 +441,36 @@ def reference_close(tree, seeds, conj_by, start=None):
         return layers, []
     p = tree.p
     last = tree.depth - 1
+    mid = layers.levels[last - 1] if last else None
+    mid_start = 0 if mid is None else mid.dim
     conj = [(y, _inverse(y)) for y in conj_by]
-    main = deque((x, 0) for x in seeds)
+    main = deque((x, 0, False) for x in seeds)
     side = deque()
+    # until the level-(N-2) commutators are queued, conjugates that reached
+    # the last level wait, divided by the representatives above it, and so
+    # do the conjugates of the last level's rows
+    waiting, held = [], []
+    commuted = all_pairs
     found = []
-    while side or main:
+    while side or main or not commuted:
+        if not (side or main):
+            if mid is not None:
+                reps = [r.copy() for r in mid.reps[: mid.dim]]
+                for t in _module_generators(tree, mid, mid_start, conj_by):
+                    side.extend((reference_commutator(reps[t], r), last) for r in reps)
+            main.extend((x, last, False) for x in waiting + held)
+            commuted = True
+            continue
         from_main = not side
-        x, start = main.popleft() if from_main else side.popleft()
+        if from_main:
+            x, start, conjugate = main.popleft()
+        else:
+            (x, start), conjugate = side.popleft(), False
+        if conjugate and not commuted:
+            m, y, _ = layers._sift_upper(x, start)
+            if m == last:
+                waiting.append(y)
+                continue
         hit = _sift(layers, x, start)
         if hit is None:
             continue
@@ -417,8 +487,13 @@ def reference_close(tree, seeds, conj_by, start=None):
             peers = [r.copy() for r in lvl.reps[: lvl.dim]]
             rep = _adjoin(layers, m, y, residual)
             side.append((_power(rep, p), m + 1))
-            side.extend((reference_commutator(rep, r), m + 1) for r in peers)
-        main.extend((y[rep[yinv]], m) for y, yinv in conj)
+            if m + 1 < last or all_pairs:
+                side.extend((reference_commutator(rep, r), m + 1) for r in peers)
+        conjugates = [y[rep[yinv]] for y, yinv in conj]
+        if m == last and not commuted:
+            held.extend(conjugates)
+        else:
+            main.extend((c, m, True) for c in conjugates)
     return layers, found
 
 

@@ -271,6 +271,21 @@ class TestBuild:
 
 
 # every conftest spec, at every depth the suite builds it
+def _found_above_the_last_level(h):
+    """The generators of h that a closure found above its last level, or
+    all of them when they were given by hand."""
+    levels = h.origin.levels
+    if levels is None:
+        return list(h.generators)
+    return [g for g, k in zip(h.generators, levels) if k < h.level - 1]
+
+
+def _rows_by_pivot(lvl):
+    """A layer's rows as (pivot, row) pairs sorted by pivot: its reduced
+    echelon basis in the one order that depends on the span alone."""
+    return sorted(zip(lvl.pivots[: lvl.dim].tolist(), map(tuple, lvl.rows[: lvl.dim].tolist())))
+
+
 RESTRICTION_CASES = [
     ("gs_spec", 6),
     ("const_spec", 6),
@@ -300,8 +315,11 @@ class TestRestriction:
     @pytest.mark.parametrize("name,top", RESTRICTION_CASES)
     def test_truncations_match_building_at_that_depth(self, request, name, top):
         # G and G' truncated to level m are the groups a depth-m build
-        # closes, array for array; gamma3 and G'' have their rows in
-        # another order, as gamma3 grows from G''
+        # closes, array for array above the last level, with the generators
+        # found there; the last layer of a depth-m closure queues fewer
+        # level-(m-2) commutators, so its rows come in another order and
+        # are compared sorted by pivot, a unique echelon form.  gamma3 and
+        # G'' have their rows in another order, as gamma3 grows from G''
         spec = request.getfixturevalue(name)
         session = gv.build(spec, top)
         tops = [session.G, session.derived(), session.gamma3(), session.second_derived()]
@@ -313,15 +331,16 @@ class TestRestriction:
             direct = gv.build(spec, m)
             wants = [direct.G, direct.derived()]
             for got, want in zip(same, wants):
-                assert got.level == m and got.generators == want.generators
+                assert got.level == m
+                assert _found_above_the_last_level(got) == _found_above_the_last_level(want)
                 assert got.chain.dimensions() == want.chain.dimensions()
-                for a, b in zip(got.chain.levels, want.chain.levels):
+                for a, b in zip(got.chain.levels[:-1], want.chain.levels[:-1]):
                     assert np.array_equal(a.rows[: a.dim], b.rows[: b.dim])
                     assert np.array_equal(a.pivots[: a.dim], b.pivots[: b.dim])
-                for a, b in zip(got.chain.levels[:-1], want.chain.levels[:-1]):
                     assert np.array_equal(a.divs[:, : a.dim], b.divs[:, : b.dim])
-                reps = [list(h.chain.representatives(0)) for h in (got, want)]
-                assert np.array_equal(reps[0], reps[1])
+                    assert np.array_equal(a.reps[: a.dim], b.reps[: b.dim])
+                a, b = got.chain.levels[-1], want.chain.levels[-1]
+                assert _rows_by_pivot(a) == _rows_by_pivot(b)
             for got, want in ((gamma, direct.gamma3()), (second, direct.second_derived())):
                 assert got.chain.dimensions() == want.chain.dimensions()
                 for a, b in zip(got.chain.levels, want.chain.levels):

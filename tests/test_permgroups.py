@@ -3,6 +3,7 @@ import random
 import tracemalloc
 import weakref
 from contextlib import contextmanager
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -681,6 +682,119 @@ class TestAgainstSequentialClosure:
         assert [x.tolist() for x, _ in got[1][:3]] == [x.tolist() for x in seeds[:3]]
 
 
+# -- level N-2: commutators with module generators against every pair ------------
+
+
+def _assert_spans_of_all_pairs(tree, seeds, conj_by, start, got):
+    """The closure's layers against the one-at-a-time closure under the rule
+    it had before, which commuted every pair of level-(N-2)
+    representatives: the layers above the last array for array, and the
+    last one's rows sorted by pivot, its reduced echelon basis in the one
+    order that depends on the span alone."""
+    layers, _ = got
+    ref, _ = reference_close(tree, seeds, conj_by, start, all_pairs=True)
+    assert layers.dimensions() == ref.dimensions()
+    for lvl, want in zip(layers.levels[:-1], ref.levels[:-1]):
+        for name in ("rows", "pivots", "reps"):
+            assert np.array_equal(getattr(lvl, name)[: lvl.dim], getattr(want, name)[: want.dim])
+    (pivots, rows), (ref_pivots, ref_rows) = _pivot_sorted(layers)[-1], _pivot_sorted(ref)[-1]
+    assert np.array_equal(pivots, ref_pivots) and np.array_equal(rows, ref_rows)
+
+
+@contextmanager
+def _module_generator_calls():
+    """(rows of the level-(N-2) layer, rows from the start, ambient
+    generators, T) for every T a closure computes, in order."""
+    calls = []
+    real = permgroups._module_generators
+
+    def spy(tree, lvl, new, conj):
+        t = real(tree, lvl, new, conj)
+        calls.append((lvl.dim, new, len(conj), list(t)))
+        return t
+
+    with mock.patch.object(permgroups, "_module_generators", spy):
+        yield calls
+
+
+class TestModuleGenerators:
+    """Level N-2 commutes with the module generators T alone, where the
+    closure used to commute every pair of representatives.  Both rules close
+    to the same group: the layers above the last array for array, and the
+    same span on the last."""
+
+    @settings(max_examples=30)
+    @given(_random_subgroups())
+    def test_random_subgroups_against_every_pair(self, case):
+        g, subgens, _, _ = case
+        g.chain
+
+        def build():
+            h = PermGroup(g.degree, subgens, prime=g.prime)
+            h.chain
+            h.derived().chain
+            normal_closure(g, subgens).chain
+
+        calls = _recorded_closures(build)
+        assert len(calls) == 3
+        for call in calls:
+            _assert_spans_of_all_pairs(*call)
+
+    @pytest.mark.parametrize(
+        "p,rows,depth",
+        [(p, rows, 5 if p == 3 else 4) for p, rows in _DIFF_SPECS],
+    )
+    def test_session_subgroups_against_every_pair(self, p, rows, depth):
+        # every closure of a full run: the derived series, G, st(1)',
+        # gamma3, gamma3 of st(1) and the subdirect projections
+        spec = gv.validate(p, rows)
+        with _module_generator_calls() as ts:
+            calls = _recorded_closures(lambda: gv.run_all(spec, depth=depth))
+        # the rule acts: some closure takes T by elimination, and it is
+        # smaller than the layer
+        assert any(d - new > nx and len(t) < d - new for d, new, nx, t in ts)
+        for call in calls:
+            _assert_spans_of_all_pairs(*call)
+
+    def test_the_deep_containment_n1_queues_t_times_d_plus_d_vectors(self, r2_spec):
+        # the cold N1 that deep_containment closes first: level 4 has d = 66
+        # rows, and each gains its p-th power when found and |T| = 1
+        # commutator stack of 66 once the layer is final, where every pair
+        # gave d(d+1)/2 = 2211 level-(N-2) vectors
+        counted = {"powers": 0, "commutators": 0}
+        real_power, real_comm = permgroups._Tree.power_labels, permgroups._comm_rows
+
+        def power(tree, x):
+            counted["powers"] += 1
+            return real_power(tree, x)
+
+        def comm(x, xinv, ys, yinvs, points):
+            if not isinstance(points, slice):
+                counted["commutators"] += len(ys)
+            return real_comm(x, xinv, ys, yinvs, points)
+
+        s = gv.build(r2_spec, 6)
+        calls = []
+        real_close = permgroups._close
+
+        def close(tree, seeds, conj_by, start=None):
+            counted.update(powers=0, commutators=0)
+            out = real_close(tree, seeds, conj_by, start)
+            calls.append((start, out[0].levels[-2].dim, dict(counted)))
+            return out
+
+        with mock.patch.object(permgroups._Tree, "power_labels", power), mock.patch.object(
+            permgroups, "_comm_rows", comm
+        ), mock.patch.object(permgroups, "_close", close), _module_generator_calls() as ts:
+            s.second_derived()
+        start, d, n1 = calls[0]
+        assert start is None and d == 66
+        (dim, new, nx, t), *_ = ts
+        assert (dim, new, nx, t) == (66, 0, 3, [1])
+        assert n1 == {"powers": d, "commutators": len(t) * d}
+        assert n1["powers"] + n1["commutators"] <= len(t) * d + d < d * (d + 1) // 2 == 2211
+
+
 # -- normal generators: the seeds a closure keeps ---------------------------------
 
 
@@ -706,7 +820,9 @@ class TestNormalGenerators:
 
     @pytest.mark.parametrize(
         "p,rows,depth",
-        [(p, rows, n) for p, rows in _DIFF_SPECS for n in range(2, 4 if p == 5 else 5)],
+        [(p, rows, n) for p, rows in _DIFF_SPECS for n in range(2, 4 if p == 5 else 5)]
+        # depth 5, where level 3 has d = 20 rows and T is taken by elimination
+        + [(3, [(1, 0), (0, 1)], 5)],
     )
     def test_shared_subgroups(self, p, rows, depth):
         s = gv.build(gv.validate(p, rows), depth)
@@ -969,16 +1085,38 @@ class TestWarmNormalClosure:
 
 
 def test_commutators_need_no_inverse(gs4):
-    from itertools import product
-
     g, d = gs4.G, gs4.derived()
     xs, ys = list(d.generators[:4]), list(g.generators)
     with mock.patch.object(permgroups, "_inverse", side_effect=AssertionError("inverted")):
-        got = permgroups._commutators(product(xs, ys))
+        got = permgroups._commutators(xs, ys)
     want = [reference_commutator(x.images, y.images) for x, y in product(xs, ys)]
     want = [c for c in want if not np.array_equal(c, np.arange(len(c)))]
     assert got and len(got) == len(want)
     assert all(np.array_equal(a.images, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("fixture", SPEC_FIXTURES)
+def test_commutators_match_the_pairwise_ones(fixture, request):
+    # the gathers over stacked right factors give commutator(x, y) for each
+    # pair in the order of product or combinations, the identity left out;
+    # the pairs of a generating set with itself and a repeated element give
+    # identities to leave out
+    spec = request.getfixturevalue(fixture)
+    s = gv.build(spec, 3)
+    st1, st1d, g = s.st1(), s.st1_derived(), s.G
+    cases = [
+        ((st1d.generators, st1.generators), product(st1d.generators, st1.generators)),
+        ((g.generators, g.generators), product(g.generators, g.generators)),
+        ((g.generators,), combinations(g.generators, 2)),
+        ((list(g.generators) * 2,), combinations(list(g.generators) * 2, 2)),
+        ((st1.generators, []), ()),
+        (([],), ()),
+    ]
+    for args, pairs in cases:
+        want = [c for c in (commutator(x, y) for x, y in pairs) if not c.is_identity()]
+        got = permgroups._commutators(*args)
+        assert [c.images.tolist() for c in got] == [c.images.tolist() for c in want]
+        assert all(not c.images.flags.writeable for c in got)
 
 
 def _first_outside(group, other):
@@ -1177,7 +1315,10 @@ class TestBatchedElimination:
     @pytest.mark.parametrize("p,depth", [(3, 4), (5, 3), (7, 3)])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("fill", [False, True])
-    def test_against_sequential_add(self, p, depth, seed, fill):
+    # the layer's older rows lose the new pivots in one product at the end
+    # (a bound of 0 entries), or in each elimination (a bound never reached)
+    @pytest.mark.parametrize("block", [0, 1 << 62])
+    def test_against_sequential_add(self, p, depth, seed, fill, block):
         rng = np.random.default_rng([p, seed, fill])
         width = p ** (depth - 1)
         batched = _bottom_layer(p, depth, np.random.default_rng([p, seed]), width // 3)
@@ -1203,7 +1344,8 @@ class TestBatchedElimination:
 
         plain_rows = batched.rows[:d].astype(int).tolist()
         plain_pivots = batched.pivots[:d].tolist()
-        got, as_added = batched.extend(stack, p)
+        with mock.patch.object(permgroups, "_BLOCK", block):
+            got, as_added = batched.extend(stack, p)
         rows = batched.rows[: batched.dim]
         want, want_rows = [], []
         for i, v in enumerate(stack):
