@@ -141,8 +141,9 @@ first and the waiting stacks after them, conjugates' labels in the order
 taken, in stacks of at most _RUN rows, then the conjugate stacks in the
 order made.  A stack leaves its queue whole and joins the run.  The run is
 reduced against the last layer in one matrix product once it holds _RUN
-vectors, when the queues run dry, and before any residual above the last
-level is adjoined; it may pass _RUN by one stack.  Its residuals are
+vectors, when the queues run dry, and before a residual above the last
+level is adjoined if the run holds a main-queue candidate, whose generator
+comes first; it may pass _RUN by one stack.  Its residuals are
 written into the last layer's own rows and added one at a time in queue
 order: each that is still non-zero becomes a row, and one elimination
 clears its pivot from the layer and from the residuals still pending.  On a
@@ -235,13 +236,18 @@ integers.  The bound admits p=3 up to N=13, p=5 up to N=8 and p=7 up to
 N=6.
 
 Deferring the last level so is exact.  A sift above the last level reads
-only the layers above it, adding a bottom row changes only the last layer
-and appends to the tail of the main queue, or of the waiting conjugate
-stacks, and nothing else is queued while a run is pending; a conjugate's
+only the layers above it, and adding a bottom row changes only the last
+layer and appends to the tail of the main queue, or of the waiting
+conjugate stacks.  While a run is pending, nothing is queued that its
+reduction could overtake: a residual above the last level is adjoined with
+a run pending only before the commutators of Level N-2, when the run holds
+no main-queue candidate, so it records no generator, and the conjugate
+stacks of its rows wait, in the order the rows are added; a conjugate's
 labels wait in a list of their own, in the order taken.  So taking a stack
-whole, or reducing a run that passed _RUN, leaves every candidate reduced
-against the layers, and the queues growing in the order, of the
-one-candidate-at-a-time closure.  A vector's
+whole, reducing a run that passed _RUN, or reducing it after an adjoined
+residual leaves every candidate reduced against the layers, and the queues
+and the generators growing in the order, of the one-candidate-at-a-time
+closure.  A vector's
 residual against a reduced echelon basis is the one vector of its coset
 that vanishes on the pivots, so this is the residual that reducing it
 afresh would give.  Hence a vector whose residual is zero is dropped exactly
@@ -894,9 +900,10 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
         else:
             m, y, labels = layers._sift_upper(x, start)
             if m < last:
-                # one at a time, the run's bottom rows and their conjugates
-                # come before this residual and its consequences
-                if run:
+                # one at a time, the generators the run records come before
+                # this residual's; the conjugates of its rows wait in held,
+                # in the order the rows are added, whenever they are
+                if any(main_item for main_item, _ in tags):
                     flush()
                 if from_main:
                     found.append((x, m))
