@@ -1315,10 +1315,19 @@ class TestBatchedElimination:
     @pytest.mark.parametrize("p,depth", [(3, 4), (5, 3), (7, 3)])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("fill", [False, True])
-    # the layer's older rows lose the new pivots in one product at the end
-    # (a bound of 0 entries), or in each elimination (a bound never reached)
-    @pytest.mark.parametrize("block", [0, 1 << 62])
-    def test_against_sequential_add(self, p, depth, seed, fill, block):
+    def test_against_sequential_add(self, p, depth, seed, fill):
+        # layers this small lose the new pivots in each elimination
+        self._against_sequential_add(p, depth, seed, fill, 1 << 62)
+
+    @pytest.mark.parametrize("p,depth", [(3, 4), (5, 3), (7, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_one_product_against_sequential_add(self, p, depth, seed, fill):
+        # the layer's older rows lose the new pivots in one product at the
+        # end, as every layer of _BLOCK entries or more does
+        self._against_sequential_add(p, depth, seed, fill, 0)
+
+    def _against_sequential_add(self, p, depth, seed, fill, block):
         rng = np.random.default_rng([p, seed, fill])
         width = p ** (depth - 1)
         batched = _bottom_layer(p, depth, np.random.default_rng([p, seed]), width // 3)
