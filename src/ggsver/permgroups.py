@@ -146,10 +146,10 @@ level is adjoined if the run holds a main-queue candidate, whose generator
 comes first; it may pass _RUN by one stack.  Its residuals are
 written into the last layer's own rows and added one at a time in queue
 order: each that is still non-zero becomes a row, and one elimination
-clears its pivot from the layer and from the residuals still pending.  On a
-layer of _BLOCK entries or more the rows the layer had before the run lose
-the new pivots at the end instead, in one product.  A reduced echelon basis
-is fixed by its span and its pivots, so the rows are the same either way.
+clears its pivot from the rows added before it and from the residuals still
+pending; the rows the layer had before the run lose the new pivots at the
+end, in one product.  A reduced echelon basis is fixed by its span and its
+pivots, so the rows are those of adding one at a time.
 The conjugates of the rows one reduction adds form one stack, taken from
 each row as it was added, before later rows cleared their pivots, row by
 row in the order added; that is the order and the value in which
@@ -164,14 +164,15 @@ then takes T, final level-(N-2) representatives whose rows span V modulo
 V.I, and queues [t, r] for each t in T and each final level-(N-2)
 representative r, as stacks of at most _RUN rows that are never recorded
 as generators.  T is the rows that still add a pivot, in row order, to a
-basis of V.I (_module_generators); when the closure added at most |X| rows
-at level N-2, T is the rows it added.  This needs the seeds, and the start,
-to lie in A, the group X generates: every caller closes elements of its
-ambient group under that group's generators (normal_closure checks its
-seeds; derived(), commutator_subgroup and the session's subgroups build
-theirs from the ambient group's elements; a start lies in the result), and
-so does the subdirect check, whose seeds are slot sections of elements of
-st(1), which the slot sections of st(1)'s generators generate.
+scratch layer that holds V.I (_module_generators), or, when the closure
+added at most |X| rows at level N-2, those rows.  This needs the seeds,
+and the start, to lie in A, the group X generates: every caller closes
+elements of its ambient group under that group's generators (normal_closure
+checks its seeds; derived(), commutator_subgroup and the session's
+subgroups build theirs from the ambient group's elements; a start lies in
+the result), and so does the subdirect check, whose seeds are slot sections
+of elements of st(1), which the slot sections of st(1)'s generators
+generate.
 Why it is enough.  Let M = H_(N-1), the last layer's group at the end.  M is
 invariant under X, so normal in the finite group A, and every
 representative lies in A, so normalizes M; H_(N-2) is normal in A too, by
@@ -186,14 +187,12 @@ spans V, is V (Nakayama).  So K = <T^A> M has the labels V, and H_(N-2) =
 K (H_(N-2) & st(N-1)): K/M is central in H_(N-2)/M, and the second factor,
 in the abelian st(N-1), is abelian, so H_(N-2)/M is abelian.  When T is
 the rows the closure added, H_(N-2) = <R, T> M with R the start's
-level-(N-2) representatives, as each level-(N-2) representative ever made
-is a word in R and the final added ones: pairs in R commute modulo the
-start's last group, which lies in M, and t is central modulo M as above,
-so again H_(N-2)/M is abelian.  (T is not taken modulo the start's rows as
-well: nothing above shows that enough.)  Either way H_(N-2)/M is generated
-by the images of the level-(N-2) representatives ever made, each of order
-p modulo M by (b), so it is elementary abelian, as Why that is the closure
-needs.
+level-(N-2) representatives, as clearing pivots keeps the group the
+representatives span: pairs in R commute modulo the start's last group,
+which lies in M, and each t is central modulo M as above, so again
+H_(N-2)/M is abelian.  Either way it is generated by the images of the
+level-(N-2) representatives ever made, each of order p modulo M by (b), so
+it is elementary abelian, as Why that is the closure needs.
 A conjugate that waited and leaves a residual is recorded as the element
 its labels determine, the conjugate divided by representatives above the
 last level; those generators, and the label vectors' others, are made only
@@ -392,11 +391,6 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
 # a run may pass it by one stack
 _RUN = 64
 
-# entries of the last layer from which a run's new pivots leave its older
-# rows in one product (_Layer.extend); below it each elimination clears them,
-# as the product costs more numpy calls than it saves
-_BLOCK = 1 << 15
-
 
 def _row_type(p: int, n: int):
     """The float type of the label rows of the depth-n tree: float32 when
@@ -471,14 +465,12 @@ class _Layer:
     raised to -c.  A layer with no rows makes membership refuse at once an
     element with non-zero labels at its level: a member's are zero there
     (module docstring).
-    The arrays grow by doubling, a share's first by 16 rows, up to the width
-    plus the rows being added; rows from dim on are unused, or hold
-    residuals on their way in, until the closure drops them.  add and extend
-    take residuals through one elimination, _clear; extend, on a layer of
-    _BLOCK entries or more, clears the pivots it adds from the rows the
-    layer had in one product.  steps[c-1][j] is a view of divs[c-1, j],
-    made once per array, as a list is indexed faster than numpy makes a
-    view."""
+    The arrays grow by doubling, up to the width plus the rows being added;
+    rows from dim on are unused, or hold residuals on their way in, until
+    the closure drops them.  add and extend take residuals through one
+    elimination, _clear; extend clears the pivots it adds from the rows the
+    layer had in one product.  steps[c-1][j] is a view of divs[c-1, j], made
+    once per array, as a list is indexed faster than numpy makes a view."""
 
     __slots__ = ("rows", "pivots", "leaves", "below", "dim", "reps", "divs", "steps")
 
@@ -515,11 +507,8 @@ class _Layer:
         """The n rows from dim on, room for them made first."""
         d = self.dim
         if d + n > len(self.rows):
-            # a layer has at most as many rows as columns, plus those coming
-            # in; a share's arrays are views of its start's (Warm start), and
-            # it first grows by 16 rows, as a warm closure adds few
-            grow = max(16, len(self.rows)) if self.rows.base is None else 16
-            self.resize(min(max(len(self.rows) + grow, d + n), self.rows.shape[1] + n))
+            # a layer has at most as many rows as columns, plus those coming in
+            self.resize(min(max(16, 2 * len(self.rows), d + n), self.rows.shape[1] + n))
         return self.rows[d : d + n]
 
     def _reduced(self, r: np.ndarray) -> np.ndarray:
@@ -528,7 +517,7 @@ class _Layer:
             raise AssertionError("a residual is not reduced against its layer")
         return r
 
-    def _clear(self, k: int, end: int, p: int, start: int = 0):
+    def _clear(self, k: int, start: int, end: int, p: int):
         """Make row k, zero at every pivot, row dim: scaled to a unit pivot,
         with its pivot column cleared from every other row from start to
         end.  The rows from dim up to k must be zero.  Returns the new row,
@@ -567,7 +556,7 @@ class _Layer:
         one."""
         d = self.dim
         self._take(1)[0] = self._reduced(residual)
-        _, hit, t, scale = self._clear(d, d + 1, p)
+        _, hit, t, scale = self._clear(d, 0, d + 1, p)
         return scale, [(i, int(c)) for i, c in zip(hit.tolist(), t.tolist()) if i != d]
 
     def extend(self, u: np.ndarray, p: int):
@@ -577,23 +566,20 @@ class _Layer:
         computed into the rows from dim on; one elimination per new row
         clears it from the rows added before it and from the residuals still
         pending, and moves it up to follow the rows before it.  The rows the
-        layer had lose the new pivots in the same eliminations, or, once the
-        layer holds _BLOCK entries, last, in one product; the reduced echelon
-        basis with the pivots found is unique, so the rows are those of
-        adding one at a time either way.  Returns the indices into u of the
-        new rows and those rows as added, before later rows cleared their
-        pivots."""
+        layer had lose the new pivots last, in one product; the reduced
+        echelon basis with the pivots found is unique, so the rows are those
+        of adding one at a time.  Returns the indices into u of the new rows
+        and those rows as added, before later rows cleared their pivots."""
         d = self.dim
         residuals = self._reduced(self.residual(u, p, out=self._take(len(u))))
         end = d + len(u)
-        start = d if d * self.rows.shape[1] >= _BLOCK else 0
         added, as_added = [], []
         for i in np.flatnonzero(np.count_nonzero(residuals, axis=1)).tolist():
-            got = self._clear(d + i, end, p, start=start)
+            got = self._clear(d + i, d, end, p)
             if got is not None:
                 added.append(i)
                 as_added.append(got[0])
-        if added and start:
+        if added and d:
             rows, new = self.rows, self.pivots[d : self.dim]
             hit = np.flatnonzero(np.count_nonzero(rows[:d, new], axis=1))
             # exact: each entry sums len(new) <= p^m products below p^2
@@ -742,50 +728,25 @@ class _Layers:
 
 
 def _module_generators(tree: _Tree, lvl: _Layer, new: int, conj) -> list[int]:
-    """T: the indices of the rows of the level-(N-2) layer lvl that add a
-    pivot, in row order, to a basis of V.I, the span of its rows moved by
-    x - 1 over the ambient generators x, given with their inverses in conj
-    (Level N-2 in the module docstring).  The rows from `new` on are those
-    the closure added; when there are at most as many as the generators,
-    they are T.
-
-    A vector of the layer's span is the combination of its rows with its
-    labels at the pivots as coefficients, so row j is the unit vector e_j
-    in those coordinates, and it adds a pivot exactly when no vector of V.I
-    has its last non-zero coordinate at j.  The moved rows have a label or
-    two at the pivots, so they are eliminated as sparse rows, keyed by that
-    last coordinate."""
-    d, p = lvl.dim, tree.p
-    if d - new <= len(conj):
-        return list(range(new, d))
-    # x moves the rows by its level-(N-2) vertex map
-    pulls = [tree.pull(xinv, tree.depth - 2) for _, xinv in conj]
-    rows = lvl.rows[:d]
-    moved = np.concatenate([rows[:, pull[lvl.pivots[:d]]] for pull in pulls])
-    moved.reshape(len(pulls), d, d)[:] -= np.eye(d, dtype=moved.dtype)
-    _mod(moved, p)
-    sparse = [{} for _ in moved]
-    at = moved.nonzero()
-    for i, j, c in zip(*(a.tolist() for a in at), moved[at].astype(np.intp).tolist()):
-        sparse[i][j] = c
-    basis = {}
-    for row in sparse:
-        while row:
-            j = max(row)
-            b = basis.get(j)
-            if b is None:
-                basis[j] = row
-                break
-            # row minus f b, with f chosen to clear column j
-            f = row[j] * pow(b[j], -1, p) % p
-            row = dict(row)
-            for k, c in b.items():
-                c = (row.get(k, 0) - f * c) % p
-                if c:
-                    row[k] = c
-                else:
-                    row.pop(k, None)
-    return [j for j in range(d) if j not in basis]
+    """T: the indices of the rows of the level-(N-2) layer lvl that still add
+    a pivot, in row order, to a scratch layer holding V.I, the span of its
+    rows moved by x - 1 over the ambient generators x, given with their
+    inverses in conj; or the rows from `new` on, those the closure added,
+    when there are at most as many as the generators (Level N-2 in the
+    module docstring)."""
+    if lvl.dim - new <= len(conj):
+        return list(range(new, lvl.dim))
+    m, p = tree.depth - 2, tree.p
+    rows, width = lvl.rows[: lvl.dim], lvl.rows.shape[1]
+    # x moves the rows by its level-(N-2) vertex map: one gather for all x
+    pulls = np.array([tree.pull(xinv, m) for _, xinv in conj], dtype=np.intp)
+    moved = _mod(rows[:, pulls.reshape(len(conj), width)] - rows[:, None], p)
+    # the last layer of the depth-(N-1) tree: level-(N-2) rows, no
+    # representatives; fed label stacks of the narrow type, as a run is
+    scratch = _Layer(_Tree(p, m + 1), m)
+    labels = tree.digits[-1].dtype
+    scratch.extend(moved.reshape(-1, width).astype(labels), p)
+    return scratch.extend(rows.astype(labels), p)[0]
 
 
 def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):

@@ -400,7 +400,7 @@ def _adds_pivot(p, rows):
     return out
 
 
-def _module_generators(tree, lvl, new, conj_by):
+def reference_module_generators(tree, lvl, new, conj_by):
     """Indices of the level-(N-2) rows that span the layer modulo the sum of
     its rows moved by x - 1, x in conj_by, in integers; the rows from `new`
     on when there are at most len(conj_by) of them."""
@@ -456,7 +456,7 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
         if not (side or main):
             if mid is not None:
                 reps = [r.copy() for r in mid.reps[: mid.dim]]
-                for t in _module_generators(tree, mid, mid_start, conj_by):
+                for t in reference_module_generators(tree, mid, mid_start, conj_by):
                     side.extend((reference_commutator(reps[t], r), last) for r in reps)
             main.extend((x, last, False) for x in waiting + held)
             commuted = True

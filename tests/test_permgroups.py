@@ -37,6 +37,7 @@ from oracles import (
     log_order,
     reference_close,
     reference_commutator,
+    reference_module_generators,
     reference_normal_closure,
     same_group,
 )
@@ -704,13 +705,15 @@ def _assert_spans_of_all_pairs(tree, seeds, conj_by, start, got):
 @contextmanager
 def _module_generator_calls():
     """(rows of the level-(N-2) layer, rows from the start, ambient
-    generators, T) for every T a closure computes, in order."""
+    generators, T, T by integer elimination) for every T a closure
+    computes, in order."""
     calls = []
     real = permgroups._module_generators
 
     def spy(tree, lvl, new, conj):
         t = real(tree, lvl, new, conj)
-        calls.append((lvl.dim, new, len(conj), list(t)))
+        want = reference_module_generators(tree, lvl, new, [y for y, _ in conj])
+        calls.append((lvl.dim, new, len(conj), t, want))
         return t
 
     with mock.patch.object(permgroups, "_module_generators", spy):
@@ -751,8 +754,10 @@ class TestModuleGenerators:
         with _module_generator_calls() as ts:
             calls = _recorded_closures(lambda: gv.run_all(spec, depth=depth))
         # the rule acts: some closure takes T by elimination, and it is
-        # smaller than the layer
-        assert any(d - new > nx and len(t) < d - new for d, new, nx, t in ts)
+        # smaller than the layer; and the scratch layer finds the T that
+        # integer elimination finds
+        assert any(d - new > nx and len(t) < d - new for d, new, nx, t, _ in ts)
+        assert all(t == want for *_, t, want in ts)
         for call in calls:
             _assert_spans_of_all_pairs(*call)
 
@@ -789,8 +794,8 @@ class TestModuleGenerators:
             s.second_derived()
         start, d, n1 = calls[0]
         assert start is None and d == 66
-        (dim, new, nx, t), *_ = ts
-        assert (dim, new, nx, t) == (66, 0, 3, [1])
+        (dim, new, nx, t, want), *_ = ts
+        assert (dim, new, nx, t, want) == (66, 0, 3, [1], [1])
         assert n1 == {"powers": d, "commutators": len(t) * d}
         assert n1["powers"] + n1["commutators"] <= len(t) * d + d < d * (d + 1) // 2 == 2211
 
@@ -1316,18 +1321,6 @@ class TestBatchedElimination:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("fill", [False, True])
     def test_against_sequential_add(self, p, depth, seed, fill):
-        # layers this small lose the new pivots in each elimination
-        self._against_sequential_add(p, depth, seed, fill, 1 << 62)
-
-    @pytest.mark.parametrize("p,depth", [(3, 4), (5, 3), (7, 3)])
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("fill", [False, True])
-    def test_one_product_against_sequential_add(self, p, depth, seed, fill):
-        # the layer's older rows lose the new pivots in one product at the
-        # end, as every layer of _BLOCK entries or more does
-        self._against_sequential_add(p, depth, seed, fill, 0)
-
-    def _against_sequential_add(self, p, depth, seed, fill, block):
         rng = np.random.default_rng([p, seed, fill])
         width = p ** (depth - 1)
         batched = _bottom_layer(p, depth, np.random.default_rng([p, seed]), width // 3)
@@ -1353,8 +1346,7 @@ class TestBatchedElimination:
 
         plain_rows = batched.rows[:d].astype(int).tolist()
         plain_pivots = batched.pivots[:d].tolist()
-        with mock.patch.object(permgroups, "_BLOCK", block):
-            got, as_added = batched.extend(stack, p)
+        got, as_added = batched.extend(stack, p)
         rows = batched.rows[: batched.dim]
         want, want_rows = [], []
         for i, v in enumerate(stack):
