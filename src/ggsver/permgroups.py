@@ -38,10 +38,13 @@ representative is multiplied by a power of the new one), and becomes a
 representative r.  It queues (a) its conjugates by the ambient generators,
 (b) r^p and, below level N-2, (c) its commutators with the other level-m
 representatives.  (b) and (c) lie in st(m+1) and go ahead of the next seed
-or conjugate; (a) are made as they leave the queue (Bottom layer).  Level
-N-2 commutes only with module generators T, once the layers above the last
-are final (Level N-2).  The loop stops when every queued element has
-reduced to the identity.
+or conjugate; (a) are made as they leave the queue.  The closure runs in
+two phases.  Phase 1 takes the seeds and every candidate (a), (b) and (c)
+makes, and adjoins their residuals above the last level; what reaches the
+last level waits as label vectors.  Phase 2 closes the last layer from
+those (Bottom layer), with commutators of level N-2 with module generators
+T only, as phase 1 has made the layers above the last final (Level N-2).
+It stops when every queued element has reduced to the identity.
 
 Why that is the closure.  Every representative is a product of seeds,
 conjugates and earlier representatives, so it lies in the closure.  Clearing
@@ -91,8 +94,8 @@ origin: the ambient it was closed in, elements whose closure under the
 ambient's generators it is, and the levels of its generators (Generators of
 a quotient).  The seeds that leave a residual already close to H_0, so a
 cold normal closure records only those as its elements.  They are the prefix
-of the generators found, since conjugates join the main queue behind every
-seed, so no conjugate leaves it before the last seed.  Let N' be the closure
+of the generators found: those are sorted by when each candidate left the
+main queue, and conjugates join it behind every seed.  Let N' be the closure
 of the kept seeds under the ambient generators; N' <= H_0 as H_0 holds every
 seed.  By induction over the queue, everything the closure handles lies in
 N': a kept seed does; a seed that left no residual reduced to the identity,
@@ -102,8 +105,9 @@ power of a residual or an earlier one times a power of it; a conjugate of a
 representative by an ambient generator lies in N', which those generators
 normalize; p-th powers and commutators of representatives lie in N' too.  So
 every representative lies in N', H_0 <= N', and H_0 = N'.  A seed that left
-no residual even lies in the group generated by the seeds before it: no
-conjugate is handled before the last seed, so the representatives it was
+no residual even lies in the group generated by the seeds before it: phase
+1 takes no conjugate before the last seed, and phase 2 reduces the seeds'
+labels before anything a conjugate made, so the representatives it was
 reduced by are built from those seeds by products, powers and commutators.
 A warm closure keeps every seed, as those that left no residual may reduce
 by the start's representatives; the closure of every seed is H_0, as the
@@ -131,19 +135,15 @@ per closure for each ambient generator.  The p-th power of a new level-(N-2)
 representative, and the commutators of Level N-2, are evaluated on the
 first leaf below each level-(N-1) vertex only, the commutators of one t
 with its peers in one gather (on every level below the last the
-representatives and inverses are 2-D arrays).  A permutation candidate is
-sifted through the levels above the last only; if it leaves no residual
-there, its level-(N-1) labels join the current run of label vectors as a
-stack of one, tagged with the permutation.  A conjugate's labels wait
-instead, and so do the conjugate stacks of the rows the last layer gains,
-until the commutators of Level N-2 are queued: then the commutators go
-first and the waiting stacks after them, conjugates' labels in the order
-taken, in stacks of at most _RUN rows, then the conjugate stacks in the
-order made.  A stack leaves its queue whole and joins the run.  The run is
-reduced against the last layer in one matrix product once it holds _RUN
-vectors, when the queues run dry, and before a residual above the last
-level is adjoined if the run holds a main-queue candidate, whose generator
-comes first; it may pass _RUN by one stack.  Its residuals are
+representatives and inverses are 2-D arrays).  Phase 1 sifts a permutation
+candidate through the levels above the last only; if it leaves no residual
+there, its level-(N-1) labels join one queue of stacks as a stack of one,
+or, for a conjugate, wait apart in the order taken.  Phase 2 queues after
+phase 1's stacks the commutators of Level N-2, then the conjugates' labels
+in stacks of at most _RUN rows, and takes the stacks in order, each whole,
+into runs.  A run is reduced against the last layer in one matrix product
+once it holds _RUN vectors, or when the queue is empty; it may pass _RUN by
+one stack.  Its residuals are
 written into the last layer's own rows and added one at a time in queue
 order: each that is still non-zero becomes a row, and one elimination
 clears its pivot from the rows added before it and from the residuals still
@@ -152,15 +152,15 @@ end, in one product.  A reduced echelon basis is fixed by its span and its
 pivots, so the rows are those of adding one at a time.
 The conjugates of the rows one reduction adds form one stack, taken from
 each row as it was added, before later rows cleared their pivots, row by
-row in the order added; that is the order and the value in which
-one-at-a-time adding queues them.
+row in the order added, and join the tail of the queue; that is the order
+and the value in which one-at-a-time adding queues them.
 
 Level N-2.  Let V be the span of the level-(N-2) layer and V.I the sum of
 V(x - 1), x running over the ambient generators X (the rows moved by x's
 vertex map, less the rows).  A new level-(N-2) representative queues its
-p-th power alone.  Once no permutation candidate is left, the layers above
-the last are final, as work on the last level never feeds them; the closure
-then takes T, final level-(N-2) representatives whose rows span V modulo
+p-th power alone.  Phase 1 leaves the layers above the last final, as
+nothing on the last level feeds them; phase 2 then takes T, final
+level-(N-2) representatives whose rows span V modulo
 V.I, and queues [t, r] for each t in T and each final level-(N-2)
 representative r, as stacks of at most _RUN rows that are never recorded
 as generators.  T is the rows that still add a pivot, in row order, to a
@@ -193,11 +193,11 @@ which lies in M, and each t is central modulo M as above, so again
 H_(N-2)/M is abelian.  Either way it is generated by the images of the
 level-(N-2) representatives ever made, each of order p modulo M by (b), so
 it is elementary abelian, as Why that is the closure needs.
-A conjugate that waited and leaves a residual is recorded as the element
-its labels determine, the conjugate divided by representatives above the
-last level; those generators, and the label vectors' others, are made only
-after the layers are trimmed (the end of _close), so that they never take
-memory together with the copies a trim makes.
+A conjugate whose labels leave a residual is recorded as the element they
+determine, the conjugate divided by representatives above the last level,
+and so is a row of a conjugate stack; those generators are made only after
+the layers are trimmed (the end of _close), so that they never take memory
+together with the copies a trim makes.
 
 The label vectors are stored in the narrowest unsigned type that holds
 p - 1, uint8 unless p > 256: the tree's level-(N-1) digits have that type,
@@ -234,28 +234,21 @@ in 0..(p-1)^2 p^(N-1), is exact, and from_last_labels reduces it mod p in
 integers.  The bound admits p=3 up to N=13, p=5 up to N=8 and p=7 up to
 N=6.
 
-Deferring the last level so is exact.  A sift above the last level reads
-only the layers above it, and adding a bottom row changes only the last
-layer and appends to the tail of the main queue, or of the waiting
-conjugate stacks.  While a run is pending, nothing is queued that its
-reduction could overtake: a residual above the last level is adjoined with
-a run pending only before the commutators of Level N-2, when the run holds
-no main-queue candidate, so it records no generator, and the conjugate
-stacks of its rows wait, in the order the rows are added; a conjugate's
-labels wait in a list of their own, in the order taken.  So taking a stack
-whole, reducing a run that passed _RUN, or reducing it after an adjoined
-residual leaves every candidate reduced against the layers, and the queues
-and the generators growing in the order, of the one-candidate-at-a-time
-closure.  A vector's
-residual against a reduced echelon basis is the one vector of its coset
-that vanishes on the pivots, so this is the residual that reducing it
-afresh would give.  Hence a vector whose residual is zero is dropped exactly
-where sifting it as a permutation would drop it: it lies in the span, and
-the span only grows.  The live vectors are added one at a time in queue
-order, so the rows, pivots, representatives and generators found are those
-of the one-candidate-at-a-time closure.  A main-queue candidate that leaves
-a residual on the last level is recorded as a generator: its permutation,
-or for a label vector the element of st(N-1) that it determines.
+Deferring the last level so is exact.  Take the closure that sifts each
+candidate as a permutation, one at a time in queue order, and holds back
+the conjugates that reach the last level, and those of its rows, until the
+commutators of Level N-2 are queued.  Phase 1 never reads or writes the
+last layer, and nothing phase 2 queues goes above it, so phase 1 adjoins
+that closure's residuals above the last level, and phase 2 adds its
+level-(N-1) vectors in its queue order.  A vector's residual against a
+reduced echelon basis is the one vector of its coset that vanishes on the
+pivots, so a run gives each vector the residual it has against the rows
+added before it, and a vector whose residual is zero is dropped exactly
+where sifting it as a permutation would drop it.  So the rows, pivots and
+representatives are that closure's, and so are the generators once sorted
+by the count of main-queue candidates taken: a main-queue candidate that
+leaves a residual on the last level is recorded as its permutation for a
+seed, else as the element of st(N-1) its labels determine.
 
 Quotients.  For H <= W_N and m < N, truncate(m) returns pi_m(H), the
 action of H on the level-m vertices, read off H's layers with no closure.
@@ -749,6 +742,21 @@ def _module_generators(tree: _Tree, lvl: _Layer, new: int, conj) -> list[int]:
     return scratch.extend(rows.astype(labels), p)[0]
 
 
+def _commutator_stacks(tree: _Tree, lvl: _Layer, new: int, conj) -> list:
+    """[t, r] for t in T and each representative r of the level-(N-2) layer
+    lvl, as stacks of level-(N-1) labels of at most _RUN rows, t by t and r
+    in row order (Level N-2 in the module docstring).  Its views of lvl's
+    arrays end with the call, so a later trim frees them."""
+    reps, invs = lvl.reps[: lvl.dim], lvl.divs[0, : lvl.dim]
+    out = []
+    for t in _module_generators(tree, lvl, new, conj):
+        for i in range(0, len(reps), _RUN):
+            ys, yinvs = reps[i : i + _RUN], invs[i : i + _RUN]
+            comm = _comm_rows(reps[t], invs[t], ys, yinvs, tree.starts[-1])
+            out.append(tree.digits[-1][comm])
+    return out
+
+
 def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     """Layers of the closure of the seeds under conjugation by conj_by, and
     the seeds and conjugates that left a residual, each paired with the
@@ -768,41 +776,19 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     mid = layers.levels[last - 1] if last else None
     mid_start = 0 if mid is None else mid.dim
     # (element, level its sift starts at, None), or (labels, None, None) for
-    # a stack of elements of st(N-1) given by their level-(N-1) labels, one
-    # per row; (representative, level, (s, s^-1)) stands for the conjugate
-    # s^-1 rep s, made when it is taken from the queue
+    # the level-(N-1) labels of a p-th power; (representative, level, (s,
+    # s^-1)) stands for the conjugate s^-1 rep s, made when it is taken
     main = deque((x, 0, None) for x in seeds)
     side: deque = deque()
-    # until the level-(N-2) commutators are queued, the bottom labels of
-    # conjugates wait in the order taken, and the conjugate stacks of the
-    # bottom rows in the order made
-    waiting, held = [], []
-    commuted = False
+    # the last layer's queue: stacks of level-(N-1) labels, one vector per
+    # row, each with the count of main-queue candidates taken when it was
+    # (None for one that records no generator) and the seed it stands for
+    stacks: deque = deque()
+    # the level-(N-1) labels of conjugates, in the order taken
+    waiting = []
+    # (count, generator, level), or (count, (labels, row), None)
     found = []
-    # stacks of level-(N-1) labels waiting for the last layer, in queue
-    # order, each tagged (from main, the element sifted or None for a
-    # stack of label items), and the length of the run after each
-    run, tags, ends = [], [], []
-
-    def flush():
-        u = np.concatenate(run)
-        # the stacks are copied into u; let them go before the product
-        run.clear()
-        added, rows = bottom.extend(u, p)
-        if added:
-            owners = [tags[s] for s in np.searchsorted(ends, added, side="right").tolist()]
-            # a label item that left a residual stands for the element of
-            # st(N-1) its labels determine, made once the closure is done
-            items = [i for i, (from_main, x) in zip(added, owners) if from_main and x is None]
-            block, rows_of = u[items], iter(range(len(items)))
-            for from_main, x in owners:
-                if from_main:
-                    found.append(((block, next(rows_of)), None) if x is None else (x, last))
-            # the conjugates of each new row as it was added, row by row
-            stack = rows.astype(tree.digits[-1].dtype)[:, pulls]
-            (main if commuted else held).append((stack.reshape(-1, u.shape[1]), None, None))
-        tags.clear()
-        ends.clear()
+    taken = 0
 
     def adjoin(m, y, residual):
         lvl = layers.levels[m]
@@ -825,61 +811,58 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
         rep = rep.copy()
         main.extend((rep, m, by) for by in conj)
 
-    def commutators():
-        """[t, r] for t in T and each level-(N-2) representative r, as label
-        stacks of at most _RUN rows, t by t and r in row order."""
-        if mid is None or not mid.dim:
-            return
-        reps, invs = mid.reps[: mid.dim], mid.divs[0, : mid.dim]
-        for t in _module_generators(tree, mid, mid_start, conj):
-            for i in range(0, len(reps), _RUN):
-                ys, yinvs = reps[i : i + _RUN], invs[i : i + _RUN]
-                comm = _comm_rows(reps[t], invs[t], ys, yinvs, tree.starts[-1])
-                yield tree.digits[-1][comm], None, None
-
-    while side or main or not commuted:
-        if not (side or main):
-            # no permutation is left, so the layers above the last are
-            # final: the commutators go ahead of what waits
-            side.extend(commutators())
-            if waiting:
-                u = np.array(waiting)
-                main.extend((u[i : i + _RUN], None, None) for i in range(0, len(u), _RUN))
-            main.extend(held)
-            commuted = True
-            # a run the queues left pending joins the commutators, or is
-            # reduced now when nothing came
-            if run and not (side or main):
-                flush()
-            continue
+    # phase 1: the layers above the last; what reaches the last level waits
+    while side or main:
         from_main = not side
         x, start, by = (main if from_main else side).popleft()
+        taken += from_main
         if by is not None:
             x = _conj(x, *by)
         if start is None:
-            labels, x = x, None
+            stacks.append((x, None, None))
+            continue
+        m, y, labels = layers._sift_upper(x, start)
+        if m < last:
+            if from_main:
+                found.append((taken, x, m))
+            adjoin(m, y, labels)
+        elif by is not None:
+            waiting.append(labels)
         else:
-            m, y, labels = layers._sift_upper(x, start)
-            if m < last:
-                # one at a time, the generators the run records come before
-                # this residual's; the conjugates of its rows wait in held,
-                # in the order the rows are added, whenever they are
-                if any(main_item for main_item, _ in tags):
-                    flush()
-                if from_main:
-                    found.append((x, m))
-                adjoin(m, y, labels)
-                continue
-            if by is not None and not commuted:
-                waiting.append(labels)
-                continue
-            labels = labels[None]
+            # a seed's generator is the very array handed in
+            stacks.append((labels[None], taken, x) if from_main else (labels[None], None, None))
+    # phase 2: the last layer, from one queue: phase 1's stacks, [t, r] for
+    # t in T and each level-(N-2) representative r, the conjugates' labels,
+    # then the conjugate stacks of the rows it gains; the last two record
+    # their generators after every one of phase 1
+    if mid is not None:
+        stacks.extend((c, None, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
+    waiting = np.array(waiting)
+    stacks.extend((waiting[i : i + _RUN], taken, None) for i in range(0, len(waiting), _RUN))
+    while stacks:
         # a stack joins the run whole, so a run may pass _RUN by one stack
-        run.append(labels)
-        tags.append((from_main, x))
-        ends.append(len(labels) + (ends[-1] if ends else 0))
-        if ends[-1] >= _RUN or not (side or main or not commuted):
-            flush()
+        run, ends = [], [0]
+        while stacks and ends[-1] < _RUN:
+            run.append(stacks.popleft())
+            ends.append(ends[-1] + len(run[-1][0]))
+        tags = [(count, x) for _, count, x in run]
+        u = np.concatenate([labels for labels, _, _ in run])
+        # the stacks are copied into u; let them go before the product
+        run.clear()
+        added, rows = bottom.extend(u, p)
+        if not added:
+            continue
+        owners = [tags[s - 1] for s in np.searchsorted(ends, added, side="right").tolist()]
+        # a label item that left a residual stands for the element of
+        # st(N-1) its labels determine, made once the closure is done
+        items = [i for i, (count, x) in zip(added, owners) if count is not None and x is None]
+        block, rows_of = u[items], iter(range(len(items)))
+        for count, x in owners:
+            if count is not None:
+                found.append((count, (block, next(rows_of)), None) if x is None else (count, x, last))
+        # the conjugates of each new row as it was added, row by row
+        stack = rows.astype(tree.digits[-1].dtype)[:, pulls]
+        stacks.append((stack.reshape(-1, u.shape[1]), taken, None))
     # a finished group holds no room it never filled
     for lvl in layers.levels:
         if len(lvl.rows) > lvl.dim:
@@ -894,8 +877,9 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
             made[id(block)] = tree.from_last_labels(block)
         return made[id(block)][i]
 
-    found = [(element(*x), last) if k is None else (x, k) for x, k in found]
-    return layers, found
+    # in the order their candidates were taken, so the seeds stay the prefix
+    found.sort(key=operator.itemgetter(0))
+    return layers, [(element(*x), last) if k is None else (x, k) for _, x, k in found]
 
 
 class Origin(NamedTuple):

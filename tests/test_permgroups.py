@@ -33,6 +33,7 @@ from ggsver.portraits import (
 
 from oracles import (
     SchreierSims,
+    _adds_pivot,
     bfs_closure,
     log_order,
     reference_close,
@@ -666,9 +667,10 @@ class TestAgainstSequentialClosure:
         for call in calls:
             _assert_same_closure(*call)
 
-    def test_run_flushed_before_an_upper_residual(self, gs_spec):
-        # members of st(N-1) join the run; the directed generator leaves a
-        # residual on level 1, so the run is reduced before it is adjoined
+    def test_last_level_seeds_wait_for_the_upper_residuals(self, gs_spec):
+        # members of st(N-1) wait as label stacks; the directed generator
+        # leaves a residual on level 1 and is adjoined before any of them
+        # reaches the last layer, yet the seeds stay the generators' prefix
         g = gv.build(gs_spec, 4).G
         tree = g.chain.tree
         bottom = [x.images for x in g.level_stabilizer(3).generators]
@@ -678,9 +680,46 @@ class TestAgainstSequentialClosure:
         assert len(bottom) > 2
         with _run_sizes() as sizes:
             got = permgroups._close(tree, seeds, conj_by)
-        assert sizes[0] == 2
+        # the scratch layer that finds T takes the 8 level-2 rows moved by
+        # x - 1 and the layer's 4 rows; then the last layer's first run
+        # holds all that phase 1 left, the commutators and the conjugates'
+        # labels, 38 vectors in all
+        assert sizes[:3] == [8, 4, 38]
         _assert_same_closure(tree, seeds, conj_by, None, got)
         assert [x.tolist() for x, _ in got[1][:3]] == [x.tolist() for x in seeds[:3]]
+
+    @pytest.mark.parametrize(
+        "p,rows,depth", [(3, [(1, 0), (0, 1)], 5), (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4)]
+    )
+    def test_the_last_layer_grows_after_the_last_upper_residual(self, p, rows, depth):
+        # phase 1 never touches the last layer: replayed, each closure of a
+        # full run adjoins its last residual above the last level before
+        # any layer reduces a stack of label vectors
+        spec = gv.validate(p, rows)
+        calls = _recorded_closures(lambda: gv.run_all(spec, depth=depth))
+        events = []
+        admit, extend = permgroups._Layers._admit, permgroups._Layer.extend
+
+        def admitted(layers, *args):
+            events.append("admit")
+            return admit(layers, *args)
+
+        def extended(lvl, *args):
+            events.append("extend")
+            return extend(lvl, *args)
+
+        both = 0
+        for tree, seeds, conj_by, start, (layers, _) in calls:
+            events.clear()
+            with mock.patch.object(permgroups._Layers, "_admit", admitted), mock.patch.object(
+                permgroups._Layer, "extend", extended
+            ):
+                again, _ = permgroups._close(tree, seeds, conj_by, start)
+            assert again.dimensions() == layers.dimensions()
+            if "extend" in events:
+                assert "admit" not in events[events.index("extend") :]
+                both += "admit" in events
+        assert both
 
 
 # -- level N-2: commutators with module generators against every pair ------------
@@ -798,6 +837,36 @@ class TestModuleGenerators:
         assert (dim, new, nx, t, want) == (66, 0, 3, [1], [1])
         assert n1 == {"powers": d, "commutators": len(t) * d}
         assert n1["powers"] + n1["commutators"] <= len(t) * d + d < d * (d + 1) // 2 == 2211
+
+
+class TestLastLayerModule:
+    """The last layer's span is closed under the ambient generators: its
+    rows, moved by each one's level-(N-1) vertex map, add no pivot.  That is
+    what the last layer's conjugate stacks guarantee, checked in integers
+    with no float row."""
+
+    @pytest.mark.parametrize(
+        "fixture,depth",
+        # p=5 at depth 5 takes 43 s through the row-at-a-time elimination
+        [(f, n) for f in SPEC_FIXTURES for n in (3, 4, 5) if (f, n) != ("sym5_spec", 5)],
+    )
+    def test_every_memo_subgroup(self, fixture, depth, request):
+        spec = request.getfixturevalue(fixture)
+        s = gv.build(spec, depth)
+        for check in gv.CHECKS.values():
+            check(s)
+        p, width = spec.p, spec.p ** (depth - 1)
+        # the first leaf below vertex v goes below vertex x(v)
+        maps = [x.images[np.arange(width) * p] // p for x in s.G.generators]
+        for name, h in {"G": s.G, **s._memo}.items():
+            lvl = h.chain.levels[-1]
+            rows = lvl.rows[: lvl.dim].astype(np.int64)
+            moved = []
+            for vertex_map in maps:
+                shifted = np.empty_like(rows)
+                shifted[:, vertex_map] = rows
+                moved.extend(shifted)
+            assert not any(_adds_pivot(p, [*rows, *moved])[len(rows) :]), name
 
 
 # -- normal generators: the seeds a closure keeps ---------------------------------
