@@ -39,12 +39,12 @@ representative r.  It queues (a) its conjugates by the ambient generators,
 (b) r^p and, below level N-2, (c) its commutators with the other level-m
 representatives.  (b) and (c) lie in st(m+1) and go ahead of the next seed
 or conjugate; (a) are made as they leave the queue.  The closure runs in
-two phases.  Phase 1 takes the seeds and every candidate (a), (b) and (c)
-makes, and adjoins their residuals above the last level; what reaches the
-last level waits as label vectors.  Phase 2 closes the last layer from
-those (Bottom layer), with commutators of level N-2 with module generators
-T only, as phase 1 has made the layers above the last final (Level N-2).
-It stops when every queued element has reduced to the identity.
+two phases.  Phase 1 takes the seeds and the candidates (a), (b) and (c),
+and adjoins their residuals above the last level; what reaches the last
+level waits as label vectors.  That leaves the layers above the last
+final, and phase 2 closes the last layer from what waits (Bottom layer),
+level N-2 commuting only with module generators T (Level N-2).  It stops
+when every queued element has reduced to the identity.
 
 Why that is the closure.  Every representative is a product of seeds,
 conjugates and earlier representatives, so it lies in the closure.  Clearing
