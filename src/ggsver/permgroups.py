@@ -94,24 +94,24 @@ origin: the ambient it was closed in, elements whose closure under the
 ambient's generators it is, and the levels of its generators (Generators of
 a quotient).  The seeds that leave a residual already close to H_0, so a
 cold normal closure records only those as its elements.  They are the prefix
-of the generators found: those are sorted by when each candidate left the
-main queue, and conjugates join it behind every seed.  Let N' be the closure
-of the kept seeds under the ambient generators; N' <= H_0 as H_0 holds every
-seed.  By induction over the queue, everything the closure handles lies in
-N': a kept seed does; a seed that left no residual reduced to the identity,
-so it is a product of representatives found before it; a residual is the
-candidate divided by earlier representatives, and a representative is a
-power of a residual or an earlier one times a power of it; a conjugate of a
-representative by an ambient generator lies in N', which those generators
-normalize; p-th powers and commutators of representatives lie in N' too.  So
-every representative lies in N', H_0 <= N', and H_0 = N'.  A seed that left
-no residual even lies in the group generated by the seeds before it: phase
-1 takes no conjugate before the last seed, and phase 2 reduces the seeds'
-labels before anything a conjugate made, so the representatives it was
-reduced by are built from those seeds by products, powers and commutators.
-A warm closure keeps every seed, as those that left no residual may reduce
-by the start's representatives; the closure of every seed is H_0, as the
-start lies in it.
+of the generators found: those are listed in the order their candidates were
+taken, and conjugates join the main queue behind every seed.  Let N' be the
+closure of the kept seeds under the ambient generators; N' <= H_0 as H_0
+holds every seed.  By induction over the queue, everything the closure
+handles lies in N': a kept seed does; a seed that left no residual reduced
+to the identity, so it is a product of representatives found before it; a
+residual is the candidate divided by earlier representatives, and a
+representative is a power of a residual or an earlier one times a power of
+it; a conjugate of a representative by an ambient generator lies in N',
+which those generators normalize; p-th powers and commutators of
+representatives lie in N' too.  So every representative lies in N', H_0 <=
+N', and H_0 = N'.  A seed that left no residual even lies in the group
+generated by the seeds before it: phase 1 takes no conjugate before the last
+seed, and phase 2 reduces the seeds' labels before anything a conjugate
+made, so the representatives it was reduced by are built from those seeds by
+products, powers and commutators.  A warm closure keeps every seed, as
+those that left no residual may reduce by the start's representatives; the
+closure of every seed is H_0, as the start lies in it.
 
 Containment reads the same record.  If H's origin is E in an ambient A, and
 K is A or its origin's ambient is A too, K is invariant under A's
@@ -245,10 +245,12 @@ reduced echelon basis is the one vector of its coset that vanishes on the
 pivots, so a run gives each vector the residual it has against the rows
 added before it, and a vector whose residual is zero is dropped exactly
 where sifting it as a permutation would drop it.  So the rows, pivots and
-representatives are that closure's, and so are the generators once sorted
-by the count of main-queue candidates taken: a main-queue candidate that
-leaves a residual on the last level is recorded as its permutation for a
-seed, else as the element of st(N-1) its labels determine.
+representatives are that closure's, and so are the generators, in the
+order their candidates left the main queue: a seed whose labels wait keeps
+its place from phase 1, and drops out when they add no row; a main-queue
+candidate that leaves a residual on the last level is recorded as its
+permutation for a seed, else as the element of st(N-1) its labels
+determine.
 
 Quotients.  For H <= W_N and m < N, truncate(m) returns pi_m(H), the
 action of H on the level-m vertices, read off H's layers with no closure.
@@ -759,13 +761,13 @@ def _commutator_stacks(tree: _Tree, lvl: _Layer, new: int, conj) -> list:
 
 def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     """Layers of the closure of the seeds under conjugation by conj_by, and
-    the seeds and conjugates that left a residual, each paired with the
-    level of its residual: a generating set when there is no start.  A
-    start is the layers of a subgroup normalized by conj_by and contained in
-    the result; the closure grows from a share of them (Warm start in the
-    module docstring).  The seeds, and the start's group, must lie in the
-    group conj_by generates: Level N-2 in the module docstring rests on
-    it."""
+    the seeds and conjugates that left a residual, in the order taken, each
+    paired with the level of its residual: a generating set when there is
+    no start.  A start is the layers of a subgroup normalized by conj_by and
+    contained in the result; the closure grows from a share of them (Warm
+    start in the module docstring).  The seeds, and the start's group, must
+    lie in the group conj_by generates: Level N-2 in the module docstring
+    rests on it."""
     layers = _Layers(tree, None if start is None else [lvl.share() for lvl in start.levels])
     p = tree.p
     last = tree.depth - 1
@@ -781,14 +783,17 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     main = deque((x, 0, None) for x in seeds)
     side: deque = deque()
     # the last layer's queue: stacks of level-(N-1) labels, one vector per
-    # row, each with the count of main-queue candidates taken when it was
-    # (None for one that records no generator) and the seed it stands for
+    # row, each with a tag: None when it records no generator, True when
+    # each of its vectors that adds a row makes one, or the entry in found
+    # of the seed it stands for
     stacks: deque = deque()
     # the level-(N-1) labels of conjugates, in the order taken
     waiting = []
-    # (count, generator, level), or (count, (labels, row), None)
+    # [generator, level] in the order its candidate left the main queue; a
+    # seed whose labels wait has no level until they add a row
     found = []
-    taken = 0
+    # per run, the labels that add rows and make generators, made at the end
+    blocks = []
 
     def adjoin(m, y, residual):
         lvl = layers.levels[m]
@@ -815,71 +820,63 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     while side or main:
         from_main = not side
         x, start, by = (main if from_main else side).popleft()
-        taken += from_main
         if by is not None:
             x = _conj(x, *by)
         if start is None:
-            stacks.append((x, None, None))
+            stacks.append((x, None))
             continue
         m, y, labels = layers._sift_upper(x, start)
-        if m < last:
-            if from_main:
-                found.append((taken, x, m))
-            adjoin(m, y, labels)
-        elif by is not None:
+        if by is not None and m == last:
             waiting.append(labels)
+            continue
+        if from_main:
+            # a seed's generator is the very array handed in; while its
+            # labels wait it has no level
+            found.append([x, m if m < last else None])
+        if m < last:
+            adjoin(m, y, labels)
         else:
-            # a seed's generator is the very array handed in
-            stacks.append((labels[None], taken, x) if from_main else (labels[None], None, None))
+            stacks.append((labels[None], found[-1] if from_main else None))
     # phase 2: the last layer, from one queue: phase 1's stacks, [t, r] for
     # t in T and each level-(N-2) representative r, the conjugates' labels,
     # then the conjugate stacks of the rows it gains; the last two record
     # their generators after every one of phase 1
     if mid is not None:
-        stacks.extend((c, None, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
+        stacks.extend((c, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
     waiting = np.array(waiting)
-    stacks.extend((waiting[i : i + _RUN], taken, None) for i in range(0, len(waiting), _RUN))
+    stacks.extend((waiting[i : i + _RUN], True) for i in range(0, len(waiting), _RUN))
     while stacks:
         # a stack joins the run whole, so a run may pass _RUN by one stack
         run, ends = [], [0]
         while stacks and ends[-1] < _RUN:
             run.append(stacks.popleft())
             ends.append(ends[-1] + len(run[-1][0]))
-        tags = [(count, x) for _, count, x in run]
-        u = np.concatenate([labels for labels, _, _ in run])
+        tags = [tag for _, tag in run]
+        u = np.concatenate([labels for labels, _ in run])
         # the stacks are copied into u; let them go before the product
         run.clear()
         added, rows = bottom.extend(u, p)
         if not added:
             continue
         owners = [tags[s - 1] for s in np.searchsorted(ends, added, side="right").tolist()]
-        # a label item that left a residual stands for the element of
-        # st(N-1) its labels determine, made once the closure is done
-        items = [i for i, (count, x) in zip(added, owners) if count is not None and x is None]
-        block, rows_of = u[items], iter(range(len(items)))
-        for count, x in owners:
-            if count is not None:
-                found.append((count, (block, next(rows_of)), None) if x is None else (count, x, last))
+        for tag in owners:
+            if type(tag) is list:
+                tag[1] = last
+        # a label vector that left a residual stands for the element of
+        # st(N-1) it determines, made once the closure is done
+        blocks.append(u[[i for i, tag in zip(added, owners) if tag is True]])
         # the conjugates of each new row as it was added, row by row
         stack = rows.astype(tree.digits[-1].dtype)[:, pulls]
-        stacks.append((stack.reshape(-1, u.shape[1]), taken, None))
+        stacks.append((stack.reshape(-1, u.shape[1]), True))
     # a finished group holds no room it never filled
     for lvl in layers.levels:
         if len(lvl.rows) > lvl.dim:
             lvl.resize(lvl.dim)
     # the generators given by labels, made after the copies above are
-    # freed, so that the two never take memory at once: those of one
-    # reduction in one call
-    made = {}
-
-    def element(block, i):
-        if id(block) not in made:
-            made[id(block)] = tree.from_last_labels(block)
-        return made[id(block)][i]
-
-    # in the order their candidates were taken, so the seeds stay the prefix
-    found.sort(key=operator.itemgetter(0))
-    return layers, [(element(*x), last) if k is None else (x, k) for _, x, k in found]
+    # freed, so that the two never take memory at once: those of one run in
+    # one call; the seeds whose labels added no row drop out
+    found.extend([x, last] for block in blocks for x in tree.from_last_labels(block))
+    return layers, [(x, m) for x, m in found if m is not None]
 
 
 class Origin(NamedTuple):

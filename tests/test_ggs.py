@@ -109,8 +109,13 @@ class TestValidate:
             try:
                 gv.validate(p, rows)
                 got = True
-            except DependentVectors:
+            except DependentVectors as e:
                 got = False
+                # the certificate is a non-zero combination of the rows
+                # that vanishes mod p
+                cert = e.certificate
+                assert any(c % p for c in cert), rows
+                assert all(sum(c * x for c, x in zip(cert, col)) % p == 0 for col in zip(*rows))
             assert got == expected, rows
 
 
