@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .portraits import Perm, directed, is_odd_prime, rooted
 from .permgroups import Origin, PermGroup, _commutators, _normal_closure, commutator_subgroup
@@ -37,8 +38,8 @@ __all__ = [
 ]
 
 # Runs with more leaves need an opt-in.  5^5: on 2 vCPU a full verify in a
-# fresh process takes a median 0.56 s at p=5 N=5 and 1.10 s at p=3 N=7, while
-# above the cap p=7 N=5 takes 1.99 s and 440 MiB max RSS (7 runs each).
+# fresh process takes a median 0.55 s at p=5 N=5 and 0.87 s at p=3 N=7, while
+# above the cap p=7 N=5 takes 1.42 s and 378 MiB max RSS (7 runs each).
 DEGREE_CAP = 3125
 
 
@@ -85,8 +86,8 @@ class GGSSpec:
 def _row_reduce(rows, p):
     """Gaussian elimination over F_p with a tracked transform.
 
-    Returns (rank, echelon rows, transform); when some combination of the
-    input rows vanishes, the transform row that produced it is a dependency
+    Returns (rank, transform); when some combination of the input rows
+    vanishes, the transform row that produced it is a dependency
     certificate.
     """
     m = [list(row) for row in rows]
@@ -113,7 +114,7 @@ def _row_reduce(rows, p):
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
                 t[i] = [(x - f * y) % p for x, y in zip(t[i], t[rank])]
         rank += 1
-    return rank, m, t
+    return rank, t
 
 
 def _integer(x, what: str) -> int:
@@ -145,7 +146,7 @@ def validate(p, vectors) -> GGSSpec:
             raise BadLength(
                 f"vector {i + 1} has length {len(row)}, expected {p - 1}"
             )
-    rank, _, transform = _row_reduce(rows, p)
+    rank, transform = _row_reduce(rows, p)
     if rank < len(rows):
         # every echelon row from rank on is zero: the transform row that
         # produced the first of them is the certificate
@@ -314,27 +315,32 @@ class GroupSession:
     generated by the leaf permutations of a, b_1, ..., b_r in any order, or
     any other generating set of it, at the spec's prime and this depth.
     Immutable apart from one memo of the subgroups the checks share: G',
-    Phi(G), gamma3, st(1), st(1)', [st(1)', st(1)] and G''.  It is the only
-    memo: a group handle keeps no subgroup of its own.  Each is closed at
-    most once, at this depth; a check that needs one at a lower depth m
-    truncates it with PermGroup.truncate(m), which reads the level-m
-    quotient off its layers with no closure.
+    Phi(G), gamma3, st(1), st(1)', [st(1)', st(1)], G'' and K, the one
+    subgroup a session closes cold; and st(1)'s generators, made once.  It
+    is the only memo: a group handle keeps no subgroup of its own.  Each is
+    closed at most once, at this depth; a check that needs one at a lower
+    depth m truncates it with PermGroup.truncate(m), which reads the
+    level-m quotient off its layers with no closure.
 
     A subgroup grows from one in the memo that it always contains (Warm
     start in the permgroups module docstring), and that one is built first
     when it is not yet, so the closures a selection of checks makes depend
     on the subgroups it reads and not on the order it reads them in:
     - G' from G'', and G from G': derived() and second_derived() close
-      the two together.  A subgroup N1 of G'' closes cold, G' grows from
-      it with G.derived(start=N1), which hands G its layers, and G'' is
-      N1, grown from it by any commutators of G' it lacks.  Every reader
-      of G's layers here and in the checks closes G' first, so that G's
+      the two together.  K, a subgroup of N1 and of [st(1)', st(1)],
+      closes cold; a subgroup N1 of G'' grows from it, G' grows from N1
+      with G.derived(start=N1), which hands G its layers, and G'' is N1,
+      grown from it by any commutators of G' it lacks.  Every reader of
+      G's layers here and in the checks closes G' first, so that G's
       closure sifts G's generators alone, and the layers that G, G' and
       G'' share are built once;
     - Phi(G) from G', when the two differ;
     - st(1)' and gamma3 from G'': G' <= st(1), as W_N/st(1) is cyclic, so
-      G'' = [G', G'] <= [st(1), st(1)], and G'' = [G', G'] <= [G', G].
-    Each start is normal in G.  N1 and [st(1)', st(1)] close cold.
+      G'' = [G', G'] <= [st(1), st(1)], and G'' = [G', G'] <= [G', G];
+    - [st(1)', st(1)] from K.
+    Each start is normal in G.  There is no K on the constant vector, where
+    no check reads [st(1)', st(1)], nor when its seeds are all trivial; N1
+    and [st(1)', st(1)] then close cold.
     """
 
     spec: GGSSpec
@@ -355,16 +361,24 @@ class GroupSession:
     def _derived_series(self) -> None:
         """Close G'' and G' into the memo, building the layers they share
         once (Derived series in the permgroups module docstring).  With S
-        the commutators of G's generators X, N1 <= G'' closes cold from the
-        [s, y], s in S and y in S or some x^-1 s x, x in X; G' grows from
-        N1, and hands G its layers; G'' is N1, grown by the [s, f], f a
-        generator of G', that N1 lacks."""
+        the commutators of G's generators X, N1 <= G'' is the closure of the
+        [s, y], s in S and y in S or some x^-1 s x, x in X, grown from K,
+        the cold closure of the [n, f], n the first of those seeds and f a
+        generator of st(1); G' grows from N1, and hands G its layers; G'' is
+        N1, grown by the [s, f], f a generator of G', that N1 lacks."""
         if "derived" in self._memo:
             return
         g = self.G
         s = _commutators(g.generators)
         ys = [*s, *(x.inverse() * c * x for c in s for x in g.generators)]
-        n1 = _normal_closure(g, _commutators(s, ys))
+        seeds = _commutators(s, ys)
+        if seeds and not is_constant(self.spec):
+            made = self._st1_generators
+            core = _commutators(seeds[:1], g.generators if made is None else made[0])
+            if core:
+                # read by st1_gamma3, which grows from K too
+                self._memo["k"] = _normal_closure(g, core)
+        n1 = _normal_closure(g, seeds, start=self._memo.get("k"))
         d = g.derived(start=n1)
         missing = [c for c in _commutators(s, d.generators) if not n1.contains(c)]
         second = n1
@@ -400,29 +414,40 @@ class GroupSession:
             lambda: commutator_subgroup(self.derived(), g, g, self.second_derived()),
         )
 
+    @cached_property
+    def _st1_generators(self):
+        """st(1)'s generators and the elements it is closed from, made from
+        G's generators alone, or None when no generator moves level 1.  With
+        t = transversal(G), each other generator x times t^(-j), j its
+        level-1 shift over t's, is some n_x in st(1) (x itself when j = 0),
+        and by Reidemeister-Schreier the n_x^(t^k), k < p, generate st(1),
+        with t^p when that is not 1 (it is 1 in every session build makes).
+        The elements are the n_x (and t^p), which seed st(1)' with r*p*r
+        commutators instead of (p*r)^2."""
+        g, p = self.G, self.spec.p
+        t = transversal(g)
+        if t is None:
+            return None
+        over = pow(_shift(t, p), -1, p)
+        js = [(x, _shift(x, p) * over % p) for x in g.generators if x is not t]
+        ns = [x * t**-j if j else x for x, j in js]
+        power = [x for x in [t**p] if not x.is_identity()]
+        gens = [t**-k * n * t**k for k in range(p) for n in ns]
+        return gens + power, (*ns, *power)
+
     def st1(self) -> PermGroup:
         """The level-1 stabilizer: G's layers from level 1 on, with no
-        closure, or G itself when no generator moves level 1.  With t =
-        transversal(G), each other generator x times t^(-j), j its level-1
-        shift over t's, is some n_x in st(1) (x itself when j = 0), and by
-        Reidemeister-Schreier the n_x^(t^k), k < p, generate st(1), with
-        t^p when that is not 1 (it is 1 in every session build makes).  Its
-        origin is G and the n_x (and t^p), which seed st(1)' with r*p*r
-        commutators instead of (p*r)^2.  G' is closed first, so that G's
-        layers grow from it."""
+        closure, or G itself when no generator moves level 1.  Its
+        generators and origin are _st1_generators's.  G' is closed first, so
+        that G's layers grow from it."""
 
         def make():
-            g, p = self.G, self.spec.p
-            t = transversal(g)
-            if t is None:
+            g, made = self.G, self._st1_generators
+            if made is None:
                 return g
             self.derived()
-            over = pow(_shift(t, p), -1, p)
-            js = [(x, _shift(x, p) * over % p) for x in g.generators if x is not t]
-            ns = [x * t**-j if j else x for x, j in js]
-            power = [x for x in [t**p] if not x.is_identity()]
-            gens = [t**-k * n * t**k for k in range(p) for n in ns]
-            return g._built(gens + power, g.chain.suffix(1), Origin(g, (*ns, *power)))
+            gens, elements = made
+            return g._built(gens, g.chain.suffix(1), Origin(g, elements))
 
         return self._memoized("st1", make)
 
@@ -437,11 +462,14 @@ class GroupSession:
         )
 
     def st1_gamma3(self) -> PermGroup:
-        """[st(1)', st(1)], the third lower-central term of st(1)."""
-        st1 = self.st1()
-        return self._memoized(
-            "st1_gamma3", lambda: commutator_subgroup(self.st1_derived(), st1, self.G)
-        )
+        """[st(1)', st(1)], the third lower-central term of st(1), grown
+        from K when the derived series made one, else closed cold."""
+
+        def make():
+            st1d = self.st1_derived()
+            return commutator_subgroup(st1d, self.st1(), self.G, self._memo.get("k"))
+
+        return self._memoized("st1_gamma3", make)
 
     def second_derived(self) -> PermGroup:
         """G'' = [G', G'], closed with G'."""

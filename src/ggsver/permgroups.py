@@ -87,7 +87,25 @@ result; its generators are then the start's followed by those it found,
 but derived(start=) keeps those it found alone (Derived series).
 GroupSession grows G' so from a subgroup N1 of G'', and G'' from N1 when
 N1 is not all of it; st(1)' and gamma3 always from G'', which it closes
-first when it is not yet built; and Phi(G) from G' when the two differ.
+first when it is not yet built; Phi(G) from G' when the two differ; and N1
+and [st(1)', st(1)] from one subgroup K (Derived series).
+
+Full levels.  A closure knows the dimensions of a group A that holds its
+result: the ambient's, when its layers are built (_normal_closure), else
+those of W_N.  When every layer of H from level m on has A's dimension, H &
+st(m) = A & st(m), as the one lies in the other and both have order p to
+the sum of those dimensions.  A candidate that reaches level m then lies in
+H & st(m) and would leave no residual there, nor be recorded, so it is
+dropped unsifted; phase 2 is skipped once the last layer is full; and a
+layer takes room for at most A's dimension, plus the rows coming in.  When
+a residual at level m would fill layer m, and every layer from m+1 on is
+full, H takes A's layers from m on, the very objects, instead of copying
+its own to add the row: they have the rows of the same span, in A's order,
+with A's representatives.  The candidate is still recorded at level m, and
+everything its representative would queue starts at level m or below and
+would be dropped, so the generators, and the layers above m, are those of
+the closure that adds the row, and what Generators of a quotient proves of
+them holds.
 
 Normal generators.  A handle records how it was made in one Origin, its
 origin: the ambient it was closed in, elements whose closure under the
@@ -287,11 +305,24 @@ Derived series.  GroupSession closes a subgroup of G'' first and grows G'
 from it, so the layers that G' and G'' share are built once, not once for
 each.  Let X be G's generators and S the non-trivial commutators of pairs
 of them: derived() closes S under X, and G' is that closure.
-(1) N1 <= G''.  N1 is the cold closure under X of the non-trivial [s, y],
-s in S and y in S or some x^-1 s x, x in X.  Each s and y lies in G', which
-is normal in G, so each seed is a commutator of two elements of G' and lies
-in G'' = [G', G'], which is normal in G and so holds the closure N1.  The
-seeds are words in X, so none is sifted into G.
+(0) K, the one cold closure.  Let n be the first seed of (1), and F the
+generators of st(1), made from X alone (GroupSession._st1_generators).  K
+is the cold closure under X of the non-trivial [n, f], f in F.  W_N/st(1)
+is cyclic, so G' <= st(1) and G'' <= st(1)'.  n lies in N1 by (1), which is
+normal in G, so [n, f] = n^-1 n^f lies in N1, and N1 holds K; n lies in
+G'' <= st(1)' and f in st(1), so [n, f] lies in [st(1)', st(1)], which is
+normal in G (st(1) is, and the term is characteristic in it) and holds K
+too.  K is normal in G, so it is a start (Warm start) for N1 and for
+[st(1)', st(1)], and only K closes cold.  Its seeds are words in X, so none
+is sifted, and G's layers are not read.  There is no K on the constant
+vector, where no check reads [st(1)', st(1)], nor when every [n, f] is
+trivial; N1, and [st(1)', st(1)] through normal_closure, then close cold.
+(1) N1 <= G''.  N1 is the closure under X of the non-trivial [s, y], s in
+S and y in S or some x^-1 s x, x in X, grown from K when there is one.
+Each s and y lies in G', which is normal in G, so each seed is a commutator
+of two elements of G' and lies in G'' = [G', G'], which is normal in G and
+so holds the closure N1.  The seeds are words in X, so none is sifted into
+G.
 (2) Burnside for the generators of G'.  G' = G.derived(start=N1) grows from
 N1, which is normal in G and lies in G'.  By the induction of Generators of
 a quotient, for every m <= N (pi_N the identity) pi_m(G') is generated by
@@ -460,14 +491,16 @@ class _Layer:
     raised to -c.  A layer with no rows makes membership refuse at once an
     element with non-zero labels at its level: a member's are zero there
     (module docstring).
-    The arrays grow by doubling, up to the width plus the rows being added;
+    The arrays grow by doubling, up to cap plus the rows being added;
     rows from dim on are unused, or hold residuals on their way in, until
     the closure drops them.  add and extend take residuals through one
     elimination, _clear; extend clears the pivots it adds from the rows the
     layer had in one product.  steps[c-1][j] is a view of divs[c-1, j], made
-    once per array, as a list is indexed faster than numpy makes a view."""
+    once per array, as a list is indexed faster than numpy makes a view.
+    cap is the most rows the layer can reach: its width, or the dimension
+    of the ambient group's layer when a closure knows it (_close)."""
 
-    __slots__ = ("rows", "pivots", "leaves", "below", "dim", "reps", "divs", "steps")
+    __slots__ = ("rows", "pivots", "leaves", "below", "dim", "reps", "divs", "steps", "cap")
 
     def __init__(self, tree: _Tree, m: int):
         degree = len(tree.identity) if m < tree.depth - 1 else 0
@@ -479,6 +512,7 @@ class _Layer:
         self.reps = np.empty((0, degree), dtype=np.intp)
         self.divs = np.empty((tree.p - 1, 0, degree), dtype=np.intp)
         self.steps = None
+        self.cap = tree.p**m
 
     def resize(self, size: int) -> None:
         """Room for exactly `size` rows, the first dim kept, one array at a time."""
@@ -502,8 +536,8 @@ class _Layer:
         """The n rows from dim on, room for them made first."""
         d = self.dim
         if d + n > len(self.rows):
-            # a layer has at most as many rows as columns, plus those coming in
-            self.resize(min(max(16, 2 * len(self.rows), d + n), self.rows.shape[1] + n))
+            # a layer has at most cap rows, plus those coming in
+            self.resize(min(max(16, 2 * len(self.rows), d + n), self.cap + n))
         return self.rows[d : d + n]
 
     def _reduced(self, r: np.ndarray) -> np.ndarray:
@@ -601,7 +635,7 @@ class _Layer:
         d = out.dim = self.dim
         out.rows, out.pivots, out.leaves = self.rows[:d], self.pivots[:d], self.leaves[:d]
         out.reps, out.divs = self.reps[:d], self.divs[:, :d]
-        out.below, out.steps = self.below, None
+        out.below, out.steps, out.cap = self.below, None, self.rows.shape[1]
         return out
 
 
@@ -695,19 +729,19 @@ class _Layers:
         u = self._exponents(x, last) @ lvl.rows[: lvl.dim]
         return bool((x == tree.from_last_labels(u.astype(np.intp))).all())
 
-    def _sift_upper(self, x: np.ndarray, start: int):
-        """Sift an element of st(start) & W_N through the levels above the
-        last: (level, element, labels) of the first non-zero residual there,
-        else (last level, element, its level-(N-1) labels).  Reads only the
-        layers above the last."""
+    def _sift_upper(self, x: np.ndarray, start: int, stop: int | None = None):
+        """Sift an element of st(start) & W_N through the levels from start
+        to stop, the last level by default: (level, element, labels) of the
+        first non-zero residual above stop, else (stop, element, its
+        level-stop labels).  Reads only the layers above stop."""
         tree = self.tree
-        last = tree.depth - 1
-        for m in range(start, last):
+        stop = tree.depth - 1 if stop is None else stop
+        for m in range(start, stop):
             x = self._divide(x, m)
             r = tree.digits[m][x[tree.starts[m]]]
             if np.count_nonzero(r):
                 return m, x, r
-        return last, x, tree.digits[last][x[tree.starts[last]]]
+        return stop, x, tree.digits[stop][x[tree.starts[stop]]]
 
     def _admit(self, m: int, x, residual: np.ndarray):
         """Add the residual as row d at a level m below the last, with its
@@ -759,7 +793,9 @@ def _commutator_stacks(tree: _Tree, lvl: _Layer, new: int, conj) -> list:
     return out
 
 
-def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
+def _close(
+    tree: _Tree, seeds, conj_by, start: _Layers | None = None, ambient: _Layers | None = None
+):
     """Layers of the closure of the seeds under conjugation by conj_by, and
     the seeds and conjugates that left a residual, in the order taken, each
     paired with the level of its residual: a generating set when there is
@@ -767,11 +803,25 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     contained in the result; the closure grows from a share of them (Warm
     start in the module docstring).  The seeds, and the start's group, must
     lie in the group conj_by generates: Level N-2 in the module docstring
-    rests on it."""
+    rests on it.  An ambient is the built layers of a group that holds the
+    result, W_N by default; the closure stops at its dimensions (Full
+    levels in the module docstring)."""
     layers = _Layers(tree, None if start is None else [lvl.share() for lvl in start.levels])
     p = tree.p
     last = tree.depth - 1
     bottom = layers.levels[last]
+    dims = [p**m for m in range(tree.depth)] if ambient is None else ambient.dimensions()
+    for lvl, d in zip(layers.levels, dims):
+        lvl.cap = d
+
+    def first_full():
+        # the first level from which every layer has the ambient's dimension
+        m = tree.depth
+        while m and layers.levels[m - 1].dim == dims[m - 1]:
+            m -= 1
+        return m
+
+    full = first_full()
     conj = [(y, _inverse(y)) for y in conj_by]
     pulls = np.array([tree.pull(yinv) for _, yinv in conj], dtype=np.intp)
     # the level-(N-2) layer and the rows it had from the start
@@ -796,7 +846,14 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     blocks = []
 
     def adjoin(m, y, residual):
+        nonlocal full
         lvl = layers.levels[m]
+        if ambient is not None and full == m + 1 and lvl.dim + 1 == dims[m]:
+            # the residual makes H & st(m) the ambient's: take its layers
+            # from m on, and copy none
+            layers.levels[m:] = ambient.levels[m:]
+            full = m
+            return
         d, hits = layers._admit(m, y, residual)
         rep = lvl.reps[d]
         if m + 1 < last:
@@ -815,17 +872,24 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
         # from the queue, from a copy of it as it is now
         rep = rep.copy()
         main.extend((rep, m, by) for by in conj)
+        if lvl.dim == dims[m]:
+            full = first_full()
 
     # phase 1: the layers above the last; what reaches the last level waits
     while side or main:
         from_main = not side
         x, start, by = (main if from_main else side).popleft()
-        if by is not None:
-            x = _conj(x, *by)
         if start is None:
             stacks.append((x, None))
             continue
-        m, y, labels = layers._sift_upper(x, start)
+        if start >= full:
+            # it lies in H & st(full), which is the ambient's
+            continue
+        if by is not None:
+            x = _conj(x, *by)
+        m, y, labels = layers._sift_upper(x, start, min(full, last))
+        if m >= full:
+            continue
         if by is not None and m == last:
             waiting.append(labels)
             continue
@@ -840,12 +904,14 @@ def _close(tree: _Tree, seeds, conj_by, start: _Layers | None = None):
     # phase 2: the last layer, from one queue: phase 1's stacks, [t, r] for
     # t in T and each level-(N-2) representative r, the conjugates' labels,
     # then the conjugate stacks of the rows it gains; the last two record
-    # their generators after every one of phase 1
-    if mid is not None:
-        stacks.extend((c, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
-    waiting = np.array(waiting)
-    stacks.extend((waiting[i : i + _RUN], True) for i in range(0, len(waiting), _RUN))
-    while stacks:
+    # their generators after every one of phase 1.  It stops once the last
+    # layer is full, as nothing then adds a row
+    if bottom.dim < dims[last]:
+        if mid is not None:
+            stacks.extend((c, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
+        waiting = np.array(waiting)
+        stacks.extend((waiting[i : i + _RUN], True) for i in range(0, len(waiting), _RUN))
+    while stacks and bottom.dim < dims[last]:
         # a stack joins the run whole, so a run may pass _RUN by one stack
         run, ends = [], [0]
         while stacks and ends[-1] < _RUN:
@@ -1113,6 +1179,7 @@ def _normal_closure(ambient: PermGroup, seeds, start: PermGroup | None = None) -
         [e.images for e in seeds],
         [g.images for g in ambient.generators],
         None if start is None else start.chain,
+        ambient._chain,
     )
     gens = [Perm._wrap(a) for a, _ in found]
     levels = tuple(k for _, k in found)

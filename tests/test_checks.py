@@ -663,17 +663,23 @@ class TestSessionMemo:
 
     def test_standalone_checks_share_the_closures(self, gs_spec):
         s = gv.build(gs_spec, 4)
+
+        def run():
+            assert check_regular_branch(s).holds
+            assert check_gamma3_product(s).holds
+
         with mock.patch(
             "ggsver.permgroups.normal_closure", wraps=permgroups.normal_closure
         ) as closure:
-            assert check_regular_branch(s).holds
-            assert check_gamma3_product(s).holds
-        ambients = [c.args[0] for c in closure.call_args_list]
-        # [st(1)', st(1)] alone, in G: G'' and G' are closed without
-        # normal_closure, as their seeds are words in G's generators and need
-        # no sift, st(1)' and gamma3 grow from G'' without it too, and the
-        # level-3 groups are truncations
-        assert ambients == [s.G]
+            calls = _closures(run)
+        # none through normal_closure: K, G'' and G' are closed from words
+        # in G's generators and need no sift, st(1)' and gamma3 grow from
+        # G'' without it, [st(1)', st(1)] from K, and the level-3 groups are
+        # truncations
+        assert closure.call_args_list == []
+        # K, G'', G', G, st(1)', [st(1)', st(1)] and gamma3, each once
+        made = [layers for _, _, layers in calls]
+        assert len(made) == len(set(map(id, made))) == 7
 
 
 def _closures(run):
@@ -683,8 +689,8 @@ def _closures(run):
     calls = []
     real = permgroups._close
 
-    def record(tree, seeds, conj_by, start=None):
-        out = real(tree, seeds, conj_by, start)
+    def record(tree, seeds, conj_by, start=None, ambient=None):
+        out = real(tree, seeds, conj_by, start, ambient)
         cold_seeds = seeds is not conj_by and start is None
         calls.append((tree.depth, "seeds" if cold_seeds else start, out[0]))
         return out
@@ -720,26 +726,31 @@ class TestClosureCensus:
     def test_run_all_closes_below_the_depth_only_the_projection(self, p, rows, depth):
         run = lambda: gv.run_all(gv.validate(p, rows), depth)
         calls, s = _run_session(lambda: _closures(run))
-        # G'', G', G, gamma3, st(1)' and [st(1)', st(1)]; subdirect's
+        # K, G'', G', G, gamma3, st(1)' and [st(1)', st(1)]; subdirect's
         # projection is a new group one level down
-        assert sorted(d for d, _, _ in calls) == [depth - 1] + [depth] * 6
+        assert sorted(d for d, _, _ in calls) == [depth - 1] + [depth] * 7
         grown = {id(layers): start for _, start, layers in calls}
-        second, derived = s.second_derived().chain, s.derived().chain
-        # G'' closes first, from seeds, and needs no seed beyond the first
-        # closure's; G' grows from it and G's own layers from G', so none
-        # closes from its own generators
-        assert calls[0][2] is second and None not in grown.values()
+        k, second, derived = s._memo["k"].chain, s.second_derived().chain, s.derived().chain
+        # K closes first, from seeds, the one cold closure at this depth; G''
+        # grows from it and needs no seed beyond N1's; G' grows from G'' and
+        # G's own layers from G', so none closes from its own generators
+        assert calls[0][2] is k and grown[id(k)] == "seeds"
+        assert None not in grown.values() and list(grown.values()).count("seeds") == 2
+        assert grown[id(second)] is k
         assert grown[id(derived)] is second and grown[id(s.G.chain)] is derived
-        # st(1)' and gamma3 grow from G'' too
+        # st(1)' and gamma3 grow from G'' too, and [st(1)', st(1)] from K
         assert grown[id(s.st1_derived().chain)] is second
         assert grown[id(s.gamma3().chain)] is second
-        assert grown[id(second)] == grown[id(s.st1_gamma3().chain)] == "seeds"
+        assert grown[id(s.st1_gamma3().chain)] is k
 
     def test_table_closes_g_and_its_derived_subgroup(self, capsys):
-        # G'' from seeds, G' from G'' and G from G', each once at depth 6
+        # K from seeds, G'' from K, G' from G'' and G from G', each once at
+        # depth 6
         args = ["table", "--p", "3", "--vectors", "1,0;0,1", "--max-depth", "6"]
-        (d1, s1, second), (d2, s2, derived), (d3, s3, _) = _closures(lambda: cli.main(args))
-        assert (d1, s1, d2, s2, d3, s3) == (6, "seeds", 6, second, 6, derived)
+        calls = _closures(lambda: cli.main(args))
+        (d0, s0, k), (d1, s1, second), (d2, s2, derived), (d3, s3, _) = calls
+        assert (d0, s0, d1, s1) == (6, "seeds", 6, k)
+        assert (d2, s2, d3, s3) == (6, second, 6, derived)
         assert capsys.readouterr().out.splitlines()[-1].split()[:4] == ["6", "298", "3", "3"]
 
     @pytest.mark.parametrize("cid", list(gv.CHECKS))
@@ -760,12 +771,12 @@ class TestClosureCensus:
     @pytest.mark.parametrize(
         "p,rows,depth,counts",
         # closures made by run_all over every check, then over each check
-        # alone in CHECKS order: a check that reads G' closes G'' and G'
-        # (three with G's layers), and key_congruence and psi2_second_derived
-        # read no layers of G
+        # alone in CHECKS order: a check that reads G' closes K, G'' and G'
+        # (four with G's layers), and key_congruence and psi2_second_derived
+        # read no layers of G; the constant vector makes no K
         [
-            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 3, 6, 0, 4, 5, 4, 2, 3, 3, 0]),
-            (3, [(1, 2)], 6, [7, 3, 6, 3, 4, 5, 4, 0, 3, 3, 3]),
+            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [8, 4, 7, 0, 5, 6, 5, 3, 4, 4, 0]),
+            (3, [(1, 2)], 6, [8, 4, 7, 4, 5, 6, 5, 0, 4, 4, 4]),
             (3, [(1, 1)], 5, [5, 3, 0, 0, 0, 5, 0, 0, 3, 3, 0]),
         ],
     )

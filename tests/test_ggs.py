@@ -440,10 +440,11 @@ def _row_spaces(h):
 
 
 class TestDerivedSeries:
-    """GroupSession closes a subgroup of G'' cold, grows G' from it and
-    certifies G'' (Derived series in the permgroups module docstring): G'
-    and G'' must be the groups the cold closures give, level by level, and
-    the generators G' records must generate it and each of its quotients."""
+    """GroupSession closes a subgroup N1 of G'' (from K, TestOneColdClosure),
+    grows G' from it and certifies G'' (Derived series in the permgroups
+    module docstring): G' and G'' must be the groups the cold closures give,
+    level by level, and the generators G' records must generate it and each
+    of its quotients."""
 
     @staticmethod
     def _agrees_with_the_cold_closures(session):
@@ -472,9 +473,11 @@ class TestDerivedSeries:
         s = last_vertex_mutant(gs_spec, 5, gen, vertex)
         with mock.patch.object(ggs, "_normal_closure", wraps=ggs._normal_closure) as closure:
             s.second_derived()
-        # the closures ggs grows from a start: G'' from the first closure
-        grown = [c for c in closure.call_args_list if c.kwargs.get("start") is not None]
-        assert len(grown) == (gen == 0)
+        # the closures ggs grows from a start: N1 from K, and G'' from N1
+        # when N1 misses some of it
+        grown = [c.kwargs.get("start") for c in closure.call_args_list]
+        grown = [start for start in grown if start is not None]
+        assert grown[0] is s._memo["k"] and len(grown) == 1 + (gen == 0)
         self._agrees_with_the_cold_closures(s)
 
     @pytest.mark.parametrize("p,rows,depth", NIELSEN_CASES)
@@ -486,3 +489,74 @@ class TestDerivedSeries:
         self._agrees_with_the_cold_closures(
             _with_generators(s, _apply_nielsen(s.G.generators, moves))
         )
+
+
+# the conftest specs at N <= 5 whose session makes a K
+K_CASES = [("gs_spec", 4), ("gs_spec", 5)] + [(f, n) for f in ("r2_spec", "sym5_spec") for n in (3, 4, 5)]
+
+
+class TestOneColdClosure:
+    """K, the normal closure in G of the [n, f], n the first seed of N1 and
+    f a generator of st(1), is the one subgroup a session closes cold; N1
+    and [st(1)', st(1)] grow from it (Derived series (0) in the permgroups
+    module docstring)."""
+
+    @staticmethod
+    def _session(spec, depth):
+        """A session on which every check ran, and the N1 it grew from K."""
+        s = gv.build(spec, depth)
+        made = []
+        real = ggs._normal_closure
+
+        def record(ambient, seeds, start=None):
+            made.append((start, real(ambient, seeds, start=start)))
+            return made[-1][1]
+
+        with mock.patch.object(ggs, "_normal_closure", side_effect=record):
+            for check in gv.CHECKS.values():
+                check(s)
+        k = s._memo.get("k")
+        return s, k, [out for start, out in made if k is not None and start is k]
+
+    @pytest.mark.parametrize("fixture,depth", K_CASES)
+    def test_k_lies_in_n1_and_in_gamma3_of_st1_and_is_normal(self, fixture, depth, request):
+        s, k, (n1,) = self._session(request.getfixturevalue(fixture), depth)
+        g, st1 = s.G, s.st1()
+        # closed cold from commutators of the first N1 seed with st(1)'s
+        # generators, in G, and grown from by N1 and [st(1)', st(1)] alone
+        assert k.origin.ambient is g and k.order_exponent > 0
+        n = n1.origin.elements[0]
+        want = permgroups._commutators([n], st1.generators)
+        assert all(any(np.array_equal(x.images, y.images) for y in want)
+                   for x in k.origin.elements)
+        cold = commutator_subgroup(s.st1_derived(), st1, g)
+        for name, h in (("N1", n1), ("G''", s.second_derived()),
+                        ("[st(1)', st(1)]", s.st1_gamma3()), ("cold [st(1)', st(1)]", cold)):
+            # sifted by generators, not by the seeds the origin names
+            assert all(h.contains(x) for x in k.generators), name
+        # normal in G: every conjugate of a generator by one of G's lies in K
+        assert all(k.contains(x.inverse() * y * x) for x in g.generators for y in k.generators)
+
+    @pytest.mark.parametrize("fixture,depth", K_CASES)
+    def test_gamma3_of_st1_from_k_has_the_cold_layers(self, fixture, depth, request):
+        s, k, _ = self._session(request.getfixturevalue(fixture), depth)
+        g = s.G
+        warm = s.st1_gamma3()
+        cold = commutator_subgroup(s.st1_derived(), s.st1(), g)
+        assert warm.origin.ambient is g and warm.generators[: len(k.generators)] == k.generators
+        assert _row_spaces(warm) == _row_spaces(cold)
+
+    def test_the_constant_vector_and_a_trivial_k_make_none(self, const_spec, gs_spec):
+        # the constant vector reads no [st(1)', st(1)]; at p=3 `1,2` N=3
+        # every [n, f] is trivial.  Either way N1 closes cold, and so does
+        # [st(1)', st(1)] when read, through normal_closure
+        for spec, depth in ((const_spec, 5), (gs_spec, 3)):
+            s = gv.build(spec, depth)
+            with mock.patch.object(
+                permgroups, "normal_closure", wraps=permgroups.normal_closure
+            ) as closure:
+                s.second_derived()
+                assert "k" not in s._memo and closure.call_args_list == []
+                s.st1_gamma3()
+            assert [c.args[0] for c in closure.call_args_list] == [s.G]
+

@@ -545,15 +545,15 @@ class TestBlockPower:
 
 
 def _recorded_closures(build):
-    """Run build() and return the (tree, seeds, conj_by, start, result) of
-    every closure it made."""
+    """Run build() and return the (tree, seeds, conj_by, start, ambient,
+    result) of every closure it made."""
     calls = []
     real = permgroups._close
 
-    def record(tree, seeds, conj_by, start=None):
+    def record(tree, seeds, conj_by, start=None, ambient=None):
         seeds, conj_by = list(seeds), list(conj_by)
-        out = real(tree, seeds, conj_by, start)
-        calls.append((tree, seeds, conj_by, start, out))
+        out = real(tree, seeds, conj_by, start, ambient)
+        calls.append((tree, seeds, conj_by, start, ambient, out))
         return out
 
     with mock.patch.object(permgroups, "_close", side_effect=record):
@@ -578,11 +578,27 @@ def _run_sizes(width):
         yield sizes
 
 
-def _assert_same_closure(tree, seeds, conj_by, start, got):
+def _adopted(layers, ambient):
+    """Per level, whether the closure took the ambient's layer object."""
+    if ambient is None:
+        return [False] * len(layers.levels)
+    return [a is b for a, b in zip(layers.levels, ambient.levels)]
+
+
+def _assert_same_closure(tree, seeds, conj_by, start, ambient, got):
+    """The closure against the one-at-a-time reference with the same start:
+    the same generators, and the same layers array for array, but for the
+    levels it took from the ambient, which have the reference's span."""
     layers, found = got
     ref_layers, ref_found = reference_close(tree, seeds, conj_by, start)
     assert layers.dimensions() == ref_layers.dimensions()
-    for lvl, ref in zip(layers.levels, ref_layers.levels):
+    adopted = _adopted(layers, ambient)
+    sorted_layers, sorted_ref = _pivot_sorted(layers), _pivot_sorted(ref_layers)
+    for k, (lvl, ref) in enumerate(zip(layers.levels, ref_layers.levels)):
+        if adopted[k]:
+            (pa, ra), (pb, rb) = sorted_layers[k], sorted_ref[k]
+            assert np.array_equal(pa, pb) and np.array_equal(ra, rb)
+            continue
         assert np.array_equal(lvl.rows[: lvl.dim], ref.rows[: ref.dim])
         assert np.array_equal(lvl.pivots[: lvl.dim], ref.pivots[: ref.dim])
         assert len(lvl.reps[: lvl.dim]) == len(ref.reps[: ref.dim])
@@ -624,7 +640,9 @@ class TestAgainstSequentialClosure:
         calls = _recorded_closures(build)
         # G' first, then G grown from it, then G''
         assert [sum(got[0].dimensions()) for *_, got in calls] == [97, 100, 91]
-        assert [start is not None for *_, start, _ in calls] == [False, True, False]
+        assert [start is not None for _, _, _, start, _, _ in calls] == [False, True, False]
+        # G'' closes in G, whose layers exist by then
+        assert [ambient is not None for *_, ambient, _ in calls] == [False, False, True]
         for call in calls:
             _assert_same_closure(*call)
 
@@ -656,8 +674,8 @@ class TestAgainstSequentialClosure:
         [(3, [(1, 0), (0, 1)], 6), (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4)],
     )
     def test_runs_that_pass_the_run_length(self, p, rows, depth):
-        # a stack joins the run whole, so a run may pass _RUN; G'', G' and G
-        # still match the one-at-a-time closure
+        # a stack joins the run whole, so a run may pass _RUN; K, G'' (N1
+        # grown from K), G' and G still match the one-at-a-time closure
         def build():
             s = gv.build(gv.validate(p, rows), depth)
             s.second_derived().chain
@@ -665,8 +683,22 @@ class TestAgainstSequentialClosure:
 
         with _run_sizes(p ** (depth - 1)) as sizes:
             calls = _recorded_closures(build)
-        assert len(calls) == 3
+        assert len(calls) == 4
         assert max(sizes) > permgroups._RUN
+        for call in calls:
+            _assert_same_closure(*call)
+
+    @pytest.mark.parametrize("p,rows,depth", [(3, [(1, 2)], 5), (3, [(1, 0), (0, 1)], 4)])
+    def test_session_closures_grown_from_k(self, p, rows, depth):
+        # K closes cold, N1 and [st(1)', st(1)] grow from it, and the
+        # reference gets the same start; at p=3 `1,2` N=5 [st(1)', st(1)]
+        # fills level 3 with level 4 full, and takes G's layers from 3 on
+        s = gv.build(gv.validate(p, rows), depth)
+        calls = _recorded_closures(lambda: [check(s) for check in gv.CHECKS.values()])
+        k = s._memo["k"].chain
+        assert [start for _, _, _, start, _, _ in calls].count(k) == 2
+        want = [False] * 3 + [True] * 2 if depth == 5 else [False] * depth
+        assert _adopted(s.st1_gamma3().chain, s.G.chain) == want
         for call in calls:
             _assert_same_closure(*call)
 
@@ -686,7 +718,7 @@ class TestAgainstSequentialClosure:
         # the last layer's first run holds all that phase 1 left, the
         # commutators and the conjugates' labels, 38 vectors in all
         assert sizes[0] == 38
-        _assert_same_closure(tree, seeds, conj_by, None, got)
+        _assert_same_closure(tree, seeds, conj_by, None, None, got)
         assert [x.tolist() for x, _ in got[1][:3]] == [x.tolist() for x in seeds[:3]]
 
     @pytest.mark.parametrize(
@@ -710,12 +742,12 @@ class TestAgainstSequentialClosure:
             return extend(lvl, *args)
 
         both = 0
-        for tree, seeds, conj_by, start, (layers, _) in calls:
+        for tree, seeds, conj_by, start, ambient, (layers, _) in calls:
             events.clear()
             with mock.patch.object(permgroups._Layers, "_admit", admitted), mock.patch.object(
                 permgroups._Layer, "extend", extended
             ):
-                again, _ = permgroups._close(tree, seeds, conj_by, start)
+                again, _ = permgroups._close(tree, seeds, conj_by, start, ambient)
             assert again.dimensions() == layers.dimensions()
             if "extend" in events:
                 assert "admit" not in events[events.index("extend") :]
@@ -726,20 +758,24 @@ class TestAgainstSequentialClosure:
 # -- level N-2: commutators with module generators against every pair ------------
 
 
-def _assert_spans_of_all_pairs(tree, seeds, conj_by, start, got):
+def _assert_spans_of_all_pairs(tree, seeds, conj_by, start, ambient, got):
     """The closure's layers against the one-at-a-time closure under the rule
     it had before, which commuted every pair of level-(N-2)
-    representatives: the layers above the last array for array, and the
-    last one's rows sorted by pivot, its reduced echelon basis in the one
-    order that depends on the span alone."""
+    representatives: every layer's rows sorted by pivot, its reduced
+    echelon basis in the one order that depends on the span alone, and the
+    layers above the last array for array, but for those taken from the
+    ambient."""
     layers, _ = got
     ref, _ = reference_close(tree, seeds, conj_by, start, all_pairs=True)
     assert layers.dimensions() == ref.dimensions()
-    for lvl, want in zip(layers.levels[:-1], ref.levels[:-1]):
+    for (pa, ra), (pb, rb) in zip(_pivot_sorted(layers), _pivot_sorted(ref)):
+        assert np.array_equal(pa, pb) and np.array_equal(ra, rb)
+    adopted = _adopted(layers, ambient)
+    for k, (lvl, want) in enumerate(zip(layers.levels[:-1], ref.levels[:-1])):
+        if adopted[k]:
+            continue
         for name in ("rows", "pivots", "reps"):
             assert np.array_equal(getattr(lvl, name)[: lvl.dim], getattr(want, name)[: want.dim])
-    (pivots, rows), (ref_pivots, ref_rows) = _pivot_sorted(layers)[-1], _pivot_sorted(ref)[-1]
-    assert np.array_equal(pivots, ref_pivots) and np.array_equal(rows, ref_rows)
 
 
 @contextmanager
@@ -801,8 +837,8 @@ class TestModuleGenerators:
         for call in calls:
             _assert_spans_of_all_pairs(*call)
 
-    def test_the_deep_containment_n1_queues_t_times_d_plus_d_vectors(self, r2_spec):
-        # the cold N1 that deep_containment closes first: level 4 has d = 66
+    def test_the_deep_containment_cold_closure_queues_t_times_d_plus_d_vectors(self, r2_spec):
+        # K, the one cold closure deep_containment makes: level 4 has d = 66
         # rows, and each gains its p-th power when found and |T| = 1
         # commutator stack of 66 once the layer is final, where every pair
         # gave d(d+1)/2 = 2211 level-(N-2) vectors
@@ -822,9 +858,9 @@ class TestModuleGenerators:
         calls = []
         real_close = permgroups._close
 
-        def close(tree, seeds, conj_by, start=None):
+        def close(tree, seeds, conj_by, start=None, ambient=None):
             counted.update(powers=0, commutators=0)
-            out = real_close(tree, seeds, conj_by, start)
+            out = real_close(tree, seeds, conj_by, start, ambient)
             calls.append((start, out[0].levels[-2].dim, dict(counted)))
             return out
 
@@ -832,12 +868,12 @@ class TestModuleGenerators:
             permgroups, "_comm_rows", comm
         ), mock.patch.object(permgroups, "_close", close), _module_generator_calls() as ts:
             s.second_derived()
-        start, d, n1 = calls[0]
+        start, d, k = calls[0]
         assert start is None and d == 66
         (dim, new, nx, t, want), *_ = ts
-        assert (dim, new, nx, t, want) == (66, 0, 3, [1], [1])
-        assert n1 == {"powers": d, "commutators": len(t) * d}
-        assert n1["powers"] + n1["commutators"] <= len(t) * d + d < d * (d + 1) // 2 == 2211
+        assert (dim, new, nx, t, want) == (66, 0, 3, [0], [0])
+        assert k == {"powers": d, "commutators": len(t) * d}
+        assert k["powers"] + k["commutators"] <= len(t) * d + d < d * (d + 1) // 2 == 2211
 
 
 class TestLastLayerModule:
@@ -859,6 +895,9 @@ class TestLastLayerModule:
         p, width = spec.p, spec.p ** (depth - 1)
         # the first leaf below vertex v goes below vertex x(v)
         maps = [x.images[np.arange(width) * p] // p for x in s.G.generators]
+        # K among them, on every spec but the constant vector and p=3 `1,2`
+        # at N=3, whose [n, f] are all trivial
+        assert ("k" in s._memo) == (fixture != "const_spec" and (fixture, depth) != ("gs_spec", 3))
         for name, h in {"G": s.G, **s._memo}.items():
             lvl = h.chain.levels[-1]
             rows = lvl.rows[: lvl.dim].astype(np.int64)
@@ -961,10 +1000,10 @@ class TestNormalGenerators:
         counts = []
         real = permgroups._close
 
-        def record(tree, seeds, conj_by, start=None):
+        def record(tree, seeds, conj_by, start=None, ambient=None):
             seeds = list(seeds)
             counts.append(len(seeds))
-            return real(tree, seeds, conj_by, start)
+            return real(tree, seeds, conj_by, start, ambient)
 
         with mock.patch.object(permgroups, "_close", side_effect=record):
             st1d = s.st1_derived()
@@ -1573,7 +1612,7 @@ class TestNarrowTypes:
                 got = permgroups._close(tree, seeds, conj_by)
         assert events[:2] == [("push", []), ("push", [0])]
         assert ("conj",) in events
-        _assert_same_closure(tree, seeds, conj_by, None, got)
+        _assert_same_closure(tree, seeds, conj_by, None, None, got)
 
 
 class TestWorkingSet:
