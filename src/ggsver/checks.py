@@ -406,17 +406,62 @@ def check_stab1_derived_in_gamma3(session: GroupSession):
 @_check("subdirect")
 def check_subdirect(session: GroupSession):
     """Every first-level projection pi_i of the derived subgroup is the
-    whole level-(N-1) group.  G = st(1)<t>, t = transversal(G), and pi_i is
-    a homomorphism on st(1), which holds G'; so pi_i(G') is the normal
-    closure of the pi_i(e^(t^-k)), k < p, e among the elements G' was closed
-    from in G, under the slot-i sections of st(1)'s generators.  It is
-    closed for slot 0 alone when t passes _rooted_shift, as a^c normalizes
-    G' and moves slot 0 to every slot with trivial sections, else for each
-    slot in turn, and the first slot that differs is named."""
+    whole level-(N-1) group G_(N-1).  When t = transversal(G) passes
+    _rooted_shift, as a^c, one slot decides all p: a^c normalizes G' and
+    moves slot 0 to every slot with trivial sections, so pi_(kc)(G') =
+    pi_0(G').  The check then first counts what G''s layers already show of
+    P = pi_0(G'), and closes projections (_projection_verdict) only when the
+    count falls short.
+
+    The certificate.  Let c be the number of rows of G''s layers m >= 1
+    whose pivot lies below p^(m-1), in slot 0.  In layer m a reduced echelon
+    row is zero on every column before its pivot, so the rows with a slot-0
+    pivot restrict to slot 0 as independent vectors, and the others to 0.
+    Those restrictions are the level-(m-1) labels of pi_0(G' & st(m)), which
+    lies in P & st(m-1), so layer m-1 of P has at least that many rows and
+    log_p|P| >= c.  G' lies in st(1), and pi_0 is a homomorphism on st(1),
+    so P lies in pi_0(st(1)), which the slot-0 sections of st(1)'s
+    generators generate; when G_(N-1) holds each of them, P <= G_(N-1).  So
+    c = log_p|G_(N-1)| forces P = G_(N-1), and the check holds with no
+    closure.  The certificate can only say holds: any other outcome falls
+    back to the closure, which names the witness of a failure."""
     spec = session.spec
     _require_nonconstant(spec)
     _require_depth(session, 3, "the subdirect projection check")
-    p, t = spec.p, transversal(session.G)
+    p = spec.p
+    if not _rooted_shift(transversal(session.G), p):
+        return _projection_verdict(session, p)
+    # G' first, so that G's layers grow from it
+    c = _slot_zero_pivots(session.derived())
+    full = session.G.truncate(session.depth - 1)
+    if c == full.order_exponent and all(
+        full.contains(subtree_section(x, p, (0,))) for x in session.st1().generators
+    ):
+        return {"full_exponent": c, "projection_exponents": [c] * p}, None
+    return _projection_verdict(session, 1)
+
+
+def _slot_zero_pivots(h: PermGroup) -> int:
+    """The rows of h's layers m >= 1 whose pivot lies in slot 0, below
+    p^(m-1): a lower bound on log_p|pi_0(h)| for h in st(1)
+    (check_subdirect)."""
+    p = h.prime
+    return sum(
+        int(np.count_nonzero(lvl.pivots[: lvl.dim] < p ** (m - 1)))
+        for m, lvl in enumerate(h.chain.levels)
+        if m
+    )
+
+
+def _projection_verdict(session: GroupSession, slots: int):
+    """(details, witness) of the subdirect check from the projections of G'
+    onto slots 0..slots-1, closed one at a time; the first slot that
+    differs from G_(N-1) is named.  G = st(1)<t>, t = transversal(G), and
+    pi_i is a homomorphism on st(1), which holds G'; so pi_i(G') is the
+    normal closure of the pi_i(e^(t^-k)), k < p, e among the elements G'
+    was closed from in G, under the slot-i sections of st(1)'s generators.
+    When slots is 1 the one exponent stands for all p."""
+    p, t = session.spec.p, transversal(session.G)
     # G' first, so that G's layers grow from it
     kept = session.derived().origin.elements
     full = session.G.truncate(session.depth - 1)
@@ -427,7 +472,7 @@ def check_subdirect(session: GroupSession):
             PermGroup(full.degree, [subtree_section(x, p, (i,)) for x in st1], p),
             [subtree_section(e, p, (i,)) for e in moved],
         )
-        for i in range(1 if _rooted_shift(t, p) else p)
+        for i in range(slots)
     )
     exponents = []
     details = {"full_exponent": full.order_exponent, "projection_exponents": exponents}
@@ -439,8 +484,7 @@ def check_subdirect(session: GroupSession):
         if missing is not None:
             details["failing_slot"] = i
             return details, missing
-    # one slot stands for all p when it alone was closed
-    exponents *= p // len(exponents)
+    exponents *= p // slots
     return details, None
 
 

@@ -190,7 +190,9 @@ checks its seeds; derived(), commutator_subgroup and the session's
 subgroups build theirs from the ambient group's elements; a start lies in
 the result), and so does the subdirect check, whose seeds are slot sections
 of elements of st(1), which the slot sections of st(1)'s generators
-generate.
+generate.  That check closes a projection only when G''s slot-0 pivots
+fall short of certifying it (checks.check_subdirect); this holds for every
+projection it closes.
 Why it is enough.  Let M = H_(N-1), the last layer's group at the end.  M is
 invariant under X, so normal in the finite group A, and every
 representative lies in A, so normalizes M; H_(N-2) is normal in A too, by

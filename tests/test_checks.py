@@ -383,16 +383,17 @@ class TestSubdirect:
 
 
 def _projection(session):
-    """The projection check_subdirect compares with the level-(N-1) group."""
+    """The slot-0 projection that check_subdirect's closure
+    (_projection_verdict) compares with the level-(N-1) group."""
     verdict = checks._equality_verdict
     with mock.patch.object(checks, "_equality_verdict", wraps=verdict) as eq:
-        check_subdirect(session)
+        checks._projection_verdict(session, 1)
     (_, proj, _), _ = eq.call_args
     return proj
 
 
 class TestSubdirectProjection:
-    """check_subdirect closes slot 0's projection of G' from the slot-0
+    """_projection_verdict closes slot 0's projection of G' from the slot-0
     sections of the conjugates of G''s kept seeds by powers of a, under the
     sections of st(1)'s generators; it is the group the slot-0 sections of
     every generator of G' span."""
@@ -422,6 +423,119 @@ class TestSubdirectProjection:
         assert proj.order_exponent == reference.order_exponent
         assert proj.containment_witness(reference) is None
         assert reference.containment_witness(proj) is None
+
+
+# the conftest specs at N = 3, 4 and 5, sym5 at N = 3 and 4
+SUBDIRECT_CASES = [(f, n) for f in ("gs_spec", "r2_spec") for n in (3, 4, 5)] + [
+    ("sym5_spec", 3),
+    ("sym5_spec", 4),
+]
+
+# the p=3 and p=5 row spaces of dimension r <= 2 that are not the constant
+# vector
+NONCONSTANT_ROWS = [
+    (p, rows)
+    for p in (3, 5)
+    for r in (1, 2)
+    for rows in row_spaces(p, r)
+    if not gv.ggs.is_constant(gv.validate(p, rows))
+]
+
+
+def _subdirect_run(s):
+    """check_subdirect's verdict on s, and whether it reached the closure
+    (_projection_verdict) and how many normal closures it made, with G',
+    st(1) and G's layers built first."""
+    s.derived(), s.st1(), s.G.chain
+    with mock.patch.object(
+        checks, "_projection_verdict", wraps=checks._projection_verdict
+    ) as fallback, mock.patch.object(
+        permgroups, "_normal_closure", wraps=permgroups._normal_closure
+    ) as closure:
+        v = check_subdirect(s)
+    return v, fallback.called, closure.call_count
+
+
+def _agrees_with_every_slot(s):
+    """check_subdirect gives the status, details and witness of the closure
+    of every slot's projection."""
+    v = check_subdirect(s)
+    details, witness = checks._projection_verdict(s, s.spec.p)
+    assert v.status == (HOLDS if witness is None else FAILS)
+    assert v.details == details and v.witness == witness
+
+
+class TestSubdirectCertificate:
+    """When t passes _rooted_shift, check_subdirect holds with no closure
+    once G''s slot-0 pivots count log_p|G_(N-1)| and G_(N-1) holds the
+    slot-0 sections of st(1)'s generators; else it closes projections.
+    Either way it gives the verdict of the closure of every slot."""
+
+    @pytest.mark.parametrize("fixture,depth", SUBDIRECT_CASES)
+    def test_build_sessions_are_certified(self, fixture, depth, request):
+        s = gv.build(request.getfixturevalue(fixture), depth)
+        v, fell_back, closures = _subdirect_run(s)
+        assert v.holds and not fell_back and closures == 0
+        _agrees_with_every_slot(s)
+
+    @pytest.mark.parametrize("p,rows,count", [(3, [(0, 1)], 9), (5, [(1, 2, 0, 3)], 25)])
+    def test_a_short_count_closes_slot_zero_alone(self, p, rows, count):
+        s = gv.build(gv.validate(p, rows), 4)
+        assert checks._slot_zero_pivots(s.derived()) == count
+        v, fell_back, closures = _subdirect_run(s)
+        assert v.holds and fell_back and closures == 1
+        assert v.details == {"full_exponent": count + 1, "projection_exponents": [count + 1] * p}
+        _agrees_with_every_slot(s)
+
+    @pytest.mark.parametrize("fixture,depth", SUBDIRECT_CASES)
+    def test_other_generating_sets(self, fixture, depth, request):
+        s = gv.build(request.getfixturevalue(fixture), depth)
+        for gens in _other_generating_sets(s):
+            _agrees_with_every_slot(_with_generators(s, gens))
+
+    def test_mutants(self, request):
+        # the mutants of TestMutantSweep; the certificate only ever says
+        # holds, so each that fails reached the closure
+        failed = 0
+        for fixture in ("gs_spec", "r2_spec", "sym5_spec"):
+            spec = request.getfixturevalue(fixture)
+            for depth, gen in product((3, 4), range(spec.r + 1)):
+                for vertex in (0, spec.p ** (depth - 1) - 1):
+                    s = last_vertex_mutant(spec, depth, gen, vertex)
+                    v, fell_back, _ = _subdirect_run(s)
+                    assert fell_back or v.holds, (fixture, depth, gen, vertex)
+                    failed += v.status == FAILS
+                    _agrees_with_every_slot(s)
+        assert failed
+
+
+class TestSlotZeroBound:
+    """The slot-0 pivots of G' bound log_p|pi_0(G')| from below, whether or
+    not the bound is tight; a count that meets log_p|G_(N-1)| decides only
+    with st(1)'s slot-0 sections inside G_(N-1)."""
+
+    @given(
+        case=st.sampled_from(NONCONSTANT_ROWS),
+        depth=st.sampled_from((3, 4)),
+    )
+    def test_pivots_bound_the_closed_projection(self, case, depth):
+        p, rows = case
+        s = gv.build(gv.validate(p, rows), depth)
+        details, _ = checks._projection_verdict(s, 1)
+        assert checks._slot_zero_pivots(s.derived()) <= details["projection_exponents"][0]
+        _agrees_with_every_slot(s)
+
+    def test_a_full_count_needs_st1_inside_the_level_below(self):
+        # p=3 `1,0` at depth 4, b_1 mutated below last-level vertex 0: the
+        # slot-0 pivots count log_p|G_3| = 10, but a slot-0 section of a
+        # generator of st(1) lies outside G_3, and the projection has order
+        # 3^11; the sifts send the check to the closure, which names it
+        s = last_vertex_mutant(gv.validate(3, [(1, 0)]), 4, 1, 0)
+        assert checks._slot_zero_pivots(s.derived()) == s.G.truncate(3).order_exponent == 10
+        v, fell_back, _ = _subdirect_run(s)
+        assert v.status == FAILS and fell_back
+        assert v.details == {"full_exponent": 10, "projection_exponents": [11], "failing_slot": 0}
+        recheck_witness(s, "subdirect", v)
 
 
 class TestPsi2SecondDerived:
@@ -723,19 +837,19 @@ class TestClosureCensus:
         "p,rows,depth",
         [(5, [(1, 1, 1, 1), (1, 0, 0, 1)], 5), (3, [(1, 0), (0, 1)], 6)],
     )
-    def test_run_all_closes_below_the_depth_only_the_projection(self, p, rows, depth):
+    def test_run_all_closes_nothing_below_the_depth(self, p, rows, depth):
         run = lambda: gv.run_all(gv.validate(p, rows), depth)
         calls, s = _run_session(lambda: _closures(run))
-        # K, G'', G', G, gamma3, st(1)' and [st(1)', st(1)]; subdirect's
-        # projection is a new group one level down
-        assert sorted(d for d, _, _ in calls) == [depth - 1] + [depth] * 7
+        # K, G'', G', G, gamma3, st(1)' and [st(1)', st(1)]; G''s slot-0
+        # pivots certify subdirect, so no projection closes one level down
+        assert sorted(d for d, _, _ in calls) == [depth] * 7
         grown = {id(layers): start for _, start, layers in calls}
         k, second, derived = s._memo["k"].chain, s.second_derived().chain, s.derived().chain
-        # K closes first, from seeds, the one cold closure at this depth; G''
+        # K closes first, from seeds, the one cold closure of the run; G''
         # grows from it and needs no seed beyond N1's; G' grows from G'' and
         # G's own layers from G', so none closes from its own generators
         assert calls[0][2] is k and grown[id(k)] == "seeds"
-        assert None not in grown.values() and list(grown.values()).count("seeds") == 2
+        assert None not in grown.values() and list(grown.values()).count("seeds") == 1
         assert grown[id(second)] is k
         assert grown[id(derived)] is second and grown[id(s.G.chain)] is derived
         # st(1)' and gamma3 grow from G'' too, and [st(1)', st(1)] from K
@@ -773,10 +887,11 @@ class TestClosureCensus:
         # closures made by run_all over every check, then over each check
         # alone in CHECKS order: a check that reads G' closes K, G'' and G'
         # (four with G's layers), and key_congruence and psi2_second_derived
-        # read no layers of G; the constant vector makes no K
+        # read no layers of G; subdirect closes no projection, as G''s
+        # slot-0 pivots certify it; the constant vector makes no K
         [
-            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [8, 4, 7, 0, 5, 6, 5, 3, 4, 4, 0]),
-            (3, [(1, 2)], 6, [8, 4, 7, 4, 5, 6, 5, 0, 4, 4, 4]),
+            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 4, 7, 0, 5, 6, 4, 3, 4, 4, 0]),
+            (3, [(1, 2)], 6, [7, 4, 7, 4, 5, 6, 4, 0, 4, 4, 4]),
             (3, [(1, 1)], 5, [5, 3, 0, 0, 0, 5, 0, 0, 3, 3, 0]),
         ],
     )
@@ -1154,8 +1269,8 @@ class TestGeneratorOrder:
     def test_every_slot_is_closed_when_a_is_not_rooted(self, fixture, request):
         # b_1 a and a b_1 have the sections of b_1, so no slot stands for
         # the others: one closure per slot, each the projection the slot
-        # sections of every generator of G' span; a built session closes
-        # slot 0 alone
+        # sections of every generator of G' span; on a built session G''s
+        # slot-0 pivots certify the check, and nothing closes
         s = gv.build(request.getfixturevalue(fixture), 4)
         p, n = s.spec.p, s.depth
         for gens in [s.G.generators, *_other_generating_sets(s)]:
@@ -1174,7 +1289,7 @@ class TestGeneratorOrder:
             ) as closure:
                 v = check_subdirect(t)
             assert v.holds and v.details["projection_exponents"] == exponents
-            assert closure.call_count == (1 if rooted else p)
+            assert closure.call_count == (0 if rooted else p)
 
 
 # the conftest specs at N <= 4, sym5 at N = 3 only
