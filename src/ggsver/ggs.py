@@ -326,17 +326,19 @@ class GroupSession:
     start in the permgroups module docstring), and that one is built first
     when it is not yet, so the closures a selection of checks makes depend
     on the subgroups it reads and not on the order it reads them in:
-    - G' from G'', and G from G': derived() and second_derived() close
-      the two together.  K, a subgroup of N1 and of [st(1)', st(1)],
-      closes cold; a subgroup N1 of G'' grows from it, G' grows from N1
-      with G.derived(start=N1), which hands G its layers, and G'' is N1,
-      grown from it by any commutators of G' it lacks.  Every reader of
-      G's layers here and in the checks closes G' first, so that G's
-      closure sifts G's generators alone, and the layers that G, G' and
-      G'' share are built once;
-    - Phi(G) from G', when the two differ;
-    - st(1)' and gamma3 from G'': G' <= st(1), as W_N/st(1) is cyclic, so
-      G'' = [G', G'] <= [st(1), st(1)], and G'' = [G', G'] <= [G', G];
+    - gamma3, G' and G from G'': derived(), gamma3() and second_derived()
+      close the series together (_derived_series).  K, a subgroup of N1
+      and of [st(1)', st(1)], closes cold; a subgroup N1 of G'' grows from
+      it, gamma3 from N1, as G'' = [G', G'] <= [G', G], and G' from gamma3;
+      G' hands G its layers, and G'' is N1, grown from it by any
+      commutators of G' it lacks.  G' and G grow centrally (Central start
+      in the permgroups module docstring): gamma3 holds [G', G], and G'
+      holds [G, G], so each sifts its seeds and p-th powers alone.  Every
+      reader of G's layers here and in the checks closes G' first, and the
+      layers that G, G', gamma3 and G'' share are built once;
+    - Phi(G) from G', centrally too, when the two differ;
+    - st(1)' from G'': G' <= st(1), as W_N/st(1) is cyclic, so
+      G'' = [G', G'] <= [st(1), st(1)];
     - [st(1)', st(1)] from K.
     Each start is normal in G.  There is no K on the constant vector, where
     no check reads [st(1)', st(1)], nor when its seeds are all trivial; N1
@@ -359,13 +361,15 @@ class GroupSession:
         return got
 
     def _derived_series(self) -> None:
-        """Close G'' and G' into the memo, building the layers they share
-        once (Derived series in the permgroups module docstring).  With S
-        the commutators of G's generators X, N1 <= G'' is the closure of the
-        [s, y], s in S and y in S or some x^-1 s x, x in X, grown from K,
-        the cold closure of the [n, f], n the first of those seeds and f a
-        generator of st(1); G' grows from N1, and hands G its layers; G'' is
-        N1, grown by the [s, f], f a generator of G', that N1 lacks."""
+        """Close G'', gamma3 and G' into the memo, building the layers they
+        share once (Derived series in the permgroups module docstring).
+        With S the commutators of G's generators X, N1 <= G'' is the closure
+        of the [s, y], s in S and y in S or some x^-1 s x, x in X, grown from
+        K, the cold closure of the [n, f], n the first of those seeds and f
+        a generator of st(1); gamma3 is the closure of the [s, x], grown
+        from N1; G' is that of S, grown centrally from gamma3, and hands G
+        its layers; G'' is N1, grown by the [s, f], f a generator of G',
+        that N1 lacks."""
         if "derived" in self._memo:
             return
         g = self.G
@@ -379,15 +383,25 @@ class GroupSession:
                 # read by st1_gamma3, which grows from K too
                 self._memo["k"] = _normal_closure(g, core)
         n1 = _normal_closure(g, seeds, start=self._memo.get("k"))
-        d = g.derived(start=n1)
+        gamma = _normal_closure(g, _commutators(s, g.generators), start=n1)
+        d = _normal_closure(g, s, start=gamma, central=True)
+        # G' records S, then what gamma3's closure found beyond N1, with
+        # their levels; a seed that left no residual is at level N, where
+        # no quotient keeps it (Derived series (2) in the permgroups module
+        # docstring).  A seed's generator is the very array handed in
+        j, k = len(gamma.generators), len(n1.generators)
+        level = {id(x.images): m for x, m in zip(d.generators[j:], d.origin.levels[j:])}
+        levels = (*(level.get(id(x.images), self.depth) for x in s), *gamma.origin.levels[k:])
+        d = g._built([*s, *gamma.generators[k:]], d.chain, d.origin._replace(levels=levels))
+        g._grow_from(d)
         missing = [c for c in _commutators(s, d.generators) if not n1.contains(c)]
         second = n1
         if missing:
             second = _normal_closure(g, [*n1.origin.elements, *missing], start=n1)
-        self._memo.update(derived=d, second_derived=second)
+        self._memo.update(derived=d, gamma3=gamma, second_derived=second)
 
     def derived(self) -> PermGroup:
-        """The derived subgroup G', closed with G''."""
+        """The derived subgroup G', closed with gamma3 and G''."""
         self._derived_series()
         return self._memo["derived"]
 
@@ -395,24 +409,22 @@ class GroupSession:
         """The Frattini subgroup Phi(G) = G'G^p, the smallest normal
         subgroup with elementary abelian quotient.  G/G' is abelian, so it
         is G' itself when every generator's p-th power lies in G', and
-        otherwise grown from G' by its normal generators and those powers."""
+        otherwise grown from G' by its normal generators and those powers,
+        centrally, as [Phi(G), G] <= [G, G] = G'."""
 
         def make():
             g, d = self.G, self.derived()
             powers = [x**g.prime for x in g.generators]
             if all(d.contains(x) for x in powers):
                 return d
-            return _normal_closure(g, [*d.origin.elements, *powers], start=d)
+            return _normal_closure(g, [*d.origin.elements, *powers], start=d, central=True)
 
         return self._memoized("frattini", make)
 
     def gamma3(self) -> PermGroup:
-        """Third lower-central term [[G,G],G], grown from G''."""
-        g = self.G
-        return self._memoized(
-            "gamma3",
-            lambda: commutator_subgroup(self.derived(), g, g, self.second_derived()),
-        )
+        """Third lower-central term [[G,G],G], closed with G'."""
+        self._derived_series()
+        return self._memo["gamma3"]
 
     @cached_property
     def _st1_generators(self):

@@ -78,17 +78,33 @@ invariant, and L lies in the closure, so H_0 is the closure.  It starts
 from shares (_Layer.share): views of exactly the rows L holds, so the first
 row a level gains moves it into new arrays, and L's layers never change.
 Two kinds of closure start warm.  G' is normal in G and lies in it, so
-PermGroup.derived() hands its layers to G while G's are unbuilt, and G's
-closure starts from them and sifts only a, b_1, ..., b_r; its generators
-are those it added, not a generating set, and PermGroup.chain, the one that
+PermGroup.derived() hands its layers to G while G's are unbuilt
+(PermGroup._grow_from), and G's closure starts from them and sifts only a,
+b_1, ..., b_r and their p-th powers (Central start); its generators are
+those it added, not a generating set, and PermGroup.chain, the one that
 runs it, reads only its layers.  A normal closure may be handed a start
 (_normal_closure), a subgroup normal in the ambient group that lies in the
-result; its generators are then the start's followed by those it found,
-but derived(start=) keeps those it found alone (Derived series).
-GroupSession grows G' so from a subgroup N1 of G'', and G'' from N1 when
-N1 is not all of it; st(1)' and gamma3 always from G'', which it closes
-first when it is not yet built; Phi(G) from G' when the two differ; and N1
-and [st(1)', st(1)] from one subgroup K (Derived series).
+result; its generators are then the start's followed by those it found.
+GroupSession grows gamma3 from a subgroup N1 of G'', G' from gamma3, and
+G'' from N1 when N1 is not all of it; st(1)' from G''; Phi(G) from G' when
+the two differ; and N1 and [st(1)', st(1)] from one subgroup K (Derived
+series).
+
+Central start.  A warm closure may be promised more: that [H, A] <= L, for
+H its result and A the group the ambient generators X generate, which makes
+L normal in A.  It then queues no conjugate, no commutator of peers, no
+commutator of Level N-2 and no conjugate stack, and sifts only the seeds and
+the p-th powers of its new representatives.  The seeds and L lie in A, so H
+does, and every H_m lies in H & st(m).  For x in H_m and y in X, x^y =
+x [x, y] with [x, y] in [H, A] & st(m) <= L & st(m), which lies in H_m
+(Warm start); so each H_m is invariant under X, which is (a).  For x, x' in
+H_m, [x, x'] lies in st(m+1), as st(m)/st(m+1) is abelian, and in [H, A] <=
+L, so in L & st(m+1) <= H_(m+1); so H_m/H_(m+1) is abelian, which (c) and
+Level N-2 showed, and the p-th powers, still queued, make it elementary
+abelian.  The induction of Why that is the closure then holds unchanged,
+on the last level too.  Three closures are promised it: G from G', as [G,
+G] = G'; Phi(G) from G', as Phi(G)/G' lies in the abelian G/G', so [Phi(G),
+G] <= G'; and G' from gamma3 = [G', G] (Derived series).
 
 Full levels.  A closure knows the dimensions of a group A that holds its
 result: the ambient's, when its layers are built (_normal_closure), else
@@ -303,10 +319,10 @@ start's representatives at level k are, by the same induction, words in the
 start's generators found at levels <= k, and the induction goes through from
 them.
 
-Derived series.  GroupSession closes a subgroup of G'' first and grows G'
-from it, so the layers that G' and G'' share are built once, not once for
-each.  Let X be G's generators and S the non-trivial commutators of pairs
-of them: derived() closes S under X, and G' is that closure.
+Derived series.  GroupSession closes a subgroup of G'' first and grows
+gamma3, G' and G from it, so the layers they share are built once, not once
+for each.  Let X be G's generators and S the non-trivial commutators of
+pairs of them: derived() closes S under X, and G' is that closure.
 (0) K, the one cold closure.  Let n be the first seed of (1), and F the
 generators of st(1), made from X alone (GroupSession._st1_generators).  K
 is the cold closure under X of the non-trivial [n, f], f in F.  W_N/st(1)
@@ -325,17 +341,25 @@ Each s and y lies in G', which is normal in G, so each seed is a commutator
 of two elements of G' and lies in G'' = [G', G'], which is normal in G and
 so holds the closure N1.  The seeds are words in X, so none is sifted into
 G.
-(2) Burnside for the generators of G'.  G' = G.derived(start=N1) grows from
-N1, which is normal in G and lies in G'.  By the induction of Generators of
-a quotient, for every m <= N (pi_N the identity) pi_m(G') is generated by
-the restrictions of the generators this closure found above level m
-together with pi_m(N1).  As pi_m is a homomorphism, pi_m(N1) lies in
-pi_m(G'') = [pi_m(G'), pi_m(G')], and the derived subgroup of a finite
-p-group P lies in its Frattini subgroup Phi(P), whose elements may be left
-out of any generating set (Burnside's basis theorem).  So the generators
-found above level m generate pi_m(G'), and all of them generate G':
-derived(start=) records those alone, with their levels, and truncate(m)
-keeps those found above level m.
+(2) gamma3, then G'.  gamma3 = [G', G] is the closure under X of the [s,
+x], s in S and x in X (commutator_subgroup: S closes to G' under X, and G'
+is normal in G), grown from N1, which is normal in G and lies in G'' =
+[G', G'] <= [G', G].  G' is the closure of S grown from gamma3, which holds
+[G', G], so centrally (Central start): it sifts S and p-th powers alone.
+Burnside for the generators of G'.  By the induction of Generators of a
+quotient, for every m <= N (pi_N the identity) pi_m(G') is generated by the
+restrictions of the seeds s that left a residual above level m, of the
+generators gamma3's closure found above level m, and of N1's generators.
+As pi_m is a homomorphism, pi_m(N1) lies in pi_m(G'') = [pi_m(G'),
+pi_m(G')], and the derived subgroup of a finite p-group P lies in its
+Frattini subgroup Phi(P), whose elements may be left out of any generating
+set (Burnside's basis theorem).  So G' records S followed by what gamma3's
+closure found beyond N1: each s at the level of its residual, or at level N
+when it left none (it is then a word in the representatives, so no proper
+quotient needs it), and gamma3's with their levels; they generate G', and
+truncate(m) keeps those that generate pi_m(G').  S comes first, so the
+first generator of G' outside a subgroup invariant under X is the first s
+outside it, the element containment_witness names.
 (3) The certificate for G''.  With F the generators G' records, G'' is the
 normal closure in G of the [s, f], s in S and f in F (commutator_subgroup:
 S closes to G' under X, F generates G', and G' is normal in G).  Each of
@@ -344,7 +368,7 @@ closure, so N1 = G''.  Otherwise G'' is the closure of N1's normal
 generators and the [s, f] outside N1, grown from N1: each seed lies in
 G'', and the closure holds N1 and every [s, f].  Either way the result is
 G'' exactly, whatever seeds (1) took; they decide only how much is left
-for the certificate.
+for the certificate.  G's layers then grow centrally from those of G'.
 
 Everything here is deterministic: candidates are processed in queue order
 and representatives are kept in the order they were found.
@@ -593,19 +617,25 @@ class _Layer:
     def extend(self, u: np.ndarray, p: int):
         """Add the residuals of u, a stack of label vectors, one at a time in
         order, as add would: each residual still non-zero once the rows added
-        before it are cleared from it becomes a row.  The residuals are
-        computed into the rows from dim on; one elimination per new row
-        clears it from the rows added before it and from the residuals still
-        pending, and moves it up to follow the rows before it.  The rows the
-        layer had lose the new pivots last, in one product; the reduced
-        echelon basis with the pivots found is unique, so the rows are those
-        of adding one at a time.  Returns the indices into u of the new rows
-        and those rows as added, before later rows cleared their pivots."""
+        before it are cleared from it becomes a row.  When every residual is
+        zero it returns at once, and takes no room: a layer shared from a
+        start keeps its arrays.  Else the residuals are written into the rows
+        from dim on; one elimination per new row clears it from the rows
+        added before it and from the residuals still pending, and moves it
+        up to follow the rows before it.  The rows the layer had lose the
+        new pivots last, in one product; the reduced echelon basis with the
+        pivots found is unique, so the rows are those of adding one at a
+        time.  Returns the indices into u of the new rows and those rows as
+        added, before later rows cleared their pivots."""
         d = self.dim
-        residuals = self._reduced(self.residual(u, p, out=self._take(len(u))))
+        residuals = self._reduced(self.residual(u, p))
+        pending = np.flatnonzero(np.count_nonzero(residuals, axis=1)).tolist()
+        if not pending:
+            return [], np.empty((0, self.rows.shape[1]), self.rows.dtype)
+        self._take(len(u))[:] = residuals
         end = d + len(u)
         added, as_added = [], []
-        for i in np.flatnonzero(np.count_nonzero(residuals, axis=1)).tolist():
+        for i in pending:
             got = self._clear(d + i, d, end, p)
             if got is not None:
                 added.append(i)
@@ -796,7 +826,13 @@ def _commutator_stacks(tree: _Tree, lvl: _Layer, new: int, conj) -> list:
 
 
 def _close(
-    tree: _Tree, seeds, conj_by, start: _Layers | None = None, ambient: _Layers | None = None
+    tree: _Tree,
+    seeds,
+    conj_by,
+    start: _Layers | None = None,
+    ambient: _Layers | None = None,
+    *,
+    central: bool = False,
 ):
     """Layers of the closure of the seeds under conjugation by conj_by, and
     the seeds and conjugates that left a residual, in the order taken, each
@@ -807,7 +843,10 @@ def _close(
     lie in the group conj_by generates: Level N-2 in the module docstring
     rests on it.  An ambient is the built layers of a group that holds the
     result, W_N by default; the closure stops at its dimensions (Full
-    levels in the module docstring)."""
+    levels in the module docstring).  central promises that the start holds
+    the commutators of the result with the group conj_by generates: the
+    closure then sifts the seeds and the p-th powers alone (Central start in
+    the module docstring)."""
     layers = _Layers(tree, None if start is None else [lvl.share() for lvl in start.levels])
     p = tree.p
     last = tree.depth - 1
@@ -824,7 +863,8 @@ def _close(
         return m
 
     full = first_full()
-    conj = [(y, _inverse(y)) for y in conj_by]
+    # a central closure makes no conjugate: each lies in the group so far
+    conj = [] if central else [(y, _inverse(y)) for y in conj_by]
     pulls = np.array([tree.pull(yinv) for _, yinv in conj], dtype=np.intp)
     # the level-(N-2) layer and the rows it had from the start
     mid = layers.levels[last - 1] if last else None
@@ -862,18 +902,20 @@ def _close(
             # the p-th power, and the commutators with the peers as they
             # were before push clears the new pivot out of them
             side.append((_power(rep, p), m + 1, None))
-            comm = rep, lvl.divs[0, d], lvl.reps[:d], lvl.divs[0, :d]
-            side.extend((c, m + 1, None) for c in _comm_rows(*comm, slice(None)))
+            if not central:
+                comm = rep, lvl.divs[0, d], lvl.reps[:d], lvl.divs[0, :d]
+                side.extend((c, m + 1, None) for c in _comm_rows(*comm, slice(None)))
         else:
             # at level N-2 the p-th power alone; the commutators come once
             # the layer is final
             side.append((tree.power_labels(rep)[None], None, None))
         lvl.push(hits)
-        # push rewrites older representatives in place, and this one once a
-        # later row clears its pivot: its conjugates are made, when taken
-        # from the queue, from a copy of it as it is now
-        rep = rep.copy()
-        main.extend((rep, m, by) for by in conj)
+        if conj:
+            # push rewrites older representatives in place, and this one once
+            # a later row clears its pivot: its conjugates are made, when
+            # taken from the queue, from a copy of it as it is now
+            rep = rep.copy()
+            main.extend((rep, m, by) for by in conj)
         if lvl.dim == dims[m]:
             full = first_full()
 
@@ -906,10 +948,11 @@ def _close(
     # phase 2: the last layer, from one queue: phase 1's stacks, [t, r] for
     # t in T and each level-(N-2) representative r, the conjugates' labels,
     # then the conjugate stacks of the rows it gains; the last two record
-    # their generators after every one of phase 1.  It stops once the last
-    # layer is full, as nothing then adds a row
+    # their generators after every one of phase 1; a central closure has
+    # phase 1's stacks alone.  It stops once the last layer is full, as
+    # nothing then adds a row
     if bottom.dim < dims[last]:
-        if mid is not None:
+        if mid is not None and not central:
             stacks.extend((c, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
         waiting = np.array(waiting)
         stacks.extend((waiting[i : i + _RUN], True) for i in range(0, len(waiting), _RUN))
@@ -933,9 +976,10 @@ def _close(
         # a label vector that left a residual stands for the element of
         # st(N-1) it determines, made once the closure is done
         blocks.append(u[[i for i, tag in zip(added, owners) if tag is True]])
-        # the conjugates of each new row as it was added, row by row
-        stack = rows.astype(tree.digits[-1].dtype)[:, pulls]
-        stacks.append((stack.reshape(-1, u.shape[1]), True))
+        if conj:
+            # the conjugates of each new row as it was added, row by row
+            stack = rows.astype(tree.digits[-1].dtype)[:, pulls]
+            stacks.append((stack.reshape(-1, u.shape[1]), True))
     # a finished group holds no room it never filled
     for lvl in layers.levels:
         if len(lvl.rows) > lvl.dim:
@@ -1006,7 +1050,9 @@ class PermGroup:
     def chain(self) -> _Layers:
         if self._chain is None:
             gens = [g.images for g in self.generators]
-            self._chain, _ = _close(self._tree, gens, gens, self._start)
+            # a start is the derived subgroup's layers, which hold [G, G]
+            central = self._start is not None
+            self._chain, _ = _close(self._tree, gens, gens, self._start, central=central)
             self._start = None
         return self._chain
 
@@ -1048,28 +1094,24 @@ class PermGroup:
 
     # -- derived machinery --------------------------------------------------
 
-    def derived(self, start: "PermGroup | None" = None) -> "PermGroup":
+    def derived(self) -> "PermGroup":
         """The derived subgroup: the normal closure of the commutators of
         the generators.  They lie in this group by construction, so they are
         not sifted, and the closure needs none of this group's layers.  While
-        those are unbuilt, they will grow from the derived subgroup's, which
-        is normal and contained in this group (Warm start in the module
-        docstring).  Each call runs a new closure; a handle keeps no
-        subgroup, and GroupSession.derived() is the one that is remembered.
-
-        A start is a subgroup normal in this group that lies in the second
-        derived subgroup; the closure grows from its layers, and its
-        generators are those it found alone, with their levels: they
-        generate the result, and those found above level m its level-m
-        quotient (Derived series in the module docstring)."""
-        d = _normal_closure(self, _commutators(self.generators), start)
-        if start is not None:
-            k = len(start.generators)
-            levels = d.origin.levels[k:]
-            d = self._built(d.generators[k:], d.chain, d.origin._replace(levels=levels))
-        if self._chain is None:
-            self._start = d.chain
+        those are unbuilt, they will grow from the derived subgroup's
+        (_grow_from).  Each call runs a new closure; a handle keeps no
+        subgroup, and GroupSession.derived() is the one that is remembered."""
+        d = _normal_closure(self, _commutators(self.generators))
+        self._grow_from(d)
         return d
+
+    def _grow_from(self, derived: "PermGroup") -> None:
+        """Let this group's layers, while unbuilt, grow from those of its
+        derived subgroup, which is normal in it, lies in it and holds its
+        commutators, so that the closure sifts only this group's generators
+        and their p-th powers (Central start in the module docstring)."""
+        if self._chain is None:
+            self._start = derived.chain
 
     def truncate(self, m: int) -> "PermGroup":
         """The level-m quotient, 1 <= m <= level: this group acting on the
@@ -1170,18 +1212,23 @@ def normal_closure(ambient: PermGroup, elements) -> PermGroup:
     return _normal_closure(ambient, seeds)
 
 
-def _normal_closure(ambient: PermGroup, seeds, start: PermGroup | None = None) -> PermGroup:
+def _normal_closure(
+    ambient: PermGroup, seeds, start: PermGroup | None = None, central: bool = False
+) -> PermGroup:
     """normal_closure of seeds known to lie in the ambient group, which are
     not sifted.  A start is a subgroup normal in the ambient group that lies
     in the result; the closure grows from its layers (Warm start), its
     generators and their levels come first, and every seed is recorded as a
-    normal generator (Normal generators in the module docstring)."""
+    normal generator (Normal generators in the module docstring).  central
+    promises that the start holds the result's commutators with the ambient
+    group (Central start)."""
     layers, found = _close(
         ambient._tree,
         [e.images for e in seeds],
         [g.images for g in ambient.generators],
         None if start is None else start.chain,
         ambient._chain,
+        central=central,
     )
     gens = [Perm._wrap(a) for a, _ in found]
     levels = tuple(k for _, k in found)

@@ -786,12 +786,12 @@ class TestSessionMemo:
             "ggsver.permgroups.normal_closure", wraps=permgroups.normal_closure
         ) as closure:
             calls = _closures(run)
-        # none through normal_closure: K, G'' and G' are closed from words
-        # in G's generators and need no sift, st(1)' and gamma3 grow from
-        # G'' without it, [st(1)', st(1)] from K, and the level-3 groups are
+        # none through normal_closure: K, G'', gamma3 and G' are closed from
+        # words in G's generators and need no sift, st(1)' grows from G''
+        # without it, [st(1)', st(1)] from K, and the level-3 groups are
         # truncations
         assert closure.call_args_list == []
-        # K, G'', G', G, st(1)', [st(1)', st(1)] and gamma3, each once
+        # K, G'', gamma3, G', G, st(1)' and [st(1)', st(1)], each once
         made = [layers for _, _, layers in calls]
         assert len(made) == len(set(map(id, made))) == 7
 
@@ -803,8 +803,8 @@ def _closures(run):
     calls = []
     real = permgroups._close
 
-    def record(tree, seeds, conj_by, start=None, ambient=None):
-        out = real(tree, seeds, conj_by, start, ambient)
+    def record(tree, seeds, conj_by, start=None, ambient=None, *, central=False):
+        out = real(tree, seeds, conj_by, start, ambient, central=central)
         cold_seeds = seeds is not conj_by and start is None
         calls.append((tree.depth, "seeds" if cold_seeds else start, out[0]))
         return out
@@ -840,31 +840,32 @@ class TestClosureCensus:
     def test_run_all_closes_nothing_below_the_depth(self, p, rows, depth):
         run = lambda: gv.run_all(gv.validate(p, rows), depth)
         calls, s = _run_session(lambda: _closures(run))
-        # K, G'', G', G, gamma3, st(1)' and [st(1)', st(1)]; G''s slot-0
+        # K, G'', gamma3, G', G, st(1)' and [st(1)', st(1)]; G''s slot-0
         # pivots certify subdirect, so no projection closes one level down
         assert sorted(d for d, _, _ in calls) == [depth] * 7
         grown = {id(layers): start for _, start, layers in calls}
         k, second, derived = s._memo["k"].chain, s.second_derived().chain, s.derived().chain
+        gamma = s.gamma3().chain
         # K closes first, from seeds, the one cold closure of the run; G''
-        # grows from it and needs no seed beyond N1's; G' grows from G'' and
-        # G's own layers from G', so none closes from its own generators
+        # grows from it and needs no seed beyond N1's; gamma3 grows from
+        # G'', G' from gamma3 and G's own layers from G', so none closes
+        # from its own generators
         assert calls[0][2] is k and grown[id(k)] == "seeds"
         assert None not in grown.values() and list(grown.values()).count("seeds") == 1
-        assert grown[id(second)] is k
-        assert grown[id(derived)] is second and grown[id(s.G.chain)] is derived
-        # st(1)' and gamma3 grow from G'' too, and [st(1)', st(1)] from K
+        assert grown[id(second)] is k and grown[id(gamma)] is second
+        assert grown[id(derived)] is gamma and grown[id(s.G.chain)] is derived
+        # st(1)' grows from G'' too, and [st(1)', st(1)] from K
         assert grown[id(s.st1_derived().chain)] is second
-        assert grown[id(s.gamma3().chain)] is second
         assert grown[id(s.st1_gamma3().chain)] is k
 
     def test_table_closes_g_and_its_derived_subgroup(self, capsys):
-        # K from seeds, G'' from K, G' from G'' and G from G', each once at
-        # depth 6
+        # K from seeds, G'' from K, gamma3 from G'', G' from gamma3 and G
+        # from G', each once at depth 6
         args = ["table", "--p", "3", "--vectors", "1,0;0,1", "--max-depth", "6"]
         calls = _closures(lambda: cli.main(args))
-        (d0, s0, k), (d1, s1, second), (d2, s2, derived), (d3, s3, _) = calls
-        assert (d0, s0, d1, s1) == (6, "seeds", 6, k)
-        assert (d2, s2, d3, s3) == (6, second, 6, derived)
+        (d0, s0, k), (d1, s1, second), (d2, s2, gamma), (d3, s3, derived), (d4, s4, _) = calls
+        assert (d0, s0, d1, s1, d2, s2) == (6, "seeds", 6, k, 6, second)
+        assert (d3, s3, d4, s4) == (6, gamma, 6, derived)
         assert capsys.readouterr().out.splitlines()[-1].split()[:4] == ["6", "298", "3", "3"]
 
     @pytest.mark.parametrize("cid", list(gv.CHECKS))
@@ -885,30 +886,35 @@ class TestClosureCensus:
     @pytest.mark.parametrize(
         "p,rows,depth,counts",
         # closures made by run_all over every check, then over each check
-        # alone in CHECKS order: a check that reads G' closes K, G'' and G'
-        # (four with G's layers), and key_congruence and psi2_second_derived
-        # read no layers of G; subdirect closes no projection, as G''s
-        # slot-0 pivots certify it; the constant vector makes no K
+        # alone in CHECKS order: a check that reads G' closes K, G'',
+        # gamma3 and G' (five with G's layers), and key_congruence and
+        # psi2_second_derived read no layers of G; subdirect closes no
+        # projection, as G''s slot-0 pivots certify it; the constant vector
+        # makes no K
         [
-            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 4, 7, 0, 5, 6, 4, 3, 4, 4, 0]),
-            (3, [(1, 2)], 6, [7, 4, 7, 4, 5, 6, 4, 0, 4, 4, 4]),
-            (3, [(1, 1)], 5, [5, 3, 0, 0, 0, 5, 0, 0, 3, 3, 0]),
+            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 5, 7, 0, 6, 6, 5, 4, 5, 5, 0]),
+            (3, [(1, 2)], 6, [7, 5, 7, 4, 6, 6, 5, 0, 5, 5, 5]),
+            (3, [(1, 1)], 5, [5, 4, 0, 0, 0, 5, 0, 0, 4, 4, 0]),
         ],
     )
     def test_st1_derived_and_gamma3_grow_from_g_second(self, p, rows, depth, counts):
         # whatever the selection, the closures that grow from G'' are
-        # exactly those of G', st(1)' and gamma3 that it makes: G'' needs
-        # no seed here beyond the first closure's, so it is that closure
+        # exactly those of st(1)' and gamma3 that it makes, and G' grows
+        # from gamma3: G'' needs no seed here beyond the first closure's,
+        # so it is that closure
         spec = gv.validate(p, rows)
         made = []
         for chosen in [None, *([cid] for cid in gv.CHECKS)]:
             run = lambda: gv.run_all(spec, depth, checks=chosen)
             calls, s = _run_session(lambda: _closures(run))
             memo = s._memo
-            warm = [memo[k].chain for k in ("derived", "st1_derived", "gamma3") if k in memo]
+            warm = [memo[k].chain for k in ("st1_derived", "gamma3") if k in memo]
             second = memo["second_derived"].chain if warm else None
             from_second = [layers for _, start, layers in calls if start is second]
             assert sorted(map(id, from_second)) == sorted(map(id, warm)), chosen
+            if warm:
+                grown = {id(layers): start for _, start, layers in calls}
+                assert grown[id(memo["derived"].chain)] is memo["gamma3"].chain, chosen
             made.append(len(calls))
         assert made == counts
 
@@ -961,8 +967,8 @@ class TestEqualityVerdict:
 def _power_sides(session):
     """(check, (lhs, K) closed cold, (lhs, K) the session's) for the two
     checks that compare lhs with K^p.  The cold sides are closed here with
-    commutator_subgroup and no start; the session grows st(1)' and gamma3
-    from G''."""
+    commutator_subgroup and no start; the session grows st(1)' from G'' and
+    gamma3 from N1 <= G''."""
     s, n = session, session.depth
     g, d, st1 = s.G, s.derived(), s.st1()
     st1d = commutator_subgroup(st1, st1, g)

@@ -324,7 +324,7 @@ class TestRestriction:
         # found there; the last layer of a depth-m closure queues fewer
         # level-(m-2) commutators, so its rows come in another order and
         # are compared sorted by pivot, a unique echelon form.  gamma3 and
-        # G'' have their rows in another order, as gamma3 grows from G''
+        # G'' have their rows in another order, as gamma3 grows from N1
         spec = request.getfixturevalue(name)
         session = gv.build(spec, top)
         tops = [session.G, session.derived(), session.gamma3(), session.second_derived()]
@@ -441,10 +441,10 @@ def _row_spaces(h):
 
 class TestDerivedSeries:
     """GroupSession closes a subgroup N1 of G'' (from K, TestOneColdClosure),
-    grows G' from it and certifies G'' (Derived series in the permgroups
-    module docstring): G' and G'' must be the groups the cold closures give,
-    level by level, and the generators G' records must generate it and each
-    of its quotients."""
+    grows gamma3 from it and G' from gamma3, and certifies G'' (Derived
+    series in the permgroups module docstring): G' and G'' must be the
+    groups the cold closures give, level by level, and the generators G'
+    records must generate it and each of its quotients."""
 
     @staticmethod
     def _agrees_with_the_cold_closures(session):
@@ -473,11 +473,15 @@ class TestDerivedSeries:
         s = last_vertex_mutant(gs_spec, 5, gen, vertex)
         with mock.patch.object(ggs, "_normal_closure", wraps=ggs._normal_closure) as closure:
             s.second_derived()
-        # the closures ggs grows from a start: N1 from K, and G'' from N1
-        # when N1 misses some of it
-        grown = [c.kwargs.get("start") for c in closure.call_args_list]
-        grown = [start for start in grown if start is not None]
-        assert grown[0] is s._memo["k"] and len(grown) == 1 + (gen == 0)
+        # the closures ggs grows from a start: N1 from K, gamma3 from N1,
+        # G' centrally from gamma3, and G'' from N1 when N1 misses some of it
+        grown = [(c.kwargs.get("start"), c.kwargs.get("central", False))
+                 for c in closure.call_args_list]
+        grown = [(start, central) for start, central in grown if start is not None]
+        n1 = grown[1][0]
+        want = [(s._memo["k"], False), (n1, False), (s.gamma3(), True)]
+        assert grown == want + [(n1, False)] * (gen == 0)
+        assert (s.second_derived() is n1) == (gen != 0)
         self._agrees_with_the_cold_closures(s)
 
     @pytest.mark.parametrize("p,rows,depth", NIELSEN_CASES)
@@ -508,8 +512,8 @@ class TestOneColdClosure:
         made = []
         real = ggs._normal_closure
 
-        def record(ambient, seeds, start=None):
-            made.append((start, real(ambient, seeds, start=start)))
+        def record(ambient, seeds, start=None, central=False):
+            made.append((start, real(ambient, seeds, start=start, central=central)))
             return made[-1][1]
 
         with mock.patch.object(ggs, "_normal_closure", side_effect=record):

@@ -546,14 +546,14 @@ class TestBlockPower:
 
 def _recorded_closures(build):
     """Run build() and return the (tree, seeds, conj_by, start, ambient,
-    result) of every closure it made."""
+    central, result) of every closure it made."""
     calls = []
     real = permgroups._close
 
-    def record(tree, seeds, conj_by, start=None, ambient=None):
+    def record(tree, seeds, conj_by, start=None, ambient=None, *, central=False):
         seeds, conj_by = list(seeds), list(conj_by)
-        out = real(tree, seeds, conj_by, start, ambient)
-        calls.append((tree, seeds, conj_by, start, ambient, out))
+        out = real(tree, seeds, conj_by, start, ambient, central=central)
+        calls.append((tree, seeds, conj_by, start, ambient, central, out))
         return out
 
     with mock.patch.object(permgroups, "_close", side_effect=record):
@@ -585,10 +585,12 @@ def _adopted(layers, ambient):
     return [a is b for a, b in zip(layers.levels, ambient.levels)]
 
 
-def _assert_same_closure(tree, seeds, conj_by, start, ambient, got):
+def _assert_same_closure(tree, seeds, conj_by, start, ambient, central, got):
     """The closure against the one-at-a-time reference with the same start:
     the same generators, and the same layers array for array, but for the
-    levels it took from the ambient, which have the reference's span."""
+    levels it took from the ambient, which have the reference's span.  The
+    reference is the full closure, for a central closure too: what that one
+    skips adds nothing (Central start in the permgroups module docstring)."""
     layers, found = got
     ref_layers, ref_found = reference_close(tree, seeds, conj_by, start)
     assert layers.dimensions() == ref_layers.dimensions()
@@ -640,9 +642,11 @@ class TestAgainstSequentialClosure:
         calls = _recorded_closures(build)
         # G' first, then G grown from it, then G''
         assert [sum(got[0].dimensions()) for *_, got in calls] == [97, 100, 91]
-        assert [start is not None for _, _, _, start, _, _ in calls] == [False, True, False]
+        assert [start is not None for _, _, _, start, *_ in calls] == [False, True, False]
         # G'' closes in G, whose layers exist by then
-        assert [ambient is not None for *_, ambient, _ in calls] == [False, False, True]
+        assert [ambient is not None for *_, ambient, _, _ in calls] == [False, False, True]
+        # G grows centrally from G'
+        assert [central for *_, central, _ in calls] == [False, True, False]
         for call in calls:
             _assert_same_closure(*call)
 
@@ -675,7 +679,8 @@ class TestAgainstSequentialClosure:
     )
     def test_runs_that_pass_the_run_length(self, p, rows, depth):
         # a stack joins the run whole, so a run may pass _RUN; K, G'' (N1
-        # grown from K), G' and G still match the one-at-a-time closure
+        # grown from K), gamma3, and G' and G, grown centrally, still match
+        # the one-at-a-time closure
         def build():
             s = gv.build(gv.validate(p, rows), depth)
             s.second_derived().chain
@@ -683,7 +688,7 @@ class TestAgainstSequentialClosure:
 
         with _run_sizes(p ** (depth - 1)) as sizes:
             calls = _recorded_closures(build)
-        assert len(calls) == 4
+        assert [central for *_, central, _ in calls] == [False] * 3 + [True] * 2
         assert max(sizes) > permgroups._RUN
         for call in calls:
             _assert_same_closure(*call)
@@ -696,7 +701,7 @@ class TestAgainstSequentialClosure:
         s = gv.build(gv.validate(p, rows), depth)
         calls = _recorded_closures(lambda: [check(s) for check in gv.CHECKS.values()])
         k = s._memo["k"].chain
-        assert [start for _, _, _, start, _, _ in calls].count(k) == 2
+        assert [start for _, _, _, start, *_ in calls].count(k) == 2
         want = [False] * 3 + [True] * 2 if depth == 5 else [False] * depth
         assert _adopted(s.st1_gamma3().chain, s.G.chain) == want
         for call in calls:
@@ -718,7 +723,7 @@ class TestAgainstSequentialClosure:
         # the last layer's first run holds all that phase 1 left, the
         # commutators and the conjugates' labels, 38 vectors in all
         assert sizes[0] == 38
-        _assert_same_closure(tree, seeds, conj_by, None, None, got)
+        _assert_same_closure(tree, seeds, conj_by, None, None, False, got)
         assert [x.tolist() for x, _ in got[1][:3]] == [x.tolist() for x in seeds[:3]]
 
     @pytest.mark.parametrize(
@@ -742,12 +747,12 @@ class TestAgainstSequentialClosure:
             return extend(lvl, *args)
 
         both = 0
-        for tree, seeds, conj_by, start, ambient, (layers, _) in calls:
+        for tree, seeds, conj_by, start, ambient, central, (layers, _) in calls:
             events.clear()
             with mock.patch.object(permgroups._Layers, "_admit", admitted), mock.patch.object(
                 permgroups._Layer, "extend", extended
             ):
-                again, _ = permgroups._close(tree, seeds, conj_by, start, ambient)
+                again, _ = permgroups._close(tree, seeds, conj_by, start, ambient, central=central)
             assert again.dimensions() == layers.dimensions()
             if "extend" in events:
                 assert "admit" not in events[events.index("extend") :]
@@ -758,7 +763,7 @@ class TestAgainstSequentialClosure:
 # -- level N-2: commutators with module generators against every pair ------------
 
 
-def _assert_spans_of_all_pairs(tree, seeds, conj_by, start, ambient, got):
+def _assert_spans_of_all_pairs(tree, seeds, conj_by, start, ambient, central, got):
     """The closure's layers against the one-at-a-time closure under the rule
     it had before, which commuted every pair of level-(N-2)
     representatives: every layer's rows sorted by pivot, its reduced
@@ -858,9 +863,9 @@ class TestModuleGenerators:
         calls = []
         real_close = permgroups._close
 
-        def close(tree, seeds, conj_by, start=None, ambient=None):
+        def close(tree, seeds, conj_by, start=None, ambient=None, *, central=False):
             counted.update(powers=0, commutators=0)
-            out = real_close(tree, seeds, conj_by, start, ambient)
+            out = real_close(tree, seeds, conj_by, start, ambient, central=central)
             calls.append((start, out[0].levels[-2].dim, dict(counted)))
             return out
 
@@ -943,13 +948,13 @@ class TestNormalGenerators:
         g = s.G
         handed = []
         # normal_closure sifts its seeds and hands them on here; derived(),
-        # the closures grown from G'' and the session's G'' (through the
-        # name ggs binds) hand their seeds here directly
+        # the closures grown from G'' and the session's derived series
+        # (through the name ggs binds) hand their seeds here directly
         real = permgroups._normal_closure
 
-        def record(ambient, seeds, start=None):
+        def record(ambient, seeds, start=None, central=False):
             seeds = list(seeds)
-            out = real(ambient, seeds, start)
+            out = real(ambient, seeds, start, central)
             handed.append((out, seeds))
             return out
 
@@ -969,7 +974,7 @@ class TestNormalGenerators:
         for name, h, pair in subgroups:
             ambient, kept, _ = h.origin
             assert ambient is g, name
-            # derived() hands on G' with the closure's layers and fewer
+            # the session hands on G' with the closure's layers and other
             # generators
             seeds = g.generators[1:] if pair is None else next(
                 e for out, e in handed if out.chain is h.chain
@@ -1000,10 +1005,10 @@ class TestNormalGenerators:
         counts = []
         real = permgroups._close
 
-        def record(tree, seeds, conj_by, start=None, ambient=None):
+        def record(tree, seeds, conj_by, start=None, ambient=None, *, central=False):
             seeds = list(seeds)
             counts.append(len(seeds))
-            return real(tree, seeds, conj_by, start, ambient)
+            return real(tree, seeds, conj_by, start, ambient, central=central)
 
         with mock.patch.object(permgroups, "_close", side_effect=record):
             st1d = s.st1_derived()
@@ -1233,6 +1238,77 @@ def test_commutators_match_the_pairwise_ones(fixture, request):
         assert all(not c.images.flags.writeable for c in got)
 
 
+# -- central start: the start holds the result's commutators with G ---------------
+
+
+def _central_closures(s):
+    """The recorded calls (_recorded_closures) of the central closures that
+    running every check on session s makes, in order."""
+    calls = _recorded_closures(lambda: [check(s) for check in gv.CHECKS.values()])
+    return [call for call in calls if call[5]]
+
+
+class TestCentralStart:
+    """G' from gamma3, G from G' and Phi(G) from G' are promised that the
+    start holds their commutators with G, so they queue no conjugate and no
+    commutator, only p-th powers (Central start in the permgroups module
+    docstring).  What they skip adds nothing: each is the full closure from
+    the same start, array for array."""
+
+    @pytest.mark.parametrize("fixture,depth", [(f, n) for f in SPEC_FIXTURES for n in range(2, 6)])
+    def test_session_closures_are_the_full_closure(self, fixture, depth, request):
+        s = gv.build(request.getfixturevalue(fixture), depth)
+        central = _central_closures(s)
+        # G' from gamma3, then G from G'
+        assert [call[3] for call in central] == [s.gamma3().chain, s.derived().chain]
+        for call in central:
+            _assert_same_closure(*call)
+
+    @pytest.mark.parametrize("fixture", SPEC_FIXTURES)
+    def test_frattini_of_a_mutant_is_the_full_closure(self, fixture, request):
+        # with a mutated, a^p lies outside G', so Phi(G) grows from G'
+        s = last_vertex_mutant(request.getfixturevalue(fixture), 4, 0, 0)
+        central = _central_closures(s)
+        d = s.derived()
+        assert s.frattini() is not d
+        assert [call[3] for call in central] == [s.gamma3().chain, d.chain, d.chain]
+        assert central[-1][-1][0] is s.frattini().chain
+        for call in central:
+            _assert_same_closure(*call)
+
+    def test_a_start_without_the_commutators_falls_short(self, request):
+        # negative control: grown centrally from G'', which need not hold
+        # [G', G] = gamma3, the closure of S misses part of G' somewhere
+        short = 0
+        for fixture in SPEC_FIXTURES:
+            s = gv.build(request.getfixturevalue(fixture), 4)
+            d = s.derived()
+            got = permgroups._normal_closure(
+                s.G, d.origin.elements, start=s.second_derived(), central=True
+            )
+            assert got.order_exponent <= d.order_exponent, fixture
+            short += got.order_exponent < d.order_exponent
+        assert short
+
+    @pytest.mark.parametrize("central", [False, True])
+    def test_a_closure_that_adds_no_row_shares_the_start(self, gs4, central):
+        # G''s own generators reach its last layer as runs that add no row:
+        # no layer takes room, the last one included, so each keeps the
+        # start's arrays, and nothing is trimmed
+        d = gs4.derived()
+        tree = d.chain.tree
+        seeds = [x.images for x in d.generators]
+        conj_by = [x.images for x in gs4.G.generators]
+        with _run_sizes(tree.p ** (tree.depth - 1)) as sizes:
+            layers, found = permgroups._close(tree, seeds, conj_by, d.chain, central=central)
+        assert sizes and found == []
+        assert layers.dimensions() == d.chain.dimensions()
+        for lvl, start in zip(layers.levels, d.chain.levels):
+            for name in ("rows", "pivots", "leaves", "reps", "divs"):
+                got, want = getattr(lvl, name), getattr(start, name)
+                assert got.size == 0 or np.shares_memory(got, want), name
+
+
 def _first_outside(group, other):
     """The first generator of `other` outside `group`, by sifting every one."""
     return next((x for x in other.generators if not group.contains(x)), None)
@@ -1265,8 +1341,8 @@ class TestContainmentWitnessRule:
     """containment_witness sifts only the elements a normal closure was
     closed from when the container is invariant under the same ambient, and
     names the element a scan of every generator names; for the session's
-    st(1)', gamma3 and [st(1)', st(1)], grown from G'', that is the element
-    a scan of the cold closure's generators names."""
+    st(1)', gamma3 and [st(1)', st(1)], grown warm, that is the element a
+    scan of the cold closure's generators names."""
 
     @pytest.mark.parametrize("fixture,depth", [(f, n) for f in SPEC_FIXTURES for n in (3, 4)])
     def test_matches_a_full_scan(self, fixture, depth, request):
@@ -1612,7 +1688,7 @@ class TestNarrowTypes:
                 got = permgroups._close(tree, seeds, conj_by)
         assert events[:2] == [("push", []), ("push", [0])]
         assert ("conj",) in events
-        _assert_same_closure(tree, seeds, conj_by, None, None, got)
+        _assert_same_closure(tree, seeds, conj_by, None, None, False, got)
 
 
 class TestWorkingSet:
