@@ -38,8 +38,9 @@ __all__ = [
 ]
 
 # Runs with more leaves need an opt-in.  5^5: on 2 vCPU a full verify in a
-# fresh process takes a median 0.55 s at p=5 N=5 and 0.87 s at p=3 N=7, while
-# above the cap p=7 N=5 takes 1.42 s and 378 MiB max RSS (7 runs each).
+# fresh process takes a median 0.48 s at p=5 N=5 (`1,1,1,1;1,0,0,1`) and
+# 0.65 s at p=3 N=7 (`1,0;0,1`), while above the cap p=7 N=5 (`1,2,3,4,5,6`)
+# takes 1.40 s and 368 MiB max RSS (7 runs each).
 DEGREE_CAP = 3125
 
 

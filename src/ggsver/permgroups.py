@@ -78,7 +78,7 @@ invariant, and L lies in the closure, so H_0 is the closure.  It starts
 from shares (_Layer.share): views of exactly the rows L holds, so the first
 row a level gains moves it into new arrays, and L's layers never change.
 Two kinds of closure start warm.  G' is normal in G and lies in it, so
-PermGroup.derived() hands its layers to G while G's are unbuilt
+GroupSession hands the layers of G' to G while G's are unbuilt
 (PermGroup._grow_from), and G's closure starts from them and sifts only a,
 b_1, ..., b_r and their p-th powers (Central start); its generators are
 those it added, not a generating set, and PermGroup.chain, the one that
@@ -111,17 +111,18 @@ result: the ambient's, when its layers are built (_normal_closure), else
 those of W_N.  When every layer of H from level m on has A's dimension, H &
 st(m) = A & st(m), as the one lies in the other and both have order p to
 the sum of those dimensions.  A candidate that reaches level m then lies in
-H & st(m) and would leave no residual there, nor be recorded, so it is
-dropped unsifted; phase 2 is skipped once the last layer is full; and a
-layer takes room for at most A's dimension, plus the rows coming in.  When
-a residual at level m would fill layer m, and every layer from m+1 on is
-full, H takes A's layers from m on, the very objects, instead of copying
-its own to add the row: they have the rows of the same span, in A's order,
-with A's representatives.  The candidate is still recorded at level m, and
-everything its representative would queue starts at level m or below and
-would be dropped, so the generators, and the layers above m, are those of
-the closure that adds the row, and what Generators of a quotient proves of
-them holds.
+H & st(m), so it leaves no residual there or below and records nothing.
+It is sifted all the same, as every candidate is, to its first residual
+or the last level; phase 2 is skipped once the last layer is full, and a
+layer takes room for at most A's dimension, plus the rows coming in.
+When a residual at level m would fill layer m, and every layer from m+1
+on is full, H takes A's layers from m on, the very objects, instead of
+copying its own to add the row: they have the rows of the same span, in
+A's order, with A's representatives.  The candidate is still recorded at
+level m, and everything its representative would queue starts at level m
+or below and would leave no residual, so the generators, and the layers
+above m, are those of the closure that adds the row, and what Generators
+of a quotient proves of them holds.
 
 Normal generators.  A handle records how it was made in one Origin, its
 origin: the ambient it was closed in, elements whose closure under the
@@ -761,19 +762,19 @@ class _Layers:
         u = self._exponents(x, last) @ lvl.rows[: lvl.dim]
         return bool((x == tree.from_last_labels(u.astype(np.intp))).all())
 
-    def _sift_upper(self, x: np.ndarray, start: int, stop: int | None = None):
+    def _sift_upper(self, x: np.ndarray, start: int):
         """Sift an element of st(start) & W_N through the levels from start
-        to stop, the last level by default: (level, element, labels) of the
-        first non-zero residual above stop, else (stop, element, its
-        level-stop labels).  Reads only the layers above stop."""
+        to the last: (level, element, labels) of the first non-zero residual
+        above the last level, else (last level, element, its last-level
+        labels).  Reads only the layers above the last."""
         tree = self.tree
-        stop = tree.depth - 1 if stop is None else stop
-        for m in range(start, stop):
+        last = tree.depth - 1
+        for m in range(start, last):
             x = self._divide(x, m)
             r = tree.digits[m][x[tree.starts[m]]]
             if np.count_nonzero(r):
                 return m, x, r
-        return stop, x, tree.digits[stop][x[tree.starts[stop]]]
+        return last, x, tree.digits[last][x[tree.starts[last]]]
 
     def _admit(self, m: int, x, residual: np.ndarray):
         """Add the residual as row d at a level m below the last, with its
@@ -842,11 +843,13 @@ def _close(
     start in the module docstring).  The seeds, and the start's group, must
     lie in the group conj_by generates: Level N-2 in the module docstring
     rests on it.  An ambient is the built layers of a group that holds the
-    result, W_N by default; the closure stops at its dimensions (Full
-    levels in the module docstring).  central promises that the start holds
-    the commutators of the result with the group conj_by generates: the
-    closure then sifts the seeds and the p-th powers alone (Central start in
-    the module docstring)."""
+    result, W_N by default: no layer takes room beyond its dimensions, H
+    takes its layers once they would fill, and phase 2 is skipped once the
+    last layer is full (Full levels in the module docstring).  Every
+    candidate is sifted to its first residual or the last level.  central
+    promises that the start holds the commutators of the result with the
+    group conj_by generates: the closure then sifts the seeds and the p-th
+    powers alone (Central start in the module docstring)."""
     layers = _Layers(tree, None if start is None else [lvl.share() for lvl in start.levels])
     p = tree.p
     last = tree.depth - 1
@@ -854,15 +857,6 @@ def _close(
     dims = [p**m for m in range(tree.depth)] if ambient is None else ambient.dimensions()
     for lvl, d in zip(layers.levels, dims):
         lvl.cap = d
-
-    def first_full():
-        # the first level from which every layer has the ambient's dimension
-        m = tree.depth
-        while m and layers.levels[m - 1].dim == dims[m - 1]:
-            m -= 1
-        return m
-
-    full = first_full()
     # a central closure makes no conjugate: each lies in the group so far
     conj = [] if central else [(y, _inverse(y)) for y in conj_by]
     pulls = np.array([tree.pull(yinv) for _, yinv in conj], dtype=np.intp)
@@ -888,13 +882,12 @@ def _close(
     blocks = []
 
     def adjoin(m, y, residual):
-        nonlocal full
         lvl = layers.levels[m]
-        if ambient is not None and full == m + 1 and lvl.dim + 1 == dims[m]:
+        deeper = zip(layers.levels[m + 1 :], dims[m + 1 :])
+        if ambient is not None and lvl.dim + 1 == dims[m] and all(k.dim == d for k, d in deeper):
             # the residual makes H & st(m) the ambient's: take its layers
             # from m on, and copy none
             layers.levels[m:] = ambient.levels[m:]
-            full = m
             return
         d, hits = layers._admit(m, y, residual)
         rep = lvl.reps[d]
@@ -916,8 +909,6 @@ def _close(
             # taken from the queue, from a copy of it as it is now
             rep = rep.copy()
             main.extend((rep, m, by) for by in conj)
-        if lvl.dim == dims[m]:
-            full = first_full()
 
     # phase 1: the layers above the last; what reaches the last level waits
     while side or main:
@@ -926,14 +917,9 @@ def _close(
         if start is None:
             stacks.append((x, None))
             continue
-        if start >= full:
-            # it lies in H & st(full), which is the ambient's
-            continue
         if by is not None:
             x = _conj(x, *by)
-        m, y, labels = layers._sift_upper(x, start, min(full, last))
-        if m >= full:
-            continue
+        m, y, labels = layers._sift_upper(x, start)
         if by is not None and m == last:
             waiting.append(labels)
             continue
@@ -1007,8 +993,9 @@ class PermGroup:
     membership.
 
     The layers are built lazily on first use, from the derived subgroup's
-    when derived() ran first; handles are immutable once constructed, apart
-    from that start, and safe to share.
+    when _grow_from handed them over first, as GroupSession does; handles
+    are immutable once constructed, apart from that start, and safe to
+    share.
     """
 
     def __init__(self, degree: int, generators, prime: int):
@@ -1034,7 +1021,7 @@ class PermGroup:
         self._chain: _Layers | None = layers
         self.origin = origin
         # the layers of a normal subgroup to grow this group's from, until
-        # they are built; derived() sets it
+        # they are built; _grow_from sets it
         self._start: _Layers | None = None
 
     def _built(self, generators, layers, origin: Origin = Origin()) -> "PermGroup":
@@ -1097,13 +1084,11 @@ class PermGroup:
     def derived(self) -> "PermGroup":
         """The derived subgroup: the normal closure of the commutators of
         the generators.  They lie in this group by construction, so they are
-        not sifted, and the closure needs none of this group's layers.  While
-        those are unbuilt, they will grow from the derived subgroup's
-        (_grow_from).  Each call runs a new closure; a handle keeps no
-        subgroup, and GroupSession.derived() is the one that is remembered."""
-        d = _normal_closure(self, _commutators(self.generators))
-        self._grow_from(d)
-        return d
+        not sifted, and the closure needs none of this group's layers.  Each
+        call runs a new closure; a handle keeps no subgroup, and
+        GroupSession.derived() is the one that is remembered, and the one
+        whose layers the session's G grows from (_grow_from)."""
+        return _normal_closure(self, _commutators(self.generators))
 
     def _grow_from(self, derived: "PermGroup") -> None:
         """Let this group's layers, while unbuilt, grow from those of its

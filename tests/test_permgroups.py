@@ -637,6 +637,7 @@ class TestAgainstSequentialClosure:
         def build():
             g = gv.build(r2_spec, 5).G
             d = g.derived()
+            g._grow_from(d)
             commutator_subgroup(d, d, g).chain
 
         calls = _recorded_closures(build)
@@ -661,6 +662,7 @@ class TestAgainstSequentialClosure:
         def build():
             g = gv.build(gv.validate(p, rows), depth).G
             d = g.derived()
+            g._grow_from(d)
             commutator_subgroup(d, d, g).chain
 
         calls = _recorded_closures(build)
@@ -693,17 +695,23 @@ class TestAgainstSequentialClosure:
         for call in calls:
             _assert_same_closure(*call)
 
-    @pytest.mark.parametrize("p,rows,depth", [(3, [(1, 2)], 5), (3, [(1, 0), (0, 1)], 4)])
+    @pytest.mark.parametrize(
+        "p,rows,depth", [(3, [(1, 2)], 5), (3, [(1, 0), (0, 1)], 4), (3, [(1, 0)], 5)]
+    )
     def test_session_closures_grown_from_k(self, p, rows, depth):
         # K closes cold, N1 and [st(1)', st(1)] grow from it, and the
-        # reference gets the same start; at p=3 `1,2` N=5 [st(1)', st(1)]
-        # fills level 3 with level 4 full, and takes G's layers from 3 on
+        # reference gets the same start.  st(1)' and [st(1)', st(1)] take
+        # G's layers from the levels in firsts on, none when that is the
+        # depth: at p=3 `1,2` N=5 [st(1)', st(1)] fills level 3 with level 4
+        # full; at p=3 `1,0` N=5 st(1)' fills level 2 and [st(1)', st(1)]
+        # level 3
+        firsts = {((1, 2),): (5, 3), ((1, 0), (0, 1)): (4, 4), ((1, 0),): (2, 3)}[tuple(rows)]
         s = gv.build(gv.validate(p, rows), depth)
         calls = _recorded_closures(lambda: [check(s) for check in gv.CHECKS.values()])
         k = s._memo["k"].chain
         assert [start for _, _, _, start, *_ in calls].count(k) == 2
-        want = [False] * 3 + [True] * 2 if depth == 5 else [False] * depth
-        assert _adopted(s.st1_gamma3().chain, s.G.chain) == want
+        for handle, m in zip((s.st1_derived(), s.st1_gamma3()), firsts):
+            assert _adopted(handle.chain, s.G.chain) == [level >= m for level in range(depth)]
         for call in calls:
             _assert_same_closure(*call)
 
@@ -1058,14 +1066,17 @@ _WARM_CASES = [(p, rows, n) for p, rows in _DIFF_SPECS for n in range(2, 5 if p 
 
 
 class TestWarmStart:
-    """G's layers grow from G''s when G.derived() runs before they are
-    built: the same group as a cold closure, reached without sifting G''s
-    seeds and without changing G''s layers."""
+    """G's layers grow from G''s when _grow_from hands them over before they
+    are built: the same group as a cold closure, reached without sifting
+    G''s seeds and without changing G''s layers."""
 
     @pytest.mark.parametrize("p,rows,depth", _WARM_CASES)
     def test_warm_g_is_the_cold_closure(self, p, rows, depth):
         g = gv.build(gv.validate(p, rows), depth).G
         d = g.derived()
+        # derived() hands nothing over by itself
+        assert g._start is None
+        g._grow_from(d)
         assert g._chain is None and g._start is d.chain
         before = _layer_arrays(d.chain)
         warm = g.chain
@@ -1100,10 +1111,10 @@ class TestWarmStart:
     def test_built_handles_keep_no_start(self, gs4):
         g = gs4.G
         g.chain
-        g.derived()
+        g._grow_from(g.derived())
         assert g._start is None
         st1 = g.level_stabilizer(1)
-        st1.derived()
+        st1._grow_from(st1.derived())
         assert st1._start is None
 
     @settings(max_examples=30)
@@ -1111,7 +1122,7 @@ class TestWarmStart:
     def test_random_subgroups(self, case):
         g, subgens, _, _ = case
         h = PermGroup(g.degree, subgens, prime=g.prime)
-        h.derived()
+        h._grow_from(h.derived())
         cold = PermGroup(g.degree, subgens, prime=g.prime)
         assert _same_spans(h, cold)
         assert h._start is None
