@@ -41,8 +41,8 @@ representatives.  (b) and (c) lie in st(m+1) and go ahead of the next seed
 or conjugate; (a) are made as they leave the queue.  The closure runs in
 two phases.  Phase 1 takes the seeds and the candidates (a), (b) and (c),
 and adjoins their residuals above the last level; what reaches the last
-level waits as label vectors.  That leaves the layers above the last
-final, and phase 2 closes the last layer from what waits (Bottom layer),
+level is queued as label vectors.  That leaves the layers above the last
+final, and phase 2 closes the last layer from that queue (Bottom layer),
 level N-2 commuting only with module generators T (Level N-2).  It stops
 when every queued element has reduced to the identity.
 
@@ -78,13 +78,13 @@ invariant, and L lies in the closure, so H_0 is the closure.  It starts
 from shares (_Layer.share): views of exactly the rows L holds, so the first
 row a level gains moves it into new arrays, and L's layers never change.
 Two kinds of closure start warm.  G' is normal in G and lies in it, so
-GroupSession hands the layers of G' to G while G's are unbuilt
-(PermGroup._grow_from), and G's closure starts from them and sifts only a,
-b_1, ..., b_r and their p-th powers (Central start); its generators are
-those it added, not a generating set, and PermGroup.chain, the one that
-runs it, reads only its layers.  A normal closure may be handed a start
-(_normal_closure), a subgroup normal in the ambient group that lies in the
-result; its generators are then the start's followed by those it found.
+GroupSession builds G's layers from those of G' (PermGroup._grow_from),
+in a closure that sifts only a, b_1, ..., b_r and their p-th powers
+(Central start); its generators are those it added, not a generating set,
+and _grow_from keeps only its layers.  A normal closure may be handed a
+start (_normal_closure), a subgroup normal in the ambient group that lies
+in the result; its generators are then the start's followed by those it
+found.
 GroupSession grows gamma3 from a subgroup N1 of G'', G' from gamma3, and
 G'' from N1 when N1 is not all of it; st(1)' from G''; Phi(G) from G' when
 the two differ; and N1 and [st(1)', st(1)] from one subgroup K (Derived
@@ -113,8 +113,9 @@ st(m) = A & st(m), as the one lies in the other and both have order p to
 the sum of those dimensions.  A candidate that reaches level m then lies in
 H & st(m), so it leaves no residual there or below and records nothing.
 It is sifted all the same, as every candidate is, to its first residual
-or the last level; phase 2 is skipped once the last layer is full, and a
-layer takes room for at most A's dimension, plus the rows coming in.
+or the last level; once the last layer is full, phase 1 queues no labels
+for it and phase 2 is skipped, and a layer takes room for at most A's
+dimension, plus the rows coming in.
 When a residual at level m would fill layer m, and every layer from m+1
 on is full, H takes A's layers from m on, the very objects, instead of
 copying its own to add the row: they have the rows of the same span, in
@@ -173,22 +174,32 @@ with its peers in one gather (on every level below the last the
 representatives and inverses are 2-D arrays).  Phase 1 sifts a permutation
 candidate through the levels above the last only; if it leaves no residual
 there, its level-(N-1) labels join one queue of stacks as a stack of one,
-or, for a conjugate, wait apart in the order taken.  Phase 2 queues after
-phase 1's stacks the commutators of Level N-2, then the conjugates' labels
-in stacks of at most _RUN rows, and takes the stacks in order, each whole,
-into runs.  A run is reduced against the last layer in one matrix product
-once it holds _RUN vectors, or when the queue is empty; it may pass _RUN by
-one stack.  Its residuals are
-written into the last layer's own rows and added one at a time in queue
-order: each that is still non-zero becomes a row, and one elimination
-clears its pivot from the rows added before it and from the residuals still
-pending; the rows the layer had before the run lose the new pivots at the
-end, in one product.  A reduced echelon basis is fixed by its span and its
-pivots, so the rows are those of adding one at a time.
+seeds, conjugates and p-th powers alike, unless the last layer is full
+(Full levels).  Phase 2 queues after phase 1's stacks the commutators of
+Level N-2, and takes the stacks in order, each whole, into runs.  A run is
+reduced against the last layer in one matrix product once it holds _RUN
+vectors, or when the queue is empty; it may pass _RUN by one stack.  Its
+residuals are written into the last layer's own rows and added one at a
+time in queue order: each that is still non-zero becomes a row, and one
+elimination clears its pivot from the rows added before it and from the
+residuals still pending; the rows the layer had before the run lose the new
+pivots at the end, in one product.  A reduced echelon basis is fixed by its
+span and its pivots, so the rows are those of adding one at a time.
 The conjugates of the rows one reduction adds form one stack, taken from
 each row as it was added, before later rows cleared their pivots, row by
 row in the order added, and join the tail of the queue; that is the order
 and the value in which one-at-a-time adding queues them.
+
+Pivots.  Every row added, on any layer, takes as its pivot the first
+non-zero column of its residual, and stays zero before it.  A later pivot
+is cleared from a row only when the row is non-zero there, so, the row
+being zero before its own pivot and the later residual zero at that pivot,
+only when the later pivot lies past the row's; and the later row is zero
+before its pivot, so the row's columns up to its pivot are kept.  So each
+row's pivot is its first non-zero column, the pivots are the first
+non-zero columns of the vectors of the span, and the rows sorted by pivot
+are the span's reduced echelon basis: they depend on the span alone, not
+on the order its vectors came in.
 
 Level N-2.  Let V be the span of the level-(N-2) layer and V.I the sum of
 V(x - 1), x running over the ambient generators X (the rows moved by x's
@@ -273,21 +284,20 @@ N=6.
 
 Deferring the last level so is exact.  Take the closure that sifts each
 candidate as a permutation, one at a time in queue order, and holds back
-the conjugates that reach the last level, and those of its rows, until the
-commutators of Level N-2 are queued.  Phase 1 never reads or writes the
-last layer, and nothing phase 2 queues goes above it, so phase 1 adjoins
-that closure's residuals above the last level, and phase 2 adds its
-level-(N-1) vectors in its queue order.  A vector's residual against a
-reduced echelon basis is the one vector of its coset that vanishes on the
-pivots, so a run gives each vector the residual it has against the rows
-added before it, and a vector whose residual is zero is dropped exactly
-where sifting it as a permutation would drop it.  So the rows, pivots and
-representatives are that closure's, and so are the generators, in the
-order their candidates left the main queue: a seed whose labels wait keeps
-its place from phase 1, and drops out when they add no row; a main-queue
-candidate that leaves a residual on the last level is recorded as its
-permutation for a seed, else as the element of st(N-1) its labels
-determine.
+the conjugates of the last layer's rows until the commutators of Level N-2
+are queued.  Phase 1 never reads or writes the last layer, and nothing
+phase 2 queues goes above it, so phase 1 adjoins that closure's residuals
+above the last level, and phase 2 adds its level-(N-1) vectors in its
+queue order.  A vector's residual against a reduced echelon basis is the
+one vector of its coset that vanishes on the pivots, so a run gives each
+vector the residual it has against the rows added before it, and a vector
+whose residual is zero is dropped exactly where sifting it as a
+permutation would drop it.  So the rows, pivots and representatives are
+that closure's, and so are the generators: first those phase 1 records, in
+the order their candidates left the main queue, a seed whose labels are
+queued keeping its place and dropping out when they add no row; then, in
+queue order, each conjugate whose labels add a last-layer row, recorded as
+the element of st(N-1) they determine.
 
 Quotients.  For H <= W_N and m < N, truncate(m) returns pi_m(H), the
 action of H on the level-m vertices, read off H's layers with no closure.
@@ -870,13 +880,11 @@ def _close(
     side: deque = deque()
     # the last layer's queue: stacks of level-(N-1) labels, one vector per
     # row, each with a tag: None when it records no generator, True when
-    # each of its vectors that adds a row makes one, or the entry in found
-    # of the seed it stands for
+    # each of its vectors that adds a row makes one (a conjugate's), or the
+    # entry in found of the seed it stands for
     stacks: deque = deque()
-    # the level-(N-1) labels of conjugates, in the order taken
-    waiting = []
     # [generator, level] in the order its candidate left the main queue; a
-    # seed whose labels wait has no level until they add a row
+    # seed whose labels are queued has no level until they add a row
     found = []
     # per run, the labels that add rows and make generators, made at the end
     blocks = []
@@ -901,7 +909,7 @@ def _close(
         else:
             # at level N-2 the p-th power alone; the commutators come once
             # the layer is final
-            side.append((tree.power_labels(rep)[None], None, None))
+            side.append((tree.power_labels(rep), None, None))
         lvl.push(hits)
         if conj:
             # push rewrites older representatives in place, and this one once
@@ -910,38 +918,38 @@ def _close(
             rep = rep.copy()
             main.extend((rep, m, by) for by in conj)
 
-    # phase 1: the layers above the last; what reaches the last level waits
+    # phase 1: the layers above the last; what reaches the last level joins
+    # the last layer's queue as labels, unless that layer is full
     while side or main:
         from_main = not side
         x, start, by = (main if from_main else side).popleft()
         if start is None:
-            stacks.append((x, None))
-            continue
-        if by is not None:
-            x = _conj(x, *by)
-        m, y, labels = layers._sift_upper(x, start)
-        if by is not None and m == last:
-            waiting.append(labels)
-            continue
-        if from_main:
-            # a seed's generator is the very array handed in; while its
-            # labels wait it has no level
-            found.append([x, m if m < last else None])
-        if m < last:
-            adjoin(m, y, labels)
+            m, labels = last, x
         else:
-            stacks.append((labels[None], found[-1] if from_main else None))
+            if by is not None:
+                x = _conj(x, *by)
+            m, y, labels = layers._sift_upper(x, start)
+        if m < last:
+            if from_main:
+                # a seed's generator is the very array handed in
+                found.append([x, m])
+            adjoin(m, y, labels)
+        elif bottom.dim < dims[last]:
+            tag = None
+            if by is not None:
+                tag = True
+            elif from_main:
+                # a seed has no level until its labels add a row
+                tag = [x, None]
+                found.append(tag)
+            stacks.append((labels[None], tag))
     # phase 2: the last layer, from one queue: phase 1's stacks, [t, r] for
-    # t in T and each level-(N-2) representative r, the conjugates' labels,
-    # then the conjugate stacks of the rows it gains; the last two record
-    # their generators after every one of phase 1; a central closure has
-    # phase 1's stacks alone.  It stops once the last layer is full, as
-    # nothing then adds a row
-    if bottom.dim < dims[last]:
-        if mid is not None and not central:
-            stacks.extend((c, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
-        waiting = np.array(waiting)
-        stacks.extend((waiting[i : i + _RUN], True) for i in range(0, len(waiting), _RUN))
+    # t in T and each level-(N-2) representative r, then the conjugate
+    # stacks of the rows it gains; a central closure has phase 1's stacks
+    # alone.  It stops once the last layer is full, as nothing then adds a
+    # row
+    if bottom.dim < dims[last] and mid is not None and not central:
+        stacks.extend((c, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
     while stacks and bottom.dim < dims[last]:
         # a stack joins the run whole, so a run may pass _RUN by one stack
         run, ends = [], [0]
@@ -992,10 +1000,9 @@ class PermGroup:
     """Subgroup of W_N, acting on its p**N leaves, with exact order and
     membership.
 
-    The layers are built lazily on first use, from the derived subgroup's
-    when _grow_from handed them over first, as GroupSession does; handles
-    are immutable once constructed, apart from that start, and safe to
-    share.
+    The layers are built lazily on first use, or grown at once from the
+    derived subgroup's by _grow_from, as GroupSession does; handles are
+    immutable once constructed and safe to share.
     """
 
     def __init__(self, degree: int, generators, prime: int):
@@ -1020,9 +1027,6 @@ class PermGroup:
         self.generators: tuple[Perm, ...] = tuple(generators)
         self._chain: _Layers | None = layers
         self.origin = origin
-        # the layers of a normal subgroup to grow this group's from, until
-        # they are built; _grow_from sets it
-        self._start: _Layers | None = None
 
     def _built(self, generators, layers, origin: Origin = Origin()) -> "PermGroup":
         """A handle on the tree of the given layers, already built, made as
@@ -1037,10 +1041,7 @@ class PermGroup:
     def chain(self) -> _Layers:
         if self._chain is None:
             gens = [g.images for g in self.generators]
-            # a start is the derived subgroup's layers, which hold [G, G]
-            central = self._start is not None
-            self._chain, _ = _close(self._tree, gens, gens, self._start, central=central)
-            self._start = None
+            self._chain, _ = _close(self._tree, gens, gens)
         return self._chain
 
     @property
@@ -1091,12 +1092,13 @@ class PermGroup:
         return _normal_closure(self, _commutators(self.generators))
 
     def _grow_from(self, derived: "PermGroup") -> None:
-        """Let this group's layers, while unbuilt, grow from those of its
-        derived subgroup, which is normal in it, lies in it and holds its
+        """Build this group's layers, when unbuilt, from those of its derived
+        subgroup, which is normal in it, lies in it and holds its
         commutators, so that the closure sifts only this group's generators
         and their p-th powers (Central start in the module docstring)."""
         if self._chain is None:
-            self._start = derived.chain
+            gens = [g.images for g in self.generators]
+            self._chain, _ = _close(self._tree, gens, gens, derived.chain, central=True)
 
     def truncate(self, m: int) -> "PermGroup":
         """The level-m quotient, 1 <= m <= level: this group acting on the

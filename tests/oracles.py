@@ -7,12 +7,14 @@ engine in ggsver.permgroups is tested against.  Neither shares a code path
 with the package.
 
 reference_close is the exception: it runs the package's closure one
-candidate at a time, every candidate a leaf permutation.  It shares the
-package's per-level arithmetic (ggsver.permgroups._Layers, through _sift and
-_adjoin below) and differs in the queue, so it is the reference for what the
-closure does with its candidates.  It takes the level-(N-2) module
-generators T by its own integer elimination, and with all_pairs follows the
-earlier rule that commuted every pair of level-(N-2) representatives.
+candidate at a time, every candidate a leaf permutation.  It sifts by its
+own division, with powers of the inverses of the representatives it makes
+itself (_sift below), and shares the package's per-level elimination
+(ggsver.permgroups._Layers, through _adjoin and _Layer.add); it differs in
+the queue, so it is the reference for what the closure does with its
+candidates.  It takes the level-(N-2) module generators T by its own
+integer elimination, and with all_pairs follows the earlier rule that
+commuted every pair of level-(N-2) representatives.
 
 power_verdict_all_slots compares a subgroup with a block product by
 sifting k's generators placed in every slot, whatever the subgroup was
@@ -352,15 +354,33 @@ def _power(x, k):
     return out
 
 
+def _labels(x, p, n, m):
+    """The level-m labels of a leaf permutation x of the depth-n tree: the
+    first leaf below vertex v goes into child label[v] of x(v)."""
+    below = p ** (n - m)
+    return x[np.arange(p**m) * below] // (below // p) % p
+
+
 def _sift(layers, x, start):
     """(level, element, labels) of the first non-zero residual of an element
-    of st(start) & W_N, or None when it lies in the layers' group.  On the
-    last level the labels determine the element, which is left out."""
-    m, x, r = layers._sift_upper(x, start)
-    if m < layers.tree.depth - 1:
-        return m, x, r
-    r = layers.levels[-1].residual(r, layers.tree.p)
-    return (m, None, r.astype(np.intp)) if r.any() else None
+    of st(start) & W_N, or None when it lies in the layers' group.  Above
+    the last level x is divided, pivot by pivot in row order, by the power
+    of each representative's inverse that its label at the pivot asks for;
+    on the last level the element is x so divided, which lies in st(N-1),
+    and the labels are its residual against the last layer's rows."""
+    p, n = layers.tree.p, layers.tree.depth
+    for m in range(start, n - 1):
+        lvl = layers.levels[m]
+        pivots = lvl.pivots[: lvl.dim].tolist()
+        for j, k in enumerate(_labels(x, p, n, m)[pivots].tolist()):
+            if k:
+                x = _power(_inverse(lvl.reps[j]), k)[x]
+        r = _labels(x, p, n, m)
+        if r.any():
+            return m, x, r
+    bottom = layers.levels[-1]
+    r = bottom.residual(_labels(x, p, n, n - 1), p)
+    return (n - 1, x, r.astype(np.intp)) if r.any() else None
 
 
 def _adjoin(layers, m, x, residual):
@@ -428,12 +448,16 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
     residual, sifting every candidate as a leaf permutation in queue order;
     from copies of the start's layers when given.  As the package's closure
     does, it queues the p-th power alone of a new level-(N-2)
-    representative, holds back conjugates that reach the last level, then
+    representative, holds back the conjugates of the last layer's rows, then
     queues [t, r] for t in T, computed here in integers, and each final
     level-(N-2) representative r ahead of them, once no other candidate is
-    left.  With all_pairs it follows the rule the closure had before: a new
-    level-(N-2) representative is commuted at once with each of its peers,
-    as on every level above, and nothing is held back."""
+    left.  A conjugate that adds a last-layer row before then is recorded,
+    as the element of st(N-1) it was divided down to, only when the [t, r]
+    are queued: after the generators of every candidate taken before then,
+    where the package's closure records it.  With all_pairs it follows the
+    rule the closure had before: a new level-(N-2) representative is
+    commuted at once with each of its peers, as on every level above, and
+    nothing is held back."""
     from ggsver.permgroups import _Layers
 
     layers = _Layers(tree) if start is None else _copied(start)
@@ -446,10 +470,10 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
     conj = [(y, _inverse(y)) for y in conj_by]
     main = deque((x, 0, False) for x in seeds)
     side = deque()
-    # until the level-(N-2) commutators are queued, conjugates that reached
-    # the last level wait, divided by the representatives above it, and so
-    # do the conjugates of the last level's rows
-    waiting, held = [], []
+    # until the level-(N-2) commutators are queued, the conjugates of the
+    # last layer's rows wait, and so do the generators of the conjugates
+    # that added those rows
+    held, late = [], []
     commuted = all_pairs
     found = []
     while side or main or not commuted:
@@ -458,7 +482,8 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
                 reps = [r.copy() for r in mid.reps[: mid.dim]]
                 for t in reference_module_generators(tree, mid, mid_start, conj_by):
                     side.extend((reference_commutator(reps[t], r), last) for r in reps)
-            main.extend((x, last, False) for x in waiting + held)
+            main.extend((x, last, True) for x in held)
+            found.extend(late)
             commuted = True
             continue
         from_main = not side
@@ -466,17 +491,15 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
             x, start, conjugate = main.popleft()
         else:
             (x, start), conjugate = side.popleft(), False
-        if conjugate and not commuted:
-            m, y, _ = layers._sift_upper(x, start)
-            if m == last:
-                waiting.append(y)
-                continue
         hit = _sift(layers, x, start)
         if hit is None:
             continue
         m, y, residual = hit
         if from_main:
-            found.append((x, m))
+            if conjugate and m == last:
+                (found if commuted else late).append((y, m))
+            else:
+                found.append((x, m))
         if m == last:
             bottom = layers.levels[last]
             bottom.add(residual, p)

@@ -95,7 +95,7 @@ def test_no_module_reads_a_handles_private_fields():
     # how a handle was made is public, in its origin; the rest is
     # permgroups' own
     private = _private_handle_fields()
-    assert private >= {"_chain", "_start", "_tree"}
+    assert private >= {"_chain", "_tree"}
     reads = []
     for path in sorted(Path(gv.__file__).parent.glob("*.py")):
         if path.name == "permgroups.py":

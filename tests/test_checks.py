@@ -876,24 +876,21 @@ class TestClosureCensus:
             # vacuous at depth 4
             assert starts == [] and s.G._chain is None
             return
+        # key_congruence and psi2_second_derived read no layers of G, yet
+        # the derived series grows G's from G''s at once
         assert starts[0] == "seeds" and None not in starts
-        if cid in ("key_congruence", "psi2_second_derived"):
-            # they read G'', G' and gamma3, which close without G's layers
-            assert s.G._chain is None and s.derived().chain not in starts
-        else:
-            assert starts.count(s.derived().chain) == 1
+        assert starts.count(s.derived().chain) == 1
 
     @pytest.mark.parametrize(
         "p,rows,depth,counts",
         # closures made by run_all over every check, then over each check
         # alone in CHECKS order: a check that reads G' closes K, G'',
-        # gamma3 and G' (five with G's layers), and key_congruence and
-        # psi2_second_derived read no layers of G; subdirect closes no
-        # projection, as G''s slot-0 pivots certify it; the constant vector
-        # makes no K
+        # gamma3, G' and G, whose layers grow from G''s at once; subdirect
+        # closes no projection, as G''s slot-0 pivots certify it; the
+        # constant vector makes no K
         [
-            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 5, 7, 0, 6, 6, 5, 4, 5, 5, 0]),
-            (3, [(1, 2)], 6, [7, 5, 7, 4, 6, 6, 5, 0, 5, 5, 5]),
+            (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 4, [7, 5, 7, 0, 6, 6, 5, 5, 5, 5, 0]),
+            (3, [(1, 2)], 6, [7, 5, 7, 5, 6, 6, 5, 0, 5, 5, 5]),
             (3, [(1, 1)], 5, [5, 4, 0, 0, 0, 5, 0, 0, 4, 4, 0]),
         ],
     )

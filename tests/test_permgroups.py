@@ -666,10 +666,9 @@ class TestAgainstSequentialClosure:
             commutator_subgroup(d, d, g).chain
 
         calls = _recorded_closures(build)
-        # G', then G grown from it when G'' has seeds to check against it,
-        # then G''; at depth 2 G' is abelian, so G'' has no seeds, and G' is
-        # not sifted into G as it was closed there
-        assert len(calls) == (2 if depth == 2 else 3)
+        # G', then G grown from it at once, then G''; at depth 2 G' is
+        # abelian, so G'' has no seeds
+        assert len(calls) == 3
         for call in calls:
             _assert_same_closure(*call)
 
@@ -728,8 +727,9 @@ class TestAgainstSequentialClosure:
         assert len(bottom) > 2
         with _run_sizes(tree.p ** (tree.depth - 1)) as sizes:
             got = permgroups._close(tree, seeds, conj_by)
-        # the last layer's first run holds all that phase 1 left, the
-        # commutators and the conjugates' labels, 38 vectors in all
+        # the last layer's first run holds all that phase 1 queued, the
+        # conjugates' labels among them, and the commutators, 38 vectors in
+        # all
         assert sizes[0] == 38
         _assert_same_closure(tree, seeds, conj_by, None, None, False, got)
         assert [x.tolist() for x, _ in got[1][:3]] == [x.tolist() for x in seeds[:3]]
@@ -1066,22 +1066,22 @@ _WARM_CASES = [(p, rows, n) for p, rows in _DIFF_SPECS for n in range(2, 5 if p 
 
 
 class TestWarmStart:
-    """G's layers grow from G''s when _grow_from hands them over before they
-    are built: the same group as a cold closure, reached without sifting
-    G''s seeds and without changing G''s layers."""
+    """G's layers grow from G''s when _grow_from is called before they are
+    built: the same group as a cold closure, reached without sifting G''s
+    seeds and without changing G''s layers."""
 
     @pytest.mark.parametrize("p,rows,depth", _WARM_CASES)
     def test_warm_g_is_the_cold_closure(self, p, rows, depth):
         g = gv.build(gv.validate(p, rows), depth).G
         d = g.derived()
-        # derived() hands nothing over by itself
-        assert g._start is None
-        g._grow_from(d)
-        assert g._chain is None and g._start is d.chain
+        # derived() builds none of G's layers by itself
+        assert g._chain is None
         before = _layer_arrays(d.chain)
-        warm = g.chain
-        # the start is released, and the layers it lent are as they were
-        assert g._start is None
+        g._grow_from(d)
+        # G's layers are grown at once, and the layers G' lent are as they
+        # were
+        warm = g._chain
+        assert warm is not None
         for got, want in zip(_layer_arrays(d.chain), before):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         cold = PermGroup(g.degree, g.generators, prime=p)
@@ -1110,12 +1110,13 @@ class TestWarmStart:
 
     def test_built_handles_keep_no_start(self, gs4):
         g = gs4.G
-        g.chain
+        layers = g.chain
         g._grow_from(g.derived())
-        assert g._start is None
+        assert g.chain is layers
         st1 = g.level_stabilizer(1)
+        layers = st1.chain
         st1._grow_from(st1.derived())
-        assert st1._start is None
+        assert st1.chain is layers
 
     @settings(max_examples=30)
     @given(_random_subgroups())
@@ -1123,9 +1124,9 @@ class TestWarmStart:
         g, subgens, _, _ = case
         h = PermGroup(g.degree, subgens, prime=g.prime)
         h._grow_from(h.derived())
+        assert h._chain is not None
         cold = PermGroup(g.degree, subgens, prime=g.prime)
         assert _same_spans(h, cold)
-        assert h._start is None
 
 
 _WARM_NORMAL_CASES = [
@@ -1568,6 +1569,46 @@ class TestBatchedElimination:
         assert np.array_equal(as_added[0], unit[a] + unit[b]) and rows[d][b] == 0
         if fill:
             assert batched.dim == width
+
+
+@st.composite
+def _label_stacks(draw):
+    """(p, m, a stack of level-m label vectors in the narrow type, a
+    reordering of it, a split point): the vectors are combinations of a
+    random basis of at most the width, so many depend on others."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    m = draw(st.integers(0, {3: 4, 5: 2, 7: 2}[p]))
+    width = p**m
+    rank = draw(st.integers(0, width))
+    n = draw(st.integers(0, 2 * width + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = rng.integers(0, p, (rank, width))
+    u = (rng.integers(0, p, (n, rank)) @ basis % p).astype(np.uint8)
+    return p, m, u, draw(st.permutations(range(n))), draw(st.integers(0, n))
+
+
+class TestPivotLemma:
+    """Each row's pivot is the first non-zero column of its residual, so the
+    pivots are the leading columns of the span, and the rows sorted by pivot
+    its reduced echelon basis: the same vectors in two orders give the same
+    (Pivots in the permgroups module docstring)."""
+
+    @settings(max_examples=60)
+    @given(_label_stacks())
+    def test_sorted_rows_depend_on_the_span_alone(self, case):
+        p, m, u, order, split = case
+        got = []
+        for stack in (u, u[order]):
+            lvl = permgroups._Layer(permgroups._Tree(p, m + 1), m)
+            # two runs, so the second clears its pivots from the first's rows
+            lvl.extend(stack[:split], p)
+            lvl.extend(stack[split:], p)
+            by_pivot = np.argsort(lvl.pivots[: lvl.dim])
+            got.append((lvl.dim, lvl.pivots[: lvl.dim][by_pivot], lvl.rows[: lvl.dim][by_pivot]))
+        (dim, pivots, rows), (dim2, pivots2, rows2) = got
+        assert dim == dim2
+        assert np.array_equal(pivots, pivots2)
+        assert np.array_equal(rows, rows2)
 
 
 def _float64_rows():
