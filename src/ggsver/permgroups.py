@@ -173,10 +173,11 @@ first leaf below each level-(N-1) vertex only, the commutators of one t
 with its peers in one gather (on every level below the last the
 representatives and inverses are 2-D arrays).  Phase 1 sifts a permutation
 candidate through the levels above the last only; if it leaves no residual
-there, its level-(N-1) labels join one queue of stacks as a stack of one,
-seeds, conjugates and p-th powers alike, unless the last layer is full
-(Full levels).  Phase 2 queues after phase 1's stacks the commutators of
-Level N-2, and takes the stacks in order, each whole, into runs.  A run is
+there, its level-(N-1) labels become a stack of one, unless the last layer
+is full (Full levels).  The stacks of seeds and p-th powers join one queue
+as made; a conjugate's waits apart, in the order taken.  Phase 2 queues
+after phase 1's stacks the commutators of Level N-2, then the conjugates'
+stacks, and takes the stacks in order, each whole, into runs.  A run is
 reduced against the last layer in one matrix product once it holds _RUN
 vectors, or when the queue is empty; it may pass _RUN by one stack.  Its
 residuals are written into the last layer's own rows and added one at a
@@ -284,20 +285,21 @@ N=6.
 
 Deferring the last level so is exact.  Take the closure that sifts each
 candidate as a permutation, one at a time in queue order, and holds back
-the conjugates of the last layer's rows until the commutators of Level N-2
-are queued.  Phase 1 never reads or writes the last layer, and nothing
-phase 2 queues goes above it, so phase 1 adjoins that closure's residuals
-above the last level, and phase 2 adds its level-(N-1) vectors in its
-queue order.  A vector's residual against a reduced echelon basis is the
-one vector of its coset that vanishes on the pivots, so a run gives each
-vector the residual it has against the rows added before it, and a vector
-whose residual is zero is dropped exactly where sifting it as a
-permutation would drop it.  So the rows, pivots and representatives are
-that closure's, and so are the generators: first those phase 1 records, in
-the order their candidates left the main queue, a seed whose labels are
-queued keeping its place and dropping out when they add no row; then, in
-queue order, each conjugate whose labels add a last-layer row, recorded as
-the element of st(N-1) they determine.
+the conjugates that reach the last level, and those of its rows, until the
+commutators of Level N-2 are queued.  Phase 1 never reads or writes the
+last layer, and nothing phase 2 queues goes above it, so phase 1 adjoins
+that closure's residuals above the last level, and phase 2 adds its
+level-(N-1) vectors in its queue order.  A vector's residual against a
+reduced echelon basis is the one vector of its coset that vanishes on the
+pivots, so a run gives each vector the residual it has against the rows
+added before it, and a vector whose residual is zero is dropped exactly
+where sifting it as a permutation would drop it.  So the rows, pivots and
+representatives are that closure's, and so are the generators, in the
+order their candidates left the main queue: a seed whose labels wait keeps
+its place from phase 1, and drops out when they add no row; a main-queue
+candidate that leaves a residual on the last level is recorded as its
+permutation for a seed, else as the element of st(N-1) its labels
+determine.
 
 Quotients.  For H <= W_N and m < N, truncate(m) returns pi_m(H), the
 action of H on the level-m vertices, read off H's layers with no closure.
@@ -883,8 +885,11 @@ def _close(
     # each of its vectors that adds a row makes one (a conjugate's), or the
     # entry in found of the seed it stands for
     stacks: deque = deque()
+    # the conjugates' stacks of one, in the order taken: they join the queue
+    # after the [t, r] stacks, so that fewer of them leave a residual
+    late = []
     # [generator, level] in the order its candidate left the main queue; a
-    # seed whose labels are queued has no level until they add a row
+    # seed whose labels wait has no level until they add a row
     found = []
     # per run, the labels that add rows and make generators, made at the end
     blocks = []
@@ -918,8 +923,8 @@ def _close(
             rep = rep.copy()
             main.extend((rep, m, by) for by in conj)
 
-    # phase 1: the layers above the last; what reaches the last level joins
-    # the last layer's queue as labels, unless that layer is full
+    # phase 1: the layers above the last; what reaches the last level is
+    # queued as labels, unless the last layer is full
     while side or main:
         from_main = not side
         x, start, by = (main if from_main else side).popleft()
@@ -929,27 +934,30 @@ def _close(
             if by is not None:
                 x = _conj(x, *by)
             m, y, labels = layers._sift_upper(x, start)
+        if m == last and bottom.dim == dims[last]:
+            # nothing that reaches a full last layer adds a row there
+            continue
+        if from_main and (m < last or by is None):
+            # a seed's generator is the very array handed in; while its
+            # labels wait it has no level
+            found.append([x, m if m < last else None])
         if m < last:
-            if from_main:
-                # a seed's generator is the very array handed in
-                found.append([x, m])
             adjoin(m, y, labels)
-        elif bottom.dim < dims[last]:
-            tag = None
-            if by is not None:
-                tag = True
-            elif from_main:
-                # a seed has no level until its labels add a row
-                tag = [x, None]
-                found.append(tag)
-            stacks.append((labels[None], tag))
+        elif by is not None:
+            late.append((labels[None], True))
+        else:
+            stacks.append((labels[None], found[-1] if from_main else None))
     # phase 2: the last layer, from one queue: phase 1's stacks, [t, r] for
-    # t in T and each level-(N-2) representative r, then the conjugate
-    # stacks of the rows it gains; a central closure has phase 1's stacks
-    # alone.  It stops once the last layer is full, as nothing then adds a
+    # t in T and each level-(N-2) representative r, the conjugates' stacks,
+    # then the conjugate stacks of the rows it gains; the last two record
+    # their generators after every one of phase 1; a central closure has no
+    # [t, r].  It stops once the last layer is full, as nothing then adds a
     # row
     if bottom.dim < dims[last] and mid is not None and not central:
         stacks.extend((c, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
+    stacks.extend(late)
+    # each stack then goes once its run has taken it
+    del late
     while stacks and bottom.dim < dims[last]:
         # a stack joins the run whole, so a run may pass _RUN by one stack
         run, ends = [], [0]
@@ -1041,7 +1049,10 @@ class PermGroup:
     def chain(self) -> _Layers:
         if self._chain is None:
             gens = [g.images for g in self.generators]
-            self._chain, _ = _close(self._tree, gens, gens)
+            # a start is the derived subgroup's layers, which hold [G, G],
+            # lent by _grow_from for this one build
+            start = vars(self).pop("_start", None)
+            self._chain, _ = _close(self._tree, gens, gens, start, central=start is not None)
         return self._chain
 
     @property
@@ -1095,10 +1106,12 @@ class PermGroup:
         """Build this group's layers, when unbuilt, from those of its derived
         subgroup, which is normal in it, lies in it and holds its
         commutators, so that the closure sifts only this group's generators
-        and their p-th powers (Central start in the module docstring)."""
+        and their p-th powers (Central start in the module docstring).  The
+        build runs through chain, as every build of a handle's own layers
+        does, and the start is gone once it returns."""
         if self._chain is None:
-            gens = [g.images for g in self.generators]
-            self._chain, _ = _close(self._tree, gens, gens, derived.chain, central=True)
+            self._start = derived.chain
+            self.chain
 
     def truncate(self, m: int) -> "PermGroup":
         """The level-m quotient, 1 <= m <= level: this group acting on the

@@ -361,13 +361,13 @@ def _labels(x, p, n, m):
     return x[np.arange(p**m) * below] // (below // p) % p
 
 
-def _sift(layers, x, start):
-    """(level, element, labels) of the first non-zero residual of an element
-    of st(start) & W_N, or None when it lies in the layers' group.  Above
-    the last level x is divided, pivot by pivot in row order, by the power
-    of each representative's inverse that its label at the pivot asks for;
-    on the last level the element is x so divided, which lies in st(N-1),
-    and the labels are its residual against the last layer's rows."""
+def _sift_upper(layers, x, start):
+    """(level, element, labels) of the first non-zero labels of an element x
+    of st(start) & W_N, dividing above the last level only: on each level x
+    is divided, pivot by pivot in row order, by the power of each
+    representative's inverse that its label at the pivot asks for.  When
+    none is left above the last level, the element is x so divided, which
+    lies in st(N-1), with its last-level labels."""
     p, n = layers.tree.p, layers.tree.depth
     for m in range(start, n - 1):
         lvl = layers.levels[m]
@@ -378,9 +378,18 @@ def _sift(layers, x, start):
         r = _labels(x, p, n, m)
         if r.any():
             return m, x, r
-    bottom = layers.levels[-1]
-    r = bottom.residual(_labels(x, p, n, n - 1), p)
-    return (n - 1, x, r.astype(np.intp)) if r.any() else None
+    return n - 1, x, _labels(x, p, n, n - 1)
+
+
+def _sift(layers, x, start):
+    """(level, element, labels) of the first non-zero residual of an element
+    of st(start) & W_N, or None when it lies in the layers' group: as
+    _sift_upper, the last level's labels reduced against its rows."""
+    m, x, r = _sift_upper(layers, x, start)
+    if m < layers.tree.depth - 1:
+        return m, x, r
+    r = layers.levels[-1].residual(r, layers.tree.p)
+    return (m, x, r.astype(np.intp)) if r.any() else None
 
 
 def _adjoin(layers, m, x, residual):
@@ -448,16 +457,12 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
     residual, sifting every candidate as a leaf permutation in queue order;
     from copies of the start's layers when given.  As the package's closure
     does, it queues the p-th power alone of a new level-(N-2)
-    representative, holds back the conjugates of the last layer's rows, then
+    representative, holds back conjugates that reach the last level, then
     queues [t, r] for t in T, computed here in integers, and each final
     level-(N-2) representative r ahead of them, once no other candidate is
-    left.  A conjugate that adds a last-layer row before then is recorded,
-    as the element of st(N-1) it was divided down to, only when the [t, r]
-    are queued: after the generators of every candidate taken before then,
-    where the package's closure records it.  With all_pairs it follows the
-    rule the closure had before: a new level-(N-2) representative is
-    commuted at once with each of its peers, as on every level above, and
-    nothing is held back."""
+    left.  With all_pairs it follows the rule the closure had before: a new
+    level-(N-2) representative is commuted at once with each of its peers,
+    as on every level above, and nothing is held back."""
     from ggsver.permgroups import _Layers
 
     layers = _Layers(tree) if start is None else _copied(start)
@@ -470,10 +475,10 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
     conj = [(y, _inverse(y)) for y in conj_by]
     main = deque((x, 0, False) for x in seeds)
     side = deque()
-    # until the level-(N-2) commutators are queued, the conjugates of the
-    # last layer's rows wait, and so do the generators of the conjugates
-    # that added those rows
-    held, late = [], []
+    # until the level-(N-2) commutators are queued, conjugates that reached
+    # the last level wait, divided by the representatives above it, and so
+    # do the conjugates of the last level's rows
+    waiting, held = [], []
     commuted = all_pairs
     found = []
     while side or main or not commuted:
@@ -482,8 +487,7 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
                 reps = [r.copy() for r in mid.reps[: mid.dim]]
                 for t in reference_module_generators(tree, mid, mid_start, conj_by):
                     side.extend((reference_commutator(reps[t], r), last) for r in reps)
-            main.extend((x, last, True) for x in held)
-            found.extend(late)
+            main.extend((x, last, False) for x in waiting + held)
             commuted = True
             continue
         from_main = not side
@@ -491,15 +495,17 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
             x, start, conjugate = main.popleft()
         else:
             (x, start), conjugate = side.popleft(), False
+        if conjugate and not commuted:
+            m, y, _ = _sift_upper(layers, x, start)
+            if m == last:
+                waiting.append(y)
+                continue
         hit = _sift(layers, x, start)
         if hit is None:
             continue
         m, y, residual = hit
         if from_main:
-            if conjugate and m == last:
-                (found if commuted else late).append((y, m))
-            else:
-                found.append((x, m))
+            found.append((x, m))
         if m == last:
             bottom = layers.levels[last]
             bottom.add(residual, p)

@@ -727,9 +727,8 @@ class TestAgainstSequentialClosure:
         assert len(bottom) > 2
         with _run_sizes(tree.p ** (tree.depth - 1)) as sizes:
             got = permgroups._close(tree, seeds, conj_by)
-        # the last layer's first run holds all that phase 1 queued, the
-        # conjugates' labels among them, and the commutators, 38 vectors in
-        # all
+        # the last layer's first run holds all that phase 1 left, the
+        # commutators and the conjugates' labels, 38 vectors in all
         assert sizes[0] == 38
         _assert_same_closure(tree, seeds, conj_by, None, None, False, got)
         assert [x.tolist() for x, _ in got[1][:3]] == [x.tolist() for x in seeds[:3]]
@@ -1078,10 +1077,10 @@ class TestWarmStart:
         assert g._chain is None
         before = _layer_arrays(d.chain)
         g._grow_from(d)
-        # G's layers are grown at once, and the layers G' lent are as they
-        # were
+        # G's layers are grown at once, G keeps no start, and the layers G'
+        # lent are as they were
         warm = g._chain
-        assert warm is not None
+        assert warm is not None and "_start" not in vars(g)
         for got, want in zip(_layer_arrays(d.chain), before):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         cold = PermGroup(g.degree, g.generators, prime=p)
@@ -1112,7 +1111,7 @@ class TestWarmStart:
         g = gs4.G
         layers = g.chain
         g._grow_from(g.derived())
-        assert g.chain is layers
+        assert g.chain is layers and "_start" not in vars(g)
         st1 = g.level_stabilizer(1)
         layers = st1.chain
         st1._grow_from(st1.derived())
