@@ -133,10 +133,13 @@ def _canonical(obj) -> bytes:
 
 
 def strip_timings(payload: dict) -> dict:
-    out = json.loads(json.dumps(payload))
-    for entry in out.get("report", {}).get("checks", []):
-        entry.pop("wall_time", None)
-    return out
+    """The payload with its report's check entries copied without their
+    wall_time; everything else is shared with the payload."""
+    report = payload.get("report", {})
+    if "checks" not in report:
+        return dict(payload)
+    checks = [{k: v for k, v in entry.items() if k != "wall_time"} for entry in report["checks"]]
+    return {**payload, "report": {**report, "checks": checks}}
 
 
 def report_payload(report) -> dict:

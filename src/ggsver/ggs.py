@@ -369,8 +369,8 @@ class GroupSession:
         K, the cold closure of the [n, f], n the first of those seeds and f
         a generator of st(1); gamma3 is the closure of the [s, x], grown
         from N1; G' is that of S, grown centrally from gamma3, and hands G
-        its layers; G'' is N1, grown by the [s, f], f a generator of G',
-        that N1 lacks."""
+        its layers; G'' is N1, grown by the [s, f], f a generator of G'
+        past S, that N1 lacks."""
         if "derived" in self._memo:
             return
         g = self.G
@@ -395,7 +395,8 @@ class GroupSession:
         levels = (*(level.get(id(x.images), self.depth) for x in s), *gamma.origin.levels[k:])
         d = g._built([*s, *gamma.generators[k:]], d.chain, d.origin._replace(levels=levels))
         g._grow_from(d)
-        missing = [c for c in _commutators(s, d.generators) if not n1.contains(c)]
+        # each [s, s'], s' in S, is a seed of N1, as ys starts with S
+        missing = [c for c in _commutators(s, d.generators[len(s) :]) if not n1.contains(c)]
         second = n1
         if missing:
             second = _normal_closure(g, [*n1.origin.elements, *missing], start=n1)

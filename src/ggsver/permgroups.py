@@ -37,8 +37,9 @@ scaled to a unit pivot, cleared from the other rows of its layer (an old
 representative is multiplied by a power of the new one), and becomes a
 representative r.  It queues (a) its conjugates by the ambient generators,
 (b) r^p and, below level N-2, (c) its commutators with the other level-m
-representatives.  (b) and (c) lie in st(m+1) and go ahead of the next seed
-or conjugate; (a) are made as they leave the queue.  The closure runs in
+representatives, in a warm closure only with those it added (Warm
+start).  (b) and (c) lie in st(m+1) and go ahead of the next seed or
+conjugate; (a) are made as they leave the queue.  The closure runs in
 two phases.  Phase 1 takes the seeds and the candidates (a), (b) and (c),
 and adjoins their residuals above the last level; what reaches the last
 level is queued as label vectors.  That leaves the layers above the last
@@ -65,18 +66,36 @@ every seed and is invariant under the ambient generators, so it is the
 closure, and H_0 & st(m) = H_m.
 
 Warm start.  A closure may start from the layers of a subgroup L that is
-invariant under the ambient generators and lies in the closure, and sift
-only the seeds.  Then every L & st(m) is invariant under those generators,
-and the p-th powers and commutators of L's level-m representatives lie in
-L & st(m+1).  The induction above holds unchanged.  Clearing pivots keeps
-the group the representatives span, so H_m contains L & st(m) throughout.
-The conjugates of L's representatives were never queued, but they lie in
-L & st(m), inside H_m; their p-th powers and mutual commutators lie in
-L & st(m+1), inside H_(m+1); the commutators of a new representative with
-L's are queued as with any peer.  H_0 holds L and every seed and is
-invariant, and L lies in the closure, so H_0 is the closure.  It starts
-from shares (_Layer.share): views of exactly the rows L holds, so the first
-row a level gains moves it into new arrays, and L's layers never change.
+invariant under the ambient generators X and lies in the closure, and sift
+only the seeds.  A = <X> is finite, so L is normal in A, and every L & st(m)
+is invariant under X.  The closure records each level's dimension at its
+start, and a new level-m representative r, m < N-2, queues its commutators
+only with the rows added at level m since then, as they are when r is
+admitted: not with the start's rows.  The induction above needs each H_m
+invariant under X and H_m/H_(m+1) elementary abelian.  H_m contains L &
+st(m) throughout, as clearing pivots keeps the group the representatives
+span; so the conjugates of L's representatives, never queued, lie in L &
+st(m), inside H_m, which is (a).  The p-th powers of L's level-m
+representatives lie in L & st(m+1), inside H_(m+1), and those of the new
+ones are queued.  It is left to show that H_m/H_(m+1) is abelian.  Clearing
+a pivot keeps the group the level-m representatives generate, and multiplies
+a row by a power of the row just added; so the rows added at level m, as
+they are at any time, generate the group they generated as admitted, and the
+final level-m representatives generate the group that R, L's level-m
+representatives, and the added ones as admitted generate.  It is enough that
+any two of those commute modulo H_(m+1).  H_(m+1) is normal in A, by (a),
+and every representative lies in A (the seeds and L do), so for each r the y
+with [r, y] in H_(m+1) form a subgroup, as [r, y z] = [r, z] [r, y]^z.  For
+s, s' in R, [s, s'] lies in L and in st(m+1), as st(m)/st(m+1) is abelian.
+For r added and s in R, [r, s] = (s^-1)^r s lies in L, as L is normal in A,
+and in st(m+1), so in L & st(m+1), inside H_(m+1).  For r added after r',
+[r, y] was queued for each y among the rows added before r, as they were
+then, which generate a group that holds r' as admitted.  Level N-2 shows the
+same of its factor, with [t, r] for the added r alone; a cold closure has R
+empty, and its rows are all added.  H_0 holds L and every seed and is
+invariant, and L lies in the closure, so H_0 is the closure.  It starts from
+shares (_Layer.share): views of exactly the rows L holds, so the first row a
+level gains moves it into new arrays, and L's layers never change.
 Two kinds of closure start warm.  G' is normal in G and lies in it, so
 GroupSession builds G's layers from those of G' (PermGroup._grow_from),
 in a closure that sifts only a, b_1, ..., b_r and their p-th powers
@@ -207,41 +226,45 @@ V(x - 1), x running over the ambient generators X (the rows moved by x's
 vertex map, less the rows).  A new level-(N-2) representative queues its
 p-th power alone.  Phase 1 leaves the layers above the last final, as
 nothing on the last level feeds them; phase 2 then takes T, final
-level-(N-2) representatives whose rows span V modulo
-V.I, and queues [t, r] for each t in T and each final level-(N-2)
-representative r, as stacks of at most _RUN rows that are never recorded
-as generators.  T is the rows that still add a pivot, in row order, to a
-scratch layer that holds V.I (_module_generators), or, when the closure
-added at most |X| rows at level N-2, those rows.  This needs the seeds,
-and the start, to lie in A, the group X generates: every caller closes
-elements of its ambient group under that group's generators (normal_closure
-checks its seeds; derived(), commutator_subgroup and the session's
-subgroups build theirs from the ambient group's elements; a start lies in
-the result), and so does the subdirect check, whose seeds are slot sections
-of elements of st(1), which the slot sections of st(1)'s generators
-generate.  That check closes a projection only when G''s slot-0 pivots
-fall short of certifying it (checks.check_subdirect); this holds for every
-projection it closes.
+level-(N-2) representatives whose rows span V modulo V.I, and queues [t, r]
+for each t in T and each final level-(N-2) representative r of a row the
+closure added, from the start's dimension on (every row, in a cold closure),
+as stacks of at most _RUN rows that are never recorded as generators.  T is
+the rows that still add a pivot, in row order, to a scratch layer that holds
+V.I (_module_generators), or, when the closure added at most |X| rows at
+level N-2, those rows.  This needs the seeds, and the start, to lie in A,
+the group X generates: every caller closes elements of its ambient group
+under that group's generators (normal_closure checks its seeds; derived(),
+commutator_subgroup and the session's subgroups build theirs from the
+ambient group's elements; a start lies in the result), and so does the
+subdirect check, whose seeds are slot sections of elements of st(1), which
+the slot sections of st(1)'s generators generate.  That check closes a
+projection only when G''s slot-0 pivots fall short of certifying it
+(checks.check_subdirect); this holds for every projection it closes.
 Why it is enough.  Let M = H_(N-1), the last layer's group at the end.  M is
-invariant under X, so normal in the finite group A, and every
-representative lies in A, so normalizes M; H_(N-2) is normal in A too, by
-(a).  For t in T the y with [t, y] in M form a subgroup among the elements
-that normalize M, as [t, y z] = [t, z] [t, y]^z; it holds each final
-level-(N-2) representative, whose commutator with t was queued, and M, as t
-normalizes it, so all of H_(N-2): t is central in H_(N-2) modulo M, and so
-is each A-conjugate of t, as [t^a, y] = [t, y^(a^-1)]^a.  A is a p-group, so
-its augmentation ideal I is nilpotent on V (V.I is the sum above, as I is
-generated by the x - 1), and the A-submodule spanned by T, which with V.I
-spans V, is V (Nakayama).  So K = <T^A> M has the labels V, and H_(N-2) =
-K (H_(N-2) & st(N-1)): K/M is central in H_(N-2)/M, and the second factor,
-in the abelian st(N-1), is abelian, so H_(N-2)/M is abelian.  When T is
-the rows the closure added, H_(N-2) = <R, T> M with R the start's
-level-(N-2) representatives, as clearing pivots keeps the group the
-representatives span: pairs in R commute modulo the start's last group,
-which lies in M, and each t is central modulo M as above, so again
-H_(N-2)/M is abelian.  Either way it is generated by the images of the
-level-(N-2) representatives ever made, each of order p modulo M by (b), so
-it is elementary abelian, as Why that is the closure needs.
+invariant under X, so normal in the finite group A, and every representative
+lies in A, so normalizes M; H_(N-2) is normal in A too, by (a).  For t in T
+the y with [t, y] in M form a subgroup among the elements that normalize M,
+as [t, y z] = [t, z] [t, y]^z.  It holds M, as t normalizes it; the final
+representatives of the rows the closure added, whose commutators with t were
+queued; and R, the start's level-(N-2) representatives, as [t, s] lies in L
+& st(N-1), inside M, for s in R (Warm start: t lies in A, and L is normal in
+A).  The added rows, as they end, generate the group they generated as
+admitted, so with R they generate the group the final level-(N-2)
+representatives generate (Warm start), and the subgroup holds all of
+H_(N-2): t is central in H_(N-2) modulo M, and so is each A-conjugate of t,
+as [t^a, y] = [t, y^(a^-1)]^a.  A is a p-group, so its augmentation ideal I
+is nilpotent on V (V.I is the sum above, as I is generated by the x - 1),
+and the A-submodule spanned by T, which with V.I spans V, is V (Nakayama).
+So K = <T^A> M has the labels V, and H_(N-2) = K (H_(N-2) & st(N-1)): K/M is
+central in H_(N-2)/M, and the second factor, in the abelian st(N-1), is
+abelian, so H_(N-2)/M is abelian.  When T is the rows the closure added,
+H_(N-2) = <R, T> M, as clearing pivots keeps the group the representatives
+span: pairs in R commute modulo the start's last group, which lies in M, and
+each t is central modulo M as above, so again H_(N-2)/M is abelian.  Either
+way it is generated by the images of the level-(N-2) representatives ever
+made, each of order p modulo M by (b), so it is elementary abelian, as Why
+that is the closure needs.
 A conjugate whose labels leave a residual is recorded as the element they
 determine, the conjugate divided by representatives above the last level,
 and so is a row of a conjugate stack; those generators are made only after
@@ -374,14 +397,16 @@ truncate(m) keeps those that generate pi_m(G').  S comes first, so the
 first generator of G' outside a subgroup invariant under X is the first s
 outside it, the element containment_witness names.
 (3) The certificate for G''.  With F the generators G' records, G'' is the
-normal closure in G of the [s, f], s in S and f in F (commutator_subgroup:
-S closes to G' under X, F generates G', and G' is normal in G).  Each of
-them is sifted into N1.  When N1 holds all of them it holds their normal
-closure, so N1 = G''.  Otherwise G'' is the closure of N1's normal
-generators and the [s, f] outside N1, grown from N1: each seed lies in
-G'', and the closure holds N1 and every [s, f].  Either way the result is
-G'' exactly, whatever seeds (1) took; they decide only how much is left
-for the certificate.  G's layers then grow centrally from those of G'.
+normal closure in G of the [s, f], s in S and f in F (commutator_subgroup: S
+closes to G' under X, F generates G', and G' is normal in G).  F starts with
+S, and each [s, s'], s' in S, is trivial or a seed of (1), so lies in N1;
+only the [s, f] with f past S, what gamma3's closure found, are sifted into
+N1.  When N1 holds all of them it holds their normal closure, so N1 = G''.
+Otherwise G'' is the closure of N1's normal generators and the [s, f]
+outside N1, grown from N1: each seed lies in G'', and the closure holds N1
+and every [s, f].  Either way the result is G'' exactly, whatever seeds (1)
+took; they decide only how much is left for the certificate.  G's layers
+then grow centrally from those of G'.
 
 Everything here is deterministic: candidates are processed in queue order
 and representatives are kept in the order they were found.
@@ -825,13 +850,15 @@ def _module_generators(tree: _Tree, lvl: _Layer, new: int, conj) -> list[int]:
 
 def _commutator_stacks(tree: _Tree, lvl: _Layer, new: int, conj) -> list:
     """[t, r] for t in T and each representative r of the level-(N-2) layer
-    lvl, as stacks of level-(N-1) labels of at most _RUN rows, t by t and r
-    in row order (Level N-2 in the module docstring).  Its views of lvl's
-    arrays end with the call, so a later trim frees them."""
+    lvl from row `new` on, those the closure added, as stacks of level-(N-1)
+    labels of at most _RUN rows, t by t and r in row order; t's commutators
+    with the start's rows lie in the start (Level N-2 in the module
+    docstring).  Its views of lvl's arrays end with the call, so a later
+    trim frees them."""
     reps, invs = lvl.reps[: lvl.dim], lvl.divs[0, : lvl.dim]
     out = []
     for t in _module_generators(tree, lvl, new, conj):
-        for i in range(0, len(reps), _RUN):
+        for i in range(new, len(reps), _RUN):
             ys, yinvs = reps[i : i + _RUN], invs[i : i + _RUN]
             comm = _comm_rows(reps[t], invs[t], ys, yinvs, tree.starts[-1])
             out.append(tree.digits[-1][comm])
@@ -851,8 +878,10 @@ def _close(
     the seeds and conjugates that left a residual, in the order taken, each
     paired with the level of its residual: a generating set when there is
     no start.  A start is the layers of a subgroup normalized by conj_by and
-    contained in the result; the closure grows from a share of them (Warm
-    start in the module docstring).  The seeds, and the start's group, must
+    contained in the result; the closure grows from a share of them, and
+    commutes a new representative only with the rows it added at its level,
+    as its commutators with the start's rows lie in the start (Warm start in
+    the module docstring).  The seeds, and the start's group, must
     lie in the group conj_by generates: Level N-2 in the module docstring
     rests on it.  An ambient is the built layers of a group that holds the
     result, W_N by default: no layer takes room beyond its dimensions, H
@@ -872,9 +901,12 @@ def _close(
     # a central closure makes no conjugate: each lies in the group so far
     conj = [] if central else [(y, _inverse(y)) for y in conj_by]
     pulls = np.array([tree.pull(yinv) for _, yinv in conj], dtype=np.intp)
-    # the level-(N-2) layer and the rows it had from the start
+    # each level's dimension at the start: a new representative's
+    # commutators with the start's rows lie in the start, so it is commuted
+    # only with the rows from there on (Warm start in the module docstring)
+    own = layers.dimensions()
+    # the level-(N-2) layer
     mid = layers.levels[last - 1] if last else None
-    mid_start = 0 if mid is None else mid.dim
     # (element, level its sift starts at, None), or (labels, None, None) for
     # the level-(N-1) labels of a p-th power; (representative, level, (s,
     # s^-1)) stands for the conjugate s^-1 rep s, made when it is taken
@@ -905,11 +937,12 @@ def _close(
         d, hits = layers._admit(m, y, residual)
         rep = lvl.reps[d]
         if m + 1 < last:
-            # the p-th power, and the commutators with the peers as they
-            # were before push clears the new pivot out of them
+            # the p-th power, and the commutators with the peers the closure
+            # added, as they were before push clears the new pivot out of them
             side.append((_power(rep, p), m + 1, None))
             if not central:
-                comm = rep, lvl.divs[0, d], lvl.reps[:d], lvl.divs[0, :d]
+                peers = slice(own[m], d)
+                comm = rep, lvl.divs[0, d], lvl.reps[peers], lvl.divs[0, peers]
                 side.extend((c, m + 1, None) for c in _comm_rows(*comm, slice(None)))
         else:
             # at level N-2 the p-th power alone; the commutators come once
@@ -948,13 +981,13 @@ def _close(
         else:
             stacks.append((labels[None], found[-1] if from_main else None))
     # phase 2: the last layer, from one queue: phase 1's stacks, [t, r] for
-    # t in T and each level-(N-2) representative r, the conjugates' stacks,
-    # then the conjugate stacks of the rows it gains; the last two record
-    # their generators after every one of phase 1; a central closure has no
-    # [t, r].  It stops once the last layer is full, as nothing then adds a
-    # row
+    # t in T and each level-(N-2) representative r the closure added, the
+    # conjugates' stacks, then the conjugate stacks of the rows it gains;
+    # the last two record their generators after every one of phase 1; a
+    # central closure has no [t, r].  It stops once the last layer is full,
+    # as nothing then adds a row
     if bottom.dim < dims[last] and mid is not None and not central:
-        stacks.extend((c, None) for c in _commutator_stacks(tree, mid, mid_start, conj))
+        stacks.extend((c, None) for c in _commutator_stacks(tree, mid, own[-2], conj))
     stacks.extend(late)
     # each stack then goes once its run has taken it
     del late
@@ -1258,10 +1291,11 @@ def commutator_subgroup(
     the conjugates of the s generate `a`.
 
     A start is a subgroup normal in the ambient group that lies in [a, b];
-    the closure then grows from its layers (Warm start in the module
-    docstring).  The commutators lie in the ambient group once a and b do,
-    so a warm closure sifts none of them; a cold one closes through
-    normal_closure."""
+    the closure then grows from its layers, and commutes each
+    representative it adds with the others it adds, not with the start's
+    (Warm start in the module docstring).  The commutators lie in the
+    ambient group once a and b do, so a warm closure sifts none of them; a
+    cold one closes through normal_closure."""
     for sub in (a, b):
         w = ambient.containment_witness(sub)
         if w is not None:

@@ -14,7 +14,9 @@ itself (_sift below), and shares the package's per-level elimination
 the queue, so it is the reference for what the closure does with its
 candidates.  It takes the level-(N-2) module generators T by its own
 integer elimination, and with all_pairs follows the earlier rule that
-commuted every pair of level-(N-2) representatives.
+commuted every pair of level-(N-2) representatives.  In a warm closure it
+still commutes each new representative with the start's rows, which the
+package skips.
 
 power_verdict_all_slots compares a subgroup with a block product by
 sifting k's generators placed in every slot, whatever the subgroup was
@@ -460,9 +462,13 @@ def reference_close(tree, seeds, conj_by, start=None, all_pairs=False):
     representative, holds back conjugates that reach the last level, then
     queues [t, r] for t in T, computed here in integers, and each final
     level-(N-2) representative r ahead of them, once no other candidate is
-    left.  With all_pairs it follows the rule the closure had before: a new
-    level-(N-2) representative is commuted at once with each of its peers,
-    as on every level above, and nothing is held back."""
+    left.  Unlike the package's closure, it commutes a new representative
+    with every peer and T with every final level-(N-2) representative, the
+    start's rows too, so where the two agree array for array the
+    commutators the package skips in a warm closure added nothing.  With
+    all_pairs it follows the rule the closure had before: a new level-(N-2)
+    representative is commuted at once with each of its peers, as on every
+    level above, and nothing is held back."""
     from ggsver.permgroups import _Layers
 
     layers = _Layers(tree) if start is None else _copied(start)

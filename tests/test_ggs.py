@@ -495,6 +495,41 @@ class TestDerivedSeries:
         )
 
 
+class TestConstantVectorException:
+    """The paper's exception in layer dimensions alone.  Let k be the least
+    level from which G'' has G's dimension sum, so that st_G(k) <= G''.  On
+    the constant vector k is N at every depth here, and log_p|G_N : G''_N|
+    is (p-1)(N-1) + 2; on other vectors k stays at 3 and the index stays
+    fixed.  The quotients show the obstruction depth by depth; they do not
+    prove it (Fernandez-Alcober, Garrido and Uria-Albizuri, Proc. AMS 2017,
+    do: the GGS group of the constant vector lacks the congruence subgroup
+    property)."""
+
+    @staticmethod
+    def _least_level_and_index(p, rows, depth):
+        s = gv.build(gv.validate(p, rows), depth)
+        g, second = s.G.chain.dimensions(), s.second_derived().chain.dimensions()
+        k = next(k for k in range(depth + 1) if sum(g[k:]) == sum(second[k:]))
+        return k, sum(g) - sum(second)
+
+    @pytest.mark.parametrize(
+        "p,rows,depth",
+        [(3, [(1, 1)], n) for n in range(3, 8)] + [(5, [(1, 1, 1, 1)], n) for n in range(3, 6)],
+    )
+    def test_the_constant_vector(self, p, rows, depth):
+        want = (depth, (p - 1) * (depth - 1) + 2)
+        assert self._least_level_and_index(p, rows, depth) == want
+
+    @pytest.mark.parametrize(
+        "p,rows,index,depth",
+        [(3, [(1, 0)], 6, n) for n in range(3, 8)]
+        + [(3, [(1, 2)], 6, n) for n in range(3, 7)]
+        + [(5, [(1, 2, 3, 4)], 8, n) for n in range(3, 6)],
+    )
+    def test_other_vectors(self, p, rows, index, depth):
+        assert self._least_level_and_index(p, rows, depth) == (3, index)
+
+
 # the conftest specs at N <= 5 whose session makes a K
 K_CASES = [("gs_spec", 4), ("gs_spec", 5)] + [(f, n) for f in ("r2_spec", "sym5_spec") for n in (3, 4, 5)]
 

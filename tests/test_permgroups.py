@@ -888,6 +888,102 @@ class TestModuleGenerators:
         assert k["powers"] + k["commutators"] <= len(t) * d + d < d * (d + 1) // 2 == 2211
 
 
+@contextmanager
+def _warm_commutator_pairs():
+    """For every warm closure that commutes, in order: (its start, the
+    representatives it admitted below level N-2 with their levels, as
+    admitted, and the final level-(N-2) representatives it took as T).
+    Those are the r whose commutators with the start's rows it no longer
+    queues."""
+    calls = []
+    real_close, real_admit = permgroups._close, permgroups._Layers._admit
+    real_t = permgroups._module_generators
+    current = ([], [])
+
+    def close(tree, seeds, conj_by, start=None, ambient=None, *, central=False):
+        nonlocal current
+        current = ([], [])
+        out = real_close(tree, seeds, conj_by, start, ambient, central=central)
+        if start is not None and not central:
+            calls.append((start, *current))
+        return out
+
+    def admit(layers, m, x, residual):
+        d, hits = real_admit(layers, m, x, residual)
+        if m + 2 < layers.tree.depth:
+            current[0].append((m, layers.levels[m].reps[d].copy()))
+        return d, hits
+
+    def module_generators(tree, lvl, new, conj):
+        t = real_t(tree, lvl, new, conj)
+        current[1].extend(lvl.reps[i].copy() for i in t)
+        return t
+
+    with mock.patch.object(permgroups, "_close", close), mock.patch.object(
+        permgroups._Layers, "_admit", admit
+    ), mock.patch.object(permgroups, "_module_generators", module_generators):
+        yield calls
+
+
+class TestWarmCommutators:
+    """A warm closure commutes a new representative only with the rows it
+    added at its level, and T only with the level-(N-2) rows it added: each
+    commutator with a representative of the start lies in the start, which
+    is normal in the group the ambient generators generate (Warm start in
+    the permgroups module docstring)."""
+
+    @settings(max_examples=30)
+    @given(_random_subgroups())
+    def test_skipped_commutators_lie_in_the_start(self, case):
+        g, subgens, _, _ = case
+        h = PermGroup(g.degree, subgens, prime=g.prime)
+        d = h.derived()
+        with _warm_commutator_pairs() as calls:
+            # gamma3 of h grown from h'', and the normal closure in G of the
+            # subgroup's generators grown from that of the first
+            commutator_subgroup(d, h, h, commutator_subgroup(d, d, h)).chain
+            permgroups._normal_closure(g, subgens, normal_closure(g, subgens[:1]))
+        assert len(calls) == 2
+        for start, admitted, ts in calls:
+            n = start.tree.depth
+            for m, r in admitted + [(n - 2, t) for t in ts]:
+                lvl = start.levels[m]
+                below = g.prime ** (n - m - 1)
+                for s in lvl.reps[: lvl.dim]:
+                    c = reference_commutator(r, s)
+                    # in st(m+1): every level-(m+1) vertex is fixed
+                    assert np.array_equal(c[::below] // below, np.arange(len(c) // below))
+                    assert start.contains(c)
+
+    def test_the_deep_containment_warm_closures_sift_fewer(self, r2_spec):
+        # the closures of the deep_containment benchmark: K cold, N1 grown
+        # from K, gamma3 from N1, then G' and G centrally.  Commuting each
+        # new representative with the start's rows too, as reference_close
+        # does, sifts 73 candidates for N1 and 67 for gamma3, 594 in all
+        sifts, per = [0], []
+        real_sift, real_close = permgroups._Layers._sift_upper, permgroups._close
+
+        def sift(layers, x, start):
+            sifts[0] += 1
+            return real_sift(layers, x, start)
+
+        def close(tree, seeds, conj_by, start=None, ambient=None, *, central=False):
+            before = sifts[0]
+            out = real_close(tree, seeds, conj_by, start, ambient, central=central)
+            per.append((start is not None, central, sifts[0] - before))
+            return out
+
+        s = gv.build(r2_spec, 6)
+        with mock.patch.object(permgroups._Layers, "_sift_upper", sift), mock.patch.object(
+            permgroups, "_close", close
+        ):
+            gv.CHECKS["second_derived_contains_stab"](s)
+        warm = [(False, False), (True, False), (True, False), (True, True), (True, True)]
+        assert [(w, c) for w, c, _ in per] == warm
+        assert [n for *_, n in per] == [444, 31, 22, 4, 6]
+        assert sifts[0] == 507
+
+
 class TestLastLayerModule:
     """The last layer's span is closed under the ambient generators: its
     rows, moved by each one's level-(N-1) vertex map, add no pivot.  That is
