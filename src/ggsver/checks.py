@@ -245,11 +245,11 @@ def _power_verdict(lhs, k, details):
     slot by slot.
 
     The seeds come first so that the witness does not depend on whether
-    lhs grew from a start.  A seed that left no residual lies in the group
-    generated by the seeds before it, so the first seed outside K^p is one
-    that left a residual.  Those are the prefix of a cold closure's
-    generators, so for a cold lhs this is the first generator outside K^p;
-    a warm closure records every seed (Normal generators in the permgroups
+    lhs grew from a start: cold or warm, its origin records every seed it
+    was handed.  For a cold lhs the first seed outside K^p is also its first
+    generator outside K^p, as a seed that left no residual lies in the
+    group generated by the seeds before it, and the seeds that left one are
+    the prefix of its generators (Normal generators in the permgroups
     module docstring)."""
     p = k.prime
     slots = 1 if _one_slot_decides(lhs) else p

@@ -147,40 +147,33 @@ of a quotient proves of them holds.
 Normal generators.  A handle records how it was made in one Origin, its
 origin: the ambient it was closed in, elements whose closure under the
 ambient's generators it is, and the levels of its generators (Generators of
-a quotient).  The seeds that leave a residual already close to H_0, so a
-cold normal closure records only those as its elements.  They are the prefix
-of the generators found: those are listed in the order their candidates were
-taken, and conjugates join the main queue behind every seed.  Let N' be the
-closure of the kept seeds under the ambient generators; N' <= H_0 as H_0
-holds every seed.  By induction over the queue, everything the closure
-handles lies in N': a kept seed does; a seed that left no residual reduced
-to the identity, so it is a product of representatives found before it; a
-residual is the candidate divided by earlier representatives, and a
-representative is a power of a residual or an earlier one times a power of
-it; a conjugate of a representative by an ambient generator lies in N',
-which those generators normalize; p-th powers and commutators of
-representatives lie in N' too.  So every representative lies in N', H_0 <=
-N', and H_0 = N'.  A seed that left no residual even lies in the group
-generated by the seeds before it: phase 1 takes no conjugate before the last
-seed, and phase 2 reduces the seeds' labels before anything a conjugate
-made, so the representatives it was reduced by are built from those seeds by
-products, powers and commutators.  A warm closure keeps every seed, as
-those that left no residual may reduce by the start's representatives; the
-closure of every seed is H_0, as the start lies in it.
+a quotient).  A normal closure, cold or warm, records as its elements every
+seed it was handed, in order: H_0 is the closure of the seeds, as it holds
+every seed and, when warm, the start, which lies in the closure (Why that is
+the closure).  In a cold closure the seeds that left a residual are the
+prefix of the generators found: those are listed in the order their
+candidates were taken, and conjugates join the main queue behind every
+seed.  A seed that left no residual lies in the group generated by the
+seeds before it: phase 1 takes no conjugate before the last seed, and phase
+2 reduces the seeds' labels before anything a conjugate made, so the
+representatives it was reduced by are built from those seeds by products,
+powers and commutators.  In a warm closure it may reduce by the start's
+representatives instead.
 
 Containment reads the same record.  If H's origin is E in an ambient A, and
 K is A or its origin's ambient is A too, K is invariant under A's
 generators, so the closure H of E under them lies in K exactly when E does:
 containment_witness sifts E alone, and names the first element of E outside
-K.  By the above, that is the first seed outside K, whether H was closed cold
-or warm, and for a cold closure it is the first of H's generators outside K,
-the witness a scan of every generator gives.  When K is A itself, or K is H,
-containment_witness sifts nothing.  H is then the closure under A's
-generators of elements of A, so it lies in A: a normal closure checks that
-its seeds lie in A, and derived(), commutator_subgroup,
-GroupSession.st1() and the session's derived series build theirs from A's
-elements.  A handle closed in no
-group has no ambient, and matches none.
+K, the first seed outside K, whether H was closed cold or warm.  For a cold
+closure it is also the first of H's generators outside K, the witness a
+scan of every generator gives: the seeds before it lie in K, so it left a
+residual (Normal generators), and those that left one are the prefix of the
+generators.  When K is A itself, or K is H, containment_witness sifts
+nothing.  H is then the closure under A's generators of elements of A, so
+it lies in A: a normal closure checks that its seeds lie in A, and
+derived(), commutator_subgroup, GroupSession.st1() and the session's
+derived series build theirs from A's elements.  A handle closed in no group
+has no ambient, and matches none.
 
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
 and the closure queues such candidates as vectors, not leaf permutations,
@@ -1029,8 +1022,9 @@ def _close(
 class Origin(NamedTuple):
     """How a handle was made (module docstring, Normal generators): the
     group it was closed in, or None (a handle keeps no subgroup, so no
-    cycle); elements whose closure under that group's generators it is;
-    each generator's residual level, None when all were given by hand."""
+    cycle); elements whose closure under that group's generators it is,
+    for a normal closure every seed it was handed, in order; each
+    generator's residual level, None when all were given by hand."""
 
     ambient: PermGroup | None = None
     elements: tuple = ()
@@ -1226,7 +1220,7 @@ def _commutators(xs, ys=None) -> list[Perm]:
             at += np.arange(0, right.size, len(a))[:, None]
             c = np.empty_like(right)
             c.put(at, right[:, a])
-            # one array each, so that a closure that keeps some frees the rest
+            # one array each, so that a caller that keeps some frees the rest
             keep = np.flatnonzero((c != np.arange(len(a))).any(axis=1))
             out.extend(Perm._wrap(c[j].copy()) for j in keep.tolist())
     return out
@@ -1250,11 +1244,11 @@ def _normal_closure(
 ) -> PermGroup:
     """normal_closure of seeds known to lie in the ambient group, which are
     not sifted.  A start is a subgroup normal in the ambient group that lies
-    in the result; the closure grows from its layers (Warm start), its
-    generators and their levels come first, and every seed is recorded as a
-    normal generator (Normal generators in the module docstring).  central
-    promises that the start holds the result's commutators with the ambient
-    group (Central start)."""
+    in the result; the closure grows from its layers (Warm start), and its
+    generators and their levels come first.  Cold or warm, the origin
+    records every seed, in order, as a normal generator (Normal generators
+    in the module docstring).  central promises that the start holds the
+    result's commutators with the ambient group (Central start)."""
     layers, found = _close(
         ambient._tree,
         [e.images for e in seeds],
@@ -1267,28 +1261,24 @@ def _normal_closure(
     levels = tuple(k for _, k in found)
     if start is not None:
         # generators given by hand are kept by every truncation, as level 0
-        before = start.origin.levels or (0,) * len(start.generators)
-        origin = Origin(ambient, tuple(seeds), before + levels)
-        return ambient._built([*start.generators, *gens], layers, origin)
-    # the seeds that left a residual are found's prefix, the very arrays
-    # handed in; they alone close to the result (Normal generators)
-    kept = []
-    for e in seeds:
-        if len(kept) < len(found) and found[len(kept)][0] is e.images:
-            kept.append(e)
-    return ambient._built(gens, layers, Origin(ambient, tuple(kept), levels))
+        levels = (start.origin.levels or (0,) * len(start.generators)) + levels
+        gens = [*start.generators, *gens]
+    return ambient._built(gens, layers, Origin(ambient, tuple(seeds), levels))
 
 
 def commutator_subgroup(
     a: PermGroup, b: PermGroup, ambient: PermGroup, start: PermGroup | None = None
 ) -> PermGroup:
     """Normal closure in the ambient group of the commutators [s, y], with s
-    running over normal generators of `a` in the ambient group (the seeds
-    that left a residual when `a` was closed, or those its maker recorded;
-    else its generators) and y over the generators of `b`.  That is [a, b]
-    whenever both are normal in the ambient group: modulo the closure each s
-    centralizes b, and so does each conjugate of s, since b is normal, and
-    the conjugates of the s generate `a`.
+    running over normal generators of `a` in the ambient group and y over
+    the generators of `b`.  The s are the fewer of two such sets: its
+    generators, and the elements its origin records when it was closed in
+    the ambient group (the seeds it was handed, or those its maker
+    recorded), which a cold closure of many redundant seeds, such as
+    derived() of a group given by many generators, makes long.  That is
+    [a, b] whenever both are normal in the ambient group: modulo the
+    closure each s centralizes b, and so does each conjugate of s, since b
+    is normal, and the conjugates of the s generate `a`.
 
     A start is a subgroup normal in the ambient group that lies in [a, b];
     the closure then grows from its layers, and commutes each
@@ -1297,12 +1287,12 @@ def commutator_subgroup(
     ambient group once a and b do, so a warm closure sifts none of them; a
     cold one closes through normal_closure."""
     for sub in (a, b):
-        w = ambient.containment_witness(sub)
-        if w is not None:
+        if ambient.containment_witness(sub) is not None:
             raise ElementNotInAmbient(
                 "commutator arguments must be subgroups of the ambient group"
             )
-    seeds = _commutators(_normal_generators(a, (ambient,)), b.generators)
+    normal = min(_normal_generators(a, (ambient,)), a.generators, key=len)
+    seeds = _commutators(normal, b.generators)
     if start is None:
         # looked up on the module, so a tracer that wraps it counts this
         return normal_closure(ambient, seeds)

@@ -59,7 +59,7 @@ class Perm:
     Products act left to right: (p * q)(x) = q(p(x)).
     """
 
-    __slots__ = ("images", "_key")
+    __slots__ = ("images",)
 
     def __init__(self, images):
         arr = np.asarray(images)
@@ -75,7 +75,6 @@ class Perm:
             raise ValueError("images do not form a permutation of 0..n-1")
         arr.setflags(write=False)
         self.images = arr
-        self._key = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Perm":
@@ -83,7 +82,6 @@ class Perm:
         obj = object.__new__(cls)
         arr.setflags(write=False)
         obj.images = arr
-        obj._key = None
         return obj
 
     @classmethod
@@ -130,20 +128,15 @@ class Perm:
     def tolist(self) -> list[int]:
         return [int(x) for x in self.images]
 
-    def _bytes(self) -> bytes:
-        if self._key is None:
-            self._key = self.images.tobytes()
-        return self._key
-
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Perm):
             return NotImplemented
-        return self.degree == other.degree and self._bytes() == other._bytes()
+        return self.degree == other.degree and np.array_equal(self.images, other.images)
 
     def __hash__(self):
-        return hash((self.degree, self._bytes()))
+        return hash((self.degree, self.images.tobytes()))
 
     def __repr__(self):
         if self.degree <= 16:

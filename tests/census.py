@@ -11,8 +11,12 @@ its session as run_all does and compares each verdict with paper_status:
 the 1118 row spaces with r <= 3 at depth 4 and the one with r = 4 at depth
 5, 1119 in all, about a minute on 2 vCPU.  For the 155 non-constant r = 1
 groups it also compares log_p|G_n| at each level n = 2..N, read off the
-layers of the session's G, with oracles.ggs_order_exponent.  It exits 1 on
-any mismatch or on any other count:
+layers of the session's G, with oracles.ggs_order_exponent.  Last, it runs
+second_derived_contains_stab, which needs depth r+4, at that depth on the
+156 p=5 r=1 row spaces (N=5) and the 5 p=3 row spaces (r=1 at N=5, r=2 at
+N=6), compares each verdict with paper_status and prints how many it
+decided (held or failed): 159, the constant vectors being skipped; 27 s
+more on 2 vCPU.  It exits 1 on any mismatch or on any other count:
 
     PYTHONPATH=src python tests/census.py
 """
@@ -23,12 +27,18 @@ import sys
 from itertools import accumulate, combinations, product
 
 import ggsver as gv
-from ggsver.checks import HOLDS, SKIPPED, VACUOUS
+from ggsver.checks import FAILS, HOLDS, SKIPPED, VACUOUS
 from oracles import ggs_order_exponent
 
 # the depth the p=5 census runs each r at, and the count of row spaces
 P5_DEPTHS = {1: 4, 2: 4, 3: 4, 4: 5}
 P5_ROW_SPACES = 1119
+
+# the paper's central containment, decided at depth r+4 on the row spaces
+# of these (p, r), and their count
+CENTRAL = "second_derived_contains_stab"
+CENTRAL_CASES = ((5, 1), (3, 1), (3, 2))
+CENTRAL_ROW_SPACES = 161
 
 
 def row_spaces(p, r):
@@ -99,6 +109,14 @@ def order_mismatches(session) -> list:
     return [(n, got, want) for n, got, want in pairs if got != want]
 
 
+def central_verdict(p, rows):
+    """(depth, status, paper_status) of the central containment, run alone
+    on a new session at depth r+4, the least where it says anything."""
+    depth = len(rows) + 4
+    session = gv.build(gv.validate(p, rows), depth)
+    return depth, gv.CHECKS[CENTRAL](session).status, paper_status(CENTRAL, p, rows, depth)
+
+
 def main() -> int:
     count = mismatches = ordered = 0
     for r, depth in P5_DEPTHS.items():
@@ -116,7 +134,18 @@ def main() -> int:
                     mismatches += 1
                     print(f"{rows} N={n} log_p|G_n|: {got}, expected {want}")
     print(f"p=5 census: {count} row spaces, {ordered} orders checked, {mismatches} mismatches")
-    return 0 if count == P5_ROW_SPACES and not mismatches else 1
+    deep = decided = 0
+    for p, r in CENTRAL_CASES:
+        for rows in row_spaces(p, r):
+            deep += 1
+            depth, status, want = central_verdict(p, rows)
+            decided += status in (HOLDS, FAILS)
+            if status != want:
+                mismatches += 1
+                print(f"p={p} {rows} N={depth} {CENTRAL}: {status}, expected {want}")
+    print(f"{CENTRAL} at depth r+4: {deep} row spaces, {decided} decided, {mismatches} mismatches in all")
+    ok = count == P5_ROW_SPACES and deep == CENTRAL_ROW_SPACES
+    return 0 if ok and not mismatches else 1
 
 
 if __name__ == "__main__":

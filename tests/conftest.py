@@ -1,5 +1,6 @@
 import contextlib
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,6 +24,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("det")
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src ahead of PYTHONPATH, so
+    # the suite tests the checkout it runs from; the header says which
+    return f"ggsver: {Path(gv.__file__).parent}"
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,10 @@ sifting k's generators placed in every slot, whatever the subgroup was
 closed in; it reuses the package's witness rule and is the reference for
 checks._power_verdict, which sifts one slot when that decides the rest.
 
+growth_order_exponent reads the layer dimensions of a small session of the
+package and extends them by a growth law that is measured, not proved; the
+tests check that small build against SchreierSims.
+
 same_group compares two of the package's group handles through their public
 membership and orders; the tests use it where they assert an equality.
 
@@ -117,6 +121,25 @@ def ggs_order_exponent(p, e, n):
     Zugadi-Reizabal, Trans. AMS 2014)."""
     delta = 1 if list(e) == list(e)[::-1] else 0
     return circulant_rank(p, e) * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1)
+
+
+def growth_order_exponent(small, n):
+    """log_p|G_n| for n >= r + 1 by the growth law, from `small`, a session
+    on r directed generators at depth r + 2: with d_m the layer dimensions
+    of its G, sum_(m <= r) d_m + d_(r+1) (p^(n-r-1) - 1)/(p - 1), as the
+    layers from r + 1 on multiply by p.
+
+    Measured, not proved: every non-constant row space measured satisfies
+    d_m = p d_(m-1) for m >= r + 2, and the constant vector does not.
+    Branching over a subgroup that holds st_G(r+1) would give it
+    (Bartholdi, Grigorchuk and Sunic, Branch groups, 2003).  It reads the
+    package's layers at depth r + 2 only, which the tests check against
+    SchreierSims; for r = 1 it is ggs_order_exponent."""
+    p, r = small.spec.p, small.spec.r
+    if small.depth != r + 2 or n < r + 1:
+        raise ValueError(f"needs a depth-{r + 2} session and n >= {r + 1}")
+    d = small.G.chain.dimensions()
+    return sum(d[: r + 1]) + d[r + 1] * (p ** (n - r - 1) - 1) // (p - 1)
 
 
 # -- reference generator portraits -------------------------------------------

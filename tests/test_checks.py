@@ -41,7 +41,17 @@ from ggsver.portraits import (
     vertex_word,
 )
 
-from census import P5_DEPTHS, P5_ROW_SPACES, order_mismatches, paper_status, row_spaces, span
+from census import (
+    CENTRAL_CASES,
+    CENTRAL_ROW_SPACES,
+    P5_DEPTHS,
+    P5_ROW_SPACES,
+    central_verdict,
+    order_mismatches,
+    paper_status,
+    row_spaces,
+    span,
+)
 from oracles import (
     SchreierSims,
     log_order,
@@ -1431,6 +1441,15 @@ class TestP3Census:
         assert got == {c: paper_status(c, 3, rows, rep.depth) for c in gv.CHECKS}
         abelianization = next(v for v in rep.verdicts if v.claim_id == "abelianization")
         assert abelianization.details["index_exponent"] == r + 1
+
+    def test_the_census_decides_the_central_containment(self):
+        # census.central_verdict on the p=3 row spaces the script runs it on;
+        # the p=5 r=1 ones take about 30 s, so only the script runs them
+        assert sum(1 for p, r in CENTRAL_CASES for _ in row_spaces(p, r)) == CENTRAL_ROW_SPACES
+        got = [central_verdict(3, rows) for rows in P3_ROW_SPACES]
+        assert [depth for depth, _, _ in got] == [len(rows) + 4 for rows in P3_ROW_SPACES]
+        assert all(status == want for _, status, want in got)
+        assert [status for _, status, _ in got].count(HOLDS) == 4
 
     @pytest.mark.parametrize("rows", [[(1, 0)], [(0, 1)], [(1, 2)]], ids=str)
     def test_orders_follow_the_formula(self, rows):

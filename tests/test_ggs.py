@@ -24,7 +24,9 @@ from ggsver.portraits import Perm, directed, restrict_to_level
 from oracles import (
     bfs_closure,
     circulant_rank,
+    SchreierSims,
     ggs_order_exponent,
+    growth_order_exponent,
     independent_by_enumeration,
     log_order,
     same_group,
@@ -397,6 +399,63 @@ class TestClosedFormOrders:
         assert circulant_rank(5, (1, 3, 1, 0)) == 3  # (x - 1)^2
         assert circulant_rank(5, (1, 1, 1, 1)) == 5  # 4 at x = 1
         assert circulant_rank(7, (1, 0, 0, 0, 0, 0)) == 7
+
+
+def _growth_session(p, rows):
+    """The depth-(r+2) session the growth law reads."""
+    return gv.build(gv.validate(p, rows), len(rows) + 2)
+
+
+# the specs the growth law is checked on, with a depth the engine reaches
+_GROWTH_DEEP = [
+    (3, [(1, 0), (0, 1)], 7, 892),
+    (5, [(1, 1, 1, 1), (1, 0, 0, 1)], 5, 701),
+    (7, [(1, 2, 3, 4, 5, 6)], 5, 687),
+]
+
+
+class TestGrowthLaw:
+    """log_p|G_n| from the layers of a depth-(r+2) build by the growth law
+    d_m = p d_(m-1), m >= r+2 (oracles.growth_order_exponent): measured on
+    every non-constant row space tried, not proved, and false on the
+    constant vector."""
+
+    @pytest.mark.parametrize(
+        "p,e,top",
+        [
+            (3, (1, 2), 9),
+            (3, (1, 0), 9),
+            (5, (1, 2, 3, 4), 8),
+            (5, (1, 0, 0, 0), 8),
+            (7, (1, 2, 3, 4, 5, 6), 7),
+        ],
+    )
+    def test_it_is_the_closed_form_for_one_generator(self, p, e, top):
+        small = _growth_session(p, [e])
+        got = [growth_order_exponent(small, n) for n in range(2, top + 1)]
+        assert got == [ggs_order_exponent(p, e, n) for n in range(2, top + 1)]
+
+    @pytest.mark.parametrize("p,rows", [(p, rows) for p, rows, _, _ in _GROWTH_DEEP])
+    def test_the_small_build_matches_schreier_sims(self, p, rows):
+        # every layer dimension, from the orders of the level-n actions
+        small = _growth_session(p, rows)
+        gens = np.array([x.images for x in small.G.generators])
+        orders = [0]
+        for n in range(1, small.depth + 1):
+            step = p ** (small.depth - n)
+            ref = SchreierSims(p**n, gens[:, ::step] // step)
+            orders.append(log_order(ref.order(), p))
+        assert small.G.chain.dimensions() == [b - a for a, b in zip(orders, orders[1:])]
+
+    @pytest.mark.parametrize("p,rows,depth,exponent", _GROWTH_DEEP)
+    def test_it_predicts_the_engine_past_schreier_sims(self, p, rows, depth, exponent):
+        predicted = growth_order_exponent(_growth_session(p, rows), depth)
+        g = gv.build(gv.validate(p, rows), depth, allow_large=True).G
+        assert predicted == g.order_exponent == exponent
+
+    def test_it_fails_on_the_constant_vector(self):
+        predicted = growth_order_exponent(_growth_session(3, [(1, 1)]), 5)
+        assert (predicted, gv.build(gv.validate(3, [(1, 1)]), 5).G.order_exponent) == (69, 64)
 
 
 class TestLevelDimensions:

@@ -1017,7 +1017,7 @@ class TestLastLayerModule:
             assert not any(_adds_pivot(p, [*rows, *moved])[len(rows) :]), name
 
 
-# -- normal generators: the seeds a closure keeps ---------------------------------
+# -- normal generators: the seeds a closure records -------------------------------
 
 
 def _same_spans(h, k):
@@ -1029,16 +1029,15 @@ def _same_spans(h, k):
     return True
 
 
-def _is_subsequence(kept, seeds):
+def _same_elements(kept, seeds):
     # by identity: the very elements handed in, in their order
-    rest = iter(seeds)
-    return all(any(k is s for s in rest) for k in kept)
+    return len(kept) == len(seeds) and all(k is s for k, s in zip(kept, seeds))
 
 
 class TestNormalGenerators:
-    """A cold normal closure records only the seeds that left a residual,
-    and st(1) records b_1, ..., b_r; commutator subgroups seeded from those
-    are the ones seeded from every pair of group generators."""
+    """A normal closure, cold or warm, records every seed it was handed, in
+    order, and st(1) records b_1, ..., b_r; commutator subgroups seeded from
+    those are the ones seeded from every pair of group generators."""
 
     @pytest.mark.parametrize(
         "p,rows,depth",
@@ -1082,7 +1081,7 @@ class TestNormalGenerators:
             seeds = g.generators[1:] if pair is None else next(
                 e for out, e in handed if out.chain is h.chain
             )
-            assert _is_subsequence(kept, seeds), name
+            assert _same_elements(kept, seeds), name
             again = normal_closure(g, kept)
             assert again.order_exponent == h.order_exponent, name
             assert again.containment_witness(h) is None, name
@@ -1094,6 +1093,38 @@ class TestNormalGenerators:
                 )
                 assert every.order_exponent == h.order_exponent, name
                 assert _same_spans(every, h), name
+
+    def test_cold_closure_records_every_seed(self, gs4):
+        g = gs4.G
+        a, b = g.generators
+        x, y = commutator(a, b), commutator(a, b * b)
+        # a copy of x, so identity tells the two apart; it reduces to the
+        # identity against the representatives x and y made
+        again = Perm(x.images.copy())
+        seeds = [x, y, again]
+        h = normal_closure(g, seeds)
+        assert h.origin.ambient is g
+        assert _same_elements(h.origin.elements, seeds)
+        # the repeat left no residual: no generator is its array
+        assert not any(z.images is again.images for z in h.generators)
+        assert h.order_exponent == normal_closure(g, seeds[:2]).order_exponent
+
+    def test_commutators_take_the_fewer_normal_generators(self, r2_spec):
+        # st(1) given by the 33 representatives of G's cold layers: derived()
+        # is handed 201 non-trivial commutators and finds 21 generators, so
+        # [st(1)', st(1)] is seeded from those 21
+        st1 = gv.build(r2_spec, 4).G.level_stabilizer(1)
+        st1 = PermGroup(st1.degree, st1.generators, prime=3)
+        d = st1.derived()
+        assert (len(d.origin.elements), len(d.generators)) == (201, 21)
+        with mock.patch.object(
+            permgroups, "normal_closure", wraps=permgroups.normal_closure
+        ) as closure:
+            h = commutator_subgroup(d, st1, st1)
+        seeds = closure.call_args.args[1]
+        assert len(seeds) == len(permgroups._commutators(d.generators, st1.generators))
+        every = commutator_subgroup(PermGroup(st1.degree, d.origin.elements, prime=3), st1, st1)
+        assert _same_spans(h, every)
 
     def test_seed_counts(self, sym5_spec):
         s = gv.build(sym5_spec, 3)

@@ -399,6 +399,14 @@ class TestPermBasics:
         assert q**3 == Perm.identity(3)
         assert q**-1 == q.inverse()
 
+    def test_equality_and_hash_follow_the_images(self):
+        q = Perm([2, 0, 1, 3])
+        copy = Perm(q.images.copy())
+        assert copy is not q and copy == q and hash(copy) == hash(q)
+        assert len({q, copy}) == 1
+        assert q != Perm([2, 0, 1, 3, 4]) and q != Perm([0, 2, 1, 3])
+        assert Perm.identity(3) != Perm.identity(4)
+
 
 # -- hypothesis property suites ------------------------------------------------
 
