@@ -94,8 +94,10 @@ then, which generate a group that holds r' as admitted.  Level N-2 shows the
 same of its factor, with [t, r] for the added r alone; a cold closure has R
 empty, and its rows are all added.  H_0 holds L and every seed and is
 invariant, and L lies in the closure, so H_0 is the closure.  It starts from
-shares (_Layer.share): views of exactly the rows L holds, so the first row a
-level gains moves it into new arrays, and L's layers never change.
+shares (_Layer.share): views of exactly the label rows L holds, which the
+first row a level gains moves into new arrays, and L's own representatives
+and divisors, which push replaces and never writes into, so L's layers
+never change.
 Two kinds of closure start warm.  G' is normal in G and lies in it, so
 GroupSession builds G's layers from those of G' (PermGroup._grow_from),
 in a closure that sifts only a, b_1, ..., b_r and their p-th powers
@@ -182,8 +184,8 @@ labels u[pull], pull being the level-(N-1) vertex map of y^-1, built once
 per closure for each ambient generator.  The p-th power of a new level-(N-2)
 representative, and the commutators of Level N-2, are evaluated on the
 first leaf below each level-(N-1) vertex only, the commutators of one t
-with its peers in one gather (on every level below the last the
-representatives and inverses are 2-D arrays).  Phase 1 sifts a permutation
+with up to _RUN of its peers in one gather, over those peers and their
+inverses stacked once for every t.  Phase 1 sifts a permutation
 candidate through the levels above the last only; if it leaves no residual
 there, its level-(N-1) labels become a stack of one, unless the last layer
 is full (Full levels).  The stacks of seeds and p-th powers join one queue
@@ -271,14 +273,14 @@ commutators of level-(N-2) representatives and the conjugate stacks.  A
 stack takes an eighth of the bytes of intp, and its product with float32
 rows (Exact in float32) runs in single precision, where intp would promote
 it to float64.
-Above the last level a new representative is queued as one copy, taken
-once push has cleared its pivot from the older representatives, once per
-ambient generator; the conjugate by that generator is made when the item
-leaves the queue.  push rewrites a representative in place when a later row
-clears its pivot, which is why the copy is needed: the conjugate is then
-the one made at once from the representative as it was, and one array of
-the degree's length is held per representative instead of one per ambient
-generator.
+Above the last level a new representative is queued once per ambient
+generator, as the very array its layer keeps, once push has cleared its
+pivot from the older representatives; the conjugate by that generator is
+made when the item leaves the queue.  When a later row clears its pivot,
+push gives the row a new representative and writes into none, so the
+conjugate is the one made at once from the representative as it was, and
+one array of the degree's length is held per representative instead of
+one per ambient generator.
 
 Exact in float32.  The label rows of a tree's layers are float32 when
 (p-1)^2 p^(N-1) + p^3 < 2^22 (_row_type), else float64.  The float code
@@ -544,43 +546,41 @@ class _Layer:
     rows in the type they have.  leaves[j] = pivots[j] *
     below, with below = p**(N-m), is the first leaf below the vertex of
     pivot j, so one gather reads an element's exponents.  Below the last
-    level row j has a representative reps[j], and divs[c-1, j] is reps[j]
-    raised to -c.  A layer with no rows makes membership refuse at once an
-    element with non-zero labels at its level: a member's are zero there
-    (module docstring).
-    The arrays grow by doubling, up to cap plus the rows being added;
-    rows from dim on are unused, or hold residuals on their way in, until
-    the closure drops them.  add and extend take residuals through one
-    elimination, _clear; extend clears the pivots it adds from the rows the
-    layer had in one product.  steps[c-1][j] is a view of divs[c-1, j], made
-    once per array, as a list is indexed faster than numpy makes a view.
-    cap is the most rows the layer can reach: its width, or the dimension
-    of the ambient group's layer when a closure knows it (_close)."""
+    level row j has a representative reps[j], and divs[c-1][j] is reps[j]
+    raised to -c: reps and the p-1 lists of divs hold one read-only array
+    per row, each its own, and are empty on the last level.  A layer with
+    no rows makes membership refuse at once an element with non-zero
+    labels at its level: a member's are zero there (module docstring).
+    The label rows, pivots and leaves grow by doubling, up to cap plus the
+    rows being added; rows from dim on are unused, or hold residuals on
+    their way in, until the closure drops them.  A new row appends its
+    representative and divisors, and push replaces those of a row it
+    rewrites, so no representative is copied when the layer grows, is
+    shared or is trimmed, and none is written into once kept.  add and
+    extend take residuals through one elimination, _clear; extend clears
+    the pivots it adds from the rows the layer had in one product.  cap is
+    the most rows the layer can reach: its width, or the dimension of the
+    ambient group's layer when a closure knows it (_close)."""
 
-    __slots__ = ("rows", "pivots", "leaves", "below", "dim", "reps", "divs", "steps", "cap")
+    __slots__ = ("rows", "pivots", "leaves", "below", "dim", "reps", "divs", "cap")
 
     def __init__(self, tree: _Tree, m: int):
-        degree = len(tree.identity) if m < tree.depth - 1 else 0
         self.rows = np.empty((0, tree.p**m), dtype=tree.row_type)
         self.pivots = np.empty(0, dtype=np.intp)
         self.below = tree.p ** (tree.depth - m)
         self.leaves = np.empty(0, dtype=np.intp)
         self.dim = 0
-        self.reps = np.empty((0, degree), dtype=np.intp)
-        self.divs = np.empty((tree.p - 1, 0, degree), dtype=np.intp)
-        self.steps = None
+        self.reps = []
+        self.divs = [[] for _ in range(tree.p - 1)]
         self.cap = tree.p**m
 
     def resize(self, size: int) -> None:
-        """Room for exactly `size` rows, the first dim kept, one array at a time."""
+        """Room for exactly `size` label rows, pivots and leaves, the first
+        dim kept; the representatives and divisors are not touched."""
         d = self.dim
         self.rows = _fit(self.rows, size, d)
         self.pivots = _fit(self.pivots, size, d)
         self.leaves = _fit(self.leaves, size, d)
-        self.reps = _fit(self.reps, size, d)
-        divs = np.empty((len(self.divs), size, self.reps.shape[1]), dtype=np.intp)
-        divs[:, :d] = self.divs[:, :d]
-        self.divs, self.steps = divs, None
 
     def residual(self, u: np.ndarray, p: int, out=None) -> np.ndarray:
         """The residuals against this layer of u, one label vector or a stack
@@ -678,6 +678,23 @@ class _Layer:
             rows[hit] = _mod(rows[hit] - rows[hit][:, new] @ rows[d : self.dim], p)
         return added, np.array(as_added).reshape(len(added), self.rows.shape[1])
 
+    def keep(self, j: int, rep: np.ndarray) -> None:
+        """Make rep the representative of row j, with its divisors, each
+        read-only: appended when j is the next row, else in place of row
+        j's arrays, which are not written into."""
+        new = [rep, _inverse(rep)]
+        for _ in range(len(self.divs) - 1):
+            new.append(new[1][new[-1]])
+        for a in new:
+            a.setflags(write=False)
+        planes = [self.reps, *self.divs]
+        if j < len(self.reps):
+            for plane, a in zip(planes, new):
+                plane[j] = a
+        else:
+            for plane, a in zip(planes, new):
+                plane.append(a)
+
     def push(self, hits) -> np.ndarray:
         """Clear the newest representative's multiples out of the older
         ones: hits holds (row, multiple) for each old row that lost a
@@ -685,20 +702,21 @@ class _Layer:
         d = self.dim - 1
         for i, t in hits:
             # row i lost t times the new row, so its representative does too
-            self.reps[i] = self.divs[t - 1, d][self.reps[i]]
-            _divisors(self.reps[i], self.divs[:, i])
+            self.keep(i, self.divs[t - 1][d][self.reps[i]])
         return self.reps[d]
 
     def share(self) -> "_Layer":
         """A layer with this one's rows that a closure may grow apart from it.
-        Its arrays are views of exactly dim rows, so the first row it gains
-        resizes them into new arrays before anything is written, and this
+        Its label rows, pivots and leaves are views of exactly dim rows, so
+        the first row it gains resizes them into new arrays before anything
+        is written; its representatives and divisors are new lists of the
+        same arrays, which push replaces and never writes into.  So this
         layer never changes."""
         out = _Layer.__new__(_Layer)
         d = out.dim = self.dim
         out.rows, out.pivots, out.leaves = self.rows[:d], self.pivots[:d], self.leaves[:d]
-        out.reps, out.divs = self.reps[:d], self.divs[:, :d]
-        out.below, out.steps, out.cap = self.below, None, self.rows.shape[1]
+        out.reps, out.divs = self.reps[:d], [plane[:d] for plane in self.divs]
+        out.below, out.cap = self.below, self.rows.shape[1]
         return out
 
 
@@ -707,13 +725,6 @@ def _fit(a: np.ndarray, size: int, keep: int) -> np.ndarray:
     out = np.empty((size, *a.shape[1:]), a.dtype)
     out[:keep] = a[:keep]
     return out
-
-
-def _divisors(rep: np.ndarray, out: np.ndarray) -> None:
-    """Write rep raised to -1, -2, ..., -(p-1) into the p-1 rows of out."""
-    out[0][rep] = np.arange(len(rep))
-    for c in range(1, len(out)):
-        out[c] = out[0][out[c - 1]]
 
 
 class _Layers:
@@ -731,9 +742,10 @@ class _Layers:
 
     def truncate(self, m: int) -> "_Layers":
         """Layers of the level-m quotient, 1 <= m < depth: levels 0..m-2
-        share rows and pivots and restrict their representatives and
-        divisors, level m-1 keeps its rows only, and every level reads its
-        leaves on the smaller tree; see Quotients in the module docstring."""
+        share rows and pivots and restrict their representatives, whose
+        divisors keep makes anew, level m-1 keeps its rows only, and every
+        level reads its leaves on the smaller tree; see Quotients in the
+        module docstring."""
         tree = _Tree(self.tree.p, m)
         step = self.tree.p ** (self.tree.depth - m)
         levels = []
@@ -742,8 +754,8 @@ class _Layers:
             out.rows, out.pivots, out.dim = lvl.rows, lvl.pivots, lvl.dim
             out.leaves = lvl.pivots[: lvl.dim] * out.below
             if k < m - 1:
-                out.reps = lvl.reps[: lvl.dim, ::step] // step
-                out.divs = lvl.divs[:, : lvl.dim, ::step] // step
+                for j, rep in enumerate(lvl.reps):
+                    out.keep(j, rep[::step] // step)
             levels.append(out)
         return _Layers(tree, levels)
 
@@ -769,11 +781,9 @@ class _Layers:
     def _divide(self, x: np.ndarray, m: int) -> np.ndarray:
         lvl = self.levels[m]
         if lvl.dim:
-            if lvl.steps is None:
-                lvl.steps = [list(plane) for plane in lvl.divs]
             for j, k in enumerate(self._exponents(x, m).tolist()):
                 if k:
-                    x = lvl.steps[k - 1][j][x]
+                    x = lvl.divs[k - 1][j][x]
         return x
 
     def contains(self, x: np.ndarray) -> bool:
@@ -814,8 +824,9 @@ class _Layers:
         lvl = self.levels[m]
         scale, hits = lvl.add(residual, self.tree.p)
         d = lvl.dim - 1
-        lvl.reps[d] = _power(x, scale)
-        _divisors(lvl.reps[d], lvl.divs[:, d])
+        rep = _power(x, scale)
+        # a seed may be a view of a block of generators: copied, it pins none
+        lvl.keep(d, rep if rep.flags.owndata else rep.copy())
         return d, hits
 
 
@@ -846,16 +857,17 @@ def _commutator_stacks(tree: _Tree, lvl: _Layer, new: int, conj) -> list:
     lvl from row `new` on, those the closure added, as stacks of level-(N-1)
     labels of at most _RUN rows, t by t and r in row order; t's commutators
     with the start's rows lie in the start (Level N-2 in the module
-    docstring).  Its views of lvl's arrays end with the call, so a later
-    trim frees them."""
-    reps, invs = lvl.reps[: lvl.dim], lvl.divs[0, : lvl.dim]
-    out = []
-    for t in _module_generators(tree, lvl, new, conj):
-        for i in range(new, len(reps), _RUN):
-            ys, yinvs = reps[i : i + _RUN], invs[i : i + _RUN]
+    docstring).  The r and their inverses are stacked one chunk of rows at
+    a time, for every t."""
+    reps, invs = lvl.reps, lvl.divs[0]
+    ts = _module_generators(tree, lvl, new, conj)
+    out = [[] for _ in ts]
+    for i in range(new, lvl.dim, _RUN):
+        ys, yinvs = np.stack(reps[i : i + _RUN]), np.stack(invs[i : i + _RUN])
+        for stacks, t in zip(out, ts):
             comm = _comm_rows(reps[t], invs[t], ys, yinvs, tree.starts[-1])
-            out.append(tree.digits[-1][comm])
-    return out
+            stacks.append(tree.digits[-1][comm])
+    return [stack for stacks in out for stack in stacks]
 
 
 def _close(
@@ -934,20 +946,19 @@ def _close(
             # added, as they were before push clears the new pivot out of them
             side.append((_power(rep, p), m + 1, None))
             if not central:
-                peers = slice(own[m], d)
-                comm = rep, lvl.divs[0, d], lvl.reps[peers], lvl.divs[0, peers]
-                side.extend((c, m + 1, None) for c in _comm_rows(*comm, slice(None)))
+                # [rep, y] at every leaf, one new array per peer y
+                xinv, peers = lvl.divs[0][d], slice(own[m], d)
+                for y, yinv in zip(lvl.reps[peers], lvl.divs[0][peers]):
+                    side.append((y[rep[yinv[xinv]]], m + 1, None))
         else:
             # at level N-2 the p-th power alone; the commutators come once
             # the layer is final
             side.append((tree.power_labels(rep), None, None))
         lvl.push(hits)
-        if conj:
-            # push rewrites older representatives in place, and this one once
-            # a later row clears its pivot: its conjugates are made, when
-            # taken from the queue, from a copy of it as it is now
-            rep = rep.copy()
-            main.extend((rep, m, by) for by in conj)
+        # push replaces a representative whose row it rewrites, this one too
+        # once a later row clears its pivot, and writes into none: so the
+        # conjugates, made when taken from the queue, are of rep as it is now
+        main.extend((rep, m, by) for by in conj)
 
     # phase 1: the layers above the last; what reaches the last level is
     # queued as labels, unless the last layer is full

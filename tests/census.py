@@ -16,7 +16,12 @@ second_derived_contains_stab, which needs depth r+4, at that depth on the
 156 p=5 r=1 row spaces (N=5) and the 5 p=3 row spaces (r=1 at N=5, r=2 at
 N=6), compares each verdict with paper_status and prints how many it
 decided (held or failed): 159, the constant vectors being skipped; 27 s
-more on 2 vCPU.  It exits 1 on any mismatch or on any other count:
+more on 2 vCPU.  On every session it builds whose depth has a level m >=
+r+2, it checks the growth law d_m = p d_(m-1) there on G's layer
+dimensions (oracles.growth_order_exponent): that it holds at every such
+level on each non-constant row space and fails at one on each constant
+vector, 317 sessions (the p=5 r=2 ones at depth 4 have no such level).
+It exits 1 on any mismatch or on any other count:
 
     PYTHONPATH=src python tests/census.py
 """
@@ -28,6 +33,7 @@ from itertools import accumulate, combinations, product
 
 import ggsver as gv
 from ggsver.checks import FAILS, HOLDS, SKIPPED, VACUOUS
+from ggsver.ggs import is_constant
 from oracles import ggs_order_exponent
 
 # the depth the p=5 census runs each r at, and the count of row spaces
@@ -39,6 +45,10 @@ P5_ROW_SPACES = 1119
 CENTRAL = "second_derived_contains_stab"
 CENTRAL_CASES = ((5, 1), (3, 1), (3, 2))
 CENTRAL_ROW_SPACES = 161
+
+# the sessions above whose depth has a level m >= r+2, where the growth law
+# is checked: p=5 r=1 at depth 4 and every central one
+GROWTH_SESSIONS = 317
 
 
 def row_spaces(p, r):
@@ -109,16 +119,42 @@ def order_mismatches(session) -> list:
     return [(n, got, want) for n, got, want in pairs if got != want]
 
 
+def growth_law_mismatch(session):
+    """None when the session's depth has no level m >= r+2; else whether
+    G's layer dimensions break what the growth law d_m = p d_(m-1), m >=
+    r+2, is measured to do (oracles.growth_order_exponent): hold at every
+    such level on a non-constant row space, and fail at one on the constant
+    vector.  It reads the layers the checks built, and builds G's only
+    where no check read them, on the constant vector's central session."""
+    p, r = session.spec.p, session.spec.r
+    d = session.G.chain.dimensions()
+    if len(d) <= r + 2:
+        return None
+    holds = all(d[m] == p * d[m - 1] for m in range(r + 2, len(d)))
+    return holds == is_constant(session.spec)
+
+
 def central_verdict(p, rows):
-    """(depth, status, paper_status) of the central containment, run alone
-    on a new session at depth r+4, the least where it says anything."""
+    """(session, status, paper_status) of the central containment, run
+    alone on a new session at depth r+4, the least where it says anything."""
     depth = len(rows) + 4
     session = gv.build(gv.validate(p, rows), depth)
-    return depth, gv.CHECKS[CENTRAL](session).status, paper_status(CENTRAL, p, rows, depth)
+    return session, gv.CHECKS[CENTRAL](session).status, paper_status(CENTRAL, p, rows, depth)
 
 
 def main() -> int:
-    count = mismatches = ordered = 0
+    count = mismatches = ordered = grown = 0
+
+    def growth(session, rows):
+        nonlocal mismatches, grown
+        law = growth_law_mismatch(session)
+        if law is not None:
+            grown += 1
+            if law:
+                mismatches += 1
+                dims = session.G.chain.dimensions()
+                print(f"p={session.spec.p} {rows} N={session.depth} growth law: {dims}")
+
     for r, depth in P5_DEPTHS.items():
         for rows in row_spaces(5, r):
             count += 1
@@ -128,6 +164,7 @@ def main() -> int:
                 if status != want:
                     mismatches += 1
                     print(f"{rows} N={depth} {cid}: {status}, expected {want}")
+            growth(session, rows)
             if r == 1 and len(set(rows[0])) > 1:
                 ordered += 1
                 for n, got, want in order_mismatches(session):
@@ -138,13 +175,15 @@ def main() -> int:
     for p, r in CENTRAL_CASES:
         for rows in row_spaces(p, r):
             deep += 1
-            depth, status, want = central_verdict(p, rows)
+            session, status, want = central_verdict(p, rows)
             decided += status in (HOLDS, FAILS)
             if status != want:
                 mismatches += 1
-                print(f"p={p} {rows} N={depth} {CENTRAL}: {status}, expected {want}")
-    print(f"{CENTRAL} at depth r+4: {deep} row spaces, {decided} decided, {mismatches} mismatches in all")
-    ok = count == P5_ROW_SPACES and deep == CENTRAL_ROW_SPACES
+                print(f"p={p} {rows} N={session.depth} {CENTRAL}: {status}, expected {want}")
+            growth(session, rows)
+    print(f"{CENTRAL} at depth r+4: {deep} row spaces, {decided} decided")
+    print(f"growth law on {grown} sessions; {mismatches} mismatches in all")
+    ok = count == P5_ROW_SPACES and deep == CENTRAL_ROW_SPACES and grown == GROWTH_SESSIONS
     return 0 if ok and not mismatches else 1
 
 

@@ -26,10 +26,20 @@ settings.register_profile(
 settings.load_profile("det")
 
 
-def pytest_report_header(config):
+def pytest_terminal_summary(terminalreporter):
     # pyproject's pythonpath puts this checkout's src ahead of PYTHONPATH, so
-    # the suite tests the checkout it runs from; the header says which
-    return f"ggsver: {Path(gv.__file__).parent}"
+    # the suite tests the checkout it runs from; the summary says which, as
+    # a header would not under -q
+    terminalreporter.write_line(f"ggsver: {Path(gv.__file__).parent}")
+
+
+def _session(spec, depth):
+    """A session whose G's layers are grown from G', as every check grows
+    them, so that G's representatives, and the generators of what is read
+    off them, do not depend on which test touches the session first."""
+    session = gv.build(spec, depth)
+    session.derived()
+    return session
 
 
 @pytest.fixture(scope="session")
@@ -54,14 +64,14 @@ def sym5_spec():
 
 @pytest.fixture(scope="session")
 def gs3(gs_spec):
-    return gv.build(gs_spec, 3)
+    return _session(gs_spec, 3)
 
 
 @pytest.fixture(scope="session")
 def gs4(gs_spec):
-    return gv.build(gs_spec, 4)
+    return _session(gs_spec, 4)
 
 
 @pytest.fixture(scope="session")
 def r2_4(r2_spec):
-    return gv.build(r2_spec, 4)
+    return _session(r2_spec, 4)

@@ -433,7 +433,8 @@ def _copied(start):
         out = _Layer(start.tree, m)
         out.rows, out.pivots = lvl.rows[:d].copy(), lvl.pivots[:d].copy()
         out.leaves, out.dim = lvl.leaves[:d].copy(), d
-        out.reps, out.divs = lvl.reps[:d].copy(), lvl.divs[:, :d].copy()
+        out.reps = [r.copy() for r in lvl.reps[:d]]
+        out.divs = [[x.copy() for x in plane[:d]] for plane in lvl.divs]
         levels.append(out)
     return _Layers(start.tree, levels)
 

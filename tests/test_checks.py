@@ -44,9 +44,11 @@ from ggsver.portraits import (
 from census import (
     CENTRAL_CASES,
     CENTRAL_ROW_SPACES,
+    GROWTH_SESSIONS,
     P5_DEPTHS,
     P5_ROW_SPACES,
     central_verdict,
+    growth_law_mismatch,
     order_mismatches,
     paper_status,
     row_spaces,
@@ -1447,9 +1449,23 @@ class TestP3Census:
         # the p=5 r=1 ones take about 30 s, so only the script runs them
         assert sum(1 for p, r in CENTRAL_CASES for _ in row_spaces(p, r)) == CENTRAL_ROW_SPACES
         got = [central_verdict(3, rows) for rows in P3_ROW_SPACES]
-        assert [depth for depth, _, _ in got] == [len(rows) + 4 for rows in P3_ROW_SPACES]
+        assert [s.depth for s, _, _ in got] == [len(rows) + 4 for rows in P3_ROW_SPACES]
         assert all(status == want for _, status, want in got)
         assert [status for _, status, _ in got].count(HOLDS) == 4
+
+    def test_the_census_checks_the_growth_law(self):
+        # census.growth_law_mismatch on the sessions of the central
+        # containment: the law holds from level r+2 on the four non-constant
+        # row spaces and fails on 1,1 (layers 1, 3, 5, 14, 41 at N=5); it
+        # says nothing below depth r+3, and catches a mutant whose level-4
+        # dimension moves (1, 2, 4, 12, 78 at N=5)
+        assert sum(1 for _ in row_spaces(5, 1)) + CENTRAL_ROW_SPACES == GROWTH_SESSIONS
+        sessions = [central_verdict(3, rows)[0] for rows in P3_ROW_SPACES]
+        assert [growth_law_mismatch(s) for s in sessions] == [False] * 5
+        assert sessions[2].G.chain.dimensions() == [1, 3, 5, 14, 41]
+        assert growth_law_mismatch(gv.build(gv.validate(3, [(1, 2)]), 3)) is None
+        mutant = last_vertex_mutant(gv.validate(3, [(1, 2)]), 5, 0, 0)
+        assert growth_law_mismatch(mutant)
 
     @pytest.mark.parametrize("rows", [[(1, 0)], [(0, 1)], [(1, 2)]], ids=str)
     def test_orders_follow_the_formula(self, rows):

@@ -1166,12 +1166,15 @@ def _pivot_sorted(layers):
     return out
 
 
+def _kept_arrays(lvl):
+    """Every array a layer keeps: its label rows, pivots and leaves, then
+    each representative and each divisor."""
+    return [lvl.rows, lvl.pivots, lvl.leaves, *lvl.reps, *(x for plane in lvl.divs for x in plane)]
+
+
 def _layer_arrays(layers):
     """Copies of every array of every layer, to see that none changed."""
-    return [
-        [a.copy() for a in (lvl.rows, lvl.pivots, lvl.leaves, lvl.reps, lvl.divs)]
-        for lvl in layers.levels
-    ]
+    return [[a.copy() for a in _kept_arrays(lvl)] for lvl in layers.levels]
 
 
 def _wreath_elements(p, n, rng, count):
@@ -1209,6 +1212,7 @@ class TestWarmStart:
         warm = g._chain
         assert warm is not None and "_start" not in vars(g)
         for got, want in zip(_layer_arrays(d.chain), before):
+            assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         cold = PermGroup(g.degree, g.generators, prime=p)
         assert warm.dimensions() == cold.chain.dimensions()
@@ -1295,6 +1299,7 @@ class TestWarmNormalClosure:
             assert _same_spans(warm, cold), name
             # the start lent its layers and kept them as they were
             for got, want in zip(_layer_arrays(start.chain), before):
+                assert len(got) == len(want), name
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
             # generators: the start's, then those the closure found
             n = len(start.generators)
@@ -1339,6 +1344,32 @@ class TestWarmNormalClosure:
         # not even the argument check: G' was closed in G, and G is G
         assert sifted == []
         assert warm.order_exponent == s.gamma3().order_exponent
+
+    @pytest.mark.parametrize("fixture,depth", [("r2_spec", 5), ("sym5_spec", 4)])
+    def test_a_warm_closure_replaces_and_never_writes_the_start_s_arrays(
+        self, fixture, depth, request
+    ):
+        # gamma3 grown from G'' gains rows and clears their pivots from rows
+        # of the start: it replaces those rows' representatives and
+        # divisors, so the start keeps every array it had, the very
+        # objects, unchanged, and every representative and divisor either
+        # layer keeps is read-only
+        s = gv.build(request.getfixturevalue(fixture), depth)
+        g, d = s.G, s.derived()
+        start = commutator_subgroup(d, d, g)
+        kept = [_kept_arrays(lvl) for lvl in start.chain.levels]
+        before = _layer_arrays(start.chain)
+        warm = commutator_subgroup(d, g, g, start)
+        assert warm.order_exponent > start.order_exponent
+        replaced = 0
+        for lvl, ref, arrays, copies in zip(warm.chain.levels, start.chain.levels, kept, before):
+            now = _kept_arrays(ref)
+            assert len(now) == len(arrays) and all(a is b for a, b in zip(now, arrays))
+            assert all(np.array_equal(a, b) for a, b in zip(now, copies))
+            replaced += sum(a is not b for a, b in zip(lvl.reps, ref.reps))
+            for a in _kept_arrays(lvl)[3:] + now[3:]:
+                assert not a.flags.writeable
+        assert replaced
 
 
 def test_commutators_need_no_inverse(gs4):
@@ -1431,8 +1462,9 @@ class TestCentralStart:
     @pytest.mark.parametrize("central", [False, True])
     def test_a_closure_that_adds_no_row_shares_the_start(self, gs4, central):
         # G''s own generators reach its last layer as runs that add no row:
-        # no layer takes room, the last one included, so each keeps the
-        # start's arrays, and nothing is trimmed
+        # no layer takes room, the last one included, so each keeps views of
+        # the start's label rows, pivots and leaves, and its very
+        # representatives and divisors, and nothing is trimmed
         d = gs4.derived()
         tree = d.chain.tree
         seeds = [x.images for x in d.generators]
@@ -1442,9 +1474,11 @@ class TestCentralStart:
         assert sizes and found == []
         assert layers.dimensions() == d.chain.dimensions()
         for lvl, start in zip(layers.levels, d.chain.levels):
-            for name in ("rows", "pivots", "leaves", "reps", "divs"):
+            for name in ("rows", "pivots", "leaves"):
                 got, want = getattr(lvl, name), getattr(start, name)
                 assert got.size == 0 or np.shares_memory(got, want), name
+            got, want = _kept_arrays(lvl)[3:], _kept_arrays(start)[3:]
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
 def _first_outside(group, other):
@@ -1894,9 +1928,11 @@ class TestLayerLayout:
     too, whose buffer may hold a run past its width while a closure runs,
     and for each pivot the first leaf below its vertex in the handle's own
     tree: in closures, truncations and suffixes alike.  Below the last
-    level a layer holds its representatives and their divisors as two
-    arrays of exactly its dimension: nothing reserved for rows never filled
-    is kept, and divs[c-1, j] is reps[j] raised to -c."""
+    level a layer holds exactly its dimension of representatives and of
+    divisors of each power, each its own read-only array of the degree's
+    length, a view of no block: nothing reserved for rows never filled is
+    kept, and divs[c-1][j] is reps[j] raised to -c.  The last layer holds
+    none."""
 
     @pytest.mark.parametrize("fixture", ["gs_spec", "r2_spec", "sym5_spec"])
     def test_closure_truncation_and_stabilizer(self, fixture, request):
@@ -1905,6 +1941,9 @@ class TestLayerLayout:
         n = g.level
         handles = (g, g.level_stabilizer(2))
         handles += (g.truncate(n - 1), g.derived().truncate(3), g.truncate(n - 1).level_stabilizer(1))
+        # a closure of a truncation's generators, rows of one restricted block
+        t = g.truncate(n - 1)
+        handles += (PermGroup(t.degree, t.generators, prime=g.prime),)
         for h in handles:
             p, degree = h.prime, h.degree
             identity = np.arange(degree)
@@ -1917,12 +1956,15 @@ class TestLayerLayout:
                 assert np.array_equal(lvl.leaves, lvl.pivots[: lvl.dim] * below)
             for lvl in layers[:-1]:
                 d = lvl.dim
-                assert lvl.reps.shape == (d, degree)
-                assert lvl.divs.shape == (p - 1, d, degree)
+                assert len(lvl.reps) == d
+                assert [len(plane) for plane in lvl.divs] == [d] * (p - 1)
+                for a in _kept_arrays(lvl)[3:]:
+                    assert a.shape == (degree,) and a.flags.owndata and not a.flags.writeable
                 for j in range(d):
-                    assert np.array_equal(lvl.divs[0, j][lvl.reps[j]], identity)
+                    assert np.array_equal(lvl.divs[0][j][lvl.reps[j]], identity)
                     for c in range(1, p - 1):
-                        assert np.array_equal(lvl.divs[c, j], lvl.divs[0, j][lvl.divs[c - 1, j]])
+                        assert np.array_equal(lvl.divs[c][j], lvl.divs[0][j][lvl.divs[c - 1][j]])
+            assert layers[-1].reps == [] and layers[-1].divs == [[]] * (p - 1)
             assert sum(lvl.dim for lvl in layers[:-1])
 
 
