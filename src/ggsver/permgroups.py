@@ -164,18 +164,48 @@ representatives instead.
 
 Containment reads the same record.  If H's origin is E in an ambient A, and
 K is A or its origin's ambient is A too, K is invariant under A's
-generators, so the closure H of E under them lies in K exactly when E does:
-containment_witness sifts E alone, and names the first element of E outside
-K, the first seed outside K, whether H was closed cold or warm.  For a cold
-closure it is also the first of H's generators outside K, the witness a
-scan of every generator gives: the seeds before it lie in K, so it left a
-residual (Normal generators), and those that left one are the prefix of the
-generators.  When K is A itself, or K is H, containment_witness sifts
+generators, so the closure H of E under them lies in K exactly when E does,
+and the first element of E outside K, the first seed outside K, is the
+witness, whether H was closed cold or warm.  For a cold closure it is also
+the first of H's generators outside K, the witness a scan of every generator
+gives: the seeds before it lie in K, so it left a residual (Normal
+generators), and those that left one are the prefix of the generators.  So
+containment_witness sifts E, or for a cold closure the fewer of E and H's
+generators: a cold closure of many redundant seeds, such as derived() of a
+group given by many generators, records far more seeds than the generators
+it finds.  When K is A itself, or K is H, containment_witness sifts
 nothing.  H is then the closure under A's generators of elements of A, so
 it lies in A: a normal closure checks that its seeds lie in A, and
 derived(), commutator_subgroup, GroupSession.st1() and the session's
 derived series build theirs from A's elements.  A handle closed in no group
 has no ambient, and matches none.
+
+Block starts.  The block starts are the first leaves below the level-(N-1)
+vertices, vp for v on that level (_Tree.starts[-1]).  An element x of W_N is
+fixed by h, its images of the block starts: x sends child c of v to child
+c + x_v of x(v), and x(vp) = p x(v) + x_v, so x(vp + c) = x(vp) - x(vp) mod p
++ (x(vp) + c) mod p (_Tree.expand).  Every label a sift reads is the image of
+a block start: the level-m labels are read at the first leaf below each
+level-m vertex, leaf k p^(N-m), which is block start k p^(N-m-1), so every
+p^(N-1-m)-th of h, and the exponents at the pivots' (_Layer.heads).  And h
+composes as a leaf array does: the element x followed by y, y[x] as arrays,
+has the images y[h] there, for any permutation y.  So phase 1 carries each
+candidate as h, p^(N-1) entries: a seed is restricted once; the conjugate
+s^-1 w s is s[w[t]], with t the images of the block starts under s^-1, made
+once per ambient generator and closure; a new representative's p-th power,
+and its commutators with peers above level N-2, are gathered on the block
+starts from the full representatives.  _sift_upper divides h by one gather
+of the divisor per non-zero exponent, level by level, and reads the labels
+that a sift of the full array reads, at the end the last level's off h
+itself; so every candidate has the residuals it has as a permutation, and
+the layers, the queues and the generators are those of sifting
+permutations.  Every candidate lies in W_N, as the seeds and the ambient
+generators do (Level N-2), so it is the one element its h fixes.  A
+candidate is expanded only when it leaves a residual above the last level:
+the element divided so far, to become a representative, the layers keeping
+full arrays, and a conjugate from the main queue, which is recorded as its
+generator.  Membership (contains) divides full arrays, as it must be exact
+for any permutation, and one outside W_N is not fixed by its block starts.
 
 Bottom layer.  An element w of st(N-1) is its level-(N-1) label vector u,
 and the closure queues such candidates as vectors, not leaf permutations,
@@ -183,10 +213,10 @@ in stacks, one vector per row.  Conjugation permutes labels: y^-1 w y has
 labels u[pull], pull being the level-(N-1) vertex map of y^-1, built once
 per closure for each ambient generator.  The p-th power of a new level-(N-2)
 representative, and the commutators of Level N-2, are evaluated on the
-first leaf below each level-(N-1) vertex only, the commutators of one t
-with up to _RUN of its peers in one gather, over those peers and their
-inverses stacked once for every t.  Phase 1 sifts a permutation
-candidate through the levels above the last only; if it leaves no residual
+block starts only, the commutators of one t with up to _RUN of its peers in
+one gather, over those peers and their inverses stacked once for every t.
+Phase 1 sifts a candidate through the levels above the last only, on the
+block starts (Block starts); if it leaves no residual
 there, its level-(N-1) labels become a stack of one, unless the last layer
 is full (Full levels).  The stacks of seeds and p-th powers join one queue
 as made; a conjugate's waits apart, in the order taken.  Phase 2 queues
@@ -276,8 +306,9 @@ it to float64.
 Above the last level a new representative is queued once per ambient
 generator, as the very array its layer keeps, once push has cleared its
 pivot from the older representatives; the conjugate by that generator is
-made when the item leaves the queue.  When a later row clears its pivot,
-push gives the row a new representative and writes into none, so the
+made, on the block starts, when the item leaves the queue.  When a later row
+clears its pivot, push gives the row a new representative and writes into
+none, so the
 conjugate is the one made at once from the representative as it was, and
 one array of the degree's length is held per representative instead of
 one per ambient generator.
@@ -409,6 +440,7 @@ and representatives are kept in the order they were found.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from typing import NamedTuple
@@ -497,7 +529,9 @@ class _Tree:
         self.identity = idn
         # the level-m labels of x are digits[m][x[starts[m]]]; the last
         # level's in the narrowest unsigned type, so that the label stacks
-        # a closure queues are narrow and multiply the rows in one precision
+        # a closure queues are narrow and multiply the rows in one precision.
+        # starts[-1] are the block starts (Block starts in the module
+        # docstring), and each starts[m] is every p^(n-1-m)-th of them
         self.starts = [idn[:: p ** (n - m)] for m in range(n)]
         self.digits = [idn // p ** (n - m - 1) % p for m in range(n)]
         self.digits[-1] = self.digits[-1].astype(np.min_scalar_type(p - 1))
@@ -509,19 +543,40 @@ class _Tree:
         of them, one per row of u."""
         return self.base + (self.identity + u.take(self.parent, axis=-1)) % self.p
 
+    @functools.cached_property
+    def _cycles(self) -> np.ndarray:
+        """Row a: the leaves of a's block, from a on cyclically."""
+        p = self.p
+        return self.base[:, None] + (self.identity[:, None] + self.identity[:p]) % p
+
+    def expand(self, h: np.ndarray) -> np.ndarray:
+        """The element of W_n whose images of the block starts are h: the
+        leaves of each block follow its start cyclically (Block starts in
+        the module docstring)."""
+        x = np.empty(len(h) * self.p, dtype=np.intp)
+        # block v is the row of h[v]; out is x's own memory, filled unbuffered
+        self._cycles.take(h, axis=0, out=x.reshape(len(h), self.p), mode="clip")
+        return x
+
     def pull(self, yinv: np.ndarray, m: int = -1) -> np.ndarray:
-        """The level-m vertex map of y^-1, the last level's by default: the
+        """The level-m vertex map of y^-1, the last level's by default, from
+        yinv, the images under y^-1 of every leaf or of the block starts
+        alone, which hold the first leaf below each level-m vertex: the
         labels of y^-1 w y, for w in st(m) with level-m labels u, are
-        u[pull(y^-1, m)]."""
+        u[pull(yinv, m)]."""
         m %= self.depth
-        return yinv[self.starts[m]] // self.p ** (self.depth - m)
+        return yinv[:: len(yinv) // self.p**m] // self.p ** (self.depth - m)
+
+    def power(self, x: np.ndarray) -> np.ndarray:
+        """The images of the block starts under x^p."""
+        v = x[:: self.p]
+        for _ in range(self.p - 1):
+            v = x[v]
+        return v
 
     def power_labels(self, x: np.ndarray) -> np.ndarray:
         """The level-(n-1) labels of x^p, for x in st(n-2)."""
-        v = self.starts[-1]
-        for _ in range(self.p):
-            v = x[v]
-        return self.digits[-1][v]
+        return self.digits[-1][self.power(x)]
 
     def in_wreath(self, x: np.ndarray) -> bool:
         """x preserves every level and shifts each vertex's children
@@ -545,13 +600,17 @@ class _Layer:
     float64 (Exact in float32 in the module docstring); a truncation shares
     rows in the type they have.  leaves[j] = pivots[j] *
     below, with below = p**(N-m), is the first leaf below the vertex of
-    pivot j, so one gather reads an element's exponents.  Below the last
+    pivot j, so one gather reads an element's exponents, and heads[j] =
+    leaves[j] / p is that leaf's place among the block starts, where a
+    closure reads them (Block starts in the module docstring).  Below the
+    last
     level row j has a representative reps[j], and divs[c-1][j] is reps[j]
     raised to -c: reps and the p-1 lists of divs hold one read-only array
     per row, each its own, and are empty on the last level.  A layer with
     no rows makes membership refuse at once an element with non-zero
     labels at its level: a member's are zero there (module docstring).
-    The label rows, pivots and leaves grow by doubling, up to cap plus the
+    The label rows, pivots, leaves and heads grow by doubling, up to cap
+    plus the
     rows being added; rows from dim on are unused, or hold residuals on
     their way in, until the closure drops them.  A new row appends its
     representative and divisors, and push replaces those of a row it
@@ -562,25 +621,27 @@ class _Layer:
     the most rows the layer can reach: its width, or the dimension of the
     ambient group's layer when a closure knows it (_close)."""
 
-    __slots__ = ("rows", "pivots", "leaves", "below", "dim", "reps", "divs", "cap")
+    __slots__ = ("rows", "pivots", "leaves", "heads", "below", "dim", "reps", "divs", "cap")
 
     def __init__(self, tree: _Tree, m: int):
         self.rows = np.empty((0, tree.p**m), dtype=tree.row_type)
         self.pivots = np.empty(0, dtype=np.intp)
         self.below = tree.p ** (tree.depth - m)
         self.leaves = np.empty(0, dtype=np.intp)
+        self.heads = np.empty(0, dtype=np.intp)
         self.dim = 0
         self.reps = []
         self.divs = [[] for _ in range(tree.p - 1)]
         self.cap = tree.p**m
 
     def resize(self, size: int) -> None:
-        """Room for exactly `size` label rows, pivots and leaves, the first
-        dim kept; the representatives and divisors are not touched."""
+        """Room for exactly `size` label rows, pivots, leaves and heads, the
+        first dim kept; the representatives and divisors are not touched."""
         d = self.dim
         self.rows = _fit(self.rows, size, d)
         self.pivots = _fit(self.pivots, size, d)
         self.leaves = _fit(self.leaves, size, d)
+        self.heads = _fit(self.heads, size, d)
 
     def residual(self, u: np.ndarray, p: int, out=None) -> np.ndarray:
         """The residuals against this layer of u, one label vector or a stack
@@ -632,6 +693,7 @@ class _Layer:
             rows[d] = row
         self.pivots[d] = j
         self.leaves[d] = j * self.below
+        self.heads[d] = j * self.below // p
         self.dim = d + 1
         return row, hit, t, scale
 
@@ -707,7 +769,8 @@ class _Layer:
 
     def share(self) -> "_Layer":
         """A layer with this one's rows that a closure may grow apart from it.
-        Its label rows, pivots and leaves are views of exactly dim rows, so
+        Its label rows, pivots, leaves and heads are views of exactly dim
+        rows, so
         the first row it gains resizes them into new arrays before anything
         is written; its representatives and divisors are new lists of the
         same arrays, which push replaces and never writes into.  So this
@@ -715,6 +778,7 @@ class _Layer:
         out = _Layer.__new__(_Layer)
         d = out.dim = self.dim
         out.rows, out.pivots, out.leaves = self.rows[:d], self.pivots[:d], self.leaves[:d]
+        out.heads = self.heads[:d]
         out.reps, out.divs = self.reps[:d], [plane[:d] for plane in self.divs]
         out.below, out.cap = self.below, self.rows.shape[1]
         return out
@@ -753,6 +817,7 @@ class _Layers:
             out = _Layer(tree, k)
             out.rows, out.pivots, out.dim = lvl.rows, lvl.pivots, lvl.dim
             out.leaves = lvl.pivots[: lvl.dim] * out.below
+            out.heads = out.leaves // tree.p
             if k < m - 1:
                 for j, rep in enumerate(lvl.reps):
                     out.keep(j, rep[::step] // step)
@@ -802,31 +867,37 @@ class _Layers:
         u = self._exponents(x, last) @ lvl.rows[: lvl.dim]
         return bool((x == tree.from_last_labels(u.astype(np.intp))).all())
 
-    def _sift_upper(self, x: np.ndarray, start: int):
-        """Sift an element of st(start) & W_N through the levels from start
-        to the last: (level, element, labels) of the first non-zero residual
-        above the last level, else (last level, element, its last-level
-        labels).  Reads only the layers above the last."""
+    def _sift_upper(self, h: np.ndarray, start: int):
+        """Sift an element of st(start) & W_N, given by h, its images of the
+        block starts, through the levels from start to the last, dividing by
+        the representatives its non-zero exponents select: (level, h,
+        labels) of the first non-zero residual above the last level, h that
+        of the element divided so far, else (last level, h, its last-level
+        labels).  Reads only the layers above the last (Block starts in the
+        module docstring)."""
         tree = self.tree
         last = tree.depth - 1
         for m in range(start, last):
-            x = self._divide(x, m)
-            r = tree.digits[m][x[tree.starts[m]]]
+            lvl, digits = self.levels[m], tree.digits[m]
+            if lvl.dim:
+                for j, k in enumerate(digits[h[lvl.heads[: lvl.dim]]].tolist()):
+                    if k:
+                        h = lvl.divs[k - 1][j][h]
+            r = digits[h[:: lvl.below // tree.p]]
             if np.count_nonzero(r):
-                return m, x, r
-        return last, x, tree.digits[last][x[tree.starts[last]]]
+                return m, h, r
+        return last, h, tree.digits[last][h]
 
     def _admit(self, m: int, x, residual: np.ndarray):
         """Add the residual as row d at a level m below the last, with its
-        representative and divisors.  Returns d and the hits to pass to
-        _Layer.push; until then the older representatives are as they were
-        before."""
+        representative and divisors; x is the element it came from, an
+        array of its own, which the layer may keep.  Returns d and the hits
+        to pass to _Layer.push; until then the older representatives are as
+        they were before."""
         lvl = self.levels[m]
         scale, hits = lvl.add(residual, self.tree.p)
         d = lvl.dim - 1
-        rep = _power(x, scale)
-        # a seed may be a view of a block of generators: copied, it pins none
-        lvl.keep(d, rep if rep.flags.owndata else rep.copy())
+        lvl.keep(d, _power(x, scale))
         return d, hits
 
 
@@ -892,7 +963,9 @@ def _close(
     result, W_N by default: no layer takes room beyond its dimensions, H
     takes its layers once they would fill, and phase 2 is skipped once the
     last layer is full (Full levels in the module docstring).  Every
-    candidate is sifted to its first residual or the last level.  central
+    candidate is sifted to its first residual or the last level, on its
+    images of the block starts (Block starts in the module docstring).
+    central
     promises that the start holds the commutators of the result with the
     group conj_by generates: the closure then sifts the seeds and the p-th
     powers alone (Central start in the module docstring)."""
@@ -903,8 +976,10 @@ def _close(
     dims = [p**m for m in range(tree.depth)] if ambient is None else ambient.dimensions()
     for lvl, d in zip(layers.levels, dims):
         lvl.cap = d
-    # a central closure makes no conjugate: each lies in the group so far
-    conj = [] if central else [(y, _inverse(y)) for y in conj_by]
+    # a central closure makes no conjugate: each lies in the group so far.
+    # Each y with its inverse's images of the block starts, so that the
+    # conjugate s^-1 w s is gathered there alone (Block starts)
+    conj = [] if central else [(y, _inverse(y)[::p]) for y in conj_by]
     pulls = np.array([tree.pull(yinv) for _, yinv in conj], dtype=np.intp)
     # each level's dimension at the start: a new representative's
     # commutators with the start's rows lie in the start, so it is commuted
@@ -914,7 +989,10 @@ def _close(
     mid = layers.levels[last - 1] if last else None
     # (element, level its sift starts at, None), or (labels, None, None) for
     # the level-(N-1) labels of a p-th power; (representative, level, (s,
-    # s^-1)) stands for the conjugate s^-1 rep s, made when it is taken
+    # s^-1)) stands for the conjugate s^-1 rep s, made when it is taken.
+    # The main queue's seeds and representatives have every leaf's images,
+    # the side queue's elements the block starts' (Block starts in the
+    # module docstring)
     main = deque((x, 0, None) for x in seeds)
     side: deque = deque()
     # the last layer's queue: stacks of level-(N-1) labels, one vector per
@@ -939,15 +1017,18 @@ def _close(
             # from m on, and copy none
             layers.levels[m:] = ambient.levels[m:]
             return
-        d, hits = layers._admit(m, y, residual)
+        # y holds the block starts' images; only a representative is
+        # expanded to every leaf
+        d, hits = layers._admit(m, tree.expand(y), residual)
         rep = lvl.reps[d]
         if m + 1 < last:
             # the p-th power, and the commutators with the peers the closure
-            # added, as they were before push clears the new pivot out of them
-            side.append((_power(rep, p), m + 1, None))
+            # added, as they were before push clears the new pivot out of
+            # them, on the block starts
+            side.append((tree.power(rep), m + 1, None))
             if not central:
-                # [rep, y] at every leaf, one new array per peer y
-                xinv, peers = lvl.divs[0][d], slice(own[m], d)
+                # [rep, y], one new array per peer y
+                xinv, peers = lvl.divs[0][d][::p], slice(own[m], d)
                 for y, yinv in zip(lvl.reps[peers], lvl.divs[0][peers]):
                     side.append((y[rep[yinv[xinv]]], m + 1, None))
         else:
@@ -968,16 +1049,20 @@ def _close(
         if start is None:
             m, labels = last, x
         else:
+            # the candidate's images of the block starts
             if by is not None:
-                x = _conj(x, *by)
-            m, y, labels = layers._sift_upper(x, start)
+                h = _conj(x, *by)
+            else:
+                h = x[::p] if from_main else x
+            m, y, labels = layers._sift_upper(h, start)
         if m == last and bottom.dim == dims[last]:
             # nothing that reaches a full last layer adds a row there
             continue
         if from_main and (m < last or by is None):
-            # a seed's generator is the very array handed in; while its
-            # labels wait it has no level
-            found.append([x, m if m < last else None])
+            # a seed's generator is the very array handed in, a conjugate's
+            # its every leaf's images; while a seed's labels wait it has no
+            # level
+            found.append([x if by is None else tree.expand(h), m if m < last else None])
         if m < last:
             adjoin(m, y, labels)
         elif by is not None:
@@ -1035,11 +1120,14 @@ class Origin(NamedTuple):
     group it was closed in, or None (a handle keeps no subgroup, so no
     cycle); elements whose closure under that group's generators it is,
     for a normal closure every seed it was handed, in order; each
-    generator's residual level, None when all were given by hand."""
+    generator's residual level, None when all were given by hand; whether
+    it was closed cold, from no start, so that its generators are those the
+    closure found, the seeds that left a residual first."""
 
     ambient: PermGroup | None = None
     elements: tuple = ()
     levels: tuple | None = None
+    cold: bool = False
 
 
 class PermGroup:
@@ -1118,13 +1206,17 @@ class PermGroup:
         invariant under A's generators, so it holds the closure `other` of E
         exactly when it holds E.  The first element of E outside self is
         then the first seed outside it, the first generator outside it of
-        the cold closure of those seeds (Containment in the module
-        docstring)."""
+        the cold closure of those seeds; so when `other` was closed cold,
+        the fewer of E and its generators are sifted (Containment in the
+        module docstring)."""
         if other.degree != self.degree:
             raise DegreeMismatch("groups act on different point sets")
         if other is self or other.origin.ambient is self:
             return None
-        for g in _normal_generators(other, (self, self.origin.ambient)):
+        candidates = _normal_generators(other, (self, self.origin.ambient))
+        if other.origin.cold:
+            candidates = min(candidates, other.generators, key=len)
+        for g in candidates:
             if not self.contains(g):
                 return g
         return None
@@ -1207,9 +1299,9 @@ def _normal_generators(group: PermGroup, ambients) -> tuple:
     """The elements of `group`'s origin, when its ambient is one of the
     ambients and not None (a group closed in nothing matches none), else the
     generators of `group`."""
-    ambient, elements, _ = group.origin
+    ambient = group.origin.ambient
     if ambient is not None and any(ambient is a for a in ambients):
-        return elements
+        return group.origin.elements
     return group.generators
 
 
@@ -1274,7 +1366,7 @@ def _normal_closure(
         # generators given by hand are kept by every truncation, as level 0
         levels = (start.origin.levels or (0,) * len(start.generators)) + levels
         gens = [*start.generators, *gens]
-    return ambient._built(gens, layers, Origin(ambient, tuple(seeds), levels))
+    return ambient._built(gens, layers, Origin(ambient, tuple(seeds), levels, start is None))
 
 
 def commutator_subgroup(

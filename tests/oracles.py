@@ -432,7 +432,7 @@ def _copied(start):
         d = lvl.dim
         out = _Layer(start.tree, m)
         out.rows, out.pivots = lvl.rows[:d].copy(), lvl.pivots[:d].copy()
-        out.leaves, out.dim = lvl.leaves[:d].copy(), d
+        out.leaves, out.heads, out.dim = lvl.leaves[:d].copy(), lvl.heads[:d].copy(), d
         out.reps = [r.copy() for r in lvl.reps[:d]]
         out.divs = [[x.copy() for x in plane[:d]] for plane in lvl.divs]
         levels.append(out)

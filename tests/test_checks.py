@@ -1265,7 +1265,7 @@ class TestGeneratorOrder:
             st1 = t.st1()
             want = t.G.level_stabilizer(1)
             assert same_group(PermGroup(st1.degree, st1.generators, prime=st1.prime), want)
-            ambient, kept, _ = st1.origin
+            ambient, kept, *_ = st1.origin
             assert ambient is t.G
             assert same_group(permgroups.normal_closure(t.G, kept), want)
 

@@ -34,6 +34,7 @@ from ggsver.portraits import (
 from oracles import (
     SchreierSims,
     _adds_pivot,
+    _sift_upper,
     bfs_closure,
     log_order,
     reference_close,
@@ -1074,7 +1075,7 @@ class TestNormalGenerators:
                 ("G''", s.second_derived(), (s.derived(), s.derived())),
             ]
         for name, h, pair in subgroups:
-            ambient, kept, _ = h.origin
+            ambient, kept, *_ = h.origin
             assert ambient is g, name
             # the session hands on G' with the closure's layers and other
             # generators
@@ -1167,9 +1168,12 @@ def _pivot_sorted(layers):
 
 
 def _kept_arrays(lvl):
-    """Every array a layer keeps: its label rows, pivots and leaves, then
-    each representative and each divisor."""
-    return [lvl.rows, lvl.pivots, lvl.leaves, *lvl.reps, *(x for plane in lvl.divs for x in plane)]
+    """Every array a layer keeps: its label rows, pivots, leaves and heads,
+    then each representative and each divisor."""
+    return [
+        lvl.rows, lvl.pivots, lvl.leaves, lvl.heads,
+        *lvl.reps, *(x for plane in lvl.divs for x in plane),
+    ]
 
 
 def _layer_arrays(layers):
@@ -1311,7 +1315,7 @@ class TestWarmNormalClosure:
                 again = PermGroup(t.degree, t.generators, prime=p)
                 assert again.order_exponent == cold.truncate(m).order_exponent, (name, m)
             # the seeds it records close to it
-            ambient, seeds, _ = warm.origin
+            ambient, seeds, *_ = warm.origin
             again = normal_closure(ambient, seeds)
             assert ambient is g and same_group(again, warm) and same_group(warm, again), name
             if small:
@@ -1367,7 +1371,7 @@ class TestWarmNormalClosure:
             assert len(now) == len(arrays) and all(a is b for a, b in zip(now, arrays))
             assert all(np.array_equal(a, b) for a, b in zip(now, copies))
             replaced += sum(a is not b for a, b in zip(lvl.reps, ref.reps))
-            for a in _kept_arrays(lvl)[3:] + now[3:]:
+            for a in _kept_arrays(lvl)[4:] + now[4:]:
                 assert not a.flags.writeable
         assert replaced
 
@@ -1463,7 +1467,7 @@ class TestCentralStart:
     def test_a_closure_that_adds_no_row_shares_the_start(self, gs4, central):
         # G''s own generators reach its last layer as runs that add no row:
         # no layer takes room, the last one included, so each keeps views of
-        # the start's label rows, pivots and leaves, and its very
+        # the start's label rows, pivots, leaves and heads, and its very
         # representatives and divisors, and nothing is trimmed
         d = gs4.derived()
         tree = d.chain.tree
@@ -1474,10 +1478,10 @@ class TestCentralStart:
         assert sizes and found == []
         assert layers.dimensions() == d.chain.dimensions()
         for lvl, start in zip(layers.levels, d.chain.levels):
-            for name in ("rows", "pivots", "leaves"):
+            for name in ("rows", "pivots", "leaves", "heads"):
                 got, want = getattr(lvl, name), getattr(start, name)
                 assert got.size == 0 or np.shares_memory(got, want), name
-            got, want = _kept_arrays(lvl)[3:], _kept_arrays(start)[3:]
+            got, want = _kept_arrays(lvl)[4:], _kept_arrays(start)[4:]
             assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
@@ -1545,6 +1549,40 @@ class TestContainmentWitnessRule:
                         assert got == want, (name, other_name)
         # the pairs are not all containments
         assert outside
+
+    def test_a_cold_closure_sifts_the_fewer_of_its_seeds_and_generators(self, sym5_spec):
+        # st(1) at p=5 depth 4, given by its 140 representatives: derived()
+        # closes the 2084 non-trivial commutators of their pairs cold and
+        # finds 115 generators, so a container closed in st(1) sifts those,
+        # and names the first seed outside it all the same
+        st1 = gv.build(sym5_spec, 4).G.level_stabilizer(1)
+        d = st1.derived()
+        assert d.origin.cold and (len(st1.generators), len(d.origin.elements)) == (140, 2084)
+        assert len(d.generators) == 115
+        sifted = []
+        real_contains = PermGroup.contains
+
+        def contains(group, x):
+            sifted.append(x)
+            return real_contains(group, x)
+
+        part = normal_closure(st1, d.generators[:80])
+        with mock.patch.object(PermGroup, "contains", autospec=True, side_effect=contains):
+            assert st1.derived().containment_witness(d) is None
+            assert len(sifted) == 115
+            del sifted[:]
+            witness = part.containment_witness(d)
+        assert len(sifted) == 89 and witness.images is d.generators[88].images
+        outside = [i for i, x in enumerate(d.origin.elements) if not part.contains(x)]
+        assert outside[0] == 312 and d.origin.elements[312] == witness
+        # a warm closure sifts its seeds, though it has fewer generators:
+        # its witness is the first seed outside
+        warm = permgroups._normal_closure(st1, d.origin.elements, start=part)
+        assert not warm.origin.cold and len(warm.generators) < 2084
+        del sifted[:]
+        with mock.patch.object(PermGroup, "contains", autospec=True, side_effect=contains):
+            witness = part.containment_witness(warm)
+        assert len(sifted) == 313 and witness is d.origin.elements[312]
 
     @staticmethod
     def _sifted_before_the_closure(a, b, ambient):
@@ -1634,6 +1672,48 @@ class TestBottomLabelArithmetic:
             for s in g.generators:
                 conj = s.inverse() * w * s
                 assert np.array_equal(u[tree.pull(s.inverse().images)], _labels(conj.images, p))
+
+
+@st.composite
+def _block_start_cases(draw, s):
+    """(layers of G or G', a word in G's generators, a level it is fixed
+    to), for the session s."""
+    g, p = s.G, s.G.prime
+    w = Perm.identity(g.degree)
+    letters = st.tuples(st.integers(0, len(g.generators) - 1), st.integers(1, p - 1))
+    for i, k in draw(st.lists(letters, max_size=10)):
+        w = w * g.generators[i] ** k
+    moved = _first_moved_level(w, p, s.depth) if not w.is_identity() else s.depth - 1
+    layers = draw(st.sampled_from([g.chain, s.derived().chain]))
+    return layers, w.images, draw(st.integers(0, moved))
+
+
+class TestBlockStarts:
+    """An element of W_N is fixed by its images of the block starts, and
+    the closure's sift on them divides as a sift of every leaf does (Block
+    starts in the permgroups module docstring)."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    # the four conftest specs and one p=7 spec
+    @pytest.mark.parametrize("p,rows", _DIFF_SPECS + [(7, [(1, 2, 3, 4, 5, 6)])])
+    def test_the_sift_on_the_block_starts_is_the_full_sift(self, p, rows, depth):
+        s = gv.build(gv.validate(p, rows), depth, allow_large=True)
+        s.derived()
+
+        @settings(max_examples=12)
+        @given(_block_start_cases(s))
+        def check(case):
+            layers, x, start = case
+            tree = layers.tree
+            h = x[tree.starts[-1]]
+            assert np.array_equal(tree.expand(h), x)
+            m, y, labels = layers._sift_upper(h, start)
+            want_m, want_y, want_labels = _sift_upper(layers, x, start)
+            assert m == want_m
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(tree.expand(y), want_y)
+
+        check()
 
 
 def _echelon_add(p, rows, pivots, v):
@@ -1954,11 +2034,12 @@ class TestLayerLayout:
                 assert len(lvl.pivots) == lvl.dim
                 below = p ** (h.level - m)
                 assert np.array_equal(lvl.leaves, lvl.pivots[: lvl.dim] * below)
+                assert np.array_equal(lvl.heads, lvl.pivots[: lvl.dim] * below // p)
             for lvl in layers[:-1]:
                 d = lvl.dim
                 assert len(lvl.reps) == d
                 assert [len(plane) for plane in lvl.divs] == [d] * (p - 1)
-                for a in _kept_arrays(lvl)[3:]:
+                for a in _kept_arrays(lvl)[4:]:
                     assert a.shape == (degree,) and a.flags.owndata and not a.flags.writeable
                 for j in range(d):
                     assert np.array_equal(lvl.divs[0][j][lvl.reps[j]], identity)
